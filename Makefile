@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race bench bench-json bench-compare cluster-smoke lint lint-baseline vuln
+.PHONY: build test race bench bench-e2e bench-json bench-compare cluster-smoke lint asm-check lint-baseline vuln
 
 build:
 	$(GO) build ./...
@@ -18,6 +18,14 @@ race:
 
 bench:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/compute/ ./internal/dnn/ ./internal/serve/
+
+# bench-e2e is the repository's benchmark (cmd/bench, contract in
+# BENCHMARK.json): four workloads, end-to-end metrics, every output
+# bit-checked. Arguments pass through, e.g.
+#   make bench-e2e ARGS='-trace 1 -out traced.json'
+# for the per-layer ledger a perf change must locate its gain in.
+bench-e2e:
+	bash cmd/bench/run.sh $(ARGS)
 
 # bench-json runs the end-to-end serving load test (single-request vs
 # continuously-batched QPS over HTTP on every compute backend, the
@@ -53,10 +61,22 @@ cluster-smoke:
 # baseline (.lint-baseline.json) are filtered out; a baseline entry that
 # no longer fires fails the run as stale. The CI lint job runs exactly
 # this target.
-lint:
+lint: asm-check
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 	$(GO) vet ./...
 	$(GO) run ./cmd/repro-lint -baseline .lint-baseline.json ./...
+
+# asm-check guards the two promises the assembly kernels make. A fused
+# multiply-add or a horizontal (cross-lane) op rounds differently from the
+# scalar Go loops it stands in for and would silently break bit identity
+# with the ref backend, so those opcodes are banned from every .s file.
+# And the pure-Go fallback other architectures get must keep building and
+# vetting, which an amd64 host otherwise never checks.
+asm-check:
+	@bad=$$(grep -rnE --include='*.s' 'VFMADD|VFNMADD|VFMSUB|VDPPS|VHADDPS' internal/); \
+	if [ -n "$$bad" ]; then echo "fused or horizontal vector op in assembly:"; echo "$$bad"; exit 1; fi
+	GOARCH=arm64 $(GO) build ./...
+	GOARCH=arm64 $(GO) vet ./internal/compute/
 
 # lint-baseline regenerates the reviewed-findings baseline. The file is
 # part of the review surface: regenerating it is how a finding gets

@@ -1,9 +1,10 @@
 // This bench file regenerates every table and figure of the
-// paper's evaluation as Go benchmarks (one per artifact; the mapping is in
-// DESIGN.md's per-experiment index). Each benchmark runs its experiment
-// once per invocation — heavyweight intermediates are cached process-wide —
-// and prints the paper-style rows so that `go test -bench=.` reproduces the
-// full evaluation. Run with -benchtime=1x for a single pass.
+// paper's evaluation as Go benchmarks (one per artifact, named after it;
+// cmd/experiments holds the same index as a name table). Each benchmark
+// runs its experiment once per invocation — heavyweight intermediates are
+// cached process-wide — and prints the paper-style rows so that
+// `go test -bench=.` reproduces the full evaluation. Run with -benchtime=1x
+// for a single pass.
 package repro
 
 import (

@@ -1,10 +1,10 @@
 // Package repro is a from-scratch Go reproduction of "EDEN: Enabling
 // Energy-Efficient, High-Performance Deep Neural Network Inference Using
 // Approximate DRAM" (Koppula et al., MICRO 2019). The library lives under
-// internal/ (see DESIGN.md for the system inventory), runnable binaries
-// under cmd/, usage examples under examples/, and the benchmark harness
-// that regenerates every table and figure of the paper's evaluation in
-// bench_test.go.
+// internal/ (README.md's "Layout" section is the system inventory),
+// runnable binaries under cmd/, usage examples under examples/, and the
+// benchmark harness that regenerates every table and figure of the paper's
+// evaluation in bench_test.go.
 //
 // # Compute backends and parallel execution
 //
@@ -12,8 +12,11 @@
 // Conv2D, Conv2DBackward) live behind the pluggable compute.Backend
 // interface in internal/compute: "ref" is the direct-loop reference,
 // "gemm" (the default) lowers convolution via im2col to a cache-blocked
-// GEMM staged in per-goroutine pool-recycled scratch slabs. Blocking is
-// applied over output coordinates only, never across the k reduction, so
+// GEMM staged in per-goroutine pool-recycled scratch slabs, its streaming
+// inner loops running eight float32 lanes wide on amd64 (AVX assembly
+// behind compute's axpy primitives; one output element per lane, multiply
+// and add rounded separately, so no bit moves). Blocking is applied over
+// output coordinates only, never across the k reduction, so the float
 // backends are bit-identical on every model — backend choice is a pure
 // throughput knob, selectable process-wide (-backend on cmd/eden,
 // cmd/serve, examples/serving; compute.SetDefault), per network

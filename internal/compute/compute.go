@@ -9,7 +9,9 @@
 //   - Gemm: Conv2D (and, symmetrically, Conv2DBackward) lowered via im2col
 //     to a cache-blocked GEMM, with per-goroutine pool-recycled scratch
 //     buffers so the patch matrices allocate nothing in steady state. The
-//     serving hot path runs here.
+//     serving hot path runs here. Its streaming inner loops go through
+//     the axpy4/axpy vector primitives (axpy.go): AVX assembly on amd64,
+//     the scalar loops that specify it everywhere else.
 //   - QGemm: the quantized int8 backend — operands are int8 codes, the
 //     GEMM accumulates exactly in integers (the hot kernels pack two
 //     outputs into the 32-bit lanes of one uint64 so each 64-bit multiply

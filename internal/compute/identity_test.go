@@ -13,7 +13,8 @@ import (
 // reproduce Ref bit for bit, at every worker count. The inputs mix dense
 // random values with exact zeros (the post-ReLU activation pattern) and
 // zeroed weights (the pruned-model pattern) so the zero-skip and padding
-// paths are exercised, not just the dense fast path.
+// paths are exercised, not just the dense fast path. Every test runs twice
+// (forEachVecPath): on the vector primitives and on their scalar bodies.
 
 // sprinkleZeros forces roughly one in four elements to exact zero, the
 // way ReLU activations and pruned weights look in real forwards.
@@ -44,6 +45,10 @@ func atWorkerCounts(t *testing.T, f func()) {
 }
 
 func TestGemmMatMulBitIdenticalToRef(t *testing.T) {
+	forEachVecPath(t, testGemmMatMulBitIdenticalToRef)
+}
+
+func testGemmMatMulBitIdenticalToRef(t *testing.T) {
 	r := tensor.NewRNG(0x6E77)
 	for iter := 0; iter < 40; iter++ {
 		m := r.Intn(40) + 1
@@ -59,6 +64,10 @@ func TestGemmMatMulBitIdenticalToRef(t *testing.T) {
 }
 
 func TestGemmMatMulTransBBitIdenticalToRef(t *testing.T) {
+	forEachVecPath(t, testGemmMatMulTransBBitIdenticalToRef)
+}
+
+func testGemmMatMulTransBBitIdenticalToRef(t *testing.T) {
 	r := tensor.NewRNG(0x6E78)
 	for iter := 0; iter < 40; iter++ {
 		m := r.Intn(40) + 1
@@ -74,6 +83,10 @@ func TestGemmMatMulTransBBitIdenticalToRef(t *testing.T) {
 }
 
 func TestGemmConv2DBitIdenticalToRef(t *testing.T) {
+	forEachVecPath(t, testGemmConv2DBitIdenticalToRef)
+}
+
+func testGemmConv2DBitIdenticalToRef(t *testing.T) {
 	r := tensor.NewRNG(0x6E79)
 	for iter := 0; iter < 60; iter++ {
 		stride := r.Intn(3) + 1
@@ -121,6 +134,10 @@ func TestGemmConv2DBitIdenticalToRef(t *testing.T) {
 // output columns (not rows) across workers. Each output element still
 // accumulates k-ascending, so the result must match Ref bit for bit.
 func TestGemmMatMulColumnSplitBitIdenticalToRef(t *testing.T) {
+	forEachVecPath(t, testGemmMatMulColumnSplitBitIdenticalToRef)
+}
+
+func testGemmMatMulColumnSplitBitIdenticalToRef(t *testing.T) {
 	r := tensor.NewRNG(0x6E7E)
 	for _, m := range []int{1, 2, 3} {
 		a := randomTensor(r, m, 256)
@@ -140,6 +157,10 @@ func TestGemmMatMulColumnSplitBitIdenticalToRef(t *testing.T) {
 // itself across worker counts. See gemmBackend.Conv2DBackward for the
 // contract.
 func TestGemmConv2DBackwardMatchesRef(t *testing.T) {
+	forEachVecPath(t, testGemmConv2DBackwardMatchesRef)
+}
+
+func testGemmConv2DBackwardMatchesRef(t *testing.T) {
 	r := tensor.NewRNG(0x6E7F)
 	for iter := 0; iter < 40; iter++ {
 		stride := r.Intn(3) + 1
@@ -202,7 +223,9 @@ func abs32(v float32) float32 {
 
 // TestGemmConv2DOneByOneFastPath pins the no-copy 1×1 lowering against Ref
 // explicitly, since it bypasses im2col entirely.
-func TestGemmConv2DOneByOneFastPath(t *testing.T) {
+func TestGemmConv2DOneByOneFastPath(t *testing.T) { forEachVecPath(t, testGemmConv2DOneByOneFastPath) }
+
+func testGemmConv2DOneByOneFastPath(t *testing.T) {
 	r := tensor.NewRNG(0x6E7A)
 	in := randomTensor(r, 2, 16, 9, 11)
 	wt := randomTensor(r, 24, 16, 1, 1)
@@ -217,6 +240,10 @@ func TestGemmConv2DOneByOneFastPath(t *testing.T) {
 // TestGemmConv2DKernelLargerThanInput exercises taps that fall entirely in
 // the padding band, where the im2col fill must emit pure zero rows.
 func TestGemmConv2DKernelLargerThanInput(t *testing.T) {
+	forEachVecPath(t, testGemmConv2DKernelLargerThanInput)
+}
+
+func testGemmConv2DKernelLargerThanInput(t *testing.T) {
 	r := tensor.NewRNG(0x6E7B)
 	in := randomTensor(r, 1, 2, 3, 3)
 	wt := randomTensor(r, 4, 2, 5, 5)
@@ -232,6 +259,10 @@ func TestGemmConv2DKernelLargerThanInput(t *testing.T) {
 // in-bounds lower bound for the leftmost taps lands past the row end and
 // must clamp to OW instead of overrunning the im2col row.
 func TestGemmConv2DPaddingBoundClamp(t *testing.T) {
+	forEachVecPath(t, testGemmConv2DPaddingBoundClamp)
+}
+
+func testGemmConv2DPaddingBoundClamp(t *testing.T) {
 	r := tensor.NewRNG(0x6E7C)
 	in := randomTensor(r, 1, 1, 4, 4)
 	wt := randomTensor(r, 2, 1, 9, 9)

@@ -7,7 +7,9 @@ import (
 	"repro/internal/tensor"
 )
 
-// forEachBackend runs f once per registered backend, as a subtest.
+// forEachBackend runs f once per registered backend, as a subtest — and
+// for gemm, the one backend built on the vector primitives, once per
+// primitive implementation.
 func forEachBackend(t *testing.T, f func(t *testing.T, b Backend)) {
 	t.Helper()
 	for _, name := range Names() {
@@ -15,7 +17,13 @@ func forEachBackend(t *testing.T, f func(t *testing.T, b Backend)) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		t.Run(name, func(t *testing.T) { f(t, b) })
+		t.Run(name, func(t *testing.T) {
+			if b == Gemm {
+				forEachVecPath(t, func(t *testing.T) { f(t, b) })
+				return
+			}
+			f(t, b)
+		})
 	}
 }
 

@@ -134,6 +134,8 @@ type SoftwareDRAM struct {
 	weakSpan  map[string]int
 	nextBit   int
 	passCount uint64
+	// scaled memoizes Model.ScaledTo per BER (see scaledModel).
+	scaled map[float64]*errormodel.Model
 }
 
 // NewSoftwareDRAM builds a corruptor around a fitted model at the given
@@ -199,6 +201,23 @@ func (s *SoftwareDRAM) SetLayout(offsets map[string]int, nextBit int) {
 	s.nextBit = nextBit
 }
 
+// scaledModel returns Model.ScaledTo(ber), computed once per distinct BER:
+// every tensor of every hook call asks for it, and a corruptor only ever
+// sees the handful of rates its sweep or partition map holds. The entries
+// are never written after creation, so clones share them (each through a
+// map of its own — a corruptor is single-goroutine state).
+func (s *SoftwareDRAM) scaledModel(ber float64) *errormodel.Model {
+	if m, ok := s.scaled[ber]; ok {
+		return m
+	}
+	m := s.Model.ScaledTo(ber)
+	if s.scaled == nil {
+		s.scaled = map[float64]*errormodel.Model{}
+	}
+	s.scaled[ber] = m
+	return m
+}
+
 // corruptTensor pushes one tensor through the modelled approximate DRAM:
 // quantize, inject model errors at the data's BER, correct implausible
 // values, dequantize into a fresh tensor.
@@ -238,7 +257,7 @@ func (s *SoftwareDRAM) corruptImage(t *tensor.Tensor, id string) *quant.QTensor 
 	if ber <= 0 {
 		return q
 	}
-	scaled := s.Model.ScaledTo(ber)
+	scaled := s.scaledModel(ber)
 	inj := errormodel.Injector{Model: scaled}
 	// Keep transient draws aligned with the corruptor's pass counter.
 	inj.SetPass(s.passCount)
@@ -299,6 +318,7 @@ func (s *SoftwareDRAM) Clone(pass uint64) *SoftwareDRAM {
 		weakSpan:   make(map[string]int, len(s.weakSpan)),
 		nextBit:    s.nextBit,
 		passCount:  pass,
+		scaled:     make(map[float64]*errormodel.Model, len(s.scaled)),
 	}
 	for k, v := range s.Bounds {
 		c.Bounds[k] = v
@@ -315,6 +335,9 @@ func (s *SoftwareDRAM) Clone(pass uint64) *SoftwareDRAM {
 	}
 	for k, v := range s.weakSpan {
 		c.weakSpan[k] = v
+	}
+	for k, v := range s.scaled {
+		c.scaled[k] = v
 	}
 	return c
 }

@@ -124,6 +124,39 @@ func TestClonePoolMatchesFreshClones(t *testing.T) {
 	}
 }
 
+// TestScaledModelMemoFollowsBER: the per-BER memo of the scaled error model
+// must be invisible. A corruptor swept across rates (and back) corrupts
+// exactly like a fresh corruptor built at each rate, and a clone's new
+// entries stay out of its parent's map.
+func TestScaledModelMemoFollowsBER(t *testing.T) {
+	x := tensor.New(1, 3, 8, 8)
+	x.FillUniform(tensor.NewRNG(11), -1, 1)
+	swept := NewSoftwareDRAM(uniformModel(1), quant.Int8)
+	for _, ber := range []float64{1e-2, 5e-2, 1e-2} {
+		swept.BER = ber
+		fresh := NewSoftwareDRAM(uniformModel(1), quant.Int8)
+		fresh.BER = ber
+		got, want := swept.corruptTensor(x, "ifm:memo"), fresh.corruptTensor(x, "ifm:memo")
+		for i := range want.Data {
+			if got.Data[i] != want.Data[i] {
+				t.Fatalf("ber=%g element %d: swept %v != fresh %v", ber, i, got.Data[i], want.Data[i])
+			}
+		}
+	}
+	if len(swept.scaled) != 2 {
+		t.Fatalf("memo holds %d models after two distinct rates", len(swept.scaled))
+	}
+	clone := swept.Clone(0)
+	if clone.scaled[1e-2] != swept.scaled[1e-2] {
+		t.Fatal("clone did not inherit the parent's scaled model")
+	}
+	clone.BER = 2e-1
+	clone.corruptTensor(x, "ifm:memo")
+	if len(clone.scaled) != 3 || len(swept.scaled) != 2 {
+		t.Fatalf("clone's entry leaked: clone %d, parent %d", len(clone.scaled), len(swept.scaled))
+	}
+}
+
 // TestSweepBERMatchesSerial pins the fan-out helper to the serial
 // reference: one EvalWithModel per BER on a fresh network clone.
 func TestSweepBERMatchesSerial(t *testing.T) {

@@ -1,5 +1,6 @@
 // Package experiments regenerates every table and figure of the paper's
-// evaluation (the per-experiment index lives in DESIGN.md). Each experiment
+// evaluation (the per-experiment index is the name table in
+// cmd/experiments). Each experiment
 // returns formatted rows comparable to the paper's artifact; heavyweight
 // intermediate results (trained models, pipeline runs) are cached
 // process-wide so the bench harness and the CLI can share them.

@@ -40,9 +40,9 @@ func RefreshExtension() (Report, error) {
 	return r, nil
 }
 
-// BoundingMarginAblation sweeps the bounding logic's threshold margin — the
-// design choice DESIGN.md calls out: too tight clips legitimate values, too
-// loose lets implausible values through.
+// BoundingMarginAblation sweeps the bounding logic's threshold margin, a
+// trade-off with a cliff on both sides: too tight clips legitimate values,
+// too loose lets implausible values through.
 func BoundingMarginAblation() (Report, error) {
 	r := Report{ID: "X2/Margin", Title: "Bounding threshold margin ablation (LeNet, FP32, BER 2e-3)",
 		Header: fmt.Sprintf("%8s %9s", "Margin", "Acc")}

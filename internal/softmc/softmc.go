@@ -7,6 +7,8 @@
 package softmc
 
 import (
+	"math/bits"
+
 	"repro/internal/dram"
 	"repro/internal/errormodel"
 )
@@ -23,7 +25,7 @@ func MeasureBER(d *dram.Device, op dram.OperatingPoint, pattern byte, reads int)
 	writePattern(d, pattern)
 	d.SetOperatingPoint(op)
 	rowBytes := d.Geom.RowBytes
-	flips, bits := 0, 0
+	flips, total := 0, 0
 	for r := 0; r < reads; r++ {
 		for row := 0; row < d.Geom.Rows(); row++ {
 			expect := pattern
@@ -32,13 +34,13 @@ func MeasureBER(d *dram.Device, op dram.OperatingPoint, pattern byte, reads int)
 			}
 			got := d.Read(row*rowBytes, rowBytes)
 			for _, b := range got {
-				flips += popcount(b ^ expect)
-				bits += 8
+				flips += bits.OnesCount8(b ^ expect)
+				total += 8
 			}
 		}
 	}
 	d.SetOperatingPoint(dram.Nominal())
-	return float64(flips) / float64(bits)
+	return float64(flips) / float64(total)
 }
 
 // writePattern fills every row with pattern, inverted on odd rows.
@@ -57,15 +59,6 @@ func writePattern(d *dram.Device, pattern byte) {
 			d.Write(row*rowBytes, inv)
 		}
 	}
-}
-
-func popcount(b byte) int {
-	n := 0
-	for b != 0 {
-		n += int(b & 1)
-		b >>= 1
-	}
-	return n
 }
 
 // CharacterizeConfig controls profile collection.
@@ -159,7 +152,7 @@ func PartitionBER(d *dram.Device, pattern byte, reads int) []float64 {
 	rowsPerPart := d.Geom.Rows() / d.NumPartitions()
 	out := make([]float64, d.NumPartitions())
 	for p := 0; p < d.NumPartitions(); p++ {
-		flips, bits := 0, 0
+		flips, total := 0, 0
 		start, _ := d.PartitionRange(p)
 		startRow := start / rowBytes
 		for r := 0; r < reads; r++ {
@@ -170,12 +163,12 @@ func PartitionBER(d *dram.Device, pattern byte, reads int) []float64 {
 				}
 				got := d.Read(row*rowBytes, rowBytes)
 				for _, b := range got {
-					flips += popcount(b ^ expect)
-					bits += 8
+					flips += bits.OnesCount8(b ^ expect)
+					total += 8
 				}
 			}
 		}
-		out[p] = float64(flips) / float64(bits)
+		out[p] = float64(flips) / float64(total)
 	}
 	return out
 }
