@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race bench bench-e2e bench-json bench-compare cluster-smoke lint asm-check lint-baseline vuln
+.PHONY: build test fuzz-smoke race bench bench-e2e bench-json bench-compare cluster-smoke lint asm-check lint-baseline vuln
 
 build:
 	$(GO) build ./...
@@ -12,6 +12,11 @@ build:
 # surface instead of passing by accident.
 test:
 	$(GO) test -shuffle=on ./...
+
+# fuzz-smoke gives the vector-vs-scalar codec fuzz target ten seconds of
+# fresh inputs on top of its seed corpus (which `make test` already runs).
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz FuzzQuantizeVecMatchesScalar -fuzztime 10s ./internal/quant
 
 race:
 	$(GO) test -race -short ./...
@@ -66,17 +71,19 @@ lint: asm-check
 	$(GO) vet ./...
 	$(GO) run ./cmd/repro-lint -baseline .lint-baseline.json ./...
 
-# asm-check guards the two promises the assembly kernels make. A fused
+# asm-check guards the promises the assembly kernels make. A fused
 # multiply-add or a horizontal (cross-lane) op rounds differently from the
-# scalar Go loops it stands in for and would silently break bit identity
-# with the ref backend, so those opcodes are banned from every .s file.
-# And the pure-Go fallback other architectures get must keep building and
-# vetting, which an amd64 host otherwise never checks.
+# scalar Go loops it stands in for, and an approximate reciprocal is not
+# the correctly rounded divide they perform; any of them would silently
+# break bit identity with the scalar specification, so those opcodes are
+# banned from every .s file. And the pure-Go fallback other architectures
+# get must keep building and vetting, which an amd64 host otherwise never
+# checks.
 asm-check:
-	@bad=$$(grep -rnE --include='*.s' 'VFMADD|VFNMADD|VFMSUB|VDPPS|VHADDPS' internal/); \
-	if [ -n "$$bad" ]; then echo "fused or horizontal vector op in assembly:"; echo "$$bad"; exit 1; fi
+	@bad=$$(grep -rnE --include='*.s' 'VFMADD|VFNMADD|VFMSUB|VDPPS|VHADDPS|VRCPPS|VRSQRTPS' internal/); \
+	if [ -n "$$bad" ]; then echo "fused, horizontal or approximate vector op in assembly:"; echo "$$bad"; exit 1; fi
 	GOARCH=arm64 $(GO) build ./...
-	GOARCH=arm64 $(GO) vet ./internal/compute/
+	GOARCH=arm64 $(GO) vet ./internal/compute/ ./internal/quant/ ./internal/cpufeat/
 
 # lint-baseline regenerates the reviewed-findings baseline. The file is
 # part of the review surface: regenerating it is how a finding gets

@@ -1,17 +1,14 @@
 package compute
 
+import "repro/internal/cpufeat"
+
 // hasVec reports whether the AVX kernels may run: the CPU implements AVX
-// and the OS saves the YMM state across context switches. Probed once, in
-// assembly, because the module is hermetic (no x/sys/cpu).
-var hasVec = cpuHasAVX()
+// and the OS saves the YMM state across context switches.
+var hasVec = cpufeat.X86.HasAVX
 
 // vecLanes is the number of float32 elements one YMM register holds; the
 // assembly consumes whole groups of this many and leaves the rest.
 const vecLanes = 8
-
-// cpuHasAVX checks CPUID.1:ECX for OSXSAVE and AVX, then XCR0 for enabled
-// SSE and AVX state.
-func cpuHasAVX() bool
 
 // axpy4AVX runs d_i[j] += a_i·x[j] for j in [0, n&^7) with VMULPS then
 // VADDPS (never a fused multiply-add), eight elements per step. The

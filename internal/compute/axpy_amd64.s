@@ -5,26 +5,6 @@
 // nothing is ever reduced across lanes. `make asm-check` rejects fused and
 // horizontal opcodes in this file.
 
-// func cpuHasAVX() bool
-TEXT ·cpuHasAVX(SB), NOSPLIT, $0-1
-	MOVL $1, AX
-	XORL CX, CX
-	CPUID
-	ANDL $0x18000000, CX // OSXSAVE (bit 27) | AVX (bit 28)
-	CMPL CX, $0x18000000
-	JNE  no
-	XORL CX, CX
-	XGETBV
-	ANDL $6, AX // XCR0: SSE (bit 1) | AVX (bit 2) state enabled
-	CMPL AX, $6
-	JNE  no
-	MOVB $1, ret+0(FP)
-	RET
-
-no:
-	MOVB $0, ret+0(FP)
-	RET
-
 // func axpy4AVX(d0, d1, d2, d3, x *float32, n int, a0, a1, a2, a3 float32)
 TEXT ·axpy4AVX(SB), NOSPLIT, $0-64
 	MOVQ         d0+0(FP), R8

@@ -130,25 +130,62 @@ type SoftwareDRAM struct {
 	Logic memctrl.BoundingLogic
 
 	offsets   map[string]int
-	weakPos   map[string][]int32
-	weakSpan  map[string]int
 	nextBit   int
 	passCount uint64
 	// scaled memoizes Model.ScaledTo per BER (see scaledModel).
 	scaled map[float64]*errormodel.Model
+
+	// data holds what each data ID resolved to under the current
+	// configuration (see state); ifm indexes the IFM entries by layer name
+	// so a hook call finds its entry without building the ID.
+	data map[string]*dataState
+	ifm  map[string]*dataState
+	// gen numbers the configuration the entries were resolved under, and
+	// seen is the part of it refresh can watch (see refresh).
+	gen  uint64
+	seen struct {
+		ber               float64
+		bounds, overrides int
+	}
+	// image is the one quantized image every corruption of this corruptor
+	// is built in (see corruptImage).
+	image quant.QTensor
+}
+
+// dataState is everything corruptImage needs to know about one data ID —
+// its rate and scaled error model, its plausibility bounds, its place in
+// the modelled module and its weak cells — looked up from the corruptor's
+// maps once and then carried from call to call.
+type dataState struct {
+	id  string
+	gen uint64 // SoftwareDRAM.gen the four fields below were resolved at; 0 = never
+
+	ber     float64
+	scaled  *errormodel.Model // Model.ScaledTo(ber) when ber > 0
+	bounds  memctrl.Bounds
+	bounded bool // bounds is Bounds[id]; otherwise bounds come from each clean tensor
+
+	off    int  // DRAM bit offset, once placed
+	placed bool // false until the first corruption at a positive rate (or SetLayout) places the ID
+	// weak lists the weak-cell bit offsets within the first weakSpan bits of
+	// the tensor, ascending. They depend only on the model's seed and P and
+	// on off, not on the rate, so they outlive a re-resolution.
+	weak     []int32
+	weakSpan int
 }
 
 // NewSoftwareDRAM builds a corruptor around a fitted model at the given
 // precision with the zeroing policy.
 func NewSoftwareDRAM(m *errormodel.Model, prec quant.Precision) *SoftwareDRAM {
 	s := &SoftwareDRAM{
-		Model:    m,
-		Prec:     prec,
-		Policy:   memctrl.Zero,
-		Bounds:   map[string]memctrl.Bounds{},
-		offsets:  map[string]int{},
-		weakPos:  map[string][]int32{},
-		weakSpan: map[string]int{},
+		Model:   m,
+		Prec:    prec,
+		Policy:  memctrl.Zero,
+		Bounds:  map[string]memctrl.Bounds{},
+		offsets: map[string]int{},
+		data:    map[string]*dataState{},
+		ifm:     map[string]*dataState{},
+		gen:     1,
 	}
 	s.Logic = memctrl.BoundingLogic{Policy: memctrl.Zero}
 	return s
@@ -158,6 +195,55 @@ func NewSoftwareDRAM(m *errormodel.Model, prec quant.Precision) *SoftwareDRAM {
 func (s *SoftwareDRAM) SetPolicy(p memctrl.Policy) {
 	s.Policy = p
 	s.Logic.Policy = p
+}
+
+// state returns the entry of a data ID, creating it unresolved.
+func (s *SoftwareDRAM) state(id string) *dataState {
+	e := s.data[id]
+	if e == nil {
+		e = &dataState{id: id}
+		s.data[id] = e
+	}
+	return e
+}
+
+// ifmState returns the entry of a layer's input feature map.
+func (s *SoftwareDRAM) ifmState(l dnn.Layer) *dataState {
+	name := l.Name()
+	e := s.ifm[name]
+	if e == nil {
+		e = s.state(IFMID(name))
+		s.ifm[name] = e
+	}
+	return e
+}
+
+// refresh brings e up to date with the configuration. The fields a sweep
+// or a curricular schedule changes between corruptions are plain exported
+// ones, so nothing announces the change: BER is compared on every call, and
+// the two maps by length, which catches entries added after first use.
+// CalibrateNet, which overwrites Bounds entries in place, starts a new
+// generation itself. Overwriting an existing Bounds or BERByData entry by
+// hand after its data ID was first corrupted is the one edit refresh cannot
+// see; recalibrate, or set the maps up before use.
+func (s *SoftwareDRAM) refresh(e *dataState) {
+	if s.BER != s.seen.ber || len(s.Bounds) != s.seen.bounds || len(s.BERByData) != s.seen.overrides {
+		s.seen.ber, s.seen.bounds, s.seen.overrides = s.BER, len(s.Bounds), len(s.BERByData)
+		s.gen++
+	}
+	if e.gen == s.gen {
+		return
+	}
+	e.gen = s.gen
+	e.ber = s.berFor(e.id)
+	e.scaled = nil
+	if e.ber > 0 {
+		e.scaled = s.scaledModel(e.ber)
+	}
+	e.bounds, e.bounded = s.Bounds[e.id]
+	if !e.placed {
+		e.off, e.placed = s.offsets[e.id]
+	}
 }
 
 // berFor returns the BER to apply to one data ID.
@@ -171,12 +257,9 @@ func (s *SoftwareDRAM) berFor(id string) float64 {
 	return s.Model.AggregateBER()
 }
 
-// offsetFor assigns (once) a stable DRAM bit offset to a data ID so that
-// different tensors occupy different rows of the modelled module.
+// offsetFor assigns a stable DRAM bit offset to a data ID that has none, so
+// that different tensors occupy different rows of the modelled module.
 func (s *SoftwareDRAM) offsetFor(id string, bits int) int {
-	if off, ok := s.offsets[id]; ok {
-		return off
-	}
 	off := s.nextBit
 	s.offsets[id] = off
 	// Round up to a row boundary so tensors do not share rows.
@@ -199,6 +282,8 @@ func (s *SoftwareDRAM) SetLayout(offsets map[string]int, nextBit int) {
 		s.offsets[id] = off
 	}
 	s.nextBit = nextBit
+	// Placements and the weak lists computed at them are void.
+	s.data, s.ifm = map[string]*dataState{}, map[string]*dataState{}
 }
 
 // scaledModel returns Model.ScaledTo(ber), computed once per distinct BER:
@@ -222,7 +307,7 @@ func (s *SoftwareDRAM) scaledModel(ber float64) *errormodel.Model {
 // quantize, inject model errors at the data's BER, correct implausible
 // values, dequantize into a fresh tensor.
 func (s *SoftwareDRAM) corruptTensor(t *tensor.Tensor, id string) *tensor.Tensor {
-	return s.corruptTensorInto(t, id, false)
+	return s.corruptTensorInto(t, s.state(id), false)
 }
 
 // corruptTensorInto is corruptTensor with a destination choice: with
@@ -231,8 +316,8 @@ func (s *SoftwareDRAM) corruptTensor(t *tensor.Tensor, id string) *tensor.Tensor
 // a fused batch tensor) the copy back into the batch. The caller must own
 // t outright — in-place corruption of a reused tensor, like a dataset
 // sample, would compound across passes.
-func (s *SoftwareDRAM) corruptTensorInto(t *tensor.Tensor, id string, inPlace bool) *tensor.Tensor {
-	q := s.corruptImage(t, id)
+func (s *SoftwareDRAM) corruptTensorInto(t *tensor.Tensor, e *dataState, inPlace bool) *tensor.Tensor {
+	q := s.corruptImage(t, e)
 	if q == nil {
 		return t
 	}
@@ -248,43 +333,49 @@ func (s *SoftwareDRAM) corruptTensorInto(t *tensor.Tensor, id string, inPlace bo
 // error-free and quantization is not forced (the tensor passes through
 // untouched). Exposing the image lets CorruptWeights re-derive adopted int8
 // weight codes without a float round-trip.
-func (s *SoftwareDRAM) corruptImage(t *tensor.Tensor, id string) *quant.QTensor {
-	ber := s.berFor(id)
-	if ber <= 0 && !s.ForceQuant {
+//
+// The image is the corruptor's own scratch (s.image): it is valid until the
+// next call on this corruptor, which overwrites it. Every caller decodes or
+// converts it before then — the hooks dequantize it, corruptParams
+// dequantizes it and copies its codes into the adopted int8 image — so
+// weights and both hook shapes share the one buffer, and a warmed corruptor
+// corrupts without allocating.
+func (s *SoftwareDRAM) corruptImage(t *tensor.Tensor, e *dataState) *quant.QTensor {
+	s.refresh(e)
+	if e.ber <= 0 && !s.ForceQuant {
 		return nil
 	}
-	q := quant.Quantize(t, s.Prec)
-	if ber <= 0 {
+	q := &s.image
+	quant.QuantizeInto(q, t, s.Prec)
+	if e.ber <= 0 {
 		return q
 	}
-	scaled := s.scaledModel(ber)
-	inj := errormodel.Injector{Model: scaled}
+	inj := errormodel.Injector{Model: e.scaled}
 	// Keep transient draws aligned with the corruptor's pass counter.
 	inj.SetPass(s.passCount)
-	off := s.offsetFor(id, q.NumBits())
-	if scaled.Kind == errormodel.Model0 && scaled.P >= 1 {
+	nbits := q.NumBits()
+	if !e.placed {
+		e.off, e.placed = s.offsetFor(e.id, nbits), true
+	}
+	if e.scaled.Kind == errormodel.Model0 && e.scaled.P >= 1 {
 		// All-weak uniform model (every Uniform(ber) corruptor): the weak
 		// list would enumerate every bit of the tensor, so skip both the
 		// list and the per-cell scan — the injector samples flip positions
 		// directly, at cost proportional to the flips, not the bits.
-		inj.InjectUniform(q, off)
+		inj.InjectUniform(q, e.off)
 	} else {
 		// Weak-cell locations depend only on the model's seed and P, not on
 		// the scaled flip rates, so they are computed once per data ID. IFM
 		// tensors shrink on partial batches: the cached (ascending) list is
 		// cut to the current span, and recomputed if the span grew.
-		nbits := q.NumBits()
-		weak, ok := s.weakPos[id]
-		if !ok || s.weakSpan[id] < nbits {
-			weak = inj.WeakPositions(nbits, off)
-			s.weakPos[id] = weak
-			s.weakSpan[id] = nbits
+		if e.weakSpan < nbits {
+			e.weak, e.weakSpan = inj.WeakPositions(nbits, e.off), nbits
 		}
-		cut := sort.Search(len(weak), func(i int) bool { return int(weak[i]) >= nbits })
-		inj.InjectWeak(q, off, weak[:cut])
+		cut := sort.Search(len(e.weak), func(i int) bool { return int(e.weak[i]) >= nbits })
+		inj.InjectWeak(q, e.off, e.weak[:cut])
 	}
-	if b, ok := s.Bounds[id]; ok {
-		s.Logic.CorrectQTensor(q, b)
+	if e.bounded {
+		s.Logic.CorrectQTensor(q, e.bounds)
 	} else if s.Policy != memctrl.Off {
 		// Fall back to bounds derived from the clean tensor, matching how
 		// weight thresholds are computed at training time (§3.2).
@@ -297,10 +388,10 @@ func (s *SoftwareDRAM) corruptImage(t *tensor.Tensor, id string) *quant.QTensor 
 func (s *SoftwareDRAM) NextPass() { s.passCount++ }
 
 // Clone returns an independent corruptor sharing the fitted model and
-// configuration but owning its own layout caches, pass counter and bounding
-// logic. A SoftwareDRAM is single-goroutine state (corruptTensor mutates the
-// weak-cell caches and correction counters), so parallel evaluation gives
-// each goroutine a clone. The clone starts its transient error draws at
+// configuration but owning its own layout caches, scratch image, pass
+// counter and bounding logic. A SoftwareDRAM is single-goroutine state
+// (corruptTensor mutates all of those), so parallel evaluation gives each
+// goroutine a clone. The clone starts its transient error draws at
 // pass; distinct pass values yield deterministically different draws, which
 // is how per-sample error streams are seeded.
 func (s *SoftwareDRAM) Clone(pass uint64) *SoftwareDRAM {
@@ -314,11 +405,13 @@ func (s *SoftwareDRAM) Clone(pass uint64) *SoftwareDRAM {
 		Bounds:     make(map[string]memctrl.Bounds, len(s.Bounds)),
 		Logic:      memctrl.BoundingLogic{Policy: s.Policy},
 		offsets:    make(map[string]int, len(s.offsets)),
-		weakPos:    make(map[string][]int32, len(s.weakPos)),
-		weakSpan:   make(map[string]int, len(s.weakSpan)),
 		nextBit:    s.nextBit,
 		passCount:  pass,
 		scaled:     make(map[float64]*errormodel.Model, len(s.scaled)),
+		data:       make(map[string]*dataState, len(s.data)),
+		ifm:        make(map[string]*dataState, len(s.ifm)),
+		gen:        s.gen,
+		seen:       s.seen,
 	}
 	for k, v := range s.Bounds {
 		c.Bounds[k] = v
@@ -326,18 +419,16 @@ func (s *SoftwareDRAM) Clone(pass uint64) *SoftwareDRAM {
 	for k, v := range s.offsets {
 		c.offsets[k] = v
 	}
-	// Weak-cell position lists are append-only results keyed by data ID;
-	// the clone may replace its own map entries but never mutates the
-	// shared backing arrays, so sharing them is safe and avoids recomputing
-	// the per-data weak populations.
-	for k, v := range s.weakPos {
-		c.weakPos[k] = v
-	}
-	for k, v := range s.weakSpan {
-		c.weakSpan[k] = v
-	}
 	for k, v := range s.scaled {
 		c.scaled[k] = v
+	}
+	// The clone owns its entries but shares their weak-cell lists: a list is
+	// replaced whole when a larger span needs one, never written in place.
+	entries, n := make([]dataState, len(s.data)), 0 // one allocation; slots are reached through c.data only
+	for id, e := range s.data {
+		entries[n] = *e
+		c.data[id] = &entries[n]
+		n++
 	}
 	return c
 }
@@ -435,11 +526,14 @@ func (s *SoftwareDRAM) SampleHooks(base uint64) func(int) dnn.IFMHook {
 // image re-derived from the corrupted codes, so QuantBackend inference reads
 // the same corrupted values the float path does.
 func (s *SoftwareDRAM) CorruptWeights(net *dnn.Network) (restore func()) {
-	return corruptParams(net, s.corruptImage)
+	return corruptParams(net, func(t *tensor.Tensor, id string) *quant.QTensor {
+		return s.corruptImage(t, s.state(id))
+	})
 }
 
 // corruptParams implements CorruptWeights for any corruptor that can expose
-// its corrupted quantized image: every parameter is overwritten with the
+// its corrupted quantized image (which it may reuse for the next parameter;
+// nothing here keeps it): every parameter is overwritten with the
 // dequantized image, and parameters that carry an adopted int8 code image
 // get it refreshed from the corrupted codes directly — no float round-trip,
 // so the QuantBackend fast path and the float path serve bit-consistent
@@ -477,7 +571,7 @@ func corruptParams(net *dnn.Network, image func(t *tensor.Tensor, id string) *qu
 // IFMHook returns a hook that corrupts each layer's input feature map.
 func (s *SoftwareDRAM) IFMHook() dnn.IFMHook {
 	return func(i int, l dnn.Layer, x *tensor.Tensor) *tensor.Tensor {
-		return s.corruptTensor(x, IFMID(l.Name()))
+		return s.corruptTensorInto(x, s.ifmState(l), false)
 	}
 }
 
@@ -491,7 +585,7 @@ func (s *SoftwareDRAM) IFMHook() dnn.IFMHook {
 // samples are never mutated.
 func (s *SoftwareDRAM) IFMHookInPlace() dnn.IFMHook {
 	return func(i int, l dnn.Layer, x *tensor.Tensor) *tensor.Tensor {
-		return s.corruptTensorInto(x, IFMID(l.Name()), true)
+		return s.corruptTensorInto(x, s.ifmState(l), true)
 	}
 }
 
@@ -517,7 +611,7 @@ func (s *SoftwareDRAM) CalibrateNet(tm *dnn.TrainedModel, net *dnn.Network, maxS
 	maxAbs := map[string]float32{}
 	hook := func(i int, l dnn.Layer, x *tensor.Tensor) *tensor.Tensor {
 		id := IFMID(l.Name())
-		if m := x.MaxAbs(); m > maxAbs[id] {
+		if m := quant.MaxAbs(x.Data); m > maxAbs[id] {
 			maxAbs[id] = m
 		}
 		return x
@@ -534,6 +628,7 @@ func (s *SoftwareDRAM) CalibrateNet(tm *dnn.TrainedModel, net *dnn.Network, maxS
 		}
 		s.Bounds[id] = memctrl.Bounds{Lo: -m * margin, Hi: m * margin}
 	}
+	s.gen++ // existing entries were overwritten in place: re-resolve
 }
 
 // EvalOptions bundles the corruptor into dnn evaluation options.

@@ -2,6 +2,7 @@ package memctrl
 
 import (
 	"math"
+	"strconv"
 	"testing"
 
 	"repro/internal/quant"
@@ -140,5 +141,99 @@ func TestMetadataBudgets(t *testing.T) {
 func TestPolicyString(t *testing.T) {
 	if Zero.String() != "zero" || Saturate.String() != "saturate" || Off.String() != "off" {
 		t.Fatal("policy names wrong")
+	}
+}
+
+// TestCorrectQTensorMatchesValueLoop holds the code-space bounding to the
+// per-value definition (correctValues, which FP32 still runs): for every
+// precision and policy, over bounds wider than, equal to, narrower than and
+// disjoint from the range the codes can decode to — plus inverted, one-sided,
+// zero-excluding and NaN bounds — both must leave the same codes, return the
+// same count and add the same number to Corrections.
+func TestCorrectQTensorMatchesValueLoop(t *testing.T) {
+	nan, inf := float32(math.NaN()), float32(math.Inf(1))
+	r := tensor.NewRNG(0xB0D5)
+	for _, prec := range quant.Precisions {
+		bits := prec.Bits()
+		scales := []float32{1, 1.0 / 127, 0.37, 3e-3, 1e-45, 2e-39, 1e34, 3e38, 0, inf, nan, -0.5}
+		if prec == quant.FP32 {
+			scales = []float32{1}
+		}
+		for _, scale := range scales {
+			// The representable range at this scale (FP32: a stand-in range
+			// the random bit patterns straddle).
+			rlo, rhi := -float32(int(1)<<(bits-1))*scale, float32(int(1)<<(bits-1)-1)*scale
+			if prec == quant.FP32 {
+				rlo, rhi = -1, 1
+			}
+			boundsCases := map[string]Bounds{
+				"wider":             {1.5 * rlo, 1.5 * rhi},
+				"equal":             {rlo, rhi},
+				"narrower":          {0.5 * rlo, 0.25 * rhi},
+				"one code wide":     {scale, scale},
+				"lo side only":      {0.5 * rlo, inf},
+				"hi side only":      {-inf, 0.5 * rhi},
+				"excludes zero":     {0.1 * rhi, 0.6 * rhi},
+				"negative only":     {0.6 * rlo, 0.1 * rlo},
+				"disjoint above":    {2 * rhi, 3 * rhi},
+				"disjoint below":    {3 * rlo, 2 * rlo},
+				"inverted":          {0.5 * rhi, 0.5 * rlo},
+				"NaN lo":            {nan, 0.5 * rhi},
+				"NaN hi":            {0.5 * rlo, nan},
+				"empty at zero":     {0, 0},
+				"between two codes": {0.4 * scale, 0.6 * scale},
+			}
+			for name, bounds := range boundsCases {
+				for _, policy := range []Policy{Zero, Saturate, Off} {
+					q := &quant.QTensor{Prec: prec, Scale: scale, Shape: tensor.Shape{300}, Codes: make([]uint32, 300)}
+					for i := range q.Codes {
+						// Bits above the precision's are not part of the
+						// value; every third code carries garbage there.
+						q.Codes[i] = uint32(r.Uint64())
+						if bits < 32 && i%3 != 0 {
+							q.Codes[i] &= 1<<bits - 1
+						}
+					}
+					q.Codes[0], q.Codes[1] = 0, 1<<(bits-1) // zero and the lowest code are always present
+					want := q.Clone()
+					got, oracle := &BoundingLogic{Policy: policy}, &BoundingLogic{Policy: policy}
+					nGot := got.CorrectQTensor(q, bounds)
+					nWant := 0
+					if policy != Off {
+						nWant = oracle.correctValues(want, bounds)
+					}
+					desc := prec.String() + " scale=" + fmtF(scale) + " " + name + " " + policy.String()
+					if nGot != nWant || got.Corrections != oracle.Corrections {
+						t.Fatalf("%s: rewrote %d with Corrections %d, value loop rewrote %d with Corrections %d",
+							desc, nGot, got.Corrections, nWant, oracle.Corrections)
+					}
+					for i := range want.Codes {
+						if q.Codes[i] != want.Codes[i] {
+							t.Fatalf("%s: code %d is %#x, value loop leaves %#x", desc, i, q.Codes[i], want.Codes[i])
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+func fmtF(v float32) string { return strconv.FormatFloat(float64(v), 'g', -1, 32) }
+
+// TestCorrectQTensorAllocatesNothing covers both routes through the
+// code-space bounding: the whole-range-plausible return every calibrated
+// serving tensor takes, and the compare pass.
+func TestCorrectQTensorAllocatesNothing(t *testing.T) {
+	x := tensor.New(4096)
+	x.FillUniform(tensor.NewRNG(7), -2, 2)
+	q := quant.Quantize(x, quant.Int8)
+	b := &BoundingLogic{Policy: Zero}
+	if n := b.CorrectQTensor(q, Bounds{Lo: -3, Hi: 3}); n != 0 || b.Corrections != 0 {
+		t.Fatalf("calibrated-style bounds corrected %d values (Corrections %d)", n, b.Corrections)
+	}
+	for _, bounds := range []Bounds{{Lo: -3, Hi: 3}, {Lo: -1, Hi: 1.5}} {
+		if allocs := testing.AllocsPerRun(50, func() { b.CorrectQTensor(q, bounds) }); allocs != 0 {
+			t.Fatalf("CorrectQTensor(%+v) allocates %v times per call", bounds, allocs)
+		}
 	}
 }

@@ -4,9 +4,33 @@
 // a two's-complement code of 4, 8 or 16 bits; FP32 tensors store raw IEEE-754
 // bit patterns. Bit flips are applied directly to these stored
 // representations, exactly as a flipped DRAM cell would corrupt them.
+//
+// # Scalar is specification
+//
+// Quantize, Dequantize and MaxAbs stream over three primitives (kernels.go)
+// whose plain Go loops define the result. On amd64 with AVX2 an assembly
+// body runs instead, one value per lane, and is held to the loops bit for
+// bit by tests and a fuzz target; every other build runs the loops
+// themselves. Nothing selects between the two but the CPU: no flag,
+// environment variable or build tag. So codes, and everything computed from
+// them — artifacts, served predictions — are the same on any host.
+//
+// # NaN and Inf
+//
+// The definition is total, so that holds for malformed tensors too. The
+// max-abs that fixes the scale skips NaNs and treats ±Inf as a maximum like
+// any other (the scale is then +Inf: finite values encode to 0). A value
+// whose quotient by the scale is NaN, or is 2^31 or more, has no integer
+// code; it encodes to the lowest code, −2^(b−1) — what amd64's conversion
+// instruction has always produced here, where Go promises nothing and
+// arm64 would answer 0. Quotients below −2^31 clamp to the same code in the
+// ordinary way. An all-zero tensor has scale 1; a tensor whose max-abs is so
+// small that max-abs/(2^(b−1)−1) underflows has scale 0, which makes every
+// quotient NaN or ±Inf, hence every code the lowest.
 package quant
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 
@@ -69,58 +93,54 @@ type QTensor struct {
 	Codes []uint32
 }
 
-// maxCode returns the largest positive code for b-bit symmetric quantization,
-// i.e. 2^(b-1)-1.
-func maxCode(b int) int32 {
-	return int32(1)<<(b-1) - 1
+// codeRange returns the two's-complement code interval of b-bit symmetric
+// quantization, [-2^(b-1), 2^(b-1)-1], and the mask of the stored bits.
+func codeRange(b int) (lo, hi int32, mask uint32) {
+	hi = int32(1)<<(b-1) - 1
+	return -hi - 1, hi, uint32(1)<<b - 1
 }
+
+// MaxAbs returns the largest absolute value in x, +0 for an empty slice.
+// NaNs are skipped (see the package doc); ±Inf is an ordinary maximum.
+func MaxAbs(x []float32) float32 { return maxAbs(x) }
 
 // Quantize converts t to precision p using per-tensor symmetric linear
 // scaling: values are mapped into [-2^(b-1), 2^(b-1)-1] by scale = max|x| /
 // (2^(b-1)-1). FP32 is a bit-exact passthrough.
 func Quantize(t *tensor.Tensor, p Precision) *QTensor {
-	q := &QTensor{Prec: p, Shape: t.Shape().Clone(), Codes: make([]uint32, t.Size()), Scale: 1}
+	q := &QTensor{}
+	QuantizeInto(q, t, p)
+	return q
+}
+
+// QuantizeInto is Quantize into a caller-owned image: q's Shape and Codes
+// storage is reused when large enough, so a caller that quantizes tensor
+// after tensor (a corruptor's per-layer hook) allocates nothing at steady
+// state. Everything q held before is overwritten.
+func QuantizeInto(q *QTensor, t *tensor.Tensor, p Precision) {
+	n := t.Size()
+	if cap(q.Codes) < n {
+		q.Codes = make([]uint32, n)
+	}
+	q.Prec, q.Scale, q.Codes = p, 1, q.Codes[:n]
+	q.Shape = append(q.Shape[:0], t.Shape()...)
 	if p == FP32 {
 		for i, v := range t.Data {
 			q.Codes[i] = math.Float32bits(v)
 		}
-		return q
+		return
 	}
-	b := p.Bits()
-	mc := maxCode(b)
-	ma := t.MaxAbs()
-	if ma == 0 {
-		q.Scale = 1
-	} else {
-		q.Scale = ma / float32(mc)
+	lo, hi, mask := codeRange(p.Bits())
+	if ma := maxAbs(t.Data); ma != 0 {
+		q.Scale = ma / float32(hi)
 	}
-	mask := uint32(1)<<b - 1
-	for i, v := range t.Data {
-		c := int32(math.Round(float64(v / q.Scale)))
-		if c > mc {
-			c = mc
-		}
-		if c < -mc-1 {
-			c = -mc - 1
-		}
-		q.Codes[i] = uint32(c) & mask
-	}
-	return q
+	quantizeCodes(q.Codes, t.Data, q.Scale, lo, hi, mask)
 }
 
 // Dequantize reconstructs a float32 tensor from the stored codes.
 func (q *QTensor) Dequantize() *tensor.Tensor {
 	out := tensor.New(q.Shape...)
-	if q.Prec == FP32 {
-		for i, c := range q.Codes {
-			out.Data[i] = math.Float32frombits(c)
-		}
-		return out
-	}
-	b := q.Prec.Bits()
-	for i, c := range q.Codes {
-		out.Data[i] = float32(signExtend(c, b)) * q.Scale
-	}
+	q.DequantizeInto(out.Data)
 	return out
 }
 
@@ -138,10 +158,7 @@ func (q *QTensor) DequantizeInto(dst []float32) {
 		}
 		return
 	}
-	b := q.Prec.Bits()
-	for i, c := range q.Codes {
-		dst[i] = float32(signExtend(c, b)) * q.Scale
-	}
+	dequantizeCodes(dst, q.Codes, q.Scale, q.Prec.Bits())
 }
 
 // signExtend interprets the low b bits of c as a two's-complement integer.
@@ -186,21 +203,16 @@ func (q *QTensor) Value(i int) float32 {
 }
 
 // SetValue re-encodes v into the code at index i using the existing scale.
-func (q *QTensor) SetValue(i int, v float32) {
+func (q *QTensor) SetValue(i int, v float32) { q.Codes[i] = q.Encode(v) }
+
+// Encode returns the stored code SetValue would write for v: v/Scale
+// rounded half away from zero, clamped to the code range, low Bits() bits.
+func (q *QTensor) Encode(v float32) uint32 {
 	if q.Prec == FP32 {
-		q.Codes[i] = math.Float32bits(v)
-		return
+		return math.Float32bits(v)
 	}
-	b := q.Prec.Bits()
-	mc := maxCode(b)
-	c := int32(math.Round(float64(v / q.Scale)))
-	if c > mc {
-		c = mc
-	}
-	if c < -mc-1 {
-		c = -mc - 1
-	}
-	q.Codes[i] = uint32(c) & (uint32(1)<<b - 1)
+	lo, hi, mask := codeRange(q.Prec.Bits())
+	return uint32(encode(v, q.Scale, lo, hi)) & mask
 }
 
 // FlipBit flips bit `bit` (0 = LSB) of the stored representation of value i.
@@ -231,17 +243,35 @@ func (q *QTensor) Clone() *QTensor {
 }
 
 // Pack serializes the codes into a densely packed little-endian bit stream,
-// the byte image that is stored in (approximate) DRAM.
+// the byte image that is stored in (approximate) DRAM: value i's bit k is
+// bit i*Bits()+k of the stream. Whole-byte precisions are therefore plain
+// little-endian integers and are written as such; sub-byte codes go bit by
+// bit.
 func (q *QTensor) Pack() []byte {
 	b := q.Prec.Bits()
 	out := make([]byte, q.Bytes())
-	bitPos := 0
-	for _, c := range q.Codes {
-		for k := 0; k < b; k++ {
-			if c>>uint(k)&1 == 1 {
-				out[bitPos>>3] |= 1 << uint(bitPos&7)
+	switch b {
+	case 8:
+		for i, c := range q.Codes {
+			out[i] = byte(c)
+		}
+	case 16:
+		for i, c := range q.Codes {
+			binary.LittleEndian.PutUint16(out[2*i:], uint16(c))
+		}
+	case 32:
+		for i, c := range q.Codes {
+			binary.LittleEndian.PutUint32(out[4*i:], c)
+		}
+	default:
+		bitPos := 0
+		for _, c := range q.Codes {
+			for k := 0; k < b; k++ {
+				if c>>uint(k)&1 == 1 {
+					out[bitPos>>3] |= 1 << uint(bitPos&7)
+				}
+				bitPos++
 			}
-			bitPos++
 		}
 	}
 	return out
@@ -254,20 +284,31 @@ func (q *QTensor) Unpack(buf []byte) {
 	if len(buf) < q.Bytes() {
 		panic(fmt.Sprintf("quant: Unpack buffer %d bytes, need %d", len(buf), q.Bytes()))
 	}
-	mask := uint32(1)<<b - 1
-	if b == 32 {
-		mask = ^uint32(0)
-	}
-	bitPos := 0
-	for i := range q.Codes {
-		var c uint32
-		for k := 0; k < b; k++ {
-			if buf[bitPos>>3]>>uint(bitPos&7)&1 == 1 {
-				c |= 1 << uint(k)
-			}
-			bitPos++
+	switch b {
+	case 8:
+		for i := range q.Codes {
+			q.Codes[i] = uint32(buf[i])
 		}
-		q.Codes[i] = c & mask
+	case 16:
+		for i := range q.Codes {
+			q.Codes[i] = uint32(binary.LittleEndian.Uint16(buf[2*i:]))
+		}
+	case 32:
+		for i := range q.Codes {
+			q.Codes[i] = binary.LittleEndian.Uint32(buf[4*i:])
+		}
+	default:
+		bitPos := 0
+		for i := range q.Codes {
+			var c uint32
+			for k := 0; k < b; k++ {
+				if buf[bitPos>>3]>>uint(bitPos&7)&1 == 1 {
+					c |= 1 << uint(k)
+				}
+				bitPos++
+			}
+			q.Codes[i] = c
+		}
 	}
 }
 

@@ -964,11 +964,17 @@ func (m *Model) dispatch(batch []*pending) {
 	end := time.Now()
 	lats := make([]time.Duration, len(batch))
 	for i, p := range batch {
+		lats[i] = end.Sub(p.enq)
+	}
+	// Record before delivering: a caller that reads the stats once its
+	// Predict has returned must find its own request counted.
+	m.stats.record(len(batch), end.Sub(start), lats)
+	for i, p := range batch {
 		res := Result{
 			Output:    append([]float32(nil), outs[i].Data...),
 			ArgMax:    -1,
 			BatchSize: len(batch),
-			Latency:   end.Sub(p.enq),
+			Latency:   lats[i],
 			Dims:      append([]int(nil), outs[i].Shape()...),
 		}
 		// Stages serve activations, not predictions — the dispatcher
@@ -976,8 +982,6 @@ func (m *Model) dispatch(batch []*pending) {
 		if m.spec.Task != dnn.Detect && m.stage == nil {
 			res.ArgMax = outs[i].ArgMax()
 		}
-		lats[i] = res.Latency
 		p.out <- outcome{res: res}
 	}
-	m.stats.record(len(batch), end.Sub(start), lats)
 }

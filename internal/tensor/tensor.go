@@ -167,18 +167,6 @@ func (t *Tensor) Scale(alpha float32) {
 	}
 }
 
-// MaxAbs returns the largest absolute element value, or 0 for an empty tensor.
-func (t *Tensor) MaxAbs() float32 {
-	var m float32
-	for _, v := range t.Data {
-		a := float32(math.Abs(float64(v)))
-		if a > m {
-			m = a
-		}
-	}
-	return m
-}
-
 // L2 returns the Euclidean norm of the tensor contents.
 func (t *Tensor) L2() float64 {
 	var s float64
