@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test fuzz-smoke race bench bench-e2e bench-json bench-compare cluster-smoke lint asm-check lint-baseline vuln
+.PHONY: build test fuzz-smoke race bench bench-e2e cluster-smoke lint asm-check lint-baseline vuln
 
 build:
 	$(GO) build ./...
@@ -31,25 +31,6 @@ bench:
 # for the per-layer ledger a perf change must locate its gain in.
 bench-e2e:
 	bash cmd/bench/run.sh $(ARGS)
-
-# bench-json runs the end-to-end serving load test (single-request vs
-# continuously-batched QPS over HTTP on every compute backend, the
-# deployment-artifact serving path, raw per-backend ForwardBatch
-# throughput, plus the open-loop shed/goodput phase) and records the
-# measurements for the perf trajectory. BENCH_pr*.json files are committed
-# deliberately as that trajectory's per-PR data points (numbers are
-# host-specific; CI regenerates and prints its own run).
-bench-json:
-	$(GO) run ./examples/serving -duration 3s -json BENCH_pr10.json
-
-# bench-compare gates the freshly generated benchmark against the previous
-# PR's committed record: any throughput metric more than 10% below the old
-# value (or a determinism_ok flip) exits non-zero. Numbers are
-# host-comparable only when both files come from the same machine, so CI
-# runs this as an advisory (continue-on-error) step after regenerating the
-# new file itself.
-bench-compare:
-	$(GO) run ./cmd/bench-compare -tolerance 0.10 BENCH_pr9.json BENCH_pr10.json
 
 # cluster-smoke stands up the sharded-serving fleet for real — two
 # `serve -role stage` processes plus a `serve -role dispatcher`, launched

@@ -90,11 +90,10 @@ func main() {
 	deployments := flag.String("deployment", "", "comma-separated deployment artifacts (from cmd/eden -o); exactly one for -role stage")
 	models := flag.String("models", "", "comma-separated zoo model names to serve at -ber (default LeNet when no -deployment)")
 	precision := flag.String("precision", "int8", "storage precision for -models: fp32, int16, int8, int4")
-	ber := flag.Float64("ber", 0, "uniform bit error rate for -models (0 = reliable DRAM)")
+	ber := flag.Float64("ber", 0, "uniform bit error rate for -models (0 = reliable DRAM: no bit errors, only -precision's quantization)")
 	maxBatch := flag.Int("max-batch", 16, "micro-batch size cap")
 	maxLatency := flag.Duration("max-latency", 0, "idle batch-fill window (0 = work-conserving: dispatch the moment compute is free)")
 	queueDepth := flag.Int("queue-depth", 0, "per-model admission queue capacity; full queues shed with 429 (0 = 4x max-batch)")
-	calib := flag.Int("calib", 16, "calibration samples for the bounding-logic plausibility ranges (-models path)")
 	workers := flag.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
 	backendName := flag.String("backend", compute.Default().Name(),
 		fmt.Sprintf("compute backend for all served models: %s (bit-identical; throughput only)", strings.Join(compute.Names(), ", ")))
@@ -151,7 +150,7 @@ func main() {
 			if *deployments == "" && *models == "" {
 				*models = "LeNet"
 			}
-			if err := deployStandalone(s, splitList(*deployments), splitList(*models), prec, *ber, *calib, backend); err != nil {
+			if err := deployStandalone(s, splitList(*deployments), splitList(*models), prec, *ber, backend); err != nil {
 				fatal(err)
 			}
 		}
@@ -211,9 +210,9 @@ func main() {
 	log.Print("drained, bye")
 }
 
-// deployStandalone loads every artifact and zoo model onto the server —
-// the pre-cluster behavior, unchanged.
-func deployStandalone(s *serve.Server, deployments, models []string, prec quant.Precision, ber float64, calib int, backend compute.Backend) error {
+// deployStandalone deploys every artifact, and a uniform deployment of
+// every zoo model at the given raw BER, onto the server.
+func deployStandalone(s *serve.Server, deployments, models []string, prec quant.Precision, ber float64, backend compute.Backend) error {
 	for _, path := range deployments {
 		dep, err := eden.LoadDeploymentFile(path)
 		if err != nil {
@@ -229,7 +228,11 @@ func deployStandalone(s *serve.Server, deployments, models []string, prec quant.
 	}
 	for _, name := range models {
 		log.Printf("loading %s (%s, BER %.2e)...", name, prec, ber)
-		m, err := s.Register(name, serve.ModelConfig{Prec: prec, BER: ber, CalibSamples: calib, Backend: backend})
+		dep, err := eden.UniformDeployment(name, prec, ber)
+		if err != nil {
+			return err
+		}
+		m, err := s.Deploy(dep, serve.WithBackend(backend))
 		if err != nil {
 			return err
 		}

@@ -18,11 +18,10 @@
 // and add rounded separately, so no bit moves). Blocking is applied over
 // output coordinates only, never across the k reduction, so the float
 // backends are bit-identical on every model — backend choice is a pure
-// throughput knob, selectable process-wide (-backend on cmd/eden,
-// cmd/serve, examples/serving; compute.SetDefault), per network
-// (dnn.Network.SetBackend, threaded through eden.DeployConfig.Backend
-// into the characterization sweeps), and per served model
-// (serve.ModelConfig.Backend, serve.WithBackend).
+// throughput knob, selectable process-wide (-backend on cmd/eden and
+// cmd/serve; compute.SetDefault), per network (dnn.Network.SetBackend,
+// threaded through eden.DeployConfig.Backend into the characterization
+// sweeps), and per served model (serve.WithBackend).
 //
 // All hot paths share the worker pool in internal/parallel: the compute
 // kernels, batched inference (dnn.Network.ForwardBatch with per-sample
@@ -58,25 +57,26 @@
 // micro-batch from a bounded admission queue while the dispatcher
 // computes the current one, so a dispatch starts the moment compute is
 // free (MaxLatency 0, the work-conserving default) and batch occupancy
-// tracks concurrent load rather than a fixed collection window. On a
-// single worker, multi-request batches dispatch through
+// tracks concurrent load rather than a fixed collection window. Every
+// batch, a lone request included, dispatches through
 // dnn.ForwardBatchFused — one batched kernel call per layer, each
 // sample's corruption applied in place to its slab of the fused feature
-// map — bit-identical to the per-sample fan-out path that multi-worker
-// pools use.
+// map — bit-identical to the per-sample Network.Forward passes that
+// training and the characterization sweeps run.
 // Admission control bounds the damage under overload: a full queue sheds
 // with ErrQueueFull (HTTP 429 plus a Retry-After estimate from queue
 // occupancy x smoothed service time) and requests whose deadline expires
 // while queued are dropped before dispatch with ErrExpired (HTTP 504).
-// Server.Deploy registers an artifact (Register remains the raw-BER
-// path), cmd/serve exposes both over HTTP/JSON — including GET
+// A deployment is the only way onto a server: Server.Deploy registers an
+// artifact, Server.DeployStage a layer-range slice of one, and serving a
+// zoo model at a raw BER is Server.Deploy of an eden.UniformDeployment.
+// cmd/serve exposes all three over HTTP/JSON — including GET
 // /v1/models/{name} for deployment metadata and GET /v1/healthz for
 // load-balancer probes, with graceful drain on SIGINT/SIGTERM
 // (Server.BeginDrain flips the probe to 503 while in-flight traffic
-// completes, then http.Server.Shutdown) — and examples/serving
-// load-tests them per backend, closed-loop and open-loop (fixed-pace
-// arrivals beyond capacity, exercising the shed path), with
-// cmd/bench-compare gating the recorded BENCH_pr*.json trajectory in CI.
+// completes, then http.Server.Shutdown) — and cmd/bench (contract in
+// BENCHMARK.json, make bench-e2e) load-tests them in process, over HTTP
+// and through the cluster, checking every reply bit for bit.
 // A request's output is a pure function of (deployment, input, seed),
 // independent of batching regime, batch composition, queue pressure,
 // worker count and compute backend. GET /metrics exposes the per-model

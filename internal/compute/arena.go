@@ -2,81 +2,42 @@ package compute
 
 import "sync"
 
-// The scratch arena recycles the float32 slabs the Gemm backend stages
-// im2col patch matrices in. Kernels run once per layer per forward, so
-// without recycling every convolution would allocate (and garbage-collect)
-// a patch matrix per call — at serving rates that is the dominant
-// allocation source after the activations themselves. A slab is checked
-// out by exactly one goroutine between getScratch and putScratch, which
+// slabPool recycles the scratch slabs of one element type. Kernels run once
+// per layer per forward, so without recycling every convolution would
+// allocate (and garbage-collect) a patch matrix per call — at serving rates
+// that is the dominant allocation source after the activations themselves.
+// A slab is checked out by exactly one goroutine between get and put, which
 // makes the buffers per-goroutine by construction: parallel workers inside
-// one Conv2D, and concurrent per-sample forwards in ForwardBatch, each
-// draw their own slab and never share bytes.
-var scratchPool = sync.Pool{New: func() any { return new([]float32) }}
+// one Conv2D, and concurrent per-sample forwards in ForwardBatch, each draw
+// their own slab and never share bytes.
+type slabPool[T any] struct{ pool sync.Pool }
 
-// getScratch returns a slab with at least n usable elements. The contents
-// are unspecified: callers must write every element they read (the im2col
-// fill writes the full patch matrix, including the padding zeros, so no
-// clearing pass is needed).
-func getScratch(n int) *[]float32 {
-	s := scratchPool.Get().(*[]float32)
+// get returns a slab with at least n usable elements. The contents are
+// unspecified: callers must write every element they read (the im2col fill
+// writes the full patch matrix, including the padding zeros, so no clearing
+// pass is needed).
+func (p *slabPool[T]) get(n int) *[]T {
+	s, _ := p.pool.Get().(*[]T)
+	if s == nil {
+		s = new([]T)
+	}
 	if cap(*s) < n {
-		*s = make([]float32, n)
+		*s = make([]T, n)
 	}
 	*s = (*s)[:n]
 	return s
 }
 
-// putScratch returns a slab to the pool. The slab must not be used after.
-func putScratch(s *[]float32) {
-	scratchPool.Put(s)
-}
+// put returns a slab to the pool. The slab must not be used after.
+func (p *slabPool[T]) put(s *[]T) { p.pool.Put(s) }
 
-// The integer backend stages quantized activations and patch matrices in
-// int8 slabs and accumulates into int32 slabs; both recycle exactly like the
-// float arena above (one goroutine per checkout, contents unspecified).
-var scratchPoolI8 = sync.Pool{New: func() any { return new([]int8) }}
-
-func getScratchI8(n int) *[]int8 {
-	s := scratchPoolI8.Get().(*[]int8)
-	if cap(*s) < n {
-		*s = make([]int8, n)
-	}
-	*s = (*s)[:n]
-	return s
-}
-
-func putScratchI8(s *[]int8) {
-	scratchPoolI8.Put(s)
-}
-
-var scratchPoolI32 = sync.Pool{New: func() any { return new([]int32) }}
-
-func getScratchI32(n int) *[]int32 {
-	s := scratchPoolI32.Get().(*[]int32)
-	if cap(*s) < n {
-		*s = make([]int32, n)
-	}
-	*s = (*s)[:n]
-	return s
-}
-
-func putScratchI32(s *[]int32) {
-	scratchPoolI32.Put(s)
-}
-
-// The packed dual-lane kernels (see qgemm.go) accumulate two unsigned
-// 32-bit lanes per uint64.
-var scratchPoolU64 = sync.Pool{New: func() any { return new([]uint64) }}
-
-func getScratchU64(n int) *[]uint64 {
-	s := scratchPoolU64.Get().(*[]uint64)
-	if cap(*s) < n {
-		*s = make([]uint64, n)
-	}
-	*s = (*s)[:n]
-	return s
-}
-
-func putScratchU64(s *[]uint64) {
-	scratchPoolU64.Put(s)
-}
+// The Gemm backend stages im2col patch matrices in float32 slabs; the
+// integer backend stages quantized activations and patch matrices in int8
+// slabs, accumulates into int32 slabs, and its packed dual-lane kernels (see
+// qgemm.go) accumulate two unsigned 32-bit lanes per uint64.
+var (
+	slabF32 slabPool[float32]
+	slabI8  slabPool[int8]
+	slabI32 slabPool[int32]
+	slabU64 slabPool[uint64]
+)

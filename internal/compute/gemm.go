@@ -157,8 +157,8 @@ func (gemmBackend) Conv2D(in, w, bias *tensor.Tensor, p tensor.Conv2DParams) *te
 	work := func(lo, hi int) {
 		var col *[]float32
 		if !direct11 {
-			col = getScratch(kTotal * rowsPer * ow)
-			defer putScratch(col)
+			col = slabF32.get(kTotal * rowsPer * ow)
+			defer slabF32.put(col)
 		}
 		for idx := lo; idx < hi; idx++ {
 			b := idx / (p.Groups * blocks)
@@ -337,8 +337,8 @@ func (gemmBackend) Conv2DBackward(in, w *tensor.Tensor, hasBias bool, dOut *tens
 
 	weightSweep := func() {
 		parallel.For(f, 1, func(foLo, foHi int) {
-			col := getScratch(kTotal * rowsPer * ow)
-			defer putScratch(col)
+			col := slabF32.get(kTotal * rowsPer * ow)
+			defer slabF32.put(col)
 			for b := 0; b < n; b++ {
 				for grp := foLo / fPerG; grp <= (foHi-1)/fPerG; grp++ {
 					lo := max(foLo, grp*fPerG)
@@ -402,8 +402,8 @@ func (gemmBackend) Conv2DBackward(in, w *tensor.Tensor, hasBias bool, dOut *tens
 	}
 	inputSweep := func() {
 		parallel.For(n, 1, func(bLo, bHi int) {
-			dcol := getScratch(kTotal * rowsPer * ow)
-			defer putScratch(dcol)
+			dcol := slabF32.get(kTotal * rowsPer * ow)
+			defer slabF32.put(dcol)
 			for b := bLo; b < bHi; b++ {
 				for grp := 0; grp < p.Groups; grp++ {
 					for blk := 0; blk < blocks; blk++ {

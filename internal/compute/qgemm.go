@@ -186,14 +186,14 @@ func (qgemmBackend) MatMul(a, b *tensor.Tensor) *tensor.Tensor {
 		return Gemm.MatMul(a, b)
 	}
 	c := tensor.New(m, n)
-	qb := getScratchI8(k * n)
-	defer putScratchI8(qb)
+	qb := slabI8.get(k * n)
+	defer slabI8.put(qb)
 	sb := sliceScaleI8(b.Data)
 	quantizeI8(*qb, b.Data, sb)
-	qa := getScratchI8(m * k)
-	defer putScratchI8(qa)
-	sa := getScratch(m)
-	defer putScratch(sa)
+	qa := slabI8.get(m * k)
+	defer slabI8.put(qa)
+	sa := slabF32.get(m)
+	defer slabF32.put(sa)
 	for i := 0; i < m; i++ {
 		row := a.Data[i*k : (i+1)*k]
 		s := sliceScaleI8(row)
@@ -201,8 +201,8 @@ func (qgemmBackend) MatMul(a, b *tensor.Tensor) *tensor.Tensor {
 		quantizeI8((*qa)[i*k:(i+1)*k], row, s)
 	}
 	block := func(iLo, iHi, jLo, jHi int) {
-		acc := getScratchI32(jHi - jLo)
-		defer putScratchI32(acc)
+		acc := slabI32.get(jHi - jLo)
+		defer slabI32.put(acc)
 		for i := iLo; i < iHi; i++ {
 			arow := (*qa)[i*k : (i+1)*k]
 			av := (*acc)[:jHi-jLo]
@@ -250,12 +250,12 @@ func (qg qgemmBackend) MatMulTransB(a, b *tensor.Tensor) *tensor.Tensor {
 	if k >= qSafeK {
 		return Gemm.MatMulTransB(a, b)
 	}
-	qw := getScratchI8(n * k)
-	defer putScratchI8(qw)
+	qw := slabI8.get(n * k)
+	defer slabI8.put(qw)
 	sw := sliceScaleI8(b.Data)
 	quantizeI8(*qw, b.Data, sw)
-	ws := getScratchI32(n)
-	defer putScratchI32(ws)
+	ws := slabI32.get(n)
+	defer slabI32.put(ws)
 	codeRowSums(*qw, n, k, *ws)
 	return matMulTransBQCore(a, *qw, sw, (*ws)[:n], m, k, n)
 }
@@ -287,12 +287,12 @@ func (qgemmBackend) MatMulTransBQ(a *tensor.Tensor, w *Int8Weights) *tensor.Tens
 // hold the per-column code sums of qw.
 func matMulTransBQCore(a *tensor.Tensor, qw []int8, sw float32, wsums []int32, m, k, n int) *tensor.Tensor {
 	c := tensor.New(m, n)
-	qa := getScratchI8(m * k)
-	defer putScratchI8(qa)
-	sa := getScratch(m)
-	defer putScratch(sa)
-	asums := getScratchI32(m)
-	defer putScratchI32(asums)
+	qa := slabI8.get(m * k)
+	defer slabI8.put(qa)
+	sa := slabF32.get(m)
+	defer slabF32.put(sa)
+	asums := slabI32.get(m)
+	defer slabI32.put(asums)
 	for i := 0; i < m; i++ {
 		row := a.Data[i*k : (i+1)*k]
 		s := sliceScaleI8(row)
@@ -306,8 +306,8 @@ func matMulTransBQCore(a *tensor.Tensor, qw []int8, sw float32, wsums []int32, m
 		(*asums)[i] = sum
 	}
 	if wsums == nil {
-		ws := getScratchI32(n)
-		defer putScratchI32(ws)
+		ws := slabI32.get(n)
+		defer slabI32.put(ws)
 		codeRowSums(qw, n, k, *ws)
 		wsums = (*ws)[:n]
 	}
@@ -315,8 +315,8 @@ func matMulTransBQCore(a *tensor.Tensor, qw []int8, sw float32, wsums []int32, m
 	pairs := m / 2
 	var packed []uint64
 	if pairs > 0 {
-		pk := getScratchU64(pairs * k)
-		defer putScratchU64(pk)
+		pk := slabU64.get(pairs * k)
+		defer slabU64.put(pk)
 		packed = (*pk)[:pairs*k]
 		for r := 0; r < pairs; r++ {
 			r0 := (*qa)[2*r*k:][:k]
@@ -414,12 +414,12 @@ func (qg qgemmBackend) Conv2D(in, w, bias *tensor.Tensor, p tensor.Conv2DParams)
 	if g.cg*g.kh*g.kw >= qSafeK {
 		return Gemm.Conv2D(in, w, bias, p)
 	}
-	qw := getScratchI8(w.Size())
-	defer putScratchI8(qw)
+	qw := slabI8.get(w.Size())
+	defer slabI8.put(qw)
 	sw := sliceScaleI8(w.Data)
 	quantizeI8(*qw, w.Data, sw)
-	ws := getScratchI32(g.f)
-	defer putScratchI32(ws)
+	ws := slabI32.get(g.f)
+	defer slabI32.put(ws)
 	codeRowSums(*qw, g.f, g.cg*g.kh*g.kw, *ws)
 	return conv2DQCore(in, *qw, sw, (*ws)[:g.f], bias, g)
 }
@@ -458,8 +458,8 @@ func conv2DQCore(in *tensor.Tensor, qw []int8, sw float32, wsums []int32, bias *
 	kTotal := cg * kh * kw
 	direct11 := kh == 1 && kw == 1 && p.Stride == 1 && p.Padding == 0
 	if wsums == nil {
-		ws := getScratchI32(f)
-		defer putScratchI32(ws)
+		ws := slabI32.get(f)
+		defer slabI32.put(ws)
 		codeRowSums(qw, f, kTotal, *ws)
 		wsums = (*ws)[:f]
 	}
@@ -467,10 +467,10 @@ func conv2DQCore(in *tensor.Tensor, qw []int8, sw float32, wsums []int32, bias *
 
 	// Quantize the input once, one scale per sample.
 	sample := c * h * wd
-	qin := getScratchI8(n * sample)
-	defer putScratchI8(qin)
-	sa := getScratch(n)
-	defer putScratch(sa)
+	qin := slabI8.get(n * sample)
+	defer slabI8.put(qin)
+	sa := slabF32.get(n)
+	defer slabF32.put(sa)
 	quantSamples := func(lo, hi int) {
 		for b := lo; b < hi; b++ {
 			src := in.Data[b*sample : (b+1)*sample]
@@ -503,13 +503,13 @@ func conv2DQCore(in *tensor.Tensor, qw []int8, sw float32, wsums []int32, bias *
 	work := func(lo, hi int) {
 		var col *[]int8
 		if !direct11 {
-			col = getScratchI8(kTotal * rowsPer * ow)
-			defer putScratchI8(col)
+			col = slabI8.get(kTotal * rowsPer * ow)
+			defer slabI8.put(col)
 		}
-		accU := getScratchU64(2 * rowsPer * ow)
-		defer putScratchU64(accU)
-		acc := getScratchI32(2 * rowsPer * ow)
-		defer putScratchI32(acc)
+		accU := slabU64.get(2 * rowsPer * ow)
+		defer slabU64.put(accU)
+		acc := slabI32.get(2 * rowsPer * ow)
+		defer slabI32.put(acc)
 		for idx := lo; idx < hi; idx++ {
 			b := idx / (p.Groups * blocks)
 			rem := idx % (p.Groups * blocks)

@@ -117,7 +117,7 @@ func (n *Network) ForwardBatch(xs []*tensor.Tensor, opt BatchOptions) []*tensor.
 // streams and data IDs match the per-sample path bit for bit. Kernels
 // never reduce across the batch dimension, which makes the fused outputs
 // bit-identical to ForwardBatch's — the two are interchangeable, and the
-// serve scheduler picks fused when a batch is worth fusing.
+// serve scheduler dispatches every batch, a batch of one included, fused.
 //
 // Per-sample hooks fan out across the worker pool between layers (each
 // writes only its own sample's slab, so the fan-out is bit-invisible);

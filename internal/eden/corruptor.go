@@ -100,6 +100,10 @@ type Cloner interface {
 	// reset corruptor must corrupt byte-identically to a fresh
 	// CloneCorruptor(pass) of its source.
 	Reset(pass uint64)
+	// IFMHookInPlace is IFMHook writing the corrupted values back into the
+	// tensor it is handed, for callers that own every tensor the hook sees
+	// (the fused batch pass). Byte-identical to IFMHook.
+	IFMHookInPlace() dnn.IFMHook
 }
 
 var (

@@ -42,6 +42,10 @@ type DeployConfig struct {
 	CalibSamples int
 }
 
+// defaultCalibSamples is how many clean forward passes calibrate an
+// artifact's plausibility bounds unless a DeployConfig says otherwise.
+const defaultCalibSamples = 16
+
 // DefaultDeploy returns the deployment configuration for a vendor, with the
 // coarse stages at their experiment defaults and fine-grained mapping off.
 func DefaultDeploy(vendor string) DeployConfig {
@@ -50,7 +54,7 @@ func DefaultDeploy(vendor string) DeployConfig {
 		FineRounds:      3,
 		PartitionLevels: []float64{0.5, 1, 1.5, 2.5},
 		PartitionReads:  2,
-		CalibSamples:    16,
+		CalibSamples:    defaultCalibSamples,
 	}
 }
 
@@ -65,7 +69,7 @@ func (c DeployConfig) withDefaults() DeployConfig {
 		c.PartitionReads = 2
 	}
 	if c.CalibSamples <= 0 {
-		c.CalibSamples = 16
+		c.CalibSamples = defaultCalibSamples
 	}
 	return c
 }
@@ -81,7 +85,8 @@ func (c DeployConfig) withDefaults() DeployConfig {
 type Deployment struct {
 	// ModelName names the zoo architecture; Load rebuilds it by name.
 	ModelName string `json:"model"`
-	// Vendor is the DRAM vendor profile the module was characterized as.
+	// Vendor is the DRAM vendor profile the module was characterized as;
+	// empty for a UniformDeployment, which has no module behind it.
 	Vendor string `json:"vendor"`
 	// Prec is the storage precision of weights and IFMs.
 	Prec quant.Precision `json:"precision"`
@@ -134,14 +139,6 @@ type Deployment struct {
 // data type and run Algorithm 1 over real device partitions, and calibrate
 // the bounding-logic plausibility ranges against the boosted network.
 func Deploy(modelName string, cfg DeployConfig) (*Deployment, error) {
-	return deploy(modelName, cfg, true)
-}
-
-// deploy is Deploy with the artifact-capture tail optional. capture=false
-// skips the network snapshot and bounds calibration and aliases Net to the
-// pipeline's own network — sufficient for RunCoarsePipeline's result view,
-// but the returned value must not be serialized or served.
-func deploy(modelName string, cfg DeployConfig, capture bool) (*Deployment, error) {
 	cfg = cfg.withDefaults()
 	vendor, err := dram.VendorByName(cfg.Vendor)
 	if err != nil {
@@ -204,19 +201,43 @@ func deploy(modelName string, cfg DeployConfig, capture bool) (*Deployment, erro
 		}
 	}
 
-	if capture {
-		// Snapshot the boosted network (boost may return tm's cached
-		// network itself) and bake calibrated plausibility bounds into the
-		// artifact.
-		dep.Net = tm.CloneNetFrom(best)
-		corr := dep.NewCorruptor()
-		corr.CalibrateNet(tm, dep.Net, cfg.CalibSamples, 0)
-		dep.Bounds = corr.Bounds
-	} else {
-		dep.Net = best
-	}
-	dep.WeightBytes = dep.Net.WeightBytes(cfg.Prec)
+	// Snapshot the boosted network (boost may return tm's cached network
+	// itself) and bake calibrated plausibility bounds into the artifact.
+	dep.Net = tm.CloneNetFrom(best)
+	dep.calibrate(tm, cfg.CalibSamples)
 	return dep, nil
+}
+
+// UniformDeployment is the flow's coarse-grained case with the uniform BER
+// given instead of characterized: the pretrained zoo model, unboosted, under
+// a uniform random error model at ber, with bounds calibrated on the clean
+// network over the default sample count. No module stands behind it, so it
+// names no vendor and no operating point; it serves, saves and slices like
+// any other artifact.
+func UniformDeployment(modelName string, prec quant.Precision, ber float64) (*Deployment, error) {
+	tm, err := dnn.Pretrained(modelName)
+	if err != nil {
+		return nil, err
+	}
+	dep := &Deployment{
+		ModelName:  modelName,
+		Prec:       prec,
+		ErrorModel: errormodel.Uniform(ber),
+		ServingBER: ber,
+		Net:        tm.CloneNet(),
+	}
+	dep.calibrate(tm, defaultCalibSamples)
+	return dep, nil
+}
+
+// calibrate bakes the §5 plausibility bounds of d.Net, observed over up to
+// samples clean forwards of tm's validation data, and the weight footprint
+// into the artifact.
+func (d *Deployment) calibrate(tm *dnn.TrainedModel, samples int) {
+	corr := d.NewCorruptor()
+	corr.CalibrateNet(tm, d.Net, samples, 0)
+	d.Bounds = corr.Bounds
+	d.WeightBytes = d.Net.WeightBytes(d.Prec)
 }
 
 // boost runs the boost↔characterize rounds of the pipeline: curricularly
@@ -390,8 +411,11 @@ func LoadDeployment(r io.Reader) (*Deployment, error) {
 	if err := json.Unmarshal(meta, d); err != nil {
 		return nil, err
 	}
-	if _, err := dram.VendorByName(d.Vendor); err != nil {
-		return nil, err
+	// A uniform deployment names no vendor; any other name must be known.
+	if d.Vendor != "" {
+		if _, err := dram.VendorByName(d.Vendor); err != nil {
+			return nil, err
+		}
 	}
 	switch d.Prec {
 	case quant.FP32, quant.Int16, quant.Int8, quant.Int4:

@@ -48,8 +48,14 @@ func TestDeployCoarseArtifact(t *testing.T) {
 	if dep.TolerableBER <= 0 {
 		t.Fatal("deployment characterized no tolerable BER")
 	}
+	if dep.TolerableBER < dep.BaselineTolBER {
+		t.Fatalf("pipeline regressed tolerance: %v -> %v", dep.BaselineTolBER, dep.TolerableBER)
+	}
 	if dep.Op.VDD > dram.NominalVDD || dep.Op.Timing.TRCD > dram.NominalTiming().TRCD {
 		t.Fatalf("mapped operating point above nominal: %+v", dep.Op)
+	}
+	if dep.DeltaVDD > 0 || dep.DeltaTRCD > 0 {
+		t.Fatalf("positive deltas: ΔVDD %v ΔtRCD %v", dep.DeltaVDD, dep.DeltaTRCD)
 	}
 	// The accuracy guarantee of §3.4: the op the artifact serves at must
 	// not exceed the characterized tolerance.

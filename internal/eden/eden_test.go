@@ -492,9 +492,9 @@ func TestDeviceDRAMDegradesUnderStress(t *testing.T) {
 	}
 }
 
-func TestPipelineResultString(t *testing.T) {
-	r := &PipelineResult{ModelName: "LeNet", BoostedTolBER: 0.03, DeltaVDD: -0.3, DeltaTRCD: -4.5}
-	s := r.String()
+func TestDeploymentString(t *testing.T) {
+	d := &Deployment{ModelName: "LeNet", TolerableBER: 0.03, DeltaVDD: -0.3, DeltaTRCD: -4.5}
+	s := d.String()
 	if !strings.Contains(s, "LeNet") || !strings.Contains(s, "3.00%") {
 		t.Fatalf("String() = %q", s)
 	}

@@ -1,10 +1,7 @@
 package eden
 
 import (
-	"fmt"
-
 	"repro/internal/compute"
-	"repro/internal/dnn"
 	"repro/internal/dram"
 	"repro/internal/errormodel"
 	"repro/internal/quant"
@@ -50,25 +47,6 @@ func DefaultPipeline(vendor string) PipelineConfig {
 	}
 }
 
-// PipelineResult is the outcome of the EDEN flow for one DNN.
-type PipelineResult struct {
-	ModelName string
-	Vendor    dram.VendorProfile
-	// ErrorModel is the fitted+selected model of the profiled module.
-	ErrorModel *errormodel.Model
-	// Boosted is the curricularly retrained network.
-	Boosted *dnn.Network
-	// BaselineTolBER and BoostedTolBER are the coarse tolerable BERs before
-	// and after boosting.
-	BaselineTolBER float64
-	BoostedTolBER  float64
-	// Op is the coarse-mapped operating point; DeltaVDD and DeltaTRCD are
-	// the reductions from nominal (the Table 3 columns).
-	Op        dram.OperatingPoint
-	DeltaVDD  float64
-	DeltaTRCD float64
-}
-
 // ProfileAndFit characterizes a module at a stress operating point and
 // returns the best-fitting error model (steps "DRAM error profile" of
 // Fig. 4). The model is fitted once per module and reused across DNNs.
@@ -77,38 +55,4 @@ func ProfileAndFit(device *dram.Device, profileVDD float64, maxRows int, seed ui
 	op.VDD = profileVDD
 	prof := softmc.Characterize(device, op, softmc.CharacterizeConfig{Reads: 4, MaxRows: maxRows})
 	return errormodel.Select(prof, seed)
-}
-
-// RunCoarsePipeline executes the coarse-grained EDEN flow for a zoo model —
-// profile, fit, boost while the tolerable BER improves, characterize, map —
-// as a thin view over Deploy, which is the full entry point (it adds
-// fine-grained mapping, calibration capture and serialization).
-func RunCoarsePipeline(modelName string, cfg PipelineConfig) (*PipelineResult, error) {
-	// Skip the artifact-capture tail (network snapshot, bounds
-	// calibration): PipelineResult exposes none of it.
-	dep, err := deploy(modelName, DeployConfig{PipelineConfig: cfg}, false)
-	if err != nil {
-		return nil, err
-	}
-	vendor, err := dram.VendorByName(cfg.Vendor)
-	if err != nil {
-		return nil, err
-	}
-	return &PipelineResult{
-		ModelName:      modelName,
-		Vendor:         vendor,
-		ErrorModel:     dep.ErrorModel,
-		Boosted:        dep.Net,
-		BaselineTolBER: dep.BaselineTolBER,
-		BoostedTolBER:  dep.TolerableBER,
-		Op:             dep.Op,
-		DeltaVDD:       dep.DeltaVDD,
-		DeltaTRCD:      dep.DeltaTRCD,
-	}, nil
-}
-
-// String renders the result as a Table 3 row.
-func (r *PipelineResult) String() string {
-	return fmt.Sprintf("%-14s tolerable BER %5.2f%%  ΔVDD %+.2fV  ΔtRCD %+.1fns",
-		r.ModelName, r.BoostedTolBER*100, r.DeltaVDD, r.DeltaTRCD)
 }

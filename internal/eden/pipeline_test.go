@@ -28,46 +28,6 @@ func TestProfileAndFit(t *testing.T) {
 	}
 }
 
-func TestRunCoarsePipelineEndToEnd(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full pipeline in -short mode")
-	}
-	cfg := DefaultPipeline("A")
-	cfg.RetrainEpochs = 4
-	cfg.Rounds = 1
-	cfg.Char.MaxSamples = 40
-	cfg.Char.Repeats = 1
-	cfg.Char.SearchSteps = 6
-	cfg.Char.MaxDrop = 0.02
-	res, err := RunCoarsePipeline("LeNet", cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.BoostedTolBER < res.BaselineTolBER {
-		t.Fatalf("pipeline regressed tolerance: %v -> %v", res.BaselineTolBER, res.BoostedTolBER)
-	}
-	if res.Op.VDD > dram.NominalVDD || res.Op.Timing.TRCD > dram.NominalTiming().TRCD {
-		t.Fatalf("mapping above nominal: %+v", res.Op)
-	}
-	if res.DeltaVDD > 0 || res.DeltaTRCD > 0 {
-		t.Fatalf("positive deltas: %+v", res)
-	}
-	// The mapped operating point's expected BER must not exceed the
-	// characterized tolerance (the accuracy guarantee of §3.4).
-	if ber := res.Vendor.ExpectedBER(res.Op); ber > res.BoostedTolBER*1.05 {
-		t.Fatalf("mapped op BER %v exceeds tolerance %v", ber, res.BoostedTolBER)
-	}
-}
-
-func TestRunCoarsePipelineUnknownInputs(t *testing.T) {
-	if _, err := RunCoarsePipeline("NoSuchModel", DefaultPipeline("A")); err == nil {
-		t.Fatal("unknown model accepted")
-	}
-	if _, err := RunCoarsePipeline("LeNet", DefaultPipeline("Z")); err == nil {
-		t.Fatal("unknown vendor accepted")
-	}
-}
-
 func TestFineGrainedOnDevicePartitions(t *testing.T) {
 	// Integration: characterize partition BERs on a partitioned device,
 	// run Algorithm 1, and verify every data type lands in a partition

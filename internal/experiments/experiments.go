@@ -118,7 +118,7 @@ type Table3Entry struct {
 	TolBER    float64
 	DeltaVDD  float64
 	DeltaTRCD float64
-	Result    *eden.PipelineResult
+	Result    *eden.Deployment
 }
 
 var (
@@ -162,11 +162,11 @@ func Table3For(model string, prec quant.Precision) (*Table3Entry, error) {
 	cfg.Char.MaxSamples = 40
 	cfg.Char.Repeats = 1
 	cfg.Char.SearchSteps = 7
-	res, err := eden.RunCoarsePipeline(model, cfg)
+	res, err := eden.Deploy(model, eden.DeployConfig{PipelineConfig: cfg})
 	if err != nil {
 		return nil, err
 	}
-	e := &Table3Entry{Model: model, Prec: quant.FP32, TolBER: res.BoostedTolBER,
+	e := &Table3Entry{Model: model, Prec: quant.FP32, TolBER: res.TolerableBER,
 		DeltaVDD: res.DeltaVDD, DeltaTRCD: res.DeltaTRCD, Result: res}
 	table3Cache[key] = e
 	if prec != quant.FP32 {

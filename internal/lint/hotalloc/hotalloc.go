@@ -2,7 +2,7 @@
 // code: every function of packages named compute (the kernels), and the
 // Forward/ForwardBatch/ForwardBatchFused call trees of packages named
 // dnn. Per-element allocations in those loops are what the arena
-// (compute.getScratch/putScratch) exists to remove — an alloc inside a
+// (compute.slabPool get/put) exists to remove — an alloc inside a
 // batch loop turns the O(1)-allocation pipeline the benchmarks measure
 // into an O(batch) one and puts GC pauses on the serving path.
 //

@@ -102,7 +102,11 @@ func TestServeBitIdenticalOnBothVecPaths(t *testing.T) {
 	vec, scalar := onBothPaths(t, func(t *testing.T) []float32 {
 		s := serve.New(serve.Config{MaxBatch: 8, MaxLatency: 20 * time.Millisecond})
 		defer s.Close()
-		m, err := s.Register("LeNet", serve.ModelConfig{Prec: quant.Int8, BER: 5e-3})
+		dep, err := eden.UniformDeployment("LeNet", quant.Int8, 5e-3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := s.Deploy(dep)
 		if err != nil {
 			t.Fatal(err)
 		}

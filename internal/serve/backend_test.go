@@ -21,12 +21,8 @@ func TestPerModelBackend(t *testing.T) {
 	setWorkers(t, 2)
 	s := New(Config{MaxBatch: 2, MaxLatency: time.Millisecond})
 	defer s.Close()
-	if _, err := s.Register("LeNet", ModelConfig{Prec: quant.Int8, BER: 1e-4, Backend: compute.Ref}); err != nil {
-		t.Fatal(err)
-	}
-	if m, err := s.Register("AlexNet", ModelConfig{Prec: quant.Int8, BER: 1e-4, Backend: compute.Gemm}); err != nil {
-		t.Fatal(err)
-	} else if m.Info().Backend != "gemm" {
+	deployUniform(t, s, "LeNet", quant.Int8, 1e-4, WithBackend(compute.Ref))
+	if m := deployUniform(t, s, "AlexNet", quant.Int8, 1e-4, WithBackend(compute.Gemm)); m.Info().Backend != "gemm" {
 		t.Fatalf("AlexNet backend %q, want gemm", m.Info().Backend)
 	}
 	mRef, _ := s.Model("LeNet")
@@ -41,9 +37,7 @@ func TestPerModelBackend(t *testing.T) {
 	}
 	s2 := New(Config{MaxBatch: 2, MaxLatency: time.Millisecond})
 	defer s2.Close()
-	if _, err := s2.Register("LeNet", ModelConfig{Prec: quant.Int8, BER: 1e-4, Backend: compute.Gemm}); err != nil {
-		t.Fatal(err)
-	}
+	deployUniform(t, s2, "LeNet", quant.Int8, 1e-4, WithBackend(compute.Gemm))
 	mGemm, _ := s2.Model("LeNet")
 	rRef, err := mRef.Predict(context.Background(), in, 42)
 	if err != nil {
@@ -71,10 +65,7 @@ func TestQuantizedBackendServing(t *testing.T) {
 	setWorkers(t, 2)
 	s := New(Config{MaxBatch: 4, MaxLatency: time.Millisecond})
 	defer s.Close()
-	m, err := s.Register("LeNet", ModelConfig{Prec: quant.Int8, BER: 1e-4, Backend: compute.QGemm})
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := deployUniform(t, s, "LeNet", quant.Int8, 1e-4, WithBackend(compute.QGemm))
 	if m.Info().Backend != "qgemm" {
 		t.Fatalf("backend %q, want qgemm", m.Info().Backend)
 	}
@@ -136,9 +127,7 @@ func TestDeployWithBackend(t *testing.T) {
 func TestHealthz(t *testing.T) {
 	setWorkers(t, 1)
 	s := New(Config{MaxBatch: 1})
-	if _, err := s.Register("LeNet", ModelConfig{Prec: quant.FP32}); err != nil {
-		t.Fatal(err)
-	}
+	deployUniform(t, s, "LeNet", quant.FP32, 0)
 	srv := httptest.NewServer(NewHandler(s))
 	defer srv.Close()
 

@@ -22,10 +22,7 @@ func benchInput(name string) []float32 {
 func benchServe(b *testing.B, model string, maxBatch int) {
 	s := New(Config{MaxBatch: maxBatch, MaxLatency: time.Millisecond})
 	defer s.Close()
-	m, err := s.Register(model, ModelConfig{Prec: quant.Int8, BER: 1e-4})
-	if err != nil {
-		b.Fatal(err)
-	}
+	m := deployUniform(b, s, model, quant.Int8, 1e-4)
 	in := benchInput(model)
 	b.ResetTimer()
 	start := time.Now()

@@ -3,6 +3,9 @@ package serve
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
+	"hash/crc32"
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -99,8 +102,7 @@ func TestDeployServeEndToEnd(t *testing.T) {
 	}
 }
 
-// TestDeployRegistration covers the Deploy registration lifecycle and its
-// interaction with Register.
+// TestDeployRegistration covers the Deploy registration lifecycle.
 func TestDeployRegistration(t *testing.T) {
 	dep := testDeployment(t)
 	s := New(Config{MaxBatch: 1})
@@ -120,12 +122,12 @@ func TestDeployRegistration(t *testing.T) {
 	if detail.Deployment == nil || detail.Deployment.TolerableBER != dep.TolerableBER {
 		t.Fatalf("detail %+v", detail)
 	}
-	// The name is taken — both paths must refuse it.
+	// The name is taken, whatever artifact asks for it next.
 	if _, err := s.Deploy(dep); err == nil {
 		t.Fatal("duplicate Deploy accepted")
 	}
-	if _, err := s.Register("LeNet", ModelConfig{}); err == nil {
-		t.Fatal("Register over a deployed name accepted")
+	if _, err := s.Deploy(uniformDeployment(t, "LeNet", quant.FP32, 0)); err == nil {
+		t.Fatal("uniform deployment over a deployed name accepted")
 	}
 	if _, err := s.Deploy(nil); err == nil {
 		t.Fatal("nil deployment accepted")
@@ -146,6 +148,7 @@ func TestDeployRegistration(t *testing.T) {
 func TestRegisterReservesName(t *testing.T) {
 	s := New(Config{MaxBatch: 1})
 	defer s.Close()
+	dep := uniformDeployment(t, "LeNet", quant.FP32, 0)
 	const clients = 4
 	errs := make([]error, clients)
 	var wg sync.WaitGroup
@@ -153,7 +156,7 @@ func TestRegisterReservesName(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, errs[i] = s.Register("LeNet", ModelConfig{})
+			_, errs[i] = s.Deploy(dep)
 		}(i)
 	}
 	wg.Wait()
@@ -168,15 +171,90 @@ func TestRegisterReservesName(t *testing.T) {
 	if ok != 1 {
 		t.Fatalf("%d successful registrations of one name, want 1", ok)
 	}
-	// A failed load must release the reservation: retrying an unknown model
-	// reports the load error again, not "already registered".
+	// A failed build must release the reservation: retrying an unknown model
+	// reports the build error again, not "already registered".
 	for i := 0; i < 2; i++ {
-		_, err := s.Register("NoSuchModel", ModelConfig{})
+		_, err := s.Deploy(&eden.Deployment{ModelName: "NoSuchModel"})
 		if err == nil {
 			t.Fatal("unknown model accepted")
 		}
 		if strings.Contains(err.Error(), "already registered") {
 			t.Fatalf("reservation leaked after failed load: %v", err)
+		}
+	}
+}
+
+// outputCRC is the CRC-32 of an output vector's little-endian bit patterns.
+func outputCRC(out []float32) uint32 {
+	b := make([]byte, 4*len(out))
+	for i, v := range out {
+		binary.LittleEndian.PutUint32(b[4*i:], math.Float32bits(v))
+	}
+	return crc32.ChecksumIEEE(b)
+}
+
+// TestUniformDeploymentPinnedBits holds raw-BER serving through
+// eden.UniformDeployment to the bits the removed Server.Register served:
+// the constants are the CRC-32s of its Predict outputs for testInputs
+// sample i at seed i+1, recorded at the last commit that had it.
+func TestUniformDeploymentPinnedBits(t *testing.T) {
+	inputs := testInputs(t, "LeNet", 12)
+	for _, tc := range []struct {
+		prec quant.Precision
+		ber  float64
+		want [12]uint32
+	}{
+		{quant.Int8, 5e-3, [12]uint32{
+			0x1839c1cc, 0x700d98ec, 0xd13c3f16, 0xacc2a296, 0xc231c460, 0xe37c775b,
+			0xca3b0178, 0x66d58618, 0x31103599, 0x24527ea9, 0x62dbb887, 0xae1fa01c}},
+		{quant.FP32, 0, [12]uint32{
+			0x7c0f05dd, 0xe4c0a390, 0x806edb5c, 0x7ffa8424, 0x8e963aa4, 0xf4b812c3,
+			0x78b8d4a6, 0x52de5a82, 0xc28e8849, 0x84969f55, 0xc1c08871, 0x290cd0d1}},
+	} {
+		s := New(Config{MaxBatch: 1})
+		m := deployUniform(t, s, "LeNet", tc.prec, tc.ber)
+		for i, in := range inputs {
+			res, err := m.Predict(context.Background(), in, uint64(i+1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := outputCRC(res.Output); got != tc.want[i] {
+				t.Errorf("%v at BER %v, seed %d: output CRC %#08x, Register served %#08x", tc.prec, tc.ber, i+1, got, tc.want[i])
+			}
+		}
+		s.Close()
+	}
+}
+
+// TestUniformDeploymentSaveLoad: a uniform deployment names no vendor, and
+// still round-trips through the artifact encoding to serve the same bits.
+func TestUniformDeploymentSaveLoad(t *testing.T) {
+	dep := uniformDeployment(t, "LeNet", quant.Int8, 5e-3)
+	var buf bytes.Buffer
+	if err := dep.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := eden.LoadDeployment(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if loaded.Vendor != "" || loaded.ServingBER != 5e-3 || len(loaded.Bounds) != len(dep.Bounds) {
+		t.Fatalf("loaded uniform deployment %+v", loaded)
+	}
+	inputs := testInputs(t, "LeNet", 4)
+	serveAll := func(d *eden.Deployment) [][]float32 {
+		s := New(Config{MaxBatch: 1})
+		defer s.Close()
+		m, err := s.Deploy(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return predictAll(t, m, inputs, false)
+	}
+	want, got := serveAll(dep), serveAll(loaded)
+	for i := range want {
+		if outputCRC(got[i]) != outputCRC(want[i]) {
+			t.Fatalf("sample %d differs after save/load", i)
 		}
 	}
 }

@@ -123,8 +123,7 @@ func NewHandler(s *Server) http.Handler {
 		// InC×InH×InW JSON numbers (tens of bytes each), so the model's
 		// input size plus generous slack caps it; without the limit one
 		// oversized POST could exhaust the daemon's memory.
-		info := m.Info()
-		maxBody := int64(info.InputDims[0]*info.InputDims[1]*info.InputDims[2])*64 + 4096
+		maxBody := int64(m.inputLen)*64 + 4096
 		var req PredictRequest
 		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBody)).Decode(&req); err != nil {
 			httpError(w, http.StatusBadRequest, "bad request body: "+err.Error())

@@ -35,9 +35,7 @@ func TestHTTPErrorPaths(t *testing.T) {
 	setWorkers(t, 1)
 	s := New(Config{MaxBatch: 1})
 	defer s.Close()
-	if _, err := s.Register("LeNet", ModelConfig{Prec: quant.FP32}); err != nil {
-		t.Fatal(err)
-	}
+	deployUniform(t, s, "LeNet", quant.FP32, 0)
 	srv := httptest.NewServer(NewHandler(s))
 	defer srv.Close()
 
@@ -106,9 +104,9 @@ func TestHTTPErrorPaths(t *testing.T) {
 	}
 }
 
-// TestHTTPModelDetail exercises GET /v1/models/{name} for both registration
-// paths: a pipeline deployment reports its operating-point metadata, a
-// raw-BER registration reports none.
+// TestHTTPModelDetail exercises GET /v1/models/{name} for both kinds of
+// artifact: a pipeline deployment reports its operating-point metadata, a
+// uniform (raw-BER) deployment has none to report.
 func TestHTTPModelDetail(t *testing.T) {
 	setWorkers(t, 1)
 	dep := testDeployment(t)
@@ -117,9 +115,7 @@ func TestHTTPModelDetail(t *testing.T) {
 	if _, err := s.Deploy(dep); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Register("AlexNet", ModelConfig{Prec: quant.Int8, BER: 1e-4}); err != nil {
-		t.Fatal(err)
-	}
+	deployUniform(t, s, "AlexNet", quant.Int8, 1e-4)
 	srv := httptest.NewServer(NewHandler(s))
 	defer srv.Close()
 

@@ -12,7 +12,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/dnn"
 	"repro/internal/quant"
 	"repro/internal/tensor"
 )
@@ -22,8 +21,10 @@ import (
 // so tests can hold the admission queue in an exact state.
 func stuffedModel(t *testing.T, s *Server) *Model {
 	t.Helper()
-	tm := dnn.MustPretrained("LeNet")
-	m := s.newModel("LeNet", tm.Spec, tm.CloneNet())
+	m, err := s.newModel(uniformDeployment(t, "LeNet", quant.FP32, 0), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	s.mu.Lock()
 	s.models[m.name] = m
 	s.mu.Unlock()
@@ -100,10 +101,7 @@ func TestQueueFullUnderLoad(t *testing.T) {
 	setWorkers(t, 1)
 	s := New(Config{MaxBatch: 2, QueueDepth: 2})
 	defer s.Close()
-	m, err := s.Register("LeNet", ModelConfig{Prec: quant.Int8, BER: 1e-3})
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := deployUniform(t, s, "LeNet", quant.Int8, 1e-3)
 	inputs := testInputs(t, "LeNet", 4)
 	const clients, perClient = 32, 10
 	var served, shed atomic.Uint64
@@ -224,10 +222,7 @@ func TestHTTPDeadline504(t *testing.T) {
 func TestDrainUnderLoad(t *testing.T) {
 	setWorkers(t, 2)
 	s := New(Config{MaxBatch: 4, QueueDepth: 8})
-	m, err := s.Register("LeNet", ModelConfig{Prec: quant.Int8, BER: 1e-3})
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := deployUniform(t, s, "LeNet", quant.Int8, 1e-3)
 	inputs := testInputs(t, "LeNet", 4)
 	const clients = 8
 	var closedSeen atomic.Uint64
@@ -275,15 +270,11 @@ func TestDrainUnderLoad(t *testing.T) {
 // different worker counts and queue depths.
 func TestContinuousSchedulerDeterminism(t *testing.T) {
 	inputs := testInputs(t, "LeNet", 12)
-	mc := ModelConfig{Prec: quant.Int8, BER: 5e-3}
 	run := func(cfg Config, workers int, concurrent bool) [][]float32 {
 		setWorkers(t, workers)
 		s := New(cfg)
 		defer s.Close()
-		m, err := s.Register("LeNet", mc)
-		if err != nil {
-			t.Fatal(err)
-		}
+		m := deployUniform(t, s, "LeNet", quant.Int8, 5e-3)
 		return predictAll(t, m, inputs, concurrent)
 	}
 	want := run(Config{MaxBatch: 1}, 1, false)

@@ -6,7 +6,8 @@
 // The scheduler is a two-stage pipeline. A collector goroutine admits
 // requests from the model's bounded queue and forms the next micro-batch
 // *while the current one is computing*; a dispatcher goroutine runs each
-// formed batch as one dnn.ForwardBatch over the shared parallel.Pool. The
+// formed batch as one dnn.ForwardBatchFused pass — one batched kernel call
+// per layer over the shared parallel.Pool, a batch of one included. The
 // hand-off between them is unbuffered, so the moment a dispatch returns the
 // next batch — grown concurrently up to MaxBatch — starts immediately and
 // the worker pool never idles between dispatches collecting stragglers.
@@ -19,17 +20,18 @@
 // before dispatch rather than spending compute on answers nobody is
 // waiting for. Shed and expiry counts are tracked per model in Stats.
 //
-// The primary registration path is Server.Deploy, which consumes the
-// eden.Deployment artifact the pipeline produces (boosted network, fitted
-// error model, operating points, fine-grained BER assignment, calibrated
-// bounds) and therefore needs no dataset or training access. Register
-// remains as the raw-BER path for serving a zoo model at an explicit error
-// rate without running the pipeline.
+// An eden.Deployment is the only way onto a server. Server.Deploy consumes
+// the artifact the pipeline produces (boosted network, fitted error model,
+// operating points, fine-grained BER assignment, calibrated bounds) and
+// therefore needs no dataset or training access; Server.DeployStage takes a
+// layer-range slice of one. Serving a zoo model at an explicit error rate
+// without running the pipeline is the same path fed an
+// eden.UniformDeployment.
 //
 // Determinism is preserved end to end: every request carries a seed, the
 // scheduler draws a per-request corruptor clone from an eden.ClonePool
 // (pre-warmed to MaxBatch clones at registration) reset to that seed, and
-// ForwardBatch is bit-identical to serial per-sample forwards — so a
+// the fused pass is bit-identical to serial per-sample forwards — so a
 // request's output is a pure function of (deployment, input, seed),
 // independent of batch composition, queue pressure, worker count and
 // scheduling.
@@ -46,7 +48,6 @@ import (
 	"repro/internal/compute"
 	"repro/internal/dnn"
 	"repro/internal/eden"
-	"repro/internal/errormodel"
 	"repro/internal/quant"
 	"repro/internal/tensor"
 )
@@ -93,29 +94,6 @@ func (c Config) withDefaults() Config {
 		c.QueueDepth = 4 * c.MaxBatch
 	}
 	return c
-}
-
-// ModelConfig describes how one model is deployed.
-type ModelConfig struct {
-	// Prec is the storage precision for weights and IFMs.
-	Prec quant.Precision
-	// BER is the uniform bit error rate of the approximate module the
-	// model is served from; 0 serves from reliable DRAM.
-	BER float64
-	// ForceQuant applies the quantize→dequantize round trip even at zero
-	// BER, serving the pure quantized model.
-	ForceQuant bool
-	// Model is the fitted error model to draw errors from; nil uses a
-	// uniform random model at BER.
-	Model *errormodel.Model
-	// CalibSamples bounds the clean forward passes used to calibrate the
-	// §5 bounding-logic plausibility ranges (default 16).
-	CalibSamples int
-	// Backend pins the compute backend this model's forwards run on; nil
-	// uses the process-wide compute.Default(). Backends are bit-identical,
-	// so the choice tunes throughput per model without perturbing the
-	// (deployment, input, seed) → output contract.
-	Backend compute.Backend
 }
 
 // Role names what a serving process is in a deployment topology: a
@@ -195,7 +173,8 @@ func (s *Server) release(name string) {
 }
 
 // commit publishes a built model under its reservation and starts its
-// scheduler.
+// scheduler. A stage turns the server into a stage server in the same
+// critical section, so no probe sees the model without the role.
 func (s *Server) commit(m *Model) error {
 	s.mu.Lock()
 	delete(s.reserved, m.name)
@@ -204,78 +183,19 @@ func (s *Server) commit(m *Model) error {
 		return ErrClosed
 	}
 	s.models[m.name] = m
+	if st := m.dep.Stage; st != nil {
+		s.role = RoleStage
+		if s.stage == nil {
+			s.stage = st
+		}
+	}
 	s.mu.Unlock()
 	go m.collect()
 	go m.run()
 	return nil
 }
 
-// newModel builds the scheduler scaffolding shared by every registration
-// path.
-func (s *Server) newModel(name string, spec dnn.ModelSpec, net *dnn.Network) *Model {
-	return &Model{
-		name:     name,
-		cfg:      s.cfg,
-		spec:     spec,
-		net:      net,
-		inputLen: net.InC * net.InH * net.InW,
-		inDims:   []int{1, net.InC, net.InH, net.InW},
-		queue:    make(chan *pending, s.cfg.QueueDepth),
-		batches:  make(chan []*pending),
-		quit:     make(chan struct{}),
-		stats:    newStats(s.cfg.MaxBatch),
-	}
-}
-
-// Register loads (training or reading from cache) the named zoo model,
-// prepares a raw-BER corruptor, and starts its scheduler. It is the legacy
-// registration path, kept for serving at an explicit BER without running
-// the pipeline; Deploy is the primary path and serves pipeline-produced
-// artifacts. The weight image is corrupted once at load time — as in EDEN,
-// weights live in approximate DRAM from the moment the model is stored
-// there — while IFMs are corrupted per request through seeded corruptor
-// clones.
-func (s *Server) Register(name string, mc ModelConfig) (*Model, error) {
-	if err := s.reserve(name); err != nil {
-		return nil, err
-	}
-	tm, err := dnn.Pretrained(name)
-	if err != nil {
-		s.release(name)
-		return nil, err
-	}
-	m := s.newModel(name, tm.Spec, tm.CloneNet())
-	m.net.SetBackend(mc.Backend)
-	m.prec = mc.Prec
-	m.ber = mc.BER
-	if mc.BER > 0 || mc.ForceQuant {
-		em := mc.Model
-		if em == nil {
-			em = errormodel.Uniform(mc.BER)
-		}
-		corr := eden.NewSoftwareDRAM(em, mc.Prec)
-		corr.BER = mc.BER
-		corr.ForceQuant = mc.ForceQuant
-		calib := mc.CalibSamples
-		if calib <= 0 {
-			calib = 16
-		}
-		corr.CalibrateNet(tm, m.net, calib, 0)
-		// Static weight image: corrupt once, keep (no restore). Adoption
-		// first, so the corruptor refreshes the int8 images in sync.
-		adoptQuantized(m.net, m.prec)
-		corr.CorruptWeights(m.net)
-		m.pool = eden.NewClonePool(corr)
-		// Pay the clone allocations now, not on the first full batch.
-		m.pool.Prewarm(s.cfg.MaxBatch)
-	}
-	if err := s.commit(m); err != nil {
-		return nil, err
-	}
-	return m, nil
-}
-
-// DeployOption customizes one Deploy registration.
+// DeployOption customizes one registration.
 type DeployOption func(*Model)
 
 // WithBackend serves the deployment on compute backend b instead of the
@@ -285,14 +205,13 @@ func WithBackend(b compute.Backend) DeployOption {
 	return func(m *Model) { m.net.SetBackend(b) }
 }
 
-// Deploy registers a pipeline-produced deployment artifact: the boosted
-// network is served at the artifact's precision under the error exposure
-// the pipeline characterized — per-data partition BERs when fine-grained
-// mapping succeeded, the mapped operating point's uniform BER otherwise —
-// with the plausibility bounds calibrated at deploy time. Everything needed
-// was captured by eden.Deploy, so no dataset or training access happens
-// here; a loaded artifact (eden.LoadDeploymentFile) serves identically to a
-// freshly deployed one.
+// Deploy registers a whole-model deployment artifact: the network is served
+// at the artifact's precision under the error exposure it records — per-data
+// partition BERs when fine-grained mapping succeeded, the uniform ServingBER
+// otherwise — with the plausibility bounds calibrated when the artifact was
+// made. Everything needed is in the artifact, so no dataset or training
+// access happens here; a loaded artifact (eden.LoadDeploymentFile) serves
+// identically to a freshly built one.
 func (s *Server) Deploy(dep *eden.Deployment, opts ...DeployOption) (*Model, error) {
 	if dep == nil {
 		return nil, fmt.Errorf("serve: nil deployment")
@@ -300,38 +219,7 @@ func (s *Server) Deploy(dep *eden.Deployment, opts ...DeployOption) (*Model, err
 	if dep.Stage != nil {
 		return nil, fmt.Errorf("serve: deployment %q is a pipeline-stage slice; use DeployStage", dep.ModelName)
 	}
-	if err := s.reserve(dep.ModelName); err != nil {
-		return nil, err
-	}
-	spec, err := dnn.LookupSpec(dep.ModelName)
-	if err != nil {
-		s.release(dep.ModelName)
-		return nil, err
-	}
-	net, err := dep.CloneNet()
-	if err != nil {
-		s.release(dep.ModelName)
-		return nil, err
-	}
-	m := s.newModel(dep.ModelName, spec, net)
-	m.prec = dep.Prec
-	m.ber = dep.ServingBER
-	m.dep = dep
-	for _, opt := range opts {
-		opt(m)
-	}
-	corr := dep.NewCorruptor()
-	// Static weight image at the deployment's operating point(s). Adoption
-	// first, so the corruptor refreshes the int8 images in sync.
-	adoptQuantized(net, m.prec)
-	corr.CorruptWeights(net)
-	m.pool = eden.NewClonePool(corr)
-	// Pay the clone allocations now, not on the first full batch.
-	m.pool.Prewarm(s.cfg.MaxBatch)
-	if err := s.commit(m); err != nil {
-		return nil, err
-	}
-	return m, nil
+	return s.register(dep, opts)
 }
 
 // DeployStage registers a pipeline-stage slice of a deployment (produced
@@ -339,9 +227,7 @@ func (s *Server) Deploy(dep *eden.Deployment, opts ...DeployOption) (*Model, err
 // serves raw activation tensors through PredictActivation — surfaced over
 // HTTP as POST /v1/models/{name}/infer — corrupting only its own layer
 // range; the pinned full-model DRAM layout carried by the slice keeps its
-// error draws bit-identical to single-process serving. Scheduling is the
-// same continuous-batching machinery as whole-model serving (activations
-// fan out per sample, one corruptor clone per request seed).
+// error draws bit-identical to single-process serving.
 func (s *Server) DeployStage(dep *eden.Deployment, opts ...DeployOption) (*Model, error) {
 	if dep == nil {
 		return nil, fmt.Errorf("serve: nil deployment")
@@ -349,44 +235,69 @@ func (s *Server) DeployStage(dep *eden.Deployment, opts ...DeployOption) (*Model
 	if dep.Stage == nil {
 		return nil, fmt.Errorf("serve: deployment %q is not a stage slice; use Deploy", dep.ModelName)
 	}
+	return s.register(dep, opts)
+}
+
+// register is the one way a model gets onto the server: reserve the name,
+// build the model, publish it and start its scheduler. A stage is a
+// deployment whose Stage is set.
+func (s *Server) register(dep *eden.Deployment, opts []DeployOption) (*Model, error) {
 	if err := s.reserve(dep.ModelName); err != nil {
 		return nil, err
 	}
-	spec, err := dnn.LookupSpec(dep.ModelName)
+	m, err := s.newModel(dep, opts)
 	if err != nil {
 		s.release(dep.ModelName)
+		return nil, err
+	}
+	if err := s.commit(m); err != nil {
+		return nil, err
+	}
+	return m, nil
+}
+
+// newModel builds a deployment's serving state: a private clone of its
+// network with the weight image laid into approximate DRAM once — as in
+// EDEN, weights live there from the moment the model is stored — a pool of
+// per-request corruptor clones for the IFMs, and the scheduler scaffolding.
+func (s *Server) newModel(dep *eden.Deployment, opts []DeployOption) (*Model, error) {
+	spec, err := dnn.LookupSpec(dep.ModelName)
+	if err != nil {
 		return nil, err
 	}
 	net, err := dep.CloneNet()
 	if err != nil {
-		s.release(dep.ModelName)
 		return nil, err
 	}
-	m := s.newModel(dep.ModelName, spec, net)
-	m.prec = dep.Prec
-	m.ber = dep.ServingBER
-	m.dep = dep
-	m.stage = dep.Stage
-	m.inDims = append([]int(nil), dep.Stage.InDims...)
+	m := &Model{
+		name:     dep.ModelName,
+		cfg:      s.cfg,
+		spec:     spec,
+		dep:      dep,
+		net:      net,
+		inputLen: net.InC * net.InH * net.InW,
+		inDims:   []int{1, net.InC, net.InH, net.InW},
+		queue:    make(chan *pending, s.cfg.QueueDepth),
+		batches:  make(chan []*pending),
+		quit:     make(chan struct{}),
+		stats:    newStats(s.cfg.MaxBatch),
+	}
+	if dep.Stage != nil {
+		// A stage accepts its input boundary's activation, not the image.
+		m.inDims = append([]int(nil), dep.Stage.InDims...)
+	}
 	for _, opt := range opts {
 		opt(m)
 	}
 	corr := dep.NewCorruptor()
-	// Static weight image for this stage's share of the parameters, with
-	// int8 images adopted first so corruption keeps them in sync.
-	adoptQuantized(net, m.prec)
+	// Static weight image at the deployment's operating point(s): corrupt
+	// once, keep (no restore). Adoption first, so the corruptor refreshes
+	// the int8 images in sync.
+	adoptQuantized(net, dep.Prec)
 	corr.CorruptWeights(net)
 	m.pool = eden.NewClonePool(corr)
+	// Pay the clone allocations now, not on the first full batch.
 	m.pool.Prewarm(s.cfg.MaxBatch)
-	if err := s.commit(m); err != nil {
-		return nil, err
-	}
-	s.mu.Lock()
-	s.role = RoleStage
-	if s.stage == nil {
-		s.stage = dep.Stage
-	}
-	s.mu.Unlock()
 	return m, nil
 }
 
@@ -452,27 +363,23 @@ func (s *Server) Close() {
 	}
 }
 
-// Model is one deployed DNN: a weight-corrupted network, its corruptor
-// clone pool, its admission queue and its two scheduler goroutines (the
-// collector forming batches, the dispatcher computing them). dep is
-// non-nil for models registered through Server.Deploy and carries the
-// pipeline metadata the detail endpoint reports.
+// Model is one deployed DNN: the deployment it was registered from (whose
+// Stage is set for a pipeline stage), a weight-corrupted clone of its
+// network, its corruptor clone pool, its admission queue and its two
+// scheduler goroutines (the collector forming batches, the dispatcher
+// computing them).
 type Model struct {
 	name     string
 	cfg      Config
-	prec     quant.Precision
-	ber      float64
 	spec     dnn.ModelSpec
+	dep      *eden.Deployment
 	net      *dnn.Network
 	inputLen int
 	// inDims is the exact activation shape PredictActivation accepts
 	// (leading batch dimension 1); stage registrations pin it to the slice's
 	// input boundary, whole-model ones to (1, InC, InH, InW).
-	inDims []int
-	// stage is non-nil for pipeline-stage registrations (DeployStage).
-	stage   *eden.StageInfo
+	inDims  []int
 	pool    *eden.ClonePool
-	dep     *eden.Deployment
 	queue   chan *pending   // bounded admission queue, fed by Predict
 	batches chan []*pending // unbuffered collector→dispatcher hand-off
 	quit    chan struct{}
@@ -574,48 +481,45 @@ type StageSummary struct {
 // Info returns the model's deployment metadata. WeightBytes is the
 // precision-aware footprint of the served weight image.
 func (m *Model) Info() Info {
-	task := "classify"
-	outLen := m.net.Classes
-	if m.spec.Task == dnn.Detect {
-		task = "detect"
-		outLen = m.net.Det.OutputSize()
-	}
 	info := Info{
 		Name:        m.name,
-		Task:        task,
-		Precision:   m.prec.String(),
+		Task:        "classify",
+		Precision:   m.dep.Prec.String(),
 		Backend:     m.net.Backend().Name(),
-		BER:         m.ber,
+		BER:         m.dep.ServingBER,
 		Params:      m.net.ParamCount(),
-		WeightBytes: m.net.WeightBytes(m.prec),
+		WeightBytes: m.net.WeightBytes(m.dep.Prec),
 		InputDims:   [3]int{m.net.InC, m.net.InH, m.net.InW},
-		OutputLen:   outLen,
+		OutputLen:   m.net.Classes,
 	}
-	if m.stage != nil {
+	if m.spec.Task == dnn.Detect {
+		info.Task = "detect"
+	}
+	if st := m.dep.Stage; st != nil {
 		// A stage's output is its boundary activation, whatever the full
-		// model's head would produce.
-		outLen = 1
-		for _, d := range m.stage.OutDims[1:] {
-			outLen *= d
+		// model's head would produce (only the last stage carries that head).
+		info.OutputLen = 1
+		for _, d := range st.OutDims[1:] {
+			info.OutputLen *= d
 		}
-		info.OutputLen = outLen
 		info.Stage = &StageSummary{
-			Index:   m.stage.Index,
-			Count:   m.stage.Count,
-			Layers:  [2]int{m.stage.Lo, m.stage.Hi},
-			InDims:  append([]int(nil), m.stage.InDims...),
-			OutDims: append([]int(nil), m.stage.OutDims...),
+			Index:   st.Index,
+			Count:   st.Count,
+			Layers:  [2]int{st.Lo, st.Hi},
+			InDims:  append([]int(nil), st.InDims...),
+			OutDims: append([]int(nil), st.OutDims...),
 		}
+	} else if m.net.Det != nil {
+		info.OutputLen = m.net.Det.OutputSize()
 	}
 	return info
 }
 
-// Deployment returns the eden artifact the model was registered from, or
-// nil for raw-BER Register models.
+// Deployment returns the eden artifact the model was registered from.
 func (m *Model) Deployment() *eden.Deployment { return m.dep }
 
-// DeploymentDetail is the pipeline metadata of a model registered through
-// Server.Deploy, as reported by GET /v1/models/{name}.
+// DeploymentDetail is the pipeline metadata of a model whose deployment
+// came out of the pipeline, as reported by GET /v1/models/{name}.
 type DeploymentDetail struct {
 	Vendor       string             `json:"vendor"`
 	TolerableBER float64            `json:"tolerable_ber"`
@@ -639,7 +543,8 @@ type PartitionSummary struct {
 }
 
 // ModelDetail is the full per-model description: the inventory Info plus
-// deployment metadata when the model came from a pipeline artifact.
+// deployment metadata when the artifact names the vendor it was
+// characterized on (a uniform deployment has no module to describe).
 type ModelDetail struct {
 	Info
 	Deployment *DeploymentDetail `json:"deployment,omitempty"`
@@ -648,7 +553,7 @@ type ModelDetail struct {
 // Detail returns the model's full description.
 func (m *Model) Detail() ModelDetail {
 	d := ModelDetail{Info: m.Info()}
-	if m.dep == nil {
+	if m.dep.Vendor == "" {
 		return d
 	}
 	dd := &DeploymentDetail{
@@ -910,57 +815,27 @@ func (m *Model) drain() {
 	}
 }
 
-// dispatch runs one micro-batch through the network. Sample i's IFM hook
-// is a pool clone reset to request i's seed, recycled as soon as that
-// sample's forward completes (BatchOptions.Done), so the pool's steady
-// state holds about one clone per worker regardless of batch size.
-//
-// Multi-request batches take the fused path — one batched kernel call per
-// layer, amortizing weight traffic across the batch. The batched kernels
-// split their own output coordinates across the worker pool and the
-// per-sample corruption hooks fan out too (dnn.ForwardBatchFused), so the
-// fused path scales with workers rather than competing with per-sample
-// fan-out for them. The two paths are bit-identical (pinned by
-// TestContinuousSchedulerDeterminism), so the choice is purely a
-// throughput heuristic.
+// dispatch runs one micro-batch through the network as a fused pass: one
+// batched kernel call per layer, amortizing weight traffic across the
+// batch, with the kernels splitting their output coordinates and the
+// per-sample corruption hooks fanning out across the worker pool. A lone
+// request is a fused batch of one. Sample i's IFM hook is a pool clone
+// reset to request i's seed, corrupting its slab of the pass's own batch
+// tensor in place, and recycled when the pass completes.
 func (m *Model) dispatch(batch []*pending) {
 	start := time.Now()
 	xs := make([]*tensor.Tensor, len(batch))
 	for i, p := range batch {
 		xs[i] = p.x
 	}
-	fused := len(batch) > 1
-	opt := dnn.BatchOptions{}
-	var clones []eden.Cloner
-	if m.pool != nil {
-		clones = make([]eden.Cloner, len(batch))
-		opt.HookFor = func(i int) dnn.IFMHook {
-			c := m.pool.Get(batch[i].seed)
-			clones[i] = c
-			// The fused pass owns its batch tensor, so a clone that can
-			// corrupt slab views in place (skipping the per-layer copy
-			// back into the batch) is preferred there. Byte-identical
-			// either way.
-			if fused {
-				if ip, ok := c.(interface{ IFMHookInPlace() dnn.IFMHook }); ok {
-					return ip.IFMHookInPlace()
-				}
-			}
-			return c.IFMHook()
-		}
-		opt.Done = func(i int) {
-			if clones[i] != nil {
-				m.pool.Put(clones[i])
-				clones[i] = nil
-			}
-		}
-	}
-	var outs []*tensor.Tensor
-	if fused {
-		outs = m.net.ForwardBatchFused(xs, opt)
-	} else {
-		outs = m.net.ForwardBatch(xs, opt)
-	}
+	clones := make([]eden.Cloner, len(batch))
+	outs := m.net.ForwardBatchFused(xs, dnn.BatchOptions{
+		HookFor: func(i int) dnn.IFMHook {
+			clones[i] = m.pool.Get(batch[i].seed)
+			return clones[i].IFMHookInPlace()
+		},
+		Done: func(i int) { m.pool.Put(clones[i]) },
+	})
 	end := time.Now()
 	lats := make([]time.Duration, len(batch))
 	for i, p := range batch {
@@ -979,7 +854,7 @@ func (m *Model) dispatch(batch []*pending) {
 		}
 		// Stages serve activations, not predictions — the dispatcher
 		// interprets the final stage's output.
-		if m.spec.Task != dnn.Detect && m.stage == nil {
+		if m.spec.Task != dnn.Detect && m.dep.Stage == nil {
 			res.ArgMax = outs[i].ArgMax()
 		}
 		p.out <- outcome{res: res}

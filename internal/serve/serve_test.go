@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/dnn"
+	"repro/internal/eden"
 	"repro/internal/parallel"
 	"repro/internal/quant"
 	"repro/internal/tensor"
@@ -23,6 +24,27 @@ func setWorkers(t *testing.T, n int) {
 	prev := parallel.Workers()
 	parallel.SetWorkers(n)
 	t.Cleanup(func() { parallel.SetWorkers(prev) })
+}
+
+// uniformDeployment builds the raw-BER artifact of a zoo model.
+func uniformDeployment(t testing.TB, name string, prec quant.Precision, ber float64) *eden.Deployment {
+	t.Helper()
+	dep, err := eden.UniformDeployment(name, prec, ber)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return dep
+}
+
+// deployUniform serves a zoo model at a raw BER: the one registration helper
+// for every test that is not about a pipeline artifact.
+func deployUniform(t testing.TB, s *Server, name string, prec quant.Precision, ber float64, opts ...DeployOption) *Model {
+	t.Helper()
+	m, err := s.Deploy(uniformDeployment(t, name, prec, ber), opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
 }
 
 // testInputs builds n deterministic flattened inputs for a model.
@@ -94,16 +116,12 @@ func predictAll(t *testing.T, m *Model, inputs [][]float32, concurrent bool) [][
 // serves int8 at a stiff BER so the corrupted path is actually exercised.
 func TestBatchingDeterminism(t *testing.T) {
 	inputs := testInputs(t, "LeNet", 12)
-	mc := ModelConfig{Prec: quant.Int8, BER: 5e-3}
 
 	run := func(cfg Config, workers int, concurrent bool) [][]float32 {
 		setWorkers(t, workers)
 		s := New(cfg)
 		defer s.Close()
-		m, err := s.Register("LeNet", mc)
-		if err != nil {
-			t.Fatal(err)
-		}
+		m := deployUniform(t, s, "LeNet", quant.Int8, 5e-3)
 		return predictAll(t, m, inputs, concurrent)
 	}
 
@@ -135,10 +153,7 @@ func TestBatchingDeterminism(t *testing.T) {
 	// Different seeds must give different corruption draws at this BER.
 	s := New(Config{MaxBatch: 1})
 	defer s.Close()
-	m, err := s.Register("LeNet", ModelConfig{Prec: quant.Int8, BER: 0.2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := deployUniform(t, s, "LeNet", quant.Int8, 0.2)
 	a, err := m.Predict(context.Background(), inputs[0], 1)
 	if err != nil {
 		t.Fatal(err)
@@ -166,10 +181,7 @@ func TestLatencyDeadlineFlush(t *testing.T) {
 	setWorkers(t, 2)
 	s := New(Config{MaxBatch: 64, MaxLatency: 15 * time.Millisecond})
 	defer s.Close()
-	m, err := s.Register("LeNet", ModelConfig{Prec: quant.FP32})
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := deployUniform(t, s, "LeNet", quant.FP32, 0)
 	inputs := testInputs(t, "LeNet", 3)
 	start := time.Now()
 	outs := make([]Result, len(inputs))
@@ -212,10 +224,7 @@ func TestConcurrentClients(t *testing.T) {
 	setWorkers(t, 4)
 	s := New(Config{MaxBatch: 4, MaxLatency: time.Millisecond})
 	defer s.Close()
-	m, err := s.Register("LeNet", ModelConfig{Prec: quant.Int8, BER: 1e-3})
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := deployUniform(t, s, "LeNet", quant.Int8, 1e-3)
 	inputs := testInputs(t, "LeNet", 4)
 	const clients = 8
 	const perClient = 5
@@ -257,14 +266,11 @@ func TestConcurrentClients(t *testing.T) {
 // paths.
 func TestPredictValidation(t *testing.T) {
 	s := New(Config{MaxBatch: 1})
-	m, err := s.Register("LeNet", ModelConfig{Prec: quant.FP32})
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := deployUniform(t, s, "LeNet", quant.FP32, 0)
 	if _, err := m.Predict(context.Background(), []float32{1, 2, 3}, 0); err == nil {
 		t.Fatal("short input accepted")
 	}
-	if _, err := s.Register("LeNet", ModelConfig{}); err == nil {
+	if _, err := s.Deploy(m.Deployment()); err == nil {
 		t.Fatal("duplicate registration accepted")
 	}
 	ctx, cancel := context.WithCancel(context.Background())
@@ -277,8 +283,8 @@ func TestPredictValidation(t *testing.T) {
 	if _, err := m.Predict(context.Background(), testInputs(t, "LeNet", 1)[0], 0); err != ErrClosed {
 		t.Fatalf("predict after close: %v, want ErrClosed", err)
 	}
-	if _, err := s.Register("AlexNet", ModelConfig{}); err != ErrClosed {
-		t.Fatalf("register after close: %v, want ErrClosed", err)
+	if _, err := s.Deploy(uniformDeployment(t, "AlexNet", quant.FP32, 0)); err != ErrClosed {
+		t.Fatalf("deploy after close: %v, want ErrClosed", err)
 	}
 }
 
@@ -288,9 +294,7 @@ func TestHTTPHandler(t *testing.T) {
 	setWorkers(t, 2)
 	s := New(Config{MaxBatch: 4, MaxLatency: time.Millisecond})
 	defer s.Close()
-	if _, err := s.Register("LeNet", ModelConfig{Prec: quant.Int8, BER: 1e-3}); err != nil {
-		t.Fatal(err)
-	}
+	deployUniform(t, s, "LeNet", quant.Int8, 1e-3)
 	srv := httptest.NewServer(NewHandler(s))
 	defer srv.Close()
 

@@ -10,6 +10,10 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/dnn"
+	"repro/internal/eden"
+	"repro/internal/errormodel"
+	"repro/internal/quant"
 	"repro/internal/tensor"
 )
 
@@ -199,6 +203,59 @@ func TestStageServing(t *testing.T) {
 	// PredictActivation validates dims directly too.
 	if _, err := m.PredictActivation(context.Background(), badShape, 1); err == nil {
 		t.Fatal("PredictActivation accepted wrong dims")
+	}
+}
+
+// TestDetectorStageInfo: only the last stage of a detector carries the
+// detection head, so an earlier stage must describe itself — in Info and in
+// the listing the cluster dispatcher discovers stages through — from its
+// boundary shape alone.
+func TestDetectorStageInfo(t *testing.T) {
+	net, err := dnn.BuildModel("YOLO-Tiny")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dep := &eden.Deployment{
+		ModelName:  "YOLO-Tiny",
+		Prec:       quant.Int8,
+		ErrorModel: errormodel.Uniform(1e-4),
+		ServingBER: 1e-4,
+		Net:        net,
+	}
+	slice0, err := dep.Slice(0, 2, 0, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if slice0.Net.Det != nil {
+		t.Fatal("stage 0 carries the detection head; the test no longer covers the headless case")
+	}
+	srv := New(Config{MaxBatch: 1})
+	defer srv.Close()
+	m, err := srv.DeployStage(slice0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantOut := 1
+	for _, d := range slice0.Stage.OutDims[1:] {
+		wantOut *= d
+	}
+	if info := m.Info(); info.Task != "detect" || info.OutputLen != wantOut {
+		t.Fatalf("stage info %+v, want detect with output len %d", info, wantOut)
+	}
+
+	ts := httptest.NewServer(NewHandler(srv))
+	defer ts.Close()
+	resp, err := ts.Client().Get(ts.URL + "/v1/models")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var infos []Info
+	if err := json.NewDecoder(resp.Body).Decode(&infos); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK || len(infos) != 1 || infos[0].OutputLen != wantOut || infos[0].Stage == nil {
+		t.Fatalf("listing status %d: %+v", resp.StatusCode, infos)
 	}
 }
 
