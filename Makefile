@@ -22,7 +22,7 @@ race:
 	$(GO) test -race -short ./...
 
 bench:
-	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/compute/ ./internal/dnn/ ./internal/serve/
+	$(GO) test -run '^$$' -bench . -benchtime 1x -benchmem ./internal/compute/ ./internal/dnn/ ./internal/serve/ ./internal/softmc/ ./internal/errormodel/ ./internal/eden/
 
 # bench-e2e is the repository's benchmark (cmd/bench, contract in
 # BENCHMARK.json): four workloads, end-to-end metrics, every output

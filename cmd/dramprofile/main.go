@@ -21,6 +21,9 @@ func main() {
 	reads := flag.Int("reads", 4, "reads per pattern during characterization")
 	workers := flag.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
 	flag.Parse()
+	if *reads > softmc.MaxReads {
+		log.Fatalf("-reads %d: at most %d reads per pattern fit a profile's counters", *reads, softmc.MaxReads)
+	}
 	parallel.SetWorkers(*workers)
 
 	vendor, err := dram.VendorByName(*vendorName)

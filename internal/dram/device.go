@@ -3,6 +3,10 @@ package dram
 import (
 	"fmt"
 	"math"
+	"math/bits"
+	"sync/atomic"
+
+	"repro/internal/parallel"
 )
 
 // Device is one simulated approximate DRAM module. Writes store data
@@ -24,6 +28,9 @@ type Device struct {
 	// partition index per subarray; partition 0 always exists.
 	partOfSubarray []int
 	partitions     []OperatingPoint
+	// rates[p] is what a read needs of partitions[p], derived whenever the
+	// operating point is set rather than on every Read.
+	rates []partRate
 
 	// Deterministic per-read noise: advanced on every Read call.
 	accessCounter uint64
@@ -31,6 +38,10 @@ type Device struct {
 	// Precomputed per-bitline and per-wordline weakness factors.
 	bitlineFactor  []float64
 	wordlineFactor []float64
+	// The bitline term of flipProb's blend, BitlineWeight*bitlineFactor[i],
+	// and the cell term's weight floored at zero, for flipBound.
+	bitlineTerm []float64
+	cellWeight  float64
 
 	// Statistics.
 	readBits  uint64
@@ -46,12 +57,15 @@ func NewDevice(geom Geometry, profile VendorProfile, seed uint64) *Device {
 		seed:           seed,
 		data:           make([]byte, geom.Capacity()),
 		partOfSubarray: make([]int, geom.Subarrays()),
-		partitions:     []OperatingPoint{Nominal()},
+		cellWeight:     math.Max(1-profile.BitlineWeight-profile.WordlineWeight, 0),
 	}
+	d.setPartitions([]OperatingPoint{Nominal()})
 	rowBits := geom.RowBytes * 8
 	d.bitlineFactor = make([]float64, rowBits)
+	d.bitlineTerm = make([]float64, rowBits)
 	for i := range d.bitlineFactor {
 		d.bitlineFactor[i] = expFactor(hash3(seed, 0xB17, uint64(i)))
+		d.bitlineTerm[i] = profile.BitlineWeight * d.bitlineFactor[i]
 	}
 	d.wordlineFactor = make([]float64, geom.Rows())
 	for i := range d.wordlineFactor {
@@ -73,8 +87,14 @@ func ln(x float64) float64 {
 }
 
 // hash3 mixes three words with a SplitMix64-style finalizer.
-func hash3(a, b, c uint64) uint64 {
-	z := a ^ b*0x9e3779b97f4a7c15 ^ c*0xbf58476d1ce4e5b9
+func hash3(a, b, c uint64) uint64 { return hashWith(hashKey(a, b), c) }
+
+// hashKey and hashWith are hash3 in two steps, so that a loop over c mixes
+// a and b once.
+func hashKey(a, b uint64) uint64 { return a ^ b*0x9e3779b97f4a7c15 }
+
+func hashWith(key, c uint64) uint64 {
+	z := key ^ c*0xbf58476d1ce4e5b9
 	z ^= z >> 30
 	z *= 0xbf58476d1ce4e5b9
 	z ^= z >> 27
@@ -98,10 +118,11 @@ func (d *Device) DefinePartitions(n int) error {
 		return fmt.Errorf("dram: cannot split %d subarrays into %d partitions", d.Geom.Subarrays(), n)
 	}
 	per := d.Geom.Subarrays() / n
-	d.partitions = make([]OperatingPoint, n)
-	for i := range d.partitions {
-		d.partitions[i] = Nominal()
+	ops := make([]OperatingPoint, n)
+	for i := range ops {
+		ops[i] = Nominal()
 	}
+	d.setPartitions(ops)
 	for s := range d.partOfSubarray {
 		d.partOfSubarray[s] = s / per
 	}
@@ -124,7 +145,7 @@ func (d *Device) PartitionRange(p int) (start, end int) {
 // SetOperatingPoint applies op to every partition (coarse-grained mapping).
 func (d *Device) SetOperatingPoint(op OperatingPoint) {
 	for i := range d.partitions {
-		d.partitions[i] = op
+		d.setOp(i, op)
 	}
 }
 
@@ -133,7 +154,7 @@ func (d *Device) SetPartitionOp(p int, op OperatingPoint) error {
 	if p < 0 || p >= len(d.partitions) {
 		return fmt.Errorf("dram: partition %d out of range", p)
 	}
-	d.partitions[p] = op
+	d.setOp(p, op)
 	return nil
 }
 
@@ -159,67 +180,218 @@ func (d *Device) Write(addr int, data []byte) {
 // ReadReliable returns stored bytes without error injection, regardless of
 // the operating point (what an ECC-protected nominal module would return).
 func (d *Device) ReadReliable(addr, n int) []byte {
+	if addr < 0 || n < 0 || addr+n > len(d.data) {
+		panic(fmt.Sprintf("dram: reliable read [%d, %d) out of range", addr, addr+n))
+	}
 	out := make([]byte, n)
 	copy(out, d.data[addr:addr+n])
 	return out
 }
 
+// partRate is one partition's operating point as the read path consumes
+// it: the vendor curve evaluated once, not per Read.
+type partRate struct {
+	v, t float64 // baseBER's voltage and tRCD components
+	// one and zero are flipProb's rate for a stored 1 and a stored 0.
+	one, zero float64
+	// gate is the byte gate's pass probability (see readInto) and scale
+	// rescales the flip probability of a bit whose byte passed.
+	gate, scale float64
+	// topDraw is 0.5·scale, which no flip probability exceeds (flipProb
+	// clamps at 0.5), in the units of a 53-bit draw: uniform(h) < 0.5·scale
+	// exactly when h>>11 < topDraw, since both sides scale by 2^53 without
+	// rounding and an integer is below a real exactly when below its ceiling.
+	topDraw uint64
+}
+
+// setPartitions replaces the partition table.
+func (d *Device) setPartitions(ops []OperatingPoint) {
+	d.partitions = ops
+	d.rates = make([]partRate, len(ops))
+	for i, op := range ops {
+		d.setOp(i, op)
+	}
+}
+
+// setOp records partition p's operating point and the rates it implies.
+func (d *Device) setOp(p int, op OperatingPoint) {
+	d.partitions[p] = op
+	v, t := d.Profile.baseBER(op)
+	r := partRate{
+		v: v, t: t,
+		one:   v*d.Profile.VoltOneBias + t*(2-d.Profile.TRCDZeroBias),
+		zero:  v*(2-d.Profile.VoltOneBias) + t*d.Profile.TRCDZeroBias,
+		gate:  8 * (v*d.Profile.VoltOneBias + t*d.Profile.TRCDZeroBias) * 32,
+		scale: 1,
+	}
+	if r.gate < 1 {
+		r.scale = 1 / r.gate
+	}
+	r.topDraw = 1 << 53 // every draw, when 0.5·scale ≥ 1 (or NaN: the exact evaluation decides)
+	if top := 0.5 * r.scale; top < 1 {
+		r.topDraw = uint64(math.Ceil(top * (1 << 53)))
+	}
+	d.rates[p] = r
+}
+
 // Read returns n bytes starting at addr, with bit errors injected according
 // to each byte's partition operating point. Each call sees an independent
-// (but deterministic, seed-derived) error draw.
+// (but deterministic, seed-derived) error draw: it advances the access
+// counter by one, and the bytes returned are a function of (seed, stored
+// data, operating points, that counter value) only.
+//
+// A bit flips when its draw u falls below its flip probability p. Nearly
+// every bit is decided without evaluating p — and the logarithm inside it —
+// by comparing u against an upper bound of p (flipBound); the exact p runs
+// only for the bits that pass, so the outcome is the one the plain per-bit
+// evaluation gives. The tests hold Read and ReadRows to that evaluation
+// (readReference), on bytes and Stats.
 func (d *Device) Read(addr, n int) []byte {
 	if addr < 0 || addr+n > len(d.data) {
 		panic(fmt.Sprintf("dram: read [%d, %d) out of range", addr, addr+n))
 	}
 	d.accessCounter++
 	out := make([]byte, n)
-	copy(out, d.data[addr:addr+n])
-	rowBytes := d.Geom.RowBytes
-
-	// Cache per-partition base rates for this call.
-	type rates struct{ v, t float64 }
-	partRates := make([]rates, len(d.partitions))
-	for i, op := range d.partitions {
-		v, t := d.Profile.baseBER(op)
-		partRates[i] = rates{v, t}
-	}
-
 	d.readBits += uint64(8 * n)
-	for i := 0; i < n; i++ {
+	d.flipCount += d.readInto(out, addr, d.accessCounter)
+	return out
+}
+
+// ReadRows reads every row of [lo, hi) passes times and hands each
+// read-back row to visit. It is the loop
+//
+//	for pass := 0; pass < passes; pass++ {
+//		for row := lo; row < hi; row++ {
+//			visit(pass, row, d.Read(row*RowBytes, RowBytes))
+//		}
+//	}
+//
+// with the same bytes per (pass, row) and the same access counter and
+// Stats afterwards, but rows fan out over the worker pool: each row-read
+// draws at the counter value its place in that serial order gives it. One
+// row's passes reach visit in order on one goroutine; different rows may be
+// visited concurrently, so visit must keep what it records per row. data is
+// only valid during the call.
+func (d *Device) ReadRows(lo, hi, passes int, visit func(pass, row int, data []byte)) {
+	if lo < 0 || hi > d.Geom.Rows() || lo > hi || passes < 0 {
+		panic(fmt.Sprintf("dram: read rows [%d, %d) x %d out of range", lo, hi, passes))
+	}
+	rows, rowBytes := hi-lo, d.Geom.RowBytes
+	base := d.accessCounter
+	var flips atomic.Uint64
+	parallel.For(rows, 1, func(a, b int) {
+		buf := make([]byte, rowBytes)
+		var n uint64
+		for r := a; r < b; r++ {
+			for pass := 0; pass < passes; pass++ {
+				n += d.readInto(buf, (lo+r)*rowBytes, base+uint64(pass*rows+r)+1)
+				visit(pass, lo+r, buf)
+			}
+		}
+		flips.Add(n)
+	})
+	reads := uint64(passes * rows)
+	d.accessCounter = base + reads
+	d.readBits += reads * uint64(8*rowBytes)
+	d.flipCount += flips.Load()
+}
+
+// readInto fills out with the bytes stored at addr as one read with access
+// counter value counter returns them, and reports how many bits it
+// flipped. It writes no device state, so reads of different counter values
+// may run concurrently.
+func (d *Device) readInto(out []byte, addr int, counter uint64) (flips uint64) {
+	copy(out, d.data[addr:addr+len(out)])
+	rowBytes := d.Geom.RowBytes
+	gateKey := hashKey(d.seed, counter*0x51ee7)
+	drawKey := hashKey(d.seed^0xF11F, counter)
+	cellKey := hashKey(d.seed, 0xCE11)
+	for i := 0; i < len(out); {
+		// The bytes up to the end of the row share a partition and a wordline.
 		a := addr + i
-		pr := partRates[d.addrPartition(a)]
+		row := a / rowBytes
+		end := min(len(out), i+rowBytes-a%rowBytes)
+		pr := &d.rates[d.addrPartition(a)]
 		if pr.v == 0 && pr.t == 0 {
+			i = end
 			continue
 		}
-		// Importance-sampled skip: gate each byte with probability
-		// min(1, bound) where bound overestimates the byte's total flip
-		// probability (spatial factors are Exponential(1); 32 bounds all
-		// but an e^-32 tail), then rescale the surviving bits' flip
-		// probabilities by 1/bound so the marginal rate is unchanged.
-		gateScale := 1.0
-		maxByteProb := 8 * (pr.v*d.Profile.VoltOneBias + pr.t*d.Profile.TRCDZeroBias) * 32
-		if maxByteProb < 1 {
-			if uniform(hash3(d.seed, d.accessCounter*0x51ee7, uint64(a))) >= maxByteProb {
+		wordlineTerm := d.Profile.WordlineWeight * d.wordlineFactor[row]
+		for ; i < end; i++ {
+			a := addr + i
+			// Importance-sampled skip: gate each byte with probability
+			// min(1, bound) where bound overestimates the byte's total flip
+			// probability (spatial factors are Exponential(1); 32 bounds all
+			// but an e^-32 tail), then rescale the surviving bits' flip
+			// probabilities by 1/bound so the marginal rate is unchanged.
+			if pr.gate < 1 && uniform(hashWith(gateKey, uint64(a))) >= pr.gate {
 				continue
 			}
-			gateScale = 1 / maxByteProb
-		}
-		row := a / rowBytes
-		for bit := 0; bit < 8; bit++ {
-			bitline := (a%rowBytes)*8 + bit
-			stored := out[i]>>uint(bit)&1 == 1
-			p := d.flipProb(pr.v, pr.t, row, bitline, uint64(a)*8+uint64(bit), stored) * gateScale
-			if p <= 0 {
-				continue
+			// Draw the byte's eight uniforms, keeping a bit per draw below
+			// topDraw: an ungated partition passes half of them, at random,
+			// and a branch per draw would mispredict every other time.
+			firstCell := uint64(a) * 8
+			var draws [8]uint64
+			var below uint8
+			for bit := range draws {
+				draws[bit] = hashWith(drawKey, firstCell+uint64(bit)) >> 11
+				below |= uint8((draws[bit]-pr.topDraw)>>63) << uint(bit)
 			}
-			u := uniform(hash3(d.seed^0xF11F, d.accessCounter, uint64(a)*8+uint64(bit)))
-			if u < p {
-				out[i] ^= 1 << uint(bit)
-				d.flipCount++
+			stored := out[i]
+			bitline := (a % rowBytes) * 8
+			for ; below != 0; below &= below - 1 {
+				bit := bits.TrailingZeros8(below)
+				cell := firstCell + uint64(bit)
+				u := float64(draws[bit]) / float64(1<<53)
+				one := stored>>uint(bit)&1 == 1
+				rate := pr.zero
+				if one {
+					rate = pr.one
+				}
+				// A NaN bound compares false and falls through to the exact
+				// evaluation.
+				if u >= d.flipBound(rate, pr.scale, hashWith(cellKey, cell), d.bitlineTerm[bitline+bit], wordlineTerm) {
+					continue
+				}
+				if u < d.flipProb(pr.v, pr.t, row, bitline+bit, cell, one)*pr.scale {
+					out[i] ^= 1 << uint(bit)
+					flips++
+				}
 			}
 		}
 	}
-	return out
+	return flips
+}
+
+// expFactorBound[n] bounds expFactor(h) from above for every hash h whose
+// complemented 53-bit draw ^h>>11 has bit length n ≥ 1: that complement c
+// is at least 2^(n-1), expFactor's argument 1-f is at least c/2^53 after
+// its roundings, and so -ln(1-f) ≤ (54-n)·ln 2. c = 0 is the one draw whose
+// f rounds to 1 and whose factor is +Inf.
+var expFactorBound = func() (b [54]float64) {
+	b[0] = math.Inf(1)
+	for n := 1; n < len(b); n++ {
+		b[n] = float64(54-n) * math.Ln2
+	}
+	return b
+}()
+
+// flipBound returns an upper bound of flipProb·scale for the cell whose
+// weakness hash is cellHash, holding a bit of the given rate, without
+// evaluating the logarithm: the cell's Exponential(1) factor is replaced by
+// expFactorBound, the blend is flipProb's with the hoisted bitline and
+// wordline terms (a negative cell weight is floored at zero, which only
+// raises the blend), and every later operation — the product with rate, the
+// 0.5 clamp, the product with scale — is monotone. The 1e-9 slack is seven
+// orders above the few roundings (math.Log's and the hoisted products'
+// included) that could otherwise leave the bound an ulp short.
+func (d *Device) flipBound(rate, scale float64, cellHash uint64, bitlineTerm, wordlineTerm float64) float64 {
+	m := d.cellWeight*expFactorBound[bits.Len64(^cellHash>>11)] + bitlineTerm + wordlineTerm
+	p := rate * m * (1 + 1e-9)
+	if p > 0.5 {
+		p = 0.5
+	}
+	return p * scale
 }
 
 // flipProb computes one cell's flip probability for this access.

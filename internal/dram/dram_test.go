@@ -2,6 +2,7 @@ package dram
 
 import (
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -366,5 +367,28 @@ func TestExpectedBERShape(t *testing.T) {
 	}
 	if math.IsNaN(v.ExpectedBER(op)) {
 		t.Fatal("NaN BER")
+	}
+}
+
+// TestAccessorsRejectOutOfRange: Read, Write and ReadReliable name the
+// offending range instead of failing on a slice bound.
+func TestAccessorsRejectOutOfRange(t *testing.T) {
+	d := NewDevice(testGeom(), Vendors()[0], 1)
+	end := d.Capacity()
+	for name, access := range map[string]func(){
+		"read":          func() { d.Read(end-4, 8) },
+		"write":         func() { d.Write(end-4, make([]byte, 8)) },
+		"reliable read": func() { d.ReadReliable(end-4, 8) },
+		"negative":      func() { d.ReadReliable(-1, 2) },
+	} {
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.HasPrefix(msg, "dram: ") || !strings.Contains(msg, "out of range") {
+					t.Errorf("%s: panic %q, want a dram range message", name, msg)
+				}
+			}()
+			access()
+		}()
 	}
 }

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/dnn"
 	"repro/internal/errormodel"
+	"repro/internal/memctrl"
 	"repro/internal/parallel"
 	"repro/internal/quant"
 )
@@ -46,7 +47,10 @@ func DefaultCharacterize() CharacterizeConfig {
 // weight corruption mutates the network in place — so they run one per
 // worker. Per-draw results land in a slot indexed by the draw and are
 // reduced in draw order, keeping the mean bit-identical to a serial run.
-func evalAt(tm *dnn.TrainedModel, net *dnn.Network, m *errormodel.Model, ber float64, cfg CharacterizeConfig, berByData map[string]float64) float64 {
+// bounds are net's plausibility bounds (probeBounds): every probe of one
+// characterization evaluates the same weights, so its caller calibrates
+// once and each probe's corruptor takes a copy.
+func evalAt(tm *dnn.TrainedModel, net *dnn.Network, m *errormodel.Model, ber float64, cfg CharacterizeConfig, berByData map[string]float64, bounds map[string]memctrl.Bounds) float64 {
 	reps := cfg.Repeats
 	if reps <= 0 {
 		reps = 1
@@ -55,7 +59,9 @@ func evalAt(tm *dnn.TrainedModel, net *dnn.Network, m *errormodel.Model, ber flo
 		corr := NewSoftwareDRAM(m, cfg.Prec)
 		corr.BER = ber
 		corr.BERByData = berByData
-		corr.CalibrateNet(tm, n, 16, 0)
+		for id, b := range bounds {
+			corr.Bounds[id] = b
+		}
 		for i := 0; i < r; i++ {
 			corr.NextPass()
 		}
@@ -82,6 +88,14 @@ func evalAt(tm *dnn.TrainedModel, net *dnn.Network, m *errormodel.Model, ber flo
 	return sum / float64(reps)
 }
 
+// probeBounds calibrates the plausibility bounds the probes of one
+// characterization of net run under.
+func probeBounds(tm *dnn.TrainedModel, net *dnn.Network) map[string]memctrl.Bounds {
+	s := &SoftwareDRAM{Bounds: map[string]memctrl.Bounds{}}
+	s.CalibrateNet(tm, net, defaultCalibSamples, 0)
+	return s.Bounds
+}
+
 // baselineMetric returns net's metric on reliable DRAM, respecting the
 // sampling cap so the comparison is apples-to-apples.
 func baselineMetric(tm *dnn.TrainedModel, net *dnn.Network, cfg CharacterizeConfig) float64 {
@@ -98,8 +112,9 @@ func baselineMetric(tm *dnn.TrainedModel, net *dnn.Network, cfg CharacterizeConf
 // maximum tolerable BER, or 0 when even BERLo fails.
 func CoarseCharacterize(tm *dnn.TrainedModel, net *dnn.Network, m *errormodel.Model, cfg CharacterizeConfig) float64 {
 	floor := baselineMetric(tm, net, cfg) - cfg.MaxDrop
+	bounds := probeBounds(tm, net)
 	ok := func(ber float64) bool {
-		return evalAt(tm, net, m, ber, cfg, nil) >= floor
+		return evalAt(tm, net, m, ber, cfg, nil, bounds) >= floor
 	}
 	if !ok(cfg.BERLo) {
 		return 0
@@ -139,6 +154,7 @@ func FineCharacterize(tm *dnn.TrainedModel, net *dnn.Network, m *errormodel.Mode
 		coarseBER = cfg.BERLo
 	}
 	floor := baselineMetric(tm, net, cfg) - cfg.MaxDrop
+	bounds := probeBounds(tm, net)
 	data := EnumerateData(net, cfg.Prec)
 	tol := make(map[string]float64, len(data))
 	for _, d := range data {
@@ -171,7 +187,7 @@ func FineCharacterize(tm *dnn.TrainedModel, net *dnn.Network, m *errormodel.Mode
 			if parallel.Workers() > 1 {
 				n = tm.CloneNetFrom(net)
 			}
-			accepted[j] = evalAt(tm, n, m, coarseBER, cfg, trialMap) >= floor
+			accepted[j] = evalAt(tm, n, m, coarseBER, cfg, trialMap, bounds) >= floor
 		})
 		var next []string
 		for j, ok := range accepted {
@@ -182,7 +198,7 @@ func FineCharacterize(tm *dnn.TrainedModel, net *dnn.Network, m *errormodel.Mode
 		}
 		if len(next) > 1 {
 			// Joint re-validation of this round's combined raises.
-			if evalAt(tm, net, m, coarseBER, cfg, tol) < floor {
+			if evalAt(tm, net, m, coarseBER, cfg, tol, bounds) < floor {
 				for _, id := range next {
 					tol[id] -= step
 				}

@@ -368,12 +368,14 @@ func (s *SoftwareDRAM) corruptImage(t *tensor.Tensor, e *dataState) *quant.QTens
 		// directly, at cost proportional to the flips, not the bits.
 		inj.InjectUniform(q, e.off)
 	} else {
-		// Weak-cell locations depend only on the model's seed and P, not on
-		// the scaled flip rates, so they are computed once per data ID. IFM
-		// tensors shrink on partial batches: the cached (ascending) list is
-		// cut to the current span, and recomputed if the span grew.
+		// Weak-cell locations depend only on the model's seed and P and on
+		// the offset, not on the scaled flip rates, so the fitted model holds
+		// them for every corruptor built on it, and this entry keeps the list
+		// it was handed: a warmed corruptor takes no lock. IFM tensors shrink
+		// on partial batches: the (ascending) list is cut to the current
+		// span, and asked for again only if the span grew.
 		if e.weakSpan < nbits {
-			e.weak, e.weakSpan = inj.WeakPositions(nbits, e.off), nbits
+			e.weak, e.weakSpan = e.scaled.SharedWeakPositions(nbits, e.off), nbits
 		}
 		cut := sort.Search(len(e.weak), func(i int) bool { return int(e.weak[i]) >= nbits })
 		inj.InjectWeak(q, e.off, e.weak[:cut])

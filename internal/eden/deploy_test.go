@@ -2,6 +2,7 @@ package eden
 
 import (
 	"bytes"
+	"hash/crc32"
 	"sync"
 	"testing"
 
@@ -251,5 +252,45 @@ func TestVoltagePartitionsShape(t *testing.T) {
 	chars := DataTolerances(tm.Net, quant.Int8, tol)
 	if len(chars) != len(EnumerateData(tm.Net, quant.Int8)) {
 		t.Fatalf("DataTolerances dropped entries")
+	}
+}
+
+// benchDeployConfig is the lenet_pipeline workload's configuration
+// (internal/bench's deployConfig("LeNet")).
+func benchDeployConfig() DeployConfig {
+	cfg := DefaultDeploy("A")
+	cfg.Prec = quant.Int8
+	cfg.Char.MaxSamples = 30
+	cfg.Char.Repeats = 1
+	cfg.Char.SearchSteps = 5
+	cfg.Rounds = 1
+	cfg.RetrainEpochs = 2
+	cfg.FineGrained = true
+	return cfg
+}
+
+// TestDeployArtifactPinned pins the whole Fig. 4 flow — device reads,
+// profile, fit and selection, characterization probes, retraining,
+// partition measurement, Algorithm 1, calibration — to the artifact bytes
+// the benchmark's traced pass reports (eden.artifact_crc32 /
+// eden.artifact_bytes), at one worker and with the row, model and probe
+// fan-outs active.
+func TestDeployArtifactPinned(t *testing.T) {
+	if testing.Short() {
+		t.Skip("two full LeNet pipelines")
+	}
+	for _, workers := range []int{1, 2} {
+		setWorkers(t, workers)
+		dep, err := Deploy("LeNet", benchDeployConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := dep.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if got := crc32.ChecksumIEEE(buf.Bytes()); got != 2152884835 || buf.Len() != 32253 {
+			t.Fatalf("workers=%d: artifact crc32 %d, %d bytes; want 2152884835, 32253", workers, got, buf.Len())
+		}
 	}
 }

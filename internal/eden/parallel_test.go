@@ -1,9 +1,12 @@
 package eden
 
 import (
+	"bytes"
+	"sync"
 	"testing"
 
 	"repro/internal/dnn"
+	"repro/internal/errormodel"
 	"repro/internal/parallel"
 	"repro/internal/quant"
 	"repro/internal/tensor"
@@ -226,4 +229,59 @@ func TestFineCharacterizeWorkerInvariant(t *testing.T) {
 			t.Fatalf("data %s: tolerable BER %v != %v across worker counts", id, got[id], v)
 		}
 	}
+}
+
+// TestSharedWeakListsConcurrentCorruptors runs fresh corruptors built on
+// one fitted model from several goroutines at once — what FineCharacterize's
+// parallel probes do — and demands every one corrupt the weights exactly as
+// a corruptor running alone does. The model is one LoadDeployment decoded,
+// so its weak-cell lists do not exist until the goroutines race to create
+// them. Run with -race.
+func TestSharedWeakListsConcurrentCorruptors(t *testing.T) {
+	var buf bytes.Buffer
+	if err := coarseDeployment(t).Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	corrupted := func(dep *Deployment, ber float64) []float32 {
+		net, err := dep.CloneNet()
+		if err != nil {
+			t.Error(err)
+			return nil
+		}
+		corr := dep.NewCorruptor()
+		corr.BER = ber
+		corr.CorruptWeights(net)
+		var out []float32
+		for _, p := range net.Params() {
+			out = append(out, p.W.Data...)
+		}
+		return out
+	}
+	bers := []float64{1e-3, 5e-3, 2e-2}
+	want := make([][]float32, len(bers))
+	for i, ber := range bers {
+		want[i] = corrupted(coarseDeployment(t), ber)
+	}
+	dep, err := LoadDeployment(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dep.ErrorModel.Kind == errormodel.Model0 && dep.ErrorModel.P >= 1 {
+		t.Fatal("the fitted model is all-weak: corruption would bypass the weak lists")
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 6; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got := corrupted(dep, bers[g%len(bers)])
+			for j, v := range want[g%len(bers)] {
+				if got[j] != v && !(got[j] != got[j] && v != v) {
+					t.Errorf("goroutine %d: corrupted weight %d = %v, alone %v", g, j, got[j], v)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -2,8 +2,10 @@ package errormodel
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
+	"repro/internal/parallel"
 	"repro/internal/tensor"
 )
 
@@ -13,7 +15,7 @@ func synthesizeProfile(truth *Model, rows, rowBits, reads int, seed uint64) *Pro
 	p := &Profile{RowBits: rowBits}
 	for row := 0; row < rows; row++ {
 		for bl := 0; bl < rowBits; bl++ {
-			obs := CellObs{Row: row, Bitline: bl}
+			var obs CellObs
 			weak := truth.IsWeak(row, bl)
 			for r := 0; r < reads; r++ {
 				storedOne := (row+bl+r)%2 == 0
@@ -188,5 +190,44 @@ func TestFitErrorFreeProfile(t *testing.T) {
 	m := FitModel0(prof, 33)
 	if m.AggregateBER() != 0 {
 		t.Fatalf("error-free profile fit BER %v", m.AggregateBER())
+	}
+}
+
+// TestLogLikelihoodMatchesPerCellSum compares LogLikelihood, which scores
+// each class of cells once, with the plain sum of every cell's term in cell
+// order: not within a tolerance but as the same float64, for the fit of
+// every kind and for the ground truth, on data from every kind.
+func TestLogLikelihoodMatchesPerCellSum(t *testing.T) {
+	for _, truth := range kindModels(256) {
+		prof := synthesizeProfile(truth, 96, 256, 8, 40+uint64(truth.Kind))
+		for _, m := range append(FitAll(prof, truth.Seed), truth) {
+			var want float64
+			prof.eachCell(func(row, bitline int, c CellObs) {
+				want += m.cellLogLikelihood(row, bitline, c)
+			})
+			if got := m.LogLikelihood(prof); got != want {
+				t.Errorf("truth %v scored by %v: LogLikelihood %v, per-cell sum %v", truth.Kind, m.Kind, got, want)
+			}
+		}
+	}
+}
+
+// TestSelectWorkerInvariant runs the fit and selection fan-outs at several
+// worker counts and demands the same model, parameter for parameter.
+func TestSelectWorkerInvariant(t *testing.T) {
+	prev := parallel.Workers()
+	t.Cleanup(func() { parallel.SetWorkers(prev) })
+	for _, truth := range kindModels(256) {
+		prof := synthesizeProfile(truth, 96, 256, 8, 50+uint64(truth.Kind))
+		var want *Model
+		for _, workers := range []int{1, 2, 8} {
+			parallel.SetWorkers(workers)
+			got := Select(prof, truth.Seed)
+			if want == nil {
+				want = got
+			} else if !reflect.DeepEqual(got, want) {
+				t.Fatalf("truth %v: %d workers selected %+v, one worker %+v", truth.Kind, workers, got, want)
+			}
+		}
 	}
 }

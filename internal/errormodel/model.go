@@ -10,6 +10,8 @@ package errormodel
 import (
 	"fmt"
 	"math"
+	"sort"
+	"sync"
 
 	"repro/internal/quant"
 )
@@ -68,6 +70,10 @@ type Model struct {
 	// Model 2 per-wordline-group parameters.
 	PW []float64
 	FW []float64
+
+	// weak memoizes weak-cell lists (see SharedWeakPositions). It sits
+	// behind a pointer so that ScaledTo copies share it.
+	weak *weakLists
 }
 
 // Uniform returns a Model-0 error model in which every cell is weak and
@@ -160,10 +166,12 @@ func (m *Model) ScaledTo(target float64) *Model {
 	c := m.clone()
 	if cur <= 0 {
 		// Degenerate fit (error-free profile): fall back to a uniform
-		// model at the target rate so sweeps still work.
+		// model at the target rate so sweeps still work. Its weak cells are
+		// not m's, so it starts its own lists.
 		c.Kind = Model0
 		c.P = 1
 		c.FA = target
+		c.weak = nil
 		return c
 	}
 	scale := target / cur
@@ -187,6 +195,7 @@ func (m *Model) ScaledTo(target float64) *Model {
 }
 
 func (m *Model) clone() *Model {
+	m.weakLists() // exist before the copy, so that the copy shares them
 	c := *m
 	c.PB = append([]float64(nil), m.PB...)
 	c.FB = append([]float64(nil), m.FB...)
@@ -197,13 +206,23 @@ func (m *Model) clone() *Model {
 
 // uniformHash maps (seed, a, b) to a uniform float64 in [0, 1).
 func uniformHash(seed, a, b uint64) float64 {
-	z := seed ^ a*0x9e3779b97f4a7c15 ^ b*0xbf58476d1ce4e5b9
+	return float64(hashMix(seed^a*hashMulA^b*hashMulB)>>11) / float64(1<<53)
+}
+
+// hashMulA and hashMulB spread uniformHash's two coordinates before mixing.
+const (
+	hashMulA = 0x9e3779b97f4a7c15
+	hashMulB = 0xbf58476d1ce4e5b9
+)
+
+// hashMix is the SplitMix64 finalizer.
+func hashMix(z uint64) uint64 {
 	z ^= z >> 30
 	z *= 0xbf58476d1ce4e5b9
 	z ^= z >> 27
 	z *= 0x94d049bb133111eb
 	z ^= z >> 31
-	return float64(z>>11) / float64(1<<53)
+	return z
 }
 
 // Injector applies a model's error distribution to quantized tensors,
@@ -243,21 +262,105 @@ func (in *Injector) Inject(q *quant.QTensor, baseBit int) int {
 	return in.InjectWeak(q, baseBit, in.WeakPositions(q.NumValues()*q.Prec.Bits(), baseBit))
 }
 
-// WeakPositions enumerates the weak-cell bit offsets (relative to baseBit)
-// within a span of nBits. Weakness depends only on the model's seed and P
-// parameters — not on the flip rates — so callers that inject into the same
-// tensor repeatedly (retraining, characterization sweeps) compute this once
-// and reuse it across passes and across ScaledTo copies of the model.
+// WeakPositions enumerates, ascending, the weak-cell bit offsets (relative
+// to baseBit) within a span of nBits: the rel for which
+// IsWeak((baseBit+rel)/RowBits, (baseBit+rel)%RowBits). The list is a pure
+// function of the model's Kind, Seed, RowBits and P/PB/PW and of the two
+// arguments — not of the flip rates, the pass or the data — so the list of a
+// shorter span is a prefix of a longer one's, and it holds across passes
+// and across ScaledTo copies of the model; SharedWeakPositions is this scan
+// memoized on the model.
 func (in *Injector) WeakPositions(nBits, baseBit int) []int32 {
-	m := in.Model
-	var weak []int32
-	for rel := 0; rel < nBits; rel++ {
-		pos := baseBit + rel
-		if m.IsWeak(pos/m.RowBits, pos%m.RowBits) {
-			weak = append(weak, int32(rel))
+	return in.Model.appendWeak(nil, 0, nBits, baseBit)
+}
+
+// appendWeak appends to dst, ascending, the offsets rel in [from, to) whose
+// cell at bit baseBit+rel is weak: IsWeak over the span, with the hash's row
+// and bitline terms carried from cell to cell and the float comparison
+// uniform < P turned into the integer one it is exactly equal to.
+func (m *Model) appendWeak(dst []int32, from, to, baseBit int) []int32 {
+	// thresh[g] is the weak probability of parameter group g in the hash's
+	// own units.
+	var thresh [Groups]uint64
+	for g := range thresh {
+		thresh[g] = weakThreshold(m.weakProb(g, g))
+	}
+	pos := baseBit + from
+	row, bitline := pos/m.RowBits, pos%m.RowBits
+	for rel := from; rel < to; row, bitline = row+1, 0 {
+		rowTerm := m.Seed ^ uint64(row)*hashMulA
+		bitTerm := uint64(bitline) * hashMulB
+		for ; bitline < m.RowBits && rel < to; bitline, rel = bitline+1, rel+1 {
+			if hashMix(rowTerm^bitTerm)>>11 < thresh[m.group(row, bitline)] {
+				dst = append(dst, int32(rel))
+			}
+			bitTerm += hashMulB
 		}
 	}
-	return weak
+	return dst
+}
+
+// weakThreshold returns the t for which h>>11 < t exactly when the uniform
+// draw float64(h>>11)/2^53 is below p: both sides of that comparison scale
+// by 2^53 without rounding, and an integer is below a real exactly when it
+// is below its ceiling.
+func weakThreshold(p float64) uint64 {
+	t := math.Ceil(p * (1 << 53))
+	switch {
+	case !(t > 0): // p ≤ 0 or NaN: no draw is below it
+		return 0
+	case t >= 1<<53:
+		return 1 << 53
+	}
+	return uint64(t)
+}
+
+// weakLists holds, per span offset, the longest weak-cell list any caller
+// has asked a fitted model for.
+type weakLists struct {
+	mu sync.Mutex
+	at map[int]weakSpan // by baseBit
+}
+
+// weakSpan is WeakPositions(nBits, baseBit) for the map key baseBit. A list
+// is replaced when a longer span is asked for, never written in place, so
+// the slices handed out stay valid without the lock.
+type weakSpan struct {
+	nBits int
+	list  []int32
+}
+
+// weakInit guards the creation of every Model.weak: models come from fits,
+// literals and JSON decoding, so the lists are made on first use.
+var weakInit sync.Mutex
+
+func (m *Model) weakLists() *weakLists {
+	weakInit.Lock()
+	defer weakInit.Unlock()
+	if m.weak == nil {
+		m.weak = &weakLists{at: map[int]weakSpan{}}
+	}
+	return m.weak
+}
+
+// SharedWeakPositions returns what Injector.WeakPositions(nBits, baseBit)
+// returns, scanned once per fitted model: the list is a function of the
+// model's kind, seed, RowBits and P/PB/PW and of the span alone — not of
+// the flip rates — so m, every ScaledTo copy of it and every corruptor
+// built on either share one list per offset, and a span shorter than one
+// already scanned is served by cutting that list. Safe for concurrent use.
+// The parameters named above must not change once the model is in use; the
+// returned slice must not be written.
+func (m *Model) SharedWeakPositions(nBits, baseBit int) []int32 {
+	w := m.weakLists()
+	w.mu.Lock()
+	s := w.at[baseBit]
+	if s.nBits < nBits {
+		s = weakSpan{nBits, m.appendWeak(s.list[:len(s.list):len(s.list)], s.nBits, nBits, baseBit)}
+		w.at[baseBit] = s
+	}
+	w.mu.Unlock()
+	return s.list[:sort.Search(len(s.list), func(i int) bool { return int(s.list[i]) >= nBits })]
 }
 
 // InjectWeak flips bits of q using a precomputed weak-position list from
@@ -333,7 +436,7 @@ func (in *Injector) geomFlips(n int, p float64, baseBit int, flip func(idx int))
 	}
 	// Fold baseBit through the finalizer so tensors at different offsets
 	// draw from disjoint streams even when their draw indices coincide.
-	seed := in.Model.Seed ^ 0x47454F4D ^ splitmix(uint64(baseBit))
+	seed := in.Model.Seed ^ 0x47454F4D ^ hashMix(uint64(baseBit))
 	lnq := math.Log1p(-p)
 	flips, idx := 0, 0
 	for t := uint64(0); ; t++ {
@@ -351,15 +454,4 @@ func (in *Injector) geomFlips(n int, p float64, baseBit int, flip func(idx int))
 			return flips
 		}
 	}
-}
-
-// splitmix is the SplitMix64 finalizer, used to decorrelate structured
-// integer inputs before they enter uniformHash.
-func splitmix(z uint64) uint64 {
-	z ^= z >> 30
-	z *= 0xbf58476d1ce4e5b9
-	z ^= z >> 27
-	z *= 0x94d049bb133111eb
-	z ^= z >> 31
-	return z
 }

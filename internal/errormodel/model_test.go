@@ -2,6 +2,7 @@ package errormodel
 
 import (
 	"math"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -205,5 +206,142 @@ func TestScaledToProperty(t *testing.T) {
 func TestKindString(t *testing.T) {
 	if Model0.String() != "Error Model 0" || Model3.String() != "Error Model 3" {
 		t.Fatal("unexpected kind names")
+	}
+}
+
+// kindModels returns one model of each kind with uneven group parameters,
+// including groups no cell of which is weak and groups all of whose are.
+func kindModels(rowBits int) []*Model {
+	m1 := &Model{Kind: Model1, Seed: 23, RowBits: rowBits, PB: make([]float64, Groups), FB: make([]float64, Groups)}
+	m2 := &Model{Kind: Model2, Seed: 25, RowBits: rowBits, PW: make([]float64, Groups), FW: make([]float64, Groups)}
+	for g := 0; g < Groups; g++ {
+		p := []float64{0, 0.004, 0.3, 1}[g%4] * float64(g+1) / Groups
+		m1.PB[g], m1.FB[g] = p, 0.2
+		m2.PW[Groups-1-g], m2.FW[g] = p, 0.1
+	}
+	return []*Model{
+		{Kind: Model0, Seed: 21, RowBits: rowBits, P: 0.07, FA: 0.25},
+		m1,
+		m2,
+		{Kind: Model3, Seed: 27, RowBits: rowBits, P: 0.3, FV1: 0.5, FV0: 0.01},
+	}
+}
+
+// TestWeakPositionsMatchesIsWeak holds the incremental integer scan to the
+// per-cell float predicate it replaces, across row boundaries of a row
+// width that is neither a power of two nor a multiple of the group count,
+// and at the weak probabilities where an off-by-one in the threshold shows.
+func TestWeakPositionsMatchesIsWeak(t *testing.T) {
+	models := kindModels(200)
+	for _, p := range []float64{0, 1, 1.5, -0.1, math.NaN(), 1 / float64(1<<53), 1 - 1/float64(1<<53), 0.5} {
+		models = append(models, &Model{Kind: Model0, Seed: 9, RowBits: 200, P: p, FA: 0.1})
+	}
+	for _, m := range models {
+		for _, base := range []int{0, 7, 200, 3*200 + 199} {
+			const n = 5000
+			var want []int32
+			for rel := 0; rel < n; rel++ {
+				if pos := base + rel; m.IsWeak(pos/m.RowBits, pos%m.RowBits) {
+					want = append(want, int32(rel))
+				}
+			}
+			got := NewInjector(m).WeakPositions(n, base)
+			if len(got) != len(want) {
+				t.Fatalf("%v P=%v base %d: %d weak cells, IsWeak finds %d", m.Kind, m.P, base, len(got), len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("%v P=%v base %d: weak[%d] = %d, want %d", m.Kind, m.P, base, i, got[i], want[i])
+				}
+			}
+		}
+	}
+	// The threshold itself, at draws either side of it.
+	for _, p := range []float64{0.3, 1e-9, 0.999999, 1 / float64(1<<53), 3 / float64(1<<54)} {
+		thr := weakThreshold(p)
+		for _, k := range []uint64{thr - 1, thr, thr + 1} {
+			if k >= 1<<53 {
+				continue
+			}
+			if (float64(k)/float64(1<<53) < p) != (k < thr) {
+				t.Fatalf("P=%v draw %d: integer and float comparisons disagree (threshold %d)", p, k, thr)
+			}
+		}
+	}
+}
+
+// TestSharedWeakPositionsMatchesScan asks one model's shared lists for
+// spans that grow and shrink at several offsets, through the model itself
+// and through ScaledTo copies, and compares every answer with a direct
+// scan.
+func TestSharedWeakPositionsMatchesScan(t *testing.T) {
+	for _, m := range kindModels(200) {
+		scaled := m.ScaledTo(0.01)
+		for _, base := range []int{0, 600, 123} {
+			for i, n := range []int{700, 300, 0, 701, 5000, 4999, 5000, 12000, 1} {
+				src := m
+				if i%2 == 1 {
+					src = scaled
+				}
+				got := src.SharedWeakPositions(n, base)
+				want := NewInjector(m).WeakPositions(n, base)
+				if len(got) != len(want) {
+					t.Fatalf("%v base %d span %d: %d weak cells, scan finds %d", m.Kind, base, n, len(got), len(want))
+				}
+				for j := range want {
+					if got[j] != want[j] {
+						t.Fatalf("%v base %d span %d: weak[%d] = %d, want %d", m.Kind, base, n, j, got[j], want[j])
+					}
+				}
+			}
+		}
+		if scaled.weak != m.weak {
+			t.Fatalf("%v: ScaledTo copy does not share the model's weak lists", m.Kind)
+		}
+	}
+	// A degenerate fit scales into a different weak-cell population and must
+	// not inherit the lists.
+	flat := &Model{Kind: Model1, Seed: 4, RowBits: 128, PB: make([]float64, Groups), FB: make([]float64, Groups)}
+	if len(flat.SharedWeakPositions(1000, 0)) != 0 {
+		t.Fatal("error-free model has weak cells")
+	}
+	if got := flat.ScaledTo(0.01).SharedWeakPositions(1000, 0); len(got) != 1000 {
+		t.Fatalf("degenerate ScaledTo copy lists %d weak cells of 1000, want all", len(got))
+	}
+}
+
+// TestSharedWeakPositionsConcurrent hits one model's lists from several
+// goroutines at once — through the model and through ScaledTo copies made
+// concurrently, on a model whose lists do not exist yet — the way parallel
+// characterization probes do. Run with -race.
+func TestSharedWeakPositionsConcurrent(t *testing.T) {
+	for _, m := range kindModels(200) {
+		want := NewInjector(m).WeakPositions(9000, 400)
+		var wg sync.WaitGroup
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				src := m
+				if g%2 == 1 {
+					src = m.ScaledTo(0.001 * float64(g))
+				}
+				for i := 0; i < 20; i++ {
+					n := 9000 * ((i+g)%4 + 1) / 4
+					got := src.SharedWeakPositions(n, 400)
+					for j, rel := range got {
+						if rel != want[j] || int(rel) >= n {
+							t.Errorf("%v goroutine %d span %d: weak[%d] = %d, want %d", m.Kind, g, n, j, rel, want[j])
+							return
+						}
+					}
+					if len(got) < len(want) && int(want[len(got)]) < n {
+						t.Errorf("%v goroutine %d span %d: list stops at %d cells", m.Kind, g, n, len(got))
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
 	}
 }

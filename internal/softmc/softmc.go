@@ -4,9 +4,18 @@
 // (inverted in consecutive rows, §3.4), reads them back at reduced voltage
 // and timing parameters, measures bit error rates, and collects the
 // per-cell observations that errormodel fits its four models to.
+//
+// The three row sweeps — Characterize, PartitionBER, MeasureBER — read
+// through dram.Device.ReadRows, which fans rows out over the worker pool.
+// Their results, and the state they leave the device in (access counter,
+// Stats, stored pattern, operating points), are those of the serial loop of
+// Device.Read calls in pattern → read → row order at any worker count; the
+// tests pin both.
 package softmc
 
 import (
+	"fmt"
+	"math"
 	"math/bits"
 
 	"repro/internal/dram"
@@ -24,23 +33,35 @@ var DefaultPatterns = []byte{0xFF, 0xCC, 0xAA, 0x00}
 func MeasureBER(d *dram.Device, op dram.OperatingPoint, pattern byte, reads int) float64 {
 	writePattern(d, pattern)
 	d.SetOperatingPoint(op)
-	rowBytes := d.Geom.RowBytes
-	flips, total := 0, 0
-	for r := 0; r < reads; r++ {
-		for row := 0; row < d.Geom.Rows(); row++ {
-			expect := pattern
-			if row%2 == 1 {
-				expect = ^pattern
-			}
-			got := d.Read(row*rowBytes, rowBytes)
-			for _, b := range got {
-				flips += bits.OnesCount8(b ^ expect)
-				total += 8
-			}
-		}
-	}
+	ber := measureRows(d, 0, d.Geom.Rows(), pattern, reads)
 	d.SetOperatingPoint(dram.Nominal())
-	return float64(flips) / float64(total)
+	return ber
+}
+
+// measureRows reads rows [lo, hi), which hold pattern, `reads` times and
+// returns the share of read-back bits that differ from it.
+func measureRows(d *dram.Device, lo, hi int, pattern byte, reads int) float64 {
+	flips := make([]int, hi-lo) // per row: ReadRows visits rows concurrently
+	d.ReadRows(lo, hi, reads, func(_, row int, data []byte) {
+		expect, n := rowPattern(pattern, row), 0
+		for _, b := range data {
+			n += bits.OnesCount8(b ^ expect)
+		}
+		flips[row-lo] += n
+	})
+	total := 0
+	for _, f := range flips {
+		total += f
+	}
+	return float64(total) / float64(reads*(hi-lo)*d.Geom.RowBytes*8)
+}
+
+// rowPattern is what writePattern stores in every byte of row.
+func rowPattern(pattern byte, row int) byte {
+	if row%2 == 1 {
+		return ^pattern
+	}
+	return pattern
 }
 
 // writePattern fills every row with pattern, inverted on odd rows.
@@ -61,10 +82,17 @@ func writePattern(d *dram.Device, pattern byte) {
 	}
 }
 
+// MaxReads is the most reads per pattern a characterization over the four
+// DefaultPatterns can count: a profile's per-cell counters are 32 bits wide.
+const MaxReads = math.MaxUint32 / 4
+
 // CharacterizeConfig controls profile collection.
 type CharacterizeConfig struct {
 	Patterns []byte
-	Reads    int // reads per pattern
+	// Reads is the read count per pattern; len(Patterns)·Reads must fit the
+	// profile's 32-bit counters (MaxReads for the default patterns), and
+	// Characterize panics rather than wrap them.
+	Reads int
 	// MaxRows caps how many rows are profiled (0 = all); profiling a
 	// subset is the speed/coverage trade-off REAPER-style methodologies
 	// exploit (§6.2).
@@ -73,7 +101,9 @@ type CharacterizeConfig struct {
 
 // Characterize collects per-cell flip observations from the module at op
 // and returns a profile errormodel can fit. Each pattern is written with
-// row inversion and read cfg.Reads times.
+// row inversion and read cfg.Reads times. Only flips are counted from the
+// data read back: how often a cell was read holding a 1 or a 0 follows from
+// the patterns and the read count alone.
 func Characterize(d *dram.Device, op dram.OperatingPoint, cfg CharacterizeConfig) *errormodel.Profile {
 	if len(cfg.Patterns) == 0 {
 		cfg.Patterns = DefaultPatterns
@@ -81,64 +111,52 @@ func Characterize(d *dram.Device, op dram.OperatingPoint, cfg CharacterizeConfig
 	if cfg.Reads <= 0 {
 		cfg.Reads = 4
 	}
+	if uint64(len(cfg.Patterns))*uint64(cfg.Reads) > math.MaxUint32 {
+		panic(fmt.Sprintf("softmc: %d patterns × %d reads overflow a profile's 32-bit counters", len(cfg.Patterns), cfg.Reads))
+	}
 	rows := d.Geom.Rows()
 	if cfg.MaxRows > 0 && cfg.MaxRows < rows {
 		rows = cfg.MaxRows
 	}
-	rowBytes := d.Geom.RowBytes
-	rowBits := rowBytes * 8
-	// Dense per-cell counters over the profiled region.
-	type counters struct {
-		onesReads, zerosReads uint16
-		onesFlips, zerosFlips uint16
-	}
-	cells := make([]counters, rows*rowBits)
+	rowBits := d.Geom.RowBytes * 8
+	prof := &errormodel.Profile{RowBits: rowBits, Cells: make([]errormodel.CellObs, rows*rowBits)}
 
 	for _, pattern := range cfg.Patterns {
 		writePattern(d, pattern)
 		d.SetOperatingPoint(op)
-		for r := 0; r < cfg.Reads; r++ {
-			for row := 0; row < rows; row++ {
-				expect := pattern
-				if row%2 == 1 {
-					expect = ^pattern
-				}
-				got := d.Read(row*rowBytes, rowBytes)
-				for i, b := range got {
-					diff := b ^ expect
-					for bit := 0; bit < 8; bit++ {
-						c := &cells[row*rowBits+i*8+bit]
-						stored := expect>>uint(bit)&1 == 1
-						flipped := diff>>uint(bit)&1 == 1
-						if stored {
-							c.onesReads++
-							if flipped {
-								c.onesFlips++
-							}
-						} else {
-							c.zerosReads++
-							if flipped {
-								c.zerosFlips++
-							}
-						}
+		d.ReadRows(0, rows, cfg.Reads, func(_, row int, data []byte) {
+			expect := rowPattern(pattern, row)
+			cells := prof.Cells[row*rowBits : (row+1)*rowBits]
+			for i, b := range data {
+				for diff := b ^ expect; diff != 0; diff &= diff - 1 {
+					bit := bits.TrailingZeros8(diff)
+					if expect>>uint(bit)&1 == 1 {
+						cells[i*8+bit].OnesFlips++
+					} else {
+						cells[i*8+bit].ZerosFlips++
 					}
 				}
 			}
-		}
+		})
 		d.SetOperatingPoint(dram.Nominal())
 	}
 
-	prof := &errormodel.Profile{RowBits: rowBits}
-	prof.Cells = make([]errormodel.CellObs, 0, len(cells))
-	for idx, c := range cells {
-		prof.Cells = append(prof.Cells, errormodel.CellObs{
-			Row:        idx / rowBits,
-			Bitline:    idx % rowBits,
-			OnesReads:  int(c.onesReads),
-			ZerosReads: int(c.zerosReads),
-			OnesFlips:  int(c.onesFlips),
-			ZerosFlips: int(c.zerosFlips),
-		})
+	// A cell held a 1 for cfg.Reads reads of every pattern whose byte, as
+	// stored in the cell's row, has the cell's bit set.
+	var onesReads [2][8]uint32 // by row parity and bit within the byte
+	for _, pattern := range cfg.Patterns {
+		for parity := range onesReads {
+			for bit := range onesReads[parity] {
+				if rowPattern(pattern, parity)>>uint(bit)&1 == 1 {
+					onesReads[parity][bit] += uint32(cfg.Reads)
+				}
+			}
+		}
+	}
+	allReads := uint32(len(cfg.Patterns) * cfg.Reads)
+	for i := range prof.Cells {
+		ones := onesReads[i/rowBits%2][i%8]
+		prof.Cells[i].OnesReads, prof.Cells[i].ZerosReads = ones, allReads-ones
 	}
 	return prof
 }
@@ -148,27 +166,12 @@ func Characterize(d *dram.Device, op dram.OperatingPoint, cfg CharacterizeConfig
 // per-partition characterization EDEN's fine-grained mapping consumes.
 func PartitionBER(d *dram.Device, pattern byte, reads int) []float64 {
 	writePattern(d, pattern)
-	rowBytes := d.Geom.RowBytes
 	rowsPerPart := d.Geom.Rows() / d.NumPartitions()
 	out := make([]float64, d.NumPartitions())
-	for p := 0; p < d.NumPartitions(); p++ {
-		flips, total := 0, 0
+	for p := range out {
 		start, _ := d.PartitionRange(p)
-		startRow := start / rowBytes
-		for r := 0; r < reads; r++ {
-			for row := startRow; row < startRow+rowsPerPart; row++ {
-				expect := pattern
-				if row%2 == 1 {
-					expect = ^pattern
-				}
-				got := d.Read(row*rowBytes, rowBytes)
-				for _, b := range got {
-					flips += bits.OnesCount8(b ^ expect)
-					total += 8
-				}
-			}
-		}
-		out[p] = float64(flips) / float64(total)
+		startRow := start / d.Geom.RowBytes
+		out[p] = measureRows(d, startRow, startRow+rowsPerPart, pattern, reads)
 	}
 	return out
 }

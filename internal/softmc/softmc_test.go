@@ -2,10 +2,12 @@ package softmc
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/dram"
 	"repro/internal/errormodel"
+	"repro/internal/parallel"
 )
 
 func smallGeom() dram.Geometry {
@@ -150,5 +152,92 @@ func TestMeasureBERDataPatternOrdering(t *testing.T) {
 	}
 	if math.Abs(math.Log(berFF/berAA)) > math.Log(3) {
 		t.Fatalf("balanced patterns diverge too much: %v vs %v", berFF, berAA)
+	}
+}
+
+// TestRowLoopsWorkerInvariant runs the three row sweeps at several worker
+// counts on identically built devices and demands the same measurements and
+// the same device state afterwards: ReadRows assigns every row-read the
+// access-counter value its place in the serial order gives it, so the
+// fan-out must not show.
+func TestRowLoopsWorkerInvariant(t *testing.T) {
+	prev := parallel.Workers()
+	t.Cleanup(func() { parallel.SetWorkers(prev) })
+	op := dram.Nominal()
+	op.VDD = 1.05
+	type outcome struct {
+		profile       *errormodel.Profile
+		ber           float64
+		parts         []float64
+		bits, flips   uint64
+		storedPattern []byte
+	}
+	run := func(workers int) outcome {
+		parallel.SetWorkers(workers)
+		d := dram.NewDevice(smallGeom(), dram.Vendors()[1], 8)
+		var o outcome
+		o.profile = Characterize(d, op, CharacterizeConfig{Reads: 3, MaxRows: 24})
+		o.ber = MeasureBER(d, op, 0xCC, 2)
+		if err := d.DefinePartitions(4); err != nil {
+			t.Fatal(err)
+		}
+		for p, vdd := range []float64{1.35, 1.12, 1.05, 1.0} {
+			pop := dram.Nominal()
+			pop.VDD = vdd
+			if err := d.SetPartitionOp(p, pop); err != nil {
+				t.Fatal(err)
+			}
+		}
+		o.parts = PartitionBER(d, 0xAA, 3)
+		o.bits, o.flips = d.Stats()
+		// One more plain read: its draw depends on the access counter the
+		// sweeps left behind.
+		o.storedPattern = d.Read(0, d.Capacity())
+		return o
+	}
+	want := run(1)
+	if want.flips == 0 || want.profile.MeasuredBER() == 0 {
+		t.Fatal("the sweeps observed no errors")
+	}
+	for _, workers := range []int{2, 8} {
+		if got := run(workers); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%d workers: BER %v parts %v stats (%d, %d); one worker: BER %v parts %v stats (%d, %d) (profiles equal: %v)",
+				workers, got.ber, got.parts, got.bits, got.flips, want.ber, want.parts, want.bits, want.flips,
+				reflect.DeepEqual(got.profile, want.profile))
+		}
+	}
+}
+
+// TestCharacterizeCountsPastUint16 profiles two rows with enough reads that
+// a bit set in three of the four default patterns is read holding a 1 more
+// than 65535 times — where the 16-bit counters of old wrapped, silently
+// corrupting the fit.
+func TestCharacterizeCountsPastUint16(t *testing.T) {
+	geom := dram.Geometry{Banks: 1, SubarraysPerBank: 1, RowsPerSubarray: 2, RowBytes: 8}
+	d := dram.NewDevice(geom, dram.Vendors()[0], 3)
+	op := dram.Nominal()
+	op.VDD = 1.05
+	const reads = 22000 // 3 × 22000 = 66000 > 65535
+	prof := Characterize(d, op, CharacterizeConfig{Reads: reads})
+	var flips uint64
+	for i, c := range prof.Cells {
+		if c.OnesReads+c.ZerosReads != 4*reads {
+			t.Fatalf("cell %d: %d + %d reads, want %d", i, c.OnesReads, c.ZerosReads, 4*reads)
+		}
+		if c.OnesFlips > c.OnesReads || c.ZerosFlips > c.ZerosReads {
+			t.Fatalf("cell %d flipped more often than it was read: %+v", i, c)
+		}
+		flips += uint64(c.OnesFlips) + uint64(c.ZerosFlips)
+	}
+	// Bit 3 of an even row holds a 1 under 0xFF, 0xCC and 0xAA.
+	if c := prof.Cells[3]; c.OnesReads != 3*reads {
+		t.Fatalf("cell 3 read holding a 1 %d times, want %d", c.OnesReads, 3*reads)
+	}
+	if _, deviceFlips := d.Stats(); flips != deviceFlips {
+		t.Fatalf("profile counts %d flips, the device injected %d", flips, deviceFlips)
+	}
+	want := dram.Vendors()[0].ExpectedBER(op)
+	if got := prof.MeasuredBER(); got < want/3 || got > want*3 {
+		t.Fatalf("measured BER %v, expected near %v", got, want)
 	}
 }
