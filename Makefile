@@ -13,10 +13,12 @@ build:
 test:
 	$(GO) test -shuffle=on ./...
 
-# fuzz-smoke gives the vector-vs-scalar codec fuzz target ten seconds of
-# fresh inputs on top of its seed corpus (which `make test` already runs).
+# fuzz-smoke gives each vector-vs-scalar fuzz target — the quantize codecs,
+# and the ReLU clamp and 2×2 pooling kernels — ten seconds of fresh inputs on
+# top of its seed corpus (which `make test` already runs).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzQuantizeVecMatchesScalar -fuzztime 10s ./internal/quant
+	$(GO) test -run '^$$' -fuzz FuzzClampVecMatchesScalar -fuzztime 10s ./internal/compute
 
 race:
 	$(GO) test -race -short ./...

@@ -59,10 +59,15 @@
 // free (MaxLatency 0, the work-conserving default) and batch occupancy
 // tracks concurrent load rather than a fixed collection window. Every
 // batch, a lone request included, dispatches through
-// dnn.ForwardBatchFused — one batched kernel call per layer, each
-// sample's corruption applied in place to its slab of the fused feature
-// map — bit-identical to the per-sample Network.Forward passes that
-// training and the characterization sweeps run.
+// dnn.ForwardBatchFused, a pass that owns every activation it holds: one
+// batched kernel call per Conv/FC/composite layer, and between two of
+// them one fan-out over the samples in which each sample's ReLU, pooling
+// and flatten layers and its corruption hooks run back to back on that
+// sample's slab — in place, or into one of two recycled whole-batch
+// slabs when a layer changes the element count — on the exact
+// compute.Clamp and compute.MaxPool2x2 primitives. It is bit-identical
+// to the per-sample Network.Forward passes that training and the
+// characterization sweeps run.
 // Admission control bounds the damage under overload: a full queue sheds
 // with ErrQueueFull (HTTP 429 plus a Retry-After estimate from queue
 // occupancy x smoothed service time) and requests whose deadline expires

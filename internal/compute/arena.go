@@ -41,3 +41,15 @@ var (
 	slabI32 slabPool[int32]
 	slabU64 slabPool[uint64]
 )
+
+// activations recycles the whole-batch activation slabs of dnn's fused
+// executor. They have a pool of their own so that neither they nor the much
+// larger patch matrices keep being regrown to the other's size.
+var activations slabPool[float32]
+
+// GetSlab lends a float32 slab of n elements with unspecified contents from
+// the activation pool; PutSlab returns it, after which it must not be used.
+func GetSlab(n int) *[]float32 { return activations.get(n) }
+
+// PutSlab returns a slab obtained from GetSlab.
+func PutSlab(s *[]float32) { activations.put(s) }

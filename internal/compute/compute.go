@@ -39,6 +39,13 @@
 // corruptor streams, pinned characterization outcomes, cached trained
 // models).
 //
+// Beside the Backend kernels the package holds two elementwise primitives,
+// Clamp (ReLU, ReLU6) and MaxPool2x2 (elemwise.go), which dnn's ReLU and
+// MaxPool layers run whatever the backend: they only select among their
+// inputs, so they round nothing and belong to no backend's numeric
+// contract. Like axpy they are a scalar Go specification with an AVX body
+// on amd64.
+//
 // Backend selection: layers hold an explicit Backend (see
 // dnn.Network.SetBackend) and fall back to the process-wide Default, which
 // the cmd binaries expose as -backend.

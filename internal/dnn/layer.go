@@ -73,6 +73,22 @@ type Layer interface {
 	Params() []*Param
 }
 
+// sampleLayer is implemented by the layers whose inference needs no compute
+// backend and treats every sample by itself — ReLU, MaxPool, Flatten and
+// Dropout. inferInto is the one inference body of such a layer:
+// Layer.Forward(x, false) allocates an output and calls it on the whole
+// batch, and ForwardBatchFused calls it on one sample's slab at a time.
+type sampleLayer interface {
+	Layer
+	// outShape returns the output shape for an input of shape in; a layer
+	// that keeps the shape returns in itself.
+	outShape(in tensor.Shape) tensor.Shape
+	// inferInto writes the inference-mode output for src, of shape in, to
+	// dst. dst may be src itself whenever the output has as many elements
+	// as the input. It touches no layer state.
+	inferInto(dst, src []float32, in tensor.Shape)
+}
+
 // Conv is a 2-D convolution layer with optional bias.
 type Conv struct {
 	backendHolder
@@ -229,7 +245,9 @@ func (l *FC) Backward(dOut *tensor.Tensor) *tensor.Tensor {
 func (l *FC) Params() []*Param { return []*Param{l.Weight, l.Bias} }
 
 // ReLU applies max(0, x), optionally clipped at a ceiling (ReLU6 when
-// Ceil = 6, as used by MobileNetV2).
+// Ceil = 6, as used by MobileNetV2). Forward always returns a fresh tensor;
+// ForwardBatchFused, which owns its activations, applies the same body in
+// place.
 type ReLU struct {
 	LayerName string
 	Ceil      float32 // 0 means no ceiling
@@ -239,27 +257,26 @@ type ReLU struct {
 // Name returns the layer name.
 func (l *ReLU) Name() string { return l.LayerName }
 
-// Forward applies the activation.
+// Forward applies the activation into a fresh tensor; training also records
+// which values passed, for Backward.
 func (l *ReLU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	out := x.Clone()
+	out := tensor.New(x.Shape()...)
+	l.inferInto(out.Data, x.Data, x.Shape())
 	if train {
-		l.mask = make([]bool, len(out.Data))
-	}
-	for i, v := range out.Data {
-		pass := v > 0 && (l.Ceil == 0 || v < l.Ceil)
-		if !pass {
-			if v <= 0 {
-				out.Data[i] = 0
-			} else {
-				out.Data[i] = l.Ceil
-			}
-		}
-		if train {
-			l.mask[i] = pass
+		l.mask = make([]bool, len(x.Data))
+		for i, v := range x.Data {
+			l.mask[i] = v > 0 && (l.Ceil == 0 || v < l.Ceil)
 		}
 	}
 	return out
 }
+
+func (l *ReLU) outShape(in tensor.Shape) tensor.Shape { return in }
+
+// inferInto is compute.Clamp, whose scalar body is the loop this layer
+// always ran: −0 and negatives become +0, NaN and values at or above a
+// non-zero Ceil become Ceil.
+func (l *ReLU) inferInto(dst, src []float32, _ tensor.Shape) { compute.Clamp(dst, src, l.Ceil) }
 
 // Backward gates the gradient by the activation mask.
 func (l *ReLU) Backward(dOut *tensor.Tensor) *tensor.Tensor {
@@ -275,7 +292,8 @@ func (l *ReLU) Backward(dOut *tensor.Tensor) *tensor.Tensor {
 // Params returns nil; ReLU has no parameters.
 func (l *ReLU) Params() []*Param { return nil }
 
-// MaxPool is k×k max pooling with stride s.
+// MaxPool is k×k max pooling with stride s. Forward always returns a fresh
+// tensor; ForwardBatchFused pools each sample into a recycled slab instead.
 type MaxPool struct {
 	LayerName string
 	K, S      int
@@ -286,14 +304,42 @@ type MaxPool struct {
 // Name returns the layer name.
 func (l *MaxPool) Name() string { return l.LayerName }
 
-// Forward pools x.
+// Forward pools x into a fresh tensor. Only training records the argmax
+// Backward scatters through.
 func (l *MaxPool) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	out, arg := tensor.MaxPool2D(x, l.K, l.S)
 	if train {
+		out, arg := tensor.MaxPool2D(x, l.K, l.S)
 		l.arg = arg
 		l.inShape = x.Shape().Clone()
+		return out
 	}
+	out := tensor.New(l.outShape(x.Shape())...)
+	l.inferInto(out.Data, x.Data, x.Shape())
 	return out
+}
+
+func (l *MaxPool) outShape(in tensor.Shape) tensor.Shape {
+	return tensor.Shape{in[0], in[1], (in[2]-l.K)/l.S + 1, (in[3]-l.K)/l.S + 1}
+}
+
+// inferInto pools without an argmax. The 2×2/stride-2 window over even
+// extents — every pool in the zoo — goes output row by output row through
+// compute.MaxPool2x2, which is tensor.MaxPool2DInto's window walk for that
+// shape (a strict > from −Inf in tap order, so NaN never wins and the first
+// of equal maxima does); any other window or an odd extent takes the walk
+// itself.
+func (l *MaxPool) inferInto(dst, src []float32, in tensor.Shape) {
+	planes, h, w := in[0]*in[1], in[2], in[3]
+	if l.K != 2 || l.S != 2 || h%2 != 0 || w%2 != 0 {
+		tensor.MaxPool2DInto(dst, nil, src, planes, h, w, l.K, l.S)
+		return
+	}
+	// With h even, output row r of the whole stack of planes reads input
+	// rows 2r and 2r+1.
+	ow := w / 2
+	for r := 0; r < planes*h/2; r++ {
+		compute.MaxPool2x2(dst[r*ow:(r+1)*ow], src[2*r*w:(2*r+1)*w], src[(2*r+1)*w:(2*r+2)*w])
+	}
 }
 
 // Backward scatters the gradient to the argmax positions.
@@ -346,6 +392,13 @@ func (l *Flatten) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	n := x.Dim(0)
 	return x.Reshape(n, x.Size()/n)
 }
+
+func (l *Flatten) outShape(in tensor.Shape) tensor.Shape {
+	return tensor.Shape{in[0], in.Size() / in[0]}
+}
+
+// inferInto moves the values unchanged: flattening is a change of header.
+func (l *Flatten) inferInto(dst, src []float32, _ tensor.Shape) { copy(dst, src) }
 
 // Backward restores the original shape.
 func (l *Flatten) Backward(dOut *tensor.Tensor) *tensor.Tensor {
@@ -510,6 +563,11 @@ func (l *Dropout) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	}
 	return out
 }
+
+func (l *Dropout) outShape(in tensor.Shape) tensor.Shape { return in }
+
+// inferInto is the identity: inference keeps every activation.
+func (l *Dropout) inferInto(dst, src []float32, _ tensor.Shape) { copy(dst, src) }
 
 // Backward gates the gradient by the dropout mask.
 func (l *Dropout) Backward(dOut *tensor.Tensor) *tensor.Tensor {

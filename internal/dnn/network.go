@@ -108,22 +108,37 @@ func (n *Network) ForwardBatch(xs []*tensor.Tensor, opt BatchOptions) []*tensor.
 	return outs
 }
 
-// ForwardBatchFused runs the whole batch through each layer as a single
-// N-row tensor, so every kernel call amortizes its weight traffic and
-// blocking setup across the batch instead of paying them per sample.
-// Per-sample hooks still see exactly what they see in ForwardBatch: before
-// each layer, sample i's hook is applied to a no-copy (1, ...) view of its
-// slab of the batched feature map, so hook-side quantization ranges, RNG
-// streams and data IDs match the per-sample path bit for bit. Kernels
-// never reduce across the batch dimension, which makes the fused outputs
-// bit-identical to ForwardBatch's — the two are interchangeable, and the
-// serve scheduler dispatches every batch, a batch of one included, fused.
+// ForwardBatchFused runs the whole batch through the network as one pass
+// that alternates two kinds of step. A batch kernel — Conv, FC and every
+// other layer that is not a sampleLayer, composites included — sees the
+// batch as a single N-row tensor, so each backend call amortizes its weight
+// traffic and blocking setup across the batch. A maximal run of per-sample
+// layers between two batch kernels (ReLU, MaxPool, Flatten, Dropout) is one
+// fan-out over the samples: task i applies hook, layer, hook, layer, … and
+// finally the following batch kernel's hook to sample i's slab while it is
+// cache-resident.
 //
-// Per-sample hooks fan out across the worker pool between layers (each
-// writes only its own sample's slab, so the fan-out is bit-invisible);
-// like ForwardBatch's, they run concurrently and must not share mutable
-// state. Done callbacks run on the calling goroutine, samples in
-// ascending order.
+// The pass owns every activation it holds: the inputs are copied in, batch
+// kernels return fresh tensors, and nothing outlives the pass but a private
+// copy of the last activation, which the returned (1, …) tensors are
+// capacity-limited views of. That is what lets a per-sample layer that
+// keeps the element count write over its own input, and one that changes it
+// write into one of two whole-batch slabs recycled through
+// compute.GetSlab/PutSlab, whichever the current activation is not in.
+//
+// Per-sample hooks see exactly what they see in ForwardBatch: before layer
+// li, sample i's hook gets a no-copy (1, …) view of the sample's slab, in
+// layer order, so hook-side quantization ranges, RNG streams and data IDs
+// match the per-sample path bit for bit. A hook either rewrites the view
+// and returns it or returns another tensor, which is copied back; it must
+// not keep the view, whose header and storage the pass reuses. Kernels
+// never reduce across the batch dimension and every task writes only its
+// own sample's slabs, so the outputs are bit-identical to ForwardBatch's at
+// any worker count — the two are interchangeable, and the serve scheduler
+// dispatches every batch, a batch of one included, fused. Like
+// ForwardBatch's, hooks of different samples run concurrently and must not
+// share mutable state. Done callbacks run on the calling goroutine, samples
+// in ascending order.
 func (n *Network) ForwardBatchFused(xs []*tensor.Tensor, opt BatchOptions) []*tensor.Tensor {
 	b := len(xs)
 	if b == 0 {
@@ -132,59 +147,146 @@ func (n *Network) ForwardBatchFused(xs []*tensor.Tensor, opt BatchOptions) []*te
 	per := xs[0].Size()
 	x := tensor.New(append([]int{b}, xs[0].Shape()[1:]...)...)
 	for i, s := range xs {
+		check(s.Shape().Equal(xs[0].Shape()), "ForwardBatchFused: sample %d has shape %v, sample 0 has %v", i, s.Shape(), xs[0].Shape())
 		copy(x.Data[i*per:(i+1)*per], s.Data)
 	}
-	var hooks []IFMHook
+	p := fusedPass{b: b, steps: make([]sampleStep, len(n.Layers)+1), dims: make([]int, 0, 8)}
 	if opt.HookFor != nil {
-		hooks = make([]IFMHook, b)
-		for i := range hooks {
-			hooks[i] = opt.HookFor(i)
+		p.hooks = make([]IFMHook, b)
+		for i := range p.hooks {
+			p.hooks[i] = opt.HookFor(i)
 		}
+		p.views = make([]tensor.Tensor, b)
 	}
-	// dimsBuf backs the per-sample view shape for every layer; hoisted so
-	// the layer loop performs no header allocations (FromSlice clones the
-	// shape it is handed, so reusing the buffer across layers is safe).
-	dimsBuf := make([]int, 0, 8)
-	// hookLayer fans the per-sample hooks across the pool ahead of one
-	// layer: each hook reads and writes only its own slab (dims is
-	// read-only and FromSlice clones it), so the fan-out cannot perturb
-	// the bits. This is where batch-level parallelism pays on the fused
-	// path — per-sample corruption used to serialize ahead of every
-	// layer. li and l arrive as parameters so the pool tasks never close
-	// over loop variables.
-	hookLayer := func(li int, l Layer, x *tensor.Tensor) {
-		span := x.Size() / b
-		dims := viewDims(&dimsBuf, x.Shape())
-		parallel.ForEach(b, func(i int) {
-			if hooks[i] == nil {
-				return
-			}
-			view := tensor.FromSlice(x.Data[i*span:(i+1)*span], dims...)
-			if y := hooks[i](li, l, view); y != view {
-				copy(x.Data[i*span:(i+1)*span], y.Data)
-			}
-		})
-	}
-	for li, l := range n.Layers {
-		if hooks != nil {
-			hookLayer(li, l, x)
+	for lo := 0; lo <= len(n.Layers); {
+		hi := lo
+		for hi < len(n.Layers) && isSampleLayer(n.Layers[hi]) {
+			hi++
 		}
-		x = l.Forward(x, false)
+		x = p.runSamples(n.Layers, lo, hi, x)
+		if hi < len(n.Layers) {
+			x = n.Layers[hi].Forward(x, false)
+		}
+		lo = hi + 1
 	}
-	// One slab copy for the whole batch instead of one allocation per
-	// sample; the outputs are disjoint views into it.
+	// One copy for the whole batch, out of storage the pass may be about
+	// to recycle; the outputs are disjoint views of it, each cut to its own
+	// capacity so that appending to one cannot reach its neighbour.
 	outs := make([]*tensor.Tensor, b)
 	span := x.Size() / b
-	dims := viewDims(&dimsBuf, x.Shape())
+	dims := viewDims(&p.dims, x.Shape())
 	outData := make([]float32, len(x.Data))
 	copy(outData, x.Data)
+	for _, s := range p.slabs {
+		if s != nil {
+			compute.PutSlab(s)
+		}
+	}
 	for i := 0; i < b; i++ {
-		outs[i] = tensor.FromSlice(outData[i*span:(i+1)*span], dims...)
+		outs[i] = tensor.FromSlice(outData[i*span:(i+1)*span:(i+1)*span], dims...)
 		if opt.Done != nil {
 			opt.Done(i)
 		}
 	}
 	return outs
+}
+
+func isSampleLayer(l Layer) bool {
+	_, ok := l.(sampleLayer)
+	return ok
+}
+
+// fusedPass is the state of one ForwardBatchFused call. It lives on that
+// call's stack, never on the Network, so concurrent passes share nothing.
+type fusedPass struct {
+	b     int
+	hooks []IFMHook       // per sample; nil when the pass has no hooks
+	views []tensor.Tensor // sample i's hook view header, re-pointed before every hook call
+	slabs [2]*[]float32   // destinations of the shape-changing per-sample layers, drawn on first use
+	steps []sampleStep    // the current run's plan
+	dims  []int           // backs the run's first per-sample shape
+}
+
+// sampleStep is one step of a run as every sample executes it: layer's IFM
+// hook on the sample's part of src, then op from there into its part of
+// dst. src and dst are whole-batch buffers and the same one when op works
+// in place. The step that ends a run ahead of a batch kernel is that
+// kernel's hook alone: op is nil.
+type sampleStep struct {
+	li       int
+	layer    Layer
+	op       sampleLayer
+	in       tensor.Shape // of one sample: (1, …)
+	src, dst []float32
+}
+
+// runSamples executes the per-sample layers [lo, hi) and then the hook of
+// layer hi (the batch kernel that follows, if any) as one fan-out over the
+// samples, and returns the batch tensor layer hi is to consume. The plan —
+// shapes and destinations — is the same for every sample, so it is laid
+// out once, here, and the tasks only index into it.
+func (p *fusedPass) runSamples(layers []Layer, lo, hi int, x *tensor.Tensor) *tensor.Tensor {
+	in := tensor.Shape(viewDims(&p.dims, x.Shape()))
+	shape, cur := in, x.Data
+	for k := lo; k < hi; k++ {
+		op := layers[k].(sampleLayer)
+		out := op.outShape(shape)
+		dst := cur
+		if out.Size() != shape.Size() {
+			dst = p.otherSlab(cur, p.b*out.Size())
+		}
+		p.steps[k-lo] = sampleStep{li: k, layer: layers[k], op: op, in: shape, src: cur, dst: dst}
+		shape, cur = out, dst
+	}
+	steps := p.steps[:hi-lo]
+	if p.hooks != nil && hi < len(layers) {
+		steps = p.steps[:hi-lo+1]
+		steps[hi-lo] = sampleStep{li: hi, layer: layers[hi], in: shape, src: cur}
+	}
+	if len(steps) == 0 {
+		return x
+	}
+	b, hooks, views := p.b, p.hooks, p.views
+	parallel.ForEach(b, func(i int) {
+		for _, st := range steps {
+			span := len(st.src) / b
+			src := st.src[i*span : (i+1)*span]
+			if hooks != nil && hooks[i] != nil {
+				view := &views[i]
+				view.Repoint(src, st.in...)
+				if y := hooks[i](st.li, st.layer, view); y != view {
+					copy(src, y.Data)
+				}
+			}
+			if st.op != nil {
+				span = len(st.dst) / b
+				st.op.inferInto(st.dst[i*span:(i+1)*span], src, st.in)
+			}
+		}
+	})
+	if !shape.Equal(in) { // then shape is some outShape's own slice, free to edit
+		shape[0] = b
+		x = tensor.FromSlice(cur, shape...)
+	}
+	return x
+}
+
+// otherSlab returns n elements of whichever of the pass's two slabs does
+// not hold cur, the activation about to be read. That slab's previous
+// contents were consumed at least one step ago.
+func (p *fusedPass) otherSlab(cur []float32, n int) []float32 {
+	k := 0
+	if s := p.slabs[0]; s != nil && len(*s) > 0 && len(cur) > 0 && &(*s)[0] == &cur[0] {
+		k = 1
+	}
+	if s := p.slabs[k]; s != nil && cap(*s) < n {
+		compute.PutSlab(s)
+		p.slabs[k] = nil
+	}
+	if p.slabs[k] == nil {
+		p.slabs[k] = compute.GetSlab(n)
+	}
+	return (*p.slabs[k])[:n]
 }
 
 // viewDims writes the per-sample view shape [1, shape[1], ...] into

@@ -816,12 +816,14 @@ func (m *Model) drain() {
 }
 
 // dispatch runs one micro-batch through the network as a fused pass: one
-// batched kernel call per layer, amortizing weight traffic across the
-// batch, with the kernels splitting their output coordinates and the
-// per-sample corruption hooks fanning out across the worker pool. A lone
-// request is a fused batch of one. Sample i's IFM hook is a pool clone
-// reset to request i's seed, corrupting its slab of the pass's own batch
-// tensor in place, and recycled when the pass completes.
+// batched kernel call per Conv/FC layer, amortizing weight traffic across
+// the batch, with the kernels splitting their output coordinates and the
+// per-sample layers and corruption hooks between them fanning out across
+// the worker pool. A lone request is a fused batch of one. Sample i's IFM
+// hook is a pool clone reset to request i's seed, corrupting its slab of
+// the pass's own batch tensor in place, and recycled when the pass
+// completes. The pass returns private, capacity-limited views of one
+// output slab, which go to the callers as they are.
 func (m *Model) dispatch(batch []*pending) {
 	start := time.Now()
 	xs := make([]*tensor.Tensor, len(batch))
@@ -846,11 +848,11 @@ func (m *Model) dispatch(batch []*pending) {
 	m.stats.record(len(batch), end.Sub(start), lats)
 	for i, p := range batch {
 		res := Result{
-			Output:    append([]float32(nil), outs[i].Data...),
+			Output:    outs[i].Data,
 			ArgMax:    -1,
 			BatchSize: len(batch),
 			Latency:   lats[i],
-			Dims:      append([]int(nil), outs[i].Shape()...),
+			Dims:      outs[i].Shape(),
 		}
 		// Stages serve activations, not predictions — the dispatcher
 		// interprets the final stage's output.

@@ -27,39 +27,49 @@ func ConvOutDim(in, k, s, p int) int {
 	return (in+2*p-k)/s + 1
 }
 
-// MaxPool2D applies k×k max pooling with the given stride to (N,C,H,W) and
-// also returns the argmax index of each pooled window for use in backprop.
+// MaxPool2D applies k×k max pooling with the given stride to (N,C,H,W),
+// returning the pooled tensor and, for every output, the flat input index of
+// its maximum (the argmax MaxPool2DBackward scatters gradients through).
 func MaxPool2D(in *Tensor, k, stride int) (*Tensor, []int32) {
 	n, c, h, w := in.shape[0], in.shape[1], in.shape[2], in.shape[3]
+	out := New(n, c, (h-k)/stride+1, (w-k)/stride+1)
+	arg := make([]int32, out.Size())
+	MaxPool2DInto(out.Data, arg, in.Data, n*c, h, w, k, stride)
+	return out, arg
+}
+
+// MaxPool2DInto pools `planes` consecutive h×w planes of src into dst, which
+// must hold planes·oh·ow elements. Each output starts at −Inf and takes a
+// tap only when it is strictly greater, walking the window row by row: a
+// NaN never wins and the first of equal maxima does. arg, when non-nil,
+// receives the index into src of every maximum (−1 for an all-NaN window);
+// inference passes nil. dst may be src only for a 1×1 window.
+func MaxPool2DInto(dst []float32, arg []int32, src []float32, planes, h, w, k, stride int) {
 	oh := (h-k)/stride + 1
 	ow := (w-k)/stride + 1
-	out := New(n, c, oh, ow)
-	arg := make([]int32, out.Size())
-	for b := 0; b < n; b++ {
-		for ci := 0; ci < c; ci++ {
-			for oy := 0; oy < oh; oy++ {
-				for ox := 0; ox < ow; ox++ {
-					best := float32(math.Inf(-1))
-					bestIdx := int32(-1)
-					for ky := 0; ky < k; ky++ {
-						iy := oy*stride + ky
-						for kx := 0; kx < k; kx++ {
-							ix := ox*stride + kx
-							idx := ((b*c+ci)*h+iy)*w + ix
-							if v := in.Data[idx]; v > best {
-								best = v
-								bestIdx = int32(idx)
-							}
+	for p := 0; p < planes; p++ {
+		for oy := 0; oy < oh; oy++ {
+			for ox := 0; ox < ow; ox++ {
+				best := float32(math.Inf(-1))
+				bestIdx := int32(-1)
+				for ky := 0; ky < k; ky++ {
+					row := (p*h + oy*stride + ky) * w
+					for kx := 0; kx < k; kx++ {
+						idx := row + ox*stride + kx
+						if v := src[idx]; v > best {
+							best = v
+							bestIdx = int32(idx)
 						}
 					}
-					o := ((b*c+ci)*oh+oy)*ow + ox
-					out.Data[o] = best
+				}
+				o := (p*oh+oy)*ow + ox
+				dst[o] = best
+				if arg != nil {
 					arg[o] = bestIdx
 				}
 			}
 		}
 	}
-	return out, arg
 }
 
 // MaxPool2DBackward scatters dOut back through the argmax indices recorded

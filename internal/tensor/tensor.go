@@ -111,6 +111,18 @@ func (t *Tensor) Reshape(dims ...int) *Tensor {
 	return &Tensor{shape: s.Clone(), Data: t.Data}
 }
 
+// Repoint makes t a view of data with the given shape, reusing t's own
+// shape storage — the allocation-free form of FromSlice for a header that
+// is handed out again and again (dnn's fused executor keeps one per sample
+// for its IFM hooks). A Shape() taken before the call is overwritten by it.
+func (t *Tensor) Repoint(data []float32, dims ...int) {
+	if Shape(dims).Size() != len(data) {
+		panic(fmt.Sprintf("tensor: %d elements do not fit shape %v", len(data), Shape(dims)))
+	}
+	t.shape = append(t.shape[:0], dims...)
+	t.Data = data
+}
+
 // At returns the element at the given NCHW-style multi-index.
 func (t *Tensor) At(idx ...int) float32 {
 	return t.Data[t.offset(idx)]
