@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test fuzz-smoke race bench bench-e2e cluster-smoke lint asm-check lint-baseline vuln
+.PHONY: build test fuzz-smoke race bench bench-e2e cluster-smoke lint asm-check lint-baseline vuln loc
 
 build:
 	$(GO) build ./...
@@ -75,6 +75,13 @@ asm-check:
 # regeneration (stale entries hide regressions).
 lint-baseline:
 	$(GO) run ./cmd/repro-lint -write-baseline .lint-baseline.json ./...
+
+# loc prints the two sizes ROADMAP tracks: non-test and test Go lines (the
+# benchmark's build directory and testdata excluded).
+GOFILES = find . -name '*.go' -not -path '*/testdata/*' -not -path './.bench_build/*'
+loc:
+	@echo "non-test Go lines: $$($(GOFILES) -not -name '*_test.go' | xargs cat | wc -l)"
+	@echo "test Go lines:     $$($(GOFILES) -name '*_test.go' | xargs cat | wc -l)"
 
 # vuln scans the module against the Go vulnerability database. Uses an
 # installed govulncheck when present, otherwise fetches it via go run

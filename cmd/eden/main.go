@@ -3,7 +3,9 @@
 // characterize its tolerable bit error rate (optionally per data type),
 // map it onto DRAM operating points (a Table 3 row), and optionally write
 // the resulting deployment artifact — the file cmd/serve consumes with
-// -deployment.
+// -deployment. -backend sets the process-wide compute backend
+// (compute.SetDefault) once at start-up; backends are bit-identical, so it
+// moves the run's wall-clock, never the artifact.
 //
 //	go run ./cmd/eden -model LeNet -o lenet.eden
 //	go run ./cmd/serve -deployment lenet.eden
@@ -33,7 +35,7 @@ func main() {
 	out := flag.String("o", "", "write the deployment artifact to this path")
 	workers := flag.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
 	backendName := flag.String("backend", compute.Default().Name(),
-		fmt.Sprintf("compute backend for the characterization sweeps: %s (bit-identical; wall-clock only)", strings.Join(compute.Names(), ", ")))
+		fmt.Sprintf("process-wide compute backend (compute.SetDefault): %s (bit-identical; wall-clock only)", strings.Join(compute.Names(), ", ")))
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the pipeline run to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file when the run ends")
 	flag.Parse()
@@ -51,7 +53,7 @@ func main() {
 	}
 	fatal := profiling.Fatal(stopProf)
 
-	p, err := parsePrecision(*prec)
+	p, err := quant.ParsePrecision(*prec)
 	if err != nil {
 		fatal(err)
 	}
@@ -61,7 +63,6 @@ func main() {
 	cfg.RetrainEpochs = *epochs
 	cfg.Rounds = *rounds
 	cfg.FineGrained = *fine
-	cfg.Backend = backend
 
 	dep, err := eden.Deploy(*model, cfg)
 	if err != nil {
@@ -83,18 +84,4 @@ func main() {
 	if err := stopProf(); err != nil {
 		log.Fatal(err)
 	}
-}
-
-func parsePrecision(s string) (quant.Precision, error) {
-	switch s {
-	case "fp32", "FP32":
-		return quant.FP32, nil
-	case "int16":
-		return quant.Int16, nil
-	case "int8":
-		return quant.Int8, nil
-	case "int4":
-		return quant.Int4, nil
-	}
-	return 0, fmt.Errorf("unknown precision %q", s)
 }

@@ -15,12 +15,12 @@
 // idle). Admission is bounded by -queue-depth per model: a full queue
 // sheds with 429 plus a Retry-After estimate instead of stacking latency,
 // and requests carrying "deadline_ms" are dropped with 504 if they expire
-// while still queued. Compute runs on the backend selected by -backend
-// (gemm by default; all backends are bit-identical, so the flag tunes
-// throughput only). The daemon exposes GET /v1/healthz for load-balancer
-// probes and GET /metrics in the Prometheus text format, and drains
-// gracefully on SIGINT/SIGTERM: the probe flips to 503, in-flight
-// requests finish, then the listener closes.
+// while still queued. -backend sets the process-wide compute backend
+// (compute.SetDefault) once at start-up: gemm by default; all backends are
+// bit-identical, so the flag tunes throughput only. The daemon exposes GET
+// /v1/healthz for load-balancer probes and GET /metrics in the Prometheus
+// text format, and drains gracefully on SIGINT/SIGTERM: the probe flips to
+// 503, in-flight requests finish, then the listener closes.
 //
 // Beyond the default standalone role, -role splits one model across
 // processes as a pipeline of layer-range stages (see internal/cluster):
@@ -96,7 +96,7 @@ func main() {
 	queueDepth := flag.Int("queue-depth", 0, "per-model admission queue capacity; full queues shed with 429 (0 = 4x max-batch)")
 	workers := flag.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
 	backendName := flag.String("backend", compute.Default().Name(),
-		fmt.Sprintf("compute backend for all served models: %s (bit-identical; throughput only)", strings.Join(compute.Names(), ", ")))
+		fmt.Sprintf("process-wide compute backend (compute.SetDefault): %s (bit-identical; throughput only)", strings.Join(compute.Names(), ", ")))
 	drain := flag.Duration("drain", 10*time.Second, "graceful-shutdown deadline for in-flight requests")
 	drainNotice := flag.Duration("drain-notice", 3*time.Second,
 		"how long /v1/healthz advertises 503 before the listener closes (set to ~2x the balancer's probe interval)")
@@ -137,20 +137,20 @@ func main() {
 	var beginDrain, closeAll func()
 	switch *role {
 	case "standalone", "stage":
-		prec, err := parsePrecision(*precision)
+		prec, err := quant.ParsePrecision(*precision)
 		if err != nil {
 			fatal(err)
 		}
 		s := serve.New(serve.Config{MaxBatch: *maxBatch, MaxLatency: *maxLatency, QueueDepth: *queueDepth})
 		if *role == "stage" {
-			if err := deployStage(s, splitList(*deployments), *stageLayers, *stageIndex, *stageCount, backend); err != nil {
+			if err := deployStage(s, splitList(*deployments), *stageLayers, *stageIndex, *stageCount); err != nil {
 				fatal(err)
 			}
 		} else {
 			if *deployments == "" && *models == "" {
 				*models = "LeNet"
 			}
-			if err := deployStandalone(s, splitList(*deployments), splitList(*models), prec, *ber, backend); err != nil {
+			if err := deployStandalone(s, splitList(*deployments), splitList(*models), prec, *ber); err != nil {
 				fatal(err)
 			}
 		}
@@ -212,13 +212,13 @@ func main() {
 
 // deployStandalone deploys every artifact, and a uniform deployment of
 // every zoo model at the given raw BER, onto the server.
-func deployStandalone(s *serve.Server, deployments, models []string, prec quant.Precision, ber float64, backend compute.Backend) error {
+func deployStandalone(s *serve.Server, deployments, models []string, prec quant.Precision, ber float64) error {
 	for _, path := range deployments {
 		dep, err := eden.LoadDeploymentFile(path)
 		if err != nil {
 			return err
 		}
-		m, err := s.Deploy(dep, serve.WithBackend(backend))
+		m, err := s.Deploy(dep)
 		if err != nil {
 			return err
 		}
@@ -232,7 +232,7 @@ func deployStandalone(s *serve.Server, deployments, models []string, prec quant.
 		if err != nil {
 			return err
 		}
-		m, err := s.Deploy(dep, serve.WithBackend(backend))
+		m, err := s.Deploy(dep)
 		if err != nil {
 			return err
 		}
@@ -245,7 +245,7 @@ func deployStandalone(s *serve.Server, deployments, models []string, prec quant.
 
 // deployStage slices the single -deployment artifact to the configured
 // layer range and deploys it as this process's pipeline stage.
-func deployStage(s *serve.Server, deployments []string, layers string, index, count int, backend compute.Backend) error {
+func deployStage(s *serve.Server, deployments []string, layers string, index, count int) error {
 	if len(deployments) != 1 {
 		return fmt.Errorf("-role stage wants exactly one -deployment artifact, got %d", len(deployments))
 	}
@@ -261,7 +261,7 @@ func deployStage(s *serve.Server, deployments []string, layers string, index, co
 	if err != nil {
 		return err
 	}
-	m, err := s.DeployStage(slice, serve.WithBackend(backend))
+	m, err := s.DeployStage(slice)
 	if err != nil {
 		return err
 	}
@@ -343,18 +343,4 @@ func splitList(s string) []string {
 		}
 	}
 	return out
-}
-
-func parsePrecision(s string) (quant.Precision, error) {
-	switch s {
-	case "fp32", "FP32":
-		return quant.FP32, nil
-	case "int16":
-		return quant.Int16, nil
-	case "int8":
-		return quant.Int8, nil
-	case "int4":
-		return quant.Int4, nil
-	}
-	return 0, fmt.Errorf("unknown precision %q", s)
 }

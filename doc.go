@@ -18,10 +18,9 @@
 // and add rounded separately, so no bit moves). Blocking is applied over
 // output coordinates only, never across the k reduction, so the float
 // backends are bit-identical on every model — backend choice is a pure
-// throughput knob, selectable process-wide (-backend on cmd/eden and
-// cmd/serve; compute.SetDefault), per network (dnn.Network.SetBackend,
-// threaded through eden.DeployConfig.Backend into the characterization
-// sweeps), and per served model (serve.WithBackend).
+// throughput knob with one process-wide switch: dnn's Conv and FC layers
+// call compute.Default(), and -backend on cmd/eden and cmd/serve sets it
+// once at start-up through compute.SetDefault.
 //
 // All hot paths share the worker pool in internal/parallel: the compute
 // kernels, batched inference (dnn.Network.ForwardBatch with per-sample

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -60,8 +59,8 @@ type stagePool struct {
 	rr       atomic.Uint64
 	// inDims/outDims are the stage's boundary shapes, discovered from the
 	// stage's own Info at startup; outDims bounds the decode of its reply.
-	inDims  []int
-	outDims []int
+	inDims  tensor.Shape
+	outDims tensor.Shape
 }
 
 // pick returns the pool's healthy replicas starting at the round-robin
@@ -92,21 +91,15 @@ type Dispatcher struct {
 	task   string
 	info   serve.Info // assembled front-facing model info
 
-	mu       sync.Mutex
-	draining bool
-	requests uint64
-	failures uint64
-	first    time.Time
-	last     time.Time
-	lats     []time.Duration // ring of recent request latencies
-	latIdx   int
+	draining atomic.Bool
+	failures atomic.Uint64
+	// stats holds the end-to-end request counts, QPS window and latency
+	// ring, each request recorded as a batch of one.
+	stats *serve.Stats
 
 	quit chan struct{}
 	wg   sync.WaitGroup
 }
-
-// latRing bounds the dispatcher's latency sample.
-const latRing = 1024
 
 // NewDispatcher connects to the stage replicas, discovers the pipeline's
 // geometry from their Info endpoints (validating stage indices, counts and
@@ -125,7 +118,7 @@ func NewDispatcher(cfg DispatcherConfig) (*Dispatcher, error) {
 		cfg:    cfg,
 		client: cfg.Client,
 		quit:   make(chan struct{}),
-		lats:   make([]time.Duration, 0, latRing),
+		stats:  serve.NewStats(1),
 	}
 	if d.client == nil {
 		d.client = &http.Client{}
@@ -159,35 +152,18 @@ func NewDispatcher(cfg DispatcherConfig) (*Dispatcher, error) {
 			d.info = info
 			d.info.Stage = nil // the front end presents a whole model
 		}
-		if k > 0 && !dimsEqual(d.stages[k-1].outDims, pool.inDims) {
+		if k > 0 && !d.stages[k-1].outDims.Equal(pool.inDims) {
 			return nil, fmt.Errorf("cluster: stage %d input %v does not chain from stage %d output %v",
 				k, pool.inDims, k-1, d.stages[k-1].outDims)
 		}
 		d.stages = append(d.stages, pool)
 	}
 	// The front end reports the final boundary's size as the output.
-	last := d.stages[K-1]
-	outLen := 1
-	for _, dim := range last.outDims[1:] {
-		outLen *= dim
-	}
-	d.info.OutputLen = outLen
+	d.info.OutputLen = d.stages[K-1].outDims[1:].Size()
 
 	d.wg.Add(1)
 	go d.pollHealth()
 	return d, nil
-}
-
-func dimsEqual(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // discoverStage fetches the stage's model Info from the first replica that
@@ -282,9 +258,7 @@ func (d *Dispatcher) probe(base string) bool {
 // balancer takes the front end out of rotation while in-flight requests
 // complete.
 func (d *Dispatcher) BeginDrain() {
-	d.mu.Lock()
-	d.draining = true
-	d.mu.Unlock()
+	d.draining.Store(true)
 }
 
 // Close stops the membership poller.
@@ -319,10 +293,7 @@ func (d *Dispatcher) forward(ctx context.Context, pool *stagePool, x *tensor.Ten
 	if err := serve.EncodeActivation(&frame, x, seed); err != nil {
 		return nil, err
 	}
-	maxElems := 1
-	for _, dim := range pool.outDims {
-		maxElems *= dim
-	}
+	maxElems := pool.outDims.Size()
 	replicas := pool.pick()
 	if len(replicas) == 0 {
 		// Everything is marked down — likely a transient blip (a missed
@@ -382,11 +353,7 @@ func (d *Dispatcher) forward(ctx context.Context, pool *stagePool, x *tensor.Ten
 // activation. It is the programmatic path behind the HTTP handler.
 func (d *Dispatcher) Predict(ctx context.Context, input []float32, seed uint64, deadline time.Time) ([]float32, error) {
 	first := d.stages[0]
-	want := 1
-	for _, dim := range first.inDims {
-		want *= dim
-	}
-	if len(input) != want {
+	if want := first.inDims.Size(); len(input) != want {
 		return nil, fmt.Errorf("cluster: input length %d, want %d", len(input), want)
 	}
 	x := tensor.FromSlice(append([]float32(nil), input...), first.inDims...)
@@ -395,34 +362,13 @@ func (d *Dispatcher) Predict(ctx context.Context, input []float32, seed uint64, 
 	for _, pool := range d.stages {
 		x, err = d.forward(ctx, pool, x, seed, deadline)
 		if err != nil {
-			d.record(start, true)
+			d.failures.Add(1)
 			return nil, err
 		}
 	}
-	d.record(start, false)
-	return x.Data, nil
-}
-
-// record logs one completed request for the stats endpoints.
-func (d *Dispatcher) record(start time.Time, failed bool) {
 	lat := time.Since(start)
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if failed {
-		d.failures++
-		return
-	}
-	if d.first.IsZero() {
-		d.first = start
-	}
-	d.last = start.Add(lat)
-	d.requests++
-	if len(d.lats) < latRing {
-		d.lats = append(d.lats, lat)
-	} else {
-		d.lats[d.latIdx] = lat
-	}
-	d.latIdx = (d.latIdx + 1) % latRing
+	d.stats.Record(1, lat, []time.Duration{lat})
+	return x.Data, nil
 }
 
 // Snapshot is the dispatcher's serving view: end-to-end request stats plus
@@ -446,19 +392,8 @@ type StageRotation struct {
 
 // Stats returns the dispatcher's current snapshot.
 func (d *Dispatcher) Stats() Snapshot {
-	d.mu.Lock()
-	snap := Snapshot{Requests: d.requests, Failures: d.failures}
-	window := d.last.Sub(d.first)
-	lats := append([]time.Duration(nil), d.lats...)
-	d.mu.Unlock()
-	if window > 0 {
-		snap.QPS = float64(snap.Requests) / window.Seconds()
-	}
-	if len(lats) > 0 {
-		sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-		snap.P50Ms = float64(lats[quantIdx(len(lats), 0.50)]) / float64(time.Millisecond)
-		snap.P99Ms = float64(lats[quantIdx(len(lats), 0.99)]) / float64(time.Millisecond)
-	}
+	s := d.stats.Snapshot()
+	snap := Snapshot{Requests: s.Requests, Failures: d.failures.Load(), QPS: s.QPS, P50Ms: s.P50Ms, P99Ms: s.P99Ms}
 	for _, pool := range d.stages {
 		healthy := 0
 		for _, r := range pool.replicas {
@@ -471,16 +406,4 @@ func (d *Dispatcher) Stats() Snapshot {
 		})
 	}
 	return snap
-}
-
-// quantIdx is the nearest-rank quantile index in a sorted sample.
-func quantIdx(n int, q float64) int {
-	i := int(q*float64(n)+0.5) - 1
-	if i < 0 {
-		i = 0
-	}
-	if i >= n {
-		i = n - 1
-	}
-	return i
 }

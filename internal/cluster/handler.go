@@ -1,12 +1,13 @@
 package cluster
 
 import (
-	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"time"
 
 	"repro/internal/serve"
+	"repro/internal/tensor"
 )
 
 // Handler exposes the dispatcher over HTTP with the same client surface as
@@ -23,30 +24,24 @@ import (
 func (d *Dispatcher) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /v1/healthz", func(w http.ResponseWriter, r *http.Request) {
-		d.mu.Lock()
-		status := "ok"
-		if d.draining {
-			status = "draining"
+		status, code := "ok", http.StatusOK
+		if d.draining.Load() {
+			status, code = "draining", http.StatusServiceUnavailable
 		}
-		d.mu.Unlock()
-		code := http.StatusOK
-		if status != "ok" {
-			code = http.StatusServiceUnavailable
-		}
-		writeJSON(w, code, serve.HealthResponse{Status: status, Models: 1, Role: serve.RoleDispatcher})
+		serve.WriteJSON(w, code, serve.HealthResponse{Status: status, Models: 1, Role: serve.RoleDispatcher})
 	})
 	mux.HandleFunc("GET /v1/models", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, []serve.Info{d.info})
+		serve.WriteJSON(w, http.StatusOK, []serve.Info{d.info})
 	})
 	mux.HandleFunc("GET /v1/models/{name}", func(w http.ResponseWriter, r *http.Request) {
 		if r.PathValue("name") != d.cfg.Model {
-			writeError(w, http.StatusNotFound, "unknown model "+r.PathValue("name"))
+			serve.WriteError(w, http.StatusNotFound, "unknown model "+r.PathValue("name"))
 			return
 		}
-		writeJSON(w, http.StatusOK, serve.ModelDetail{Info: d.info})
+		serve.WriteJSON(w, http.StatusOK, serve.ModelDetail{Info: d.info})
 	})
 	mux.HandleFunc("GET /v1/stats", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]Snapshot{d.cfg.Model: d.Stats()})
+		serve.WriteJSON(w, http.StatusOK, map[string]Snapshot{d.cfg.Model: d.Stats()})
 	})
 	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
@@ -54,28 +49,18 @@ func (d *Dispatcher) Handler() http.Handler {
 	})
 	mux.HandleFunc("POST /v1/models/{name}/predict", func(w http.ResponseWriter, r *http.Request) {
 		if r.PathValue("name") != d.cfg.Model {
-			writeError(w, http.StatusNotFound, "unknown model "+r.PathValue("name"))
+			serve.WriteError(w, http.StatusNotFound, "unknown model "+r.PathValue("name"))
 			return
 		}
-		want := 1
-		for _, dim := range d.stages[0].inDims {
-			want *= dim
-		}
-		maxBody := int64(want)*64 + 4096
-		var req serve.PredictRequest
-		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBody)).Decode(&req); err != nil {
-			writeError(w, http.StatusBadRequest, "bad request body: "+err.Error())
+		req, deadline, ok := serve.DecodePredict(w, r, d.stages[0].inDims.Size())
+		if !ok {
 			return
-		}
-		var deadline time.Time
-		if req.DeadlineMs > 0 {
-			deadline = time.Now().Add(time.Duration(req.DeadlineMs) * time.Millisecond)
 		}
 		start := time.Now()
 		out, err := d.Predict(r.Context(), req.Input, req.Seed, deadline)
 		if err != nil {
 			var hop *hopError
-			if asHop(err, &hop) {
+			if errors.As(err, &hop) {
 				// The stage already decided (shed, deadline, drain): relay
 				// its status, body and Retry-After untouched.
 				if ra := hop.header.Get("Retry-After"); ra != "" {
@@ -86,36 +71,16 @@ func (d *Dispatcher) Handler() http.Handler {
 				_, _ = w.Write(hop.body)
 				return
 			}
-			writeError(w, http.StatusBadGateway, err.Error())
+			serve.WriteError(w, http.StatusBadGateway, err.Error())
 			return
 		}
-		argmax := -1
+		res := serve.Result{Output: out, ArgMax: -1, BatchSize: 1, Latency: time.Since(start)}
 		if d.task == "classify" {
-			for i, v := range out {
-				if argmax < 0 || v > out[argmax] {
-					argmax = i
-				}
-			}
+			res.ArgMax = tensor.FromSlice(out, len(out)).ArgMax()
 		}
-		writeJSON(w, http.StatusOK, serve.PredictResponse{
-			Model:     d.cfg.Model,
-			Output:    out,
-			ArgMax:    argmax,
-			BatchSize: 1,
-			LatencyMs: float64(time.Since(start).Microseconds()) / 1000,
-		})
+		serve.WritePrediction(w, d.cfg.Model, res)
 	})
 	return mux
-}
-
-// asHop unwraps a hopError (errors.As without the reflection detour — the
-// dispatcher wraps nothing above it).
-func asHop(err error, target **hopError) bool {
-	h, ok := err.(*hopError)
-	if ok {
-		*target = h
-	}
-	return ok
 }
 
 // writeMetrics renders the dispatcher's stats in the Prometheus text
@@ -124,27 +89,18 @@ func asHop(err error, target **hopError) bool {
 // /metrics).
 func (d *Dispatcher) writeMetrics(w http.ResponseWriter) {
 	snap := d.Stats()
-	_, _ = fmt.Fprintf(w, "# HELP dispatcher_requests_total Requests served end to end.\n# TYPE dispatcher_requests_total counter\n")
-	_, _ = fmt.Fprintf(w, "dispatcher_requests_total{model=%q} %d\n", d.cfg.Model, snap.Requests)
-	_, _ = fmt.Fprintf(w, "# HELP dispatcher_failures_total Requests failed at some stage.\n# TYPE dispatcher_failures_total counter\n")
-	_, _ = fmt.Fprintf(w, "dispatcher_failures_total{model=%q} %d\n", d.cfg.Model, snap.Failures)
-	_, _ = fmt.Fprintf(w, "# HELP dispatcher_qps End-to-end requests per second.\n# TYPE dispatcher_qps gauge\n")
-	_, _ = fmt.Fprintf(w, "dispatcher_qps{model=%q} %g\n", d.cfg.Model, snap.QPS)
-	_, _ = fmt.Fprintf(w, "# HELP dispatcher_latency_seconds End-to-end request latency.\n# TYPE dispatcher_latency_seconds summary\n")
-	_, _ = fmt.Fprintf(w, "dispatcher_latency_seconds{model=%q,quantile=\"0.5\"} %g\n", d.cfg.Model, snap.P50Ms/1e3)
-	_, _ = fmt.Fprintf(w, "dispatcher_latency_seconds{model=%q,quantile=\"0.99\"} %g\n", d.cfg.Model, snap.P99Ms/1e3)
-	_, _ = fmt.Fprintf(w, "# HELP dispatcher_stage_healthy_replicas Healthy replicas in rotation per stage.\n# TYPE dispatcher_stage_healthy_replicas gauge\n")
-	for _, st := range snap.Stages {
-		_, _ = fmt.Fprintf(w, "dispatcher_stage_healthy_replicas{model=%q,stage=\"%d\"} %d\n", d.cfg.Model, st.Index, st.Healthy)
+	family := func(name, help, typ string, value any) {
+		serve.MetricHead(w, name, help, typ)
+		serve.MetricSample(w, name, d.cfg.Model, "", value)
 	}
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-func writeError(w http.ResponseWriter, code int, msg string) {
-	writeJSON(w, code, map[string]string{"error": msg})
+	family("dispatcher_requests_total", "Requests served end to end.", "counter", snap.Requests)
+	family("dispatcher_failures_total", "Requests failed at some stage.", "counter", snap.Failures)
+	family("dispatcher_qps", "End-to-end requests per second.", "gauge", snap.QPS)
+	serve.MetricHead(w, "dispatcher_latency_seconds", "End-to-end request latency.", "summary")
+	serve.MetricSample(w, "dispatcher_latency_seconds", d.cfg.Model, `quantile="0.5"`, snap.P50Ms/1e3)
+	serve.MetricSample(w, "dispatcher_latency_seconds", d.cfg.Model, `quantile="0.99"`, snap.P99Ms/1e3)
+	serve.MetricHead(w, "dispatcher_stage_healthy_replicas", "Healthy replicas in rotation per stage.", "gauge")
+	for _, st := range snap.Stages {
+		serve.MetricSample(w, "dispatcher_stage_healthy_replicas", d.cfg.Model, fmt.Sprintf(`stage="%d"`, st.Index), st.Healthy)
+	}
 }

@@ -34,7 +34,7 @@
 // a fixed, worker-invariant order of its own (see gemmBackend's
 // Conv2DBackward). Combined with the worker-count invariance of
 // internal/parallel, a model produces the same bits on any given backend at
-// any worker count — which is what lets serving pick a backend per model
+// any worker count — which is what lets a process pick its backend
 // without perturbing the repository's determinism contract (seeded
 // corruptor streams, pinned characterization outcomes, cached trained
 // models).
@@ -46,9 +46,10 @@
 // contract. Like axpy they are a scalar Go specification with an AVX body
 // on amd64.
 //
-// Backend selection: layers hold an explicit Backend (see
-// dnn.Network.SetBackend) and fall back to the process-wide Default, which
-// the cmd binaries expose as -backend.
+// Backend selection: there is one process-wide switch. dnn's Conv and FC
+// layers call Default() on every pass, and the cmd binaries set it once at
+// start-up from their -backend flag through SetDefault. Tests that switch
+// it restore the previous backend in t.Cleanup.
 package compute
 
 import (
@@ -93,9 +94,8 @@ var backends = map[string]Backend{
 	QGemm.Name(): QGemm,
 }
 
-// defaultBackend holds the process-wide fallback used by layers with no
-// explicit backend. Gemm: bit-identical to Ref and faster on every
-// convolutional model.
+// defaultBackend holds the process-wide backend every layer runs on. Gemm:
+// bit-identical to Ref and faster on every convolutional model.
 var defaultBackend atomic.Pointer[Backend]
 
 func init() { defaultBackend.Store(&Gemm) }

@@ -14,6 +14,15 @@ import (
 	"repro/internal/tensor"
 )
 
+// setBackend installs b as the process-wide compute backend for the rest of
+// the test and restores the previous one afterwards.
+func setBackend(t testing.TB, b compute.Backend) {
+	t.Helper()
+	prev := compute.Default()
+	compute.SetDefault(b)
+	t.Cleanup(func() { compute.SetDefault(prev) })
+}
+
 // TestGemmBitIdenticalToRefOnZooBothVecPaths is internal/dnn's
 // TestBackendsBitIdenticalOnZoo for the gemm backend with the vector
 // primitives pinned on and then off: every zoo architecture must forward to
@@ -33,10 +42,10 @@ func TestGemmBitIdenticalToRefOnZooBothVecPaths(t *testing.T) {
 			x.FillUniform(tensor.NewRNG(0xB17), -1, 1)
 
 			parallel.SetWorkers(1)
-			net.SetBackend(compute.Ref)
+			setBackend(t, compute.Ref)
 			want := net.Forward(x, false, nil)
 
-			net.SetBackend(compute.Gemm)
+			setBackend(t, compute.Gemm)
 			compute.ForEachVecPath(t, func(t *testing.T) {
 				for _, w := range []int{1, 4} {
 					parallel.SetWorkers(w)
@@ -86,6 +95,7 @@ func recorded(seq *[]hookCall, hook dnn.IFMHook) dnn.IFMHook {
 func TestFusedMatchesPerSampleOnZooBothVecPaths(t *testing.T) {
 	prev := parallel.Workers()
 	defer parallel.SetWorkers(prev)
+	setBackend(t, compute.Gemm)
 	corr := eden.NewSoftwareDRAM(errormodel.Uniform(2e-3), quant.Int8)
 	pool := eden.NewClonePool(corr)
 	subset := func(li int, _ dnn.Layer, x *tensor.Tensor) *tensor.Tensor {
@@ -122,7 +132,6 @@ func TestFusedMatchesPerSampleOnZooBothVecPaths(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		net.SetBackend(compute.Gemm)
 		xs := make([]*tensor.Tensor, 16)
 		rng := tensor.NewRNG(0xF5ED)
 		for i := range xs {

@@ -43,7 +43,7 @@ func BenchmarkForwardBatch(b *testing.B) {
 	prev := parallel.Workers()
 	defer parallel.SetWorkers(prev)
 	for _, bk := range []compute.Backend{compute.Ref, compute.Gemm} {
-		net.SetBackend(bk)
+		setBackend(b, bk)
 		for _, w := range []int{1, 2, 4, 8} {
 			b.Run(fmt.Sprintf("backend=%s/workers=%d", bk.Name(), w), func(b *testing.B) {
 				parallel.SetWorkers(w)
@@ -54,7 +54,6 @@ func BenchmarkForwardBatch(b *testing.B) {
 			})
 		}
 	}
-	net.SetBackend(nil)
 }
 
 // BenchmarkForwardSingle measures one-sample latency, where the kernels'
@@ -67,7 +66,7 @@ func BenchmarkForwardSingle(b *testing.B) {
 	prev := parallel.Workers()
 	defer parallel.SetWorkers(prev)
 	for _, bk := range []compute.Backend{compute.Ref, compute.Gemm} {
-		net.SetBackend(bk)
+		setBackend(b, bk)
 		for _, w := range []int{1, 4} {
 			b.Run(fmt.Sprintf("backend=%s/workers=%d", bk.Name(), w), func(b *testing.B) {
 				parallel.SetWorkers(w)
@@ -77,5 +76,4 @@ func BenchmarkForwardSingle(b *testing.B) {
 			})
 		}
 	}
-	net.SetBackend(nil)
 }

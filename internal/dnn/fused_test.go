@@ -107,8 +107,9 @@ func TestFusedPoolFallbackShapes(t *testing.T) {
 		}},
 		{ModelName: "oddHW", InC: 2, InH: 9, InW: 13, Layers: []Layer{
 			&MaxPool{LayerName: "pool0", K: 2, S: 2},
-			&MaxPool{LayerName: "pool1", K: 2, S: 2},
+			&MaxPool{LayerName: "pool1", K: 2, S: 1},
 			&MaxPool{LayerName: "pool2", K: 2, S: 1},
+			&MaxPool{LayerName: "pool3", K: 2, S: 2},
 			&Dropout{LayerName: "drop", P: 0.5, RNG: tensor.NewRNG(1)},
 			NewConv("conv", 2, 3, 1, tensor.Conv2DParams{}, false, rng),
 			&ReLU{LayerName: "relu"},

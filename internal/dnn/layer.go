@@ -14,28 +14,6 @@ import (
 	"repro/internal/tensor"
 )
 
-// backendHolder is embedded by the layers that invoke compute kernels
-// (Conv, FC). A nil backend falls through to the process-wide
-// compute.Default(); Network.SetBackend walks the layer tree and pins an
-// explicit one, which is how serving gives each deployed model its own
-// backend. Set the backend before sharing a network across goroutines —
-// the field is read, not locked, on the forward path.
-type backendHolder struct {
-	b compute.Backend
-}
-
-// SetBackend pins the layer's compute backend; nil reverts to the
-// process default.
-func (h *backendHolder) SetBackend(b compute.Backend) { h.b = b }
-
-// backend returns the effective backend.
-func (h *backendHolder) backend() compute.Backend {
-	if h.b != nil {
-		return h.b
-	}
-	return compute.Default()
-}
-
 // Param is one trainable tensor with its gradient and momentum buffers.
 type Param struct {
 	Name string
@@ -91,7 +69,6 @@ type sampleLayer interface {
 
 // Conv is a 2-D convolution layer with optional bias.
 type Conv struct {
-	backendHolder
 	LayerName string
 	P         tensor.Conv2DParams
 	Weight    *Param
@@ -124,7 +101,7 @@ func (l *Conv) Name() string { return l.LayerName }
 // Forward convolves x with the layer weights. Inference-mode forwards
 // (train == false) touch no layer state, so a network may run concurrent
 // evaluation passes over shared weights (see Network.ForwardBatch). When
-// the layer's backend consumes quantized weights and the param carries a
+// the default backend consumes quantized weights and the param carries a
 // cached int8 image, inference skips the float weight tensor entirely;
 // training always runs the float path (gradients are defined on the float
 // linearization).
@@ -137,18 +114,18 @@ func (l *Conv) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 		b = l.Bias.W
 	}
 	if !train {
-		if qb, ok := l.backend().(compute.QuantBackend); ok {
+		if qb, ok := compute.Default().(compute.QuantBackend); ok {
 			if qw := l.Weight.Quantized(); qw != nil {
 				return qb.Conv2DQ(x, qw, b, l.P)
 			}
 		}
 	}
-	return l.backend().Conv2D(x, l.Weight.W, b, l.P)
+	return compute.Default().Conv2D(x, l.Weight.W, b, l.P)
 }
 
 // Backward propagates dOut and accumulates weight/bias gradients.
 func (l *Conv) Backward(dOut *tensor.Tensor) *tensor.Tensor {
-	dIn, dW, dB := l.backend().Conv2DBackward(l.lastInput, l.Weight.W, l.Bias != nil, dOut, l.P)
+	dIn, dW, dB := compute.Default().Conv2DBackward(l.lastInput, l.Weight.W, l.Bias != nil, dOut, l.P)
 	l.lastInput = nil
 	l.Weight.G.AddScaled(dW, 1)
 	if l.Bias != nil {
@@ -167,7 +144,6 @@ func (l *Conv) Params() []*Param {
 
 // FC is a fully-connected layer storing weights out×in.
 type FC struct {
-	backendHolder
 	LayerName string
 	Weight    *Param
 	Bias      *Param
@@ -199,13 +175,13 @@ func (l *FC) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 		l.lastShape = x.Shape().Clone()
 	}
 	var out *tensor.Tensor
-	if qb, ok := l.backend().(compute.QuantBackend); !train && ok {
+	if qb, ok := compute.Default().(compute.QuantBackend); !train && ok {
 		if qw := l.Weight.Quantized(); qw != nil {
 			out = qb.MatMulTransBQ(flat, qw)
 		}
 	}
 	if out == nil {
-		out = l.backend().MatMulTransB(flat, l.Weight.W)
+		out = compute.Default().MatMulTransB(flat, l.Weight.W)
 	}
 	ncols := out.Dim(1)
 	for i := 0; i < n; i++ {
@@ -237,7 +213,7 @@ func (l *FC) Backward(dOut *tensor.Tensor) *tensor.Tensor {
 		}
 	}
 	// dX = dOut * W
-	dIn := l.backend().MatMul(dOut, l.Weight.W)
+	dIn := compute.Default().MatMul(dOut, l.Weight.W)
 	return dIn.Reshape(l.lastShape...)
 }
 

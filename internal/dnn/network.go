@@ -26,36 +26,10 @@ type Network struct {
 	InC, InH, InW int
 	// Detection metadata; nil for classifiers.
 	Det *DetectionHead
-	// backend is the pinned compute backend, nil for the process default;
-	// see SetBackend.
-	backend compute.Backend
 }
 
 // Name returns the model name.
 func (n *Network) Name() string { return n.ModelName }
-
-// SetBackend pins the compute backend every kernel-invoking layer of the
-// network runs on (nil reverts to the process-wide compute.Default). All
-// backends are bit-identical, so the choice affects throughput only —
-// serving uses this to give each deployed model its own backend. Pin the
-// backend before the network serves concurrent forwards: the layer fields
-// it writes are read unlocked on the hot path.
-func (n *Network) SetBackend(b compute.Backend) {
-	n.backend = b
-	walkLayers(n.Layers, func(l Layer) {
-		if h, ok := l.(interface{ SetBackend(compute.Backend) }); ok {
-			h.SetBackend(b)
-		}
-	})
-}
-
-// Backend returns the effective compute backend.
-func (n *Network) Backend() compute.Backend {
-	if n.backend != nil {
-		return n.backend
-	}
-	return compute.Default()
-}
 
 // Forward runs the network. hook, when non-nil, is applied to each layer's
 // input feature map.
@@ -74,7 +48,7 @@ type BatchOptions struct {
 	// HookFor supplies sample i's IFM hook, or nil for no hook. Hooks for
 	// different samples run concurrently and must therefore not share
 	// mutable state; eden corruptors provide deterministically seeded
-	// per-sample clones for exactly this purpose (SoftwareDRAM.SampleHooks).
+	// per-sample clones for exactly this purpose (SoftwareDRAM.Clone).
 	HookFor func(sample int) IFMHook
 	// Done, when non-nil, is invoked once per sample right after that
 	// sample's forward pass completes, on the goroutine that ran it.
@@ -163,7 +137,11 @@ func (n *Network) ForwardBatchFused(xs []*tensor.Tensor, opt BatchOptions) []*te
 		for hi < len(n.Layers) && isSampleLayer(n.Layers[hi]) {
 			hi++
 		}
-		x = p.runSamples(n.Layers, lo, hi, x)
+		for {
+			if x, lo = p.runSamples(n.Layers, lo, hi, x); lo == hi {
+				break
+			}
+		}
 		if hi < len(n.Layers) {
 			x = n.Layers[hi].Forward(x, false)
 		}
@@ -224,27 +202,35 @@ type sampleStep struct {
 // layer hi (the batch kernel that follows, if any) as one fan-out over the
 // samples, and returns the batch tensor layer hi is to consume. The plan —
 // shapes and destinations — is the same for every sample, so it is laid
-// out once, here, and the tasks only index into it.
-func (p *fusedPass) runSamples(layers []Layer, lo, hi int, x *tensor.Tensor) *tensor.Tensor {
+// out once, here, and the tasks only index into it. A second shape change
+// would write, at another span per sample, into what slower samples are
+// still reading, so the run ends before one — the fan-out's return is the
+// barrier — and end < hi tells the caller to go on from there.
+func (p *fusedPass) runSamples(layers []Layer, lo, hi int, x *tensor.Tensor) (_ *tensor.Tensor, end int) {
 	in := tensor.Shape(viewDims(&p.dims, x.Shape()))
 	shape, cur := in, x.Data
-	for k := lo; k < hi; k++ {
-		op := layers[k].(sampleLayer)
+	drew := false
+	for end = lo; end < hi; end++ {
+		op := layers[end].(sampleLayer)
 		out := op.outShape(shape)
 		dst := cur
 		if out.Size() != shape.Size() {
+			if drew {
+				break
+			}
+			drew = true
 			dst = p.otherSlab(cur, p.b*out.Size())
 		}
-		p.steps[k-lo] = sampleStep{li: k, layer: layers[k], op: op, in: shape, src: cur, dst: dst}
+		p.steps[end-lo] = sampleStep{li: end, layer: layers[end], op: op, in: shape, src: cur, dst: dst}
 		shape, cur = out, dst
 	}
-	steps := p.steps[:hi-lo]
-	if p.hooks != nil && hi < len(layers) {
+	steps := p.steps[:end-lo]
+	if end == hi && p.hooks != nil && hi < len(layers) {
 		steps = p.steps[:hi-lo+1]
 		steps[hi-lo] = sampleStep{li: hi, layer: layers[hi], in: shape, src: cur}
 	}
 	if len(steps) == 0 {
-		return x
+		return x, end
 	}
 	b, hooks, views := p.b, p.hooks, p.views
 	parallel.ForEach(b, func(i int) {
@@ -268,7 +254,7 @@ func (p *fusedPass) runSamples(layers []Layer, lo, hi int, x *tensor.Tensor) *te
 		shape[0] = b
 		x = tensor.FromSlice(cur, shape...)
 	}
-	return x
+	return x, end
 }
 
 // otherSlab returns n elements of whichever of the pass's two slabs does

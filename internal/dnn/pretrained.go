@@ -23,11 +23,25 @@ type TrainedModel struct {
 }
 
 // Metric evaluates the model's task metric under the given options.
-func (m *TrainedModel) Metric(opt EvalOptions) float64 {
+func (m *TrainedModel) Metric(opt EvalOptions) float64 { return m.MetricOf(m.Net, opt) }
+
+// MetricOf evaluates net — m's own network or a derivative sharing its
+// architecture — on m's validation data: mAP for detectors, accuracy for
+// classifiers.
+func (m *TrainedModel) MetricOf(net *Network, opt EvalOptions) float64 {
 	if m.Spec.Task == Detect {
-		return m.Net.MAP(m.BoxValSet, opt)
+		return net.MAP(m.BoxValSet, opt)
 	}
-	return m.Net.Accuracy(m.ValSet, opt)
+	return net.Accuracy(m.ValSet, opt)
+}
+
+// Train trains net on m's training data with the trainer for m's task.
+func (m *TrainedModel) Train(net *Network, opt TrainOptions) {
+	if m.Spec.Task == Detect {
+		TrainDetector(net, m.BoxTrainSet, opt)
+	} else {
+		TrainClassifier(net, m.TrainSet, opt)
+	}
 }
 
 // CloneNet rebuilds the architecture and copies trained state into it, so
@@ -47,12 +61,6 @@ func (m *TrainedModel) CloneNetFrom(net *Network) *Network {
 	dst := fresh.StateTensors()
 	for i := range src {
 		copy(dst[i].T.Data, src[i].T.Data)
-	}
-	// The clone inherits the source's pinned compute backend, so a
-	// backend-threaded sweep (characterization probes cloning per worker)
-	// keeps running on the backend its caller selected.
-	if net.backend != nil {
-		fresh.SetBackend(net.backend)
 	}
 	return fresh
 }
@@ -115,11 +123,7 @@ func Pretrained(name string) (*TrainedModel, error) {
 	}
 
 	opt := TrainOptions{Epochs: spec.Epochs, Batch: spec.Batch, LR: spec.LR, Seed: hashName(name)}
-	if spec.Task == Detect {
-		TrainDetector(m.Net, m.BoxTrainSet, opt)
-	} else {
-		TrainClassifier(m.Net, m.TrainSet, opt)
-	}
+	m.Train(m.Net, opt)
 	m.BaselineAcc = m.Metric(EvalOptions{})
 
 	if err := os.MkdirAll(cacheDir(), 0o755); err == nil {

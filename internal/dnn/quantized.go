@@ -33,15 +33,15 @@ func Int8WeightsFromQTensor(q *quant.QTensor) *compute.Int8Weights {
 
 // AdoptQuantizedWeights caches an int8 code image of every Conv and FC
 // weight tensor, quantized at prec, enabling the QuantBackend inference
-// fast path (see Conv.Forward). Serving calls this when a deployment's
+// fast path (see Conv.Forward). Serving calls this when the default
 // backend consumes quantized weights, before weight corruption — eden's
 // CorruptWeights then keeps the adopted images in sync with the corrupted
 // codes. Precisions wider than 8 bits clear any previously adopted images
 // instead (there is no int8 image for them). It returns the number of
 // weight tensors now carrying an image.
 //
-// Call it before the network serves concurrent forwards: like SetBackend,
-// it writes layer state that the hot path reads unlocked.
+// Call it before the network serves concurrent forwards: it writes layer
+// state that the hot path reads unlocked.
 func (n *Network) AdoptQuantizedWeights(prec quant.Precision) int {
 	adopted := 0
 	walkLayers(n.Layers, func(l Layer) {

@@ -60,8 +60,5 @@ func (n *Network) Slice(lo, hi int) (*Network, error) {
 	if hi == len(n.Layers) {
 		s.Det = n.Det
 	}
-	if n.backend != nil {
-		s.SetBackend(n.backend)
-	}
 	return s, nil
 }

@@ -13,7 +13,7 @@ import (
 // images adopted so the QuantBackend fast path is exercised end to end.
 func benchVGG(b *testing.B, bk compute.Backend, adopt bool) {
 	tm := MustPretrained("VGG-16")
-	tm.Net.SetBackend(bk)
+	setBackend(b, bk)
 	if adopt {
 		tm.Net.AdoptQuantizedWeights(quant.Int8)
 	}

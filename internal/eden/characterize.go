@@ -65,11 +65,7 @@ func evalAt(tm *dnn.TrainedModel, net *dnn.Network, m *errormodel.Model, ber flo
 		for i := 0; i < r; i++ {
 			corr.NextPass()
 		}
-		opt := corr.EvalOptions(cfg.MaxSamples)
-		if tm.Spec.Task == dnn.Detect {
-			return n.MAP(tm.BoxValSet, opt)
-		}
-		return n.Accuracy(tm.ValSet, opt)
+		return tm.MetricOf(n, corr.EvalOptions(cfg.MaxSamples))
 	}
 	sums := make([]float64, reps)
 	if reps == 1 || parallel.Workers() == 1 {
@@ -99,11 +95,7 @@ func probeBounds(tm *dnn.TrainedModel, net *dnn.Network) map[string]memctrl.Boun
 // baselineMetric returns net's metric on reliable DRAM, respecting the
 // sampling cap so the comparison is apples-to-apples.
 func baselineMetric(tm *dnn.TrainedModel, net *dnn.Network, cfg CharacterizeConfig) float64 {
-	opt := dnn.EvalOptions{MaxSamples: cfg.MaxSamples}
-	if tm.Spec.Task == dnn.Detect {
-		return net.MAP(tm.BoxValSet, opt)
-	}
-	return net.Accuracy(tm.ValSet, opt)
+	return tm.MetricOf(net, dnn.EvalOptions{MaxSamples: cfg.MaxSamples})
 }
 
 // CoarseCharacterize finds the highest uniform BER net tolerates while its

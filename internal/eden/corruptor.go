@@ -453,7 +453,7 @@ func (s *SoftwareDRAM) Reset(pass uint64) {
 }
 
 // ClonePool recycles Cloner corruptors across evaluation passes. Cloning
-// per sample (SampleHooks) re-copies the bounds/offset maps and, worse,
+// per sample re-copies the bounds/offset maps and, worse,
 // rebuilds nothing the next pass can reuse; under a serving workload that
 // clones once per request, the allocation churn dominates low-latency
 // dispatches. A pool keeps retired clones and hands them back after a
@@ -514,16 +514,6 @@ func (p *ClonePool) Put(c Cloner) {
 	p.mu.Lock()
 	p.free = append(p.free, c)
 	p.mu.Unlock()
-}
-
-// SampleHooks adapts the corruptor to dnn.BatchOptions: sample i receives
-// an independent clone whose transient error draw is seeded with base+i, so
-// a parallel ForwardBatch corrupts every sample through its own
-// deterministic error stream regardless of goroutine scheduling.
-func (s *SoftwareDRAM) SampleHooks(base uint64) func(int) dnn.IFMHook {
-	return func(i int) dnn.IFMHook {
-		return s.Clone(base + uint64(i)).IFMHook()
-	}
 }
 
 // CorruptWeights overwrites every parameter with its approximate-DRAM image
@@ -622,12 +612,7 @@ func (s *SoftwareDRAM) CalibrateNet(tm *dnn.TrainedModel, net *dnn.Network, maxS
 		}
 		return x
 	}
-	opt := dnn.EvalOptions{Hook: hook, MaxSamples: maxSamples}
-	if tm.Spec.Task == dnn.Detect {
-		net.MAP(tm.BoxValSet, opt)
-	} else {
-		net.Accuracy(tm.ValSet, opt)
-	}
+	tm.MetricOf(net, dnn.EvalOptions{Hook: hook, MaxSamples: maxSamples})
 	for id, m := range maxAbs {
 		if m == 0 {
 			m = 1
@@ -738,19 +723,6 @@ func (c *DeviceDRAM) PlaceNetwork(net *dnn.Network, batch int) error {
 			return err
 		}
 	}
-	return nil
-}
-
-// PlaceInPartition pins a data ID into the given device partition,
-// allocating from the partition's base. Fine-grained mapping uses this to
-// realize an Algorithm-1 assignment on the device.
-func (c *DeviceDRAM) PlaceInPartition(id string, bytes, partition int, partitionOffset int) error {
-	start, end := c.Device.PartitionRange(partition)
-	addr := start + partitionOffset
-	if addr+bytes > end {
-		return fmt.Errorf("eden: %s does not fit partition %d at offset %d", id, partition, partitionOffset)
-	}
-	c.Placement[id] = addr
 	return nil
 }
 

@@ -14,15 +14,30 @@ import (
 	"repro/internal/errormodel"
 	"repro/internal/memctrl"
 	"repro/internal/quant"
+	"repro/internal/softmc"
 )
 
 // DeployConfig parameterizes eden.Deploy, the one entry point for the full
-// Fig. 4 flow. The embedded PipelineConfig controls the coarse stages
-// (profile, fit, boost, characterize, map); the remaining fields opt into
-// fine-grained characterization plus Algorithm-1 partition mapping and
-// control the calibration snapshot baked into the artifact.
+// Fig. 4 flow: the coarse stages (profile, fit, boost, characterize, map),
+// then the opt-in fine-grained characterization plus Algorithm-1 partition
+// mapping, and the calibration snapshot baked into the artifact.
 type DeployConfig struct {
-	PipelineConfig
+	Vendor string
+	Prec   quant.Precision
+	// Char controls the characterization probes; Char.MaxDrop is the
+	// user-specified accuracy target.
+	Char CharacterizeConfig
+	// RetrainEpochs is per boosting round; Rounds is how many
+	// boost↔characterize cycles to run (the paper iterates until the
+	// tolerable BER stops improving).
+	RetrainEpochs int
+	Rounds        int
+	// ProfileVDD is the stress voltage used to characterize the module and
+	// fit the error model.
+	ProfileVDD float64
+	// ProfileMaxRows caps the rows profiled (speed/coverage trade-off).
+	ProfileMaxRows int
+	Seed           uint64
 	// FineGrained enables fine-grained characterization and the Algorithm-1
 	// mapping of data types onto device partitions. When the assignment
 	// fails (some data fits no partition), the deployment falls back to the
@@ -50,7 +65,14 @@ const defaultCalibSamples = 16
 // coarse stages at their experiment defaults and fine-grained mapping off.
 func DefaultDeploy(vendor string) DeployConfig {
 	return DeployConfig{
-		PipelineConfig:  DefaultPipeline(vendor),
+		Vendor:          vendor,
+		Prec:            quant.FP32,
+		Char:            DefaultCharacterize(),
+		RetrainEpochs:   10,
+		Rounds:          2,
+		ProfileVDD:      1.05,
+		ProfileMaxRows:  64,
+		Seed:            0xEDE4,
 		FineRounds:      3,
 		PartitionLevels: []float64{0.5, 1, 1.5, 2.5},
 		PartitionReads:  2,
@@ -58,20 +80,33 @@ func DefaultDeploy(vendor string) DeployConfig {
 	}
 }
 
+// withDefaults fills the unset fine-grained and calibration fields from
+// DefaultDeploy.
 func (c DeployConfig) withDefaults() DeployConfig {
+	d := DefaultDeploy(c.Vendor)
 	if c.FineRounds <= 0 {
-		c.FineRounds = 3
+		c.FineRounds = d.FineRounds
 	}
 	if len(c.PartitionLevels) == 0 {
-		c.PartitionLevels = []float64{0.5, 1, 1.5, 2.5}
+		c.PartitionLevels = d.PartitionLevels
 	}
 	if c.PartitionReads <= 0 {
-		c.PartitionReads = 2
+		c.PartitionReads = d.PartitionReads
 	}
 	if c.CalibSamples <= 0 {
-		c.CalibSamples = defaultCalibSamples
+		c.CalibSamples = d.CalibSamples
 	}
 	return c
+}
+
+// ProfileAndFit characterizes a module at a stress operating point and
+// returns the best-fitting error model (steps "DRAM error profile" of
+// Fig. 4). The model is fitted once per module and reused across DNNs.
+func ProfileAndFit(device *dram.Device, profileVDD float64, maxRows int, seed uint64) *errormodel.Model {
+	op := dram.Nominal()
+	op.VDD = profileVDD
+	prof := softmc.Characterize(device, op, softmc.CharacterizeConfig{Reads: 4, MaxRows: maxRows})
+	return errormodel.Select(prof, seed)
 }
 
 // Deployment is the serializable artifact the EDEN pipeline produces: one
@@ -152,25 +187,15 @@ func Deploy(modelName string, cfg DeployConfig) (*Deployment, error) {
 	em := ProfileAndFit(device, cfg.ProfileVDD, cfg.ProfileMaxRows, cfg.Seed)
 	cfg.Char.Prec = cfg.Prec
 
-	// Characterization probes fan out over network clones, which inherit
-	// their source's pinned backend — so pinning the base network here
-	// threads cfg.Backend through every sweep below. The shared cached
-	// tm.Net is never mutated.
-	base := tm.Net
-	if cfg.Backend != nil {
-		base = tm.CloneNet()
-		base.SetBackend(cfg.Backend)
-	}
-
 	dep := &Deployment{
 		ModelName:  modelName,
 		Vendor:     vendor.Name,
 		Prec:       cfg.Prec,
 		ErrorModel: em,
 	}
-	dep.BaselineTolBER = CoarseCharacterize(tm, base, em, cfg.Char)
+	dep.BaselineTolBER = CoarseCharacterize(tm, tm.Net, em, cfg.Char)
 
-	best, bestTol := boost(tm, base, em, dep.BaselineTolBER, cfg.PipelineConfig)
+	best, bestTol := boost(tm, em, dep.BaselineTolBER, cfg)
 	dep.TolerableBER = bestTol
 	dep.Op = CoarseMap(vendor, bestTol)
 	dep.DeltaVDD = dep.Op.VDD - dram.NominalVDD
@@ -242,12 +267,10 @@ func (d *Deployment) calibrate(tm *dnn.TrainedModel, samples int) {
 
 // boost runs the boost↔characterize rounds of the pipeline: curricularly
 // retrain toward a rising BER target while the characterized tolerable BER
-// keeps improving. It returns the best network (base itself when no round
-// improved on the baseline) and its tolerable BER. base is tm's network,
-// possibly backend-pinned by the caller; retrained candidates are pinned
-// the same way so every probe runs on the configured backend.
-func boost(tm *dnn.TrainedModel, base *dnn.Network, em *errormodel.Model, baseline float64, cfg PipelineConfig) (*dnn.Network, float64) {
-	best := base
+// keeps improving. It returns the best network (tm's own when no round
+// improved on the baseline) and its tolerable BER.
+func boost(tm *dnn.TrainedModel, em *errormodel.Model, baseline float64, cfg DeployConfig) (*dnn.Network, float64) {
+	best := tm.Net
 	bestTol := baseline
 	target := bestTol * 4
 	if target < 1e-3 {
@@ -258,7 +281,6 @@ func boost(tm *dnn.TrainedModel, base *dnn.Network, em *errormodel.Model, baseli
 		rc.Epochs = cfg.RetrainEpochs
 		rc.Prec = cfg.Prec
 		rc.Seed = cfg.Seed + uint64(round)
-		rc.Backend = cfg.Backend
 		boosted := Retrain(tm, rc)
 		tol := CoarseCharacterize(tm, boosted, em, cfg.Char)
 		if tol > bestTol {

@@ -38,7 +38,9 @@ func TestCorruptedForwardBatchDeterministic(t *testing.T) {
 
 	run := func(workers int) []*tensor.Tensor {
 		setWorkers(t, workers)
-		return tm.Net.ForwardBatch(xs, dnn.BatchOptions{HookFor: corr.SampleHooks(100)})
+		return tm.Net.ForwardBatch(xs, dnn.BatchOptions{HookFor: func(i int) dnn.IFMHook {
+			return corr.Clone(100 + uint64(i)).IFMHook()
+		}})
 	}
 	want := run(1)
 	for _, w := range []int{2, 4} {

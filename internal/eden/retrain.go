@@ -1,7 +1,6 @@
 package eden
 
 import (
-	"repro/internal/compute"
 	"repro/internal/dnn"
 	"repro/internal/memctrl"
 	"repro/internal/parallel"
@@ -34,10 +33,6 @@ type RetrainConfig struct {
 	LR     float64
 	Batch  int
 	Seed   uint64
-	// Backend pins the compute backend the retraining passes run on; nil
-	// uses the process default. Backends are bit-identical, so this only
-	// moves wall-clock (and pprof samples), never the boosted weights.
-	Backend compute.Backend
 }
 
 // DefaultRetrain returns the configuration used throughout the evaluation.
@@ -62,9 +57,6 @@ func DefaultRetrain(m *errormodel.Model, targetBER float64) RetrainConfig {
 // the boosted network; tm itself is not modified.
 func Retrain(tm *dnn.TrainedModel, cfg RetrainConfig) *dnn.Network {
 	net := tm.CloneNet()
-	if cfg.Backend != nil {
-		net.SetBackend(cfg.Backend)
-	}
 	corr := NewSoftwareDRAM(cfg.Model, cfg.Prec)
 	corr.SetPolicy(cfg.Policy)
 	corr.CalibrateNet(tm, net, 32, 0)
@@ -104,11 +96,7 @@ func Retrain(tm *dnn.TrainedModel, cfg RetrainConfig) *dnn.Network {
 		},
 		Hook: corr.IFMHook(),
 	}
-	if tm.Spec.Task == dnn.Detect {
-		dnn.TrainDetector(net, tm.BoxTrainSet, opt)
-	} else {
-		dnn.TrainClassifier(net, tm.TrainSet, opt)
-	}
+	tm.Train(net, opt)
 	return net
 }
 
@@ -120,11 +108,7 @@ func EvalWithModel(tm *dnn.TrainedModel, net *dnn.Network, m *errormodel.Model, 
 	corr.BER = ber
 	// Thresholds must describe the network actually being evaluated.
 	corr.CalibrateNet(tm, net, 16, 0)
-	opt := corr.EvalOptions(maxSamples)
-	if tm.Spec.Task == dnn.Detect {
-		return net.MAP(tm.BoxValSet, opt)
-	}
-	return net.Accuracy(tm.ValSet, opt)
+	return tm.MetricOf(net, corr.EvalOptions(maxSamples))
 }
 
 // SweepBER runs EvalWithModel at every BER concurrently — one operating

@@ -155,14 +155,14 @@ func Table3For(model string, prec quant.Precision) (*Table3Entry, error) {
 		}
 		return e, nil
 	}
-	cfg := eden.DefaultPipeline("A")
+	cfg := eden.DefaultDeploy("A")
 	cfg.Prec = quant.FP32
 	cfg.RetrainEpochs = 4
 	cfg.Rounds = 1
 	cfg.Char.MaxSamples = 40
 	cfg.Char.Repeats = 1
 	cfg.Char.SearchSteps = 7
-	res, err := eden.Deploy(model, eden.DeployConfig{PipelineConfig: cfg})
+	res, err := eden.Deploy(model, cfg)
 	if err != nil {
 		return nil, err
 	}

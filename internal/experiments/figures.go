@@ -76,11 +76,7 @@ func deviceMetric(tm *dnn.TrainedModel, net *dnn.Network, vendor string, op dram
 	// scaled-down module reuses rows, which preserves error statistics.
 	_ = corr.PlaceNetwork(net, 16)
 	corr.Calibrate(tm, 16, 0)
-	opt := corr.EvalOptions(maxSamples)
-	if tm.Spec.Task == dnn.Detect {
-		return net.MAP(tm.BoxValSet, opt)
-	}
-	return net.Accuracy(tm.ValSet, opt)
+	return tm.MetricOf(net, corr.EvalOptions(maxSamples))
 }
 
 // Figure7ModelValidation reproduces Fig. 7: LeNet accuracy on the

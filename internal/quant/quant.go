@@ -83,6 +83,20 @@ func (p Precision) String() string {
 // Precisions lists all supported precisions from widest to narrowest.
 var Precisions = []Precision{FP32, Int16, Int8, Int4}
 
+// ParsePrecision is the inverse of String; the flag spelling "fp32" is
+// accepted beside "FP32".
+func ParsePrecision(s string) (Precision, error) {
+	if s == "fp32" {
+		return FP32, nil
+	}
+	for _, p := range Precisions {
+		if p.String() == s {
+			return p, nil
+		}
+	}
+	return 0, fmt.Errorf("quant: unknown precision %q", s)
+}
+
 // QTensor is a tensor quantized to a given precision. Codes holds one entry
 // per value; only the low Bits() bits are meaningful and they hold the
 // two's-complement quantized code (or the raw float bits for FP32).

@@ -23,6 +23,25 @@ func TestPrecisionString(t *testing.T) {
 	}
 }
 
+// TestParsePrecisionRoundTrip holds ParsePrecision to String: every
+// supported precision parses back from its own name, the flags' lower-case
+// "fp32" is accepted, and anything else is an error.
+func TestParsePrecisionRoundTrip(t *testing.T) {
+	for _, p := range Precisions {
+		if got, err := ParsePrecision(p.String()); err != nil || got != p {
+			t.Errorf("ParsePrecision(%q) = %v, %v; want %v", p.String(), got, err, p)
+		}
+	}
+	if got, err := ParsePrecision("fp32"); err != nil || got != FP32 {
+		t.Errorf(`ParsePrecision("fp32") = %v, %v; want FP32`, got, err)
+	}
+	for _, bad := range []string{"", "int2", "INT8", "Precision(7)"} {
+		if _, err := ParsePrecision(bad); err == nil {
+			t.Errorf("ParsePrecision(%q) should fail", bad)
+		}
+	}
+}
+
 func TestFP32RoundTripIsExact(t *testing.T) {
 	in := tensor.FromSlice([]float32{0, 1, -1, 3.14159, -2.5e10, 1e-30}, 6)
 	q := Quantize(in, FP32)

@@ -29,6 +29,15 @@ import (
 // serve determinism suite and the cluster e2e keep covering whichever path
 // the host selects by itself.
 
+// setBackend installs b as the process-wide compute backend for the rest of
+// the test and restores the previous one afterwards.
+func setBackend(t testing.TB, b compute.Backend) {
+	t.Helper()
+	prev := compute.Default()
+	compute.SetDefault(b)
+	t.Cleanup(func() { compute.SetDefault(prev) })
+}
+
 // onBothPaths runs f on each path and returns what it produced. Where
 // there is no vector path the scalar result stands for both.
 func onBothPaths[T any](t *testing.T, f func(t *testing.T) T) (vec, scalar T) {
@@ -72,7 +81,7 @@ func TestCorruptedZooBitIdenticalOnBothVecPaths(t *testing.T) {
 				}
 				t.Run(spec.Name+"/"+prec.String()+"/"+name, func(t *testing.T) {
 					vec, scalar := onBothPaths(t, func(t *testing.T) []float32 {
-						net.SetBackend(be)
+						setBackend(t, be)
 						if _, ok := be.(compute.QuantBackend); ok {
 							net.AdoptQuantizedWeights(prec)
 							defer net.AdoptQuantizedWeights(quant.FP32)

@@ -12,41 +12,38 @@ import (
 	"repro/internal/quant"
 )
 
-// TestPerModelBackend registers the same architecture twice under different
-// compute backends on one server and checks that (a) each model reports its
-// own backend, and (b) a fixed (input, seed) request returns byte-identical
-// outputs from both — the backend is a throughput knob, never a semantic
-// one.
+// setBackend installs b as the process-wide compute backend for the rest of
+// the test and restores the previous one afterwards.
+func setBackend(t testing.TB, b compute.Backend) {
+	t.Helper()
+	prev := compute.Default()
+	compute.SetDefault(b)
+	t.Cleanup(func() { compute.SetDefault(prev) })
+}
+
+// TestPerModelBackend serves the same model from two servers, one while the
+// process runs the ref backend and one while it runs gemm, and checks that
+// (a) each server's Info reports the backend in force, and (b) a fixed
+// (input, seed) request returns byte-identical outputs from both — the
+// backend is a throughput knob, never a semantic one.
 func TestPerModelBackend(t *testing.T) {
 	setWorkers(t, 2)
-	s := New(Config{MaxBatch: 2, MaxLatency: time.Millisecond})
-	defer s.Close()
-	deployUniform(t, s, "LeNet", quant.Int8, 1e-4, WithBackend(compute.Ref))
-	if m := deployUniform(t, s, "AlexNet", quant.Int8, 1e-4, WithBackend(compute.Gemm)); m.Info().Backend != "gemm" {
-		t.Fatalf("AlexNet backend %q, want gemm", m.Info().Backend)
+	serveOn := func(b compute.Backend, in []float32) Result {
+		setBackend(t, b)
+		s := New(Config{MaxBatch: 2, MaxLatency: time.Millisecond})
+		defer s.Close()
+		m := deployUniform(t, s, "LeNet", quant.Int8, 1e-4)
+		if got := m.Info().Backend; got != b.Name() {
+			t.Fatalf("backend %q, want %s", got, b.Name())
+		}
+		r, err := m.Predict(context.Background(), in, 42)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
 	}
-	mRef, _ := s.Model("LeNet")
-	if mRef.Info().Backend != "ref" {
-		t.Fatalf("LeNet backend %q, want ref", mRef.Info().Backend)
-	}
-
-	// Same model, same request, both backends: byte-identical outputs.
-	in := make([]float32, mRef.Info().InputDims[0]*mRef.Info().InputDims[1]*mRef.Info().InputDims[2])
-	for i := range in {
-		in[i] = float32(i%7) - 3
-	}
-	s2 := New(Config{MaxBatch: 2, MaxLatency: time.Millisecond})
-	defer s2.Close()
-	deployUniform(t, s2, "LeNet", quant.Int8, 1e-4, WithBackend(compute.Gemm))
-	mGemm, _ := s2.Model("LeNet")
-	rRef, err := mRef.Predict(context.Background(), in, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rGemm, err := mGemm.Predict(context.Background(), in, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
+	in := testInputs(t, "LeNet", 1)[0]
+	rRef, rGemm := serveOn(compute.Ref, in), serveOn(compute.Gemm, in)
 	if len(rRef.Output) != len(rGemm.Output) {
 		t.Fatalf("output lengths differ: %d vs %d", len(rRef.Output), len(rGemm.Output))
 	}
@@ -58,14 +55,15 @@ func TestPerModelBackend(t *testing.T) {
 }
 
 // TestQuantizedBackendServing pins the int8 serving path end to end: a
-// model registered on the quantized backend adopts int8 weight-code
-// images, the corruptor keeps them in sync with the corrupted float
-// weights, and predictions are reproducible for a fixed (input, seed).
+// model registered while the quantized backend is the default adopts int8
+// weight-code images, the corruptor keeps them in sync with the corrupted
+// float weights, and predictions are reproducible for a fixed (input, seed).
 func TestQuantizedBackendServing(t *testing.T) {
 	setWorkers(t, 2)
 	s := New(Config{MaxBatch: 4, MaxLatency: time.Millisecond})
 	defer s.Close()
-	m := deployUniform(t, s, "LeNet", quant.Int8, 1e-4, WithBackend(compute.QGemm))
+	setBackend(t, compute.QGemm)
+	m := deployUniform(t, s, "LeNet", quant.Int8, 1e-4)
 	if m.Info().Backend != "qgemm" {
 		t.Fatalf("backend %q, want qgemm", m.Info().Backend)
 	}
@@ -104,20 +102,6 @@ func TestQuantizedBackendServing(t *testing.T) {
 		if r1.Output[i] != r2.Output[i] {
 			t.Fatalf("output[%d] not reproducible: %v vs %v", i, r1.Output[i], r2.Output[i])
 		}
-	}
-}
-
-// TestDeployWithBackend pins the artifact path's backend option.
-func TestDeployWithBackend(t *testing.T) {
-	setWorkers(t, 1)
-	s := New(Config{MaxBatch: 1})
-	defer s.Close()
-	m, err := s.Deploy(testDeployment(t), WithBackend(compute.Ref))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Info().Backend != "ref" {
-		t.Fatalf("deployed backend %q, want ref", m.Info().Backend)
 	}
 }
 

@@ -86,7 +86,7 @@ func NewHandler(s *Server) http.Handler {
 		if status != "ok" {
 			code = http.StatusServiceUnavailable
 		}
-		writeJSON(w, code, HealthResponse{Status: status, Models: n, Role: role, Stage: stage})
+		WriteJSON(w, code, HealthResponse{Status: status, Models: n, Role: role, Stage: stage})
 	})
 	mux.HandleFunc("GET /v1/models", func(w http.ResponseWriter, r *http.Request) {
 		models := s.Models()
@@ -94,58 +94,46 @@ func NewHandler(s *Server) http.Handler {
 		for i, m := range models {
 			infos[i] = m.Info()
 		}
-		writeJSON(w, http.StatusOK, infos)
+		WriteJSON(w, http.StatusOK, infos)
 	})
 	mux.HandleFunc("GET /v1/models/{name}", func(w http.ResponseWriter, r *http.Request) {
 		name := r.PathValue("name")
 		m, ok := s.Model(name)
 		if !ok {
-			httpError(w, http.StatusNotFound, "unknown model "+name)
+			WriteError(w, http.StatusNotFound, "unknown model "+name)
 			return
 		}
-		writeJSON(w, http.StatusOK, m.Detail())
+		WriteJSON(w, http.StatusOK, m.Detail())
 	})
 	mux.HandleFunc("GET /v1/stats", func(w http.ResponseWriter, r *http.Request) {
 		out := map[string]Snapshot{}
 		for _, m := range s.Models() {
 			out[m.Name()] = m.Stats()
 		}
-		writeJSON(w, http.StatusOK, out)
+		WriteJSON(w, http.StatusOK, out)
 	})
 	mux.HandleFunc("POST /v1/models/{name}/predict", func(w http.ResponseWriter, r *http.Request) {
 		name := r.PathValue("name")
 		m, ok := s.Model(name)
 		if !ok {
-			httpError(w, http.StatusNotFound, "unknown model "+name)
+			WriteError(w, http.StatusNotFound, "unknown model "+name)
 			return
 		}
-		// Bound the body before decoding: a well-formed request carries
-		// InC×InH×InW JSON numbers (tens of bytes each), so the model's
-		// input size plus generous slack caps it; without the limit one
-		// oversized POST could exhaust the daemon's memory.
-		maxBody := int64(m.inputLen)*64 + 4096
-		var req PredictRequest
-		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBody)).Decode(&req); err != nil {
-			httpError(w, http.StatusBadRequest, "bad request body: "+err.Error())
+		req, deadline, ok := DecodePredict(w, r, m.inputLen)
+		if !ok {
 			return
 		}
 		ctx := r.Context()
-		if req.DeadlineMs > 0 {
+		if !deadline.IsZero() {
 			var cancel context.CancelFunc
-			ctx, cancel = context.WithTimeout(ctx, time.Duration(req.DeadlineMs)*time.Millisecond)
+			ctx, cancel = context.WithDeadline(ctx, deadline)
 			defer cancel()
 		}
 		res, err := m.Predict(ctx, req.Input, req.Seed)
 		if writePredictError(w, m, err) {
 			return
 		}
-		writeJSON(w, http.StatusOK, PredictResponse{
-			Model:     name,
-			Output:    res.Output,
-			ArgMax:    res.ArgMax,
-			BatchSize: res.BatchSize,
-			LatencyMs: float64(res.Latency.Microseconds()) / 1000,
-		})
+		WritePrediction(w, name, res)
 	})
 	mux.HandleFunc("POST /v1/models/{name}/infer", func(w http.ResponseWriter, r *http.Request) {
 		// The stage wire: one binary activation frame in, one out. The
@@ -156,24 +144,21 @@ func NewHandler(s *Server) http.Handler {
 		name := r.PathValue("name")
 		m, ok := s.Model(name)
 		if !ok {
-			httpError(w, http.StatusNotFound, "unknown model "+name)
+			WriteError(w, http.StatusNotFound, "unknown model "+name)
 			return
 		}
-		maxElems := 1
-		for _, d := range m.inDims {
-			maxElems *= d
-		}
+		maxElems := tensor.Shape(m.inDims).Size()
 		maxBody := int64(4*maxElems) + 128
 		x, seed, err := DecodeActivation(http.MaxBytesReader(w, r.Body, maxBody), maxElems)
 		if err != nil {
-			httpError(w, http.StatusBadRequest, "bad activation frame: "+err.Error())
+			WriteError(w, http.StatusBadRequest, "bad activation frame: "+err.Error())
 			return
 		}
 		ctx := r.Context()
 		if h := r.Header.Get("X-Deadline-Ms"); h != "" {
 			ms, err := strconv.ParseInt(h, 10, 64)
 			if err != nil || ms <= 0 {
-				httpError(w, http.StatusBadRequest, "bad X-Deadline-Ms header")
+				WriteError(w, http.StatusBadRequest, "bad X-Deadline-Ms header")
 				return
 			}
 			var cancel context.CancelFunc
@@ -208,26 +193,56 @@ func writePredictError(w http.ResponseWriter, m *Model, err error) bool {
 		ra := m.RetryAfter()
 		secs := int64((ra + time.Second - 1) / time.Second)
 		w.Header().Set("Retry-After", strconv.FormatInt(secs, 10))
-		writeJSON(w, http.StatusTooManyRequests, map[string]any{
+		WriteJSON(w, http.StatusTooManyRequests, map[string]any{
 			"error":         err.Error(),
 			"retry_after_s": secs,
 		})
 	case errors.Is(err, ErrExpired), errors.Is(err, context.DeadlineExceeded):
-		httpError(w, http.StatusGatewayTimeout, "deadline exceeded: "+err.Error())
+		WriteError(w, http.StatusGatewayTimeout, "deadline exceeded: "+err.Error())
 	case errors.Is(err, ErrClosed):
-		httpError(w, http.StatusServiceUnavailable, err.Error())
+		WriteError(w, http.StatusServiceUnavailable, err.Error())
 	default:
-		httpError(w, http.StatusBadRequest, err.Error())
+		WriteError(w, http.StatusBadRequest, err.Error())
 	}
 	return true
 }
 
-func writeJSON(w http.ResponseWriter, code int, v any) {
+// DecodePredict reads a predict body for a model taking inputLen values and
+// resolves its deadline_ms against the clock (zero when it carries none); a
+// malformed or oversized body is answered 400 here and reported as !ok. The
+// body is bounded before decoding — inputLen JSON numbers of tens of bytes
+// each, plus slack — or one oversized POST could exhaust the daemon's memory.
+func DecodePredict(w http.ResponseWriter, r *http.Request, inputLen int) (req PredictRequest, deadline time.Time, ok bool) {
+	maxBody := int64(inputLen)*64 + 4096
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBody)).Decode(&req); err != nil {
+		WriteError(w, http.StatusBadRequest, "bad request body: "+err.Error())
+		return req, deadline, false
+	}
+	if req.DeadlineMs > 0 {
+		deadline = time.Now().Add(time.Duration(req.DeadlineMs) * time.Millisecond)
+	}
+	return req, deadline, true
+}
+
+// WritePrediction writes the 200 predict reply for one served result.
+func WritePrediction(w http.ResponseWriter, model string, res Result) {
+	WriteJSON(w, http.StatusOK, PredictResponse{
+		Model:     model,
+		Output:    res.Output,
+		ArgMax:    res.ArgMax,
+		BatchSize: res.BatchSize,
+		LatencyMs: float64(res.Latency.Microseconds()) / 1000,
+	})
+}
+
+// WriteJSON writes v as the JSON body of a reply with the given status.
+func WriteJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	_ = json.NewEncoder(w).Encode(v)
 }
 
-func httpError(w http.ResponseWriter, code int, msg string) {
-	writeJSON(w, code, map[string]string{"error": msg})
+// WriteError writes the {"error": msg} body every failed request gets.
+func WriteError(w http.ResponseWriter, code int, msg string) {
+	WriteJSON(w, code, map[string]string{"error": msg})
 }

@@ -3,8 +3,23 @@ package serve
 import (
 	"fmt"
 	"io"
-	"strconv"
 )
+
+// MetricHead writes the # HELP and # TYPE lines that open a metric family
+// in the Prometheus text exposition format.
+func MetricHead(w io.Writer, name, help, typ string) {
+	_, _ = fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
+}
+
+// MetricSample writes one sample of a family for a model. labels, when
+// non-empty, are further key="value" pairs (quantile="0.5"). Integer
+// values print in decimal, floats in their shortest exact form.
+func MetricSample(w io.Writer, name, model, labels string, value any) {
+	if labels != "" {
+		labels = "," + labels
+	}
+	_, _ = fmt.Fprintf(w, "%s{model=%q%s} %v\n", name, model, labels, value)
+}
 
 // WriteMetrics renders the serving statistics of the given models in the
 // Prometheus text exposition format (one # HELP/# TYPE block per metric,
@@ -19,64 +34,55 @@ func WriteMetrics(w io.Writer, models []*Model) {
 		snaps[i] = m.Stats()
 	}
 
-	counter := func(name, help string, value func(Snapshot) uint64) {
-		_, _ = fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n", name, help, name)
+	family := func(name, help, typ string, value func(Snapshot) any) {
+		MetricHead(w, name, help, typ)
 		for i, m := range models {
-			_, _ = fmt.Fprintf(w, "%s{model=%q} %d\n", name, m.Name(), value(snaps[i]))
-		}
-	}
-	gauge := func(name, help string, value func(Snapshot) float64) {
-		_, _ = fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n", name, help, name)
-		for i, m := range models {
-			_, _ = fmt.Fprintf(w, "%s{model=%q} %s\n", name, m.Name(),
-				strconv.FormatFloat(value(snaps[i]), 'g', -1, 64))
+			MetricSample(w, name, m.Name(), "", value(snaps[i]))
 		}
 	}
 
-	counter("serve_requests_total", "Requests served.",
-		func(s Snapshot) uint64 { return s.Requests })
-	counter("serve_batches_total", "Micro-batches dispatched.",
-		func(s Snapshot) uint64 { return s.Batches })
-	counter("serve_shed_total", "Admissions refused on a full queue.",
-		func(s Snapshot) uint64 { return s.Shed })
-	counter("serve_expired_total", "Queued requests dropped past their deadline.",
-		func(s Snapshot) uint64 { return s.Expired })
-	gauge("serve_qps", "Requests per second over the serving window.",
-		func(s Snapshot) float64 { return s.QPS })
-	gauge("serve_busy_fraction", "Fraction of the serving window spent computing.",
-		func(s Snapshot) float64 { return s.BusyFrac })
-	gauge("serve_mean_batch", "Mean dispatched batch size.",
-		func(s Snapshot) float64 { return s.MeanBatch })
-	gauge("serve_service_ms_estimate", "Smoothed per-request service time in milliseconds.",
-		func(s Snapshot) float64 { return s.ServiceMsEst })
-	gauge("serve_queue_depth", "Admission queue occupancy.",
-		func(s Snapshot) float64 { return float64(s.QueueDepth) })
-	gauge("serve_queue_capacity", "Admission queue capacity.",
-		func(s Snapshot) float64 { return float64(s.QueueCap) })
+	family("serve_requests_total", "Requests served.", "counter",
+		func(s Snapshot) any { return s.Requests })
+	family("serve_batches_total", "Micro-batches dispatched.", "counter",
+		func(s Snapshot) any { return s.Batches })
+	family("serve_shed_total", "Admissions refused on a full queue.", "counter",
+		func(s Snapshot) any { return s.Shed })
+	family("serve_expired_total", "Queued requests dropped past their deadline.", "counter",
+		func(s Snapshot) any { return s.Expired })
+	family("serve_qps", "Requests per second over the serving window.", "gauge",
+		func(s Snapshot) any { return s.QPS })
+	family("serve_busy_fraction", "Fraction of the serving window spent computing.", "gauge",
+		func(s Snapshot) any { return s.BusyFrac })
+	family("serve_mean_batch", "Mean dispatched batch size.", "gauge",
+		func(s Snapshot) any { return s.MeanBatch })
+	family("serve_service_ms_estimate", "Smoothed per-request service time in milliseconds.", "gauge",
+		func(s Snapshot) any { return s.ServiceMsEst })
+	family("serve_queue_depth", "Admission queue occupancy.", "gauge",
+		func(s Snapshot) any { return float64(s.QueueDepth) })
+	family("serve_queue_capacity", "Admission queue capacity.", "gauge",
+		func(s Snapshot) any { return float64(s.QueueCap) })
 
 	// Request latency quantiles from the ring, rendered as a Prometheus
 	// summary (quantile label, seconds).
-	_, _ = fmt.Fprintf(w, "# HELP serve_latency_seconds Request latency (queue wait plus compute).\n# TYPE serve_latency_seconds summary\n")
+	MetricHead(w, "serve_latency_seconds", "Request latency (queue wait plus compute).", "summary")
 	for i, m := range models {
-		_, _ = fmt.Fprintf(w, "serve_latency_seconds{model=%q,quantile=\"0.5\"} %s\n", m.Name(),
-			strconv.FormatFloat(snaps[i].P50Ms/1e3, 'g', -1, 64))
-		_, _ = fmt.Fprintf(w, "serve_latency_seconds{model=%q,quantile=\"0.99\"} %s\n", m.Name(),
-			strconv.FormatFloat(snaps[i].P99Ms/1e3, 'g', -1, 64))
+		MetricSample(w, "serve_latency_seconds", m.Name(), `quantile="0.5"`, snaps[i].P50Ms/1e3)
+		MetricSample(w, "serve_latency_seconds", m.Name(), `quantile="0.99"`, snaps[i].P99Ms/1e3)
 	}
 
 	// Batch-size histogram with cumulative buckets, as Prometheus expects:
 	// bucket le="k" counts batches of size ≤ k.
-	_, _ = fmt.Fprintf(w, "# HELP serve_batch_size Dispatched micro-batch sizes.\n# TYPE serve_batch_size histogram\n")
+	MetricHead(w, "serve_batch_size", "Dispatched micro-batch sizes.", "histogram")
 	for i, m := range models {
 		cum := uint64(0)
 		sum := uint64(0)
 		for k := 1; k < len(snaps[i].BatchHist); k++ {
 			cum += snaps[i].BatchHist[k]
 			sum += uint64(k) * snaps[i].BatchHist[k]
-			_, _ = fmt.Fprintf(w, "serve_batch_size_bucket{model=%q,le=\"%d\"} %d\n", m.Name(), k, cum)
+			MetricSample(w, "serve_batch_size_bucket", m.Name(), fmt.Sprintf(`le="%d"`, k), cum)
 		}
-		_, _ = fmt.Fprintf(w, "serve_batch_size_bucket{model=%q,le=\"+Inf\"} %d\n", m.Name(), cum)
-		_, _ = fmt.Fprintf(w, "serve_batch_size_sum{model=%q} %d\n", m.Name(), sum)
-		_, _ = fmt.Fprintf(w, "serve_batch_size_count{model=%q} %d\n", m.Name(), cum)
+		MetricSample(w, "serve_batch_size_bucket", m.Name(), `le="+Inf"`, cum)
+		MetricSample(w, "serve_batch_size_sum", m.Name(), "", sum)
+		MetricSample(w, "serve_batch_size_count", m.Name(), "", cum)
 	}
 }

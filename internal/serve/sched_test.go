@@ -21,7 +21,7 @@ import (
 // so tests can hold the admission queue in an exact state.
 func stuffedModel(t *testing.T, s *Server) *Model {
 	t.Helper()
-	m, err := s.newModel(uniformDeployment(t, "LeNet", quant.FP32, 0), nil)
+	m, err := s.newModel(uniformDeployment(t, "LeNet", quant.FP32, 0))
 	if err != nil {
 		t.Fatal(err)
 	}

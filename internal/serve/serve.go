@@ -26,7 +26,10 @@
 // therefore needs no dataset or training access; Server.DeployStage takes a
 // layer-range slice of one. Serving a zoo model at an explicit error rate
 // without running the pipeline is the same path fed an
-// eden.UniformDeployment.
+// eden.UniformDeployment. Every model runs on the process-wide compute
+// backend (compute.Default, which cmd/serve sets from -backend); when that
+// is the quantized one, registration adopts the int8 weight images it
+// consumes, and Info reports it.
 //
 // Determinism is preserved end to end: every request carries a seed, the
 // scheduler draws a per-request corruptor clone from an eden.ClonePool
@@ -195,16 +198,6 @@ func (s *Server) commit(m *Model) error {
 	return nil
 }
 
-// DeployOption customizes one registration.
-type DeployOption func(*Model)
-
-// WithBackend serves the deployment on compute backend b instead of the
-// process default. Backends are bit-identical, so this is a per-model
-// throughput knob with no effect on outputs.
-func WithBackend(b compute.Backend) DeployOption {
-	return func(m *Model) { m.net.SetBackend(b) }
-}
-
 // Deploy registers a whole-model deployment artifact: the network is served
 // at the artifact's precision under the error exposure it records — per-data
 // partition BERs when fine-grained mapping succeeded, the uniform ServingBER
@@ -212,14 +205,14 @@ func WithBackend(b compute.Backend) DeployOption {
 // made. Everything needed is in the artifact, so no dataset or training
 // access happens here; a loaded artifact (eden.LoadDeploymentFile) serves
 // identically to a freshly built one.
-func (s *Server) Deploy(dep *eden.Deployment, opts ...DeployOption) (*Model, error) {
+func (s *Server) Deploy(dep *eden.Deployment) (*Model, error) {
 	if dep == nil {
 		return nil, fmt.Errorf("serve: nil deployment")
 	}
 	if dep.Stage != nil {
 		return nil, fmt.Errorf("serve: deployment %q is a pipeline-stage slice; use DeployStage", dep.ModelName)
 	}
-	return s.register(dep, opts)
+	return s.register(dep)
 }
 
 // DeployStage registers a pipeline-stage slice of a deployment (produced
@@ -228,24 +221,24 @@ func (s *Server) Deploy(dep *eden.Deployment, opts ...DeployOption) (*Model, err
 // HTTP as POST /v1/models/{name}/infer — corrupting only its own layer
 // range; the pinned full-model DRAM layout carried by the slice keeps its
 // error draws bit-identical to single-process serving.
-func (s *Server) DeployStage(dep *eden.Deployment, opts ...DeployOption) (*Model, error) {
+func (s *Server) DeployStage(dep *eden.Deployment) (*Model, error) {
 	if dep == nil {
 		return nil, fmt.Errorf("serve: nil deployment")
 	}
 	if dep.Stage == nil {
 		return nil, fmt.Errorf("serve: deployment %q is not a stage slice; use Deploy", dep.ModelName)
 	}
-	return s.register(dep, opts)
+	return s.register(dep)
 }
 
 // register is the one way a model gets onto the server: reserve the name,
 // build the model, publish it and start its scheduler. A stage is a
 // deployment whose Stage is set.
-func (s *Server) register(dep *eden.Deployment, opts []DeployOption) (*Model, error) {
+func (s *Server) register(dep *eden.Deployment) (*Model, error) {
 	if err := s.reserve(dep.ModelName); err != nil {
 		return nil, err
 	}
-	m, err := s.newModel(dep, opts)
+	m, err := s.newModel(dep)
 	if err != nil {
 		s.release(dep.ModelName)
 		return nil, err
@@ -260,7 +253,7 @@ func (s *Server) register(dep *eden.Deployment, opts []DeployOption) (*Model, er
 // network with the weight image laid into approximate DRAM once — as in
 // EDEN, weights live there from the moment the model is stored — a pool of
 // per-request corruptor clones for the IFMs, and the scheduler scaffolding.
-func (s *Server) newModel(dep *eden.Deployment, opts []DeployOption) (*Model, error) {
+func (s *Server) newModel(dep *eden.Deployment) (*Model, error) {
 	spec, err := dnn.LookupSpec(dep.ModelName)
 	if err != nil {
 		return nil, err
@@ -280,14 +273,11 @@ func (s *Server) newModel(dep *eden.Deployment, opts []DeployOption) (*Model, er
 		queue:    make(chan *pending, s.cfg.QueueDepth),
 		batches:  make(chan []*pending),
 		quit:     make(chan struct{}),
-		stats:    newStats(s.cfg.MaxBatch),
+		stats:    NewStats(s.cfg.MaxBatch),
 	}
 	if dep.Stage != nil {
 		// A stage accepts its input boundary's activation, not the image.
 		m.inDims = append([]int(nil), dep.Stage.InDims...)
-	}
-	for _, opt := range opts {
-		opt(m)
 	}
 	corr := dep.NewCorruptor()
 	// Static weight image at the deployment's operating point(s): corrupt
@@ -301,14 +291,14 @@ func (s *Server) newModel(dep *eden.Deployment, opts []DeployOption) (*Model, er
 	return m, nil
 }
 
-// adoptQuantized caches int8 weight-code images on networks served by a
-// quantized backend, enabling the QuantBackend fast path (codes feed the
-// integer kernels with no per-forward weight quantization). A no-op for
-// float backends and for precisions with no int8 image. Runs before weight
-// corruption so eden.CorruptWeights re-derives the images from the
-// corrupted codes.
+// adoptQuantized caches int8 weight-code images on the network when the
+// process default backend is a quantized one, enabling the QuantBackend
+// fast path (codes feed the integer kernels with no per-forward weight
+// quantization). A no-op for float backends and for precisions with no
+// int8 image. Runs before weight corruption so eden.CorruptWeights
+// re-derives the images from the corrupted codes.
 func adoptQuantized(net *dnn.Network, prec quant.Precision) {
-	if _, ok := net.Backend().(compute.QuantBackend); ok {
+	if _, ok := compute.Default().(compute.QuantBackend); ok {
 		net.AdoptQuantizedWeights(prec)
 	}
 }
@@ -485,7 +475,7 @@ func (m *Model) Info() Info {
 		Name:        m.name,
 		Task:        "classify",
 		Precision:   m.dep.Prec.String(),
-		Backend:     m.net.Backend().Name(),
+		Backend:     compute.Default().Name(),
 		BER:         m.dep.ServingBER,
 		Params:      m.net.ParamCount(),
 		WeightBytes: m.net.WeightBytes(m.dep.Prec),
@@ -498,10 +488,7 @@ func (m *Model) Info() Info {
 	if st := m.dep.Stage; st != nil {
 		// A stage's output is its boundary activation, whatever the full
 		// model's head would produce (only the last stage carries that head).
-		info.OutputLen = 1
-		for _, d := range st.OutDims[1:] {
-			info.OutputLen *= d
-		}
+		info.OutputLen = tensor.Shape(st.OutDims[1:]).Size()
 		info.Stage = &StageSummary{
 			Index:   st.Index,
 			Count:   st.Count,
@@ -845,7 +832,7 @@ func (m *Model) dispatch(batch []*pending) {
 	}
 	// Record before delivering: a caller that reads the stats once its
 	// Predict has returned must find its own request counted.
-	m.stats.record(len(batch), end.Sub(start), lats)
+	m.stats.Record(len(batch), end.Sub(start), lats)
 	for i, p := range batch {
 		res := Result{
 			Output:    outs[i].Data,

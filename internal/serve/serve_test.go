@@ -38,9 +38,9 @@ func uniformDeployment(t testing.TB, name string, prec quant.Precision, ber floa
 
 // deployUniform serves a zoo model at a raw BER: the one registration helper
 // for every test that is not about a pipeline artifact.
-func deployUniform(t testing.TB, s *Server, name string, prec quant.Precision, ber float64, opts ...DeployOption) *Model {
+func deployUniform(t testing.TB, s *Server, name string, prec quant.Precision, ber float64) *Model {
 	t.Helper()
-	m, err := s.Deploy(uniformDeployment(t, name, prec, ber), opts...)
+	m, err := s.Deploy(uniformDeployment(t, name, prec, ber))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -30,13 +30,15 @@ type Stats struct {
 	filled   int
 }
 
-func newStats(maxBatch int) *Stats {
+// NewStats returns statistics for a scheduler dispatching batches of up to
+// maxBatch requests.
+func NewStats(maxBatch int) *Stats {
 	return &Stats{hist: make([]uint64, maxBatch+1)}
 }
 
-// record logs one dispatched batch: its size, its compute duration and the
+// Record logs one dispatched batch: its size, its compute duration and the
 // per-request latencies.
-func (s *Stats) record(batchSize int, busy time.Duration, lats []time.Duration) {
+func (s *Stats) Record(batchSize int, busy time.Duration, lats []time.Duration) {
 	now := time.Now()
 	s.mu.Lock()
 	defer s.mu.Unlock()
