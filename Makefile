@@ -23,8 +23,12 @@ fuzz-smoke:
 race:
 	$(GO) test -race -short ./...
 
+# BenchmarkConv2DBackward (the training shapes of the zoo) runs on its own
+# line, at one and at two CPUs: its fan-out is the one kernel whose balance
+# across cores a single-CPU pass cannot see.
 bench:
-	$(GO) test -run '^$$' -bench . -benchtime 1x -benchmem ./internal/compute/ ./internal/dnn/ ./internal/serve/ ./internal/softmc/ ./internal/errormodel/ ./internal/eden/
+	$(GO) test -run '^$$' -bench . -skip BenchmarkConv2DBackward -benchtime 1x -benchmem ./internal/compute/ ./internal/dnn/ ./internal/serve/ ./internal/softmc/ ./internal/errormodel/ ./internal/eden/
+	$(GO) test -run '^$$' -bench BenchmarkConv2DBackward -benchtime 1x -cpu 1,2 ./internal/compute/
 
 # bench-e2e is the repository's benchmark (cmd/bench, contract in
 # BENCHMARK.json): four workloads, end-to-end metrics, every output

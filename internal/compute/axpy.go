@@ -11,9 +11,20 @@ package compute
 // them bit for bit by axpy_test.go, and every other build runs them
 // directly.
 //
-// k-reductions (MatMulTransB, the backward weight sweep, Ref) cannot use
-// the primitives: there the lanes would split one element's sum, which
-// regroups the float additions and changes the bits.
+// What the primitives cannot serve is a sum split across lanes: a dot
+// product whose k axis is the contiguous one (MatMulTransB's rows, Ref's
+// loops) would have each lane carry a partial sum, which regroups the float
+// additions and changes the bits. A reduction is fine as long as the vector
+// axis runs over independent accumulators — the backward weight sweep is
+// one: with the patch matrix staged patch-major, dW[fo, :] += gv·patch[m, :]
+// is an axpy per output pixel, and every dW element still receives its
+// contributions one at a time in Ref's order.
+
+// vecLanes is the number of float32 elements one vector step covers (a YMM
+// register on amd64): the assembly consumes whole groups of this many and
+// leaves the rest to the scalar bodies, so kernels that choose their own
+// row widths choose multiples of it.
+const vecLanes = 8
 
 // useVec selects the vector implementation where the build and the CPU
 // have one. It is read-only outside tests, which flip it so the scalar
@@ -40,3 +51,10 @@ func axpyScalar(d, x []float32, a float32) {
 		d[j] += a * xv
 	}
 }
+
+// Axpy adds a·x to d element by element: d[j] += a·x[j] for every
+// j < len(x), one rounded multiply and one rounded add each. d must be at
+// least as long as x. It is the primitive the gemm kernels stream on,
+// exported for dnn's per-row weight-gradient updates; bit-identical to the
+// scalar loop whatever the build and the CPU.
+func Axpy(d, x []float32, a float32) { axpy(d, x, a) }

@@ -6,10 +6,6 @@ import "repro/internal/cpufeat"
 // and the OS saves the YMM state across context switches.
 var hasVec = cpufeat.X86.HasAVX
 
-// vecLanes is the number of float32 elements one YMM register holds; the
-// assembly consumes whole groups of this many and leaves the rest.
-const vecLanes = 8
-
 // axpy4AVX runs d_i[j] += a_i·x[j] for j in [0, n&^7) with VMULPS then
 // VADDPS (never a fused multiply-add), eight elements per step. The
 // pointers address rows of at least n elements.

@@ -1,6 +1,8 @@
 package compute
 
 import (
+	"sync/atomic"
+
 	"repro/internal/parallel"
 	"repro/internal/tensor"
 )
@@ -251,20 +253,7 @@ func im2col(col []float32, in *tensor.Tensor, b, cin0, cg, kh, kw, h, wd, ow, oy
 						}
 						continue
 					}
-					// In-bounds ox range: 0 <= ox*stride - pad + kx < wd.
-					// Both bounds clamp to [0, ow]: a tap deep in the
-					// padding band can push the raw bound past the row.
-					oxLo := 0
-					if pad > kx {
-						oxLo = min((pad-kx+stride-1)/stride, ow)
-					}
-					oxHi := 0
-					if num := wd - 1 + pad - kx; num >= 0 {
-						oxHi = min(ow, num/stride+1)
-					}
-					if oxHi < oxLo {
-						oxHi = oxLo
-					}
+					oxLo, oxHi := tapSpan(kx, wd, ow, stride, pad)
 					for j := 0; j < oxLo; j++ {
 						row[j] = 0
 					}
@@ -290,152 +279,234 @@ func im2col(col []float32, in *tensor.Tensor, b, cin0, cg, kh, kw, h, wd, ow, oy
 	}
 }
 
+// tapSpan is the range of output columns whose tap kx reads inside an input
+// row of wd elements: 0 <= ox*stride - pad + kx < wd. Both bounds clamp to
+// [0, ow] — a tap deep in the padding band can push the raw bound past the
+// row — and the range may be empty.
+func tapSpan(kx, wd, ow, stride, pad int) (oxLo, oxHi int) {
+	if pad > kx {
+		oxLo = min((pad-kx+stride-1)/stride, ow)
+	}
+	if num := wd - 1 + pad - kx; num >= 0 {
+		oxHi = min(ow, num/stride+1)
+	}
+	return oxLo, max(oxLo, oxHi)
+}
+
 // Conv2DBackward lowers the gradient computation through the same im2col
-// machinery as the forward pass, in two concurrent sweeps over disjoint
-// write sets (mirroring Ref's parallel decomposition):
+// machinery as the forward pass, as one fan-out of a share per worker over
+// disjoint write sets. A share first accumulates the part of dW and dBias
+// it owns, then claims samples of dIn one at a time until none are left —
+// so the two sweeps need not be the same size for every core to stay busy,
+// and no nested fan-out waits on a helper token its sibling still holds.
 //
-//   - The weight sweep owns ranges of output channels. For each sample it
-//     stages the sample's patch matrix once (shared by every owned filter)
-//     and accumulates dW[fo] and dBias[fo] as streaming dot products
-//     against the filter's gradient row. Every dW/dBias element sees its
-//     contributions in exactly Ref's (sample, output-pixel) order — partial
-//     sums are carried in registers, never reduced across blocks — so both
-//     stay bit-identical to Ref at every worker count.
-//   - The input sweep owns samples. It accumulates the patch-matrix
+//   - dW is owned by column: contiguous ranges of the flattened (group,
+//     k = (ci,ky,kx)) axis, vecLanes-aligned and as wide as the worker count
+//     allows. A share stages, for every (sample, row block), only the patch
+//     columns it owns — patch-major, so that dW[fo, cols] += gv·patch[m, cols]
+//     is one axpy per output pixel with a nonzero gradient (a zero gradient
+//     skips the call, as it skips the scalar in Ref). Across the shares
+//     every patch value is staged exactly once per call, and nothing is
+//     shared or waited for. The dW[fo, k] of different k are independent
+//     accumulators, and each still receives its contributions one rounded
+//     multiply and one rounded add at a time in Ref's (sample, output-pixel)
+//     order, so dW is bit-identical to Ref however the columns are cut.
+//     A share is at least two vectors wide, so that none is a sliver; a
+//     narrow dW (a 3-channel 3×3 first layer: 27 columns) then has fewer
+//     shares than a wide host has workers, and the rest go straight to dIn.
+//     That balance was measured at one and two CPUs only.
+//   - dBias is owned by filter and summed in Ref's order.
+//   - dIn is owned by sample. Its sweep accumulates the patch-matrix
 //     gradient dcol = Wᵀ·dOut (filters in ascending order) and scatters it
 //     back through col2imAdd. This pre-reduction over filters regroups the
 //     float sum, so dIn is NOT bit-identical to Ref — it is the one
 //     deliberate relaxation in the backend's contract. It remains fully
 //     deterministic: contributions accumulate in a fixed (filter, then
-//     patch-row, then output-pixel) order that no worker count can perturb,
-//     which is what training reproducibility actually depends on.
+//     patch-row, then output-pixel) order per row block, and the row
+//     blocking depends on the shape alone, so no worker count can perturb
+//     it — which is what training reproducibility actually depends on.
 //
-// The win is the same as the forward lowering's: the branchy per-tap bounds
-// checks collapse into the staging/scatter fills, and the hot loops become
-// long contiguous streams. Sub-cutoff shapes keep Ref's fused serial sweep.
+// Sub-cutoff shapes keep Ref's fused serial sweep.
 func (gemmBackend) Conv2DBackward(in, w *tensor.Tensor, hasBias bool, dOut *tensor.Tensor, p tensor.Conv2DParams) (dIn, dW, dBias *tensor.Tensor) {
 	g := convGeometry(in, w, p)
-	p = g.p
-	n, c, h, wd := g.n, g.c, g.h, g.w
-	f, cg, kh, kw := g.f, g.cg, g.kh, g.kw
-	oh, ow := dOut.Dim(2), dOut.Dim(3)
-	if n*f*oh*ow*cg*kh*kw < parallelCutoff {
-		return Ref.Conv2DBackward(in, w, hasBias, dOut, p)
+	if g.n*g.f*g.oh*g.ow*g.cg*g.kh*g.kw < parallelCutoff {
+		return Ref.Conv2DBackward(in, w, hasBias, dOut, g.p)
 	}
-	dIn = tensor.New(n, c, h, wd)
-	dW = tensor.New(f, cg, kh, kw)
+	c := convBackward{
+		convGeom: g, in: in, wt: w, dOut: dOut,
+		dIn: tensor.New(g.n, g.c, g.h, g.w), dW: tensor.New(g.f, g.cg, g.kh, g.kw),
+		fPerG: g.f / g.p.Groups, kTotal: g.cg * g.kh * g.kw,
+	}
 	if hasBias {
-		dBias = tensor.New(f)
+		c.dBias = tensor.New(g.f)
 	}
-	fPerG := f / p.Groups
-	kTotal := cg * kh * kw
-	rowsPer := max(1, colBlockElems/max(1, kTotal*ow))
-	if rowsPer > oh {
-		rowsPer = oh
-	}
-	blocks := (oh + rowsPer - 1) / rowsPer
+	// The first owners shares (never more than wk) each own per columns of
+	// dW and a matching slice of dBias.
+	wk := parallel.Workers()
+	cols := g.p.Groups * c.kTotal
+	per := max(2*vecLanes, (cols+wk*vecLanes-1)/(wk*vecLanes)*vecLanes)
+	owners := (cols + per - 1) / per
+	var nextSample atomic.Int64
+	parallel.ForEach(wk, func(i int) {
+		if i < owners {
+			c.weightColumns(i*per, min((i+1)*per, cols))
+			if hasBias {
+				c.bias(i*g.f/owners, (i+1)*g.f/owners)
+			}
+		}
+		for b := int(nextSample.Add(1)) - 1; b < g.n; b = int(nextSample.Add(1)) - 1 {
+			c.inputSample(b)
+		}
+	})
+	return c.dIn, c.dW, c.dBias
+}
 
-	weightSweep := func() {
-		parallel.For(f, 1, func(foLo, foHi int) {
-			col := slabF32.get(kTotal * rowsPer * ow)
-			defer slabF32.put(col)
-			for b := 0; b < n; b++ {
-				for grp := foLo / fPerG; grp <= (foHi-1)/fPerG; grp++ {
-					lo := max(foLo, grp*fPerG)
-					hi := min(foHi, (grp+1)*fPerG)
-					for blk := 0; blk < blocks; blk++ {
-						oyLo := blk * rowsPer
-						oyHi := min(oyLo+rowsPer, oh)
-						mLen := (oyHi - oyLo) * ow
-						colData := (*col)[:kTotal*mLen]
-						im2col(colData, in, b, grp*cg, cg, kh, kw, h, wd, ow, oyLo, oyHi, p.Stride, p.Padding)
-						for fo := lo; fo < hi; fo++ {
-							gBase := ((b*f+fo)*oh + oyLo) * ow
-							gvRow := dOut.Data[gBase : gBase+mLen]
-							if dBias != nil {
-								s := dBias.Data[fo]
-								for _, gv := range gvRow {
-									s += gv
-								}
-								dBias.Data[fo] = s
-							}
-							// Four patch rows ride one pass over the gradient
-							// row; each dW element keeps its own register
-							// accumulator seeded from (and stored back to) its
-							// slot, so the element's float op sequence is
-							// exactly Ref's. Zero gradients skip, as in Ref.
-							dwRow := dW.Data[fo*kTotal : (fo+1)*kTotal]
-							k := 0
-							for ; k+4 <= kTotal; k += 4 {
-								c0 := colData[k*mLen : (k+1)*mLen]
-								c1 := colData[(k+1)*mLen : (k+2)*mLen]
-								c2 := colData[(k+2)*mLen : (k+3)*mLen]
-								c3 := colData[(k+3)*mLen : (k+4)*mLen]
-								s0, s1, s2, s3 := dwRow[k], dwRow[k+1], dwRow[k+2], dwRow[k+3]
-								for m, gv := range gvRow {
-									if gv == 0 {
-										continue
-									}
-									s0 += gv * c0[m]
-									s1 += gv * c1[m]
-									s2 += gv * c2[m]
-									s3 += gv * c3[m]
-								}
-								dwRow[k], dwRow[k+1], dwRow[k+2], dwRow[k+3] = s0, s1, s2, s3
-							}
-							for ; k < kTotal; k++ {
-								ck := colData[k*mLen : (k+1)*mLen]
-								s := dwRow[k]
-								for m, gv := range gvRow {
-									if gv == 0 {
-										continue
-									}
-									s += gv * ck[m]
-								}
-								dwRow[k] = s
-							}
+// convBackward is one lowered Conv2DBackward call: the geometry, the
+// operands, and the gradients its work items write disjoint parts of.
+type convBackward struct {
+	convGeom
+	in, wt, dOut   *tensor.Tensor
+	dIn, dW, dBias *tensor.Tensor
+	fPerG, kTotal  int
+}
+
+// blockRows is how many output rows of rowElems patch values each keep a
+// staged block within colBlockElems.
+func (c *convBackward) blockRows(rowElems int) int {
+	return min(c.oh, max(1, colBlockElems/max(1, rowElems)))
+}
+
+// patchTap is one column of the patch matrix: tap (ci, ky, kx) of a group
+// reads off elements past in[chanBase + (oy·stride−pad)·w + ox·stride], for
+// the output columns [oxLo, oxHi) of tapSpan and zero outside them.
+type patchTap struct{ off, ky, oxLo, oxHi int }
+
+// weightColumns accumulates dW[:, cLo:cHi), columns of the flattened
+// (group, k) axis. Per group the range touches it resolves the owned taps
+// once, then for every (sample, row block) stages those columns patch-major
+// and runs each filter's gradient row down the block: one axpy into the
+// filter's owned dW columns per nonzero gradient.
+func (c *convBackward) weightColumns(cLo, cHi int) {
+	maxWidth := min(cHi-cLo, c.kTotal)
+	rowsPer := c.blockRows(maxWidth * c.ow)
+	patch := slabF32.get(maxWidth * rowsPer * c.ow)
+	defer slabF32.put(patch)
+	taps := make([]patchTap, maxWidth)
+	for grp := cLo / c.kTotal; grp*c.kTotal < cHi; grp++ {
+		kLo := max(cLo-grp*c.kTotal, 0)
+		kHi := min(cHi-grp*c.kTotal, c.kTotal)
+		width := kHi - kLo
+		for j := range taps[:width] {
+			ci, ky, kx := (kLo+j)/(c.kh*c.kw), (kLo+j)/c.kw%c.kh, (kLo+j)%c.kw
+			oxLo, oxHi := tapSpan(kx, c.w, c.ow, c.p.Stride, c.p.Padding)
+			taps[j] = patchTap{(ci*c.h+ky)*c.w + kx - c.p.Padding, ky, oxLo, oxHi}
+		}
+		for b := 0; b < c.n; b++ {
+			chanBase := (b*c.c + grp*c.cg) * c.h * c.w
+			for oyLo := 0; oyLo < c.oh; oyLo += rowsPer {
+				oyHi := min(oyLo+rowsPer, c.oh)
+				mLen := (oyHi - oyLo) * c.ow
+				rows := (*patch)[:mLen*width]
+				im2colPatchMajor(rows, c.in.Data, chanBase, taps[:width], c.convGeom, oyLo, oyHi)
+				for fo := grp * c.fPerG; fo < (grp+1)*c.fPerG; fo++ {
+					gBase := ((b*c.f+fo)*c.oh + oyLo) * c.ow
+					dwCols := c.dW.Data[fo*c.kTotal+kLo : fo*c.kTotal+kHi]
+					for m, gv := range c.dOut.Data[gBase : gBase+mLen] {
+						if gv != 0 {
+							axpy(dwCols, rows[m*width:(m+1)*width], gv)
 						}
 					}
 				}
 			}
-		})
+		}
 	}
-	inputSweep := func() {
-		parallel.For(n, 1, func(bLo, bHi int) {
-			dcol := slabF32.get(kTotal * rowsPer * ow)
-			defer slabF32.put(dcol)
-			for b := bLo; b < bHi; b++ {
-				for grp := 0; grp < p.Groups; grp++ {
-					for blk := 0; blk < blocks; blk++ {
-						oyLo := blk * rowsPer
-						oyHi := min(oyLo+rowsPer, oh)
-						mLen := (oyHi - oyLo) * ow
-						dcolData := (*dcol)[:kTotal*mLen]
-						for i := range dcolData {
-							dcolData[i] = 0
-						}
-						for fo := grp * fPerG; fo < (grp+1)*fPerG; fo++ {
-							gBase := ((b*f+fo)*oh + oyLo) * ow
-							gvRow := dOut.Data[gBase : gBase+mLen]
-							wRow := w.Data[fo*kTotal : (fo+1)*kTotal]
-							for k := 0; k < kTotal; k++ {
-								wv := wRow[k]
-								if wv == 0 {
-									continue
-								}
-								// No per-gradient zero skip: dcol starts at +0 and
-								// x + ±0 = x, so a zero gv is a bit-exact no-op.
-								axpy(dcolData[k*mLen:(k+1)*mLen], gvRow, wv)
-							}
-						}
-						col2imAdd(dcolData, dIn, b, grp*cg, cg, kh, kw, h, wd, ow, oyLo, oyHi, p.Stride, p.Padding)
+}
+
+// im2colPatchMajor stages im2col's transpose for output rows [oyLo, oyHi)
+// of one (sample, group) whose planes start at in[chanBase], restricted to
+// the taps listed: dst[m·len(taps)+j] is the input value tap j of output
+// pixel m reads, or zero where it falls in the padding. It walks one output
+// row at a time, tap by tap, so a tap's reads are a run of one input row and
+// the padding is a range, not a test per element. Every element is written,
+// so the slab needs no clearing.
+func im2colPatchMajor(dst, in []float32, chanBase int, taps []patchTap, g convGeom, oyLo, oyHi int) {
+	width := len(taps)
+	stride := g.p.Stride
+	for oy := oyLo; oy < oyHi; oy++ {
+		row := dst[(oy-oyLo)*g.ow*width : (oy-oyLo+1)*g.ow*width]
+		iy0 := oy*stride - g.p.Padding
+		for j, t := range taps {
+			oxLo, oxHi := t.oxLo, t.oxHi
+			if iy := iy0 + t.ky; iy < 0 || iy >= g.h {
+				oxLo, oxHi = 0, 0
+			}
+			di := j
+			for ox := 0; ox < oxLo; ox++ {
+				row[di] = 0
+				di += width
+			}
+			si := chanBase + iy0*g.w + t.off + oxLo*stride
+			for ox := oxLo; ox < oxHi; ox++ {
+				row[di] = in[si]
+				di += width
+				si += stride
+			}
+			for ox := oxHi; ox < g.ow; ox++ {
+				row[di] = 0
+				di += width
+			}
+		}
+	}
+}
+
+// bias sums dBias[foLo:foHi) over every sample's gradient plane in Ref's
+// (sample, output-pixel) order. Ref skips zero gradients; adding them is
+// the same bits, since a sum that starts at +0 is never −0.
+func (c *convBackward) bias(foLo, foHi int) {
+	plane := c.oh * c.ow
+	for fo := foLo; fo < foHi; fo++ {
+		var s float32
+		for b := 0; b < c.n; b++ {
+			base := (b*c.f + fo) * plane
+			for _, gv := range c.dOut.Data[base : base+plane] {
+				s += gv
+			}
+		}
+		c.dBias.Data[fo] = s
+	}
+}
+
+// inputSample accumulates sample b's planes of dIn, one (group, row block)
+// at a time: dcol = Wᵀ·dOut over the group's filters in ascending order,
+// then the col2imAdd scatter.
+func (c *convBackward) inputSample(b int) {
+	rowsPer := c.blockRows(c.kTotal * c.ow)
+	dcol := slabF32.get(c.kTotal * rowsPer * c.ow)
+	defer slabF32.put(dcol)
+	for grp := 0; grp < c.p.Groups; grp++ {
+		for oyLo := 0; oyLo < c.oh; oyLo += rowsPer {
+			oyHi := min(oyLo+rowsPer, c.oh)
+			mLen := (oyHi - oyLo) * c.ow
+			dcolData := (*dcol)[:c.kTotal*mLen]
+			for i := range dcolData {
+				dcolData[i] = 0
+			}
+			for fo := grp * c.fPerG; fo < (grp+1)*c.fPerG; fo++ {
+				gBase := ((b*c.f+fo)*c.oh + oyLo) * c.ow
+				gvRow := c.dOut.Data[gBase : gBase+mLen]
+				wRow := c.wt.Data[fo*c.kTotal : (fo+1)*c.kTotal]
+				for k, wv := range wRow {
+					if wv == 0 {
+						continue
 					}
+					// No per-gradient zero skip: dcol starts at +0 and
+					// x + ±0 = x, so a zero gv is a bit-exact no-op.
+					axpy(dcolData[k*mLen:(k+1)*mLen], gvRow, wv)
 				}
 			}
-		})
+			col2imAdd(dcolData, c.dIn, b, grp*c.cg, c.cg, c.kh, c.kw, c.h, c.w, c.ow, oyLo, oyHi, c.p.Stride, c.p.Padding)
+		}
 	}
-	parallel.Do(weightSweep, inputSweep)
-	return dIn, dW, dBias
 }
 
 // col2imAdd is im2col's adjoint: it scatters a patch-matrix gradient back
@@ -461,17 +532,7 @@ func col2imAdd(dcol []float32, dIn *tensor.Tensor, b, cin0, cg, kh, kw, h, wd, o
 					if iy < 0 || iy >= h {
 						continue
 					}
-					oxLo := 0
-					if pad > kx {
-						oxLo = min((pad-kx+stride-1)/stride, ow)
-					}
-					oxHi := 0
-					if num := wd - 1 + pad - kx; num >= 0 {
-						oxHi = min(ow, num/stride+1)
-					}
-					if oxHi < oxLo {
-						oxHi = oxLo
-					}
+					oxLo, oxHi := tapSpan(kx, wd, ow, stride, pad)
 					rowBase := chanBase + iy*wd
 					if stride == 1 {
 						ix := oxLo - pad + kx

@@ -38,7 +38,7 @@ func atWorkerCounts(t *testing.T, f func()) {
 	t.Helper()
 	prev := parallel.Workers()
 	defer parallel.SetWorkers(prev)
-	for _, w := range []int{1, 3, 8} {
+	for _, w := range []int{1, 2, 3, 8} {
 		parallel.SetWorkers(w)
 		f()
 	}
@@ -149,13 +149,16 @@ func testGemmMatMulColumnSplitBitIdenticalToRef(t *testing.T) {
 	}
 }
 
-// TestGemmConv2DBackwardMatchesRef pins the lowered backward pass against
-// Ref on randomized geometry: dW and dBias reproduce Ref bit for bit (the
-// lowering preserves their per-element accumulation order exactly), while
-// dIn — whose lowered form pre-reduces over filters in a fixed order of its
-// own — is held to a float tolerance against Ref and bit-identical to
-// itself across worker counts. See gemmBackend.Conv2DBackward for the
-// contract.
+// TestGemmConv2DBackwardMatchesRef pins the lowered backward pass: dW and
+// dBias reproduce Ref bit for bit (the lowering preserves their per-element
+// accumulation order exactly, however the dW columns are cut into work
+// items), while dIn — whose lowered form pre-reduces over filters in a
+// fixed order of its own — is held to a float tolerance against Ref and to
+// loweredDIn, a serial restatement of that order, bit for bit, so it cannot
+// move with the worker count or the vec path. Random geometries mostly fall
+// under parallelCutoff (where Gemm delegates to Ref), so zooBackwardShapes
+// and loweredBackwardCases, which must all take the lowered path, are what
+// cover it. See gemmBackend.Conv2DBackward for the contract.
 func TestGemmConv2DBackwardMatchesRef(t *testing.T) {
 	forEachVecPath(t, testGemmConv2DBackwardMatchesRef)
 }
@@ -163,55 +166,150 @@ func TestGemmConv2DBackwardMatchesRef(t *testing.T) {
 func testGemmConv2DBackwardMatchesRef(t *testing.T) {
 	r := tensor.NewRNG(0x6E7F)
 	for iter := 0; iter < 40; iter++ {
-		stride := r.Intn(3) + 1
-		k := r.Intn(5) + 1
-		pad := r.Intn(k)
-		groups := 1
+		s := backwardShape{stride: r.Intn(3) + 1, k: r.Intn(5) + 1, groups: 1}
+		s.pad = r.Intn(s.k)
 		cg := r.Intn(6) + 1
 		fPerG := r.Intn(6) + 1
 		if r.Intn(3) == 0 {
-			groups = r.Intn(4) + 1
+			s.groups = r.Intn(4) + 1
 		}
-		c := cg * groups
-		f := fPerG * groups
-		n := r.Intn(3) + 1
-		h := k + r.Intn(14)
-		w := k + r.Intn(14)
-		p := tensor.Conv2DParams{Stride: stride, Padding: pad, Groups: groups}
-		in := randomTensor(r, n, c, h, w)
-		wt := randomTensor(r, f, cg, k, k)
-		hasBias := r.Intn(2) == 0
-		out := Ref.Conv2D(in, wt, nil, p)
-		dOut := randomTensor(r, out.Shape()...)
-		sprinkleZeros(dOut, r) // the gv==0 skip path must stay bit-neutral
-		wantIn, wantW, wantB := Ref.Conv2DBackward(in, wt, hasBias, dOut, p)
-		desc := fmt.Sprintf("Conv2DBackward n=%d c=%d h=%d w=%d f=%d k=%d s=%d p=%d g=%d bias=%v",
-			n, c, h, w, f, k, stride, pad, groups, hasBias)
-		var pinnedIn *tensor.Tensor
-		atWorkerCounts(t, func() {
-			gIn, gW, gB := Gemm.Conv2DBackward(in, wt, hasBias, dOut, p)
-			assertSame(t, desc+" dW", gW, wantW)
-			if hasBias {
-				assertSame(t, desc+" dBias", gB, wantB)
-			} else if gB != nil {
-				t.Fatalf("%s: dBias should be nil", desc)
-			}
-			for i := range gIn.Data {
-				diff := float64(gIn.Data[i] - wantIn.Data[i])
-				if diff < 0 {
-					diff = -diff
-				}
-				if lim := 1e-3 * (1 + float64(abs32(wantIn.Data[i]))); diff > lim {
-					t.Fatalf("%s: dIn[%d] = %v, Ref %v", desc, i, gIn.Data[i], wantIn.Data[i])
-				}
-			}
-			if pinnedIn == nil {
-				pinnedIn = gIn
-			} else {
-				assertSame(t, desc+" dIn worker invariance", gIn, pinnedIn)
-			}
-		})
+		s.c, s.f = cg*s.groups, fPerG*s.groups
+		s.n = r.Intn(3) + 1
+		s.h = s.k + r.Intn(14)
+		s.w = s.k + r.Intn(14)
+		s.name = "random"
+		checkConv2DBackward(t, r, s, r.Intn(2) == 0)
 	}
+	// All but the benchmark's probe shape (index 0): 115 M multiply-adds per
+	// pass is seconds of Ref under the race detector, and every path it takes
+	// a smaller shape below takes too.
+	for _, s := range append(zooBackwardShapes[1:], loweredBackwardCases...) {
+		if s.macs() < parallelCutoff {
+			t.Fatalf("%s: below parallelCutoff, would compare Ref with Ref", s.name)
+		}
+		checkConv2DBackward(t, r, s, true)
+		checkConv2DBackward(t, r, s, false)
+	}
+}
+
+// loweredBackwardCases are geometries beyond the zoo's, each reaching a part
+// of the lowered sweeps the zoo does not. At 2, 3 and 8 workers its column
+// ranges are 16 to 48 wide.
+var loweredBackwardCases = []backwardShape{
+	// Seven row blocks in the input sweep, two to four in the weight sweep.
+	{"multi_block", 2, 32, 28, 28, 8, 3, 1, 1, 1},
+	{"multi_block_wide_rows", 1, 16, 6, 70, 4, 3, 1, 1, 1},
+	// Reductions narrower than one vector (every axpy all scalar tail) and
+	// than two.
+	{"k4_2x2", 4, 1, 20, 20, 8, 2, 1, 0, 1},
+	{"k4_1x1", 4, 4, 12, 12, 8, 1, 1, 0, 1},
+	{"k12_grouped_2x2", 3, 6, 11, 13, 4, 2, 1, 1, 2},
+	// Widths that are no multiple of 8, so every axpy has a scalar tail.
+	{"k50_5x5", 3, 2, 12, 10, 5, 5, 1, 2, 1},
+	{"k17_1x1", 4, 17, 9, 9, 6, 1, 1, 0, 1},
+	// Column ranges that straddle a group boundary (k spans 36 and 54).
+	{"groups2_k36", 3, 8, 10, 10, 6, 3, 1, 1, 2},
+	{"groups3_k54", 2, 18, 9, 7, 6, 3, 1, 1, 3},
+	// Stride 2 with padding at and past half the kernel.
+	{"stride2_pad1", 3, 4, 15, 15, 6, 3, 2, 1, 1},
+	{"stride2_pad2", 3, 4, 15, 13, 6, 3, 2, 2, 1},
+	{"stride2_pad3_5x5", 2, 3, 14, 14, 4, 5, 2, 3, 1},
+	{"stride3_grouped", 2, 8, 17, 17, 4, 4, 3, 2, 2},
+}
+
+// checkConv2DBackward draws operands for s — a quarter of every tensor
+// exactly zero, half the gradient again, one gradient plane and one whole
+// filter's gradient all zero — and holds Gemm.Conv2DBackward to Ref and to
+// loweredDIn at every worker count.
+func checkConv2DBackward(t *testing.T, r *tensor.RNG, s backwardShape, hasBias bool) {
+	t.Helper()
+	p := tensor.Conv2DParams{Stride: s.stride, Padding: s.pad, Groups: s.groups}
+	in := randomTensor(r, s.n, s.c, s.h, s.w)
+	wt := randomTensor(r, s.f, s.c/s.groups, s.k, s.k)
+	dOut := randomTensor(r, Ref.Conv2D(in, wt, nil, p).Shape()...)
+	sprinkleZeros(dOut, r) // the gv==0 skip path must stay bit-neutral
+	plane := dOut.Dim(2) * dOut.Dim(3)
+	zeroFilter, zeroPlane := r.Intn(s.f), r.Intn(s.n*s.f)
+	for i := range dOut.Data {
+		if i/plane%s.f == zeroFilter || i/plane == zeroPlane {
+			dOut.Data[i] = 0
+		}
+	}
+	desc := fmt.Sprintf("Conv2DBackward %s n=%d c=%d h=%d w=%d f=%d k=%d s=%d p=%d g=%d bias=%v",
+		s.name, s.n, s.c, s.h, s.w, s.f, s.k, s.stride, s.pad, s.groups, hasBias)
+	wantIn, wantW, wantB := Ref.Conv2DBackward(in, wt, hasBias, dOut, p)
+	pinnedIn := wantIn
+	if s.macs() >= parallelCutoff {
+		pinnedIn = loweredDIn(in, wt, dOut, p)
+	}
+	atWorkerCounts(t, func() {
+		gIn, gW, gB := Gemm.Conv2DBackward(in, wt, hasBias, dOut, p)
+		assertSame(t, desc+" dW", gW, wantW)
+		if hasBias {
+			assertSame(t, desc+" dBias", gB, wantB)
+		} else if gB != nil {
+			t.Fatalf("%s: dBias should be nil", desc)
+		}
+		for i := range gIn.Data {
+			diff := float64(gIn.Data[i] - wantIn.Data[i])
+			if diff < 0 {
+				diff = -diff
+			}
+			if lim := 1e-3 * (1 + float64(abs32(wantIn.Data[i]))); diff > lim {
+				t.Fatalf("%s: dIn[%d] = %v, Ref %v", desc, i, gIn.Data[i], wantIn.Data[i])
+			}
+		}
+		assertSame(t, desc+" dIn against the lowered order", gIn, pinnedIn)
+	})
+}
+
+// loweredDIn is the specification of the lowered dIn, in plain serial
+// loops: per (sample, group, block of output rows) the patch-matrix
+// gradient dcol[k][m] sums w[fo][k]·dOut[fo][m] over the group's filters in
+// ascending order, skipping zero weights, and is then added into dIn tap by
+// tap in (k, output-pixel) order. The row blocking is part of the order,
+// and a function of the shape alone.
+func loweredDIn(in, w, dOut *tensor.Tensor, p tensor.Conv2DParams) *tensor.Tensor {
+	g := convGeometry(in, w, p)
+	p = g.p
+	oh, ow := dOut.Dim(2), dOut.Dim(3)
+	fPerG, kTotal := g.f/p.Groups, g.cg*g.kh*g.kw
+	rowsPer := min(oh, max(1, colBlockElems/max(1, kTotal*ow)))
+	dIn := tensor.New(g.n, g.c, g.h, g.w)
+	dcol := make([]float32, kTotal*rowsPer*ow)
+	for b := 0; b < g.n; b++ {
+		for grp := 0; grp < p.Groups; grp++ {
+			for oyLo := 0; oyLo < oh; oyLo += rowsPer {
+				oyHi := min(oyLo+rowsPer, oh)
+				mLen := (oyHi - oyLo) * ow
+				for i := range dcol {
+					dcol[i] = 0
+				}
+				for fo := grp * fPerG; fo < (grp+1)*fPerG; fo++ {
+					for k := 0; k < kTotal; k++ {
+						wv := w.Data[fo*kTotal+k]
+						if wv == 0 {
+							continue
+						}
+						for m := 0; m < mLen; m++ {
+							dcol[k*mLen+m] += wv * dOut.Data[((b*g.f+fo)*oh+oyLo)*ow+m]
+						}
+					}
+				}
+				for k := 0; k < kTotal; k++ {
+					ci, ky, kx := k/(g.kh*g.kw), k/g.kw%g.kh, k%g.kw
+					for m := 0; m < mLen; m++ {
+						iy := (oyLo+m/ow)*p.Stride - p.Padding + ky
+						ix := m%ow*p.Stride - p.Padding + kx
+						if iy >= 0 && iy < g.h && ix >= 0 && ix < g.w {
+							dIn.Data[((b*g.c+grp*g.cg+ci)*g.h+iy)*g.w+ix] += dcol[k*mLen+m]
+						}
+					}
+				}
+			}
+		}
+	}
+	return dIn
 }
 
 func abs32(v float32) float32 {

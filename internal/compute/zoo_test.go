@@ -1,11 +1,14 @@
 package compute_test
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"math"
 	"testing"
 
 	"repro/internal/compute"
+	"repro/internal/dataset"
 	"repro/internal/dnn"
 	"repro/internal/eden"
 	"repro/internal/errormodel"
@@ -188,4 +191,96 @@ func TestFusedMatchesPerSampleOnZooBothVecPaths(t *testing.T) {
 			})
 		}
 	}
+}
+
+// TestFCBackwardUnchanged compares dnn.FC's weight and bias gradients, which
+// accumulate through compute.Axpy, against the loop the layer ran before,
+// kept here verbatim: sample-major, a zero upstream gradient skipped, one
+// multiply and one add per element. Two backward passes, so the second
+// accumulates onto non-zero gradients; input widths with and without a
+// vector body and a scalar tail; on both vec paths.
+func TestFCBackwardUnchanged(t *testing.T) {
+	setBackend(t, compute.Gemm)
+	compute.ForEachVecPath(t, func(t *testing.T) {
+		for _, dims := range [][2]int{{256, 512}, {192, 24}, {13, 7}, {5, 3}} {
+			in, out := dims[0], dims[1]
+			const n = 6
+			rng := tensor.NewRNG(0xFCB)
+			l := dnn.NewFC("fc", in, out, rng)
+			wantW, wantB := tensor.New(out, in), tensor.New(out)
+			for pass := 0; pass < 2; pass++ {
+				x, dOut := tensor.New(n, in), tensor.New(n, out)
+				x.FillUniform(rng, -2, 2)
+				dOut.FillUniform(rng, -1, 1)
+				for i := range dOut.Data {
+					if rng.Intn(3) == 0 {
+						dOut.Data[i] = 0
+					}
+				}
+				l.Forward(x, true)
+				l.Backward(dOut)
+				for i := 0; i < n; i++ {
+					xrow := x.Data[i*in : (i+1)*in]
+					drow := dOut.Data[i*out : (i+1)*out]
+					for j := 0; j < out; j++ {
+						g := drow[j]
+						if g == 0 {
+							continue
+						}
+						wantB.Data[j] += g
+						wrow := wantW.Data[j*in : (j+1)*in]
+						for p := 0; p < in; p++ {
+							wrow[p] += g * xrow[p]
+						}
+					}
+				}
+			}
+			for i, got := range [][]float32{l.Weight.G.Data, l.Bias.G.Data} {
+				want := [][]float32{wantW.Data, wantB.Data}[i]
+				for j := range want {
+					if math.Float32bits(got[j]) != math.Float32bits(want[j]) {
+						t.Fatalf("fc %d→%d gradient tensor %d: element %d is %v, the old loop gives %v (bit-exact)", in, out, i, j, got[j], want[j])
+					}
+				}
+			}
+		}
+	})
+}
+
+// TestTrainingPinnedBothVecPaths holds training bits still across commits.
+// go test reads dnn.Pretrained models from a cache an older commit may have
+// written, so nothing else in tier 1 does: a fresh LeNet, one epoch of
+// forward, backward and SGD on 64 pattern samples (the run internal/dnn's
+// TestParallelTrainingBitIdentical compares across worker counts), at 1, 2,
+// 3 and 8 workers with the vector primitives on and then off, must end on
+// the state CRC32 recorded at the commit before the backward weight sweep
+// and FC.Backward moved onto axpy.
+func TestTrainingPinnedBothVecPaths(t *testing.T) {
+	const pinnedTrainingCRC = 1415633082
+	prev := parallel.Workers()
+	defer parallel.SetWorkers(prev)
+	setBackend(t, compute.Gemm)
+	cfg := dataset.DefaultPatterns()
+	cfg.Samples = 64
+	compute.ForEachVecPath(t, func(t *testing.T) {
+		for _, workers := range []int{1, 2, 3, 8} {
+			parallel.SetWorkers(workers)
+			net, err := dnn.BuildModel("LeNet")
+			if err != nil {
+				t.Fatal(err)
+			}
+			dnn.TrainClassifier(net, dataset.Patterns(cfg), dnn.TrainOptions{Epochs: 1, Batch: 8, LR: 0.01, Seed: 42})
+			h := crc32.NewIEEE()
+			var buf [4]byte
+			for _, st := range net.StateTensors() {
+				for _, v := range st.T.Data {
+					binary.LittleEndian.PutUint32(buf[:], math.Float32bits(v))
+					h.Write(buf[:])
+				}
+			}
+			if got := h.Sum32(); got != pinnedTrainingCRC {
+				t.Fatalf("workers=%d: trained state CRC32 %d, pinned %d", workers, got, pinnedTrainingCRC)
+			}
+		}
+	})
 }

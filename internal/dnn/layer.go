@@ -206,10 +206,7 @@ func (l *FC) Backward(dOut *tensor.Tensor) *tensor.Tensor {
 				continue
 			}
 			l.Bias.G.Data[j] += g
-			wrow := l.Weight.G.Data[j*in : (j+1)*in]
-			for p := 0; p < in; p++ {
-				wrow[p] += g * xrow[p]
-			}
+			compute.Axpy(l.Weight.G.Data[j*in:(j+1)*in], xrow, g)
 		}
 	}
 	// dX = dOut * W
