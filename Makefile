@@ -13,12 +13,14 @@ build:
 test:
 	$(GO) test -shuffle=on ./...
 
-# fuzz-smoke gives each vector-vs-scalar fuzz target — the quantize codecs,
-# and the ReLU clamp and 2×2 pooling kernels — ten seconds of fresh inputs on
-# top of its seed corpus (which `make test` already runs).
+# fuzz-smoke gives each fuzz target — the vector-vs-scalar ones (the quantize
+# codecs, the ReLU clamp and 2×2 pooling kernels) and the activation-frame
+# decoder, a trust boundary of the stage wire — ten seconds of fresh inputs
+# on top of its seed corpus (which `make test` already runs).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzQuantizeVecMatchesScalar -fuzztime 10s ./internal/quant
 	$(GO) test -run '^$$' -fuzz FuzzClampVecMatchesScalar -fuzztime 10s ./internal/compute
+	$(GO) test -run '^$$' -fuzz FuzzDecodeActivation -fuzztime 10s ./internal/serve
 
 race:
 	$(GO) test -race -short ./...
@@ -80,12 +82,17 @@ asm-check:
 lint-baseline:
 	$(GO) run ./cmd/repro-lint -write-baseline .lint-baseline.json ./...
 
-# loc prints the two sizes ROADMAP tracks: non-test and test Go lines (the
-# benchmark's build directory and testdata excluded).
+# loc prints the two sizes ROADMAP tracks — non-test and test Go lines (the
+# benchmark's build directory and testdata excluded) — and is a ratchet: it
+# fails when the non-test count exceeds the one number in .loc-ceiling. A PR
+# that must grow the tree raises that number in its own diff, where it is
+# reviewed like .lint-baseline.json; a PR that shrinks the tree lowers it.
 GOFILES = find . -name '*.go' -not -path '*/testdata/*' -not -path './.bench_build/*'
 loc:
-	@echo "non-test Go lines: $$($(GOFILES) -not -name '*_test.go' | xargs cat | wc -l)"
-	@echo "test Go lines:     $$($(GOFILES) -name '*_test.go' | xargs cat | wc -l)"
+	@nontest=$$($(GOFILES) -not -name '*_test.go' | xargs cat | wc -l); ceiling=$$(cat .loc-ceiling); \
+	echo "non-test Go lines: $$nontest (ceiling $$ceiling)"; \
+	echo "test Go lines:     $$($(GOFILES) -name '*_test.go' | xargs cat | wc -l)"; \
+	if [ "$$nontest" -gt "$$ceiling" ]; then echo "non-test Go lines exceed .loc-ceiling"; exit 1; fi
 
 # vuln scans the module against the Go vulnerability database. Uses an
 # installed govulncheck when present, otherwise fetches it via go run

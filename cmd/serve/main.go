@@ -16,8 +16,9 @@
 // sheds with 429 plus a Retry-After estimate instead of stacking latency,
 // and requests carrying "deadline_ms" are dropped with 504 if they expire
 // while still queued. -backend sets the process-wide compute backend
-// (compute.SetDefault) once at start-up: gemm by default; all backends are
-// bit-identical, so the flag tunes throughput only. The daemon exposes GET
+// (compute.SetDefault) once at start-up: gemm by default, bit-identical to
+// ref, so between those two the flag tunes throughput only; qgemm computes
+// on int8 codes and carries ~1% quantization error. The daemon exposes GET
 // /v1/healthz for load-balancer probes and GET /metrics in the Prometheus
 // text format, and drains gracefully on SIGINT/SIGTERM: the probe flips to
 // 503, in-flight requests finish, then the listener closes.

@@ -2,7 +2,8 @@
 // Energy-Efficient, High-Performance Deep Neural Network Inference Using
 // Approximate DRAM" (Koppula et al., MICRO 2019). The library lives under
 // internal/ (README.md's "Layout" section is the system inventory),
-// runnable binaries under cmd/, usage examples under examples/, and the
+// runnable binaries under cmd/, two usage examples under examples/
+// (quickstart, and cluster, which make cluster-smoke runs), and the
 // benchmark harness that regenerates every table and figure of the paper's
 // evaluation in bench_test.go.
 //
@@ -23,12 +24,16 @@
 // once at start-up through compute.SetDefault.
 //
 // All hot paths share the worker pool in internal/parallel: the compute
-// kernels, batched inference (dnn.Network.ForwardBatch with per-sample
-// corruptor clones), and the characterization and sweep loops in
-// internal/eden and internal/experiments, which run one operating point
-// per worker. The pool defaults to GOMAXPROCS and every cmd binary
-// exposes it as -workers. Parallel results are bit-identical to serial
-// ones at any worker count; see README.md for the architecture.
+// kernels, the fused serving executor (dnn.Network.ForwardBatchFused with
+// per-sample corruptor clones), and the characterization and sweep loops
+// in internal/eden and internal/experiments, which run one operating
+// point per worker. The program has two forward paths — Network.Forward
+// under training and under dnn's one evaluation loop, and
+// ForwardBatchFused under serving; the per-sample fan-out
+// Network.ForwardBatch is bench-and-test-only. The pool defaults to
+// GOMAXPROCS and every cmd binary exposes it as -workers. Parallel results
+// are bit-identical to serial ones at any worker count; see README.md for
+// the architecture.
 // cmd/eden and cmd/serve take -cpuprofile/-memprofile (internal/profiling)
 // so kernel work can be driven by pprof evidence.
 //
@@ -41,10 +46,10 @@
 // serializable eden.Deployment — boosted network, fitted error model,
 // operating points, per-data BER assignment, plausibility bounds.
 // cmd/eden -o writes the artifact and cmd/serve -deployment loads it, so
-// the serving path needs no dataset or training access. Corruption is
-// abstracted behind the eden.Corruptor interface (and its Cloner
-// sub-interface), with Deployment.NewCorruptor minting the corruptor an
-// artifact prescribes.
+// the serving path needs no dataset or training access. Serving programs
+// against the eden.Cloner interface, which carries the determinism
+// contract, with Deployment.NewCorruptor minting the corruptor an artifact
+// prescribes.
 //
 // internal/serve layers a request/response engine on the inference
 // primitives: a Server registry of deployed models (weights corrupted
@@ -124,10 +129,10 @@
 // Forward/ForwardBatch, the data-race class that would break
 // shared-network batching, with impurity summaries exported as
 // serializable per-package facts so mutations reached through imported
-// packages are caught too; lockcheck forbids copying sync mutexes,
-// paths that return with a lock held, and (in serve) blocking channel
-// operations under a lock; loopcapture forbids fan-out closures
-// capturing loop iteration variables or writing shared cells;
+// packages are caught too; lockcheck forbids paths that return with a
+// lock held and (in serve) blocking channel operations under a lock
+// (copied mutexes are go vet's copylocks); loopcapture forbids fan-out
+// closures writing shared cells;
 // hotalloc forbids per-iteration allocation in loops on the hot paths
 // (all of compute, the dnn forward call trees); noclocktime keeps
 // wall-clock reads out of the deterministic packages (tensor, compute,

@@ -8,8 +8,8 @@ import "sync"
 // that is the dominant allocation source after the activations themselves.
 // A slab is checked out by exactly one goroutine between get and put, which
 // makes the buffers per-goroutine by construction: parallel workers inside
-// one Conv2D, and concurrent per-sample forwards in ForwardBatch, each draw
-// their own slab and never share bytes.
+// one Conv2D, and concurrent forwards of models served side by side, each
+// draw their own slab and never share bytes.
 type slabPool[T any] struct{ pool sync.Pool }
 
 // get returns a slab with at least n usable elements. The contents are

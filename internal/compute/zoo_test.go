@@ -270,17 +270,55 @@ func TestTrainingPinnedBothVecPaths(t *testing.T) {
 				t.Fatal(err)
 			}
 			dnn.TrainClassifier(net, dataset.Patterns(cfg), dnn.TrainOptions{Epochs: 1, Batch: 8, LR: 0.01, Seed: 42})
-			h := crc32.NewIEEE()
-			var buf [4]byte
-			for _, st := range net.StateTensors() {
-				for _, v := range st.T.Data {
-					binary.LittleEndian.PutUint32(buf[:], math.Float32bits(v))
-					h.Write(buf[:])
-				}
-			}
-			if got := h.Sum32(); got != pinnedTrainingCRC {
+			if got := stateCRC(net); got != pinnedTrainingCRC {
 				t.Fatalf("workers=%d: trained state CRC32 %d, pinned %d", workers, got, pinnedTrainingCRC)
 			}
 		}
 	})
+}
+
+// stateCRC is the CRC32 of every state tensor's float32 bits, in order.
+func stateCRC(net *dnn.Network) uint32 {
+	h := crc32.NewIEEE()
+	var buf [4]byte
+	for _, st := range net.StateTensors() {
+		for _, v := range st.T.Data {
+			binary.LittleEndian.PutUint32(buf[:], math.Float32bits(v))
+			h.Write(buf[:])
+		}
+	}
+	return h.Sum32()
+}
+
+// TestDetectorTrainingPinned is TestTrainingPinnedBothVecPaths for the other
+// half of the dataset loops: a fresh YOLO-Tiny, one TrainDetector epoch on 64
+// box samples, then the state CRC32 and the bits of MAP over the same
+// samples, at 1 and 2 workers, against the values recorded at the commit
+// before TrainDetector and MAP became shells over the shared train and
+// evaluate loops.
+func TestDetectorTrainingPinned(t *testing.T) {
+	const (
+		pinnedDetectorCRC = 2017988216
+		pinnedMAPBits     = 0x3f8a3833776f880d
+	)
+	prev := parallel.Workers()
+	defer parallel.SetWorkers(prev)
+	setBackend(t, compute.Gemm)
+	cfg := dataset.DefaultBoxes()
+	cfg.Samples = 64
+	for _, workers := range []int{1, 2} {
+		parallel.SetWorkers(workers)
+		net, err := dnn.BuildModel("YOLO-Tiny")
+		if err != nil {
+			t.Fatal(err)
+		}
+		ds := dataset.Boxes(cfg)
+		dnn.TrainDetector(net, ds, dnn.TrainOptions{Epochs: 1, Batch: 8, LR: 0.01, Seed: 42})
+		if got := stateCRC(net); got != pinnedDetectorCRC {
+			t.Fatalf("workers=%d: trained state CRC32 %d, pinned %d", workers, got, pinnedDetectorCRC)
+		}
+		if got := math.Float64bits(net.MAP(ds, dnn.EvalOptions{})); got != pinnedMAPBits {
+			t.Fatalf("workers=%d: mAP bits %#x, pinned %#x", workers, got, uint64(pinnedMAPBits))
+		}
+	}
 }

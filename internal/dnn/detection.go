@@ -158,38 +158,34 @@ func (h *DetectionHead) Decode(out *tensor.Tensor, sampleIdx int, confThresh flo
 	return kept
 }
 
+// boxBatch assembles the samples at the given indices into an (N,C,H,W)
+// tensor plus the parallel sample slice, as dataset.Dataset.Batch does for
+// classification.
+func boxBatch(ds *dataset.BoxDataset, idx []int) (*tensor.Tensor, []dataset.BoxSample) {
+	x := tensor.New(len(idx), ds.C, ds.H, ds.W)
+	samples := make([]dataset.BoxSample, len(idx))
+	per := ds.C * ds.H * ds.W
+	for i, j := range idx {
+		copy(x.Data[i*per:(i+1)*per], ds.Samples[j].X.Data)
+		samples[i] = ds.Samples[j]
+	}
+	return x, samples
+}
+
 // MAP evaluates the network's mean average precision on ds.
 func (n *Network) MAP(ds *dataset.BoxDataset, opt EvalOptions) float64 {
 	if n.Det == nil {
 		panic("dnn: MAP called on a non-detection network")
 	}
-	if opt.Batch <= 0 {
-		opt.Batch = 16
-	}
-	if opt.Corrupt != nil {
-		restore := opt.Corrupt(n)
-		defer restore()
-	}
-	total := ds.Len()
-	if opt.MaxSamples > 0 && opt.MaxSamples < total {
-		total = opt.MaxSamples
-	}
-	preds := make([][]dataset.Detection, total)
-	per := ds.C * ds.H * ds.W
-	for start := 0; start < total; start += opt.Batch {
-		end := start + opt.Batch
-		if end > total {
-			end = total
+	var preds [][]dataset.Detection
+	total := n.evaluate(ds.Len(), opt, func(idx []int) (*tensor.Tensor, func(*tensor.Tensor)) {
+		x, _ := boxBatch(ds, idx)
+		return x, func(out *tensor.Tensor) {
+			for i := range idx {
+				preds = append(preds, n.Det.Decode(out, i, 0.3))
+			}
 		}
-		x := tensor.New(end-start, ds.C, ds.H, ds.W)
-		for i := start; i < end; i++ {
-			copy(x.Data[(i-start)*per:(i-start+1)*per], ds.Samples[i].X.Data)
-		}
-		out := n.Forward(x, false, opt.Hook)
-		for i := start; i < end; i++ {
-			preds[i] = n.Det.Decode(out, i-start, 0.3)
-		}
-	}
+	})
 	return dataset.MeanAP(ds.Samples[:total], preds, 0.5)
 }
 
@@ -198,61 +194,11 @@ func TrainDetector(net *Network, ds *dataset.BoxDataset, opt TrainOptions) []Epo
 	if net.Det == nil {
 		panic("dnn: TrainDetector called on a non-detection network")
 	}
-	if opt.Batch <= 0 {
-		opt.Batch = 16
-	}
-	if opt.LR == 0 {
-		opt.LR = 0.01
-	}
-	if opt.Momentum == 0 {
-		opt.Momentum = 0.9
-	}
-	sgd := &SGD{LR: opt.LR, Momentum: opt.Momentum, WeightDecay: opt.WeightDecay, MaxGradNorm: opt.MaxGradNorm}
-	rng := tensor.NewRNG(opt.Seed ^ 0x64657465)
-	order := make([]int, ds.Len())
-	for i := range order {
-		order[i] = i
-	}
-	per := ds.C * ds.H * ds.W
-	var stats []EpochStats
-	for epoch := 0; epoch < opt.Epochs; epoch++ {
-		if opt.EpochStart != nil {
-			opt.EpochStart(epoch)
-		}
-		for i := len(order) - 1; i > 0; i-- {
-			j := rng.Intn(i + 1)
-			order[i], order[j] = order[j], order[i]
-		}
-		var lossSum float64
-		var batches int
-		for start := 0; start < len(order); start += opt.Batch {
-			end := start + opt.Batch
-			if end > len(order) {
-				end = len(order)
-			}
-			batch := order[start:end]
-			x := tensor.New(len(batch), ds.C, ds.H, ds.W)
-			samples := make([]dataset.BoxSample, len(batch))
-			for i, j := range batch {
-				copy(x.Data[i*per:(i+1)*per], ds.Samples[j].X.Data)
-				samples[i] = ds.Samples[j]
-			}
-			net.ZeroGrad()
-			var restore func()
-			if opt.WeightCorrupt != nil {
-				restore = opt.WeightCorrupt(net)
-			}
-			out := net.Forward(x, true, opt.Hook)
+	return train(net, ds.Len(), opt.Seed^0x64657465, opt, func(idx []int) (*tensor.Tensor, lossFunc) {
+		x, samples := boxBatch(ds, idx)
+		return x, func(out *tensor.Tensor) (float64, *tensor.Tensor, int) {
 			loss, dOut := net.Det.YOLOLoss(out, samples)
-			net.Backward(dOut)
-			if restore != nil {
-				restore()
-			}
-			sgd.Step(net.Params())
-			lossSum += loss
-			batches++
+			return loss, dOut, 0
 		}
-		stats = append(stats, EpochStats{Epoch: epoch, Loss: lossSum / float64(batches)})
-	}
-	return stats
+	})
 }

@@ -100,7 +100,7 @@ func (l *Conv) Name() string { return l.LayerName }
 
 // Forward convolves x with the layer weights. Inference-mode forwards
 // (train == false) touch no layer state, so a network may run concurrent
-// evaluation passes over shared weights (see Network.ForwardBatch). When
+// evaluation passes over shared weights (see Network.ForwardBatchFused). When
 // the default backend consumes quantized weights and the param carries a
 // cached int8 image, inference skips the float weight tensor entirely;
 // training always runs the float path (gradients are defined on the float

@@ -60,7 +60,11 @@ type BatchOptions struct {
 }
 
 // ForwardBatch runs one inference-mode forward pass per input, fanning the
-// independent samples across the shared worker pool. Layer weights and
+// independent samples across the shared worker pool. Nothing in the program
+// calls it — evaluation is serial batches through Forward and
+// serving is ForwardBatchFused; it stays for the benchmark's fan-out probe
+// (internal/bench's FanoutB16) and the tests that hold the fused pass to it,
+// until the benchmark retires that probe. Layer weights and
 // running statistics are read-only during inference (layers cache state
 // only when train is set), so the passes share the network; every
 // activation buffer is allocated inside its own pass, which makes the
@@ -346,16 +350,22 @@ func (n *Network) IFMBytes(prec quant.Precision) int {
 	return total
 }
 
-// argmaxRow returns the index of the largest logit in row i of a rank-2
-// tensor with k columns.
-func argmaxRow(logits *tensor.Tensor, i, k int) int {
-	best := 0
-	for j := 1; j < k; j++ {
-		if logits.At(i, j) > logits.At(i, best) {
-			best = j
+// countCorrect returns how many rows of logits (N,K) have their largest
+// value, the first one on ties, at the row's label.
+func countCorrect(logits *tensor.Tensor, labels []int) int {
+	k, correct := logits.Dim(1), 0
+	for i, label := range labels {
+		best := 0
+		for j := 1; j < k; j++ {
+			if logits.At(i, j) > logits.At(i, best) {
+				best = j
+			}
+		}
+		if best == label {
+			correct++
 		}
 	}
-	return best
+	return correct
 }
 
 // SoftmaxCrossEntropy computes the mean cross-entropy loss of logits (N,K)
@@ -390,8 +400,14 @@ type EvalOptions struct {
 	MaxSamples int
 }
 
-// Accuracy evaluates top-1 classification accuracy on ds.
-func (n *Network) Accuracy(ds *dataset.Dataset, opt EvalOptions) float64 {
+// evaluate is the one evaluation loop, the only place that knows how a
+// dataset is walked for scoring: the first total samples (opt.MaxSamples caps
+// them), in order, as serial batches of opt.Batch through Forward under
+// opt.Hook, with the weights corrupted by opt.Corrupt for the duration. A
+// task supplies gather, which assembles the samples at idx into an input
+// tensor and returns the function that scores the network's output for them.
+// It returns how many samples were evaluated.
+func (n *Network) evaluate(total int, opt EvalOptions, gather func(idx []int) (x *tensor.Tensor, score func(out *tensor.Tensor))) int {
 	if opt.Batch <= 0 {
 		opt.Batch = 16
 	}
@@ -399,51 +415,27 @@ func (n *Network) Accuracy(ds *dataset.Dataset, opt EvalOptions) float64 {
 		restore := opt.Corrupt(n)
 		defer restore()
 	}
-	total := ds.Len()
 	if opt.MaxSamples > 0 && opt.MaxSamples < total {
 		total = opt.MaxSamples
 	}
-	if opt.Hook == nil && total > 1 && parallel.Workers() > 1 {
-		// Hook-free evaluation: the samples are independent, so they fan
-		// out one per worker through ForwardBatch. Per-sample forwards are
-		// bit-identical to batched ones (every kernel treats batch rows
-		// independently), so the returned accuracy matches the serial
-		// batched path exactly. Hooked evaluation stays on that path
-		// because a single IFM hook is shared mutable state.
-		xs := make([]*tensor.Tensor, total)
-		labels := make([]int, total)
-		for i := 0; i < total; i++ {
-			x, lab := ds.Batch([]int{i})
-			xs[i] = x
-			labels[i] = lab[0]
-		}
-		correct := 0
-		for i, logits := range n.ForwardBatch(xs, BatchOptions{}) {
-			if argmaxRow(logits, 0, logits.Dim(1)) == labels[i] {
-				correct++
-			}
-		}
-		return float64(correct) / float64(total)
+	idx := make([]int, total)
+	for i := range idx {
+		idx[i] = i
 	}
-	correct := 0
 	for start := 0; start < total; start += opt.Batch {
-		end := start + opt.Batch
-		if end > total {
-			end = total
-		}
-		idx := make([]int, end-start)
-		for i := range idx {
-			idx[i] = start + i
-		}
-		x, labels := ds.Batch(idx)
-		logits := n.Forward(x, false, opt.Hook)
-		k := logits.Dim(1)
-		for i := range idx {
-			if argmaxRow(logits, i, k) == labels[i] {
-				correct++
-			}
-		}
+		x, score := gather(idx[start:min(start+opt.Batch, total)])
+		score(n.Forward(x, false, opt.Hook))
 	}
+	return total
+}
+
+// Accuracy evaluates top-1 classification accuracy on ds.
+func (n *Network) Accuracy(ds *dataset.Dataset, opt EvalOptions) float64 {
+	correct := 0
+	total := n.evaluate(ds.Len(), opt, func(idx []int) (*tensor.Tensor, func(*tensor.Tensor)) {
+		x, labels := ds.Batch(idx)
+		return x, func(logits *tensor.Tensor) { correct += countCorrect(logits, labels) }
+	})
 	if total == 0 {
 		return 0
 	}

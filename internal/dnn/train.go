@@ -48,12 +48,12 @@ func (o *SGD) Step(params []*Param) {
 	}
 }
 
-// TrainOptions configures TrainClassifier. The corruption hooks are how
-// EDEN's curricular retraining reaches into the loop: WeightCorrupt mutates
-// weights before each forward pass (returning an undo function applied
-// before the optimizer step, so updates always land on clean weights — the
-// paper uses approximate DRAM only for the forward pass, §3.2), and Hook
-// injects errors into IFMs.
+// TrainOptions configures TrainClassifier and TrainDetector. The corruption
+// hooks are how EDEN's curricular retraining reaches into the loop:
+// WeightCorrupt mutates weights before each forward pass (returning an undo
+// function applied before the optimizer step, so updates always land on clean
+// weights — the paper uses approximate DRAM only for the forward pass, §3.2),
+// and Hook injects errors into IFMs.
 type TrainOptions struct {
 	Epochs        int
 	Batch         int
@@ -65,12 +65,13 @@ type TrainOptions struct {
 	EpochStart    func(epoch int)
 	WeightCorrupt func(net *Network) (restore func())
 	Hook          IFMHook
-	// Silent disables per-epoch statistics collection on the validation
-	// set (used to keep inner characterization loops fast).
+	// Val, when non-nil, is a classification set scored after every epoch
+	// into EpochStats.ValAcc; nil keeps inner characterization loops fast.
 	Val *dataset.Dataset
 }
 
-// EpochStats records training progress for one epoch.
+// EpochStats records training progress for one epoch. TrainAcc is top-1
+// accuracy over the epoch's batches and stays zero for detectors.
 type EpochStats struct {
 	Epoch    int
 	Loss     float64
@@ -78,10 +79,18 @@ type EpochStats struct {
 	ValAcc   float64
 }
 
-// TrainClassifier trains net on ds with softmax cross-entropy and returns
-// per-epoch statistics. Sample order is shuffled deterministically from
-// opt.Seed.
-func TrainClassifier(net *Network, ds *dataset.Dataset, opt TrainOptions) []EpochStats {
+// lossFunc scores a batch's raw network output: the mean loss, its gradient
+// with respect to out, and how many of the batch's samples out classifies
+// correctly (zero for a task with no top-1 notion).
+type lossFunc func(out *tensor.Tensor) (loss float64, dOut *tensor.Tensor, hits int)
+
+// train is the one training loop, the only place that knows how a dataset of
+// n samples is walked: a Fisher-Yates shuffle per epoch from seed, batches of
+// opt.Batch in that order, weights corrupted for the forward/backward pass
+// and restored before the optimizer step. A task supplies gather, which
+// assembles the samples at idx into an input tensor and returns the loss
+// that scores the network's output against their targets.
+func train(net *Network, n int, seed uint64, opt TrainOptions, gather func(idx []int) (*tensor.Tensor, lossFunc)) []EpochStats {
 	if opt.Batch <= 0 {
 		opt.Batch = 16
 	}
@@ -92,8 +101,8 @@ func TrainClassifier(net *Network, ds *dataset.Dataset, opt TrainOptions) []Epoc
 		opt.Momentum = 0.9
 	}
 	sgd := &SGD{LR: opt.LR, Momentum: opt.Momentum, WeightDecay: opt.WeightDecay, MaxGradNorm: opt.MaxGradNorm}
-	rng := tensor.NewRNG(opt.Seed ^ 0x7261696e)
-	order := make([]int, ds.Len())
+	rng := tensor.NewRNG(seed)
+	order := make([]int, n)
 	for i := range order {
 		order[i] = i
 	}
@@ -108,41 +117,42 @@ func TrainClassifier(net *Network, ds *dataset.Dataset, opt TrainOptions) []Epoc
 			order[i], order[j] = order[j], order[i]
 		}
 		var lossSum float64
-		var batches int
-		correct, seen := 0, 0
-		for start := 0; start < len(order); start += opt.Batch {
-			end := start + opt.Batch
-			if end > len(order) {
-				end = len(order)
-			}
-			x, labels := ds.Batch(order[start:end])
+		batches, correct := 0, 0
+		for start := 0; start < n; start += opt.Batch {
+			x, lossOf := gather(order[start:min(start+opt.Batch, n)])
 			net.ZeroGrad()
 			var restore func()
 			if opt.WeightCorrupt != nil {
 				restore = opt.WeightCorrupt(net)
 			}
-			logits := net.Forward(x, true, opt.Hook)
-			loss, dLogits := SoftmaxCrossEntropy(logits, labels)
-			net.Backward(dLogits)
+			loss, dOut, hits := lossOf(net.Forward(x, true, opt.Hook))
+			net.Backward(dOut)
 			if restore != nil {
 				restore()
 			}
 			sgd.Step(net.Params())
 			lossSum += loss
 			batches++
-			k := logits.Dim(1)
-			for i := range labels {
-				if argmaxRow(logits, i, k) == labels[i] {
-					correct++
-				}
-				seen++
-			}
+			correct += hits
 		}
-		st := EpochStats{Epoch: epoch, Loss: lossSum / float64(batches), TrainAcc: float64(correct) / float64(seen)}
+		st := EpochStats{Epoch: epoch, Loss: lossSum / float64(batches), TrainAcc: float64(correct) / float64(n)}
 		if opt.Val != nil {
 			st.ValAcc = net.Accuracy(opt.Val, EvalOptions{Batch: opt.Batch})
 		}
 		stats = append(stats, st)
 	}
 	return stats
+}
+
+// TrainClassifier trains net on ds with softmax cross-entropy and returns
+// per-epoch statistics. Sample order is shuffled deterministically from
+// opt.Seed.
+func TrainClassifier(net *Network, ds *dataset.Dataset, opt TrainOptions) []EpochStats {
+	return train(net, ds.Len(), opt.Seed^0x7261696e, opt, func(idx []int) (*tensor.Tensor, lossFunc) {
+		x, labels := ds.Batch(idx)
+		return x, func(logits *tensor.Tensor) (float64, *tensor.Tensor, int) {
+			loss, dLogits := SoftmaxCrossEntropy(logits, labels)
+			return loss, dLogits, countCorrect(logits, labels)
+		}
+	})
 }

@@ -177,17 +177,6 @@ func (d *Device) Write(addr int, data []byte) {
 	copy(d.data[addr:], data)
 }
 
-// ReadReliable returns stored bytes without error injection, regardless of
-// the operating point (what an ECC-protected nominal module would return).
-func (d *Device) ReadReliable(addr, n int) []byte {
-	if addr < 0 || n < 0 || addr+n > len(d.data) {
-		panic(fmt.Sprintf("dram: reliable read [%d, %d) out of range", addr, addr+n))
-	}
-	out := make([]byte, n)
-	copy(out, d.data[addr:addr+n])
-	return out
-}
-
 // partRate is one partition's operating point as the read path consumes
 // it: the vendor curve evaluated once, not per Read.
 type partRate struct {
@@ -426,6 +415,3 @@ func (d *Device) flipProb(vBER, tBER float64, row, bitline int, cellID uint64, s
 // Stats returns the number of bits read with error injection active and the
 // number of flips injected so far.
 func (d *Device) Stats() (readBits, flips uint64) { return d.readBits, d.flipCount }
-
-// ResetStats clears the read/flip counters.
-func (d *Device) ResetStats() { d.readBits, d.flipCount = 0, 0 }

@@ -1,6 +1,7 @@
 package eden
 
 import (
+	"maps"
 	"math"
 
 	"repro/internal/dnn"
@@ -41,55 +42,40 @@ func DefaultCharacterize() CharacterizeConfig {
 	}
 }
 
-// evalAt measures net's mean task metric at a BER, averaged over Repeats
-// transient draws. The draws are independent probes — each owns a fresh
-// corruptor and (when fanned out) a clone of the network under test, since
-// weight corruption mutates the network in place — so they run one per
-// worker. Per-draw results land in a slot indexed by the draw and are
-// reduced in draw order, keeping the mean bit-identical to a serial run.
-// bounds are net's plausibility bounds (probeBounds): every probe of one
-// characterization evaluates the same weights, so its caller calibrates
-// once and each probe's corruptor takes a copy.
+// evalAt is the one probe every characterization loop, sweep and one-off
+// measurement runs: net's mean task metric at a BER, averaged over Repeats
+// transient draws. The draws are independent — each owns a fresh corruptor
+// and its own clone of the network under test, since weight corruption
+// mutates the network in place — so they run one per worker, and so may any
+// number of evalAt calls on the same net. Per-draw results land in a slot
+// indexed by the draw and are reduced in draw order, keeping the mean
+// bit-identical to a serial run. bounds are net's plausibility bounds
+// (probeBounds): every probe of one characterization evaluates the same
+// weights, so its caller calibrates once and each probe's corruptor takes a
+// copy.
 func evalAt(tm *dnn.TrainedModel, net *dnn.Network, m *errormodel.Model, ber float64, cfg CharacterizeConfig, berByData map[string]float64, bounds map[string]memctrl.Bounds) float64 {
-	reps := cfg.Repeats
-	if reps <= 0 {
-		reps = 1
-	}
-	probe := func(r int, n *dnn.Network) float64 {
+	sums := make([]float64, max(cfg.Repeats, 1))
+	parallel.ForEach(len(sums), func(r int) {
 		corr := NewSoftwareDRAM(m, cfg.Prec)
 		corr.BER = ber
 		corr.BERByData = berByData
-		for id, b := range bounds {
-			corr.Bounds[id] = b
-		}
+		maps.Copy(corr.Bounds, bounds)
 		for i := 0; i < r; i++ {
 			corr.NextPass()
 		}
-		return tm.MetricOf(n, corr.EvalOptions(cfg.MaxSamples))
-	}
-	sums := make([]float64, reps)
-	if reps == 1 || parallel.Workers() == 1 {
-		for r := range sums {
-			sums[r] = probe(r, net)
-		}
-	} else {
-		parallel.ForEach(reps, func(r int) {
-			sums[r] = probe(r, tm.CloneNetFrom(net))
-		})
-	}
+		sums[r] = tm.MetricOf(tm.CloneNetFrom(net), corr.EvalOptions(cfg.MaxSamples))
+	})
 	var sum float64
 	for _, v := range sums {
 		sum += v
 	}
-	return sum / float64(reps)
+	return sum / float64(len(sums))
 }
 
 // probeBounds calibrates the plausibility bounds the probes of one
 // characterization of net run under.
 func probeBounds(tm *dnn.TrainedModel, net *dnn.Network) map[string]memctrl.Bounds {
-	s := &SoftwareDRAM{Bounds: map[string]memctrl.Bounds{}}
-	s.CalibrateNet(tm, net, defaultCalibSamples, 0)
-	return s.Bounds
+	return CalibrateBounds(tm, net, defaultCalibSamples, 0)
 }
 
 // baselineMetric returns net's metric on reliable DRAM, respecting the
@@ -170,16 +156,9 @@ func FineCharacterize(tm *dnn.TrainedModel, net *dnn.Network, m *errormodel.Mode
 			if trial > cfg.BERHi {
 				return
 			}
-			trialMap := make(map[string]float64, len(tol))
-			for k, v := range tol {
-				trialMap[k] = v
-			}
+			trialMap := maps.Clone(tol)
 			trialMap[id] = trial
-			n := net
-			if parallel.Workers() > 1 {
-				n = tm.CloneNetFrom(net)
-			}
-			accepted[j] = evalAt(tm, n, m, coarseBER, cfg, trialMap, bounds) >= floor
+			accepted[j] = evalAt(tm, net, m, coarseBER, cfg, trialMap, bounds) >= floor
 		})
 		var next []string
 		for j, ok := range accepted {

@@ -13,6 +13,7 @@ package eden
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 	"strings"
 	"sync"
@@ -56,41 +57,26 @@ func EnumerateData(net *dnn.Network, prec quant.Precision) []DataDesc {
 	return out
 }
 
-// Corruptor exposes a DNN to approximate-DRAM errors. It is the contract
-// shared by the model-driven SoftwareDRAM (EDEN offloading, §4) and the
-// device-in-the-loop DeviceDRAM (§6.4), and the abstraction the pipeline,
-// characterization loops and serving subsystem program against.
-//
-// Determinism contract: a Corruptor's output must be a pure function of its
-// construction inputs (error model or device, precision, configuration),
-// the data ID passed to each corruption, and its pass counter. Two
-// corruptors built identically and advanced through the same NextPass
-// sequence must corrupt byte-identically; nothing may depend on wall-clock
-// time, goroutine scheduling or corruption order across distinct data IDs.
-// This is what makes characterization results reproducible and served
-// predictions a pure function of (deployment, input, seed).
-type Corruptor interface {
-	// CorruptWeights mutates the network's weights as stored in approximate
-	// memory and returns a function restoring the clean image.
-	CorruptWeights(net *dnn.Network) (restore func())
-	// IFMHook returns a hook that corrupts feature maps in flight.
-	IFMHook() dnn.IFMHook
-	// NextPass advances transient error draws; call once per evaluation or
-	// training batch.
-	NextPass()
-	// EvalOptions bundles the corruptor into dnn evaluation options.
-	EvalOptions(maxSamples int) dnn.EvalOptions
-	// Calibrate records plausibility bounds for the §5 bounding logic from
-	// clean data; margin stretches the observed ranges (default 1.5 at 0).
-	Calibrate(tm *dnn.TrainedModel, maxSamples int, margin float32)
-}
-
-// Cloner is a Corruptor that can mint independent copies of itself, which
+// Cloner is a corruptor that can mint independent copies of itself, which
 // is what lets ClonePool and the serving scheduler hand every request or
 // batch sample its own deterministic error stream without hard-coding a
 // concrete corruptor type.
+//
+// Determinism contract: a corruptor's output must be a pure function of its
+// construction inputs (error model or device, precision, configuration),
+// the data ID passed to each corruption, and its pass counter. Two
+// corruptors built identically and advanced through the same pass sequence
+// must corrupt byte-identically; nothing may depend on wall-clock time,
+// goroutine scheduling or corruption order across distinct data IDs. This is
+// what makes characterization results reproducible and served predictions a
+// pure function of (deployment, input, seed).
 type Cloner interface {
-	Corruptor
+	// IFMHook returns a hook that corrupts feature maps in flight.
+	IFMHook() dnn.IFMHook
+	// IFMHookInPlace is IFMHook writing the corrupted values back into the
+	// tensor it is handed, for callers that own every tensor the hook sees
+	// (the fused batch pass). Byte-identical to IFMHook.
+	IFMHookInPlace() dnn.IFMHook
 	// CloneCorruptor returns an independent corruptor whose transient error
 	// draws start at pass. Clones at equal pass values must corrupt
 	// byte-identically; distinct pass values yield deterministically
@@ -100,16 +86,9 @@ type Cloner interface {
 	// reset corruptor must corrupt byte-identically to a fresh
 	// CloneCorruptor(pass) of its source.
 	Reset(pass uint64)
-	// IFMHookInPlace is IFMHook writing the corrupted values back into the
-	// tensor it is handed, for callers that own every tensor the hook sees
-	// (the fused batch pass). Byte-identical to IFMHook.
-	IFMHookInPlace() dnn.IFMHook
 }
 
-var (
-	_ Cloner    = (*SoftwareDRAM)(nil)
-	_ Corruptor = (*DeviceDRAM)(nil)
-)
+var _ Cloner = (*SoftwareDRAM)(nil)
 
 // SoftwareDRAM is the EDEN-offloading corruptor (§4): it injects errors
 // from a fitted error model instead of a physical device, optionally with
@@ -585,24 +564,19 @@ func (s *SoftwareDRAM) IFMHookInPlace() dnn.IFMHook {
 	}
 }
 
-// Calibrate records plausibility bounds for every data ID from clean data:
-// weight bounds from the parameters themselves and IFM bounds from a clean
-// forward pass over up to maxSamples dataset samples. The margin stretches
-// observed ranges, defaulting to 1.5 when zero.
-func (s *SoftwareDRAM) Calibrate(tm *dnn.TrainedModel, maxSamples int, margin float32) {
-	s.CalibrateNet(tm, tm.Net, maxSamples, margin)
-}
-
-// CalibrateNet is Calibrate against an explicit network — used when the
-// network under test is a boosted copy whose weight ranges have drifted
-// from the cached baseline (thresholds must describe the network actually
-// being run, §3.2).
-func (s *SoftwareDRAM) CalibrateNet(tm *dnn.TrainedModel, net *dnn.Network, maxSamples int, margin float32) {
+// CalibrateBounds derives the §5 plausibility bounds of every data ID of net
+// from clean data: weight bounds from the parameters themselves and IFM
+// bounds from a clean forward pass over up to maxSamples of tm's validation
+// samples. The margin stretches observed ranges, defaulting to 1.5 when zero.
+// net is tm's own network or a boosted copy whose weight ranges have drifted
+// from it — thresholds must describe the network actually being run (§3.2).
+func CalibrateBounds(tm *dnn.TrainedModel, net *dnn.Network, maxSamples int, margin float32) map[string]memctrl.Bounds {
 	if margin == 0 {
 		margin = 1.5
 	}
+	bounds := map[string]memctrl.Bounds{}
 	for _, p := range net.Params() {
-		s.Bounds[WeightID(p.Name)] = memctrl.FromTensor(p.W, margin)
+		bounds[WeightID(p.Name)] = memctrl.FromTensor(p.W, margin)
 	}
 	maxAbs := map[string]float32{}
 	hook := func(i int, l dnn.Layer, x *tensor.Tensor) *tensor.Tensor {
@@ -617,8 +591,19 @@ func (s *SoftwareDRAM) CalibrateNet(tm *dnn.TrainedModel, net *dnn.Network, maxS
 		if m == 0 {
 			m = 1
 		}
-		s.Bounds[id] = memctrl.Bounds{Lo: -m * margin, Hi: m * margin}
+		bounds[id] = memctrl.Bounds{Lo: -m * margin, Hi: m * margin}
 	}
+	return bounds
+}
+
+// Calibrate records CalibrateBounds of tm's own network in s.Bounds.
+func (s *SoftwareDRAM) Calibrate(tm *dnn.TrainedModel, maxSamples int, margin float32) {
+	s.CalibrateNet(tm, tm.Net, maxSamples, margin)
+}
+
+// CalibrateNet records CalibrateBounds of net in s.Bounds.
+func (s *SoftwareDRAM) CalibrateNet(tm *dnn.TrainedModel, net *dnn.Network, maxSamples int, margin float32) {
+	maps.Copy(s.Bounds, CalibrateBounds(tm, net, maxSamples, margin))
 	s.gen++ // existing entries were overwritten in place: re-resolve
 }
 
@@ -784,6 +769,5 @@ func (c *DeviceDRAM) EvalOptions(maxSamples int) dnn.EvalOptions {
 
 // Calibrate mirrors SoftwareDRAM.Calibrate for the device path.
 func (c *DeviceDRAM) Calibrate(tm *dnn.TrainedModel, maxSamples int, margin float32) {
-	s := &SoftwareDRAM{Bounds: c.Bounds}
-	s.Calibrate(tm, maxSamples, margin)
+	maps.Copy(c.Bounds, CalibrateBounds(tm, tm.Net, maxSamples, margin))
 }

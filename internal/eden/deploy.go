@@ -259,9 +259,7 @@ func UniformDeployment(modelName string, prec quant.Precision, ber float64) (*De
 // samples clean forwards of tm's validation data, and the weight footprint
 // into the artifact.
 func (d *Deployment) calibrate(tm *dnn.TrainedModel, samples int) {
-	corr := d.NewCorruptor()
-	corr.CalibrateNet(tm, d.Net, samples, 0)
-	d.Bounds = corr.Bounds
+	d.Bounds = CalibrateBounds(tm, d.Net, samples, 0)
 	d.WeightBytes = d.Net.WeightBytes(d.Prec)
 }
 

@@ -206,8 +206,8 @@ func TestDeploymentCorruptorDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c1 := dep.NewCorruptor().CloneCorruptor(7)
-	c2 := dep.NewCorruptor().CloneCorruptor(7)
+	c1 := dep.NewCorruptor().Clone(7)
+	c2 := dep.NewCorruptor().Clone(7)
 	c1.CorruptWeights(net1)
 	c2.CorruptWeights(net2)
 	s1, s2 := net1.StateTensors(), net2.StateTensors()

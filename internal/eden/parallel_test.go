@@ -2,6 +2,7 @@ package eden
 
 import (
 	"bytes"
+	"math"
 	"sync"
 	"testing"
 
@@ -162,24 +163,41 @@ func TestScaledModelMemoFollowsBER(t *testing.T) {
 	}
 }
 
-// TestSweepBERMatchesSerial pins the fan-out helper to the serial
-// reference: one EvalWithModel per BER on a fresh network clone.
+// TestSweepBERMatchesSerial pins the three entry points of the one probe —
+// EvalWithModel, SweepBER's slots and evalAt at Repeats 1 — to the same
+// float64 bits for the same (net, BER) at 1 and 4 workers: those of the
+// probe written out by hand, serially, on the network itself (a fresh
+// corruptor calibrated on it, one weight corruption, one pass over the
+// prefix), which is the body EvalWithModel had before it became a case of
+// evalAt.
 func TestSweepBERMatchesSerial(t *testing.T) {
 	tm := lenet(t)
 	em := uniformModel(1)
 	bers := []float64{1e-4, 1e-3, 5e-3}
+	cfg := CharacterizeConfig{Prec: quant.FP32, MaxSamples: 40, Repeats: 1}
 
 	setWorkers(t, 1)
 	want := make([]float64, len(bers))
 	for i, ber := range bers {
-		want[i] = EvalWithModel(tm, tm.CloneNet(), em, ber, quant.FP32, 40)
+		net := tm.CloneNet()
+		corr := NewSoftwareDRAM(em, quant.FP32)
+		corr.BER = ber
+		corr.CalibrateNet(tm, net, defaultCalibSamples, 0)
+		want[i] = tm.MetricOf(net, corr.EvalOptions(40))
 	}
 	for _, w := range []int{1, 4} {
 		setWorkers(t, w)
-		got := SweepBER(tm, tm.Net, em, bers, quant.FP32, 40)
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("workers=%d ber=%g: %v != %v", w, bers[i], got[i], want[i])
+		swept := SweepBER(tm, tm.Net, em, bers, quant.FP32, 40)
+		bounds := probeBounds(tm, tm.Net)
+		for i, ber := range bers {
+			for name, got := range map[string]float64{
+				"EvalWithModel": EvalWithModel(tm, tm.Net, em, ber, quant.FP32, 40),
+				"SweepBER":      swept[i],
+				"evalAt":        evalAt(tm, tm.Net, em, ber, cfg, nil, bounds),
+			} {
+				if math.Float64bits(got) != math.Float64bits(want[i]) {
+					t.Fatalf("workers=%d ber=%g: %s = %v, the hand-written probe gives %v", w, ber, name, got, want[i])
+				}
 			}
 		}
 	}

@@ -59,7 +59,6 @@ func Retrain(tm *dnn.TrainedModel, cfg RetrainConfig) *dnn.Network {
 	net := tm.CloneNet()
 	corr := NewSoftwareDRAM(cfg.Model, cfg.Prec)
 	corr.SetPolicy(cfg.Policy)
-	corr.CalibrateNet(tm, net, 32, 0)
 
 	steps := 1
 	if cfg.Curricular && cfg.StepEveryEpochs > 0 {
@@ -101,30 +100,24 @@ func Retrain(tm *dnn.TrainedModel, cfg RetrainConfig) *dnn.Network {
 }
 
 // EvalWithModel measures a network's task metric while exposed to
-// model-injected errors at the given BER, with bounds calibrated from tm.
-// It is the basic probe used by all characterization loops.
+// model-injected errors at the given BER, with bounds calibrated from net —
+// thresholds must describe the network actually being evaluated. It is
+// evalAt's single-draw case.
 func EvalWithModel(tm *dnn.TrainedModel, net *dnn.Network, m *errormodel.Model, ber float64, prec quant.Precision, maxSamples int) float64 {
-	corr := NewSoftwareDRAM(m, prec)
-	corr.BER = ber
-	// Thresholds must describe the network actually being evaluated.
-	corr.CalibrateNet(tm, net, 16, 0)
-	return tm.MetricOf(net, corr.EvalOptions(maxSamples))
+	return SweepBER(tm, net, m, []float64{ber}, prec, maxSamples)[0]
 }
 
-// SweepBER runs EvalWithModel at every BER concurrently — one operating
-// point per worker, the natural fan-out of EDEN's accuracy-versus-BER
-// sweeps. Each probe owns a clone of net (weight corruption mutates the
-// network under test in place) and its own corruptor, and results land in
-// BER-indexed slots, so the returned curve is bit-identical to serial
-// EvalWithModel calls at any worker count.
+// SweepBER runs EvalWithModel's probe at every BER concurrently — one
+// operating point per worker, the natural fan-out of EDEN's
+// accuracy-versus-BER sweeps. Results land in BER-indexed slots, so the
+// returned curve is bit-identical to serial EvalWithModel calls at any
+// worker count.
 func SweepBER(tm *dnn.TrainedModel, net *dnn.Network, m *errormodel.Model, bers []float64, prec quant.Precision, maxSamples int) []float64 {
+	cfg := CharacterizeConfig{Prec: prec, MaxSamples: maxSamples, Repeats: 1}
+	bounds := probeBounds(tm, net)
 	out := make([]float64, len(bers))
 	parallel.ForEach(len(bers), func(i int) {
-		n := net
-		if parallel.Workers() > 1 {
-			n = tm.CloneNetFrom(net)
-		}
-		out[i] = EvalWithModel(tm, n, m, bers[i], prec, maxSamples)
+		out[i] = evalAt(tm, net, m, bers[i], cfg, nil, bounds)
 	})
 	return out
 }

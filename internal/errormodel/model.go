@@ -124,16 +124,6 @@ func (m *Model) IsWeak(row, bitline int) bool {
 	return u < m.weakProb(row, bitline)
 }
 
-// FlipProb returns the marginal per-access flip probability of the cell at
-// (row, bitline) with the given stored bit: zero for strong cells, the
-// model flip rate for weak cells.
-func (m *Model) FlipProb(row, bitline int, stored bool) float64 {
-	if !m.IsWeak(row, bitline) {
-		return 0
-	}
-	return m.flipRate(row, bitline, stored)
-}
-
 // AggregateBER returns the expected bit error rate over uniformly
 // distributed data and cell positions.
 func (m *Model) AggregateBER() float64 {
@@ -372,7 +362,7 @@ func (m *Model) SharedWeakPositions(nBits, baseBit int) []int32 {
 // from the matching geometric distribution and touches only the cells that
 // actually flip — O(flips) instead of O(weak cells). The flip pattern is an
 // exact Bernoulli(FA) process over the weak list, deterministically seeded
-// by (model seed, baseBit, pass), which is what the Corruptor determinism
+// by (model seed, baseBit, pass), which is what eden.Cloner's determinism
 // contract requires; the draws differ from the per-cell path, so the two
 // strategies are statistically interchangeable but not bit-for-bit equal.
 func (in *Injector) InjectWeak(q *quant.QTensor, baseBit int, weak []int32) int {

@@ -94,9 +94,6 @@ func Figure7ModelValidation() (Report, error) {
 		em := fittedModel(vendor)
 		pts := vddAndTRCDPoints([]float64{1.20, 1.10, 1.05}, []float64{9.0, 7.5, 6.0})
 		rows := make([]string, len(pts))
-		// Rebind so the pool tasks capture an iteration-owned copy, per
-		// the index-addressed ownership contract (loopcapture).
-		vendor := vendor
 		parallel.ForEach(len(pts), func(i int) {
 			p := pts[i]
 			dev := deviceMetric(tm, tm.CloneNet(), vendor, p.op, 60)

@@ -1,8 +1,10 @@
 // Package forwardpurity enforces the inference-purity contract of the dnn
 // layer stack: Forward and ForwardBatch must not write receiver state
-// except on the training path. dnn.Network.ForwardBatch runs one
-// inference-mode forward per worker over a *shared* network, so an
-// eval-time receiver write is a data race and a determinism bug — the
+// except on the training path. The program's two forward paths are
+// Forward and ForwardBatchFused (the per-sample fan-out ForwardBatch is
+// bench-and-test-only); the fused executor fans samples out over *shared*
+// layers, so an eval-time receiver write is a data race and a determinism
+// bug — the
 // exact class PR 1 removed by hand when Conv cached lastInput
 // unconditionally (`l.lastInput = x` outside the train guard).
 //

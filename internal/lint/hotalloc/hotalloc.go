@@ -1,7 +1,8 @@
 // Package hotalloc forbids heap allocations inside the loops of hot
 // code: every function of packages named compute (the kernels), and the
 // Forward/ForwardBatch/ForwardBatchFused call trees of packages named
-// dnn. Per-element allocations in those loops are what the arena
+// dnn (the program's two forward paths are Forward and ForwardBatchFused;
+// ForwardBatch is bench-and-test-only). Per-element allocations in those loops are what the arena
 // (compute.slabPool get/put) exists to remove — an alloc inside a
 // batch loop turns the O(1)-allocation pipeline the benchmarks measure
 // into an O(batch) one and puts GC pauses on the serving path.

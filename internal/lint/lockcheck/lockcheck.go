@@ -1,20 +1,20 @@
-// Package lockcheck enforces three mutex rules with the analysis
+// Package lockcheck enforces two mutex rules with the analysis
 // framework's CFG and dataflow solver:
 //
-//  1. Mutexes are never copied by value: parameters, value receivers,
-//     assignments and range bindings whose type contains a sync.Mutex
-//     or sync.RWMutex are flagged (a copied mutex guards nothing).
-//  2. No CFG path returns with a lock held. The analyzer runs a forward
+//  1. No CFG path returns with a lock held. The analyzer runs a forward
 //     may-analysis over the function's control-flow graph with two bits
 //     per lock — "held" (set by Lock/RLock, cleared by Unlock/RUnlock)
 //     and "deferred" (set by defer mu.Unlock()) — and reports any
 //     function exit reachable with held and not deferred. This is the
 //     shape behind half of the serve-package deadlock reviews: an early
 //     return added between Lock and Unlock.
-//  3. In packages named serve, no blocking channel operation (send,
+//  2. In packages named serve, no blocking channel operation (send,
 //     receive, or a select case without a default) executes while a
 //     lock may be held: the scheduler goroutine consumes those channels
 //     and may itself need the lock, which deadlocks the server.
+//
+// A mutex copied by value is go vet's copylocks pass, which `make lint`
+// runs.
 //
 // Locks are identified textually by their selector chain (s.mu); locks
 // reached through aliases (m := &s.mu) are not tracked. TryLock is
@@ -33,120 +33,20 @@ import (
 // Analyzer enforces the mutex discipline.
 var Analyzer = &analysis.Analyzer{
 	Name: "lockcheck",
-	Doc:  "forbid copying mutexes by value, returning with a lock held, and (in serve) blocking channel operations under a lock",
+	Doc:  "forbid returning with a lock held and (in serve) blocking channel operations under a lock",
 	Run:  run,
 }
 
 func run(pass *analysis.Pass) error {
 	for _, f := range pass.Files {
 		for _, decl := range f.Decls {
-			fn, ok := decl.(*ast.FuncDecl)
-			if !ok {
-				continue
-			}
-			checkCopies(pass, fn)
-			if fn.Body != nil {
+			if fn, ok := decl.(*ast.FuncDecl); ok && fn.Body != nil {
 				checkFlow(pass, fn)
 			}
 		}
 	}
 	return nil
 }
-
-// ---- rule 1: mutex copied by value -------------------------------------
-
-// lockBearing reports whether t holds a sync.Mutex or sync.RWMutex by
-// value (directly, or through struct fields and array elements).
-func lockBearing(t types.Type, depth int) bool {
-	if depth > 10 {
-		return false
-	}
-	if named, ok := t.(*types.Named); ok {
-		obj := named.Obj()
-		if obj.Pkg() != nil && obj.Pkg().Path() == "sync" {
-			return obj.Name() == "Mutex" || obj.Name() == "RWMutex"
-		}
-	}
-	switch u := t.Underlying().(type) {
-	case *types.Struct:
-		for i := 0; i < u.NumFields(); i++ {
-			if lockBearing(u.Field(i).Type(), depth+1) {
-				return true
-			}
-		}
-	case *types.Array:
-		return lockBearing(u.Elem(), depth+1)
-	}
-	return false
-}
-
-func checkCopies(pass *analysis.Pass, fn *ast.FuncDecl) {
-	report := func(pos token.Pos, what string) {
-		pass.Reportf(pos, "%s copies a mutex by value; the copy guards nothing — use a pointer", what)
-	}
-	// Value receivers and parameters of lock-bearing type.
-	checkField := func(field *ast.Field, label string) {
-		for _, name := range field.Names {
-			obj := pass.TypesInfo.Defs[name]
-			if obj != nil && lockBearing(obj.Type(), 0) {
-				report(name.Pos(), label+" "+name.Name)
-			}
-		}
-	}
-	if fn.Recv != nil {
-		for _, field := range fn.Recv.List {
-			checkField(field, "receiver")
-		}
-	}
-	if fn.Type.Params != nil {
-		for _, field := range fn.Type.Params.List {
-			checkField(field, "parameter")
-		}
-	}
-	if fn.Body == nil {
-		return
-	}
-	ast.Inspect(fn.Body, func(n ast.Node) bool {
-		switch st := n.(type) {
-		case *ast.AssignStmt:
-			for _, rhs := range st.Rhs {
-				if copiesLock(pass, rhs) {
-					report(rhs.Pos(), "assignment")
-				}
-			}
-		case *ast.RangeStmt:
-			if st.Value != nil {
-				var t types.Type
-				if id, ok := st.Value.(*ast.Ident); ok {
-					if obj := pass.TypesInfo.ObjectOf(id); obj != nil {
-						t = obj.Type()
-					}
-				} else if tv, ok := pass.TypesInfo.Types[st.Value]; ok {
-					t = tv.Type
-				}
-				if t != nil && lockBearing(t, 0) {
-					report(st.Value.Pos(), "range value")
-				}
-			}
-		}
-		return true
-	})
-}
-
-// copiesLock reports whether evaluating e copies an existing
-// lock-bearing value (reading a variable, field, element or deref — a
-// fresh composite literal or call result is not a copy).
-func copiesLock(pass *analysis.Pass, e ast.Expr) bool {
-	switch ast.Unparen(e).(type) {
-	case *ast.Ident, *ast.SelectorExpr, *ast.IndexExpr, *ast.StarExpr:
-	default:
-		return false
-	}
-	tv, ok := pass.TypesInfo.Types[ast.Unparen(e)]
-	return ok && tv.Type != nil && lockBearing(tv.Type, 0)
-}
-
-// ---- rules 2 and 3: CFG dataflow over lock state ------------------------
 
 // lockOpKind classifies one statement's effect on one lock.
 type lockOpKind int

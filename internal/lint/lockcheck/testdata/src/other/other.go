@@ -1,6 +1,6 @@
 // Package other shows the channel rule is scoped: a blocking send under
-// a lock outside serve-named packages is not flagged (the copy and
-// return-with-lock rules still apply everywhere).
+// a lock outside serve-named packages is not flagged (the
+// return-with-lock rule still applies everywhere).
 package other
 
 import "sync"

@@ -1,4 +1,4 @@
-// Package serve is a fixture for all three lockcheck rules; the
+// Package serve is a fixture for both lockcheck rules; the
 // blocking-channel rule only applies here because the package is named
 // serve.
 package serve
@@ -94,44 +94,4 @@ func (s *Server) SendAfterUnlock(v int) {
 	s.n++
 	s.mu.Unlock()
 	s.queue <- v
-}
-
-// CopyParam takes the mutex by value: the callee locks a copy.
-func CopyParam(mu sync.Mutex) { // want "parameter mu copies a mutex by value"
-	mu.Lock()
-	mu.Unlock()
-}
-
-// ValueRecv copies the whole lock-bearing struct per call.
-func (s Server) ValueRecv() int { // want "receiver s copies a mutex by value"
-	return s.n
-}
-
-// CopyAssign snapshots a mutex into a local.
-func (s *Server) CopyAssign() {
-	mu := s.mu // want "assignment copies a mutex by value"
-	mu.Lock()
-	mu.Unlock()
-}
-
-// PointerUse is the non-firing counterpart of CopyAssign.
-func (s *Server) PointerUse() {
-	mu := &s.mu
-	mu.Lock()
-	mu.Unlock()
-}
-
-// FreshMutex constructs a zero value; nothing is copied.
-func FreshMutex() *sync.Mutex {
-	var mu sync.Mutex
-	return &mu
-}
-
-// RangeCopy copies each element's mutex while ranging.
-func RangeCopy(servers []Server) int {
-	total := 0
-	for _, srv := range servers { // want "range value copies a mutex by value"
-		total += srv.n
-	}
-	return total
 }

@@ -1,22 +1,18 @@
 // Package loopcapture enforces the index-addressed ownership contract
 // for concurrent tasks: closures launched with `go` or handed to the
-// parallel pool (parallel.For / ForEach / Do) must receive their data
-// through parameters and write results only to cells they own.
+// parallel pool (parallel.For / ForEach / Do) must write results only to
+// cells they own.
 //
-// Three shapes are flagged inside such task closures:
+// Two shapes are flagged inside such task closures:
 //
-//  1. Use of an enclosing loop's variable captured by the closure. Go
-//     1.22 gave loop variables per-iteration lifetimes, so this is no
-//     longer the classic aliasing bug — but the repository contract
-//     still requires the value to flow in as a parameter: it keeps the
-//     task's inputs explicit, and the code stays correct under older
-//     toolchains and under refactors that hoist the variable out.
-//  2. A write to a captured slice at an index that uses no
-//     closure-local variable. Every concurrent task then writes the
-//     same cell — a data race the per-index ownership discipline
-//     (out[i] = f(in[i]) with i the task's own index) exists to
-//     prevent.
-//  3. Any write to a captured map. Map writes are never goroutine-safe;
+//  1. A write to a captured slice at an index that uses no variable of
+//     the closure's own or of an enclosing loop. Every concurrent task
+//     then writes the same cell — a data race the per-index ownership
+//     discipline (out[i] = f(in[i]) with i the task's own index) exists
+//     to prevent. Loop variables have per-iteration lifetimes under the
+//     go 1.22 that go.mod declares, so capturing one is not flagged and
+//     an index built from one varies per task.
+//  2. Any write to a captured map. Map writes are never goroutine-safe;
 //     collect per-task results in an index-owned slice and merge after
 //     the join.
 package loopcapture
@@ -28,11 +24,11 @@ import (
 	"repro/internal/lint/analysis"
 )
 
-// Analyzer flags loop-variable capture and non-owned shared writes in
-// goroutine and pool-task closures.
+// Analyzer flags non-owned shared writes in goroutine and pool-task
+// closures.
 var Analyzer = &analysis.Analyzer{
 	Name: "loopcapture",
-	Doc:  "goroutine/pool-task closures must take loop values as parameters and write shared slices only at task-owned indices (captured map writes are always racy)",
+	Doc:  "goroutine/pool-task closures must write shared slices only at task-owned indices (captured map writes are always racy)",
 	Run:  run,
 }
 
@@ -120,12 +116,8 @@ func isPoolCall(pass *analysis.Pass, call *ast.CallExpr) bool {
 	return false
 }
 
-// checkTask applies the three rules to one task closure.
+// checkTask applies the two rules to one task closure.
 func checkTask(pass *analysis.Pass, lit *ast.FuncLit, loopVars []types.Object, kind string) {
-	isLoopVar := make(map[types.Object]bool, len(loopVars))
-	for _, v := range loopVars {
-		isLoopVar[v] = true
-	}
 	// Everything defined inside the literal (parameters included) is
 	// task-local and safe to use.
 	locals := make(map[types.Object]bool)
@@ -138,9 +130,8 @@ func checkTask(pass *analysis.Pass, lit *ast.FuncLit, loopVars []types.Object, k
 		return true
 	})
 
-	// An index built from a loop variable still varies per task, so for
-	// the shared-write rule loop vars count as ownership-carrying (the
-	// capture itself is already reported by rule 1).
+	// An index built from a loop variable varies per task, so for the
+	// shared-write rule loop vars count as ownership-carrying.
 	owned := make(map[types.Object]bool, len(locals)+len(loopVars))
 	for obj := range locals {
 		owned[obj] = true
@@ -151,11 +142,6 @@ func checkTask(pass *analysis.Pass, lit *ast.FuncLit, loopVars []types.Object, k
 
 	ast.Inspect(lit.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
-		case *ast.Ident:
-			obj := pass.TypesInfo.Uses[n]
-			if obj != nil && isLoopVar[obj] && !locals[obj] {
-				pass.Reportf(n.Pos(), "%s captures loop variable %s; pass it as a task parameter so each task owns its value", kind, n.Name)
-			}
 		case *ast.AssignStmt:
 			for _, lhs := range n.Lhs {
 				checkSharedWrite(pass, lhs, locals, owned, kind)

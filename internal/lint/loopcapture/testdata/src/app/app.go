@@ -1,15 +1,15 @@
-// Package app exercises loopcapture's three rules from both launch
-// sites (go statements and the parallel pool).
+// Package app exercises loopcapture's two rules from both launch sites
+// (go statements and the parallel pool).
 package app
 
 import "parallel"
 
-// GoCapture is the classic shape: the goroutine reads the loop variable
-// instead of taking it as a parameter.
+// GoCapture indexes by a captured loop variable: per-iteration under go
+// 1.22, so each goroutine owns its cell.
 func GoCapture(xs []int, out []int) {
 	for i := range xs {
 		go func() {
-			out[i] = xs[i] * 2 // want "goroutine captures loop variable i" "goroutine captures loop variable i"
+			out[i] = xs[i] * 2
 		}()
 	}
 }
@@ -24,12 +24,13 @@ func GoParam(xs []int, out []int) {
 }
 
 // PoolCapturesLoopVar hands the pool a closure over an outer loop's
-// variable.
-func PoolCapturesLoopVar(batches [][]int, out []int) {
+// variable, which alone is enough to own a cell.
+func PoolCapturesLoopVar(batches [][]int, sums []int) {
 	for b := range batches {
-		parallel.For(len(batches[b]), func(i int) {
-			_ = b                  // want "pool task captures loop variable b"
-			out[i] = batches[b][i] // want "pool task captures loop variable b"
+		parallel.For(1, func(int) {
+			for _, v := range batches[b] {
+				sums[b] += v
+			}
 		})
 	}
 }

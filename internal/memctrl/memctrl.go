@@ -94,23 +94,6 @@ func (b *BoundingLogic) CorrectValue(v float32, bounds Bounds) float32 {
 
 func isNaN32(v float32) bool { return v != v }
 
-// CorrectTensor applies the policy to every element in place and returns
-// the number of corrections.
-func (b *BoundingLogic) CorrectTensor(t *tensor.Tensor, bounds Bounds) int {
-	if b.Policy == Off {
-		return 0
-	}
-	n := 0
-	for i, v := range t.Data {
-		c := b.CorrectValue(v, bounds)
-		if c != v || isNaN32(v) {
-			t.Data[i] = c
-			n++
-		}
-	}
-	return n
-}
-
 // CorrectQTensor applies the policy to a quantized tensor in place and
 // returns how many codes it rewrote; Corrections grows by the number of
 // implausible values, rewritten or not. Integer precisions are bounded in
@@ -188,62 +171,4 @@ func (b *BoundingLogic) correctCodes(q *quant.QTensor, bounds Bounds) int {
 		}
 	}
 	return n
-}
-
-// PartitionTable is the controller-side metadata that records which memory
-// partition operates at which voltage and timing parameters (§5).
-type PartitionTable struct {
-	// VDD per partition, encoded as 8-bit steps.
-	VDDStep []uint8
-	// tRCD per partition, encoded in 4 bits.
-	TRCDCode []uint8
-}
-
-// NewPartitionTable creates a table for n partitions.
-func NewPartitionTable(n int) *PartitionTable {
-	return &PartitionTable{VDDStep: make([]uint8, n), TRCDCode: make([]uint8, n)}
-}
-
-// MetadataBytes returns the table's storage cost in bytes: one 8-bit
-// voltage step plus a 4-bit timing code per partition. The paper's §5
-// budgets follow: 32 banks → 32+16 B ≈ 48 B of voltage/timing state, 2¹⁰
-// partitions → ~1.5 KB, subarray granularity on an 8GB module (2048
-// subarrays) → ~3 KB.
-func (t *PartitionTable) MetadataBytes() int {
-	return len(t.VDDStep) + (len(t.TRCDCode)+1)/2
-}
-
-// EncodeVDD stores a voltage as an 8-bit step below nominal (10 mV steps).
-func (t *PartitionTable) EncodeVDD(p int, vdd, nominal float64) {
-	steps := int(math.Round((nominal - vdd) / 0.01))
-	if steps < 0 {
-		steps = 0
-	}
-	if steps > 255 {
-		steps = 255
-	}
-	t.VDDStep[p] = uint8(steps)
-}
-
-// DecodeVDD reconstructs the stored voltage.
-func (t *PartitionTable) DecodeVDD(p int, nominal float64) float64 {
-	return nominal - float64(t.VDDStep[p])*0.01
-}
-
-// EncodeTRCD stores tRCD as a 4-bit code in 0.5 ns steps below nominal
-// (§5: "4 bits are enough to encode all possible values").
-func (t *PartitionTable) EncodeTRCD(p int, trcd, nominal float64) {
-	steps := int(math.Round((nominal - trcd) / 0.5))
-	if steps < 0 {
-		steps = 0
-	}
-	if steps > 15 {
-		steps = 15
-	}
-	t.TRCDCode[p] = uint8(steps)
-}
-
-// DecodeTRCD reconstructs the stored tRCD.
-func (t *PartitionTable) DecodeTRCD(p int, nominal float64) float64 {
-	return nominal - float64(t.TRCDCode[p])*0.5
 }

@@ -72,12 +72,13 @@ func TestNaNCorrected(t *testing.T) {
 func TestCorrectTensor(t *testing.T) {
 	b := &BoundingLogic{Policy: Zero}
 	x := tensor.FromSlice([]float32{1, 1e9, -2, float32(math.Inf(1))}, 4)
-	n := b.CorrectTensor(x, Bounds{Lo: -5, Hi: 5})
+	q := quant.Quantize(x, quant.FP32)
+	n := b.CorrectQTensor(q, Bounds{Lo: -5, Hi: 5})
 	if n != 2 {
 		t.Fatalf("corrected %d values, want 2", n)
 	}
-	if x.Data[0] != 1 || x.Data[1] != 0 || x.Data[2] != -2 || x.Data[3] != 0 {
-		t.Fatalf("tensor after correction: %v", x.Data)
+	if got := q.Dequantize().Data; got[0] != 1 || got[1] != 0 || got[2] != -2 || got[3] != 0 {
+		t.Fatalf("tensor after correction: %v", got)
 	}
 }
 
@@ -97,44 +98,6 @@ func TestCorrectQTensorFP32ExponentFlip(t *testing.T) {
 	}
 	if q.Value(0) != 0 || q.Value(1) != 2.0 {
 		t.Fatalf("values after correction: %v %v", q.Value(0), q.Value(1))
-	}
-}
-
-func TestPartitionTableRoundTrip(t *testing.T) {
-	pt := NewPartitionTable(8)
-	pt.EncodeVDD(3, 1.05, 1.35)
-	if got := pt.DecodeVDD(3, 1.35); math.Abs(got-1.05) > 0.005 {
-		t.Fatalf("VDD round trip %v", got)
-	}
-	pt.EncodeTRCD(5, 7.0, 12.5)
-	if got := pt.DecodeTRCD(5, 12.5); math.Abs(got-7.0) > 0.25 {
-		t.Fatalf("tRCD round trip %v", got)
-	}
-}
-
-func TestPartitionTableClamps(t *testing.T) {
-	pt := NewPartitionTable(1)
-	pt.EncodeVDD(0, 2.0, 1.35) // above nominal clamps to 0 steps
-	if pt.VDDStep[0] != 0 {
-		t.Fatalf("VDD step %d", pt.VDDStep[0])
-	}
-	pt.EncodeTRCD(0, -100, 12.5) // clamps to 15
-	if pt.TRCDCode[0] != 15 {
-		t.Fatalf("tRCD code %d", pt.TRCDCode[0])
-	}
-}
-
-func TestMetadataBudgets(t *testing.T) {
-	// §5: a 32-bank module needs tens of bytes; 2^10 partitions ~1.5KB;
-	// an 8GB module at subarray granularity (2048) a few KB.
-	if got := NewPartitionTable(32).MetadataBytes(); got > 64 {
-		t.Fatalf("32 banks need %d B", got)
-	}
-	if got := NewPartitionTable(1024).MetadataBytes(); got > 2048 {
-		t.Fatalf("1024 partitions need %d B", got)
-	}
-	if got := NewPartitionTable(2048).MetadataBytes(); got > 4096 {
-		t.Fatalf("2048 subarrays need %d B", got)
 	}
 }
 

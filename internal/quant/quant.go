@@ -325,18 +325,3 @@ func (q *QTensor) Unpack(buf []byte) {
 		}
 	}
 }
-
-// QuantizationError returns the mean absolute error introduced by
-// quantizing t to precision p and dequantizing again.
-func QuantizationError(t *tensor.Tensor, p Precision) float64 {
-	q := Quantize(t, p)
-	d := q.Dequantize()
-	var sum float64
-	for i := range t.Data {
-		sum += math.Abs(float64(t.Data[i] - d.Data[i]))
-	}
-	if t.Size() == 0 {
-		return 0
-	}
-	return sum / float64(t.Size())
-}

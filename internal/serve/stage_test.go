@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -75,6 +76,56 @@ func TestEncodeDecodeActivation(t *testing.T) {
 	if _, _, err := DecodeActivation(bytes.NewReader(cut), 5); err == nil {
 		t.Fatal("truncated frame accepted")
 	}
+}
+
+// FuzzDecodeActivation feeds DecodeActivation hostile frames — truncated
+// anywhere, rank and dims that lie about the payload, element counts past
+// (or overflowing) the limit, NaN and Inf payloads — under arbitrary limits.
+// It must never panic or accept more than the limit allows, and what it
+// accepts must be the frame's own bytes: re-encoding reproduces them.
+func FuzzDecodeActivation(f *testing.F) {
+	frame := func(rank uint32, dims []uint32, payload []byte) []byte {
+		b := append([]byte(actMagic), make([]byte, 12)...)
+		binary.LittleEndian.PutUint64(b[len(actMagic):], 0xFEED)
+		binary.LittleEndian.PutUint32(b[len(actMagic)+8:], rank)
+		for _, d := range dims {
+			b = binary.LittleEndian.AppendUint32(b, d)
+		}
+		return append(b, payload...)
+	}
+	nan := binary.LittleEndian.AppendUint32(nil, 0x7fc00123)
+	good := frame(2, []uint32{1, 2}, append(nan, 0, 0, 0x80, 0xff)) // NaN payload, -Inf
+	f.Add(good, 16)
+	f.Add(good[:len(good)-3], 16)                         // truncated payload
+	f.Add(good[:len(actMagic)+5], 16)                     // truncated header
+	f.Add(frame(2, []uint32{1}, nil), 16)                 // rank past the dims present
+	f.Add(frame(0, nil, nil), 16)                         // rank 0
+	f.Add(frame(9, make([]uint32, 9), nil), 16)           // rank past maxActRank
+	f.Add(frame(2, []uint32{1, 64}, make([]byte, 8)), 16) // dims past the limit and the payload
+	f.Add(frame(2, []uint32{0, 4}, nil), 16)              // zero dim
+	const m = 0xffffffff
+	f.Add(frame(8, []uint32{m, m, m, m, m, m, m, m}, nil), 1<<31)         // product overflows int64
+	f.Add(frame(4, []uint32{1 << 16, 1 << 16, 1 << 16, 1 << 16}, nil), 0) // product wraps to 0, no limit given
+	f.Add(good, -1)
+	f.Add([]byte("NOTAFRAME........................"), 16)
+	f.Fuzz(func(t *testing.T, in []byte, maxElems int) {
+		maxElems = min(maxElems, 1<<16) // keep an accepted frame's allocation small
+		r := bytes.NewReader(in)
+		x, seed, err := DecodeActivation(r, maxElems)
+		if err != nil {
+			return
+		}
+		if x.Size() > maxElems || x.Size() != len(x.Data) {
+			t.Fatalf("accepted %v (%d values) under a limit of %d", x.Shape(), len(x.Data), maxElems)
+		}
+		var again bytes.Buffer
+		if err := EncodeActivation(&again, x, seed); err != nil {
+			t.Fatalf("accepted frame does not re-encode: %v", err)
+		}
+		if consumed := in[:len(in)-r.Len()]; !bytes.Equal(again.Bytes(), consumed) {
+			t.Fatalf("re-encoded frame differs from the %d bytes consumed", len(consumed))
+		}
+	})
 }
 
 // TestStageServing deploys a stage slice and drives it over HTTP: the

@@ -50,7 +50,9 @@ func EncodeActivation(w io.Writer, x *tensor.Tensor, seed uint64) error {
 // DecodeActivation reads one activation frame, returning the tensor and
 // the request seed it carries. maxElems bounds the element count a frame
 // may declare (a server passes its stage's input size), so a hostile or
-// corrupt length field fails instead of allocating unbounded memory.
+// corrupt length field fails instead of allocating unbounded memory; the
+// bound is not optional — checked after every dimension, it is also what
+// keeps the running product from overflowing.
 func DecodeActivation(r io.Reader, maxElems int) (*tensor.Tensor, uint64, error) {
 	head := make([]byte, len(actMagic)+8+4)
 	if _, err := io.ReadFull(r, head); err != nil {
@@ -72,12 +74,12 @@ func DecodeActivation(r io.Reader, maxElems int) (*tensor.Tensor, uint64, error)
 	n := 1
 	for i := range dims {
 		d := int(binary.LittleEndian.Uint32(dimBytes[4*i:]))
-		if d <= 0 || (maxElems > 0 && d > maxElems) {
+		if d <= 0 || d > maxElems {
 			return nil, 0, fmt.Errorf("serve: activation dim %d out of range", d)
 		}
 		dims[i] = d
 		n *= d
-		if maxElems > 0 && n > maxElems {
+		if n > maxElems {
 			return nil, 0, fmt.Errorf("serve: activation of %d elements exceeds limit %d", n, maxElems)
 		}
 	}

@@ -179,15 +179,6 @@ func (t *Tensor) Scale(alpha float32) {
 	}
 }
 
-// L2 returns the Euclidean norm of the tensor contents.
-func (t *Tensor) L2() float64 {
-	var s float64
-	for _, v := range t.Data {
-		s += float64(v) * float64(v)
-	}
-	return math.Sqrt(s)
-}
-
 // Stats returns the mean and population standard deviation of the elements.
 func (t *Tensor) Stats() (mean, std float64) {
 	if len(t.Data) == 0 {
