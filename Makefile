@@ -14,12 +14,14 @@ test:
 	$(GO) test -shuffle=on ./...
 
 # fuzz-smoke gives each fuzz target — the vector-vs-scalar ones (the quantize
-# codecs, the ReLU clamp and 2×2 pooling kernels) and the activation-frame
-# decoder, a trust boundary of the stage wire — ten seconds of fresh inputs
-# on top of its seed corpus (which `make test` already runs).
+# codecs, the ReLU clamp and 2×2 pooling kernels, gemm's tile micro-kernel)
+# and the activation-frame decoder, a trust boundary of the stage wire — ten
+# seconds of fresh inputs on top of its seed corpus (which `make test`
+# already runs).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzQuantizeVecMatchesScalar -fuzztime 10s ./internal/quant
 	$(GO) test -run '^$$' -fuzz FuzzClampVecMatchesScalar -fuzztime 10s ./internal/compute
+	$(GO) test -run '^$$' -fuzz FuzzTileVecMatchesScalar -fuzztime 10s ./internal/compute
 	$(GO) test -run '^$$' -fuzz FuzzDecodeActivation -fuzztime 10s ./internal/serve
 
 race:

@@ -12,11 +12,13 @@
 // The four kernels every pass bottoms out in (MatMul, MatMulTransB,
 // Conv2D, Conv2DBackward) live behind the pluggable compute.Backend
 // interface in internal/compute: "ref" is the direct-loop reference,
-// "gemm" (the default) lowers convolution via im2col to a cache-blocked
-// GEMM staged in per-goroutine pool-recycled scratch slabs, its streaming
-// inner loops running eight float32 lanes wide on amd64 (AVX assembly
-// behind compute's axpy primitives; one output element per lane, multiply
-// and add rounded separately, so no bit moves). Blocking is applied over
+// "gemm" (the default) lowers convolution via im2col to a tiled GEMM
+// staged a 16-column strip at a time in per-goroutine pool-recycled scratch
+// slabs, its inner loops running eight float32 lanes wide on amd64 (AVX
+// assembly behind compute's tile micro-kernel — 4 filters × 16 columns held
+// in registers for the whole reduction, under Conv2D and batched
+// MatMulTransB — and its axpy row primitive; one output element per lane,
+// multiply and add rounded separately, so no bit moves). Blocking is applied over
 // output coordinates only, never across the k reduction, so the float
 // backends are bit-identical on every model — backend choice is a pure
 // throughput knob with one process-wide switch: dnn's Conv and FC layers

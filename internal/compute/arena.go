@@ -13,9 +13,9 @@ import "sync"
 type slabPool[T any] struct{ pool sync.Pool }
 
 // get returns a slab with at least n usable elements. The contents are
-// unspecified: callers must write every element they read (the im2col fill
-// writes the full patch matrix, including the padding zeros, so no clearing
-// pass is needed).
+// unspecified: callers must write every element they read (staging writes
+// the whole patch strip, and Conv2D clears the zero border of its padded
+// planes itself).
 func (p *slabPool[T]) get(n int) *[]T {
 	s, _ := p.pool.Get().(*[]T)
 	if s == nil {
@@ -31,7 +31,7 @@ func (p *slabPool[T]) get(n int) *[]T {
 // put returns a slab to the pool. The slab must not be used after.
 func (p *slabPool[T]) put(s *[]T) { p.pool.Put(s) }
 
-// The Gemm backend stages im2col patch matrices in float32 slabs; the
+// The Gemm backend stages patch matrices in float32 slabs; the
 // integer backend stages quantized activations and patch matrices in int8
 // slabs, accumulates into int32 slabs, and its packed dual-lane kernels (see
 // qgemm.go) accumulate two unsigned 32-bit lanes per uint64.

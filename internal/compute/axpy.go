@@ -1,24 +1,28 @@
 package compute
 
-// The gemm backend's streaming inner loops are built on two vector
-// primitives: axpy4 updates four destination rows from one shared source
-// row (d_i[j] += a_i·x[j]) and axpy updates one. Every j is a distinct
-// output element that sees exactly one rounded float32 multiply followed
-// by one rounded float32 add, so a SIMD implementation that assigns
-// elements to lanes — and never fuses the multiply into the add, and never
-// reduces across lanes — produces the bits of the scalar loops below. Those
-// loops are the specification: the amd64 assembly (axpy_amd64.s) is held to
-// them bit for bit by axpy_test.go, and every other build runs them
-// directly.
+// The gemm backend's inner loops are built on two vector primitives. tile
+// computes a 4-row × 16-column block of a matrix product,
+// dst[f, j] = init[f] + Σ_k w[f, k]·panel[k, j], holding the 64 sums in
+// registers from the first k to the last and storing them once; axpy
+// streams one row, d[j] += a·x[j]. In both, every (f, j) or j is a distinct
+// output element that sees, per k, exactly one rounded float32 multiply
+// followed by one rounded float32 add, in ascending-k order. So a SIMD
+// implementation that assigns elements to lanes — and never fuses the
+// multiply into the add, and never reduces across lanes — produces the bits
+// of the scalar loops below. Those loops are the specification: the amd64
+// assembly (tile_amd64.s, axpy_amd64.s) is held to them bit for bit by
+// axpy_test.go, and every other build runs them directly.
 //
 // What the primitives cannot serve is a sum split across lanes: a dot
-// product whose k axis is the contiguous one (MatMulTransB's rows, Ref's
-// loops) would have each lane carry a partial sum, which regroups the float
-// additions and changes the bits. A reduction is fine as long as the vector
-// axis runs over independent accumulators — the backward weight sweep is
-// one: with the patch matrix staged patch-major, dW[fo, :] += gv·patch[m, :]
-// is an axpy per output pixel, and every dW element still receives its
-// contributions one at a time in Ref's order.
+// product whose k axis is the vector axis (one row of A against one row of
+// B in MatMulTransB, Ref's loops) would have each lane carry a partial sum,
+// which regroups the float additions and changes the bits. A reduction is
+// fine as long as the vector axis runs over independent accumulators.
+// Conv2D's is the output pixel; MatMulTransB's is the batch row, once there
+// are enough rows to fill a tile's lanes; the backward weight sweep's is
+// the dW column: with the patch matrix staged patch-major,
+// dW[fo, :] += gv·patch[m, :] is an axpy per output pixel, and every dW
+// element still receives its contributions one at a time in Ref's order.
 
 // vecLanes is the number of float32 elements one vector step covers (a YMM
 // register on amd64): the assembly consumes whole groups of this many and
@@ -26,21 +30,36 @@ package compute
 // row widths choose multiples of it.
 const vecLanes = 8
 
+// A tile is tileRows rows of w against tileCols columns of a panel: eight
+// YMM accumulators, which with two panel vectors, a broadcast weight and
+// the products fills the sixteen registers AVX has.
+const (
+	tileRows = 4
+	tileCols = 2 * vecLanes
+)
+
 // useVec selects the vector implementation where the build and the CPU
 // have one. It is read-only outside tests, which flip it so the scalar
 // bodies stay covered on hosts that would never run them.
 var useVec = hasVec
 
-// axpy4Scalar is the specification of axpy4. The destination rows must be
-// at least as long as x.
-func axpy4Scalar(d0, d1, d2, d3, x []float32, a0, a1, a2, a3 float32) {
-	n := len(x)
-	d0, d1, d2, d3 = d0[:n], d1[:n], d2[:n], d3[:n]
-	for j, xv := range x {
-		d0[j] += a0 * xv
-		d1[j] += a1 * xv
-		d2[j] += a2 * xv
-		d3[j] += a3 * xv
+// tileScalar is the specification of tile: for f < tileRows and
+// j < tileCols, dst[f·dstStride+j] is a sum that starts at init[f] and
+// receives w[f·wStride+p]·panel[p·panelStride+j] for p = 0 … k−1 in that
+// order, weight times value, then product plus accumulator.
+func tileScalar(dst []float32, dstStride int, init *[tileRows]float32, w []float32, wStride int, panel []float32, panelStride, k int) {
+	for f, iv := range init {
+		var acc [tileCols]float32
+		for j := range acc {
+			acc[j] = iv
+		}
+		for p, wv := range w[f*wStride : f*wStride+k] {
+			x := (*[tileCols]float32)(panel[p*panelStride:])
+			for j := range acc {
+				acc[j] += wv * x[j]
+			}
+		}
+		*(*[tileCols]float32)(dst[f*dstStride:]) = acc
 	}
 }
 
@@ -54,7 +73,7 @@ func axpyScalar(d, x []float32, a float32) {
 
 // Axpy adds a·x to d element by element: d[j] += a·x[j] for every
 // j < len(x), one rounded multiply and one rounded add each. d must be at
-// least as long as x. It is the primitive the gemm kernels stream on,
-// exported for dnn's per-row weight-gradient updates; bit-identical to the
-// scalar loop whatever the build and the CPU.
+// least as long as x. It is the row primitive of the gemm kernels, exported
+// for dnn's per-row updates (FC's weight gradient and bias add);
+// bit-identical to the scalar loop whatever the build and the CPU.
 func Axpy(d, x []float32, a float32) { axpy(d, x, a) }

@@ -6,29 +6,34 @@ import "repro/internal/cpufeat"
 // and the OS saves the YMM state across context switches.
 var hasVec = cpufeat.X86.HasAVX
 
-// axpy4AVX runs d_i[j] += a_i·x[j] for j in [0, n&^7) with VMULPS then
-// VADDPS (never a fused multiply-add), eight elements per step. The
-// pointers address rows of at least n elements.
+// tileAVX is tileScalar with the 4×16 block in eight YMM registers from
+// the first k to the last: per k two panel loads and, per row, one
+// broadcast weight, VMULPS (weight first) then VADDPS (product first) —
+// never a fused multiply-add. Strides are in elements; k must be positive.
 //
 //go:noescape
-func axpy4AVX(d0, d1, d2, d3, x *float32, n int, a0, a1, a2, a3 float32)
+func tileAVX(dst *float32, dstStride int, init *[tileRows]float32, w *float32, wStride int, panel *float32, panelStride, k int)
 
-// axpyAVX is the single-row form of axpy4AVX.
+// axpyAVX runs d[j] += a·x[j] for j in [0, n&^7) with VMULPS then VADDPS,
+// eight elements per step. The pointers address rows of at least n
+// elements.
 //
 //go:noescape
 func axpyAVX(d, x *float32, n int, a float32)
 
-// axpy4 updates four destination rows from one source row:
-// d_i[j] += a_i·x[j] for every j < len(x). Bit-identical to axpy4Scalar.
-func axpy4(d0, d1, d2, d3, x []float32, a0, a1, a2, a3 float32) {
-	n := len(x)
-	d0, d1, d2, d3 = d0[:n], d1[:n], d2[:n], d3[:n]
-	if useVec && n >= vecLanes {
-		axpy4AVX(&d0[0], &d1[0], &d2[0], &d3[0], &x[0], n, a0, a1, a2, a3)
-		m := n &^ (vecLanes - 1)
-		d0, d1, d2, d3, x = d0[m:], d1[m:], d2[m:], d3[m:], x[m:]
+// tile computes a tileRows × tileCols block of init + w·panel:
+// dst[f·dstStride+j] = init[f] + Σ_p w[f·wStride+p]·panel[p·panelStride+j]
+// over p < k. Bit-identical to tileScalar.
+func tile(dst []float32, dstStride int, init *[tileRows]float32, w []float32, wStride int, panel []float32, panelStride, k int) {
+	if !useVec || k == 0 {
+		tileScalar(dst, dstStride, init, w, wStride, panel, panelStride, k)
+		return
 	}
-	axpy4Scalar(d0, d1, d2, d3, x, a0, a1, a2, a3)
+	// The assembly checks nothing: touch the last element of each operand.
+	_ = dst[(tileRows-1)*dstStride+tileCols-1]
+	_ = w[(tileRows-1)*wStride+k-1]
+	_ = panel[(k-1)*panelStride+tileCols-1]
+	tileAVX(&dst[0], dstStride, init, &w[0], wStride, &panel[0], panelStride, k)
 }
 
 // axpy updates one destination row: d[j] += a·x[j] for every j < len(x).

@@ -8,8 +8,8 @@ package compute
 // other per architecture.
 const hasVec = false
 
-func axpy4(d0, d1, d2, d3, x []float32, a0, a1, a2, a3 float32) {
-	axpy4Scalar(d0, d1, d2, d3, x, a0, a1, a2, a3)
+func tile(dst []float32, dstStride int, init *[tileRows]float32, w []float32, wStride int, panel []float32, panelStride, k int) {
+	tileScalar(dst, dstStride, init, w, wStride, panel, panelStride, k)
 }
 
 func axpy(d, x []float32, a float32) { axpyScalar(d, x, a) }

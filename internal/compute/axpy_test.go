@@ -69,17 +69,20 @@ func guardedRow(r *tensor.RNG, n, offset int) (backing, row []float32) {
 	return backing, row
 }
 
+// assertSameBits demands equal bit patterns, except that any NaN matches
+// any NaN: where two NaNs meet, which payload survives follows the operand
+// order the compiler picks for the scalar body, which Go leaves open.
 func assertSameBits(t *testing.T, desc string, got, want []float32) {
 	t.Helper()
 	for i := range want {
-		if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+		if math.Float32bits(got[i]) != math.Float32bits(want[i]) && (got[i] == got[i] || want[i] == want[i]) {
 			t.Fatalf("%s: element %d is %v (%#08x), scalar body gives %v (%#08x)",
 				desc, i, got[i], math.Float32bits(got[i]), want[i], math.Float32bits(want[i]))
 		}
 	}
 }
 
-// TestAxpyVectorMatchesScalarSpec holds the assembly to the scalar bodies
+// TestAxpyVectorMatchesScalarSpec holds the assembly to the scalar body
 // bit for bit: every length around the 8-lane step (0…67), every start
 // misalignment (0…7 elements), special values in every operand, and
 // canaries that fail the test if a single lane beyond a row is touched.
@@ -88,38 +91,147 @@ func TestAxpyVectorMatchesScalarSpec(t *testing.T) {
 	r := tensor.NewRNG(0xA4B1)
 	for n := 0; n <= 67; n++ {
 		for offset := 0; offset < 8; offset++ {
-			// rows[i] is what the wrapper under test updates inside
-			// backs[i]; wants[i] is a copy of backs[i] whose same window
-			// the scalar body updates. The source row x comes last.
-			fresh := func(k int) (backs, rows, wants [][]float32) {
-				for i := 0; i < k; i++ {
-					back, row := guardedRow(r, n, offset)
-					backs, rows = append(backs, back), append(rows, row)
-					wants = append(wants, append([]float32(nil), back...))
-				}
-				return backs, rows, wants
-			}
-			window := func(back []float32) []float32 { return back[offset+guardLen : offset+guardLen+n] }
-			var a [4]float32
-			for i := range a {
-				a[i] = specials[r.Intn(len(specials))]
-			}
-
-			backs, rows, wants := fresh(5)
-			axpy4Scalar(window(wants[0]), window(wants[1]), window(wants[2]), window(wants[3]), window(wants[4]), a[0], a[1], a[2], a[3])
-			axpy4(rows[0], rows[1], rows[2], rows[3], rows[4], a[0], a[1], a[2], a[3])
-			for i := range backs {
-				assertSameBits(t, fmt.Sprintf("axpy4 n=%d offset=%d row %d (canaries included)", n, offset, i), backs[i], wants[i])
-			}
-
-			backs, rows, wants = fresh(2)
-			axpyScalar(window(wants[0]), window(wants[1]), a[0])
-			axpy(rows[0], rows[1], a[0])
-			for i := range backs {
-				assertSameBits(t, fmt.Sprintf("axpy n=%d offset=%d row %d (canaries included)", n, offset, i), backs[i], wants[i])
-			}
+			// d is what the wrapper under test updates inside dBack; want is
+			// a copy of dBack whose same window the scalar body updates.
+			dBack, d := guardedRow(r, n, offset)
+			xBack, x := guardedRow(r, n, offset)
+			want := append([]float32(nil), dBack...)
+			xWant := append([]float32(nil), xBack...)
+			a := specials[r.Intn(len(specials))]
+			axpyScalar(want[offset+guardLen:offset+guardLen+n], x, a)
+			axpy(d, x, a)
+			desc := fmt.Sprintf("axpy n=%d offset=%d", n, offset)
+			assertSameBits(t, desc+" d (canaries included)", dBack, want)
+			assertSameBits(t, desc+" x (canaries included)", xBack, xWant)
 		}
 	}
+}
+
+// tileSpecials widens specials with what a tile must carry through
+// unchanged: infinities in both operands and NaNs of either sign.
+var tileSpecials = append([]float32{
+	float32(math.Inf(1)), float32(math.Inf(-1)),
+	math.Float32frombits(0x7FC00000), math.Float32frombits(0xFFC00000),
+}, specials...)
+
+// tileNaive restates the tile contract one output element at a time.
+func tileNaive(dst []float32, dstStride int, init *[tileRows]float32, w []float32, wStride int, panel []float32, panelStride, k int) {
+	for f := 0; f < tileRows; f++ {
+		for j := 0; j < tileCols; j++ {
+			sum := init[f]
+			for p := 0; p < k; p++ {
+				sum += w[f*wStride+p] * panel[p*panelStride+j]
+			}
+			dst[f*dstStride+j] = sum
+		}
+	}
+}
+
+// tileCase is one call of the tile: its operands, a want copy of dst that
+// the reference updates, and the call itself.
+type tileCase struct {
+	init                            [tileRows]float32
+	dst, want, w, panel             []float32
+	dstStride, wStride, panelStride int
+	k                               int
+}
+
+// newTileCase draws a tile call of depth k with the given strides from
+// pick. Every destination element outside the four 16-element rows —
+// between them when dstStride > tileCols, and guardLen on both ends — is a
+// canary, and the weights between rows are too.
+func newTileCase(k, dstStride, wStride, panelStride int, pick func() float32) tileCase {
+	c := tileCase{dstStride: dstStride, wStride: wStride, panelStride: panelStride, k: k}
+	c.dst = make([]float32, guardLen+(tileRows-1)*dstStride+tileCols+guardLen)
+	c.w = make([]float32, (tileRows-1)*wStride+k)
+	for i := range c.dst {
+		c.dst[i] = canaryValue
+	}
+	for i := range c.w {
+		c.w[i] = canaryValue
+	}
+	for f := 0; f < tileRows; f++ {
+		c.init[f] = pick()
+		for j := 0; j < tileCols; j++ {
+			c.dst[guardLen+f*dstStride+j] = pick() // overwritten, whatever it is
+		}
+		for p := 0; p < k; p++ {
+			c.w[f*wStride+p] = pick()
+		}
+	}
+	c.panel = make([]float32, k*panelStride)
+	for i := range c.panel {
+		c.panel[i] = pick()
+	}
+	c.want = append([]float32(nil), c.dst...)
+	return c
+}
+
+func (c *tileCase) run(kernel func(dst []float32, dstStride int, init *[tileRows]float32, w []float32, wStride int, panel []float32, panelStride, k int), dst []float32) {
+	kernel(dst[guardLen:], c.dstStride, &c.init, c.w, c.wStride, c.panel, c.panelStride, c.k)
+}
+
+// TestTileMatchesSpec holds the micro-kernel — the assembly and the scalar
+// body it stands in for — to an element-at-a-time restatement of its
+// contract, bit for bit: depths around the loop's edges and a conv3_1-sized
+// one, destination, weight and panel rows at strides that differ from each
+// other and from the row length, special values (NaNs and infinities
+// included) in every operand, and canaries around every destination row.
+func TestTileMatchesSpec(t *testing.T) {
+	forEachVecPath(t, func(t *testing.T) {
+		r := tensor.NewRNG(0xA4B3)
+		pick := func() float32 {
+			if r.Intn(3) == 0 {
+				return r.Float32()*4 - 2
+			}
+			return tileSpecials[r.Intn(len(tileSpecials))]
+		}
+		for _, k := range []int{0, 1, 2, 7, 8, 9, 288} {
+			for _, dstStride := range []int{tileCols, tileCols + 3, 256} {
+				for i, wStride := range []int{k, k + 5, 2*k + 1} {
+					for rep := 0; rep < 4; rep++ {
+						panelStride := []int{tileCols, tileCols + 1, 64}[(i+rep)%3]
+						c := newTileCase(k, dstStride, wStride, panelStride, pick)
+						c.run(tileNaive, c.want)
+						c.run(tile, c.dst)
+						assertSameBits(t, fmt.Sprintf("tile k=%d strides dst=%d w=%d panel=%d (canaries included)", k, dstStride, wStride, panelStride), c.dst, c.want)
+					}
+				}
+			}
+		}
+	})
+}
+
+// FuzzTileVecMatchesScalar lets the fuzzer pick the bit patterns of a
+// weight and a panel value; each run builds a tile call around them and
+// their neighbourhoods and holds the vector path to the scalar body.
+func FuzzTileVecMatchesScalar(f *testing.F) {
+	f.Add(uint64(1), math.Float32bits(0.5), math.Float32bits(-3))
+	f.Add(uint64(2), uint32(0x7FC00000), math.Float32bits(1))
+	f.Add(uint64(3), math.Float32bits(float32(math.Inf(1))), uint32(0x80000000))
+	f.Add(uint64(4), math.Float32bits(1e-40), math.Float32bits(math.MaxFloat32))
+	f.Add(uint64(5), uint32(0xFFC00001), uint32(0x7F800001))
+	f.Fuzz(func(t *testing.T, seed uint64, wbits, vbits uint32) {
+		pinVecPath(t, true)
+		r := tensor.NewRNG(seed)
+		pick := func() float32 {
+			switch r.Intn(5) {
+			case 0: // a fuzzed value and its neighbourhood
+				return math.Float32frombits([]uint32{wbits, vbits}[r.Intn(2)] + uint32(r.Intn(5)) - 2)
+			case 1: // the same magnitude with the other sign
+				return math.Float32frombits([]uint32{wbits, vbits}[r.Intn(2)] ^ 0x80000000)
+			case 2:
+				return tileSpecials[r.Intn(len(tileSpecials))]
+			default:
+				return r.Float32()*4 - 2
+			}
+		}
+		k := r.Intn(40)
+		c := newTileCase(k, tileCols+r.Intn(20), k+r.Intn(7), tileCols+r.Intn(20), pick)
+		c.run(tileScalar, c.want)
+		c.run(tile, c.dst)
+		assertSameBits(t, fmt.Sprintf("tile k=%d (canaries included)", k), c.dst, c.want)
+	})
 }
 
 // TestAxpyZeroSkipIsBitInvisible pins the argument that let the backward
@@ -160,35 +272,32 @@ func TestAxpyZeroSkipIsBitInvisible(t *testing.T) {
 func TestAxpyDoesNotAllocate(t *testing.T) {
 	forEachVecPath(t, func(t *testing.T) {
 		const n = 61
-		buf := make([]float32, 5*n)
-		d0, d1, d2, d3, x := buf[:n], buf[n:2*n], buf[2*n:3*n], buf[3*n:4*n], buf[4*n:]
-		if avg := testing.AllocsPerRun(100, func() { axpy4(d0, d1, d2, d3, x, 1, 2, 3, 4) }); avg != 0 {
-			t.Errorf("axpy4 allocates %v times per call", avg)
-		}
-		if avg := testing.AllocsPerRun(100, func() { axpy(d0, x, 1) }); avg != 0 {
+		buf := make([]float32, 2*n)
+		d, x := buf[:n], buf[n:]
+		if avg := testing.AllocsPerRun(100, func() { axpy(d, x, 1) }); avg != 0 {
 			t.Errorf("axpy allocates %v times per call", avg)
+		}
+		c := newTileCase(9, tileCols, 9, tileCols, func() float32 { return 1 })
+		if avg := testing.AllocsPerRun(100, func() { c.run(tile, c.dst) }); avg != 0 {
+			t.Errorf("tile allocates %v times per call", avg)
 		}
 	})
 }
 
-// BenchmarkAxpy4 measures the primitive at the row lengths the zoo's VGG
-// feeds it: one 4×4 output plane (conv3_1) and a 14-row block of a
-// 16×16 plane (conv1_2, where most of the forward's MACs are).
-func BenchmarkAxpy4(b *testing.B) {
-	for _, n := range []int{16, 224} {
+// BenchmarkTile measures the micro-kernel at the depths the zoo's VGG
+// feeds it: conv1_1's 27 taps and conv3_1's 288.
+func BenchmarkTile(b *testing.B) {
+	for _, k := range []int{27, 288} {
 		for _, vec := range []bool{true, false} {
-			b.Run(fmt.Sprintf("n=%d/vec=%v", n, vec), func(b *testing.B) {
+			b.Run(fmt.Sprintf("k=%d/vec=%v", k, vec), func(b *testing.B) {
 				pinVecPath(b, vec)
-				buf := make([]float32, 5*n)
-				for i := range buf {
-					buf[i] = float32(i%7) * 1e-3
-				}
-				d0, d1, d2, d3, x := buf[:n], buf[n:2*n], buf[2*n:3*n], buf[3*n:4*n], buf[4*n:]
+				i := 0
+				c := newTileCase(k, tileCols, k, tileCols, func() float32 { i++; return float32(i%7) * 1e-3 })
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					axpy4(d0, d1, d2, d3, x, 1e-3, 2e-3, -1e-3, -2e-3)
+					c.run(tile, c.dst)
 				}
-				b.ReportMetric(float64(4*n)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GMAC/s")
+				b.ReportMetric(float64(tileRows*tileCols*k)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GMAC/s")
 			})
 		}
 	}

@@ -6,12 +6,14 @@
 //   - Ref: the direct loops (row-blocked MatMul, per-output-plane direct
 //     convolution), the repository's original kernels and the semantic
 //     reference every other backend is held to.
-//   - Gemm: Conv2D (and, symmetrically, Conv2DBackward) lowered via im2col
-//     to a cache-blocked GEMM, with per-goroutine pool-recycled scratch
-//     buffers so the patch matrices allocate nothing in steady state. The
-//     serving hot path runs here. Its streaming inner loops go through
-//     the axpy4/axpy vector primitives (axpy.go): AVX assembly on amd64,
-//     the scalar loops that specify it everywhere else.
+//   - Gemm: Conv2D (and, symmetrically, Conv2DBackward) lowered to a
+//     patch-matrix GEMM, with per-goroutine pool-recycled scratch buffers
+//     so the patch matrices allocate nothing in steady state. The serving
+//     hot path runs here. Conv2D and batched MatMulTransB go through one
+//     register-tiled micro-kernel, tile (4 filters × 16 columns, the sums
+//     in registers for the whole k loop), and the streaming loops through
+//     axpy (axpy.go): AVX assembly on amd64, the scalar loops that specify
+//     it everywhere else.
 //   - QGemm: the quantized int8 backend — operands are int8 codes, the
 //     GEMM accumulates exactly in integers (the hot kernels pack two
 //     outputs into the 32-bit lanes of one uint64 so each 64-bit multiply
@@ -43,8 +45,8 @@
 // Clamp (ReLU, ReLU6) and MaxPool2x2 (elemwise.go), which dnn's ReLU and
 // MaxPool layers run whatever the backend: they only select among their
 // inputs, so they round nothing and belong to no backend's numeric
-// contract. Like axpy they are a scalar Go specification with an AVX body
-// on amd64.
+// contract. Like tile and axpy they are a scalar Go specification with an
+// AVX body on amd64.
 //
 // Backend selection: there is one process-wide switch. dnn's Conv and FC
 // layers call Default() on every pass, and the cmd binaries set it once at
@@ -85,7 +87,7 @@ type Backend interface {
 // Ref is the direct-loop reference backend.
 var Ref Backend = refBackend{}
 
-// Gemm is the im2col+GEMM backend; the default for inference hot paths.
+// Gemm is the patch-matrix GEMM backend; the default for inference hot paths.
 var Gemm Backend = gemmBackend{}
 
 var backends = map[string]Backend{

@@ -7,28 +7,33 @@ import (
 	"repro/internal/tensor"
 )
 
-// gemmBackend lowers convolution to matrix multiplication: each
-// (sample, group, output-row-block) stages an im2col patch matrix in a
-// pool-recycled scratch slab and multiplies the filter rows against it
-// with a streaming axpy. Blocking is applied over output rows/columns
+// gemmBackend lowers convolution to matrix multiplication: the output
+// pixels of a (group, batch) form the columns of a patch matrix, staged a
+// strip of tileCols columns at a time in a pool-recycled scratch slab, and
+// the filter rows multiply each strip through the register-tiled
+// micro-kernel (tile, axpy.go). Blocking is applied over output elements
 // only — never over the k reduction — so every output element accumulates
 // its contributions in exactly the Ref order and the backend is
 // bit-identical to Ref on finite inputs (pinned by the property tests in
 // identity_test.go and the zoo-wide test in internal/dnn).
 //
-// The win over Ref's direct convolution is memory behaviour, not math:
-// the branchy per-element bounds checks disappear into the im2col fill,
-// and the inner loops become long contiguous streams the hardware
-// prefetcher can run ahead of — streams over independent output elements,
-// which is what lets axpy4/axpy (axpy.go) run them eight lanes wide on
-// amd64 without moving a bit.
+// The win over Ref's direct convolution is memory behaviour, not math: the
+// branchy per-element bounds checks disappear into the staging, a strip
+// stays in L1 while every filter of the group sweeps it, and the sums of a
+// tile live in registers from the first k to the last — sums of
+// independent output elements, which is what lets tile and axpy run them
+// eight lanes wide on amd64 without moving a bit.
 type gemmBackend struct{}
 
 // Name returns "gemm".
 func (gemmBackend) Name() string { return "gemm" }
 
-// colBlockElems bounds the im2col patch matrix to ~128KB so a row block
-// stays cache-resident while every filter of the group sweeps it.
+// minTileRows is the fewest rows MatMulTransB puts in a tile's lanes: half
+// a strip (see there for the measurement).
+const minTileRows = tileCols / 2
+
+// colBlockElems bounds a staged backward patch block to ~128KB so it stays
+// cache-resident while every filter of the group sweeps it.
 const colBlockElems = 32768
 
 // MatMul computes C = A (m×k) * B (k×n), k-blocked: the B panel a block
@@ -72,13 +77,94 @@ func (gemmBackend) MatMul(a, b *tensor.Tensor) *tensor.Tensor {
 	return c
 }
 
-// MatMulTransB computes C = A (m×k) * Bᵀ with B stored n×k. Four adjacent
-// output columns ride one pass over the shared A row, quartering A
-// traffic; each column keeps its own accumulator fed in ascending-k
-// order, so every element is the exact operation sequence Ref runs.
+// MatMulTransB computes C = A (m×k) * Bᵀ with B stored n×k. From half a
+// tile's width of rows up (serving, training and evaluation batches) the
+// batch row is the vector axis: A is transposed into strips of tileCols
+// rows, k×tileCols each, and every four rows of B run the micro-kernel
+// over a strip from +0, which is `var sum float32; sum += a·b` for each of
+// the 64 elements at once; the Cᵀ tile is then scattered back. With fewer
+// rows most lanes would be dead — measured on the zoo's FC shapes the tile
+// loses below 3 to 6 rows and wins 1.6× to 2.5× at 8 — so they keep the
+// scalar path: four adjacent output columns ride one pass over the shared
+// A row, each with its own accumulator. Either way every element is fed in
+// ascending-k order, the exact operation sequence Ref runs.
 func (gemmBackend) MatMulTransB(a, b *tensor.Tensor) *tensor.Tensor {
 	m, k, n := matMulTransBDims(a, b)
 	c := tensor.New(m, n)
+	if m < minTileRows {
+		matMulTransBRows(c, a, b, m, k, n)
+		return c
+	}
+	strips := (m + tileCols - 1) / tileCols
+	quads := (n + tileRows - 1) / tileRows
+	slab := slabF32.get((strips*tileCols + tileRows) * k)
+	defer slabF32.put(slab)
+	panels, tail := (*slab)[:strips*tileCols*k], (*slab)[strips*tileCols*k:]
+	for i := 0; i < strips*tileCols; i++ {
+		col := panels[i/tileCols*tileCols*k+i%tileCols:]
+		if i >= m {
+			// Dead lanes of the last strip multiply zeros.
+			for p := 0; p < k; p++ {
+				col[p*tileCols] = 0
+			}
+			continue
+		}
+		for p, av := range a.Data[i*k : (i+1)*k] {
+			col[p*tileCols] = av
+		}
+	}
+	padTailRows(tail, b.Data, k, n)
+	tiles := func(lo, hi int) {
+		var zero [tileRows]float32
+		for idx := lo; idx < hi; idx++ {
+			s, j0 := idx/quads, idx%quads*tileRows
+			wq := b.Data[j0*k:]
+			if j0+tileRows > n {
+				wq = tail
+			}
+			var acc [tileRows * tileCols]float32
+			tile(acc[:], tileCols, &zero, wq, k, panels[s*tileCols*k:], tileCols, k)
+			for i := s * tileCols; i < min((s+1)*tileCols, m); i++ {
+				for j := j0; j < min(j0+tileRows, n); j++ {
+					c.Data[i*n+j] = acc[(j-j0)*tileCols+i%tileCols]
+				}
+			}
+		}
+	}
+	if m*k*n < parallelCutoff {
+		tiles(0, strips*quads)
+	} else {
+		parallel.For(strips*quads, parallel.Grain(tileRows*tileCols*k), tiles)
+	}
+	return c
+}
+
+// padTailRows copies the last rows%tileRows rows of w (k columns each) to
+// the head of tail and zeroes the rest of its tileRows rows, so that the
+// quad they form can be handed to tile like any other. A dead row's sums
+// are computed and dropped.
+func padTailRows(tail, w []float32, k, rows int) {
+	live := rows % tileRows
+	copy(tail, w[(rows-live)*k:rows*k])
+	clear(tail[live*k : tileRows*k])
+}
+
+// groupTails is padTailRows for every group of a convolution's filters
+// (fPerG rows of k each), tileRows·k apart in a slab the caller returns to
+// slabF32; nil when the groups divide into whole quads.
+func groupTails(w []float32, groups, fPerG, k int) *[]float32 {
+	if fPerG%tileRows == 0 {
+		return nil
+	}
+	tails := slabF32.get(groups * tileRows * k)
+	for grp := 0; grp < groups; grp++ {
+		padTailRows((*tails)[grp*tileRows*k:], w[grp*fPerG*k:], k, fPerG)
+	}
+	return tails
+}
+
+// matMulTransBRows is MatMulTransB one output element at a time.
+func matMulTransBRows(c, a, b *tensor.Tensor, m, k, n int) {
 	quads := (n + 3) / 4
 	cells := func(lo, hi int) {
 		for idx := lo; idx < hi; idx++ {
@@ -120,158 +206,198 @@ func (gemmBackend) MatMulTransB(a, b *tensor.Tensor) *tensor.Tensor {
 		// huge k, a handful of quads) must still spread across the pool.
 		parallel.For(m*quads, parallel.Grain(4*k), cells)
 	}
-	return c
 }
 
-// Conv2D lowers the convolution to im2col + GEMM. Work items are
-// (sample, group, output-row-block) triples: each stages the block's
-// K×(rows·OW) patch matrix in a recycled scratch slab — padding becomes
-// explicit zeros whose contributions are exact no-ops — and then every
-// filter of the group initializes its output row segment to the bias and
-// streams the patch rows through an axpy in ascending-k order. 1×1
-// stride-1 unpadded convolutions skip the staging entirely: the input
-// planes already are the column matrix.
+// Conv2D lowers the convolution to a tiled matrix product. Per group the
+// columns are the flattened (sample, oy, ox) output pixels, cut into strips
+// of tileCols — so a 4×4 or 2×2 map fills a strip from neighbouring samples
+// — and a work item is a run of (group, strip) pairs. It stages one strip
+// at a time, K×tileCols with k = (ci·KH+ky)·KW+kx, then every four filters
+// of the group start a tile at their biases, run the micro-kernel down the
+// strip in ascending-k order and copy the tile out. Padding becomes
+// explicit zeros whose contributions are exact no-ops. An unpadded
+// stride-1 1×1 convolution skips the staging wherever a strip lies inside
+// one sample: the input planes already are the patch matrix.
 func (gemmBackend) Conv2D(in, w, bias *tensor.Tensor, p tensor.Conv2DParams) *tensor.Tensor {
 	g := convGeometry(in, w, p)
-	p = g.p
-	n, c, h, wd := g.n, g.c, g.h, g.w
-	f, cg, kh, kw := g.f, g.cg, g.kh, g.kw
-	oh, ow := g.oh, g.ow
-	out := tensor.New(n, f, oh, ow)
-	fPerG := f / p.Groups
-	kTotal := cg * kh * kw
-	direct11 := kh == 1 && kw == 1 && p.Stride == 1 && p.Padding == 0
-
-	// Block output rows so the patch matrix stays cache-resident, then
-	// shrink blocks if that leaves the worker pool idle — blocking is
-	// performance-only, every element still sees its full k reduction.
-	rowsPer := max(1, colBlockElems/max(1, kTotal*ow))
-	items := n * p.Groups * ((oh + rowsPer - 1) / rowsPer)
-	if wk := parallel.Workers(); items < wk && oh > 1 {
-		rowsPer = max(1, oh/max(1, (wk+n*p.Groups-1)/(n*p.Groups)))
+	out := tensor.New(g.n, g.f, g.oh, g.ow)
+	fPerG, kTotal := g.f/g.p.Groups, g.cg*g.kh*g.kw
+	cols := g.n * g.oh * g.ow
+	strips := (cols + tileCols - 1) / tileCols
+	tails := groupTails(w.Data, g.p.Groups, fPerG, kTotal)
+	if tails != nil {
+		defer slabF32.put(tails)
 	}
-	if rowsPer > oh {
-		rowsPer = oh
-	}
-	blocks := (oh + rowsPer - 1) / rowsPer
-	items = n * p.Groups * blocks
-
+	// A work item assembles the call's state on its own stack, so that the
+	// closure is all the call allocates besides its output.
 	work := func(lo, hi int) {
-		var col *[]float32
-		if !direct11 {
-			col = slabF32.get(kTotal * rowsPer * ow)
-			defer slabF32.put(col)
+		c := convForward{
+			convGeom: g, in: in.Data, wt: w.Data, out: out.Data,
+			fPerG: fPerG, kTotal: kTotal, cols: cols, strips: strips,
+			hp: g.h + 2*g.p.Padding, wp: g.w + 2*g.p.Padding,
 		}
-		for idx := lo; idx < hi; idx++ {
-			b := idx / (p.Groups * blocks)
-			rem := idx % (p.Groups * blocks)
-			grp := rem / blocks
-			oyLo := (rem % blocks) * rowsPer
-			oyHi := min(oyLo+rowsPer, oh)
-			mLen := (oyHi - oyLo) * ow
-			var colData []float32
-			if !direct11 {
-				colData = (*col)[:kTotal*mLen]
-				im2col(colData, in, b, grp*cg, cg, kh, kw, h, wd, ow, oyLo, oyHi, p.Stride, p.Padding)
-			}
-			// colRowAt returns patch row k: a staged slab row, or the input
-			// plane itself on the 1×1 fast path.
-			colRowAt := func(k int) []float32 {
-				if direct11 {
-					cb := ((b*c+grp*cg+k)*h + oyLo) * wd
-					return in.Data[cb : cb+mLen]
-				}
-				return colData[k*mLen : (k+1)*mLen]
-			}
-			dstAt := func(fo int) []float32 {
-				base := ((b*f+fo)*oh + oyLo) * ow
-				dst := out.Data[base : base+mLen]
-				var bv float32
-				if bias != nil {
-					bv = bias.Data[fo]
-				}
-				for j := range dst {
-					dst[j] = bv
-				}
-				return dst
-			}
-			// Register-block four filters against one pass over the patch
-			// rows: each patch row is read once for four output rows,
-			// quartering the dominant stream. Every output element still
-			// accumulates its own sum in ascending-k order, so the blocking
-			// is invisible to the bits.
-			fo := grp * fPerG
-			foEnd := (grp + 1) * fPerG
-			for ; fo+4 <= foEnd; fo += 4 {
-				d0, d1, d2, d3 := dstAt(fo), dstAt(fo+1), dstAt(fo+2), dstAt(fo+3)
-				w0 := w.Data[fo*kTotal : (fo+1)*kTotal]
-				w1 := w.Data[(fo+1)*kTotal : (fo+2)*kTotal]
-				w2 := w.Data[(fo+2)*kTotal : (fo+3)*kTotal]
-				w3 := w.Data[(fo+3)*kTotal : (fo+4)*kTotal]
-				for k := 0; k < kTotal; k++ {
-					axpy4(d0, d1, d2, d3, colRowAt(k), w0[k], w1[k], w2[k], w3[k])
-				}
-			}
-			for ; fo < foEnd; fo++ {
-				dst := dstAt(fo)
-				wRow := w.Data[fo*kTotal : (fo+1)*kTotal]
-				for k := 0; k < kTotal; k++ {
-					axpy(dst, colRowAt(k), wRow[k])
-				}
-			}
+		if bias != nil {
+			c.bias = bias.Data
 		}
+		if tails != nil {
+			c.tails = *tails
+		}
+		c.run(lo, hi)
 	}
-	if n*f*oh*ow*cg*kh*kw < parallelCutoff {
+	// Whether the call fans out is decided before anything is cut: below
+	// the cutoff the whole column axis is one run, staged once.
+	if items := g.p.Groups * strips; cols*g.f*kTotal < parallelCutoff {
 		work(0, items)
 	} else {
-		parallel.For(items, 1, work)
+		parallel.For(items, parallel.Grain(fPerG*kTotal*tileCols), work)
 	}
 	return out
 }
 
-// im2col stages the patch matrix for output rows [oyLo, oyHi) of one
-// (sample, group): row k = (ci·KH+ky)·KW+kx holds the input value each
-// output pixel's (ci, ky, kx) tap reads, or zero where the tap falls in
-// the padding. Every element is written, so the slab needs no clearing.
-func im2col(col []float32, in *tensor.Tensor, b, cin0, cg, kh, kw, h, wd, ow, oyLo, oyHi, stride, pad int) {
-	c := in.Dim(1)
-	mLen := (oyHi - oyLo) * ow
-	for ci := 0; ci < cg; ci++ {
-		chanBase := (b*c + cin0 + ci) * h * wd
-		for ky := 0; ky < kh; ky++ {
-			for kx := 0; kx < kw; kx++ {
-				k := (ci*kh+ky)*kw + kx
-				dst := col[k*mLen : (k+1)*mLen]
-				di := 0
-				for oy := oyLo; oy < oyHi; oy++ {
-					row := dst[di : di+ow]
-					di += ow
-					iy := oy*stride - pad + ky
-					if iy < 0 || iy >= h {
-						for j := range row {
-							row[j] = 0
-						}
-						continue
+// convForward is one lowered Conv2D call: the geometry, the operands and
+// what every work item derives from them.
+type convForward struct {
+	convGeom
+	in, wt, bias, out []float32 // bias is nil without one
+	fPerG, kTotal     int
+	hp, wp            int       // extents of a zero-padded input plane
+	cols, strips      int       // output pixels of the batch; strips of tileCols over them
+	tails             []float32 // per group, its last fPerG%tileRows filters as a padded quad
+}
+
+// run computes the (group, strip) pairs lo … hi−1 of the flattened
+// group-major index, in scratch of its own: one strip of the patch matrix
+// and, for a padded convolution, the group's planes of one sample inside a
+// zero border. The border is cleared here and never written again.
+func (c *convForward) run(lo, hi int) {
+	padLen := 0
+	if c.p.Padding > 0 {
+		padLen = c.cg * c.hp * c.wp
+	}
+	slab := slabF32.get(c.kTotal*tileCols + padLen)
+	defer slabF32.put(slab)
+	panel, padded := (*slab)[:c.kTotal*tileCols], (*slab)[c.kTotal*tileCols:]
+	clear(padded)
+	for idx := lo; idx < hi; {
+		grp, sLo := idx/c.strips, idx%c.strips
+		sHi := min(c.strips, sLo+hi-idx)
+		c.group(grp, sLo*tileCols, min(sHi*tileCols, c.cols), panel, padded)
+		idx += sHi - sLo
+	}
+}
+
+// group computes columns [colLo, colHi) of one group, colLo on a strip
+// boundary.
+func (c *convForward) group(grp, colLo, colHi int, panel, padded []float32) {
+	plane, stride := c.oh*c.ow, c.p.Stride
+	// The planes of an unpadded stride-1 1×1 convolution already are its
+	// patch matrix, rows a plane apart.
+	direct := c.kh == 1 && c.kw == 1 && stride == 1 && c.p.Padding == 0
+	held := -1 // the sample padded holds rows of
+	var acc [tileRows * tileCols]float32
+	for col0 := colLo; col0 < colHi; col0 += tileCols {
+		live := min(tileCols, colHi-col0)
+		b0, pix0 := col0/plane, col0%plane
+		inPlane := live == tileCols && pix0+tileCols <= plane
+		patch, patchStride := panel, tileCols
+		if direct && inPlane {
+			patch, patchStride = c.in[(b0*c.c+grp*c.cg)*plane+pix0:], plane
+		} else {
+			// Stage the strip, one run of an output row at a time.
+			for j := 0; j < live; {
+				b, pix := (col0+j)/plane, (col0+j)%plane
+				oy, ox := pix/c.ow, pix%c.ow
+				cnt := min(c.ow-ox, live-j)
+				src, base := c.in, (b*c.c+grp*c.cg)*c.h*c.w
+				if c.p.Padding > 0 {
+					if b != held {
+						// Only the rows this call's columns of the sample read.
+						oyLo := (max(colLo, b*plane) - b*plane) / c.ow
+						oyHi := (min(colHi, (b+1)*plane) - 1 - b*plane) / c.ow
+						c.padRows(padded, base, oyLo*stride, oyHi*stride+c.kh)
+						held = b
 					}
-					oxLo, oxHi := tapSpan(kx, wd, ow, stride, pad)
-					for j := 0; j < oxLo; j++ {
-						row[j] = 0
-					}
-					if oxHi > oxLo {
-						rowBase := chanBase + iy*wd
-						if stride == 1 {
-							ix := oxLo - pad + kx
-							copy(row[oxLo:oxHi], in.Data[rowBase+ix:rowBase+ix+(oxHi-oxLo)])
-						} else {
-							ix := oxLo*stride - pad + kx
-							for j := oxLo; j < oxHi; j++ {
-								row[j] = in.Data[rowBase+ix]
-								ix += stride
-							}
-						}
-					}
-					for j := oxHi; j < ow; j++ {
-						row[j] = 0
+					src, base = padded, 0
+				}
+				c.stage(panel[j:], src, base+(oy*c.wp+ox)*stride, cnt)
+				j += cnt
+			}
+			// The dead lanes of a batch's last strip multiply zeros.
+			for k := 0; k < c.kTotal && live < tileCols; k++ {
+				clear(panel[k*tileCols+live : (k+1)*tileCols])
+			}
+		}
+		// Four live filters over a whole strip inside one output plane
+		// accumulate in place, rows a plane apart; any other tile — a padded
+		// quad, the batch's last strip, a strip that spans samples — in acc,
+		// copied out run by run.
+		for fo := grp * c.fPerG; fo < (grp+1)*c.fPerG; fo += tileRows {
+			nf := min(tileRows, (grp+1)*c.fPerG-fo)
+			wq := c.wt[fo*c.kTotal:]
+			if nf < tileRows {
+				wq = c.tails[grp*tileRows*c.kTotal:]
+			}
+			inPlace := inPlane && nf == tileRows
+			dst, dstStride := acc[:], tileCols
+			if inPlace {
+				dst, dstStride = c.out[(b0*c.f+fo)*plane+pix0:], plane
+			}
+			var init [tileRows]float32 // a dead row's sum starts anywhere; +0 will do
+			if c.bias != nil {
+				copy(init[:], c.bias[fo:fo+nf])
+			}
+			tile(dst, dstStride, &init, wq, c.kTotal, patch, patchStride, c.kTotal)
+			if inPlace {
+				continue
+			}
+			for j := 0; j < live; {
+				b, pix := (col0+j)/plane, (col0+j)%plane
+				cnt := min(plane-pix, live-j)
+				for f := 0; f < nf; f++ {
+					copy(c.out[(b*c.f+fo+f)*plane+pix:][:cnt], acc[f*tileCols+j:])
+				}
+				j += cnt
+			}
+		}
+	}
+}
+
+// padRows copies rows [yLo, yHi) — in padded coordinates — of the cg input
+// planes at in[base] into padded, inside its zero border.
+func (c *convForward) padRows(padded []float32, base, yLo, yHi int) {
+	pad := c.p.Padding
+	yLo, yHi = max(yLo, pad), min(yHi, pad+c.h)
+	for ci := 0; ci < c.cg; ci++ {
+		for y := yLo; y < yHi; y++ {
+			copy(padded[(ci*c.hp+y)*c.wp+pad:][:c.w], c.in[base+(ci*c.h+y-pad)*c.w:])
+		}
+	}
+}
+
+// stage fills columns [0, cnt) of the strip at panel: row k of the patch
+// matrix holds, for cnt consecutive pixels of one output row, what tap
+// k = (ci, ky, kx) reads — src[off + (ci·hp+ky)·wp + kx + i·stride] for
+// pixel i, src being planes hp×wp that carry their own padding.
+func (c *convForward) stage(panel, src []float32, off, cnt int) {
+	k, stride := 0, c.p.Stride
+	for ci := 0; ci < c.cg; ci++ {
+		for ky := 0; ky < c.kh; ky++ {
+			row := src[off+(ci*c.hp+ky)*c.wp:]
+			for kx := 0; kx < c.kw; kx++ {
+				dst := panel[k*tileCols:][:cnt]
+				k++
+				// A whole and half a strip go through a local, which the
+				// compiler moves inline: memmove costs more than it moves here.
+				switch {
+				case stride == 1 && cnt == tileCols:
+					v := [tileCols]float32(row[kx:])
+					*(*[tileCols]float32)(dst) = v
+				case stride == 1 && cnt == vecLanes:
+					v := [vecLanes]float32(row[kx:])
+					*(*[vecLanes]float32)(dst) = v
+				default:
+					for i := range dst {
+						dst[i] = row[kx+i*stride]
 					}
 				}
 			}
@@ -279,22 +405,8 @@ func im2col(col []float32, in *tensor.Tensor, b, cin0, cg, kh, kw, h, wd, ow, oy
 	}
 }
 
-// tapSpan is the range of output columns whose tap kx reads inside an input
-// row of wd elements: 0 <= ox*stride - pad + kx < wd. Both bounds clamp to
-// [0, ow] — a tap deep in the padding band can push the raw bound past the
-// row — and the range may be empty.
-func tapSpan(kx, wd, ow, stride, pad int) (oxLo, oxHi int) {
-	if pad > kx {
-		oxLo = min((pad-kx+stride-1)/stride, ow)
-	}
-	if num := wd - 1 + pad - kx; num >= 0 {
-		oxHi = min(ow, num/stride+1)
-	}
-	return oxLo, max(oxLo, oxHi)
-}
-
-// Conv2DBackward lowers the gradient computation through the same im2col
-// machinery as the forward pass, as one fan-out of a share per worker over
+// Conv2DBackward lowers the gradient computation through the forward
+// pass's patch matrix (im2col), as one fan-out of a share per worker over
 // disjoint write sets. A share first accumulates the part of dW and dBias
 // it owns, then claims samples of dIn one at a time until none are left —
 // so the two sweeps need not be the same size for every core to stay busy,
@@ -374,6 +486,20 @@ type convBackward struct {
 // staged block within colBlockElems.
 func (c *convBackward) blockRows(rowElems int) int {
 	return min(c.oh, max(1, colBlockElems/max(1, rowElems)))
+}
+
+// tapSpan is the range of output columns whose tap kx reads inside an input
+// row of wd elements: 0 <= ox*stride - pad + kx < wd. Both bounds clamp to
+// [0, ow] — a tap deep in the padding band can push the raw bound past the
+// row — and the range may be empty.
+func tapSpan(kx, wd, ow, stride, pad int) (oxLo, oxHi int) {
+	if pad > kx {
+		oxLo = min((pad-kx+stride-1)/stride, ow)
+	}
+	if num := wd - 1 + pad - kx; num >= 0 {
+		oxHi = min(ow, num/stride+1)
+	}
+	return oxLo, max(oxLo, oxHi)
 }
 
 // patchTap is one column of the patch matrix: tap (ci, ky, kx) of a group

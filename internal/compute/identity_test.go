@@ -80,6 +80,21 @@ func testGemmMatMulTransBBitIdenticalToRef(t *testing.T) {
 			assertSame(t, fmt.Sprintf("MatMulTransB %dx%dx%d", m, k, n), Gemm.MatMulTransB(a, b), want)
 		})
 	}
+	// From half a tile's width of rows up the batch row is the vector axis:
+	// row counts on both sides of that threshold and of one, two and three
+	// strips, against filter counts that leave every size of padded quad,
+	// and reductions up to 600.
+	for _, m := range []int{7, 8, 9, 15, 16, 17, 31, 32, 33, 48} {
+		for _, n := range []int{1, 3, 4, 5, 10, 512} {
+			k := r.Intn(600) + 1
+			a := randomTensor(r, m, k)
+			b := randomTensor(r, n, k)
+			want := Ref.MatMulTransB(a, b)
+			atWorkerCounts(t, func() {
+				assertSame(t, fmt.Sprintf("MatMulTransB %dx%dx%d", m, k, n), Gemm.MatMulTransB(a, b), want)
+			})
+		}
+	}
 }
 
 func TestGemmConv2DBitIdenticalToRef(t *testing.T) {
@@ -105,7 +120,7 @@ func testGemmConv2DBitIdenticalToRef(t *testing.T) {
 		// Spatial extent at least the kernel so the output is non-empty —
 		// except for an occasional overhang case, where the input is
 		// smaller than the kernel and only maximal padding keeps the
-		// output alive (the regime where im2col's bounds need clamping).
+		// output alive (the regime where the tap bounds need clamping).
 		h := k + r.Intn(18)
 		w := k + r.Intn(18)
 		if r.Intn(4) == 0 {
@@ -126,6 +141,79 @@ func testGemmConv2DBitIdenticalToRef(t *testing.T) {
 		atWorkerCounts(t, func() {
 			assertSame(t, desc, Gemm.Conv2D(in, wt, bias, p), want)
 		})
+	}
+}
+
+// TestGemmConv2DTileEdgesBitIdenticalToRef walks the edges of the tiled
+// lowering, which random geometries rarely land on: column counts (output
+// pixels of the whole batch) on both sides of one and two strips, reached
+// through one sample or through many small ones so that strips span
+// samples; filters per group that leave every size of padded quad; several
+// groups; the 1×1 kernel, a 5×5 one and stride 2; and the serving shapes
+// at batches of 1 and 16. Everything at 1, 2, 3 and 8 workers — the
+// single-sample cases are what pins that cutting a call for the pool moves
+// no bit.
+func TestGemmConv2DTileEdgesBitIdenticalToRef(t *testing.T) {
+	forEachVecPath(t, testGemmConv2DTileEdgesBitIdenticalToRef)
+}
+
+func testGemmConv2DTileEdgesBitIdenticalToRef(t *testing.T) {
+	r := tensor.NewRNG(0x6E7D)
+	// check convolves n samples to an oh×ow map.
+	check := func(n, oh, ow, cg, fPerG, groups, k, stride int) {
+		t.Helper()
+		pad := k / 2
+		h, w := (oh-1)*stride+1, (ow-1)*stride+1
+		p := tensor.Conv2DParams{Stride: stride, Padding: pad, Groups: groups}
+		in := randomTensor(r, n, cg*groups, h, w)
+		wt := randomTensor(r, fPerG*groups, cg, k, k)
+		bias := randomTensor(r, fPerG*groups)
+		if r.Intn(3) == 0 {
+			bias = nil
+		}
+		desc := fmt.Sprintf("Conv2D n=%d cg=%d %dx%d->%dx%d fPerG=%d k=%d s=%d p=%d g=%d bias=%v",
+			n, cg, h, w, oh, ow, fPerG, k, stride, pad, groups, bias != nil)
+		want := Ref.Conv2D(in, wt, bias, p)
+		if got := want.Shape(); got[2] != oh || got[3] != ow {
+			t.Fatalf("%s: output map %v", desc, got)
+		}
+		atWorkerCounts(t, func() {
+			assertSame(t, desc, Gemm.Conv2D(in, wt, bias, p), want)
+		})
+	}
+	fPerGs := []int{1, 2, 3, 5, 6, 7, 12}
+	kernels := []struct{ k, stride, cg int }{{3, 1, 5}, {1, 1, 24}, {3, 2, 4}, {5, 1, 2}}
+	i := 0
+	for _, m := range []struct{ n, oh, ow int }{
+		{1, 2, 2}, {4, 1, 1}, {2, 1, 2}, // 4 columns
+		{1, 3, 5}, {3, 1, 5}, {15, 1, 1}, {5, 3, 1}, // 15
+		{1, 4, 4}, {4, 2, 2}, {16, 1, 1}, {2, 2, 4}, // 16
+		{1, 1, 17}, {17, 1, 1}, // 17
+		{1, 31, 1}, {31, 1, 1}, // 31
+		{1, 3, 11}, {3, 11, 1}, {11, 1, 3}, {33, 1, 1}, // 33
+	} {
+		for _, kn := range kernels {
+			check(m.n, m.oh, m.ow, kn.cg, fPerGs[i%len(fPerGs)], 1+i%3, kn.k, kn.stride)
+			i++
+		}
+	}
+	// Every padded quad against every group count, on strips that span
+	// samples (3 × 11 columns) and on one sample's whole strips.
+	for _, fPerG := range fPerGs {
+		for groups := 1; groups <= 3; groups++ {
+			check(3, 1, 11, 3, fPerG, groups, 3, 1)
+			check(2, 4, 8, 3, fPerG, groups, 3, 1)
+		}
+	}
+	// Serving shapes, alone and as a full batch.
+	for _, n := range []int{1, 16} {
+		check(n, 16, 16, 3, 6, 1, 5, 1)   // LeNet conv1
+		check(n, 8, 8, 6, 12, 1, 5, 1)    // LeNet conv2
+		check(n, 16, 16, 16, 16, 1, 3, 1) // VGG conv1_2
+		check(n, 4, 4, 32, 64, 1, 3, 1)   // VGG conv3_1: one strip per sample
+		check(n, 8, 8, 1, 1, 16, 3, 1)    // depthwise
+		check(n, 8, 8, 16, 24, 1, 1, 1)   // pointwise
+		check(n, 4, 4, 8, 16, 1, 3, 2)    // stride 2
 	}
 }
 
@@ -319,8 +407,8 @@ func abs32(v float32) float32 {
 	return v
 }
 
-// TestGemmConv2DOneByOneFastPath pins the no-copy 1×1 lowering against Ref
-// explicitly, since it bypasses im2col entirely.
+// TestGemmConv2DOneByOneFastPath pins the 1×1 lowering against Ref
+// explicitly: unpadded, so its strips are staged from the input itself.
 func TestGemmConv2DOneByOneFastPath(t *testing.T) { forEachVecPath(t, testGemmConv2DOneByOneFastPath) }
 
 func testGemmConv2DOneByOneFastPath(t *testing.T) {
@@ -336,7 +424,7 @@ func testGemmConv2DOneByOneFastPath(t *testing.T) {
 }
 
 // TestGemmConv2DKernelLargerThanInput exercises taps that fall entirely in
-// the padding band, where the im2col fill must emit pure zero rows.
+// the padding band, where staging must emit pure zero rows.
 func TestGemmConv2DKernelLargerThanInput(t *testing.T) {
 	forEachVecPath(t, testGemmConv2DKernelLargerThanInput)
 }
@@ -355,7 +443,7 @@ func testGemmConv2DKernelLargerThanInput(t *testing.T) {
 // TestGemmConv2DPaddingBoundClamp pins a regression: with a kernel much
 // wider than the output (W=4, 9×9 kernel, padding 3 → OW=2) the raw
 // in-bounds lower bound for the leftmost taps lands past the row end and
-// must clamp to OW instead of overrunning the im2col row.
+// must clamp to OW instead of overrunning the staged row.
 func TestGemmConv2DPaddingBoundClamp(t *testing.T) {
 	forEachVecPath(t, testGemmConv2DPaddingBoundClamp)
 }

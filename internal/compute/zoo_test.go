@@ -67,6 +67,41 @@ func TestGemmBitIdenticalToRefOnZooBothVecPaths(t *testing.T) {
 	}
 }
 
+// TestFCBiasAddBothVecPaths holds FC.Forward's bias add — one
+// compute.Axpy(row, bias, 1) per sample — to the scalar out[i,j] += b[j] it
+// replaced, on a bias row of −0, NaN, infinities, a denormal and the
+// largest float, over outputs that are themselves ±0 where the input row is
+// zero, at batch sizes on both sides of MatMulTransB's switch to the tile.
+func TestFCBiasAddBothVecPaths(t *testing.T) {
+	setBackend(t, compute.Gemm)
+	compute.ForEachVecPath(t, func(t *testing.T) {
+		rng := tensor.NewRNG(0xB1A5)
+		const in, out = 7, 19 // two vectors of outputs and a scalar tail
+		fc := dnn.NewFC("fc", in, out, rng)
+		fc.Bias.W.FillUniform(rng, -1, 1)
+		negZero := float32(math.Copysign(0, -1))
+		copy(fc.Bias.W.Data, []float32{negZero, float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1)),
+			1e-40, math.MaxFloat32, 0})
+		copy(fc.Bias.W.Data[out-3:], []float32{negZero, float32(math.NaN()), float32(math.Inf(-1))})
+		for _, n := range []int{1, 3, 7, 8, 17} {
+			x := tensor.New(n, in)
+			x.FillUniform(rng, -1, 1)
+			clear(x.Data[:in]) // sample 0 reaches the bias add as a row of +0
+			want := compute.Gemm.MatMulTransB(x, fc.Weight.W)
+			for i := range want.Data {
+				want.Data[i] += fc.Bias.W.Data[i%out]
+			}
+			got := fc.Forward(x, false)
+			for i := range want.Data {
+				g, w := got.Data[i], want.Data[i]
+				if math.Float32bits(g) != math.Float32bits(w) && (g == g || w == w) {
+					t.Fatalf("n=%d: output[%d] = %v (%#08x), scalar add gives %v (%#08x)", n, i, g, math.Float32bits(g), w, math.Float32bits(w))
+				}
+			}
+		}
+	})
+}
+
 // hookCall is what one IFM hook invocation looked like from inside.
 type hookCall struct {
 	li          int

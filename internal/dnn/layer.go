@@ -183,11 +183,10 @@ func (l *FC) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	if out == nil {
 		out = compute.Default().MatMulTransB(flat, l.Weight.W)
 	}
+	// 1·b is b exactly, so the axpy's add is the add of out[i,j] += b[j].
 	ncols := out.Dim(1)
 	for i := 0; i < n; i++ {
-		for j := 0; j < ncols; j++ {
-			out.Data[i*ncols+j] += l.Bias.W.Data[j]
-		}
+		compute.Axpy(out.Data[i*ncols:(i+1)*ncols], l.Bias.W.Data, 1)
 	}
 	return out
 }
