@@ -2,7 +2,7 @@ package compute
 
 // The gemm backend's inner loops are built on two vector primitives. tile
 // computes a 4-row × 16-column block of a matrix product,
-// dst[f, j] = init[f] + Σ_k w[f, k]·panel[k, j], holding the 64 sums in
+// acc[f, j] = init[f] + Σ_k w[f, k]·panel[k, j], holding the 64 sums in
 // registers from the first k to the last and storing them once; axpy
 // streams one row, d[j] += a·x[j]. In both, every (f, j) or j is a distinct
 // output element that sees, per k, exactly one rounded float32 multiply
@@ -44,22 +44,22 @@ const (
 var useVec = hasVec
 
 // tileScalar is the specification of tile: for f < tileRows and
-// j < tileCols, dst[f·dstStride+j] is a sum that starts at init[f] and
-// receives w[f·wStride+p]·panel[p·panelStride+j] for p = 0 … k−1 in that
-// order, weight times value, then product plus accumulator.
-func tileScalar(dst []float32, dstStride int, init *[tileRows]float32, w []float32, wStride int, panel []float32, panelStride, k int) {
+// j < tileCols, acc[f·tileCols+j] is a sum that starts at init[f] and
+// receives w[f·k+p]·panel[p·panelStride+j] for p = 0 … k−1 in that order,
+// weight times value, then product plus accumulator.
+func tileScalar(acc *[tileRows * tileCols]float32, init *[tileRows]float32, w, panel []float32, panelStride, k int) {
 	for f, iv := range init {
-		var acc [tileCols]float32
-		for j := range acc {
-			acc[j] = iv
+		var sums [tileCols]float32
+		for j := range sums {
+			sums[j] = iv
 		}
-		for p, wv := range w[f*wStride : f*wStride+k] {
+		for p, wv := range w[f*k : (f+1)*k] {
 			x := (*[tileCols]float32)(panel[p*panelStride:])
-			for j := range acc {
-				acc[j] += wv * x[j]
+			for j := range sums {
+				sums[j] += wv * x[j]
 			}
 		}
-		*(*[tileCols]float32)(dst[f*dstStride:]) = acc
+		*(*[tileCols]float32)(acc[f*tileCols:]) = sums
 	}
 }
 

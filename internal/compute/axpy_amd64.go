@@ -9,10 +9,11 @@ var hasVec = cpufeat.X86.HasAVX
 // tileAVX is tileScalar with the 4×16 block in eight YMM registers from
 // the first k to the last: per k two panel loads and, per row, one
 // broadcast weight, VMULPS (weight first) then VADDPS (product first) —
-// never a fused multiply-add. Strides are in elements; k must be positive.
+// never a fused multiply-add. panelStride is in elements; k must be
+// positive.
 //
 //go:noescape
-func tileAVX(dst *float32, dstStride int, init *[tileRows]float32, w *float32, wStride int, panel *float32, panelStride, k int)
+func tileAVX(acc *[tileRows * tileCols]float32, init *[tileRows]float32, w, panel *float32, panelStride, k int)
 
 // axpyAVX runs d[j] += a·x[j] for j in [0, n&^7) with VMULPS then VADDPS,
 // eight elements per step. The pointers address rows of at least n
@@ -21,19 +22,18 @@ func tileAVX(dst *float32, dstStride int, init *[tileRows]float32, w *float32, w
 //go:noescape
 func axpyAVX(d, x *float32, n int, a float32)
 
-// tile computes a tileRows × tileCols block of init + w·panel:
-// dst[f·dstStride+j] = init[f] + Σ_p w[f·wStride+p]·panel[p·panelStride+j]
+// tile computes a tileRows × tileCols block of init + w·panel, the rows of
+// w being k apart: acc[f·tileCols+j] = init[f] + Σ_p w[f·k+p]·panel[p·panelStride+j]
 // over p < k. Bit-identical to tileScalar.
-func tile(dst []float32, dstStride int, init *[tileRows]float32, w []float32, wStride int, panel []float32, panelStride, k int) {
+func tile(acc *[tileRows * tileCols]float32, init *[tileRows]float32, w, panel []float32, panelStride, k int) {
 	if !useVec || k == 0 {
-		tileScalar(dst, dstStride, init, w, wStride, panel, panelStride, k)
+		tileScalar(acc, init, w, panel, panelStride, k)
 		return
 	}
 	// The assembly checks nothing: touch the last element of each operand.
-	_ = dst[(tileRows-1)*dstStride+tileCols-1]
-	_ = w[(tileRows-1)*wStride+k-1]
+	_ = w[tileRows*k-1]
 	_ = panel[(k-1)*panelStride+tileCols-1]
-	tileAVX(&dst[0], dstStride, init, &w[0], wStride, &panel[0], panelStride, k)
+	tileAVX(acc, init, &w[0], &panel[0], panelStride, k)
 }
 
 // axpy updates one destination row: d[j] += a·x[j] for every j < len(x).

@@ -8,8 +8,8 @@ package compute
 // other per architecture.
 const hasVec = false
 
-func tile(dst []float32, dstStride int, init *[tileRows]float32, w []float32, wStride int, panel []float32, panelStride, k int) {
-	tileScalar(dst, dstStride, init, w, wStride, panel, panelStride, k)
+func tile(acc *[tileRows * tileCols]float32, init *[tileRows]float32, w, panel []float32, panelStride, k int) {
+	tileScalar(acc, init, w, panel, panelStride, k)
 }
 
 func axpy(d, x []float32, a float32) { axpyScalar(d, x, a) }

@@ -85,13 +85,14 @@ func (gemmBackend) MatMul(a, b *tensor.Tensor) *tensor.Tensor {
 // the 64 elements at once; the Cᵀ tile is then scattered back. With fewer
 // rows most lanes would be dead — measured on the zoo's FC shapes the tile
 // loses below 3 to 6 rows and wins 1.6× to 2.5× at 8 — so they keep the
-// scalar path: four adjacent output columns ride one pass over the shared
-// A row, each with its own accumulator. Either way every element is fed in
-// ascending-k order, the exact operation sequence Ref runs.
+// scalar path, as does an empty reduction, which has nothing to stage: four
+// adjacent output columns ride one pass over the shared A row, each with
+// its own accumulator. Either way every element is fed in ascending-k
+// order, the exact operation sequence Ref runs.
 func (gemmBackend) MatMulTransB(a, b *tensor.Tensor) *tensor.Tensor {
 	m, k, n := matMulTransBDims(a, b)
 	c := tensor.New(m, n)
-	if m < minTileRows {
+	if m < minTileRows || k == 0 {
 		matMulTransBRows(c, a, b, m, k, n)
 		return c
 	}
@@ -123,7 +124,7 @@ func (gemmBackend) MatMulTransB(a, b *tensor.Tensor) *tensor.Tensor {
 				wq = tail
 			}
 			var acc [tileRows * tileCols]float32
-			tile(acc[:], tileCols, &zero, wq, k, panels[s*tileCols*k:], tileCols, k)
+			tile(&acc, &zero, wq, panels[s*tileCols*k:], tileCols, k)
 			for i := s * tileCols; i < min((s+1)*tileCols, m); i++ {
 				for j := j0; j < min(j0+tileRows, n); j++ {
 					c.Data[i*n+j] = acc[(j-j0)*tileCols+i%tileCols]
@@ -327,29 +328,20 @@ func (c *convForward) group(grp, colLo, colHi int, panel, padded []float32) {
 				clear(panel[k*tileCols+live : (k+1)*tileCols])
 			}
 		}
-		// Four live filters over a whole strip inside one output plane
-		// accumulate in place, rows a plane apart; any other tile — a padded
-		// quad, the batch's last strip, a strip that spans samples — in acc,
-		// copied out run by run.
+		// Every four filters of the group fill acc, a padded quad and the dead
+		// lanes of the batch's last strip included, and the live part is
+		// copied out one run of a sample's plane at a time.
 		for fo := grp * c.fPerG; fo < (grp+1)*c.fPerG; fo += tileRows {
 			nf := min(tileRows, (grp+1)*c.fPerG-fo)
 			wq := c.wt[fo*c.kTotal:]
 			if nf < tileRows {
 				wq = c.tails[grp*tileRows*c.kTotal:]
 			}
-			inPlace := inPlane && nf == tileRows
-			dst, dstStride := acc[:], tileCols
-			if inPlace {
-				dst, dstStride = c.out[(b0*c.f+fo)*plane+pix0:], plane
-			}
 			var init [tileRows]float32 // a dead row's sum starts anywhere; +0 will do
 			if c.bias != nil {
 				copy(init[:], c.bias[fo:fo+nf])
 			}
-			tile(dst, dstStride, &init, wq, c.kTotal, patch, patchStride, c.kTotal)
-			if inPlace {
-				continue
-			}
+			tile(&acc, &init, wq, patch, patchStride, c.kTotal)
 			for j := 0; j < live; {
 				b, pix := (col0+j)/plane, (col0+j)%plane
 				cnt := min(plane-pix, live-j)

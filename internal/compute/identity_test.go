@@ -95,6 +95,11 @@ func testGemmMatMulTransBBitIdenticalToRef(t *testing.T) {
 			})
 		}
 	}
+	// An empty reduction has nothing to stage: m×n zeros on either path.
+	for _, m := range []int{1, 8, 17} {
+		a, b := tensor.New(m, 0), tensor.New(5, 0)
+		assertSame(t, fmt.Sprintf("MatMulTransB %dx0x5", m), Gemm.MatMulTransB(a, b), Ref.MatMulTransB(a, b))
+	}
 }
 
 func TestGemmConv2DBitIdenticalToRef(t *testing.T) {

@@ -15,20 +15,17 @@
 	VADDPS       lo, Y11, lo  \
 	VADDPS       hi, Y12, hi
 
-// func tileAVX(dst *float32, dstStride int, init *[4]float32, w *float32, wStride int, panel *float32, panelStride, k int)
-TEXT ·tileAVX(SB), NOSPLIT, $0-64
-	MOVQ dst+0(FP), DI
-	MOVQ dstStride+8(FP), DX
-	MOVQ init+16(FP), AX
-	MOVQ w+24(FP), SI
-	MOVQ wStride+32(FP), BX
-	MOVQ panel+40(FP), R8
-	MOVQ panelStride+48(FP), R11
-	MOVQ k+56(FP), CX
-	SHLQ $2, DX          // strides in bytes
-	SHLQ $2, BX
-	SHLQ $2, R11
-	LEAQ (DI)(DX*2), R9  // dst rows 2 and 3
+// func tileAVX(acc *[64]float32, init *[4]float32, w, panel *float32, panelStride, k int)
+TEXT ·tileAVX(SB), NOSPLIT, $0-48
+	MOVQ acc+0(FP), DI
+	MOVQ init+8(FP), AX
+	MOVQ w+16(FP), SI
+	MOVQ panel+24(FP), R8
+	MOVQ panelStride+32(FP), R11
+	MOVQ k+40(FP), CX
+	SHLQ $2, R11         // the panel stride in bytes
+	MOVQ CX, BX
+	SHLQ $2, BX          // rows of w are k floats apart
 	LEAQ (BX)(BX*2), R10 // w row 3
 
 	VBROADCASTSS (AX), Y0
@@ -54,11 +51,11 @@ loop:
 
 	VMOVUPS Y0, (DI)
 	VMOVUPS Y1, 32(DI)
-	VMOVUPS Y2, (DI)(DX*1)
-	VMOVUPS Y3, 32(DI)(DX*1)
-	VMOVUPS Y4, (R9)
-	VMOVUPS Y5, 32(R9)
-	VMOVUPS Y6, (R9)(DX*1)
-	VMOVUPS Y7, 32(R9)(DX*1)
+	VMOVUPS Y2, 64(DI)
+	VMOVUPS Y3, 96(DI)
+	VMOVUPS Y4, 128(DI)
+	VMOVUPS Y5, 160(DI)
+	VMOVUPS Y6, 192(DI)
+	VMOVUPS Y7, 224(DI)
 	VZEROUPPER
 	RET
