@@ -24,8 +24,16 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzTileVecMatchesScalar -fuzztime 10s ./internal/compute
 	$(GO) test -run '^$$' -fuzz FuzzDecodeActivation -fuzztime 10s ./internal/serve
 
+# race runs every package once with -short, then — without -short — the two
+# packages where goroutines share a model (serve runs several fused passes
+# over one network at once; cluster sits on top of it) five times over, since
+# a race in a pass shows in a fraction of runs, and the two packages under
+# those passes (the fused executor and its slabs, the corruptor clones) once:
+# their full suites take too long under the detector to repeat.
 race:
 	$(GO) test -race -short ./...
+	$(GO) test -race -count=5 ./internal/serve ./internal/cluster
+	$(GO) test -race ./internal/dnn ./internal/eden
 
 # BenchmarkConv2DBackward (the training shapes of the zoo) runs on its own
 # line, at one and at two CPUs: its fan-out is the one kernel whose balance

@@ -56,14 +56,17 @@
 // internal/serve layers a request/response engine on the inference
 // primitives: a Server registry of deployed models (weights corrupted
 // once at load through the deployment's corruptor, IFMs corrupted per
-// request through seeded eden.ClonePool clones, pre-warmed to MaxBatch),
-// a continuous-batching scheduler and per-model statistics (QPS, p50/p99
-// latency, batch-size histogram, shed/expired counts). Each model runs a
-// collector/dispatcher goroutine pipeline: the collector forms the next
-// micro-batch from a bounded admission queue while the dispatcher
-// computes the current one, so a dispatch starts the moment compute is
-// free (MaxLatency 0, the work-conserving default) and batch occupancy
-// tracks concurrent load rather than a fixed collection window. Every
+// request through seeded eden.ClonePool clones, pre-warmed to MaxBatch
+// per concurrent pass), a continuous-batching scheduler and per-model
+// statistics (QPS, p50/p99 latency, batch-size histogram, shed/expired
+// counts, passes in flight). Each model runs a collector and up to
+// parallel.Workers() identical dispatcher goroutines: the collector forms
+// the next micro-batch from a bounded admission queue while earlier ones
+// compute, and hands it over when no pass is in flight or when it is full
+// and a dispatcher is free — so a dispatch starts the moment compute is
+// free (MaxLatency 0, the work-conserving default), batch occupancy
+// tracks concurrent load rather than a fixed collection window, and only
+// a backlog of full batches runs passes side by side. Every
 // batch, a lone request included, dispatches through
 // dnn.ForwardBatchFused, a pass that owns every activation it holds: one
 // batched kernel call per Conv/FC/composite layer, and between two of
@@ -76,8 +79,9 @@
 // characterization sweeps run.
 // Admission control bounds the damage under overload: a full queue sheds
 // with ErrQueueFull (HTTP 429 plus a Retry-After estimate from queue
-// occupancy x smoothed service time) and requests whose deadline expires
-// while queued are dropped before dispatch with ErrExpired (HTTP 504).
+// occupancy x smoothed drain time per request) and requests whose deadline
+// expires or whose caller cancels while queued are dropped before dispatch
+// (ErrExpired, HTTP 504).
 // A deployment is the only way onto a server: Server.Deploy registers an
 // artifact, Server.DeployStage a layer-range slice of one, and serving a
 // zoo model at a raw BER is Server.Deploy of an eden.UniformDeployment.
@@ -90,7 +94,7 @@
 // and through the cluster, checking every reply bit for bit.
 // A request's output is a pure function of (deployment, input, seed),
 // independent of batching regime, batch composition, queue pressure,
-// worker count and compute backend. GET /metrics exposes the per-model
+// worker count, concurrent passes and compute backend. GET /metrics exposes the per-model
 // stats rings in the Prometheus text format.
 //
 // # Cluster serving

@@ -44,13 +44,8 @@ func TestPerModelBackend(t *testing.T) {
 	}
 	in := testInputs(t, "LeNet", 1)[0]
 	rRef, rGemm := serveOn(compute.Ref, in), serveOn(compute.Gemm, in)
-	if len(rRef.Output) != len(rGemm.Output) {
-		t.Fatalf("output lengths differ: %d vs %d", len(rRef.Output), len(rGemm.Output))
-	}
-	for i := range rRef.Output {
-		if rRef.Output[i] != rGemm.Output[i] {
-			t.Fatalf("output[%d] differs across backends: %v vs %v", i, rRef.Output[i], rGemm.Output[i])
-		}
+	if !sameBits(rRef.Output, rGemm.Output) {
+		t.Fatalf("output differs across backends: %v vs %v", rRef.Output, rGemm.Output)
 	}
 }
 
@@ -98,10 +93,8 @@ func TestQuantizedBackendServing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range r1.Output {
-		if r1.Output[i] != r2.Output[i] {
-			t.Fatalf("output[%d] not reproducible: %v vs %v", i, r1.Output[i], r2.Output[i])
-		}
+	if !sameBits(r1.Output, r2.Output) {
+		t.Fatalf("output not reproducible: %v vs %v", r1.Output, r2.Output)
 	}
 }
 

@@ -90,13 +90,8 @@ func TestDeployServeEndToEnd(t *testing.T) {
 	for _, tc := range cases {
 		got := run(tc.dep, tc.cfg, tc.w, true)
 		for i := range want {
-			if len(got[i]) != len(want[i]) {
-				t.Fatalf("%s: sample %d output length %d != %d", tc.name, i, len(got[i]), len(want[i]))
-			}
-			for j := range want[i] {
-				if got[i][j] != want[i][j] {
-					t.Fatalf("%s: sample %d element %d: %v != %v", tc.name, i, j, got[i][j], want[i][j])
-				}
+			if !sameBits(got[i], want[i]) {
+				t.Fatalf("%s: sample %d: %v, want the bits of %v", tc.name, i, got[i], want[i])
 			}
 		}
 	}
@@ -255,6 +250,54 @@ func TestUniformDeploymentSaveLoad(t *testing.T) {
 	for i := range want {
 		if outputCRC(got[i]) != outputCRC(want[i]) {
 			t.Fatalf("sample %d differs after save/load", i)
+		}
+	}
+}
+
+// TestPipelineArtifactServedBitsPinned takes the artifact
+// eden.TestDeployArtifactPinned pins (the lenet_pipeline workload's
+// configuration, CRC-32 2152884835) one step further, to what a server
+// answers from it: the CRC-32 of 64 outputs, in request order, served in
+// full batches by sixteen callers with one pass at a time and with two. The
+// constant was recorded at the last commit whose scheduler ran one pass.
+func TestPipelineArtifactServedBitsPinned(t *testing.T) {
+	if testing.Short() {
+		t.Skip("a full LeNet pipeline")
+	}
+	cfg := eden.DefaultDeploy("A")
+	cfg.Prec = quant.Int8
+	cfg.Char.MaxSamples = 30
+	cfg.Char.Repeats = 1
+	cfg.Char.SearchSteps = 5
+	cfg.Rounds = 1
+	cfg.RetrainEpochs = 2
+	cfg.FineGrained = true
+	dep, err := eden.Deploy("LeNet", cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := dep.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if got := crc32.ChecksumIEEE(buf.Bytes()); got != 2152884835 {
+		t.Fatalf("artifact crc32 %d, want the pinned 2152884835", got)
+	}
+	inputs := testInputs(t, "LeNet", 64)
+	for _, workers := range []int{1, 2} {
+		setWorkers(t, workers)
+		s := New(Config{MaxBatch: 4})
+		m, err := s.Deploy(dep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var all []float32
+		for _, out := range predictFrom(t, m, inputs, 16) {
+			all = append(all, out...)
+		}
+		s.Close()
+		if got := outputCRC(all); got != 3755291986 {
+			t.Fatalf("workers=%d: served outputs crc32 %d, want 3755291986", workers, got)
 		}
 	}
 }

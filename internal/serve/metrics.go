@@ -47,15 +47,20 @@ func WriteMetrics(w io.Writer, models []*Model) {
 		func(s Snapshot) any { return s.Batches })
 	family("serve_shed_total", "Admissions refused on a full queue.", "counter",
 		func(s Snapshot) any { return s.Shed })
-	family("serve_expired_total", "Queued requests dropped past their deadline.", "counter",
+	family("serve_expired_total", "Queued requests dropped before dispatch: deadline passed or caller gone.", "counter",
 		func(s Snapshot) any { return s.Expired })
 	family("serve_qps", "Requests per second over the serving window.", "gauge",
 		func(s Snapshot) any { return s.QPS })
-	family("serve_busy_fraction", "Fraction of the serving window spent computing.", "gauge",
+	family("serve_busy_fraction", "Fraction of the serving window with at least one pass in flight.", "gauge",
 		func(s Snapshot) any { return s.BusyFrac })
+	MetricHead(w, "serve_passes_in_flight", "Fused passes computing at once, now and at peak.", "gauge")
+	for i, m := range models {
+		MetricSample(w, "serve_passes_in_flight", m.Name(), `stat="now"`, snaps[i].InFlight)
+		MetricSample(w, "serve_passes_in_flight", m.Name(), `stat="peak"`, snaps[i].PeakInFlight)
+	}
 	family("serve_mean_batch", "Mean dispatched batch size.", "gauge",
 		func(s Snapshot) any { return s.MeanBatch })
-	family("serve_service_ms_estimate", "Smoothed per-request service time in milliseconds.", "gauge",
+	family("serve_service_ms_estimate", "Smoothed wall-clock drain time per request in milliseconds.", "gauge",
 		func(s Snapshot) any { return s.ServiceMsEst })
 	family("serve_queue_depth", "Admission queue occupancy.", "gauge",
 		func(s Snapshot) any { return float64(s.QueueDepth) })

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -158,8 +159,7 @@ func TestDeadlineExpiresBeforeDispatch(t *testing.T) {
 	m.queue <- expired2
 
 	// Start the scheduler only now, with the queue in a known state.
-	go m.collect()
-	go m.run()
+	m.start()
 
 	for _, exp := range []*pending{expired1, expired2} {
 		select {
@@ -264,49 +264,47 @@ func TestDrainUnderLoad(t *testing.T) {
 
 // TestContinuousSchedulerDeterminism is the cross-regime byte-identity
 // pin for the continuous scheduler: the same (input, seed) pairs must
-// produce identical bytes whether served unbatched, through the
+// produce identical bits whether served unbatched and serially, through the
 // work-conserving default (MaxLatency 0, batches form only under
-// concurrent pressure), or through an explicit fill window — and at
-// different worker counts and queue depths.
+// concurrent pressure) or through an explicit fill window — at every worker
+// count, which is also how many passes may overlap, from one closed-loop
+// caller (never a second request in the system) to four batches' worth
+// (full batches computing side by side).
 func TestContinuousSchedulerDeterminism(t *testing.T) {
-	inputs := testInputs(t, "LeNet", 12)
-	run := func(cfg Config, workers int, concurrent bool) [][]float32 {
+	inputs := testInputs(t, "LeNet", 64)
+	overlapped := false
+	run := func(cfg Config, workers, callers int) [][]float32 {
 		setWorkers(t, workers)
 		s := New(cfg)
 		defer s.Close()
 		m := deployUniform(t, s, "LeNet", quant.Int8, 5e-3)
-		return predictAll(t, m, inputs, concurrent)
+		outs := predictFrom(t, m, inputs, callers)
+		overlapped = overlapped || m.Stats().PeakInFlight > 1
+		return outs
 	}
-	want := run(Config{MaxBatch: 1}, 1, false)
-	cases := []struct {
-		name string
-		cfg  Config
-		w    int
-	}{
-		{"work-conserving-b8-w1", Config{MaxBatch: 8}, 1},
-		{"work-conserving-b16-w4", Config{MaxBatch: 16, QueueDepth: 12}, 4},
-		{"fill-window-b8-w2", Config{MaxBatch: 8, MaxLatency: 10 * time.Millisecond}, 2},
-		{"tiny-queue-b4-w2", Config{MaxBatch: 4, QueueDepth: 2}, 2},
+	want := run(Config{MaxBatch: 1}, 1, 1)
+	if overlapped {
+		t.Fatal("the serial reference ran two passes at once")
 	}
-	for _, tc := range cases {
-		got := run(tc.cfg, tc.w, true)
+	check := func(name string, got [][]float32) {
+		t.Helper()
 		for i := range want {
-			if !floats32Equal(got[i], want[i]) {
-				t.Fatalf("%s: sample %d bytes differ from unbatched serving", tc.name, i)
+			if !sameBits(got[i], want[i]) {
+				t.Fatalf("%s: sample %d bits differ from unbatched serial serving", name, i)
 			}
 		}
 	}
-}
-
-// floats32Equal reports bitwise equality of two float32 slices.
-func floats32Equal(a, b []float32) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
+	for _, maxBatch := range []int{16, 4} {
+		for _, workers := range []int{1, 2, 3, 8} {
+			for _, callers := range []int{1, 2, 33, 64} {
+				check(fmt.Sprintf("b%d-w%d-c%d", maxBatch, workers, callers),
+					run(Config{MaxBatch: maxBatch}, workers, callers))
+			}
 		}
 	}
-	return true
+	check("fill-window-b8-w2", run(Config{MaxBatch: 8, MaxLatency: 10 * time.Millisecond}, 2, 64))
+	check("tiny-queue-b4-w2", run(Config{MaxBatch: 4, QueueDepth: 2}, 2, 64))
+	if !overlapped {
+		t.Fatal("no configuration ever had two passes in flight; the sweep proves nothing about overlap")
+	}
 }

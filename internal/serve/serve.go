@@ -5,12 +5,18 @@
 //
 // The scheduler is a two-stage pipeline. A collector goroutine admits
 // requests from the model's bounded queue and forms the next micro-batch
-// *while the current one is computing*; a dispatcher goroutine runs each
-// formed batch as one dnn.ForwardBatchFused pass — one batched kernel call
-// per layer over the shared parallel.Pool, a batch of one included. The
-// hand-off between them is unbuffered, so the moment a dispatch returns the
-// next batch — grown concurrently up to MaxBatch — starts immediately and
-// the worker pool never idles between dispatches collecting stragglers.
+// *while earlier ones are computing*; up to parallel.Workers() identical
+// dispatcher goroutines each run a formed batch as one
+// dnn.ForwardBatchFused pass — one batched kernel call per layer over the
+// shared parallel pool, a batch of one included. The collector hands its
+// batch over when no pass of the model is in flight, or when the batch is
+// full and a dispatcher is free: a partial batch waits for the compute
+// stage to be idle and grows meanwhile, so at any load that does not fill a
+// batch one pass runs at a time and occupancy tracks the queue pressure
+// during it; a full batch with more waiting behind it opens a second pass
+// instead of queueing behind one whose fork-joins leave cores idle. The
+// hand-off is unbuffered, so the moment a dispatch returns the next batch
+// starts, with no window spent collecting stragglers.
 //
 // Admission control keeps the pipeline healthy under overload: the
 // per-model queue is bounded (QueueDepth) and a full queue sheds the
@@ -33,11 +39,12 @@
 //
 // Determinism is preserved end to end: every request carries a seed, the
 // scheduler draws a per-request corruptor clone from an eden.ClonePool
-// (pre-warmed to MaxBatch clones at registration) reset to that seed, and
-// the fused pass is bit-identical to serial per-sample forwards — so a
-// request's output is a pure function of (deployment, input, seed),
-// independent of batch composition, queue pressure, worker count and
-// scheduling.
+// (pre-warmed at registration to MaxBatch clones per concurrent pass) reset
+// to that seed, and the fused pass is bit-identical to serial per-sample
+// forwards and keeps its state on its own stack — so a request's output is
+// a pure function of (deployment, input, seed), independent of batch
+// composition, queue pressure, worker count, scheduling and whatever other
+// pass is computing beside it.
 package serve
 
 import (
@@ -51,6 +58,7 @@ import (
 	"repro/internal/compute"
 	"repro/internal/dnn"
 	"repro/internal/eden"
+	"repro/internal/parallel"
 	"repro/internal/quant"
 	"repro/internal/tensor"
 )
@@ -64,8 +72,9 @@ var ErrClosed = errors.New("serve: server closed")
 var ErrQueueFull = errors.New("serve: queue full")
 
 // ErrExpired is returned when a request's deadline passed while it was
-// still queued; the scheduler drops such requests before dispatch instead
-// of computing answers nobody is waiting for.
+// still queued; the scheduler drops such requests — and those whose caller
+// has cancelled — before dispatch instead of computing answers nobody is
+// waiting for.
 var ErrExpired = errors.New("serve: deadline expired in queue")
 
 // Config controls the continuous-batching scheduler.
@@ -74,11 +83,11 @@ type Config struct {
 	// 1 disables batching: every request dispatches immediately.
 	MaxBatch int
 	// MaxLatency optionally bounds how long a partial batch waits for
-	// companions while the dispatcher is idle. The default 0 is
-	// work-conserving: a batch dispatches the moment the compute stage is
-	// free, and grows only with the requests that arrive while the
-	// previous batch is computing. A positive window trades first-request
-	// latency for batch occupancy at low offered load.
+	// companions while the compute stage is idle. The default 0 is
+	// work-conserving: a batch dispatches the moment no pass is in flight,
+	// and grows only with the requests that arrive while earlier batches
+	// are computing. A positive window trades first-request latency for
+	// batch occupancy at low offered load.
 	MaxLatency time.Duration
 	// QueueDepth is the per-model admission queue capacity (default
 	// 4×MaxBatch). A full queue sheds new requests with ErrQueueFull
@@ -193,8 +202,7 @@ func (s *Server) commit(m *Model) error {
 		}
 	}
 	s.mu.Unlock()
-	go m.collect()
-	go m.run()
+	m.start()
 	return nil
 }
 
@@ -262,6 +270,7 @@ func (s *Server) newModel(dep *eden.Deployment) (*Model, error) {
 	if err != nil {
 		return nil, err
 	}
+	slots := parallel.Workers()
 	m := &Model{
 		name:     dep.ModelName,
 		cfg:      s.cfg,
@@ -270,8 +279,10 @@ func (s *Server) newModel(dep *eden.Deployment) (*Model, error) {
 		net:      net,
 		inputLen: net.InC * net.InH * net.InW,
 		inDims:   []int{1, net.InC, net.InH, net.InW},
+		slots:    slots,
 		queue:    make(chan *pending, s.cfg.QueueDepth),
 		batches:  make(chan []*pending),
+		done:     make(chan struct{}, slots),
 		quit:     make(chan struct{}),
 		stats:    NewStats(s.cfg.MaxBatch),
 	}
@@ -286,8 +297,8 @@ func (s *Server) newModel(dep *eden.Deployment) (*Model, error) {
 	adoptQuantized(net, dep.Prec)
 	corr.CorruptWeights(net)
 	m.pool = eden.NewClonePool(corr)
-	// Pay the clone allocations now, not on the first full batch.
-	m.pool.Prewarm(s.cfg.MaxBatch)
+	// Pay the clone allocations now, not on the first full batches.
+	m.pool.Prewarm(slots * s.cfg.MaxBatch)
 	return m, nil
 }
 
@@ -355,9 +366,9 @@ func (s *Server) Close() {
 
 // Model is one deployed DNN: the deployment it was registered from (whose
 // Stage is set for a pipeline stage), a weight-corrupted clone of its
-// network, its corruptor clone pool, its admission queue and its two
-// scheduler goroutines (the collector forming batches, the dispatcher
-// computing them).
+// network, its corruptor clone pool, its admission queue and its scheduler
+// goroutines (the collector forming batches, slots dispatchers computing
+// them).
 type Model struct {
 	name     string
 	cfg      Config
@@ -368,12 +379,21 @@ type Model struct {
 	// inDims is the exact activation shape PredictActivation accepts
 	// (leading batch dimension 1); stage registrations pin it to the slice's
 	// input boundary, whole-model ones to (1, InC, InH, InW).
-	inDims  []int
-	pool    *eden.ClonePool
+	inDims []int
+	pool   *eden.ClonePool
+	// slots is how many fused passes may compute at once: the worker budget
+	// at registration. Each pass runs its kernels on its own goroutine plus
+	// whatever helper tokens the shared pool has left, so more passes than
+	// workers would only timeshare.
+	slots   int
 	queue   chan *pending   // bounded admission queue, fed by Predict
 	batches chan []*pending // unbuffered collector→dispatcher hand-off
-	quit    chan struct{}
-	stats   *Stats
+	// done carries one token per finished pass back to the collector, which
+	// owns the in-flight count; its capacity is slots, the most passes that
+	// can be outstanding, so a dispatcher never blocks on it.
+	done  chan struct{}
+	quit  chan struct{}
+	stats *Stats
 }
 
 // Result is one served prediction.
@@ -401,13 +421,19 @@ type pending struct {
 	x        *tensor.Tensor
 	seed     uint64
 	enq      time.Time
-	deadline time.Time // zero = no deadline
+	deadline time.Time       // zero = no deadline
+	gone     <-chan struct{} // the caller's ctx.Done(): closed once nobody waits for the reply
 	out      chan outcome
 }
 
-// expired reports whether the request's deadline has passed at now.
-func (p *pending) expired(now time.Time) bool {
-	return !p.deadline.IsZero() && now.After(p.deadline)
+// abandoned reports whether the request's caller has cancelled.
+func (p *pending) abandoned() bool {
+	select {
+	case <-p.gone:
+		return true
+	default:
+		return false
+	}
 }
 
 // Name returns the model's registered name.
@@ -423,8 +449,9 @@ func (m *Model) Stats() Snapshot {
 }
 
 // RetryAfter estimates how long a shed caller should wait before retrying:
-// the work already admitted (queue plus up to one in-flight batch) times
-// the smoothed per-request service time, clamped to [1s, 60s]. HTTP 429
+// the work already admitted (the queue plus a batch's worth in hand) times
+// the smoothed wall-clock time the model takes to drain one request —
+// however many passes share that work — clamped to [1s, 60s]. HTTP 429
 // responses carry it as the Retry-After header.
 func (m *Model) RetryAfter() time.Duration {
 	est := m.stats.serviceEstimate()
@@ -574,8 +601,8 @@ func (m *Model) Detail() ModelDetail {
 // deterministic transient-error stream (ignored when the model serves from
 // reliable DRAM). Admission is non-blocking: a full queue sheds the
 // request with ErrQueueFull immediately instead of stalling the caller. A
-// context deadline travels with the request; if it passes while the
-// request is still queued, the collector drops it with ErrExpired before
+// context deadline and cancellation travel with the request; if either
+// happens while the request is still queued, the collector drops it before
 // dispatch.
 func (m *Model) Predict(ctx context.Context, input []float32, seed uint64) (Result, error) {
 	if len(input) != m.inputLen {
@@ -613,7 +640,7 @@ func (m *Model) PredictActivation(ctx context.Context, x *tensor.Tensor, seed ui
 // micro-batch is served — the shared tail of Predict and PredictActivation.
 func (m *Model) submit(ctx context.Context, x *tensor.Tensor, seed uint64) (Result, error) {
 	deadline, _ := ctx.Deadline()
-	p := &pending{x: x, seed: seed, enq: time.Now(), deadline: deadline, out: make(chan outcome, 1)}
+	p := &pending{x: x, seed: seed, enq: time.Now(), deadline: deadline, gone: ctx.Done(), out: make(chan outcome, 1)}
 	select {
 	case m.queue <- p:
 	case <-m.quit:
@@ -639,20 +666,37 @@ func (m *Model) submit(ctx context.Context, x *tensor.Tensor, seed uint64) (Resu
 	}
 }
 
+// start launches the model's scheduler: one collector and slots identical
+// dispatchers.
+func (m *Model) start() {
+	go m.collect()
+	for i := 0; i < m.slots; i++ {
+		go m.run()
+	}
+}
+
 // collect is the admission half of the scheduler. It forms the next
-// micro-batch while the dispatcher computes the current one: the offer
-// loop simultaneously waits for the dispatcher to take the batch and keeps
+// micro-batch while the dispatchers compute earlier ones: the offer loop
+// simultaneously waits for a dispatcher to take the batch and keeps
 // admitting arrivals into it (up to MaxBatch), so batch occupancy tracks
-// the queue pressure during the previous dispatch instead of a fixed
-// collection window. Expired requests are swept out before every hand-off
-// attempt. On quit it fails everything it holds and closes the hand-off
-// channel, which stops the dispatcher after its in-flight batch.
+// the queue pressure during the passes before it instead of a fixed
+// collection window. The batch is on offer when no pass is in flight, or
+// when it is full and fewer than slots are; the collector alone counts
+// passes in flight — up at the hand-off, down at a done token — so the
+// pass that ends while a partial batch waits always wakes the loop that
+// then offers it. Expired and abandoned requests are swept out before every
+// hand-off attempt. On quit it fails everything it holds and closes the
+// hand-off channel, which stops each dispatcher after its in-flight batch.
 func (m *Model) collect() {
 	defer close(m.batches)
+	inflight := 0
 	for {
 		var first *pending
 		select {
 		case first = <-m.queue:
+		case <-m.done:
+			inflight--
+			continue
 		case <-m.quit:
 			m.drain()
 			return
@@ -696,13 +740,13 @@ func (m *Model) collect() {
 					break drain
 				}
 			}
-			batch = m.sweepExpired(batch)
+			batch = m.sweep(batch)
 			if len(batch) == 0 {
-				batch = nil // everything expired; collect anew
+				batch = nil // nobody left waiting; collect anew
 				break
 			}
 			// Arm a timer at the earliest member deadline so a stalled
-			// hand-off (dispatcher busy, no arrivals) still re-sweeps the
+			// hand-off (dispatchers busy, no arrivals) still re-sweeps the
 			// moment a queued request expires.
 			var expiry <-chan time.Time
 			var timer *time.Timer
@@ -710,15 +754,23 @@ func (m *Model) collect() {
 				timer = time.NewTimer(time.Until(t))
 				expiry = timer.C
 			}
+			full := len(batch) == m.cfg.MaxBatch
 			var arrivals chan *pending
-			if len(batch) < m.cfg.MaxBatch {
+			if !full {
 				arrivals = m.queue
+			}
+			var offer chan []*pending
+			if inflight == 0 || full && inflight < m.slots {
+				offer = m.batches
 			}
 			select {
 			case p := <-arrivals:
 				batch = append(batch, p)
-			case m.batches <- batch:
+			case offer <- batch:
+				inflight++
 				batch = nil
+			case <-m.done:
+				inflight--
 			case <-expiry:
 				// Re-sweep on the next iteration.
 			case <-m.quit:
@@ -736,32 +788,28 @@ func (m *Model) collect() {
 	}
 }
 
-// run is the compute half of the scheduler: it dispatches formed batches
-// until the collector closes the hand-off channel at shutdown.
+// run is the compute half of the scheduler, one of slots alike: it
+// dispatches formed batches, returning a done token after each, until the
+// collector closes the hand-off channel at shutdown.
 func (m *Model) run() {
 	for batch := range m.batches {
 		m.dispatch(batch)
+		m.done <- struct{}{}
 	}
 }
 
-// sweepExpired fails every batch member whose deadline has passed and
-// returns the survivors. It touches the clock only when some member
-// actually carries a deadline.
-func (m *Model) sweepExpired(batch []*pending) []*pending {
-	dated := false
-	for _, p := range batch {
-		if !p.deadline.IsZero() {
-			dated = true
-			break
-		}
-	}
-	if !dated {
-		return batch
-	}
-	now := time.Now()
+// sweep fails every batch member nobody is waiting for any more — its
+// deadline has passed or its caller has cancelled — and returns the
+// survivors. It touches the clock only when some member actually carries a
+// deadline.
+func (m *Model) sweep(batch []*pending) []*pending {
+	var now time.Time
 	kept := batch[:0]
 	for _, p := range batch {
-		if p.expired(now) {
+		if !p.deadline.IsZero() && now.IsZero() {
+			now = time.Now()
+		}
+		if p.abandoned() || !p.deadline.IsZero() && now.After(p.deadline) {
 			m.stats.recordExpired()
 			p.out <- outcome{err: ErrExpired}
 		} else {
@@ -812,7 +860,7 @@ func (m *Model) drain() {
 // completes. The pass returns private, capacity-limited views of one
 // output slab, which go to the callers as they are.
 func (m *Model) dispatch(batch []*pending) {
-	start := time.Now()
+	start := m.stats.begin()
 	xs := make([]*tensor.Tensor, len(batch))
 	for i, p := range batch {
 		xs[i] = p.x

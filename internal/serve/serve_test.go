@@ -6,9 +6,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -61,44 +63,63 @@ func testInputs(t *testing.T, name string, n int) [][]float32 {
 	return out
 }
 
+// sameBits reports whether two float32 slices hold the same bit patterns:
+// the comparison every "byte-identical" claim in this package makes, under
+// which -0 differs from +0 and a NaN equals itself.
+func sameBits(a, b []float32) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float32bits(a[i]) != math.Float32bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
 // predictAll sends every input (seed 1000+i) and returns the outputs in
-// input order. Concurrency concurrent, so micro-batches actually form.
+// input order: one at a time, or each from its own goroutine so
+// micro-batches actually form.
 func predictAll(t *testing.T, m *Model, inputs [][]float32, concurrent bool) [][]float32 {
 	t.Helper()
-	outs := make([][]float32, len(inputs))
-	if !concurrent {
-		for i, in := range inputs {
-			res, err := m.Predict(context.Background(), in, 1000+uint64(i))
-			if err != nil {
-				t.Fatal(err)
-			}
-			outs[i] = res.Output
-		}
-		return outs
+	if concurrent {
+		return predictFrom(t, m, inputs, len(inputs))
 	}
+	return predictFrom(t, m, inputs, 1)
+}
+
+// predictFrom is predictAll from a fixed number of closed-loop callers
+// sharing the inputs between them, each taking the next unserved one.
+func predictFrom(t *testing.T, m *Model, inputs [][]float32, callers int) [][]float32 {
+	t.Helper()
+	outs := make([][]float32, len(inputs))
+	errs := make([]error, callers)
+	var next atomic.Int64
 	var wg sync.WaitGroup
-	errs := make([]error, len(inputs))
-	for i, in := range inputs {
+	for c := 0; c < callers; c++ {
 		wg.Add(1)
-		go func(i int, in []float32) {
+		go func(c int) {
 			defer wg.Done()
-			// A full admission queue sheds instead of blocking; behave
-			// like a well-mannered client and retry after a beat.
-			var res Result
-			var err error
 			for {
-				res, err = m.Predict(context.Background(), in, 1000+uint64(i))
-				if !errors.Is(err, ErrQueueFull) {
-					break
+				i := int(next.Add(1)) - 1
+				if i >= len(inputs) {
+					return
 				}
-				time.Sleep(200 * time.Microsecond)
+				// A full admission queue sheds instead of blocking; behave
+				// like a well-mannered client and retry after a beat.
+				res, err := m.Predict(context.Background(), inputs[i], 1000+uint64(i))
+				for errors.Is(err, ErrQueueFull) {
+					time.Sleep(200 * time.Microsecond)
+					res, err = m.Predict(context.Background(), inputs[i], 1000+uint64(i))
+				}
+				if err != nil {
+					errs[c] = err
+					return
+				}
+				outs[i] = res.Output
 			}
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			outs[i] = res.Output
-		}(i, in)
+		}(c)
 	}
 	wg.Wait()
 	for _, err := range errs {
@@ -138,14 +159,8 @@ func TestBatchingDeterminism(t *testing.T) {
 	for _, tc := range cases {
 		got := run(tc.cfg, tc.w, true)
 		for i := range want {
-			if len(got[i]) != len(want[i]) {
-				t.Fatalf("%s: sample %d output length %d != %d", tc.name, i, len(got[i]), len(want[i]))
-			}
-			for j := range want[i] {
-				if got[i][j] != want[i][j] {
-					t.Fatalf("%s: sample %d element %d: %v != %v",
-						tc.name, i, j, got[i][j], want[i][j])
-				}
+			if !sameBits(got[i], want[i]) {
+				t.Fatalf("%s: sample %d: %v, want the bits of %v", tc.name, i, got[i], want[i])
 			}
 		}
 	}
@@ -162,14 +177,7 @@ func TestBatchingDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	same := true
-	for j := range a.Output {
-		if a.Output[j] != b.Output[j] {
-			same = false
-			break
-		}
-	}
-	if same {
+	if sameBits(a.Output, b.Output) {
 		t.Fatal("different request seeds produced identical outputs at BER 0.2")
 	}
 }

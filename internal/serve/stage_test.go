@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -22,13 +23,13 @@ import (
 // (including NaN payloads and denormals), seed carriage, and the guards
 // against hostile frames.
 func TestEncodeDecodeActivation(t *testing.T) {
-	data := []float32{0, 1, -1, 1e-42, float32(1.0 / 3.0)}
-	x := tensor.FromSlice(append([]float32(nil), data...), 1, 5)
+	data := []float32{0, float32(math.Copysign(0, -1)), 1, -1, 1e-42, float32(1.0 / 3.0), math.Float32frombits(0x7FC12345)}
+	x := tensor.FromSlice(append([]float32(nil), data...), 1, len(data))
 	var buf bytes.Buffer
 	if err := EncodeActivation(&buf, x, 0xFEED); err != nil {
 		t.Fatal(err)
 	}
-	got, seed, err := DecodeActivation(&buf, 5)
+	got, seed, err := DecodeActivation(&buf, len(data))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,10 +39,8 @@ func TestEncodeDecodeActivation(t *testing.T) {
 	if !got.Shape().Equal(x.Shape()) {
 		t.Fatalf("shape %v", got.Shape())
 	}
-	for i := range data {
-		if got.Data[i] != data[i] {
-			t.Fatalf("element %d: %v != %v", i, got.Data[i], data[i])
-		}
+	if !sameBits(got.Data, data) {
+		t.Fatalf("decoded %v, want the bits of %v", got.Data, data)
 	}
 
 	// Encode→decode→encode is byte-identical.
@@ -73,7 +72,7 @@ func TestEncodeDecodeActivation(t *testing.T) {
 		t.Fatal(err)
 	}
 	cut := trunc.Bytes()[:trunc.Len()-3]
-	if _, _, err := DecodeActivation(bytes.NewReader(cut), 5); err == nil {
+	if _, _, err := DecodeActivation(bytes.NewReader(cut), len(data)); err == nil {
 		t.Fatal("truncated frame accepted")
 	}
 }
@@ -229,10 +228,8 @@ func TestStageServing(t *testing.T) {
 	if !out.Shape().Equal(want.Shape()) {
 		t.Fatalf("output shape %v, want %v", out.Shape(), want.Shape())
 	}
-	for i := range want.Data {
-		if out.Data[i] != want.Data[i] {
-			t.Fatalf("element %d differs over the wire: %v != %v", i, out.Data[i], want.Data[i])
-		}
+	if !sameBits(out.Data, want.Data) {
+		t.Fatalf("activation differs over the wire: %v, want the bits of %v", out.Data, want.Data)
 	}
 
 	// Wrong-shaped activations are rejected, not computed.
