@@ -37,10 +37,13 @@ race:
 
 # BenchmarkConv2DBackward (the training shapes of the zoo) runs on its own
 # line, at one and at two CPUs: its fan-out is the one kernel whose balance
-# across cores a single-CPU pass cannot see.
+# across cores a single-CPU pass cannot see. So do BenchmarkVGGLayers and
+# BenchmarkLeNetLayers, the serving shapes: that is ROADMAP item 4(a)'s
+# one-against-two-CPU layer table.
 bench:
-	$(GO) test -run '^$$' -bench . -skip BenchmarkConv2DBackward -benchtime 1x -benchmem ./internal/compute/ ./internal/dnn/ ./internal/serve/ ./internal/softmc/ ./internal/errormodel/ ./internal/eden/
+	$(GO) test -run '^$$' -bench . -skip 'BenchmarkConv2DBackward|BenchmarkVGGLayers|BenchmarkLeNetLayers' -benchtime 1x -benchmem ./internal/compute/ ./internal/dnn/ ./internal/serve/ ./internal/softmc/ ./internal/errormodel/ ./internal/eden/
 	$(GO) test -run '^$$' -bench BenchmarkConv2DBackward -benchtime 1x -cpu 1,2 ./internal/compute/
+	$(GO) test -run '^$$' -bench 'BenchmarkVGGLayers|BenchmarkLeNetLayers' -benchtime 100x -cpu 1,2 ./internal/compute/
 
 # bench-e2e is the repository's benchmark (cmd/bench, contract in
 # BENCHMARK.json): four workloads, end-to-end metrics, every output

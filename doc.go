@@ -12,9 +12,11 @@
 // The four kernels every pass bottoms out in (MatMul, MatMulTransB,
 // Conv2D, Conv2DBackward) live behind the pluggable compute.Backend
 // interface in internal/compute: "ref" is the direct-loop reference,
-// "gemm" (the default) lowers convolution via im2col to a tiled GEMM
-// staged a 16-column strip at a time in per-goroutine pool-recycled scratch
-// slabs, its inner loops running eight float32 lanes wide on amd64 (AVX
+// "gemm" (the default) lowers convolution to a tiled GEMM over 16-column
+// strips of the patch matrix, read in place from the zero-bordered input
+// through a per-k offset table where a strip lies in it as two runs and
+// staged in per-goroutine pool-recycled scratch slabs where not, its inner
+// loops running eight float32 lanes wide on amd64 (AVX
 // assembly behind compute's tile micro-kernel — 4 filters × 16 columns held
 // in registers for the whole reduction, under Conv2D and batched
 // MatMulTransB — and its axpy row primitive; one output element per lane,

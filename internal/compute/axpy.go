@@ -3,7 +3,9 @@ package compute
 // The gemm backend's inner loops are built on two vector primitives. tile
 // computes a 4-row × 16-column block of a matrix product,
 // acc[f, j] = init[f] + Σ_k w[f, k]·panel[k, j], holding the 64 sums in
-// registers from the first k to the last and storing them once; axpy
+// registers from the first k to the last and storing them once; it finds
+// row k of the panel through a table of offsets into a source, so that a
+// convolution's taps are read where the input already holds them; axpy
 // streams one row, d[j] += a·x[j]. In both, every (f, j) or j is a distinct
 // output element that sees, per k, exactly one rounded float32 multiply
 // followed by one rounded float32 add, in ascending-k order. So a SIMD
@@ -30,9 +32,10 @@ package compute
 // row widths choose multiples of it.
 const vecLanes = 8
 
-// A tile is tileRows rows of w against tileCols columns of a panel: eight
-// YMM accumulators, which with two panel vectors, a broadcast weight and
-// the products fills the sixteen registers AVX has.
+// A tile is tileRows rows of w against tileCols columns of a panel, the
+// columns in two runs of vecLanes: eight YMM accumulators, which with two
+// panel vectors, a broadcast weight and the products fills the sixteen
+// registers AVX has.
 const (
 	tileRows = 4
 	tileCols = 2 * vecLanes
@@ -43,23 +46,35 @@ const (
 // bodies stay covered on hosts that would never run them.
 var useVec = hasVec
 
-// tileScalar is the specification of tile: for f < tileRows and
+// tileScalar is the specification of tile. Row p of the panel is sixteen
+// values in two runs of eight: x[j] = src[offs[p]+j] for j < vecLanes and
+// src[offs[p]+hiDelta+j−vecLanes] from there on. For f < tileRows and
 // j < tileCols, acc[f·tileCols+j] is a sum that starts at init[f] and
-// receives w[f·k+p]·panel[p·panelStride+j] for p = 0 … k−1 in that order,
-// weight times value, then product plus accumulator.
-func tileScalar(acc *[tileRows * tileCols]float32, init *[tileRows]float32, w, panel []float32, panelStride, k int) {
+// receives w[f·k+p]·x[j] for p = 0 … k−1 in that order, weight times value,
+// then product plus accumulator. offs ascends.
+func tileScalar(acc *[tileRows * tileCols]float32, init *[tileRows]float32, w, src []float32, offs []int32, hiDelta, k int) {
 	for f, iv := range init {
 		var sums [tileCols]float32
 		for j := range sums {
 			sums[j] = iv
 		}
 		for p, wv := range w[f*k : (f+1)*k] {
-			x := (*[tileCols]float32)(panel[p*panelStride:])
-			for j := range sums {
-				sums[j] += wv * x[j]
+			lo := (*[vecLanes]float32)(src[offs[p]:])
+			hi := (*[vecLanes]float32)(src[int(offs[p])+hiDelta:])
+			for j := range lo {
+				sums[j] += wv * lo[j]
+				sums[vecLanes+j] += wv * hi[j]
 			}
 		}
 		*(*[tileCols]float32)(acc[f*tileCols:]) = sums
+	}
+}
+
+// packedOffs fills offs with the table of a staged panel, whose row p is the
+// tileCols values at p·tileCols (hiDelta = vecLanes).
+func packedOffs(offs []int32) {
+	for p := range offs {
+		offs[p] = int32(p * tileCols)
 	}
 }
 

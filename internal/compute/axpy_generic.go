@@ -8,8 +8,8 @@ package compute
 // other per architecture.
 const hasVec = false
 
-func tile(acc *[tileRows * tileCols]float32, init *[tileRows]float32, w, panel []float32, panelStride, k int) {
-	tileScalar(acc, init, w, panel, panelStride, k)
+func tile(acc *[tileRows * tileCols]float32, init *[tileRows]float32, w, src []float32, offs []int32, hiDelta, k int) {
+	tileScalar(acc, init, w, src, offs, hiDelta, k)
 }
 
 func axpy(d, x []float32, a float32) { axpyScalar(d, x, a) }

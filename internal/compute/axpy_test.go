@@ -106,12 +106,16 @@ func TestAxpyVectorMatchesScalarSpec(t *testing.T) {
 }
 
 // tileNaive restates the tile contract one output element at a time.
-func tileNaive(acc *[tileRows * tileCols]float32, init *[tileRows]float32, w, panel []float32, panelStride, k int) {
+func tileNaive(acc *[tileRows * tileCols]float32, init *[tileRows]float32, w, src []float32, offs []int32, hiDelta, k int) {
 	for f := 0; f < tileRows; f++ {
 		for j := 0; j < tileCols; j++ {
+			at := j
+			if j >= vecLanes {
+				at += hiDelta - vecLanes
+			}
 			sum := init[f]
 			for p := 0; p < k; p++ {
-				sum += w[f*k+p] * panel[p*panelStride+j]
+				sum += w[f*k+p] * src[int(offs[p])+at]
 			}
 			acc[f*tileCols+j] = sum
 		}
@@ -122,14 +126,26 @@ func tileNaive(acc *[tileRows * tileCols]float32, init *[tileRows]float32, w, pa
 // inside guardLen canaries on either side, and a want copy of it that the
 // reference fills.
 type tileCase struct {
-	init                [tileRows]float32
-	dst, want, w, panel []float32
-	panelStride, k      int
+	init              [tileRows]float32
+	dst, want, w, src []float32
+	offs              []int32
+	hiDelta, k        int
 }
 
-// newTileCase draws a tile call of depth k from pick.
-func newTileCase(k, panelStride int, pick func() float32) tileCase {
-	c := tileCase{panelStride: panelStride, k: k}
+// tileSteps are the tables the tile tests draw: offs[p+1]−offs[p] cycles
+// through one of them. A convolution's rows overlap — the next tap is one
+// element on, the next kernel row a plane row on — and a staged panel's
+// are a strip or more apart.
+var tileSteps = [][]int{{1}, {1, 1, 8}, {tileCols}, {64}}
+
+// tileHiDeltas are the distances from a row's low half to its high half
+// they draw: adjacent, overlapping the low half's successor rows, apart.
+var tileHiDeltas = []int{vecLanes, 10, 18, 64}
+
+// newTileCase draws a tile call of depth k from pick. The source ends on the
+// last element the call reads.
+func newTileCase(k int, steps []int, hiDelta int, pick func() float32) tileCase {
+	c := tileCase{hiDelta: hiDelta, k: k}
 	c.dst = make([]float32, guardLen+tileRows*tileCols+guardLen)
 	for i := range c.dst {
 		c.dst[i] = canaryValue
@@ -144,16 +160,24 @@ func newTileCase(k, panelStride int, pick func() float32) tileCase {
 	for i := range c.w {
 		c.w[i] = pick()
 	}
-	c.panel = make([]float32, k*panelStride)
-	for i := range c.panel {
-		c.panel[i] = pick()
+	c.offs = make([]int32, k)
+	at := 3
+	for p := range c.offs {
+		c.offs[p] = int32(at)
+		at += steps[p%len(steps)]
+	}
+	if k > 0 {
+		c.src = make([]float32, int(c.offs[k-1])+hiDelta+vecLanes)
+	}
+	for i := range c.src {
+		c.src[i] = pick()
 	}
 	c.want = append([]float32(nil), c.dst...)
 	return c
 }
 
-func (c *tileCase) run(kernel func(acc *[tileRows * tileCols]float32, init *[tileRows]float32, w, panel []float32, panelStride, k int), dst []float32) {
-	kernel((*[tileRows * tileCols]float32)(dst[guardLen:]), &c.init, c.w, c.panel, c.panelStride, c.k)
+func (c *tileCase) run(kernel func(acc *[tileRows * tileCols]float32, init *[tileRows]float32, w, src []float32, offs []int32, hiDelta, k int), dst []float32) {
+	kernel((*[tileRows * tileCols]float32)(dst[guardLen:]), &c.init, c.w, c.src, c.offs, c.hiDelta, c.k)
 }
 
 // tileBounded are the specials small enough that no sum of 288 products of
@@ -168,8 +192,10 @@ var tileNaNs = []uint32{0x7FC00000, 0xFFC00000, 0x7FC12345, 0xFFFFFFFF, 0x7F8000
 // TestTileMatchesSpec holds the micro-kernel — the assembly and the scalar
 // body it stands in for — to an element-at-a-time restatement of its
 // contract, bit for bit, NaN payloads included: depths around the loop's
-// edges and a conv3_1-sized one, panel rows at and beyond the row length,
-// special values in every operand, and canaries around the destination.
+// edges and a conv3_1-sized one, tables whose rows overlap, abut and lie
+// apart, high halves next to, inside and far from the low ones, a source
+// that ends on the last element read, special values in every operand, and
+// canaries around the destination.
 //
 // Which payload survives where two different NaNs meet is the operand order
 // the compiler picks for a scalar body, which Go leaves open, so no case
@@ -205,15 +231,36 @@ func TestTileMatchesSpec(t *testing.T) {
 				classes = append(classes, class{fmt.Sprintf("NaN %#08x", bits), draw(tileBounded, math.Float32frombits(bits))})
 			}
 			for _, cl := range classes {
-				for _, panelStride := range []int{tileCols, tileCols + 1, 64} {
-					for rep := 0; rep < 4; rep++ {
-						c := newTileCase(k, panelStride, cl.pick)
+				for _, steps := range tileSteps {
+					for _, hiDelta := range tileHiDeltas {
+						c := newTileCase(k, steps, hiDelta, cl.pick)
 						c.run(tileNaive, c.want)
 						c.run(tile, c.dst)
-						assertSameBits(t, fmt.Sprintf("tile k=%d panel stride %d, %s (canaries included)", k, panelStride, cl.name), c.dst, c.want)
+						assertSameBits(t, fmt.Sprintf("tile k=%d steps %v hiDelta %d, %s (canaries included)", k, steps, hiDelta, cl.name), c.dst, c.want)
 					}
 				}
 			}
+		}
+	})
+}
+
+// TestTileShortSourcePanics: the assembly checks nothing, so a source one
+// element short of the last read must stop in the Go wrapper — as it stops
+// in the scalar body's slicing.
+func TestTileShortSourcePanics(t *testing.T) {
+	forEachVecPath(t, func(t *testing.T) {
+		for _, hiDelta := range tileHiDeltas {
+			c := newTileCase(5, tileSteps[1], hiDelta, func() float32 { return 1 })
+			c.src = c.src[: len(c.src)-1 : len(c.src)-1]
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("hiDelta %d: tile read past a source of %d elements", hiDelta, len(c.src))
+					}
+				}()
+				c.run(tile, c.dst)
+			}()
+			assertSameBits(t, "destination of the refused call", c.dst, c.want)
 		}
 	})
 }
@@ -246,7 +293,8 @@ func FuzzTileVecMatchesScalar(f *testing.F) {
 			}
 		}
 		k := r.Intn(40)
-		c := newTileCase(k, tileCols+r.Intn(20), pick)
+		steps := append([][]int{{1 + r.Intn(20)}}, tileSteps...)[r.Intn(len(tileSteps)+1)]
+		c := newTileCase(k, steps, tileHiDeltas[r.Intn(len(tileHiDeltas))], pick)
 		c.run(tileScalar, c.want)
 		c.run(tile, c.dst)
 		for i, want := range c.want {
@@ -301,7 +349,7 @@ func TestAxpyDoesNotAllocate(t *testing.T) {
 		if avg := testing.AllocsPerRun(100, func() { axpy(d, x, 1) }); avg != 0 {
 			t.Errorf("axpy allocates %v times per call", avg)
 		}
-		c := newTileCase(9, tileCols, func() float32 { return 1 })
+		c := newTileCase(9, tileSteps[0], vecLanes, func() float32 { return 1 })
 		if avg := testing.AllocsPerRun(100, func() { c.run(tile, c.dst) }); avg != 0 {
 			t.Errorf("tile allocates %v times per call", avg)
 		}
@@ -316,7 +364,7 @@ func BenchmarkTile(b *testing.B) {
 			b.Run(fmt.Sprintf("k=%d/vec=%v", k, vec), func(b *testing.B) {
 				pinVecPath(b, vec)
 				i := 0
-				c := newTileCase(k, tileCols, func() float32 { i++; return float32(i%7) * 1e-3 })
+				c := newTileCase(k, []int{tileCols}, vecLanes, func() float32 { i++; return float32(i%7) * 1e-3 })
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					c.run(tile, c.dst)

@@ -8,17 +8,20 @@ import (
 )
 
 // gemmBackend lowers convolution to matrix multiplication: the output
-// pixels of a (group, batch) form the columns of a patch matrix, staged a
-// strip of tileCols columns at a time in a pool-recycled scratch slab, and
-// the filter rows multiply each strip through the register-tiled
-// micro-kernel (tile, axpy.go). Blocking is applied over output elements
+// pixels of a (group, batch) form the columns of a patch matrix, taken a
+// strip of tileCols columns at a time, and the filter rows multiply each
+// strip through the register-tiled micro-kernel (tile, axpy.go). The patch
+// matrix is never built: where the two halves of a strip are runs of the
+// (zero-bordered) input, the kernel reads tap k at its offset from the
+// strip's first pixel, and only the other strips are staged in a
+// pool-recycled scratch slab. Blocking is applied over output elements
 // only — never over the k reduction — so every output element accumulates
 // its contributions in exactly the Ref order and the backend is
 // bit-identical to Ref on finite inputs (pinned by the property tests in
 // identity_test.go and the zoo-wide test in internal/dnn).
 //
 // The win over Ref's direct convolution is memory behaviour, not math: the
-// branchy per-element bounds checks disappear into the staging, a strip
+// branchy per-element bounds checks disappear into the zero border, a strip
 // stays in L1 while every filter of the group sweeps it, and the sums of a
 // tile live in registers from the first k to the last — sums of
 // independent output elements, which is what lets tile and axpy run them
@@ -115,6 +118,9 @@ func (gemmBackend) MatMulTransB(a, b *tensor.Tensor) *tensor.Tensor {
 		}
 	}
 	padTailRows(tail, b.Data, k, n)
+	offs := slabI32.get(k)
+	defer slabI32.put(offs)
+	packedOffs(*offs)
 	tiles := func(lo, hi int) {
 		var zero [tileRows]float32
 		for idx := lo; idx < hi; idx++ {
@@ -124,7 +130,7 @@ func (gemmBackend) MatMulTransB(a, b *tensor.Tensor) *tensor.Tensor {
 				wq = tail
 			}
 			var acc [tileRows * tileCols]float32
-			tile(&acc, &zero, wq, panels[s*tileCols*k:], tileCols, k)
+			tile(&acc, &zero, wq, panels[s*tileCols*k:], *offs, vecLanes, k)
 			for i := s * tileCols; i < min((s+1)*tileCols, m); i++ {
 				for j := j0; j < min(j0+tileRows, n); j++ {
 					c.Data[i*n+j] = acc[(j-j0)*tileCols+i%tileCols]
@@ -212,13 +218,15 @@ func matMulTransBRows(c, a, b *tensor.Tensor, m, k, n int) {
 // Conv2D lowers the convolution to a tiled matrix product. Per group the
 // columns are the flattened (sample, oy, ox) output pixels, cut into strips
 // of tileCols — so a 4×4 or 2×2 map fills a strip from neighbouring samples
-// — and a work item is a run of (group, strip) pairs. It stages one strip
-// at a time, K×tileCols with k = (ci·KH+ky)·KW+kx, then every four filters
-// of the group start a tile at their biases, run the micro-kernel down the
-// strip in ascending-k order and copy the tile out. Padding becomes
-// explicit zeros whose contributions are exact no-ops. An unpadded
-// stride-1 1×1 convolution skips the staging wherever a strip lies inside
-// one sample: the input planes already are the patch matrix.
+// — and a work item is a run of (group, strip) pairs. A strip is K×tileCols
+// with k = (ci·KH+ky)·KW+kx; every four filters of the group start a tile at
+// their biases, run the micro-kernel down the strip in ascending-k order
+// and copy the tile out. Padding becomes explicit zeros whose contributions
+// are exact no-ops. At stride 1, pixel i of a run inside an output row reads
+// tap k at (ci·hp+ky)·wp+kx+i of the zero-bordered planes, so a strip whose
+// halves are two such runs of one sample — every strip of a 16- or 8-wide
+// map, and of any map as wide as its padded input (a 1×1 kernel's) — is
+// that table and is read in place. The rest are staged, one at a time.
 func (gemmBackend) Conv2D(in, w, bias *tensor.Tensor, p tensor.Conv2DParams) *tensor.Tensor {
 	g := convGeometry(in, w, p)
 	out := tensor.New(g.n, g.f, g.oh, g.ow)
@@ -229,13 +237,23 @@ func (gemmBackend) Conv2D(in, w, bias *tensor.Tensor, p tensor.Conv2DParams) *te
 	if tails != nil {
 		defer slabF32.put(tails)
 	}
+	// tile's two tables: a staged strip's rows, and the taps in hp×wp planes.
+	hp, wp := g.h+2*g.p.Padding, g.w+2*g.p.Padding
+	tables := slabI32.get(2 * kTotal)
+	defer slabI32.put(tables)
+	packed, taps := (*tables)[:kTotal], (*tables)[kTotal:]
+	packedOffs(packed)
+	for k := range taps {
+		ci, ky, kx := k/(g.kh*g.kw), k/g.kw%g.kh, k%g.kw
+		taps[k] = int32((ci*hp+ky)*wp + kx)
+	}
 	// A work item assembles the call's state on its own stack, so that the
 	// closure is all the call allocates besides its output.
 	work := func(lo, hi int) {
 		c := convForward{
 			convGeom: g, in: in.Data, wt: w.Data, out: out.Data,
 			fPerG: fPerG, kTotal: kTotal, cols: cols, strips: strips,
-			hp: g.h + 2*g.p.Padding, wp: g.w + 2*g.p.Padding,
+			hp: hp, wp: wp, packed: packed, taps: taps,
 		}
 		if bias != nil {
 			c.bias = bias.Data
@@ -264,12 +282,16 @@ type convForward struct {
 	hp, wp            int       // extents of a zero-padded input plane
 	cols, strips      int       // output pixels of the batch; strips of tileCols over them
 	tails             []float32 // per group, its last fPerG%tileRows filters as a padded quad
+	packed, taps      []int32   // tile's tables: of a staged strip, of the taps in the planes
+
+	// A work item's scratch: a staged strip, and sample held's padded planes.
+	panel, padded []float32
+	held          int
 }
 
 // run computes the (group, strip) pairs lo … hi−1 of the flattened
-// group-major index, in scratch of its own: one strip of the patch matrix
-// and, for a padded convolution, the group's planes of one sample inside a
-// zero border. The border is cleared here and never written again.
+// group-major index, in scratch of its own. The border of padded is cleared
+// here and never written again.
 func (c *convForward) run(lo, hi int) {
 	padLen := 0
 	if c.p.Padding > 0 {
@@ -277,55 +299,42 @@ func (c *convForward) run(lo, hi int) {
 	}
 	slab := slabF32.get(c.kTotal*tileCols + padLen)
 	defer slabF32.put(slab)
-	panel, padded := (*slab)[:c.kTotal*tileCols], (*slab)[c.kTotal*tileCols:]
-	clear(padded)
+	c.panel, c.padded = (*slab)[:c.kTotal*tileCols], (*slab)[c.kTotal*tileCols:]
+	clear(c.padded)
 	for idx := lo; idx < hi; {
 		grp, sLo := idx/c.strips, idx%c.strips
 		sHi := min(c.strips, sLo+hi-idx)
-		c.group(grp, sLo*tileCols, min(sHi*tileCols, c.cols), panel, padded)
+		c.group(grp, sLo*tileCols, min(sHi*tileCols, c.cols))
 		idx += sHi - sLo
 	}
 }
 
 // group computes columns [colLo, colHi) of one group, colLo on a strip
 // boundary.
-func (c *convForward) group(grp, colLo, colHi int, panel, padded []float32) {
-	plane, stride := c.oh*c.ow, c.p.Stride
-	// The planes of an unpadded stride-1 1×1 convolution already are its
-	// patch matrix, rows a plane apart.
-	direct := c.kh == 1 && c.kw == 1 && stride == 1 && c.p.Padding == 0
-	held := -1 // the sample padded holds rows of
+func (c *convForward) group(grp, colLo, colHi int) {
+	plane := c.oh * c.ow
+	c.held = -1
 	var acc [tileRows * tileCols]float32
 	for col0 := colLo; col0 < colHi; col0 += tileCols {
 		live := min(tileCols, colHi-col0)
 		b0, pix0 := col0/plane, col0%plane
-		inPlane := live == tileCols && pix0+tileCols <= plane
-		patch, patchStride := panel, tileCols
-		if direct && inPlane {
-			patch, patchStride = c.in[(b0*c.c+grp*c.cg)*plane+pix0:], plane
+		src, offs, hiDelta := c.panel, c.packed, vecLanes
+		lo, hi := c.runOf8(pix0), c.runOf8(pix0+vecLanes)
+		if pix0+tileCols <= plane && lo >= 0 && hi >= 0 {
+			// A whole strip of one sample, its halves two runs: read in place.
+			src, offs, hiDelta = c.planes(b0, grp, colLo, colHi)[lo:], c.taps, hi-lo
 		} else {
 			// Stage the strip, one run of an output row at a time.
 			for j := 0; j < live; {
 				b, pix := (col0+j)/plane, (col0+j)%plane
 				oy, ox := pix/c.ow, pix%c.ow
 				cnt := min(c.ow-ox, live-j)
-				src, base := c.in, (b*c.c+grp*c.cg)*c.h*c.w
-				if c.p.Padding > 0 {
-					if b != held {
-						// Only the rows this call's columns of the sample read.
-						oyLo := (max(colLo, b*plane) - b*plane) / c.ow
-						oyHi := (min(colHi, (b+1)*plane) - 1 - b*plane) / c.ow
-						c.padRows(padded, base, oyLo*stride, oyHi*stride+c.kh)
-						held = b
-					}
-					src, base = padded, 0
-				}
-				c.stage(panel[j:], src, base+(oy*c.wp+ox)*stride, cnt)
+				c.stage(c.panel[j:], c.planes(b, grp, colLo, colHi), (oy*c.wp+ox)*c.p.Stride, cnt)
 				j += cnt
 			}
 			// The dead lanes of a batch's last strip multiply zeros.
 			for k := 0; k < c.kTotal && live < tileCols; k++ {
-				clear(panel[k*tileCols+live : (k+1)*tileCols])
+				clear(c.panel[k*tileCols+live : (k+1)*tileCols])
 			}
 		}
 		// Every four filters of the group fill acc, a padded quad and the dead
@@ -341,7 +350,7 @@ func (c *convForward) group(grp, colLo, colHi int, panel, padded []float32) {
 			if c.bias != nil {
 				copy(init[:], c.bias[fo:fo+nf])
 			}
-			tile(&acc, &init, wq, patch, patchStride, c.kTotal)
+			tile(&acc, &init, wq, src, offs, hiDelta, c.kTotal)
 			for j := 0; j < live; {
 				b, pix := (col0+j)/plane, (col0+j)%plane
 				cnt := min(plane-pix, live-j)
@@ -352,6 +361,35 @@ func (c *convForward) group(grp, colLo, colHi int, panel, padded []float32) {
 			}
 		}
 	}
+}
+
+// runOf8 returns where the zero-bordered plane holds what tap 0 reads for
+// output pixel pix, or −1 unless the vecLanes pixels from pix on read a run
+// of it: stride 1, and inside one output row or rows that abut.
+func (c *convForward) runOf8(pix int) int {
+	oy, ox := pix/c.ow, pix%c.ow
+	if c.p.Stride != 1 || ox+vecLanes > c.ow && c.ow != c.wp {
+		return -1
+	}
+	return oy*c.wp + ox
+}
+
+// planes returns the cg planes of sample b of group grp, hp×wp each with
+// their padding: the input itself without any, else padded, refilled when b
+// is not the sample it holds with the rows columns [colLo, colHi) read.
+func (c *convForward) planes(b, grp, colLo, colHi int) []float32 {
+	base := (b*c.c + grp*c.cg) * c.h * c.w
+	if c.p.Padding == 0 {
+		return c.in[base:]
+	}
+	if b != c.held {
+		plane, stride := c.oh*c.ow, c.p.Stride
+		oyLo := (max(colLo, b*plane) - b*plane) / c.ow
+		oyHi := (min(colHi, (b+1)*plane) - 1 - b*plane) / c.ow
+		c.padRows(c.padded, base, oyLo*stride, oyHi*stride+c.kh)
+		c.held = b
+	}
+	return c.padded
 }
 
 // padRows copies rows [yLo, yHi) — in padded coordinates — of the cg input
@@ -378,8 +416,8 @@ func (c *convForward) stage(panel, src []float32, off, cnt int) {
 			for kx := 0; kx < c.kw; kx++ {
 				dst := panel[k*tileCols:][:cnt]
 				k++
-				// A whole and half a strip go through a local, which the
-				// compiler moves inline: memmove costs more than it moves here.
+				// The usual widths go through a local, which the compiler
+				// moves inline: memmove costs more than it moves here.
 				switch {
 				case stride == 1 && cnt == tileCols:
 					v := [tileCols]float32(row[kx:])
@@ -387,6 +425,9 @@ func (c *convForward) stage(panel, src []float32, off, cnt int) {
 				case stride == 1 && cnt == vecLanes:
 					v := [vecLanes]float32(row[kx:])
 					*(*[vecLanes]float32)(dst) = v
+				case stride == 1 && cnt == vecLanes/2:
+					v := [vecLanes / 2]float32(row[kx:])
+					*(*[vecLanes / 2]float32)(dst) = v
 				default:
 					for i := range dst {
 						dst[i] = row[kx+i*stride]

@@ -2,6 +2,7 @@ package compute
 
 import (
 	"fmt"
+	"runtime/debug"
 	"testing"
 
 	"repro/internal/parallel"
@@ -154,21 +155,22 @@ func testGemmConv2DBitIdenticalToRef(t *testing.T) {
 // pixels of the whole batch) on both sides of one and two strips, reached
 // through one sample or through many small ones so that strips span
 // samples; filters per group that leave every size of padded quad; several
-// groups; the 1×1 kernel, a 5×5 one and stride 2; and the serving shapes
-// at batches of 1 and 16. Everything at 1, 2, 3 and 8 workers — the
-// single-sample cases are what pins that cutting a call for the pool moves
-// no bit.
+// groups; the 1×1 kernel, a 5×5 one and stride 2; the serving shapes at
+// batches of 1 and 16; and every way a strip's halves can lie in the input
+// it is read from in place — inside a row, across a row end, in different
+// samples — under every padding of every kernel. Everything at 1, 2, 3 and
+// 8 workers — the single-sample cases are what pins that cutting a call for
+// the pool moves no bit.
 func TestGemmConv2DTileEdgesBitIdenticalToRef(t *testing.T) {
 	forEachVecPath(t, testGemmConv2DTileEdgesBitIdenticalToRef)
 }
 
 func testGemmConv2DTileEdgesBitIdenticalToRef(t *testing.T) {
 	r := tensor.NewRNG(0x6E7D)
-	// check convolves n samples to an oh×ow map.
-	check := func(n, oh, ow, cg, fPerG, groups, k, stride int) {
+	// checkPad convolves n samples to an oh×ow map.
+	checkPad := func(n, oh, ow, cg, fPerG, groups, k, stride, pad int) {
 		t.Helper()
-		pad := k / 2
-		h, w := (oh-1)*stride+1, (ow-1)*stride+1
+		h, w := (oh-1)*stride+k-2*pad, (ow-1)*stride+k-2*pad
 		p := tensor.Conv2DParams{Stride: stride, Padding: pad, Groups: groups}
 		in := randomTensor(r, n, cg*groups, h, w)
 		wt := randomTensor(r, fPerG*groups, cg, k, k)
@@ -185,6 +187,10 @@ func testGemmConv2DTileEdgesBitIdenticalToRef(t *testing.T) {
 		atWorkerCounts(t, func() {
 			assertSame(t, desc, Gemm.Conv2D(in, wt, bias, p), want)
 		})
+	}
+	check := func(n, oh, ow, cg, fPerG, groups, k, stride int) {
+		t.Helper()
+		checkPad(n, oh, ow, cg, fPerG, groups, k, stride, k/2)
 	}
 	fPerGs := []int{1, 2, 3, 5, 6, 7, 12}
 	kernels := []struct{ k, stride, cg int }{{3, 1, 5}, {1, 1, 24}, {3, 2, 4}, {5, 1, 2}}
@@ -219,6 +225,26 @@ func testGemmConv2DTileEdgesBitIdenticalToRef(t *testing.T) {
 		check(n, 8, 8, 1, 1, 16, 3, 1)    // depthwise
 		check(n, 8, 8, 16, 24, 1, 1, 1)   // pointwise
 		check(n, 4, 4, 8, 16, 1, 3, 2)    // stride 2
+	}
+	// Strips read in place. Five rows of 8, 16, 24, 32 or 40 put both halves
+	// of a strip inside a row, next to each other or a row apart, and where
+	// the plane is 40, 120 or 200 pixels every other sample starts in the
+	// middle of a strip, which must be staged; 12 and 20 leave a half across
+	// a row end. Without padding the source is the input itself, and the last
+	// strip of the last sample ends on the last element of in.Data, which is
+	// exactly as long as its shape; a 1-wide kernel's rows abut, padded or
+	// not.
+	for _, n := range []int{1, 16} {
+		for _, ow := range []int{8, 12, 16, 20, 24, 32, 40} {
+			for _, k := range []int{1, 3, 5} {
+				for pad := 0; pad <= 2; pad++ {
+					checkPad(n, 5, ow, 3, fPerGs[i%len(fPerGs)], 1+i%2, k, 1, pad)
+					i++
+				}
+			}
+		}
+		checkPad(n, 16, 16, 1, 1, 8, 3, 1, 0) // depthwise, unpadded
+		checkPad(n, 5, 8, 4, 6, 3, 3, 1, 1)   // groups on a 40-pixel plane
 	}
 }
 
@@ -461,5 +487,44 @@ func testGemmConv2DPaddingBoundClamp(t *testing.T) {
 	want := Ref.Conv2D(in, wt, nil, p)
 	atWorkerCounts(t, func() {
 		assertSame(t, "padding-bound clamp conv", Gemm.Conv2D(in, wt, nil, p), want)
+	})
+}
+
+// TestGemmConv2DAllocations pins what a lowered convolution allocates: its
+// output, the work closure and what the fan-out costs — nothing per strip
+// or per work item, whose panel, zero-bordered planes and offset tables all
+// come out of the slab pools. The ceilings are the counts measured before
+// strips were read in place: 5 on the calling goroutine, 12 across two
+// workers. The collector is off meanwhile: a cycle empties the pools, and
+// the slabs regrown after it are not the call's.
+func TestGemmConv2DAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts at random under the race detector")
+	}
+	forEachVecPath(t, func(t *testing.T) {
+		prev := parallel.Workers()
+		defer parallel.SetWorkers(prev)
+		defer debug.SetGCPercent(debug.SetGCPercent(-1))
+		r := tensor.NewRNG(0x6E7E)
+		for _, c := range []struct {
+			name         string
+			cin, f, k    int
+			pad, workers int
+			ceiling      float64
+		}{
+			{"padded 3x3, serial", 16, 16, 3, 1, 1, 5},
+			{"padded 3x3, 2 workers", 16, 16, 3, 1, 2, 12},
+			{"unpadded 1x1, serial", 16, 24, 1, 0, 1, 5},
+			{"unpadded 1x1, 2 workers", 16, 24, 1, 0, 2, 12},
+		} {
+			parallel.SetWorkers(c.workers)
+			in := randomTensor(r, 16, c.cin, 16, 16)
+			wt := randomTensor(r, c.f, c.cin, c.k, c.k)
+			bias := randomTensor(r, c.f)
+			p := tensor.Conv2DParams{Stride: 1, Padding: c.pad}
+			if avg := testing.AllocsPerRun(20, func() { Gemm.Conv2D(in, wt, bias, p) }); avg > c.ceiling {
+				t.Errorf("%s: Conv2D allocates %v times per call, ceiling %v", c.name, avg, c.ceiling)
+			}
+		}
 	})
 }

@@ -4,7 +4,10 @@
 // of axpy_amd64.s (see axpy.go): each lane is one output element, multiply
 // and add are separate rounded instructions in the scalar body's operand
 // order, and nothing is reduced across lanes. `make asm-check` rejects
-// fused and horizontal opcodes in this file.
+// fused and horizontal opcodes in this file. The kernel gathers nothing
+// either: row p of the panel is two contiguous loads, eight floats at
+// src+offs[p] and eight at src+offs[p]+hiDelta, wherever the table puts
+// them — a staged strip, or a convolution's input where it lies.
 
 // ROW broadcasts one weight and feeds the two accumulators of its row:
 // weight × panel, then product + accumulator.
@@ -15,15 +18,16 @@
 	VADDPS       lo, Y11, lo  \
 	VADDPS       hi, Y12, hi
 
-// func tileAVX(acc *[64]float32, init *[4]float32, w, panel *float32, panelStride, k int)
-TEXT ·tileAVX(SB), NOSPLIT, $0-48
+// func tileAVX(acc *[64]float32, init *[4]float32, w, src *float32, offs *int32, hiDelta, k int)
+TEXT ·tileAVX(SB), NOSPLIT, $0-56
 	MOVQ acc+0(FP), DI
 	MOVQ init+8(FP), AX
 	MOVQ w+16(FP), SI
-	MOVQ panel+24(FP), R8
-	MOVQ panelStride+32(FP), R11
-	MOVQ k+40(FP), CX
-	SHLQ $2, R11         // the panel stride in bytes
+	MOVQ src+24(FP), R8
+	MOVQ offs+32(FP), R9
+	MOVQ hiDelta+40(FP), R11
+	MOVQ k+48(FP), CX
+	LEAQ (R8)(R11*4), R11 // the high eight columns, hiDelta floats on
 	MOVQ CX, BX
 	SHLQ $2, BX          // rows of w are k floats apart
 	LEAQ (BX)(BX*2), R10 // w row 3
@@ -38,13 +42,14 @@ TEXT ·tileAVX(SB), NOSPLIT, $0-48
 	VMOVAPS      Y6, Y7
 
 loop:
-	VMOVUPS (R8), Y8
-	VMOVUPS 32(R8), Y9
+	MOVLQSX (R9), AX
+	VMOVUPS (R8)(AX*4), Y8
+	VMOVUPS (R11)(AX*4), Y9
 	ROW((SI), Y0, Y1)
 	ROW((SI)(BX*1), Y2, Y3)
 	ROW((SI)(BX*2), Y4, Y5)
 	ROW((SI)(R10*1), Y6, Y7)
-	ADDQ R11, R8
+	ADDQ $4, R9
 	ADDQ $4, SI
 	DECQ CX
 	JNZ  loop

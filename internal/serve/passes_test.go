@@ -6,12 +6,12 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/dnn"
 	"repro/internal/eden"
-	"repro/internal/quant"
 	"repro/internal/tensor"
 )
 
@@ -281,7 +281,12 @@ func TestCancelledRequestsAreNotComputed(t *testing.T) {
 // TestPassesOverlapOnlyUnderFullBatches is the hand-over rule under real
 // load: with one worker, or with no more callers than a batch holds, passes
 // never overlap — that is the scheduler as it was — and with four batches'
-// worth of callers they do, without the batches getting smaller.
+// worth of callers they do, and every batch that joins a pass in flight is
+// full. How full the others are depends on how fast the callers come back,
+// so the test asserts the rule and no mean: it takes the dispatchers' place
+// behind the collector and looks at every hand-over. One goroutine receives,
+// so its count rises in hand-over order, and a pass leaves the count before
+// its done token is sent, so the count never exceeds the collector's own.
 func TestPassesOverlapOnlyUnderFullBatches(t *testing.T) {
 	const maxBatch = 4
 	inputs := testInputs(t, "LeNet", 8)
@@ -289,7 +294,21 @@ func TestPassesOverlapOnlyUnderFullBatches(t *testing.T) {
 		setWorkers(t, workers)
 		s := New(Config{MaxBatch: maxBatch})
 		defer s.Close()
-		m := deployUniform(t, s, "LeNet", quant.Int8, 1e-3)
+		m := stuffedModel(t, s)
+		go m.collect()
+		go func() {
+			var passes atomic.Int32
+			for batch := range m.batches {
+				if passes.Add(1) > 1 && len(batch) < maxBatch {
+					t.Errorf("%d workers, %d callers: a batch of %d of %d was handed over while a pass was in flight", workers, callers, len(batch), maxBatch)
+				}
+				go func() {
+					m.dispatch(batch)
+					passes.Add(-1)
+					m.done <- struct{}{}
+				}()
+			}
+		}()
 		var wg sync.WaitGroup
 		for c := 0; c < callers; c++ {
 			wg.Add(1)
@@ -313,12 +332,8 @@ func TestPassesOverlapOnlyUnderFullBatches(t *testing.T) {
 		if st := load(workers, maxBatch); st.PeakInFlight != 1 {
 			t.Fatalf("%d workers, %d callers: %d passes in flight at peak, want 1", workers, maxBatch, st.PeakInFlight)
 		}
-		st := load(workers, 4*maxBatch)
-		if st.PeakInFlight < 2 || st.PeakInFlight > workers {
+		if st := load(workers, 4*maxBatch); st.PeakInFlight < 2 || st.PeakInFlight > workers {
 			t.Fatalf("%d workers, %d callers: %d passes in flight at peak, want 2..%d", workers, 4*maxBatch, st.PeakInFlight, workers)
-		}
-		if st.MeanBatch < 0.75*maxBatch {
-			t.Fatalf("%d workers, %d callers: mean batch %.2f of %d; histogram %v", workers, 4*maxBatch, st.MeanBatch, maxBatch, st.BatchHist)
 		}
 	}
 }
