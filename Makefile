@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test fuzz-smoke race bench bench-e2e cluster-smoke lint asm-check lint-baseline vuln loc
+.PHONY: build test fuzz-smoke race bench bench-e2e cluster-smoke lint asm-check vuln loc
 
 build:
 	$(GO) build ./...
@@ -14,15 +14,17 @@ test:
 	$(GO) test -shuffle=on ./...
 
 # fuzz-smoke gives each fuzz target — the vector-vs-scalar ones (the quantize
-# codecs, the ReLU clamp and 2×2 pooling kernels, gemm's tile micro-kernel)
-# and the activation-frame decoder, a trust boundary of the stage wire — ten
-# seconds of fresh inputs on top of its seed corpus (which `make test`
+# codecs, the ReLU clamp and 2×2 pooling kernels, gemm's tile micro-kernel),
+# the activation-frame decoder, a trust boundary of the stage wire, and the
+# deployment-artifact loader (LoadDeployment, through dnn's tensor section)
+# — ten seconds of fresh inputs on top of its seed corpus (which `make test`
 # already runs).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzQuantizeVecMatchesScalar -fuzztime 10s ./internal/quant
 	$(GO) test -run '^$$' -fuzz FuzzClampVecMatchesScalar -fuzztime 10s ./internal/compute
 	$(GO) test -run '^$$' -fuzz FuzzTileVecMatchesScalar -fuzztime 10s ./internal/compute
 	$(GO) test -run '^$$' -fuzz FuzzDecodeActivation -fuzztime 10s ./internal/serve
+	$(GO) test -run '^$$' -fuzz FuzzLoadDeployment -fuzztime 10s ./internal/eden
 
 # race runs every package once with -short, then — without -short — the two
 # packages where goroutines share a model (serve runs several fused passes
@@ -64,14 +66,13 @@ cluster-smoke:
 
 # lint is the merge gate: formatting, go vet, and the repository's own
 # analyzer suite (internal/lint via cmd/repro-lint) enforcing the
-# determinism & parallel-safety contract. Findings listed in the reviewed
-# baseline (.lint-baseline.json) are filtered out; a baseline entry that
-# no longer fires fails the run as stale. The CI lint job runs exactly
-# this target.
+# determinism & parallel-safety contract. Any finding fails the run; the
+# one way to accept one is a justified //lint:ignore on its line. The CI
+# lint job runs exactly this target.
 lint: asm-check
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 	$(GO) vet ./...
-	$(GO) run ./cmd/repro-lint -baseline .lint-baseline.json ./...
+	$(GO) run ./cmd/repro-lint ./...
 
 # asm-check guards the promises the assembly kernels make. A fused
 # multiply-add or a horizontal (cross-lane) op rounds differently from the
@@ -87,19 +88,11 @@ asm-check:
 	GOARCH=arm64 $(GO) build ./...
 	GOARCH=arm64 $(GO) vet ./internal/compute/ ./internal/quant/ ./internal/cpufeat/
 
-# lint-baseline regenerates the reviewed-findings baseline. The file is
-# part of the review surface: regenerating it is how a finding gets
-# accepted instead of fixed, so diffs to it need the same scrutiny as
-# code. CI fails when the committed baseline does not match a fresh
-# regeneration (stale entries hide regressions).
-lint-baseline:
-	$(GO) run ./cmd/repro-lint -write-baseline .lint-baseline.json ./...
-
 # loc prints the two sizes ROADMAP tracks — non-test and test Go lines (the
 # benchmark's build directory and testdata excluded) — and is a ratchet: it
 # fails when the non-test count exceeds the one number in .loc-ceiling. A PR
 # that must grow the tree raises that number in its own diff, where it is
-# reviewed like .lint-baseline.json; a PR that shrinks the tree lowers it.
+# reviewed like code; a PR that shrinks the tree lowers it.
 GOFILES = find . -name '*.go' -not -path '*/testdata/*' -not -path './.bench_build/*'
 loc:
 	@nontest=$$($(GOFILES) -not -name '*_test.go' | xargs cat | wc -l); ceiling=$$(cat .loc-ceiling); \

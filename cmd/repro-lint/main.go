@@ -1,34 +1,23 @@
 // Command repro-lint is the multichecker for the repository's custom
-// static-analysis suite (internal/lint): nine analyzers that enforce the
-// determinism & parallel-safety contract — errreturn, forwardpurity,
-// hotalloc, lockcheck, loopcapture, maporder, noclocktime, nomathrand
-// and rngstream. It loads the packages matching the given patterns, runs
-// every analyzer, prints one line per finding and exits non-zero when
-// anything fires.
+// static-analysis suite (internal/lint): six analyzers — errreturn,
+// forwardpurity, hotalloc, noclocktime, nomathrand and rngstream — that
+// enforce the determinism contract and the durability of written files.
+// It loads the packages matching the given patterns, runs every
+// analyzer, prints one file:line:col: analyzer: message line per finding
+// and exits non-zero when anything fires.
 //
 // Usage:
 //
-//	repro-lint [-analyzers a,b,...] [-json] [-baseline file] [-write-baseline file] [packages]
+//	repro-lint [-list] [-analyzers a,b,...] [packages]
 //
-// Patterns default to ./... relative to the current directory. Individual
-// findings can be silenced with a justified directive on or directly
-// above the flagged line:
+// Patterns default to ./... relative to the current directory. A finding
+// is silenced only by a justified directive on or directly above the
+// flagged line:
 //
 //	//lint:ignore <analyzer> <reason>
-//
-// # Baseline discipline
-//
-// A reviewed baseline file (JSON, see -write-baseline) lists findings
-// that are known and accepted; -baseline filters them out so CI fails
-// only on new findings. The match key is (file, analyzer, message) —
-// line numbers are deliberately excluded so unrelated edits do not churn
-// the file. A baseline entry that no longer fires makes the run fail
-// too: stale baselines hide regressions, so they must be regenerated
-// (make lint-baseline) and re-reviewed.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -44,32 +33,10 @@ func main() {
 	os.Exit(run())
 }
 
-// finding is one diagnostic in -json and baseline form.
-type finding struct {
-	File     string `json:"file"`
-	Line     int    `json:"line,omitempty"`
-	Col      int    `json:"col,omitempty"`
-	Analyzer string `json:"analyzer"`
-	Message  string `json:"message"`
-}
-
-// baselineFile is the serialized reviewed-findings set. Line and column
-// are omitted on write: the baseline key is (file, analyzer, message).
-type baselineFile struct {
-	Findings []finding `json:"findings"`
-}
-
-func (f finding) key() string {
-	return f.File + "\x00" + f.Analyzer + "\x00" + f.Message
-}
-
 func run() int {
 	var (
-		only          = flag.String("analyzers", "", "comma-separated subset of analyzers to run (default: all)")
-		list          = flag.Bool("list", false, "list available analyzers and exit")
-		jsonOut       = flag.Bool("json", false, "emit findings as a JSON array on stdout")
-		baseline      = flag.String("baseline", "", "baseline file of reviewed findings to filter out; stale entries fail the run")
-		writeBaseline = flag.String("write-baseline", "", "write the current findings to this baseline file and exit")
+		only = flag.String("analyzers", "", "comma-separated subset of analyzers to run (default: all)")
+		list = flag.Bool("list", false, "list available analyzers and exit")
 	)
 	flag.Parse()
 
@@ -126,120 +93,21 @@ func run() int {
 	}
 
 	diags, runErr := analysis.Run(analyzers, pkgs)
-	findings := make([]finding, len(diags))
-	for i, d := range diags {
+	for _, d := range diags {
 		pos := pkgs[0].Fset.Position(d.Pos)
 		file := pos.Filename
 		if rel, err := filepath.Rel(wd, file); err == nil && !strings.HasPrefix(rel, "..") {
 			file = rel
 		}
-		findings[i] = finding{File: file, Line: pos.Line, Col: pos.Column, Analyzer: d.Analyzer, Message: d.Message}
-	}
-
-	if *writeBaseline != "" {
-		if err := saveBaseline(*writeBaseline, findings); err != nil {
-			fmt.Fprintf(os.Stderr, "repro-lint: %v\n", err)
-			return 2
-		}
-		fmt.Fprintf(os.Stderr, "repro-lint: wrote %d finding(s) to %s\n", len(findings), *writeBaseline)
-		if runErr != nil {
-			fmt.Fprintf(os.Stderr, "repro-lint: %v\n", runErr)
-			return 2
-		}
-		return 0
-	}
-
-	var stale []finding
-	if *baseline != "" {
-		findings, stale, err = applyBaseline(*baseline, findings)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "repro-lint: %v\n", err)
-			return 2
-		}
-	}
-
-	if *jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(findings); err != nil {
-			fmt.Fprintf(os.Stderr, "repro-lint: %v\n", err)
-			return 2
-		}
-	} else {
-		for _, f := range findings {
-			fmt.Printf("%s:%d:%d: %s: %s\n", f.File, f.Line, f.Col, f.Analyzer, f.Message)
-		}
-	}
-	for _, f := range stale {
-		fmt.Fprintf(os.Stderr, "repro-lint: stale baseline entry (no longer fires): %s: %s: %s\n", f.File, f.Analyzer, f.Message)
-	}
-	if len(stale) > 0 {
-		fmt.Fprintf(os.Stderr, "repro-lint: baseline is stale; regenerate with `make lint-baseline` and re-review\n")
+		fmt.Printf("%s:%d:%d: %s: %s\n", file, pos.Line, pos.Column, d.Analyzer, d.Message)
 	}
 	if runErr != nil {
 		fmt.Fprintf(os.Stderr, "repro-lint: %v\n", runErr)
 		return 2
 	}
-	if len(findings) > 0 {
-		fmt.Fprintf(os.Stderr, "repro-lint: %d finding(s)\n", len(findings))
-		return 1
-	}
-	if len(stale) > 0 {
+	if len(diags) > 0 {
+		fmt.Fprintf(os.Stderr, "repro-lint: %d finding(s)\n", len(diags))
 		return 1
 	}
 	return 0
-}
-
-// saveBaseline writes findings (file/analyzer/message only) sorted and
-// deduplicated.
-func saveBaseline(path string, findings []finding) error {
-	entries := make([]finding, 0, len(findings))
-	seen := make(map[string]bool)
-	for _, f := range findings {
-		e := finding{File: f.File, Analyzer: f.Analyzer, Message: f.Message}
-		if seen[e.key()] {
-			continue
-		}
-		seen[e.key()] = true
-		entries = append(entries, e)
-	}
-	sort.Slice(entries, func(i, j int) bool { return entries[i].key() < entries[j].key() })
-	data, err := json.MarshalIndent(baselineFile{Findings: entries}, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// applyBaseline splits findings into new (not in the baseline) and
-// reports baseline entries that no longer fire as stale.
-func applyBaseline(path string, findings []finding) (fresh, stale []finding, err error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, nil, fmt.Errorf("reading baseline: %v", err)
-	}
-	var bf baselineFile
-	if err := json.Unmarshal(data, &bf); err != nil {
-		return nil, nil, fmt.Errorf("parsing baseline %s: %v", path, err)
-	}
-	known := make(map[string]bool, len(bf.Findings))
-	for _, f := range bf.Findings {
-		known[finding{File: f.File, Analyzer: f.Analyzer, Message: f.Message}.key()] = true
-	}
-	fired := make(map[string]bool)
-	for _, f := range findings {
-		k := finding{File: f.File, Analyzer: f.Analyzer, Message: f.Message}.key()
-		if known[k] {
-			fired[k] = true
-			continue
-		}
-		fresh = append(fresh, f)
-	}
-	for _, f := range bf.Findings {
-		e := finding{File: f.File, Analyzer: f.Analyzer, Message: f.Message}
-		if !fired[e.key()] {
-			stale = append(stale, e)
-		}
-	}
-	return fresh, stale, nil
 }

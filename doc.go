@@ -127,7 +127,7 @@
 //
 // The reproducibility discipline above is not a convention but a set of
 // enforced invariants: internal/lint holds a custom static-analysis
-// suite (run by cmd/repro-lint, gating CI via make lint) whose nine
+// suite (run by cmd/repro-lint, gating CI via make lint) whose six
 // analyzers each guard one clause. nomathrand forbids math/rand in
 // favour of seeded tensor.RNG streams, and rngstream proves — with
 // reaching definitions over a control-flow graph — that every RNG a
@@ -136,22 +136,19 @@
 // layers writing receiver state on the inference path of
 // Forward/ForwardBatch, the data-race class that would break
 // shared-network batching, with impurity summaries exported as
-// serializable per-package facts so mutations reached through imported
-// packages are caught too; lockcheck forbids paths that return with a
-// lock held and (in serve) blocking channel operations under a lock
-// (copied mutexes are go vet's copylocks); loopcapture forbids fan-out
-// closures writing shared cells;
-// hotalloc forbids per-iteration allocation in loops on the hot paths
-// (all of compute, the dnn forward call trees); noclocktime keeps
-// wall-clock reads out of the deterministic packages (tensor, compute,
-// dnn, eden, errormodel, quant); maporder rejects order-sensitive
-// accumulation inside map iteration; errreturn rejects silently
-// discarded errors on the artifact and serving paths. The framework
-// beneath them (internal/lint/analysis) supplies the CFG builder, the
-// bit-vector dataflow solvers and the gob-round-tripped cross-package
-// fact store on the standard library alone. Violations that are
-// genuinely benign are silenced line-by-line with a justified
-// //lint:ignore <analyzer> <reason> directive, or recorded in the
-// reviewed .lint-baseline.json (make lint-baseline), whose staleness
-// fails CI. See README.md ("Static analysis") for the full contract.
+// object facts so mutations reached through imported packages are
+// caught too; hotalloc forbids per-iteration allocation in loops on the
+// hot paths (all of compute, the dnn forward call trees); noclocktime
+// keeps wall-clock reads out of the deterministic packages (tensor,
+// compute, dnn, eden, errormodel, quant); errreturn rejects silently
+// discarded errors on the artifact and serving paths. Lock discipline
+// and shared writes are left to go vet's copylocks and the race
+// detector (make race), map-order leaks to the bit-identity suites and
+// pinned CRCs. The framework beneath the analyzers
+// (internal/lint/analysis) supplies the CFG builder, forward bit-vector
+// dataflow with reaching definitions and an in-memory object-fact
+// store on the standard library alone. A finding that is genuinely
+// benign is silenced line by line with a justified
+// //lint:ignore <analyzer> <reason> directive, the one suppression
+// mechanism. See README.md ("Static analysis") for the full contract.
 package repro

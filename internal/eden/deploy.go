@@ -423,9 +423,14 @@ func LoadDeployment(r io.Reader) (*Deployment, error) {
 	if n > 1<<26 {
 		return nil, fmt.Errorf("eden: unreasonable deployment metadata length %d", n)
 	}
-	meta := make([]byte, n)
-	if _, err := io.ReadFull(br, meta); err != nil {
+	// n comes from the file: read through a limit, so that a short file
+	// fails without first costing n bytes.
+	meta, err := io.ReadAll(io.LimitReader(br, int64(n)))
+	if err != nil {
 		return nil, err
+	}
+	if len(meta) != int(n) {
+		return nil, io.ErrUnexpectedEOF
 	}
 	d := &Deployment{}
 	if err := json.Unmarshal(meta, d); err != nil {

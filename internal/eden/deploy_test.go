@@ -2,7 +2,9 @@ package eden
 
 import (
 	"bytes"
+	"encoding/binary"
 	"hash/crc32"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -135,6 +137,64 @@ func TestLoadDeploymentRejectsGarbage(t *testing.T) {
 	if _, err := LoadDeployment(bytes.NewReader(buf.Bytes()[:buf.Len()/2])); err == nil {
 		t.Fatal("truncated artifact accepted")
 	}
+}
+
+// TestLoadDeploymentShortHeaderAllocatesLittle feeds a header that claims
+// the largest metadata length the loader accepts and then ends: the load
+// must fail without first allocating the claimed 64 MiB.
+func TestLoadDeploymentShortHeaderAllocatesLittle(t *testing.T) {
+	hdr := append([]byte(deployMagic), 0, 0, 0, 4) // uint32 1<<26, little-endian
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := LoadDeployment(bytes.NewReader(hdr))
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("header without metadata accepted")
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+		t.Fatalf("12-byte artifact allocated %d bytes before failing", grew)
+	}
+}
+
+// FuzzLoadDeployment feeds the artifact loader — and through it
+// dnn.Network.Load's tensor section — arbitrary bytes: none may panic, and
+// an accepted input, once saved, must load and save again to the same bytes.
+func FuzzLoadDeployment(f *testing.F) {
+	dep, err := UniformDeployment("LeNet", quant.Int8, 1e-4)
+	if err != nil {
+		f.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := dep.Save(&buf); err != nil {
+		f.Fatal(err)
+	}
+	art := buf.Bytes()
+	f.Add(art)
+	metaEnd := len(deployMagic) + 4 + int(binary.LittleEndian.Uint32(art[len(deployMagic):]))
+	for _, n := range []int{len(deployMagic) + 2, len(deployMagic) + 4, metaEnd - 1, metaEnd, metaEnd + 10, len(art) / 2, len(art) - 1} {
+		f.Add(art[:n])
+	}
+	f.Fuzz(func(t *testing.T, in []byte) {
+		d, err := LoadDeployment(bytes.NewReader(in))
+		if err != nil {
+			return
+		}
+		var first bytes.Buffer
+		if err := d.Save(&first); err != nil {
+			t.Fatalf("accepted artifact does not save: %v", err)
+		}
+		again, err := LoadDeployment(bytes.NewReader(first.Bytes()))
+		if err != nil {
+			t.Fatalf("saved artifact does not load: %v", err)
+		}
+		var second bytes.Buffer
+		if err := again.Save(&second); err != nil {
+			t.Fatalf("reloaded artifact does not save: %v", err)
+		}
+		if !bytes.Equal(first.Bytes(), second.Bytes()) {
+			t.Fatalf("save→load→save not byte-identical: %d vs %d bytes", first.Len(), second.Len())
+		}
+	})
 }
 
 // TestDeployFineGrained runs the full fine-grained flow — fine

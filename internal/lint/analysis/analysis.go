@@ -7,6 +7,11 @@
 // loader (load.go) that shells out to `go list -export` exactly the way
 // x/tools' go/packages does underneath.
 //
+// Around that core sit a control-flow graph builder (cfg.go), a forward
+// bit-vector dataflow solver with reaching definitions (dataflow.go) and
+// in-memory object facts that carry results from a package to its
+// importers (facts.go).
+//
 // Analyzers live in sibling packages (internal/lint/...) and are wired
 // into the cmd/repro-lint multichecker. Each encodes one invariant of the
 // repository's determinism and parallel-safety contract; see the package
@@ -15,8 +20,8 @@
 //
 // # Suppression
 //
-// A diagnostic can be silenced with a justified ignore directive placed
-// either on the flagged line or on the line immediately above it:
+// The one way to silence a diagnostic is a justified ignore directive
+// placed either on the flagged line or on the line immediately above it:
 //
 //	//lint:ignore <analyzer> <reason>
 //
@@ -42,10 +47,6 @@ type Analyzer struct {
 	Name string
 	// Doc is a one-paragraph description of the invariant enforced.
 	Doc string
-	// FactTypes lists the fact values (pointers, gob-encodable) the
-	// analyzer exports or imports; see facts.go. Analyzers with fact
-	// types run on every package so facts can flow to dependents.
-	FactTypes []Fact
 	// Run inspects pass.Files and calls pass.Report for each violation.
 	Run func(pass *Pass) error
 }
@@ -65,26 +66,15 @@ type Pass struct {
 	Pkg       *types.Package
 	TypesInfo *types.Info
 
-	// ignores maps filename -> line -> directives, built once per package
-	// by the loader and shared by every analyzer pass.
-	ignores map[string]map[int][]ignoreDirective
+	// ignores maps filename -> line -> the analyzers a //lint:ignore
+	// directive silences there, built once per package by the loader and
+	// shared by every analyzer pass.
+	ignores map[string]map[int][]string
 
 	diagnostics []Diagnostic
-	// suppressed counts diagnostics silenced by //lint:ignore, kept so
-	// drivers can surface how much is being ignored.
-	suppressed int
 
-	// store holds the analyzer's cross-package facts accumulated over
-	// the Run; exported buffers this pass's own facts until sealFacts
-	// round-trips them into the store.
-	store    *factStore
-	exported []savedFact
-}
-
-// ignoreDirective is one parsed //lint:ignore comment.
-type ignoreDirective struct {
-	analyzer string
-	reason   string
+	// facts holds the analyzer's object facts accumulated over the Run.
+	facts map[factKey]Fact
 }
 
 // Reportf records a formatted diagnostic at pos unless an ignore
@@ -101,9 +91,8 @@ func (p *Pass) Report(d Diagnostic) {
 	}
 	position := p.Fset.Position(d.Pos)
 	if lines, ok := p.ignores[position.Filename]; ok {
-		for _, dir := range lines[position.Line] {
-			if dir.analyzer == d.Analyzer {
-				p.suppressed++
+		for _, name := range lines[position.Line] {
+			if name == d.Analyzer {
 				return
 			}
 		}
@@ -115,8 +104,8 @@ func (p *Pass) Report(d Diagnostic) {
 // directives and indexes them by file and line. A directive attached to
 // line L (the line its comment ends on) covers diagnostics on L and L+1,
 // which supports both trailing-comment and line-above placement.
-func buildIgnoreIndex(fset *token.FileSet, files []*ast.File) map[string]map[int][]ignoreDirective {
-	index := make(map[string]map[int][]ignoreDirective)
+func buildIgnoreIndex(fset *token.FileSet, files []*ast.File) map[string]map[int][]string {
+	index := make(map[string]map[int][]string)
 	for _, f := range files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
@@ -132,13 +121,12 @@ func buildIgnoreIndex(fset *token.FileSet, files []*ast.File) map[string]map[int
 				pos := fset.Position(c.End())
 				lines := index[pos.Filename]
 				if lines == nil {
-					lines = make(map[int][]ignoreDirective)
+					lines = make(map[int][]string)
 					index[pos.Filename] = lines
 				}
-				dir := ignoreDirective{analyzer: fields[0], reason: strings.Join(fields[1:], " ")}
 				// Cover the directive's own line and the next one.
-				lines[pos.Line] = append(lines[pos.Line], dir)
-				lines[pos.Line+1] = append(lines[pos.Line+1], dir)
+				lines[pos.Line] = append(lines[pos.Line], fields[0])
+				lines[pos.Line+1] = append(lines[pos.Line+1], fields[0])
 			}
 		}
 	}
@@ -152,10 +140,9 @@ func buildIgnoreIndex(fset *token.FileSet, files []*ast.File) map[string]map[int
 // analyzer reaches the packages importing it. The error aggregates
 // analyzer failures (not findings).
 func Run(analyzers []*Analyzer, pkgs []*Package) ([]Diagnostic, error) {
-	registerFactTypes(analyzers)
-	stores := make(map[*Analyzer]*factStore, len(analyzers))
+	facts := make(map[*Analyzer]map[factKey]Fact, len(analyzers))
 	for _, a := range analyzers {
-		stores[a] = newFactStore()
+		facts[a] = make(map[factKey]Fact)
 	}
 	var all []Diagnostic
 	var errs []string
@@ -168,14 +155,10 @@ func Run(analyzers []*Analyzer, pkgs []*Package) ([]Diagnostic, error) {
 				Pkg:       pkg.Types,
 				TypesInfo: pkg.TypesInfo,
 				ignores:   pkg.ignores,
-				store:     stores[a],
+				facts:     facts[a],
 			}
 			if err := a.Run(pass); err != nil {
 				errs = append(errs, fmt.Sprintf("%s on %s: %v", a.Name, pkg.ImportPath, err))
-				continue
-			}
-			if err := pass.sealFacts(); err != nil {
-				errs = append(errs, err.Error())
 				continue
 			}
 			all = append(all, pass.diagnostics...)

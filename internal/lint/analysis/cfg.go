@@ -5,9 +5,8 @@ package analysis
 // library alone. A CFG decomposes one function (or function literal)
 // body into basic blocks connected by Succs edges; statements and the
 // expressions that steer control (if/for/switch conditions, case
-// expressions) appear as Nodes in execution order. Dataflow analyses
-// (dataflow.go) and the path-sensitive analyzers (lockcheck) run on
-// this graph.
+// expressions) appear as Nodes in execution order. The reaching-
+// definitions analysis (dataflow.go) runs on this graph.
 //
 // Simplifications relative to a whole-program CFG, all conservative for
 // the analyses in this repository:

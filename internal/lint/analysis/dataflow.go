@@ -1,14 +1,11 @@
 package analysis
 
-// dataflow.go is the dataflow half of the framework: a generic
-// iterative bit-vector solver over the CFG (cfg.go) plus the two
-// classic instances analyzers lean on — reaching definitions and live
-// variables. lockcheck runs the solver directly with a lock-held
-// lattice; rngstream traces RNG aliases through reaching definitions.
+// dataflow.go is the dataflow half of the framework: an iterative
+// forward bit-vector solver over the CFG (cfg.go) and its one instance,
+// reaching definitions, through which rngstream traces RNG aliases.
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 )
 
@@ -50,13 +47,6 @@ func (s *BitSet) UnionWith(t *BitSet) bool {
 	return changed
 }
 
-// IntersectWith keeps only the bits present in both s and t.
-func (s *BitSet) IntersectWith(t *BitSet) {
-	for i := range s.words {
-		s.words[i] &= t.words[i]
-	}
-}
-
 // Equal reports whether s and t hold the same bits.
 func (s *BitSet) Equal(t *BitSet) bool {
 	for i := range s.words {
@@ -67,53 +57,23 @@ func (s *BitSet) Equal(t *BitSet) bool {
 	return true
 }
 
-// Empty reports whether no bit is set.
-func (s *BitSet) Empty() bool {
-	for _, w := range s.words {
-		if w != 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// Bits returns the indices of the set bits in ascending order.
-func (s *BitSet) Bits() []int {
-	var out []int
-	for wi, w := range s.words {
-		for b := 0; w != 0; b++ {
-			if w&1 != 0 {
-				out = append(out, wi*64+b)
-			}
-			w >>= 1
-		}
-	}
-	return out
-}
-
-// FlowProblem is one bit-vector dataflow analysis over a CFG. The
-// solver iterates Transfer to a fixed point; with a monotone Transfer
-// over the finite BitSet lattice, termination is guaranteed.
+// FlowProblem is one forward bit-vector dataflow analysis over a CFG.
+// The solver iterates Transfer to a fixed point; with a monotone
+// Transfer over the finite BitSet lattice, termination is guaranteed.
 type FlowProblem struct {
 	CFG *CFG
 	// NBits is the domain size.
 	NBits int
-	// Forward selects the direction: in-sets flow from predecessors
-	// (forward) or successors (backward).
-	Forward bool
 	// Transfer computes a block's output set from its input set. It must
 	// not retain or mutate in.
 	Transfer func(b *Block, in *BitSet) *BitSet
-	// Boundary seeds the entry block (forward) or every exit block
-	// (backward); nil means empty.
+	// Boundary seeds the entry block; nil means empty.
 	Boundary *BitSet
 }
 
 // Solve runs the analysis to a fixed point and returns the input and
-// output set of every block, indexed by Block.Index. For a forward
-// problem in[b] is the meet (union) over predecessors; for a backward
-// problem it is the meet over successors, and callers usually read
-// out[b] as the state at block entry.
+// output set of every block, indexed by Block.Index; in[b] is the meet
+// (union) over b's predecessors.
 func (p *FlowProblem) Solve() (in, out []*BitSet) {
 	n := len(p.CFG.Blocks)
 	in = make([]*BitSet, n)
@@ -122,29 +82,15 @@ func (p *FlowProblem) Solve() (in, out []*BitSet) {
 		in[i] = NewBitSet(p.NBits)
 		out[i] = NewBitSet(p.NBits)
 	}
-	var edges [][]*Block // meet sources per block
-	if p.Forward {
-		edges = p.CFG.Preds()
-	} else {
-		edges = make([][]*Block, n)
-		for _, b := range p.CFG.Blocks {
-			edges[b.Index] = b.Succs
-		}
-	}
-	boundary := func(b *Block) bool {
-		if p.Forward {
-			return b.Index == 0
-		}
-		return len(b.Succs) == 0
-	}
+	preds := p.CFG.Preds()
 	for changed := true; changed; {
 		changed = false
 		for _, b := range p.CFG.Blocks {
 			next := NewBitSet(p.NBits)
-			if boundary(b) && p.Boundary != nil {
+			if b.Index == 0 && p.Boundary != nil {
 				next.UnionWith(p.Boundary)
 			}
-			for _, src := range edges[b.Index] {
+			for _, src := range preds[b.Index] {
 				next.UnionWith(out[src.Index])
 			}
 			in[b.Index] = next
@@ -230,7 +176,6 @@ func NewReachingDefs(c *CFG, info *types.Info, params []*ast.Ident) *ReachDefs {
 	problem := &FlowProblem{
 		CFG:      c,
 		NBits:    nbits,
-		Forward:  true,
 		Boundary: entry,
 		Transfer: func(b *Block, in *BitSet) *BitSet {
 			out := in.Copy()
@@ -326,126 +271,4 @@ func definedIdents(n ast.Node) []*ast.Ident {
 		}
 	}
 	return out
-}
-
-// Liveness is the live-variables analysis of one function body: which
-// variables may still be read after each program point.
-type Liveness struct {
-	Vars   []types.Object
-	varBit map[types.Object]int
-	// LiveIn[b] holds the variables live at entry of block b; LiveOut[b]
-	// at its exit.
-	LiveIn, LiveOut []*BitSet
-}
-
-// NewLiveness computes live variables over c.
-func NewLiveness(c *CFG, info *types.Info) *Liveness {
-	l := &Liveness{varBit: make(map[types.Object]int)}
-	bit := func(obj types.Object) int {
-		if _, ok := obj.(*types.Var); !ok {
-			return -1
-		}
-		if i, ok := l.varBit[obj]; ok {
-			return i
-		}
-		i := len(l.Vars)
-		l.Vars = append(l.Vars, obj)
-		l.varBit[obj] = i
-		return i
-	}
-	// First pass: fix the domain.
-	for _, b := range c.Blocks {
-		for _, n := range b.Nodes {
-			uses, defs := useDefIdents(n, info)
-			for _, id := range uses {
-				if obj := info.Uses[id]; obj != nil {
-					bit(obj)
-				}
-			}
-			for _, id := range defs {
-				obj := info.Defs[id]
-				if obj == nil {
-					obj = info.Uses[id]
-				}
-				if obj != nil {
-					bit(obj)
-				}
-			}
-		}
-	}
-	problem := &FlowProblem{
-		CFG:     c,
-		NBits:   len(l.Vars),
-		Forward: false,
-		Transfer: func(b *Block, liveOut *BitSet) *BitSet {
-			live := liveOut.Copy()
-			for i := len(b.Nodes) - 1; i >= 0; i-- {
-				uses, defs := useDefIdents(b.Nodes[i], info)
-				for _, id := range defs {
-					obj := info.Defs[id]
-					if obj == nil {
-						obj = info.Uses[id]
-					}
-					if obj != nil {
-						if bi, ok := l.varBit[obj]; ok {
-							live.Clear(bi)
-						}
-					}
-				}
-				for _, id := range uses {
-					if obj := info.Uses[id]; obj != nil {
-						if bi, ok := l.varBit[obj]; ok {
-							live.Set(bi)
-						}
-					}
-				}
-			}
-			return live
-		},
-	}
-	l.LiveOut, l.LiveIn = problem.Solve()
-	return l
-}
-
-// LiveAtEntry reports whether obj may be read after the entry of block b.
-func (l *Liveness) LiveAtEntry(obj types.Object, b *Block) bool {
-	bi, ok := l.varBit[obj]
-	return ok && l.LiveIn[b.Index].Has(bi)
-}
-
-// useDefIdents splits the variable idents of node n into uses and pure
-// definitions. Compound assignments and inc/dec read the old value, so
-// their targets appear in both lists.
-func useDefIdents(n ast.Node, info *types.Info) (uses, defs []*ast.Ident) {
-	defSet := make(map[*ast.Ident]bool)
-	for _, id := range definedIdents(n) {
-		defSet[id] = true
-		defs = append(defs, id)
-	}
-	switch st := n.(type) {
-	case *ast.AssignStmt:
-		if st.Tok != token.ASSIGN && st.Tok != token.DEFINE {
-			// x += y reads x.
-			for _, id := range defs {
-				uses = append(uses, id)
-			}
-		}
-	case *ast.IncDecStmt:
-		for _, id := range defs {
-			uses = append(uses, id)
-		}
-	}
-	ast.Inspect(n, func(sub ast.Node) bool {
-		id, ok := sub.(*ast.Ident)
-		if !ok || defSet[id] {
-			return true
-		}
-		if obj := info.Uses[id]; obj != nil {
-			if _, isVar := obj.(*types.Var); isVar {
-				uses = append(uses, id)
-			}
-		}
-		return true
-	})
-	return uses, defs
 }

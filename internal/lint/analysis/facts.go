@@ -1,74 +1,31 @@
 package analysis
 
-// facts.go gives analyzers a way to propagate results across package
-// boundaries, mirroring the fact mechanism of golang.org/x/tools/go/
-// analysis. An analyzer running on package P may attach facts to P's
-// objects (functions, methods, package-level vars) or to P itself;
-// when the same analyzer later runs on a package that imports P, it
-// can look those facts up through the imported objects.
-//
-// Facts must be serializable: between the exporting and the importing
-// package every fact makes a gob encode→decode round trip, exactly as
-// x/tools facts do when they are persisted next to export data. That
-// keeps the door open to caching fact sets on disk alongside the
-// `go list -export` data the loader already consumes, and it turns
-// "this fact type would not survive serialization" into an immediate
-// analyzer error instead of a latent one.
+// facts.go lets an analyzer carry results across package boundaries,
+// after the object facts of golang.org/x/tools/go/analysis. An analyzer
+// running on package P may attach facts to P's functions, methods and
+// package-level vars; when the same analyzer later runs on a package
+// that imports P, it looks those facts up through the imported objects.
+// Facts live in one in-memory map per analyzer for the length of a Run.
 
 import (
-	"bytes"
-	"encoding/gob"
-	"fmt"
 	"go/types"
 	"reflect"
-	"strings"
 )
 
-// Fact is an analyzer-defined datum attached to an object or package.
-// Implementations must be pointers, gob-encodable, and listed in the
-// analyzer's FactTypes.
+// Fact is an analyzer-defined datum attached to an object.
+// Implementations must be pointers to structs.
 type Fact interface {
 	// AFact is a marker method; it has no behaviour.
 	AFact()
 }
 
-// objectFactKey identifies one object fact across packages: the
-// object's package path, its intra-package path (see objectPath) and
-// the concrete fact type.
-type objectFactKey struct {
+// factKey identifies one object fact across packages: the object's
+// package path, its intra-package path (see objectPath) and the
+// concrete fact type.
+type factKey struct {
 	Pkg  string
 	Obj  string
-	Type string
-}
-
-// pkgFactKey identifies one package fact.
-type pkgFactKey struct {
-	Pkg  string
-	Type string
-}
-
-// factStore accumulates the decoded facts of one analyzer across the
-// whole Run, keyed so importing packages can look them up without
-// access to the exporting package's syntax.
-type factStore struct {
-	objects map[objectFactKey]Fact
-	pkgs    map[pkgFactKey]Fact
-}
-
-func newFactStore() *factStore {
-	return &factStore{objects: make(map[objectFactKey]Fact), pkgs: make(map[pkgFactKey]Fact)}
-}
-
-// savedFact is the serialized form of one fact.
-type savedFact struct {
-	Object string // empty for package facts
-	Fact   Fact
-}
-
-// savedFactSet is the gob payload of one (analyzer, package) fact set.
-type savedFactSet struct {
-	Pkg   string
-	Facts []savedFact
+	Type reflect.Type
 }
 
 // objectPath names obj within its package: "Name" for package-level
@@ -98,148 +55,42 @@ func objectPath(obj types.Object) (string, bool) {
 	return "", false
 }
 
-// factType names the concrete dynamic type of fact.
-func factType(fact Fact) string {
-	return reflect.TypeOf(fact).String()
+// factKeyOf returns the store key of fact's type on obj.
+func factKeyOf(obj types.Object, fact Fact) (factKey, bool) {
+	if obj == nil || obj.Pkg() == nil {
+		return factKey{}, false
+	}
+	path, ok := objectPath(obj)
+	if !ok {
+		return factKey{}, false
+	}
+	return factKey{Pkg: obj.Pkg().Path(), Obj: path, Type: reflect.TypeOf(fact)}, true
 }
 
 // ExportObjectFact attaches fact to obj, which must belong to the
-// package under analysis. The fact becomes visible to this analyzer in
-// every package that imports this one, after a serialization round
-// trip.
+// package under analysis. The fact is visible to this analyzer from
+// then on, in this package and in every package that imports it.
 func (p *Pass) ExportObjectFact(obj types.Object, fact Fact) {
 	if obj == nil || obj.Pkg() != p.Pkg {
 		return
 	}
-	path, ok := objectPath(obj)
-	if !ok {
-		return
+	if key, ok := factKeyOf(obj, fact); ok {
+		p.facts[key] = fact
 	}
-	p.exported = append(p.exported, savedFact{Object: path, Fact: fact})
-}
-
-// ExportPackageFact attaches fact to the package under analysis.
-func (p *Pass) ExportPackageFact(fact Fact) {
-	p.exported = append(p.exported, savedFact{Fact: fact})
 }
 
 // ImportObjectFact copies the fact of fact's type attached to obj into
 // fact and reports whether one was found. obj may belong to any
-// package already analyzed in this Run (or the current one, for facts
-// exported earlier in this pass).
+// package already analyzed in this Run, or to the current one.
 func (p *Pass) ImportObjectFact(obj types.Object, fact Fact) bool {
-	if obj == nil || obj.Pkg() == nil || p.store == nil {
-		return false
-	}
-	path, ok := objectPath(obj)
+	key, ok := factKeyOf(obj, fact)
 	if !ok {
 		return false
 	}
-	key := objectFactKey{Pkg: obj.Pkg().Path(), Obj: path, Type: factType(fact)}
-	stored, ok := p.store.objects[key]
-	if !ok {
-		// Facts exported during this very pass are visible too.
-		for _, sf := range p.exported {
-			if obj.Pkg() == p.Pkg && sf.Object == path && factType(sf.Fact) == factType(fact) {
-				stored = sf.Fact
-				ok = true
-				break
-			}
-		}
-		if !ok {
-			return false
-		}
-	}
-	reflect.ValueOf(fact).Elem().Set(reflect.ValueOf(stored).Elem())
-	return true
-}
-
-// ImportPackageFact copies the fact of fact's type attached to the
-// package with the given import path into fact.
-func (p *Pass) ImportPackageFact(path string, fact Fact) bool {
-	if p.store == nil {
-		return false
-	}
-	stored, ok := p.store.pkgs[pkgFactKey{Pkg: path, Type: factType(fact)}]
+	stored, ok := p.facts[key]
 	if !ok {
 		return false
 	}
 	reflect.ValueOf(fact).Elem().Set(reflect.ValueOf(stored).Elem())
 	return true
-}
-
-// sealFacts serializes the facts exported by one pass and merges the
-// decoded copies into the analyzer's store, enforcing that every fact
-// survives an encode→decode round trip.
-func (p *Pass) sealFacts() error {
-	if len(p.exported) == 0 {
-		return nil
-	}
-	payload, err := encodeFacts(p.Pkg.Path(), p.exported)
-	if err != nil {
-		return fmt.Errorf("%s: encoding facts for %s: %v", p.Analyzer.Name, p.Pkg.Path(), err)
-	}
-	set, err := decodeFacts(payload)
-	if err != nil {
-		return fmt.Errorf("%s: decoding facts for %s: %v", p.Analyzer.Name, p.Pkg.Path(), err)
-	}
-	mergeFacts(p.store, set)
-	return nil
-}
-
-// encodeFacts gob-serializes one package's fact set.
-func encodeFacts(pkgPath string, facts []savedFact) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(savedFactSet{Pkg: pkgPath, Facts: facts}); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-// decodeFacts reverses encodeFacts.
-func decodeFacts(payload []byte) (savedFactSet, error) {
-	var set savedFactSet
-	err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&set)
-	return set, err
-}
-
-// mergeFacts files a decoded fact set into store.
-func mergeFacts(store *factStore, set savedFactSet) {
-	for _, sf := range set.Facts {
-		if sf.Object == "" {
-			store.pkgs[pkgFactKey{Pkg: set.Pkg, Type: factType(sf.Fact)}] = sf.Fact
-		} else {
-			store.objects[objectFactKey{Pkg: set.Pkg, Obj: sf.Object, Type: factType(sf.Fact)}] = sf.Fact
-		}
-	}
-}
-
-// registerFactTypes makes every analyzer fact type known to gob. Safe
-// to call repeatedly.
-func registerFactTypes(analyzers []*Analyzer) {
-	for _, a := range analyzers {
-		for _, f := range a.FactTypes {
-			func() {
-				// gob.Register panics on duplicate names from repeated Runs
-				// (tests); registration is idempotent in effect, so swallow.
-				defer func() { _ = recover() }()
-				gob.Register(f)
-			}()
-		}
-	}
-}
-
-// factObjectName is a debugging helper: the store key of obj, or "?".
-func factObjectName(obj types.Object) string {
-	path, ok := objectPath(obj)
-	if !ok {
-		return "?"
-	}
-	var b strings.Builder
-	if obj.Pkg() != nil {
-		b.WriteString(obj.Pkg().Path())
-		b.WriteString(".")
-	}
-	b.WriteString(path)
-	return b.String()
 }

@@ -16,17 +16,6 @@ type taintFact struct{ Note string }
 
 func (*taintFact) AFact() {}
 
-// pkgMarkFact is a package-level fact.
-type pkgMarkFact struct{ Stamp string }
-
-func (*pkgMarkFact) AFact() {}
-
-// badFact cannot survive gob encoding (channels are not serializable),
-// so exporting it must turn into an analyzer error.
-type badFact struct{ Ch chan int }
-
-func (*badFact) AFact() {}
-
 // memImporter type-checks an ordered set of in-memory packages so tests
 // can exercise cross-package fact flow without fixtures on disk.
 type memImporter struct {
@@ -71,9 +60,8 @@ func (m *memImporter) Import(path string) (*types.Package, error) {
 // taintAnalyzer exports a taintFact on every function whose name starts
 // with "Tainted" and reports every call to a function carrying the fact.
 var taintAnalyzer = &analysis.Analyzer{
-	Name:      "taint",
-	Doc:       "test analyzer: cross-package fact propagation",
-	FactTypes: []analysis.Fact{(*taintFact)(nil), (*pkgMarkFact)(nil)},
+	Name: "taint",
+	Doc:  "test analyzer: cross-package fact propagation",
 	Run: func(pass *analysis.Pass) error {
 		for _, f := range pass.Files {
 			ast.Inspect(f, func(n ast.Node) bool {
@@ -100,7 +88,6 @@ var taintAnalyzer = &analysis.Analyzer{
 				return true
 			})
 		}
-		pass.ExportPackageFact(&pkgMarkFact{Stamp: "analyzed " + pass.Pkg.Path()})
 		return nil
 	},
 }
@@ -143,79 +130,5 @@ func TestFactsCrossPackage(t *testing.T) {
 	}
 	if pos := fset.Position(diags[0].Pos); !strings.HasPrefix(pos.Filename, "b") {
 		t.Errorf("diagnostic should land in the importing package, got %s", pos.Filename)
-	}
-}
-
-// TestFactsRoundTripStable re-runs the same analysis and requires
-// identical diagnostics: every fact goes through a gob encode→decode
-// cycle between packages, so this asserts the round trip loses nothing.
-func TestFactsRoundTripStable(t *testing.T) {
-	render := func() []string {
-		pkgs, fset := checkPackages(t, taintFixture())
-		diags, err := analysis.Run([]*analysis.Analyzer{taintAnalyzer}, pkgs)
-		if err != nil {
-			t.Fatalf("Run: %v", err)
-		}
-		out := make([]string, len(diags))
-		for i, d := range diags {
-			pos := fset.Position(d.Pos)
-			out[i] = pos.Filename + ":" + d.Analyzer + ": " + d.Message
-		}
-		return out
-	}
-	first, second := render(), render()
-	if len(first) != len(second) {
-		t.Fatalf("re-run produced %d diagnostics, first run %d", len(second), len(first))
-	}
-	for i := range first {
-		if first[i] != second[i] {
-			t.Errorf("diagnostic %d differs across runs:\n  first:  %s\n  second: %s", i, first[i], second[i])
-		}
-	}
-}
-
-func TestPackageFacts(t *testing.T) {
-	var sawMark bool
-	probe := &analysis.Analyzer{
-		Name:      "probe",
-		Doc:       "test analyzer: package fact import",
-		FactTypes: []analysis.Fact{(*pkgMarkFact)(nil)},
-		Run: func(pass *analysis.Pass) error {
-			if pass.Pkg.Path() == "a" {
-				pass.ExportPackageFact(&pkgMarkFact{Stamp: "from a"})
-				return nil
-			}
-			var mark pkgMarkFact
-			if pass.ImportPackageFact("a", &mark) && mark.Stamp == "from a" {
-				sawMark = true
-			}
-			return nil
-		},
-	}
-	pkgs, _ := checkPackages(t, taintFixture())
-	if _, err := analysis.Run([]*analysis.Analyzer{probe}, pkgs); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if !sawMark {
-		t.Error("package fact exported by a was not importable from b")
-	}
-}
-
-// TestUnserializableFactErrors pins the contract that a fact which does
-// not survive gob encoding is an analyzer error, not a silent drop.
-func TestUnserializableFactErrors(t *testing.T) {
-	bad := &analysis.Analyzer{
-		Name:      "badfacts",
-		Doc:       "test analyzer: unserializable fact",
-		FactTypes: []analysis.Fact{(*badFact)(nil)},
-		Run: func(pass *analysis.Pass) error {
-			pass.ExportPackageFact(&badFact{Ch: make(chan int)})
-			return nil
-		},
-	}
-	pkgs, _ := checkPackages(t, taintFixture()[:1])
-	_, err := analysis.Run([]*analysis.Analyzer{bad}, pkgs)
-	if err == nil || !strings.Contains(err.Error(), "encoding facts") {
-		t.Fatalf("want an encoding error for a chan-bearing fact, got %v", err)
 	}
 }

@@ -24,7 +24,7 @@ type Package struct {
 	Types      *types.Package
 	TypesInfo  *types.Info
 
-	ignores map[string]map[int][]ignoreDirective
+	ignores map[string]map[int][]string
 }
 
 // listedPackage mirrors the `go list -json` fields the loader consumes.

@@ -46,10 +46,9 @@ import (
 // Analyzer flags eval-time receiver-state writes in Forward/ForwardBatch
 // call trees.
 var Analyzer = &analysis.Analyzer{
-	Name:      "forwardpurity",
-	Doc:       "in dnn layer types, forbid receiver-state writes on the inference path of Forward/ForwardBatch (train-guarded writes are allowed); impurity propagates across packages via facts",
-	FactTypes: []analysis.Fact{(*ImpureFact)(nil)},
-	Run:       run,
+	Name: "forwardpurity",
+	Doc:  "in dnn layer types, forbid receiver-state writes on the inference path of Forward/ForwardBatch (train-guarded writes are allowed); impurity propagates across packages via facts",
+	Run:  run,
 }
 
 // ImpureFact marks a method whose call tree writes its receiver state

@@ -10,9 +10,6 @@ import (
 	"repro/internal/lint/errreturn"
 	"repro/internal/lint/forwardpurity"
 	"repro/internal/lint/hotalloc"
-	"repro/internal/lint/lockcheck"
-	"repro/internal/lint/loopcapture"
-	"repro/internal/lint/maporder"
 	"repro/internal/lint/noclocktime"
 	"repro/internal/lint/nomathrand"
 	"repro/internal/lint/rngstream"
@@ -24,9 +21,6 @@ func Analyzers() []*analysis.Analyzer {
 		errreturn.Analyzer,
 		forwardpurity.Analyzer,
 		hotalloc.Analyzer,
-		lockcheck.Analyzer,
-		loopcapture.Analyzer,
-		maporder.Analyzer,
 		noclocktime.Analyzer,
 		nomathrand.Analyzer,
 		rngstream.Analyzer,

@@ -355,7 +355,6 @@ func (s *Server) Close() {
 	s.closed = true
 	models := make([]*Model, 0, len(s.models))
 	for _, m := range s.models {
-		//lint:ignore maporder shutdown order is immaterial: each close(quit) is independent and no output derives from the sequence
 		models = append(models, m)
 	}
 	s.mu.Unlock()
