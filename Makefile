@@ -15,15 +15,18 @@ test:
 
 # fuzz-smoke gives each fuzz target — the vector-vs-scalar ones (the quantize
 # codecs, the ReLU clamp and 2×2 pooling kernels, gemm's tile micro-kernel),
-# the activation-frame decoder, a trust boundary of the stage wire, and the
-# deployment-artifact loader (LoadDeployment, through dnn's tensor section)
-# — ten seconds of fresh inputs on top of its seed corpus (which `make test`
-# already runs).
+# the activation-frame decoder, a trust boundary of the stage wire, the
+# predict JSON body decoder, and the deployment-artifact loader
+# (LoadDeployment, through dnn's tensor section) — ten seconds of fresh
+# inputs on top of its seed corpus (which `make test` already runs). The
+# predict decoder's oversized-body seed is over 50 KB, so its new inputs get
+# one second of minimizing, not the default minute.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzQuantizeVecMatchesScalar -fuzztime 10s ./internal/quant
 	$(GO) test -run '^$$' -fuzz FuzzClampVecMatchesScalar -fuzztime 10s ./internal/compute
 	$(GO) test -run '^$$' -fuzz FuzzTileVecMatchesScalar -fuzztime 10s ./internal/compute
 	$(GO) test -run '^$$' -fuzz FuzzDecodeActivation -fuzztime 10s ./internal/serve
+	$(GO) test -run '^$$' -fuzz FuzzDecodePredict -fuzztime 10s -fuzzminimizetime 1s ./internal/serve
 	$(GO) test -run '^$$' -fuzz FuzzLoadDeployment -fuzztime 10s ./internal/eden
 
 # race runs every package once with -short, then — without -short — the two

@@ -3,9 +3,7 @@
 // characterize its tolerable bit error rate (optionally per data type),
 // map it onto DRAM operating points (a Table 3 row), and optionally write
 // the resulting deployment artifact — the file cmd/serve consumes with
-// -deployment. -backend sets the process-wide compute backend
-// (compute.SetDefault) once at start-up; backends are bit-identical, so it
-// moves the run's wall-clock, never the artifact.
+// -deployment.
 //
 //	go run ./cmd/eden -model LeNet -o lenet.eden
 //	go run ./cmd/serve -deployment lenet.eden
@@ -15,9 +13,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"strings"
 
-	"repro/internal/compute"
 	"repro/internal/eden"
 	"repro/internal/parallel"
 	"repro/internal/profiling"
@@ -34,18 +30,10 @@ func main() {
 	fine := flag.Bool("fine", false, "fine-grained characterization + Algorithm-1 partition mapping")
 	out := flag.String("o", "", "write the deployment artifact to this path")
 	workers := flag.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
-	backendName := flag.String("backend", compute.Default().Name(),
-		fmt.Sprintf("process-wide compute backend (compute.SetDefault): %s (bit-identical; wall-clock only)", strings.Join(compute.Names(), ", ")))
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the pipeline run to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file when the run ends")
 	flag.Parse()
 	parallel.SetWorkers(*workers)
-
-	backend, err := compute.ByName(*backendName)
-	if err != nil {
-		log.Fatal(err)
-	}
-	compute.SetDefault(backend)
 
 	stopProf, err := profiling.Start(*cpuprofile, *memprofile)
 	if err != nil {

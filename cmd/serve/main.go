@@ -15,13 +15,11 @@
 // idle). Admission is bounded by -queue-depth per model: a full queue
 // sheds with 429 plus a Retry-After estimate instead of stacking latency,
 // and requests carrying "deadline_ms" are dropped with 504 if they expire
-// while still queued. -backend sets the process-wide compute backend
-// (compute.SetDefault) once at start-up: gemm by default, bit-identical to
-// ref, so between those two the flag tunes throughput only; qgemm computes
-// on int8 codes and carries ~1% quantization error. The daemon exposes GET
-// /v1/healthz for load-balancer probes and GET /metrics in the Prometheus
-// text format, and drains gracefully on SIGINT/SIGTERM: the probe flips to
-// 503, in-flight requests finish, then the listener closes.
+// while still queued. Every model runs on the gemm compute backend. The
+// daemon exposes GET /v1/healthz for load-balancer probes and GET /metrics
+// in the Prometheus text format, and drains gracefully on SIGINT/SIGTERM:
+// the probe flips to 503, in-flight requests finish, then the listener
+// closes.
 //
 // Beyond the default standalone role, -role splits one model across
 // processes as a pipeline of layer-range stages (see internal/cluster):
@@ -96,8 +94,6 @@ func main() {
 	maxLatency := flag.Duration("max-latency", 0, "idle batch-fill window (0 = work-conserving: dispatch the moment compute is free)")
 	queueDepth := flag.Int("queue-depth", 0, "per-model admission queue capacity; full queues shed with 429 (0 = 4x max-batch)")
 	workers := flag.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
-	backendName := flag.String("backend", compute.Default().Name(),
-		fmt.Sprintf("process-wide compute backend (compute.SetDefault): %s (bit-identical; throughput only)", strings.Join(compute.Names(), ", ")))
 	drain := flag.Duration("drain", 10*time.Second, "graceful-shutdown deadline for in-flight requests")
 	drainNotice := flag.Duration("drain-notice", 3*time.Second,
 		"how long /v1/healthz advertises 503 before the listener closes (set to ~2x the balancer's probe interval)")
@@ -111,12 +107,6 @@ func main() {
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file on shutdown")
 	flag.Parse()
 	parallel.SetWorkers(*workers)
-
-	backend, err := compute.ByName(*backendName)
-	if err != nil {
-		log.Fatal(err)
-	}
-	compute.SetDefault(backend)
 
 	stopProf, err := profiling.Start(*cpuprofile, *memprofile)
 	if err != nil {
@@ -157,7 +147,7 @@ func main() {
 		}
 		handler, beginDrain, closeAll = serve.NewHandler(s), s.BeginDrain, s.Close
 		log.Printf("serving on %s as %s (backend %s, max-batch %d, max-latency %v, queue-depth %d, workers %d)",
-			*addr, s.Role(), backend.Name(), *maxBatch, *maxLatency, s.Config().QueueDepth, parallel.Workers())
+			*addr, s.Role(), compute.Default().Name(), *maxBatch, *maxLatency, s.Config().QueueDepth, parallel.Workers())
 	case "dispatcher":
 		stages, err := parseStages(*stagesFlag)
 		if err != nil {

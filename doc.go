@@ -22,10 +22,10 @@
 // MatMulTransB — and its axpy row primitive; one output element per lane,
 // multiply and add rounded separately, so no bit moves). Blocking is applied over
 // output coordinates only, never across the k reduction, so the float
-// backends are bit-identical on every model — backend choice is a pure
-// throughput knob with one process-wide switch: dnn's Conv and FC layers
-// call compute.Default(), and -backend on cmd/eden and cmd/serve sets it
-// once at start-up through compute.SetDefault.
+// backends are bit-identical on every model. Every program runs on gemm:
+// dnn's Conv and FC layers call compute.Default(), and compute.SetDefault
+// is the seam tests use to run a network on another backend. The int8
+// "qgemm" backend is kept only for the benchmark's kernel probes.
 //
 // All hot paths share the worker pool in internal/parallel: the compute
 // kernels, the fused serving executor (dnn.Network.ForwardBatchFused with

@@ -14,13 +14,9 @@
 //     in registers for the whole k loop), and the streaming loops through
 //     axpy (axpy.go): AVX assembly on amd64, the scalar loops that specify
 //     it everywhere else.
-//   - QGemm: the quantized int8 backend — operands are int8 codes, the
-//     GEMM accumulates exactly in integers (the hot kernels pack two
-//     outputs into the 32-bit lanes of one uint64 so each 64-bit multiply
-//     advances two accumulations; see qgemm.go), and one rescale at the
-//     end maps back to float32. It additionally implements QuantBackend,
-//     consuming pre-quantized weight images (Int8Weights) straight from
-//     quant.QTensor codes with no float round-trip.
+//   - QGemm: the quantized int8 backend, kept for the benchmark only (its
+//     float entry points are timed kernel probes; see qgemm.go). No
+//     program path runs it.
 //
 // The float backends are bit-identical to Ref on finite inputs: blocking is
 // only ever applied over independent output coordinates (matrix rows,
@@ -29,17 +25,16 @@
 // and rounds identically. QGemm is the deliberate exception: its outputs
 // carry symmetric-quantization error (~1/127 per operand) relative to Ref,
 // but it keeps every determinism guarantee — bit-identical across worker
-// counts, between fused-batch and per-sample paths, and between its float
-// and pre-quantized entry points (see the contract on qgemmBackend).
+// counts and between fused-batch and per-sample paths (see the contract on
+// qgemmBackend).
 // Gradients are relaxed the same way in one place only: the lowered
 // Conv2DBackward pins dW and dBias to Ref's bits, while dIn accumulates in
 // a fixed, worker-invariant order of its own (see gemmBackend's
 // Conv2DBackward). Combined with the worker-count invariance of
 // internal/parallel, a model produces the same bits on any given backend at
-// any worker count — which is what lets a process pick its backend
-// without perturbing the repository's determinism contract (seeded
+// any worker count, which the repository's determinism contract (seeded
 // corruptor streams, pinned characterization outcomes, cached trained
-// models).
+// models) rests on.
 //
 // Beside the Backend kernels the package holds two elementwise primitives,
 // Clamp (ReLU, ReLU6) and MaxPool2x2 (elemwise.go), which dnn's ReLU and
@@ -48,15 +43,13 @@
 // contract. Like tile and axpy they are a scalar Go specification with an
 // AVX body on amd64.
 //
-// Backend selection: there is one process-wide switch. dnn's Conv and FC
-// layers call Default() on every pass, and the cmd binaries set it once at
-// start-up from their -backend flag through SetDefault. Tests that switch
-// it restore the previous backend in t.Cleanup.
+// Backend selection: every program runs on Gemm. dnn's Conv and FC layers
+// call Default() on every pass; SetDefault is the seam tests use to run a
+// network on Ref, QGemm or a counting fake, restoring the previous backend
+// in t.Cleanup.
 package compute
 
 import (
-	"fmt"
-	"sort"
 	"sync/atomic"
 
 	"repro/internal/tensor"
@@ -68,8 +61,7 @@ import (
 // bit-identical to Ref on finite inputs (quantized backends document their
 // numeric contract instead).
 type Backend interface {
-	// Name is the stable identifier used by -backend flags and the
-	// serving API.
+	// Name is the stable identifier the serving API reports.
 	Name() string
 	// MatMul computes C = A (m×k) * B (k×n) into a fresh m×n tensor.
 	MatMul(a, b *tensor.Tensor) *tensor.Tensor
@@ -90,12 +82,6 @@ var Ref Backend = refBackend{}
 // Gemm is the patch-matrix GEMM backend; the default for inference hot paths.
 var Gemm Backend = gemmBackend{}
 
-var backends = map[string]Backend{
-	Ref.Name():   Ref,
-	Gemm.Name():  Gemm,
-	QGemm.Name(): QGemm,
-}
-
 // defaultBackend holds the process-wide backend every layer runs on. Gemm:
 // bit-identical to Ref and faster on every convolutional model.
 var defaultBackend atomic.Pointer[Backend]
@@ -105,33 +91,13 @@ func init() { defaultBackend.Store(&Gemm) }
 // Default returns the process-wide default backend.
 func Default() Backend { return *defaultBackend.Load() }
 
-// SetDefault installs b as the process-wide default (the cmd binaries plumb
-// their -backend flag here). A nil b resets to Gemm. It returns the backend
-// actually installed.
+// SetDefault installs b as the process-wide default; tests use it to swap
+// the backend and restore it after. A nil b resets to Gemm. It returns the
+// backend actually installed.
 func SetDefault(b Backend) Backend {
 	if b == nil {
 		b = Gemm
 	}
 	defaultBackend.Store(&b)
 	return b
-}
-
-// ByName resolves a backend by its flag name.
-func ByName(name string) (Backend, error) {
-	if b, ok := backends[name]; ok {
-		return b, nil
-	}
-	return nil, fmt.Errorf("compute: unknown backend %q (have %v)", name, Names())
-}
-
-// Names lists the registered backend names, sorted.
-func Names() []string {
-	out := make([]string, len(backends))
-	i := 0
-	for n := range backends {
-		out[i] = n
-		i++
-	}
-	sort.Strings(out)
-	return out
 }

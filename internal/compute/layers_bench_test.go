@@ -29,8 +29,7 @@ func benchConv(b *testing.B, bk Backend) {
 	}
 }
 
-func BenchmarkConvGemm(b *testing.B)  { benchConv(b, Gemm) }
-func BenchmarkConvQGemm(b *testing.B) { benchConv(b, QGemm) }
+func BenchmarkConvGemm(b *testing.B) { benchConv(b, Gemm) }
 
 // convShape and fcShape are one layer of a zoo model as the layer
 // benchmarks run it: a square stride-1 convolution, or an FC of k inputs
@@ -45,11 +44,9 @@ type fcShape struct {
 	k, n int
 }
 
-// benchLayers measures the given shapes at one batch size, float gemm
-// against the quantized kernels on adopted images. A third of the
-// activations are zeroed to mimic post-ReLU inputs.
+// benchLayers measures the given shapes on gemm at one batch size. A third
+// of the activations are zeroed to mimic post-ReLU inputs.
 func benchLayers(b *testing.B, batch int, convs []convShape, fcs []fcShape) {
-	qb := QGemm.(QuantBackend)
 	for _, s := range convs {
 		rng := tensor.NewRNG(7)
 		in := tensor.New(batch, s.c, s.hw, s.hw)
@@ -61,15 +58,9 @@ func benchLayers(b *testing.B, batch int, convs []convShape, fcs []fcShape) {
 		w.FillUniform(rng, -1, 1)
 		bias := tensor.New(s.f)
 		p := tensor.Conv2DParams{Stride: 1, Padding: s.pad}
-		iw := QuantizeInt8(w)
 		b.Run(fmt.Sprintf("%s/gemm", s.name), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				Gemm.Conv2D(in, w, bias, p)
-			}
-		})
-		b.Run(fmt.Sprintf("%s/qgemm", s.name), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				qb.Conv2DQ(in, iw, bias, p)
 			}
 		})
 	}
@@ -79,15 +70,9 @@ func benchLayers(b *testing.B, batch int, convs []convShape, fcs []fcShape) {
 		a.FillUniform(rng, -1, 1)
 		w := tensor.New(s.n, s.k)
 		w.FillUniform(rng, -1, 1)
-		iw := QuantizeInt8(w)
 		b.Run(fmt.Sprintf("%s/gemm", s.name), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				Gemm.MatMulTransB(a, w)
-			}
-		})
-		b.Run(fmt.Sprintf("%s/qgemm", s.name), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				qb.MatMulTransBQ(a, iw)
 			}
 		})
 	}

@@ -1,20 +1,21 @@
 package compute
 
 import (
-	"fmt"
-
 	"repro/internal/parallel"
 	"repro/internal/tensor"
 )
 
-// qgemmBackend computes directly on quantized operands: activations are
-// quantized to int8 on entry (per sample for convolutions, per row for
-// matrix products), weights arrive as — or are folded to — per-tensor
-// symmetric int8 codes, the GEMM accumulates exactly in integers, and a
-// single rescale at the end maps the integer result back to float32. This is
-// the compute regime the paper deploys (§2.1): weights and feature maps live
-// in (approximate) DRAM as int8 codes, so the kernel consumes the codes as
-// stored instead of round-tripping every operand through float32.
+// qgemmBackend is kept for the benchmark only: the benchmark harness still
+// times its Conv2D and MatMulTransB as the compute.qgemm_* kernel probes,
+// and no program path runs it. It goes when those probes are retired. On a
+// 2-vCPU host it lost to Gemm by 4.4–12× per VGG-16 layer and 5–6× on a
+// full batch-16 pass, against a keep-or-delete bar of a 1.2× gain.
+//
+// It computes directly on quantized operands: activations are quantized to
+// int8 on entry (per sample for convolutions, per row for matrix products),
+// weights are folded to per-tensor symmetric int8 codes, the GEMM
+// accumulates exactly in integers, and a single rescale at the end maps the
+// integer result back to float32.
 //
 // The hot kernels accumulate two outputs per hardware multiply: codes are
 // biased to unsigned (x+128 ∈ [0,255]), two output channels are packed into
@@ -37,15 +38,12 @@ import (
 //     work splits only over independent output coordinates);
 //   - bit-identical between the fused-batch and per-sample paths
 //     (activation scales are computed per sample/row, never across the
-//     batch, so a sample's result depends only on that sample's bytes);
-//   - bit-identical between the plain float entry points and the
-//     QuantBackend entry points fed by quant.QTensor codes (both use the
-//     quant.Quantize rounding).
+//     batch, so a sample's result depends only on that sample's bytes).
 //
-// Conv2DBackward delegates to Gemm: training gradients are defined on the
-// float linearization of the network (a straight-through estimator —
-// differentiating through the quantizer's staircase would yield zero almost
-// everywhere), and boosting/retraining wants the lowered float backward.
+// MatMul and Conv2DBackward delegate to Gemm: training gradients are
+// defined on the float linearization of the network (a straight-through
+// estimator — differentiating through the quantizer's staircase would yield
+// zero almost everywhere).
 type qgemmBackend struct{}
 
 // QGemm is the quantized int8 backend.
@@ -53,38 +51,6 @@ var QGemm Backend = qgemmBackend{}
 
 // Name returns "qgemm".
 func (qgemmBackend) Name() string { return "qgemm" }
-
-// Int8Weights is a weight tensor in the integer kernels' native format:
-// per-tensor symmetric int8 codes plus the dequantization scale. Serving
-// builds these once per deployed model straight from the (corrupted)
-// quant.QTensor codes — see dnn.Int8WeightsFromQTensor — so the hot path
-// never rebuilds a float weight tensor.
-type Int8Weights struct {
-	Data  []int8
-	Scale float32
-	Shape tensor.Shape
-	// RowSums caches the per-output-channel code sums (one Σcodes per
-	// leading-dimension row: per filter for conv weights, per output column
-	// for FC weights). The packed dual-lane kernels need them to subtract
-	// the unsigned-bias terms on store; builders fill them in so the hot
-	// path never rescans the codes. nil is valid — kernels recompute into
-	// scratch when absent.
-	RowSums []int32
-}
-
-// QuantizeInt8 folds a float tensor to the Int8Weights format using the
-// exact quant.Quantize rounding (round-half-away, clamp to [-128, 127],
-// scale = max|x|/127), so an image built here is code-for-code identical to
-// decoding a quant.QTensor of the same tensor.
-func QuantizeInt8(w *tensor.Tensor) *Int8Weights {
-	iw := &Int8Weights{Data: make([]int8, w.Size()), Scale: sliceScaleI8(w.Data), Shape: w.Shape().Clone()}
-	quantizeI8(iw.Data, w.Data, iw.Scale)
-	if rows := iw.Shape[0]; rows > 0 {
-		iw.RowSums = make([]int32, rows)
-		codeRowSums(iw.Data, rows, len(iw.Data)/rows, iw.RowSums)
-	}
-	return iw
-}
 
 // codeRowSums fills dst with per-row sums of a rows×k int8 code matrix.
 func codeRowSums(codes []int8, rows, k int, dst []int32) {
@@ -96,29 +62,6 @@ func codeRowSums(codes []int8, rows, k int, dst []int32) {
 		}
 		dst[r] = s
 	}
-}
-
-// dequantize rebuilds the float tensor; only the wide-reduction fallback
-// paths use it.
-func (iw *Int8Weights) dequantize() *tensor.Tensor {
-	t := tensor.New(iw.Shape...)
-	for i, c := range iw.Data {
-		t.Data[i] = float32(c) * iw.Scale
-	}
-	return t
-}
-
-// QuantBackend is implemented by backends that consume pre-quantized
-// weights directly. dnn layers use it as the inference fast path: when a
-// layer holds a cached Int8Weights image and its backend implements
-// QuantBackend, the forward pass skips the float weight tensor entirely.
-type QuantBackend interface {
-	Backend
-	// Conv2DQ is Conv2D with the weight tensor already in int8 code form.
-	Conv2DQ(in *tensor.Tensor, w *Int8Weights, bias *tensor.Tensor, p tensor.Conv2DParams) *tensor.Tensor
-	// MatMulTransBQ is MatMulTransB with B (stored n×k, the FC weight
-	// layout) already in int8 code form.
-	MatMulTransBQ(a *tensor.Tensor, w *Int8Weights) *tensor.Tensor
 }
 
 // qSafeK bounds the reduction length of the integer paths. The packed
@@ -149,8 +92,7 @@ func sliceScaleI8(src []float32) float32 {
 }
 
 // quantizeI8 encodes src into int8 codes with the given step, reproducing
-// quant.Quantize's rounding bit for bit so code images agree across the
-// float and QTensor entry points. The reference rounding is
+// quant.Quantize's rounding bit for bit. The reference rounding is
 // int32(math.Round(float64(v/scale))); because scale is always derived from
 // src's own maximum, |v/scale| never exceeds ~127, where round-half-away
 // equals adding ±0.5 in float64 (exact for these magnitudes) and truncating
@@ -175,77 +117,15 @@ func quantizeI8(dst []int8, src []float32, scale float32) {
 	}
 }
 
-// MatMul computes C = A (m×k) * B (k×n) on int8 codes: A is quantized per
-// row, B per tensor, and each output element is an exact int32 dot product
-// rescaled once. Rows fan out across the pool; when the row count cannot
-// feed every worker the split moves to column blocks instead, so a
-// single-row product still scales.
+// MatMul delegates to the float GEMM, as Conv2DBackward does: its one
+// caller in the DNN stack is FC.Backward, a training gradient, and training
+// gradients are defined on the float linearization.
 func (qgemmBackend) MatMul(a, b *tensor.Tensor) *tensor.Tensor {
-	m, k, n := matMulDims(a, b)
-	if k >= qSafeK {
-		return Gemm.MatMul(a, b)
-	}
-	c := tensor.New(m, n)
-	qb := slabI8.get(k * n)
-	defer slabI8.put(qb)
-	sb := sliceScaleI8(b.Data)
-	quantizeI8(*qb, b.Data, sb)
-	qa := slabI8.get(m * k)
-	defer slabI8.put(qa)
-	sa := slabF32.get(m)
-	defer slabF32.put(sa)
-	for i := 0; i < m; i++ {
-		row := a.Data[i*k : (i+1)*k]
-		s := sliceScaleI8(row)
-		(*sa)[i] = s
-		quantizeI8((*qa)[i*k:(i+1)*k], row, s)
-	}
-	block := func(iLo, iHi, jLo, jHi int) {
-		acc := slabI32.get(jHi - jLo)
-		defer slabI32.put(acc)
-		for i := iLo; i < iHi; i++ {
-			arow := (*qa)[i*k : (i+1)*k]
-			av := (*acc)[:jHi-jLo]
-			for j := range av {
-				av[j] = 0
-			}
-			width := jHi - jLo
-			av = av[:width]
-			for p, q := range arow {
-				aq := int32(q)
-				if aq == 0 {
-					continue
-				}
-				brow := (*qb)[p*n+jLo:][:width]
-				for j := 0; j < width; j++ {
-					av[j] += aq * int32(brow[j])
-				}
-			}
-			scale := (*sa)[i] * sb
-			crow := c.Data[i*n+jLo : i*n+jHi]
-			for j, s := range av {
-				crow[j] = float32(s) * scale
-			}
-		}
-	}
-	switch wk := parallel.Workers(); {
-	case m*k*n < parallelCutoff:
-		block(0, m, 0, n)
-	case m >= wk:
-		parallel.For(m, 1, func(lo, hi int) { block(lo, hi, 0, n) })
-	default:
-		// Too few rows to feed the pool: split columns instead. Each output
-		// element still accumulates its own full reduction, so the split is
-		// invisible to the result.
-		parallel.For(n, parallel.Grain(m*k), func(jLo, jHi int) { block(0, m, jLo, jHi) })
-	}
-	return c
+	return Gemm.MatMul(a, b)
 }
 
-// MatMulTransB quantizes B per tensor and defers to the shared integer
-// core, so it returns bit-identical results to MatMulTransBQ on an image
-// built by QuantizeInt8.
-func (qg qgemmBackend) MatMulTransB(a, b *tensor.Tensor) *tensor.Tensor {
+// MatMulTransB quantizes B per tensor and defers to the integer core.
+func (qgemmBackend) MatMulTransB(a, b *tensor.Tensor) *tensor.Tensor {
 	m, k, n := matMulTransBDims(a, b)
 	if k >= qSafeK {
 		return Gemm.MatMulTransB(a, b)
@@ -260,22 +140,6 @@ func (qg qgemmBackend) MatMulTransB(a, b *tensor.Tensor) *tensor.Tensor {
 	return matMulTransBQCore(a, *qw, sw, (*ws)[:n], m, k, n)
 }
 
-// MatMulTransBQ computes C = A (m×k) * Wᵀ on pre-quantized weight codes.
-func (qgemmBackend) MatMulTransBQ(a *tensor.Tensor, w *Int8Weights) *tensor.Tensor {
-	if len(w.Shape) != 2 {
-		panic(fmt.Sprintf("compute: MatMulTransBQ weight rank %d, want 2", len(w.Shape)))
-	}
-	m, k := a.Dim(0), a.Dim(1)
-	n, k2 := w.Shape[0], w.Shape[1]
-	if k != k2 {
-		panic(fmt.Sprintf("compute: MatMulTransBQ inner dims %d != %d", k, k2))
-	}
-	if k >= qSafeK {
-		return Gemm.MatMulTransB(a, w.dequantize())
-	}
-	return matMulTransBQCore(a, w.Data, w.Scale, w.RowSums, m, k, n)
-}
-
 // matMulTransBQCore is the integer MatMulTransB kernel. A rows are
 // quantized per row and packed two-per-uint64 with the codes biased to
 // unsigned; four adjacent output columns then ride one pass over a packed
@@ -283,8 +147,7 @@ func (qgemmBackend) MatMulTransBQ(a *tensor.Tensor, w *Int8Weights) *tensor.Tens
 // bias terms are subtracted exactly on store from the precomputed row and
 // column code sums (see the package comment), so results are bit-identical
 // to the plain int32 formulation the odd-row and tail-column paths still
-// use. wsums may be nil (recomputed into scratch); a non-nil wsums must
-// hold the per-column code sums of qw.
+// use. wsums holds the per-column code sums of qw.
 func matMulTransBQCore(a *tensor.Tensor, qw []int8, sw float32, wsums []int32, m, k, n int) *tensor.Tensor {
 	c := tensor.New(m, n)
 	qa := slabI8.get(m * k)
@@ -304,12 +167,6 @@ func matMulTransBQCore(a *tensor.Tensor, qw []int8, sw float32, wsums []int32, m
 			sum += int32(q)
 		}
 		(*asums)[i] = sum
-	}
-	if wsums == nil {
-		ws := slabI32.get(n)
-		defer slabI32.put(ws)
-		codeRowSums(qw, n, k, *ws)
-		wsums = (*ws)[:n]
 	}
 	// Pack adjacent A rows once; every column quad reuses the packed pairs.
 	pairs := m / 2
@@ -406,10 +263,9 @@ func matMulTransBQCore(a *tensor.Tensor, qw []int8, sw float32, wsums []int32, m
 	return c
 }
 
-// Conv2D folds the float weights to int8 codes and defers to the shared
-// integer convolution, so it returns bit-identical results to Conv2DQ on an
-// image built by QuantizeInt8.
-func (qg qgemmBackend) Conv2D(in, w, bias *tensor.Tensor, p tensor.Conv2DParams) *tensor.Tensor {
+// Conv2D folds the float weights to int8 codes and defers to the integer
+// convolution.
+func (qgemmBackend) Conv2D(in, w, bias *tensor.Tensor, p tensor.Conv2DParams) *tensor.Tensor {
 	g := convGeometry(in, w, p)
 	if g.cg*g.kh*g.kw >= qSafeK {
 		return Gemm.Conv2D(in, w, bias, p)
@@ -424,18 +280,6 @@ func (qg qgemmBackend) Conv2D(in, w, bias *tensor.Tensor, p tensor.Conv2DParams)
 	return conv2DQCore(in, *qw, sw, (*ws)[:g.f], bias, g)
 }
 
-// Conv2DQ convolves on pre-quantized weight codes.
-func (qgemmBackend) Conv2DQ(in *tensor.Tensor, w *Int8Weights, bias *tensor.Tensor, p tensor.Conv2DParams) *tensor.Tensor {
-	if len(w.Shape) != 4 {
-		panic(fmt.Sprintf("compute: Conv2DQ weight rank %d, want 4", len(w.Shape)))
-	}
-	g := convGeometryDims(in, w.Shape[0], w.Shape[1], w.Shape[2], w.Shape[3], p)
-	if g.cg*g.kh*g.kw >= qSafeK {
-		return Gemm.Conv2D(in, w.dequantize(), bias, p)
-	}
-	return conv2DQCore(in, w.Data, w.Scale, w.RowSums, bias, g)
-}
-
 // conv2DQCore is the integer im2col convolution. The input is quantized
 // once per sample (scale = that sample's max|x|/127, so fused batches and
 // per-sample calls see identical codes) and the patch matrix is staged as
@@ -444,10 +288,10 @@ func (qgemmBackend) Conv2DQ(in *tensor.Tensor, w *Int8Weights, bias *tensor.Tens
 // filter codes collapse into two uint64 lane pairs, and each patch byte
 // costs two 64-bit multiplies for four filter accumulations. The unsigned
 // bias is subtracted exactly on store — per-filter code sums arrive in
-// wsums (nil recomputes into scratch), per-patch-column code sums are
-// summed once per block — and each row segment is rescaled by
-// sampleScale·weightScale and biased, bit-identical to the plain int32
-// formulation the leftover-filter path still uses.
+// wsums, per-patch-column code sums are summed once per block — and each
+// row segment is rescaled by sampleScale·weightScale and biased,
+// bit-identical to the plain int32 formulation the leftover-filter path
+// still uses.
 func conv2DQCore(in *tensor.Tensor, qw []int8, sw float32, wsums []int32, bias *tensor.Tensor, g convGeom) *tensor.Tensor {
 	p := g.p
 	n, c, h, wd := g.n, g.c, g.h, g.w
@@ -457,12 +301,6 @@ func conv2DQCore(in *tensor.Tensor, qw []int8, sw float32, wsums []int32, bias *
 	fPerG := f / p.Groups
 	kTotal := cg * kh * kw
 	direct11 := kh == 1 && kw == 1 && p.Stride == 1 && p.Padding == 0
-	if wsums == nil {
-		ws := slabI32.get(f)
-		defer slabI32.put(ws)
-		codeRowSums(qw, f, kTotal, *ws)
-		wsums = (*ws)[:f]
-	}
 	kOff := 16384 * int64(kTotal)
 
 	// Quantize the input once, one scale per sample.

@@ -1,19 +1,20 @@
 package compute
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"math"
 	"testing"
 
-	"repro/internal/quant"
+	"repro/internal/parallel"
 	"repro/internal/tensor"
 )
 
 // These tests pin the quantized backend's numeric contract (see the doc on
-// qgemmBackend): bit-identical across worker counts, between fused-batch
-// and per-sample calls, and between the plain float entry points and the
-// pre-quantized Int8Weights entry points — while staying within the
-// symmetric-quantization error envelope of the float backends.
+// qgemmBackend): bit-identical across worker counts and between fused-batch
+// and per-sample calls, while staying within the symmetric-quantization
+// error envelope of the float backends.
 
 // relL2 is the relative L2 distance between two equally-shaped tensors.
 func relL2(got, want *tensor.Tensor) float64 {
@@ -40,22 +41,16 @@ func TestQGemmWorkerInvariance(t *testing.T) {
 	type shape struct{ m, k, n int }
 	for _, s := range []shape{{3, 7, 5}, {16, 64, 48}, {1, 256, 128}, {40, 96, 33}} {
 		a := randomTensor(r, s.m, s.k)
-		b := randomTensor(r, s.k, s.n)
 		bt := randomTensor(r, s.n, s.k)
-		var mm, mt *tensor.Tensor
+		var mt *tensor.Tensor
 		atWorkerCounts(t, func() {
-			gotMM := QGemm.MatMul(a, b)
-			gotMT := QGemm.MatMulTransB(a, bt)
-			if mm == nil {
-				mm, mt = gotMM, gotMT
+			got := QGemm.MatMulTransB(a, bt)
+			if mt == nil {
+				mt = got
 				return
 			}
-			assertSame(t, fmt.Sprintf("qgemm MatMul %v", s), gotMM, mm)
-			assertSame(t, fmt.Sprintf("qgemm MatMulTransB %v", s), gotMT, mt)
+			assertSame(t, fmt.Sprintf("qgemm MatMulTransB %v", s), got, mt)
 		})
-		if e := relL2(mm, Gemm.MatMul(a, b)); e > quantEnvelope {
-			t.Fatalf("qgemm MatMul %v: rel L2 error %v vs gemm", s, e)
-		}
 		if e := relL2(mt, Gemm.MatMulTransB(a, bt)); e > quantEnvelope {
 			t.Fatalf("qgemm MatMulTransB %v: rel L2 error %v vs gemm", s, e)
 		}
@@ -122,13 +117,13 @@ func TestQGemmBatchInvariance(t *testing.T) {
 		}
 	}
 
-	// MatMul quantizes per row: batched rows == stacked single rows.
+	// MatMulTransB quantizes per row: batched rows == stacked single rows.
 	a := randomTensor(r, 5, 32)
-	bm := randomTensor(r, 32, 12)
-	all := QGemm.MatMul(a, bm)
+	bm := randomTensor(r, 12, 32)
+	all := QGemm.MatMulTransB(a, bm)
 	for i := 0; i < 5; i++ {
 		row := tensor.FromSlice(a.Data[i*32:(i+1)*32], 1, 32)
-		out := QGemm.MatMul(row, bm)
+		out := QGemm.MatMulTransB(row, bm)
 		for j := 0; j < 12; j++ {
 			if out.Data[j] != all.Data[i*12+j] {
 				t.Fatalf("row %d col %d: batched %v, solo %v", i, j, all.Data[i*12+j], out.Data[j])
@@ -137,64 +132,39 @@ func TestQGemmBatchInvariance(t *testing.T) {
 	}
 }
 
-// TestQGemmQuantizedEntryMatchesFloat pins the zero-round-trip contract:
-// feeding pre-quantized int8 codes through Conv2DQ/MatMulTransBQ produces
-// exactly the bits of the plain float entry points on the dequantized
-// weights. (Quantizing the dequantized tensor reproduces the codes: the
-// extreme element maps to ±127, so the recomputed scale is the stored
-// scale.)
-func TestQGemmQuantizedEntryMatchesFloat(t *testing.T) {
-	qb, ok := QGemm.(QuantBackend)
-	if !ok {
-		t.Fatal("QGemm does not implement QuantBackend")
+// tensorCRC is the CRC-32 of a tensor's float32 bits, little-endian.
+func tensorCRC(t *tensor.Tensor) uint32 {
+	buf := make([]byte, 4*len(t.Data))
+	for i, v := range t.Data {
+		binary.LittleEndian.PutUint32(buf[4*i:], math.Float32bits(v))
 	}
-	r := tensor.NewRNG(0x9A04)
-
-	wt := randomTensor(r, 8, 4, 3, 3)
-	q := quant.Quantize(wt, quant.Int8)
-	iw := &Int8Weights{Data: q.Int8Values(), Scale: q.Scale, Shape: wt.Shape().Clone()}
-	wf := q.Dequantize()
-	in := randomTensor(r, 2, 4, 10, 10)
-	bias := randomTensor(r, 8)
-	p := tensor.Conv2DParams{Stride: 1, Padding: 1}
-	atWorkerCounts(t, func() {
-		assertSame(t, "Conv2DQ vs float entry", qb.Conv2DQ(in, iw, bias, p), QGemm.Conv2D(in, wf, bias, p))
-	})
-
-	fcw := randomTensor(r, 12, 40)
-	qf := quant.Quantize(fcw, quant.Int8)
-	ifw := &Int8Weights{Data: qf.Int8Values(), Scale: qf.Scale, Shape: fcw.Shape().Clone()}
-	ff := qf.Dequantize()
-	a := randomTensor(r, 6, 40)
-	atWorkerCounts(t, func() {
-		assertSame(t, "MatMulTransBQ vs float entry", qb.MatMulTransBQ(a, ifw), QGemm.MatMulTransB(a, ff))
-	})
+	return crc32.ChecksumIEEE(buf)
 }
 
-// TestQGemmInt4Image runs the quantized entry points on an int4-coded
-// weight image (codes in [-8,7], the image eden serves at Int4 precision).
-// Weights are exact — the comparison float weights ARE the dequantized
-// codes — so the only deviation from gemm is the input's int8 quantization.
-func TestQGemmInt4Image(t *testing.T) {
-	qb := QGemm.(QuantBackend)
-	r := tensor.NewRNG(0x9A05)
-	wt := randomTensor(r, 6, 3, 3, 3)
-	q := quant.Quantize(wt, quant.Int4)
-	iw := &Int8Weights{Data: q.Int8Values(), Scale: q.Scale, Shape: wt.Shape().Clone()}
-	wf := q.Dequantize()
-	in := randomTensor(r, 2, 3, 8, 8)
-	p := tensor.Conv2DParams{Stride: 1, Padding: 1}
-	var pinned *tensor.Tensor
-	atWorkerCounts(t, func() {
-		got := qb.Conv2DQ(in, iw, nil, p)
-		if pinned == nil {
-			pinned = got
-			return
+// TestQGemmFloatEntriesPinned holds the two qgemm calls the benchmark
+// harness times (its compute.qgemm_* kernel probes) to fixed output bits at
+// the probes' shapes: VGG-16's conv2_2 at batch 16 and its fc1.
+func TestQGemmFloatEntriesPinned(t *testing.T) {
+	r := tensor.NewRNG(0xBE7C)
+	uniform := func(dims ...int) *tensor.Tensor {
+		x := tensor.New(dims...)
+		x.FillUniform(r, -1, 1)
+		return x
+	}
+	pad1 := tensor.Conv2DParams{Stride: 1, Padding: 1}
+	cin, cw, cb := uniform(16, 32, 8, 8), uniform(32, 32, 3, 3), uniform(32)
+	fa, fw := uniform(16, 256), uniform(512, 256)
+	const convCRC, fcCRC = 2337049910, 3386392044
+	prev := parallel.Workers()
+	defer parallel.SetWorkers(prev)
+	for _, w := range []int{1, 2} {
+		parallel.SetWorkers(w)
+		if got := tensorCRC(QGemm.Conv2D(cin, cw, cb, pad1)); got != convCRC {
+			t.Errorf("workers=%d: Conv2D crc32 %d, want %d", w, got, convCRC)
 		}
-		assertSame(t, "int4 Conv2DQ worker invariance", got, pinned)
-	})
-	if e := relL2(pinned, Gemm.Conv2D(in, wf, nil, p)); e > quantEnvelope {
-		t.Fatalf("int4 Conv2DQ: rel L2 error %v vs gemm on dequantized weights", e)
+		if got := tensorCRC(QGemm.MatMulTransB(fa, fw)); got != fcCRC {
+			t.Errorf("workers=%d: MatMulTransB crc32 %d, want %d", w, got, fcCRC)
+		}
 	}
 }
 

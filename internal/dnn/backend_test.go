@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/compute"
 	"repro/internal/parallel"
-	"repro/internal/quant"
 	"repro/internal/tensor"
 )
 
@@ -52,7 +51,7 @@ func TestBackendsBitIdenticalOnZoo(t *testing.T) {
 				parallel.SetWorkers(w)
 				for _, b := range []compute.Backend{compute.Ref, compute.Gemm, compute.QGemm} {
 					ref := want
-					if _, quantized := b.(compute.QuantBackend); quantized {
+					if b == compute.QGemm {
 						ref = wantQ
 					}
 					setBackend(t, b)
@@ -69,53 +68,6 @@ func TestBackendsBitIdenticalOnZoo(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestAdoptQuantizedWeightsFastPath pins the zero-round-trip serving path:
-// a network with adopted int8 weight images, forwarded on the quantized
-// backend, produces exactly the bits of the same network forwarded on the
-// dequantized weights — the contract that lets serving feed QTensor codes
-// straight to the integer kernels.
-func TestAdoptQuantizedWeightsFastPath(t *testing.T) {
-	net, err := BuildModel("LeNet")
-	if err != nil {
-		t.Fatal(err)
-	}
-	setBackend(t, compute.QGemm)
-	rng := tensor.NewRNG(0xB18)
-	x := tensor.New(2, net.InC, net.InH, net.InW)
-	x.FillUniform(rng, -1, 1)
-
-	adopted := net.AdoptQuantizedWeights(quant.Int8)
-	if adopted == 0 {
-		t.Fatal("AdoptQuantizedWeights adopted nothing")
-	}
-	// Rewrite the float weights to the dequantized images, the weights a
-	// corrupted deployment actually serves; the fast path must match them.
-	for _, p := range net.Params() {
-		if q := p.Quantized(); q != nil {
-			qt := quant.Quantize(p.W, quant.Int8)
-			qt.DequantizeInto(p.W.Data)
-		}
-	}
-	fast := net.Forward(x, false, nil)
-
-	// Same forward with the images dropped: the plain float qgemm path.
-	for _, p := range net.Params() {
-		p.SetQuantized(nil)
-	}
-	plain := net.Forward(x, false, nil)
-	for i := range plain.Data {
-		if fast.Data[i] != plain.Data[i] {
-			t.Fatalf("output[%d]: fast path %v, float path %v (bit-exact)", i, fast.Data[i], plain.Data[i])
-		}
-	}
-
-	// Training forwards must ignore the images (straight-through training
-	// updates the float weights).
-	if net.AdoptQuantizedWeights(quant.FP32) != 0 {
-		t.Fatal("FP32 adoption should clear images and adopt nothing")
 	}
 }
 

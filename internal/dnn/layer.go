@@ -20,22 +20,7 @@ type Param struct {
 	W    *tensor.Tensor
 	G    *tensor.Tensor
 	V    *tensor.Tensor
-	// qw caches the int8 code image of W for QuantBackend fast paths; nil
-	// when the param has not adopted quantized serving. It is written at
-	// registration time (Network.AdoptQuantizedWeights, eden's
-	// CorruptWeights) and only read on the inference hot path, never
-	// during training.
-	qw *compute.Int8Weights
 }
-
-// SetQuantized installs (or, with nil, clears) the cached int8 image of W.
-// Callers must keep the image in sync with W: eden's weight corruption
-// rebuilds it from the corrupted codes whenever the float weights are
-// rewritten.
-func (p *Param) SetQuantized(qw *compute.Int8Weights) { p.qw = qw }
-
-// Quantized returns the cached int8 image of W, or nil.
-func (p *Param) Quantized() *compute.Int8Weights { return p.qw }
 
 func newParam(name string, dims ...int) *Param {
 	return &Param{Name: name, W: tensor.New(dims...), G: tensor.New(dims...), V: tensor.New(dims...)}
@@ -100,11 +85,7 @@ func (l *Conv) Name() string { return l.LayerName }
 
 // Forward convolves x with the layer weights. Inference-mode forwards
 // (train == false) touch no layer state, so a network may run concurrent
-// evaluation passes over shared weights (see Network.ForwardBatchFused). When
-// the default backend consumes quantized weights and the param carries a
-// cached int8 image, inference skips the float weight tensor entirely;
-// training always runs the float path (gradients are defined on the float
-// linearization).
+// evaluation passes over shared weights (see Network.ForwardBatchFused).
 func (l *Conv) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	if train {
 		l.lastInput = x
@@ -112,13 +93,6 @@ func (l *Conv) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	var b *tensor.Tensor
 	if l.Bias != nil {
 		b = l.Bias.W
-	}
-	if !train {
-		if qb, ok := compute.Default().(compute.QuantBackend); ok {
-			if qw := l.Weight.Quantized(); qw != nil {
-				return qb.Conv2DQ(x, qw, b, l.P)
-			}
-		}
 	}
 	return compute.Default().Conv2D(x, l.Weight.W, b, l.P)
 }
@@ -163,9 +137,7 @@ func NewFC(name string, in, out int, rng *tensor.RNG) *FC {
 // Name returns the layer name.
 func (l *FC) Name() string { return l.LayerName }
 
-// Forward flattens x to (N, in) and applies xWᵀ + b. Like Conv, inference
-// uses the quantized-weight fast path when the backend supports it and a
-// cached int8 image is present.
+// Forward flattens x to (N, in) and applies xWᵀ + b.
 func (l *FC) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	n := x.Dim(0)
 	in := x.Size() / n
@@ -174,15 +146,7 @@ func (l *FC) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 		l.lastInput = flat
 		l.lastShape = x.Shape().Clone()
 	}
-	var out *tensor.Tensor
-	if qb, ok := compute.Default().(compute.QuantBackend); !train && ok {
-		if qw := l.Weight.Quantized(); qw != nil {
-			out = qb.MatMulTransBQ(flat, qw)
-		}
-	}
-	if out == nil {
-		out = compute.Default().MatMulTransB(flat, l.Weight.W)
-	}
+	out := compute.Default().MatMulTransB(flat, l.Weight.W)
 	// 1·b is b exactly, so the axpy's add is the add of out[i,j] += b[j].
 	ncols := out.Dim(1)
 	for i := 0; i < n; i++ {

@@ -2,7 +2,9 @@ package dnn
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
+	"runtime"
 	"testing"
 
 	"repro/internal/dataset"
@@ -263,6 +265,26 @@ func TestLoadRejectsGarbage(t *testing.T) {
 	net := buildLeNet(tensor.NewRNG(1))
 	if err := net.Load(bytes.NewReader([]byte("not a model"))); err == nil {
 		t.Fatal("garbage input should fail to load")
+	}
+}
+
+// TestLoadShortNameAllocatesLittle feeds a model file whose first tensor
+// name claims the longest length the loader accepts and then ends: the load
+// must fail without first allocating the claimed 1 MiB.
+func TestLoadShortNameAllocatesLittle(t *testing.T) {
+	net := buildLeNet(tensor.NewRNG(1))
+	file := []byte(modelMagic)
+	file = binary.LittleEndian.AppendUint32(file, uint32(len(net.StateTensors())))
+	file = binary.LittleEndian.AppendUint32(file, 1<<20)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	err := net.Load(bytes.NewReader(file))
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("model file without name bytes accepted")
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 256<<10 {
+		t.Fatalf("%d-byte model file allocated %d bytes before failing", len(file), grew)
 	}
 }
 

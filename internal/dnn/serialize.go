@@ -169,9 +169,14 @@ func readString(r io.Reader) (string, error) {
 	if n > 1<<20 {
 		return "", fmt.Errorf("dnn: unreasonable string length %d", n)
 	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
+	// n comes from the file: read through a limit, so that a short file
+	// fails without first costing n bytes.
+	buf, err := io.ReadAll(io.LimitReader(r, int64(n)))
+	if err != nil {
 		return "", err
+	}
+	if len(buf) != int(n) {
+		return "", io.ErrUnexpectedEOF
 	}
 	return string(buf), nil
 }

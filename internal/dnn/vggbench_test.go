@@ -4,19 +4,13 @@ import (
 	"testing"
 
 	"repro/internal/compute"
-	"repro/internal/quant"
 	"repro/internal/tensor"
 )
 
-// benchVGG measures a full batch-16 VGG-16 forward on one backend;
-// quantized backends run the serving configuration, with int8 weight
-// images adopted so the QuantBackend fast path is exercised end to end.
-func benchVGG(b *testing.B, bk compute.Backend, adopt bool) {
+// BenchmarkVGGGemm measures a full batch-16 VGG-16 forward on gemm.
+func BenchmarkVGGGemm(b *testing.B) {
 	tm := MustPretrained("VGG-16")
-	setBackend(b, bk)
-	if adopt {
-		tm.Net.AdoptQuantizedWeights(quant.Int8)
-	}
+	setBackend(b, compute.Gemm)
 	rng := tensor.NewRNG(0xF0)
 	xs := make([]*tensor.Tensor, 16)
 	for i := range xs {
@@ -29,6 +23,3 @@ func benchVGG(b *testing.B, bk compute.Backend, adopt bool) {
 		tm.Net.ForwardBatch(xs, BatchOptions{})
 	}
 }
-
-func BenchmarkVGGGemm(b *testing.B)  { benchVGG(b, compute.Gemm, false) }
-func BenchmarkVGGQGemm(b *testing.B) { benchVGG(b, compute.QGemm, true) }

@@ -18,7 +18,6 @@ import (
 	"strings"
 	"sync"
 
-	"repro/internal/compute"
 	"repro/internal/dnn"
 	"repro/internal/dram"
 	"repro/internal/errormodel"
@@ -314,15 +313,14 @@ func (s *SoftwareDRAM) corruptTensorInto(t *tensor.Tensor, e *dataState, inPlace
 // corruptImage runs the quantize → inject → correct pipeline and returns
 // the corrupted quantized image itself, or nil when the data ID is entirely
 // error-free and quantization is not forced (the tensor passes through
-// untouched). Exposing the image lets CorruptWeights re-derive adopted int8
-// weight codes without a float round-trip.
+// untouched). Exposing the image lets callers dequantize it into storage
+// of their choice.
 //
 // The image is the corruptor's own scratch (s.image): it is valid until the
-// next call on this corruptor, which overwrites it. Every caller decodes or
-// converts it before then — the hooks dequantize it, corruptParams
-// dequantizes it and copies its codes into the adopted int8 image — so
-// weights and both hook shapes share the one buffer, and a warmed corruptor
-// corrupts without allocating.
+// next call on this corruptor, which overwrites it. Every caller decodes it
+// before then — the hooks and corruptParams dequantize it — so weights and
+// both hook shapes share the one buffer, and a warmed corruptor corrupts
+// without allocating.
 func (s *SoftwareDRAM) corruptImage(t *tensor.Tensor, e *dataState) *quant.QTensor {
 	s.refresh(e)
 	if e.ber <= 0 && !s.ForceQuant {
@@ -496,10 +494,7 @@ func (p *ClonePool) Put(c Cloner) {
 }
 
 // CorruptWeights overwrites every parameter with its approximate-DRAM image
-// and returns a function that restores the clean weights. Parameters
-// carrying an adopted int8 weight image (dnn.AdoptQuantizedWeights) have the
-// image re-derived from the corrupted codes, so QuantBackend inference reads
-// the same corrupted values the float path does.
+// and returns a function that restores the clean weights.
 func (s *SoftwareDRAM) CorruptWeights(net *dnn.Network) (restore func()) {
 	return corruptParams(net, func(t *tensor.Tensor, id string) *quant.QTensor {
 		return s.corruptImage(t, s.state(id))
@@ -509,36 +504,19 @@ func (s *SoftwareDRAM) CorruptWeights(net *dnn.Network) (restore func()) {
 // corruptParams implements CorruptWeights for any corruptor that can expose
 // its corrupted quantized image (which it may reuse for the next parameter;
 // nothing here keeps it): every parameter is overwritten with the
-// dequantized image, and parameters that carry an adopted int8 code image
-// get it refreshed from the corrupted codes directly — no float round-trip,
-// so the QuantBackend fast path and the float path serve bit-consistent
-// corrupted weights. The returned restore puts back both the clean floats
-// and the clean adopted images.
+// dequantized image, and the returned restore puts back the clean floats.
 func corruptParams(net *dnn.Network, image func(t *tensor.Tensor, id string) *quant.QTensor) (restore func()) {
 	params := net.Params()
 	saved := make([][]float32, len(params))
-	savedQ := make([]*compute.Int8Weights, len(params))
 	for i, p := range params {
 		saved[i] = append([]float32(nil), p.W.Data...)
-		savedQ[i] = p.Quantized()
-		q := image(p.W, WeightID(p.Name))
-		if q == nil {
-			continue
-		}
-		q.DequantizeInto(p.W.Data)
-		if savedQ[i] != nil {
-			// Wider-than-int8 precisions yield a nil image here, which
-			// correctly disables the fast path while the corrupted floats
-			// stand in.
-			p.SetQuantized(dnn.Int8WeightsFromQTensor(q))
+		if q := image(p.W, WeightID(p.Name)); q != nil {
+			q.DequantizeInto(p.W.Data)
 		}
 	}
 	return func() {
 		for i, p := range params {
 			copy(p.W.Data, saved[i])
-			if savedQ[i] != nil {
-				p.SetQuantized(savedQ[i])
-			}
 		}
 	}
 }
@@ -745,8 +723,7 @@ func (c *DeviceDRAM) corruptImage(t *tensor.Tensor, id string) *quant.QTensor {
 // access, making every read an independent transient draw.
 func (c *DeviceDRAM) NextPass() {}
 
-// CorruptWeights stores every parameter in the module and reads it back,
-// refreshing any adopted int8 weight images from the read-back codes.
+// CorruptWeights stores every parameter in the module and reads it back.
 func (c *DeviceDRAM) CorruptWeights(net *dnn.Network) (restore func()) {
 	return corruptParams(net, c.corruptImage)
 }

@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/compute"
 	"repro/internal/dnn"
 	"repro/internal/dram"
 	"repro/internal/errormodel"
@@ -85,52 +84,6 @@ func TestCorruptWeightsRestores(t *testing.T) {
 	}
 	if !changed {
 		t.Fatal("corruption at BER 0.1 changed nothing")
-	}
-}
-
-// TestCorruptWeightsSyncsAdoptedImages pins the quantized serving
-// contract: when parameters carry adopted int8 weight images, corruption
-// refreshes each image from the corrupted codes — dequantizing the image
-// must reproduce the corrupted float weights bit for bit — and restore
-// puts the clean images back.
-func TestCorruptWeightsSyncsAdoptedImages(t *testing.T) {
-	tm := lenet(t)
-	net := tm.CloneNet()
-	if net.AdoptQuantizedWeights(quant.Int8) == 0 {
-		t.Fatal("no weights adopted")
-	}
-	cleanImages := map[string]*compute.Int8Weights{}
-	for _, p := range net.Params() {
-		if q := p.Quantized(); q != nil {
-			cleanImages[p.Name] = q
-		}
-	}
-	corr := NewSoftwareDRAM(uniformModel(0.05), quant.Int8)
-	restore := corr.CorruptWeights(net)
-	synced := 0
-	for _, p := range net.Params() {
-		q := p.Quantized()
-		if q == nil {
-			continue
-		}
-		if q == cleanImages[p.Name] {
-			t.Fatalf("%s: image not refreshed by corruption", p.Name)
-		}
-		for i, c := range q.Data {
-			if got := float32(c) * q.Scale; got != p.W.Data[i] {
-				t.Fatalf("%s[%d]: image decodes to %v, float weight is %v", p.Name, i, got, p.W.Data[i])
-			}
-		}
-		synced++
-	}
-	if synced == 0 {
-		t.Fatal("no images checked")
-	}
-	restore()
-	for _, p := range net.Params() {
-		if want, ok := cleanImages[p.Name]; ok && p.Quantized() != want {
-			t.Fatalf("%s: restore did not recover the clean image", p.Name)
-		}
 	}
 }
 

@@ -68,8 +68,8 @@ func TestHookInPlaceAllocatesNothing(t *testing.T) {
 
 // TestScratchImageLifetime pins the contract in corruptImage's comment: the
 // returned image is the corruptor's scratch and the next call overwrites
-// it, while everything the callers derive from it is theirs — IFMHook's
-// result is a fresh tensor, and adopted int8 weight images own their codes.
+// it, while what the callers derive from it is theirs — IFMHook's result is
+// a fresh tensor.
 func TestScratchImageLifetime(t *testing.T) {
 	s := NewSoftwareDRAM(uniformModel(1e-2), quant.Int8)
 	a, b := tensor.New(2, 40), tensor.New(3, 7)
@@ -79,8 +79,6 @@ func TestScratchImageLifetime(t *testing.T) {
 	qa := s.corruptImage(a, s.state("ifm:a"))
 	scaleA := qa.Scale
 	outA := s.corruptTensor(a, "ifm:a") // same pass, same draws: the decoded image
-	iw := dnn.Int8WeightsFromQTensor(s.corruptImage(a, s.state("ifm:a")))
-	kept := append([]int8(nil), iw.Data...)
 
 	qb := s.corruptImage(b, s.state("ifm:b"))
 	if qa != qb {
@@ -93,11 +91,6 @@ func TestScratchImageLifetime(t *testing.T) {
 	for i := range want.Data {
 		if outA.Data[i] != want.Data[i] {
 			t.Fatalf("hook output element %d changed after the next corruption: %v != %v", i, outA.Data[i], want.Data[i])
-		}
-	}
-	for i := range kept {
-		if iw.Data[i] != kept[i] {
-			t.Fatalf("adopted int8 image element %d changed after the next corruption", i)
 		}
 	}
 }

@@ -181,33 +181,6 @@ func signExtend(c uint32, b int) int32 {
 	return int32(c<<shift) >> shift
 }
 
-// Int8ValuesInto writes the sign-extended integer codes into dst, which must
-// hold exactly NumValues() entries. This is the packed-row accessor integer
-// kernels consume: the codes go straight into int8 arithmetic with no float
-// round-trip, and together with Scale they fully describe the stored tensor.
-// Only precisions of at most 8 bits have codes that fit an int8; wider
-// precisions panic.
-func (q *QTensor) Int8ValuesInto(dst []int8) {
-	if q.Prec.Bits() > 8 {
-		panic(fmt.Sprintf("quant: Int8ValuesInto on %v tensor (codes exceed 8 bits)", q.Prec))
-	}
-	if len(dst) != len(q.Codes) {
-		panic(fmt.Sprintf("quant: Int8ValuesInto dst holds %d values, want %d", len(dst), len(q.Codes)))
-	}
-	b := q.Prec.Bits()
-	for i, c := range q.Codes {
-		dst[i] = int8(signExtend(c, b))
-	}
-}
-
-// Int8Values allocates and returns the sign-extended integer codes; see
-// Int8ValuesInto.
-func (q *QTensor) Int8Values() []int8 {
-	dst := make([]int8, len(q.Codes))
-	q.Int8ValuesInto(dst)
-	return dst
-}
-
 // Value decodes the single value at index i.
 func (q *QTensor) Value(i int) float32 {
 	if q.Prec == FP32 {

@@ -49,55 +49,6 @@ func TestPerModelBackend(t *testing.T) {
 	}
 }
 
-// TestQuantizedBackendServing pins the int8 serving path end to end: a
-// model registered while the quantized backend is the default adopts int8
-// weight-code images, the corruptor keeps them in sync with the corrupted
-// float weights, and predictions are reproducible for a fixed (input, seed).
-func TestQuantizedBackendServing(t *testing.T) {
-	setWorkers(t, 2)
-	s := New(Config{MaxBatch: 4, MaxLatency: time.Millisecond})
-	defer s.Close()
-	setBackend(t, compute.QGemm)
-	m := deployUniform(t, s, "LeNet", quant.Int8, 1e-4)
-	if m.Info().Backend != "qgemm" {
-		t.Fatalf("backend %q, want qgemm", m.Info().Backend)
-	}
-	adopted := 0
-	for _, p := range m.net.Params() {
-		q := p.Quantized()
-		if q == nil {
-			continue
-		}
-		adopted++
-		// The image must decode to exactly the (corrupted) float weights
-		// the float path would serve.
-		for i, c := range q.Data {
-			if float32(c)*q.Scale != p.W.Data[i] {
-				t.Fatalf("%s[%d]: image decodes to %v, weight is %v", p.Name, i, float32(c)*q.Scale, p.W.Data[i])
-			}
-		}
-	}
-	if adopted == 0 {
-		t.Fatal("no int8 weight images adopted on the served network")
-	}
-
-	in := make([]float32, m.Info().InputDims[0]*m.Info().InputDims[1]*m.Info().InputDims[2])
-	for i := range in {
-		in[i] = float32(i%11)/5 - 1
-	}
-	r1, err := m.Predict(context.Background(), in, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, err := m.Predict(context.Background(), in, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sameBits(r1.Output, r2.Output) {
-		t.Fatalf("output not reproducible: %v vs %v", r1.Output, r2.Output)
-	}
-}
-
 // TestHealthz covers the load-balancer probe through the drain sequence:
 // 200 with the model count while serving, 503 "draining" after BeginDrain
 // (predictions still succeed), 503 "closing" after Close.

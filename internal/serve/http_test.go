@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -157,4 +158,52 @@ func TestHTTPModelDetail(t *testing.T) {
 	if raw.BER != 1e-4 {
 		t.Fatalf("raw-BER detail %+v", raw)
 	}
+}
+
+// FuzzDecodePredict drives the predict-body decoder with hostile bodies for
+// LeNet's 3×16×16 input. A rejected body must be answered 400 with an
+// {"error": ...} JSON body; an accepted one, re-marshalled and decoded
+// again, must give back the same input bits, seed and deadline.
+func FuzzDecodePredict(f *testing.F) {
+	const inputLen = 3 * 16 * 16
+	valid := `{"input":[` + strings.Repeat("0,", inputLen-1) + "1" + `],"seed":7}`
+	f.Add([]byte(valid))
+	f.Add([]byte(`{"input":[1,-0,3.4028235e38],"seed":18446744073709551615,"deadline_ms":250}`))
+	f.Add([]byte(valid[:len(valid)/2]))                                                   // truncated
+	f.Add([]byte(`{"input":[` + strings.Repeat("0,", inputLen*32+2048) + `0],"seed":1}`)) // past the body bound
+	f.Add([]byte(`{"input":["a",true,null],"seed":"x"}`))                                 // non-numeric
+	f.Fuzz(func(t *testing.T, body []byte) {
+		w := httptest.NewRecorder()
+		r := httptest.NewRequest(http.MethodPost, "/v1/models/LeNet/predict", bytes.NewReader(body))
+		req, deadline, ok := DecodePredict(w, r, inputLen)
+		if !ok {
+			var reply map[string]string
+			if w.Code != http.StatusBadRequest || json.Unmarshal(w.Body.Bytes(), &reply) != nil || reply["error"] == "" {
+				t.Fatalf("rejected body answered %d %q, want 400 with an error", w.Code, w.Body.String())
+			}
+			return
+		}
+		if w.Body.Len() != 0 {
+			t.Fatalf("accepted body got a reply: %q", w.Body.String())
+		}
+		if deadline.IsZero() != (req.DeadlineMs <= 0) {
+			t.Fatalf("deadline_ms %d resolved to %v", req.DeadlineMs, deadline)
+		}
+		again, err := json.Marshal(req)
+		if err != nil {
+			t.Fatalf("accepted request does not marshal: %v", err)
+		}
+		var back PredictRequest
+		if err := json.Unmarshal(again, &back); err != nil {
+			t.Fatalf("re-marshalled request %q does not decode: %v", again, err)
+		}
+		if back.Seed != req.Seed || back.DeadlineMs != req.DeadlineMs || len(back.Input) != len(req.Input) {
+			t.Fatalf("round trip %+v -> %+v", req, back)
+		}
+		for i, v := range req.Input {
+			if math.Float32bits(back.Input[i]) != math.Float32bits(v) {
+				t.Fatalf("input[%d]: %v -> %v", i, v, back.Input[i])
+			}
+		}
+	})
 }

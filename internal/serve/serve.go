@@ -33,9 +33,7 @@
 // layer-range slice of one. Serving a zoo model at an explicit error rate
 // without running the pipeline is the same path fed an
 // eden.UniformDeployment. Every model runs on the process-wide compute
-// backend (compute.Default, which cmd/serve sets from -backend); when that
-// is the quantized one, registration adopts the int8 weight images it
-// consumes, and Info reports it.
+// backend (compute.Default, gemm outside tests), and Info reports it.
 //
 // Determinism is preserved end to end: every request carries a seed, the
 // scheduler draws a per-request corruptor clone from an eden.ClonePool
@@ -59,7 +57,6 @@ import (
 	"repro/internal/dnn"
 	"repro/internal/eden"
 	"repro/internal/parallel"
-	"repro/internal/quant"
 	"repro/internal/tensor"
 )
 
@@ -292,26 +289,12 @@ func (s *Server) newModel(dep *eden.Deployment) (*Model, error) {
 	}
 	corr := dep.NewCorruptor()
 	// Static weight image at the deployment's operating point(s): corrupt
-	// once, keep (no restore). Adoption first, so the corruptor refreshes
-	// the int8 images in sync.
-	adoptQuantized(net, dep.Prec)
+	// once, keep (no restore).
 	corr.CorruptWeights(net)
 	m.pool = eden.NewClonePool(corr)
 	// Pay the clone allocations now, not on the first full batches.
 	m.pool.Prewarm(slots * s.cfg.MaxBatch)
 	return m, nil
-}
-
-// adoptQuantized caches int8 weight-code images on the network when the
-// process default backend is a quantized one, enabling the QuantBackend
-// fast path (codes feed the integer kernels with no per-forward weight
-// quantization). A no-op for float backends and for precisions with no
-// int8 image. Runs before weight corruption so eden.CorruptWeights
-// re-derives the images from the corrupted codes.
-func adoptQuantized(net *dnn.Network, prec quant.Precision) {
-	if _, ok := compute.Default().(compute.QuantBackend); ok {
-		net.AdoptQuantizedWeights(prec)
-	}
 }
 
 // Model returns a registered model by name.
