@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test fuzz-smoke race bench bench-e2e cluster-smoke lint asm-check vuln loc
+.PHONY: build test fuzz-smoke race bench bench-e2e cluster-smoke lint asm-check vuln loc golden golden-check
 
 build:
 	$(GO) build ./...
@@ -66,6 +66,18 @@ bench-e2e:
 cluster-smoke:
 	$(GO) build -o /tmp/repro-serve-smoke ./cmd/serve
 	$(GO) run ./examples/cluster -serve-bin /tmp/repro-serve-smoke
+
+# golden regenerates internal/experiments/testdata/golden/system.txt, the
+# §7 system-level reports (table3 supplies their operating points); golden-check
+# diffs a fresh run against it, and CI's bench job runs it. Both train into an
+# empty model cache, so a model cached by an older commit cannot make the check
+# pass. A diff in the golden is review surface, like .loc-ceiling.
+GOLDEN = internal/experiments/testdata/golden/system.txt
+GOLDEN_RUN = cache=$$(mktemp -d); out=$$(mktemp); EDEN_MODEL_CACHE=$$cache $(GO) run ./cmd/experiments table3 fig13 fig14 gpu accel > $$out; st=$$?; rm -rf $$cache
+golden:
+	@$(GOLDEN_RUN); if [ $$st -eq 0 ]; then mv $$out $(GOLDEN); else rm -f $$out; fi; exit $$st
+golden-check:
+	@$(GOLDEN_RUN); if [ $$st -eq 0 ]; then diff -u $(GOLDEN) $$out; st=$$?; fi; rm -f $$out; exit $$st
 
 # lint is the merge gate: formatting, go vet, and the repository's own
 # analyzer suite (internal/lint via cmd/repro-lint) enforcing the

@@ -332,12 +332,6 @@ type convGeom struct {
 // convGeometry normalizes p's defaults, validates the channel/group layout
 // and computes the output extents.
 func convGeometry(in, w *tensor.Tensor, p tensor.Conv2DParams) convGeom {
-	return convGeometryDims(in, w.Dim(0), w.Dim(1), w.Dim(2), w.Dim(3), p)
-}
-
-// convGeometryDims is convGeometry for callers whose weights are not a
-// float tensor (the quantized kernels hold codes plus a shape).
-func convGeometryDims(in *tensor.Tensor, f, cg, kh, kw int, p tensor.Conv2DParams) convGeom {
 	if p.Stride <= 0 {
 		p.Stride = 1
 	}
@@ -347,7 +341,7 @@ func convGeometryDims(in *tensor.Tensor, f, cg, kh, kw int, p tensor.Conv2DParam
 	g := convGeom{
 		p: p,
 		n: in.Dim(0), c: in.Dim(1), h: in.Dim(2), w: in.Dim(3),
-		f: f, cg: cg, kh: kh, kw: kw,
+		f: w.Dim(0), cg: w.Dim(1), kh: w.Dim(2), kw: w.Dim(3),
 	}
 	if g.c/p.Groups != g.cg {
 		panic(fmt.Sprintf("compute: Conv2D channel mismatch in=%d groups=%d wc=%d", g.c, p.Groups, g.cg))

@@ -24,8 +24,8 @@ type ModelSpec struct {
 	Epochs int
 	LR     float64
 	Batch  int
-	// MemoryIntensity and RandomAccessFrac feed the system-level trace
-	// generator: the fraction of execution that is DRAM-traffic-bound and
+	// MemoryIntensity and RandomAccessFrac feed sim.FromModel's
+	// system-level DRAM traffic: the fraction of execution that is DRAM-traffic-bound and
 	// the fraction of accesses that defeat the prefetcher (YOLO's NMS and
 	// thresholding indexing, §7.1).
 	MemoryIntensity  float64

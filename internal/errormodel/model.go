@@ -221,9 +221,9 @@ func hashMix(z uint64) uint64 {
 // the transient draw.
 type Injector struct {
 	Model *Model
-	// BaseBit positions the tensor in the module's address space, so that
-	// different tensors land on different rows (and characterization can
-	// co-locate tensors with partitions).
+	// pass indexes the transient error draw: Inject calls under one pass
+	// flip the same bits of the same data, and NextPass/SetPass move to an
+	// independent draw over the same weak cells.
 	pass uint64
 }
 

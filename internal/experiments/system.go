@@ -5,14 +5,10 @@ import (
 
 	"repro/internal/dnn"
 	"repro/internal/dram"
-	"repro/internal/dram/power"
 	"repro/internal/parallel"
 	"repro/internal/quant"
-	"repro/internal/sim/accel"
-	"repro/internal/sim/cpu"
-	"repro/internal/sim/gpu"
+	"repro/internal/sim"
 	"repro/internal/softmc"
-	"repro/internal/trace"
 )
 
 // cpuModels are the six networks of Figs. 13 and 14.
@@ -52,8 +48,7 @@ func opFor(model string, prec quant.Precision) (dram.OperatingPoint, error) {
 func Figure13CPUEnergy() (Report, error) {
 	r := Report{ID: "E11/Fig13", Title: "CPU DRAM energy savings (Table 4 system, vendor A mapping)",
 		Header: fmt.Sprintf("%-14s %-6s %10s", "Model", "Prec", "Savings")}
-	cfg := cpu.Default()
-	pcfg := power.DDR4()
+	cpu := sim.Table4CPU()
 	jobs := modelPrecGrid(cpuModels)
 	savings := make([]float64, len(jobs))
 	errs := make([]error, len(jobs))
@@ -70,8 +65,8 @@ func Figure13CPUEnergy() (Report, error) {
 			errs[i] = err
 			return
 		}
-		w := trace.FromModel(spec, net, j.prec, 16)
-		savings[i] = cpu.EnergySavings(w, cfg, pcfg, op.VDD, op.Timing)
+		w := sim.FromModel(spec, net, j.prec, 16)
+		savings[i] = sim.EnergySavings(cpu, w, sim.DDR4(), op.VDD, op.Timing)
 	})
 	var geoSum float64
 	for i, j := range jobs {
@@ -90,7 +85,7 @@ func Figure13CPUEnergy() (Report, error) {
 func Figure14CPUSpeedup() (Report, error) {
 	r := Report{ID: "E12/Fig14", Title: "CPU speedup: EDEN vs ideal tRCD=0 (Table 4 system)",
 		Header: fmt.Sprintf("%-14s %-6s %8s %8s", "Model", "Prec", "EDEN", "Ideal")}
-	cfg := cpu.Default()
+	cpu := sim.Table4CPU()
 	ideal := dram.NominalTiming()
 	ideal.TRCD = 0
 	jobs := modelPrecGrid(cpuModels)
@@ -110,9 +105,8 @@ func Figure14CPUSpeedup() (Report, error) {
 			errs[i] = err
 			return
 		}
-		w := trace.FromModel(spec, net, j.prec, 16)
-		s := cpu.SpeedupSweep(w, cfg, []dram.Timing{op.Timing, ideal})
-		results[i] = speedups{s[0], s[1]}
+		w := sim.FromModel(spec, net, j.prec, 16)
+		results[i] = speedups{sim.Speedup(cpu, w, op.Timing), sim.Speedup(cpu, w, ideal)}
 	})
 	var sumE, sumI float64
 	for i, j := range jobs {
@@ -133,8 +127,7 @@ func Figure14CPUSpeedup() (Report, error) {
 func Section72GPU() (Report, error) {
 	r := Report{ID: "E13/GPU", Title: "GPU (Table 5): DRAM energy savings and speedup",
 		Header: fmt.Sprintf("%-14s %-6s %9s %9s", "Model", "Prec", "Energy", "Speedup")}
-	cfg := gpu.Default()
-	pcfg := power.DDR4()
+	gpu := sim.Table5GPU()
 	for _, model := range []string{"YOLO", "YOLO-Tiny"} {
 		spec, _ := dnn.LookupSpec(model)
 		net, err := dnn.BuildModel(model)
@@ -146,9 +139,9 @@ func Section72GPU() (Report, error) {
 			if err != nil {
 				return r, err
 			}
-			w := trace.FromModel(spec, net, prec, 16)
-			e := gpu.EnergySavings(w, cfg, pcfg, op.VDD, op.Timing)
-			s := gpu.Speedup(w, cfg, op.Timing)
+			w := sim.FromModel(spec, net, prec, 16)
+			e := sim.EnergySavings(gpu, w, sim.DDR4(), op.VDD, op.Timing)
+			s := sim.Speedup(gpu, w, op.Timing)
 			r.Rows = append(r.Rows, fmt.Sprintf("%-14s %-6s %8.1f%% %8.3fx", model, prec, e*100, s))
 		}
 	}
@@ -161,7 +154,7 @@ func Section72GPU() (Report, error) {
 func Section72Accelerators() (Report, error) {
 	r := Report{ID: "E14/Accel", Title: "Eyeriss and TPU (Table 6): DRAM energy savings, speedup",
 		Header: fmt.Sprintf("%-8s %-12s %-12s %9s %9s", "Accel", "Model", "DRAM", "Energy", "Speedup")}
-	for _, cfg := range []accel.Config{accel.Eyeriss(), accel.TPU()} {
+	for _, a := range []sim.Accel{sim.Eyeriss(), sim.TPU()} {
 		for _, model := range []string{"AlexNet", "YOLO-Tiny"} {
 			spec, _ := dnn.LookupSpec(model)
 			net, err := dnn.BuildModel(model)
@@ -172,12 +165,12 @@ func Section72Accelerators() (Report, error) {
 			if err != nil {
 				return r, err
 			}
-			w := trace.FromModel(spec, net, quant.Int8, 1)
-			for _, pcfg := range []power.Config{power.DDR4(), power.LPDDR3()} {
-				e := accel.EnergySavings(w, cfg, pcfg, op.VDD)
-				s := accel.Speedup(w, cfg, op.Timing)
+			w := sim.FromModel(spec, net, quant.Int8, 1)
+			for _, p := range []sim.Power{sim.DDR4(), sim.LPDDR3()} {
+				e := sim.EnergySavings(a, w, p, op.VDD, op.Timing)
+				s := sim.Speedup(a, w, op.Timing)
 				r.Rows = append(r.Rows, fmt.Sprintf("%-8s %-12s %-12s %8.1f%% %8.3fx",
-					cfg.Name, model, pcfg.Name, e*100, s))
+					a.Name, model, p.Name, e*100, s))
 			}
 		}
 	}

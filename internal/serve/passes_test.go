@@ -240,6 +240,42 @@ func TestCloseWithTwoPassesInFlight(t *testing.T) {
 	}
 }
 
+// TestPredictComputingAtCloseDelivers: Close lets in-flight batches finish,
+// so a caller whose request is computing when Close comes gets its result,
+// not ErrClosed, although it sees the shutdown before the pass ends.
+func TestPredictComputingAtCloseDelivers(t *testing.T) {
+	s := New(Config{MaxBatch: 2, QueueDepth: 8})
+	m, g, _ := gatedModel(t, s, 0, 1)
+	in := testInputs(t, "LeNet", 1)[0]
+	type reply struct {
+		res Result
+		err error
+	}
+	done := make(chan reply, 1)
+	go func() {
+		res, err := m.Predict(context.Background(), in, 1)
+		done <- reply{res, err}
+	}()
+	m.start()
+	g.await(t, 1)
+	s.Close()
+	// The pass is held, so any reply now is the shutdown answering for it.
+	select {
+	case r := <-done:
+		t.Fatalf("replied while its pass was computing: error %v", r.err)
+	case <-time.After(200 * time.Millisecond):
+	}
+	g.open(1)
+	select {
+	case r := <-done:
+		if r.err != nil || len(r.res.Output) == 0 {
+			t.Fatalf("computing at Close: %d outputs, error %v", len(r.res.Output), r.err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Predict never returned")
+	}
+}
+
 // TestCancelledRequestsAreNotComputed: a request whose caller has gone is
 // swept before the hand-over, like one past its deadline, and counted with
 // them; only the live request behind it reaches compute.

@@ -51,6 +51,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/compute"
@@ -281,6 +282,7 @@ func (s *Server) newModel(dep *eden.Deployment) (*Model, error) {
 		batches:  make(chan []*pending),
 		done:     make(chan struct{}, slots),
 		quit:     make(chan struct{}),
+		stopped:  make(chan struct{}),
 		stats:    NewStats(s.cfg.MaxBatch),
 	}
 	if dep.Stage != nil {
@@ -373,9 +375,13 @@ type Model struct {
 	// done carries one token per finished pass back to the collector, which
 	// owns the in-flight count; its capacity is slots, the most passes that
 	// can be outstanding, so a dispatcher never blocks on it.
-	done  chan struct{}
-	quit  chan struct{}
-	stats *Stats
+	done chan struct{}
+	quit chan struct{}
+	// stopped is closed by the last dispatcher to exit, which is after the
+	// collector has failed everything it held and every pass has delivered.
+	stopped     chan struct{}
+	dispatchers atomic.Int32 // dispatchers not yet exited
+	stats       *Stats
 }
 
 // Result is one served prediction.
@@ -635,8 +641,17 @@ func (m *Model) submit(ctx context.Context, x *tensor.Tensor, seed uint64) (Resu
 	case o := <-p.out:
 		return o.res, o.err
 	case <-m.quit:
-		// Drained by the exiting scheduler, or enqueued just after it
-		// left; either way the batch will not run.
+		// A pass computing this request still delivers (Close lets
+		// in-flight batches finish), and the collector fails what it held
+		// before the dispatchers stop; a request enqueued just after the
+		// collector left is never read.
+		select {
+		case o := <-p.out:
+			return o.res, o.err
+		case <-m.stopped:
+		case <-ctx.Done():
+			return Result{}, ctx.Err()
+		}
 		select {
 		case o := <-p.out:
 			return o.res, o.err
@@ -652,6 +667,7 @@ func (m *Model) submit(ctx context.Context, x *tensor.Tensor, seed uint64) (Resu
 // dispatchers.
 func (m *Model) start() {
 	go m.collect()
+	m.dispatchers.Store(int32(m.slots))
 	for i := 0; i < m.slots; i++ {
 		go m.run()
 	}
@@ -777,6 +793,9 @@ func (m *Model) run() {
 	for batch := range m.batches {
 		m.dispatch(batch)
 		m.done <- struct{}{}
+	}
+	if m.dispatchers.Add(-1) == 0 {
+		close(m.stopped)
 	}
 }
 
