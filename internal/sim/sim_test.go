@@ -70,7 +70,8 @@ func TestSystemModelsPinned(t *testing.T) {
 
 // TestSection7Claims encodes the paper's §7 findings, one inequality per
 // claim, on the workloads the reports run: int8 at batch 16 on the CPU and
-// GPU, batch 1 on the accelerators.
+// GPU, batch 1 on the accelerators. Each finding is a subtest holding the
+// claims that make it up.
 func TestSection7Claims(t *testing.T) {
 	cpu, gpu := Table4CPU(), Table5GPU()
 	yolo := workload(t, "YOLO", quant.Int8, 16)
@@ -92,45 +93,71 @@ func TestSection7Claims(t *testing.T) {
 		holds             bool
 		values            []float64
 	}
-	claims := []claim{
-		{"Fig. 14: reduced tRCD speeds YOLO up, tRCD=0 most", "1 < YOLO@7ns ≤ YOLO@0ns", 1 < yolo7 && yolo7 <= yoloIdeal, []float64{yolo7, yoloIdeal}},
-		{"Fig. 14: YOLO speeds up by several percent", "YOLO ≥ 1.04", yolo7 >= 1.04, []float64{yolo7}},
-		{"Fig. 14: YOLO tops SqueezeNet and ResNet", "YOLO > SqueezeNet, ResNet", yolo7 > squeeze && yolo7 > resnet, []float64{yolo7, squeeze, resnet}},
-		{"Fig. 14: SqueezeNet is not latency bound", "SqueezeNet ≤ 1.02", squeeze <= 1.02, []float64{squeeze}},
-		{"Fig. 14: EDEN captures much of the ideal speedup", "(EDEN−1)/(ideal−1) ≥ 0.35", (yoloEDEN-1)/(yoloIdeal-1) >= 0.35, []float64{yoloEDEN, yoloIdeal}},
-		{"Fig. 13: CPU DRAM energy savings", "0.15 ≤ VGG-16 ≤ 0.40", vggE >= 0.15 && vggE <= 0.40, []float64{vggE}},
-		{"Fig. 13: a smaller ΔVDD saves less", "VGG-16@1.25V < VGG-16@1.0V", vggE125 < vggE, []float64{vggE125, vggE}},
-		{"Fig. 13: FP32 and int8 save alike", "|FP32 − int8| ≤ 0.05", math.Abs(vggE32-vggE) <= 0.05, []float64{vggE32, vggE}},
-		{"§7.2 GPU: warps hide YOLO's latency, not YOLO-Tiny's", "YOLO-Tiny > YOLO", gpuTiny > gpuYOLO, []float64{gpuTiny, gpuYOLO}},
-		{"§7.2 GPU: YOLO barely speeds up", "YOLO ≤ 1.04", gpuYOLO <= 1.04, []float64{gpuYOLO}},
-		{"§7.2 GPU: YOLO-Tiny speeds up a few percent", "YOLO-Tiny ≥ 1.02", gpuTiny >= 1.02, []float64{gpuTiny}},
-		{"§7.2 GPU: tRCD=0 bounds the speedup; nominal timing gives exactly 1", "YOLO-Tiny@7ns ≤ YOLO-Tiny@0ns, nominal = 1",
-			gpuTiny7 <= Speedup(gpu, tiny, tRCD(0)) && Speedup(gpu, tiny, dram.NominalTiming()) == 1, []float64{gpuTiny7}},
-	}
+	var gpuEnergy, accelSpeedup, accelDDR4 []claim
 	for _, name := range []string{"YOLO", "YOLO-Tiny"} {
 		e := EnergySavings(gpu, workload(t, name, quant.Int8, 16), DDR4(), 1.0, tRCD(6.5))
-		claims = append(claims, claim{"§7.2 GPU: DRAM energy savings", fmt.Sprintf("0.20 ≤ %s ≤ 0.50", name), e >= 0.2 && e <= 0.5, []float64{e}})
+		gpuEnergy = append(gpuEnergy, claim{"§7.2 GPU: DRAM energy savings", fmt.Sprintf("0.20 ≤ %s ≤ 0.50", name), e >= 0.2 && e <= 0.5, []float64{e}})
 	}
 	for _, a := range []Accel{Eyeriss(), TPU()} {
 		for _, name := range []string{"AlexNet", "YOLO-Tiny"} {
 			w := workload(t, name, quant.Int8, 1)
 			s := Speedup(a, w, tRCD(0))
 			e := EnergySavings(a, w, DDR4(), 1.0, tRCD(0))
-			claims = append(claims,
-				claim{"§7.2 accelerators: double buffering hides tRCD", fmt.Sprintf("%s/%s speedup = 1", a.Name, name), s == 1, []float64{s}},
-				claim{"§7.2 accelerators: DDR4 energy savings", fmt.Sprintf("0.25 ≤ %s/%s ≤ 0.40", a.Name, name), e >= 0.25 && e <= 0.40, []float64{e}})
+			accelSpeedup = append(accelSpeedup, claim{"§7.2 accelerators: double buffering hides tRCD", fmt.Sprintf("%s/%s speedup = 1", a.Name, name), s == 1, []float64{s}})
+			accelDDR4 = append(accelDDR4, claim{"§7.2 accelerators: DDR4 energy savings", fmt.Sprintf("0.25 ≤ %s/%s ≤ 0.40", a.Name, name), e >= 0.25 && e <= 0.40, []float64{e}})
 		}
 	}
 	alex := workload(t, "AlexNet", quant.Int8, 1)
 	ddr4 := EnergySavings(Eyeriss(), alex, DDR4(), 1.0, tRCD(0))
 	lp := EnergySavings(Eyeriss(), alex, LPDDR3(), 1.0, tRCD(0))
-	claims = append(claims, claim{"§7.2 accelerators: LPDDR3's lower nominal VDD saves less", "0.12 ≤ LPDDR3 ≤ 0.30, LPDDR3 < DDR4",
-		lp >= 0.12 && lp <= 0.30 && lp < ddr4, []float64{lp, ddr4}})
 
-	for _, c := range claims {
-		if !c.holds {
-			t.Errorf("%s: %s does not hold at %v", c.paper, c.inequality, c.values)
-		}
+	findings := []struct {
+		name   string
+		claims []claim
+	}{
+		{"ReducedTRCDSpeedsUp", []claim{
+			{"Fig. 14: reduced tRCD speeds YOLO up, tRCD=0 most", "1 < YOLO@7ns ≤ YOLO@0ns", 1 < yolo7 && yolo7 <= yoloIdeal, []float64{yolo7, yoloIdeal}},
+		}},
+		{"YOLOMostLatencySensitive", []claim{
+			{"Fig. 14: YOLO speeds up by several percent", "YOLO ≥ 1.04", yolo7 >= 1.04, []float64{yolo7}},
+			{"Fig. 14: YOLO tops SqueezeNet and ResNet", "YOLO > SqueezeNet, ResNet", yolo7 > squeeze && yolo7 > resnet, []float64{yolo7, squeeze, resnet}},
+			{"Fig. 14: SqueezeNet is not latency bound", "SqueezeNet ≤ 1.02", squeeze <= 1.02, []float64{squeeze}},
+		}},
+		{"EDENCloseToIdealShape", []claim{
+			{"Fig. 14: EDEN captures much of the ideal speedup", "(EDEN−1)/(ideal−1) ≥ 0.35", (yoloEDEN-1)/(yoloIdeal-1) >= 0.35, []float64{yoloEDEN, yoloIdeal}},
+		}},
+		{"EnergySavingsBand", []claim{
+			{"Fig. 13: CPU DRAM energy savings", "0.15 ≤ VGG-16 ≤ 0.40", vggE >= 0.15 && vggE <= 0.40, []float64{vggE}},
+			{"Fig. 13: a smaller ΔVDD saves less", "VGG-16@1.25V < VGG-16@1.0V", vggE125 < vggE, []float64{vggE125, vggE}},
+		}},
+		{"FP32AndInt8SaveSimilarly", []claim{
+			{"Fig. 13: FP32 and int8 save alike", "|FP32 − int8| ≤ 0.05", math.Abs(vggE32-vggE) <= 0.05, []float64{vggE32, vggE}},
+		}},
+		{"YOLOTinyGainsMoreThanYOLO", []claim{
+			{"§7.2 GPU: warps hide YOLO's latency, not YOLO-Tiny's", "YOLO-Tiny > YOLO", gpuTiny > gpuYOLO, []float64{gpuTiny, gpuYOLO}},
+			{"§7.2 GPU: YOLO barely speeds up", "YOLO ≤ 1.04", gpuYOLO <= 1.04, []float64{gpuYOLO}},
+			{"§7.2 GPU: YOLO-Tiny speeds up a few percent", "YOLO-Tiny ≥ 1.02", gpuTiny >= 1.02, []float64{gpuTiny}},
+		}},
+		{"SpeedupBoundedByIdeal", []claim{
+			{"§7.2 GPU: tRCD=0 bounds the speedup; nominal timing gives exactly 1", "YOLO-Tiny@7ns ≤ YOLO-Tiny@0ns, nominal = 1",
+				gpuTiny7 <= Speedup(gpu, tiny, tRCD(0)) && Speedup(gpu, tiny, dram.NominalTiming()) == 1, []float64{gpuTiny7}},
+		}},
+		{"GPUEnergyBand", gpuEnergy},
+		{"NoSpeedupFromTRCD", accelSpeedup},
+		{"EnergySavingsDDR4Band", accelDDR4},
+		{"EnergySavingsLPDDR3Smaller", []claim{
+			{"§7.2 accelerators: LPDDR3's lower nominal VDD saves less", "0.12 ≤ LPDDR3 ≤ 0.30, LPDDR3 < DDR4",
+				lp >= 0.12 && lp <= 0.30 && lp < ddr4, []float64{lp, ddr4}},
+		}},
+	}
+	for _, f := range findings {
+		t.Run(f.name, func(t *testing.T) {
+			for _, c := range f.claims {
+				if !c.holds {
+					t.Errorf("%s: %s does not hold at %v", c.paper, c.inequality, c.values)
+				}
+			}
+		})
 	}
 }
 
@@ -138,10 +165,15 @@ func TestSection7Claims(t *testing.T) {
 // and activations for a real network.
 func TestRunCountsCommands(t *testing.T) {
 	w := workload(t, "YOLO-Tiny", quant.Int8, 1)
-	for _, s := range []System{Table4CPU(), Table5GPU(), Eyeriss(), TPU()} {
-		if c := s.Run(w, dram.NominalTiming()); c.TimeNS <= 0 || c.Reads == 0 || c.Act == 0 {
-			t.Fatalf("%T: degenerate counts %+v", s, c)
-		}
+	for _, p := range []struct {
+		name string
+		s    System
+	}{{"CPU", Table4CPU()}, {"GPU", Table5GPU()}, {"Eyeriss", Eyeriss()}, {"TPU", TPU()}} {
+		t.Run(p.name, func(t *testing.T) {
+			if c := p.s.Run(w, dram.NominalTiming()); c.TimeNS <= 0 || c.Reads == 0 || c.Act == 0 {
+				t.Fatalf("degenerate counts %+v", c)
+			}
+		})
 	}
 }
 
