@@ -14,23 +14,45 @@ import (
 // cpuModels are the six networks of Figs. 13 and 14.
 var cpuModels = []string{"YOLO-Tiny", "YOLO", "ResNet101", "VGG-16", "SqueezeNet1.1", "DenseNet201"}
 
-// modelPrecJob is one (model, precision) cell of a system-level figure.
-// Each cell builds its own network and workload, so the grid fans out one
-// cell per worker; operating points come through the mutex-guarded Table 3
-// cache, which concurrent cells share safely.
-type modelPrecJob struct {
+// cpuCell is one (model, precision) cell of Figs. 13 and 14: its batch-16
+// workload and its Table 3 operating point.
+type cpuCell struct {
 	model string
 	prec  quant.Precision
+	w     sim.Workload
+	op    dram.OperatingPoint
 }
 
-func modelPrecGrid(models []string) []modelPrecJob {
-	var jobs []modelPrecJob
-	for _, m := range models {
+// cpuCells builds the Figs. 13–14 grid, every model at FP32 and int8. Each
+// cell builds its own network and workload, so the grid fans out one cell
+// per worker; operating points come through the mutex-guarded Table 3
+// cache, which concurrent cells share safely.
+func cpuCells() ([]cpuCell, error) {
+	var cells []cpuCell
+	for _, m := range cpuModels {
 		for _, p := range []quant.Precision{quant.FP32, quant.Int8} {
-			jobs = append(jobs, modelPrecJob{m, p})
+			cells = append(cells, cpuCell{model: m, prec: p})
 		}
 	}
-	return jobs
+	errs := make([]error, len(cells))
+	parallel.ForEach(len(cells), func(i int) {
+		c := &cells[i]
+		spec, _ := dnn.LookupSpec(c.model)
+		net, err := dnn.BuildModel(c.model)
+		if err != nil {
+			errs[i] = err
+			return
+		}
+		if c.op, errs[i] = opFor(c.model, c.prec); errs[i] == nil {
+			c.w = sim.FromModel(spec, net, c.prec, 16)
+		}
+	})
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	return cells, nil
 }
 
 // opFor returns the per-model reduced operating point: the Table 3 pipeline
@@ -48,35 +70,18 @@ func opFor(model string, prec quant.Precision) (dram.OperatingPoint, error) {
 func Figure13CPUEnergy() (Report, error) {
 	r := Report{ID: "E11/Fig13", Title: "CPU DRAM energy savings (Table 4 system, vendor A mapping)",
 		Header: fmt.Sprintf("%-14s %-6s %10s", "Model", "Prec", "Savings")}
-	cpu := sim.Table4CPU()
-	jobs := modelPrecGrid(cpuModels)
-	savings := make([]float64, len(jobs))
-	errs := make([]error, len(jobs))
-	parallel.ForEach(len(jobs), func(i int) {
-		j := jobs[i]
-		spec, _ := dnn.LookupSpec(j.model)
-		net, err := dnn.BuildModel(j.model)
-		if err != nil {
-			errs[i] = err
-			return
-		}
-		op, err := opFor(j.model, j.prec)
-		if err != nil {
-			errs[i] = err
-			return
-		}
-		w := sim.FromModel(spec, net, j.prec, 16)
-		savings[i] = sim.EnergySavings(cpu, w, sim.DDR4(), op.VDD, op.Timing)
-	})
-	var geoSum float64
-	for i, j := range jobs {
-		if errs[i] != nil {
-			return r, errs[i]
-		}
-		r.Rows = append(r.Rows, fmt.Sprintf("%-14s %-6s %9.1f%%", j.model, j.prec, savings[i]*100))
-		geoSum += savings[i]
+	cells, err := cpuCells()
+	if err != nil {
+		return r, err
 	}
-	r.Rows = append(r.Rows, fmt.Sprintf("%-14s %-6s %9.1f%%", "Mean", "", geoSum/float64(len(jobs))*100))
+	cpu := sim.Table4CPU()
+	var geoSum float64
+	for _, c := range cells {
+		s := sim.EnergySavings(cpu, c.w, sim.DDR4(), c.op.VDD, c.op.Timing)
+		r.Rows = append(r.Rows, fmt.Sprintf("%-14s %-6s %9.1f%%", c.model, c.prec, s*100))
+		geoSum += s
+	}
+	r.Rows = append(r.Rows, fmt.Sprintf("%-14s %-6s %9.1f%%", "Mean", "", geoSum/float64(len(cells))*100))
 	return r, nil
 }
 
@@ -85,39 +90,21 @@ func Figure13CPUEnergy() (Report, error) {
 func Figure14CPUSpeedup() (Report, error) {
 	r := Report{ID: "E12/Fig14", Title: "CPU speedup: EDEN vs ideal tRCD=0 (Table 4 system)",
 		Header: fmt.Sprintf("%-14s %-6s %8s %8s", "Model", "Prec", "EDEN", "Ideal")}
+	cells, err := cpuCells()
+	if err != nil {
+		return r, err
+	}
 	cpu := sim.Table4CPU()
 	ideal := dram.NominalTiming()
 	ideal.TRCD = 0
-	jobs := modelPrecGrid(cpuModels)
-	type speedups struct{ eden, ideal float64 }
-	results := make([]speedups, len(jobs))
-	errs := make([]error, len(jobs))
-	parallel.ForEach(len(jobs), func(i int) {
-		j := jobs[i]
-		spec, _ := dnn.LookupSpec(j.model)
-		net, err := dnn.BuildModel(j.model)
-		if err != nil {
-			errs[i] = err
-			return
-		}
-		op, err := opFor(j.model, j.prec)
-		if err != nil {
-			errs[i] = err
-			return
-		}
-		w := sim.FromModel(spec, net, j.prec, 16)
-		results[i] = speedups{sim.Speedup(cpu, w, op.Timing), sim.Speedup(cpu, w, ideal)}
-	})
 	var sumE, sumI float64
-	for i, j := range jobs {
-		if errs[i] != nil {
-			return r, errs[i]
-		}
-		r.Rows = append(r.Rows, fmt.Sprintf("%-14s %-6s %7.3fx %7.3fx", j.model, j.prec, results[i].eden, results[i].ideal))
-		sumE += results[i].eden
-		sumI += results[i].ideal
+	for _, c := range cells {
+		eden, best := sim.Speedup(cpu, c.w, c.op.Timing), sim.Speedup(cpu, c.w, ideal)
+		r.Rows = append(r.Rows, fmt.Sprintf("%-14s %-6s %7.3fx %7.3fx", c.model, c.prec, eden, best))
+		sumE += eden
+		sumI += best
 	}
-	n := len(jobs)
+	n := len(cells)
 	r.Rows = append(r.Rows, fmt.Sprintf("%-14s %-6s %7.3fx %7.3fx", "Mean", "", sumE/float64(n), sumI/float64(n)))
 	return r, nil
 }

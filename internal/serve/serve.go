@@ -51,7 +51,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/compute"
@@ -377,11 +376,10 @@ type Model struct {
 	// can be outstanding, so a dispatcher never blocks on it.
 	done chan struct{}
 	quit chan struct{}
-	// stopped is closed by the last dispatcher to exit, which is after the
-	// collector has failed everything it held and every pass has delivered.
-	stopped     chan struct{}
-	dispatchers atomic.Int32 // dispatchers not yet exited
-	stats       *Stats
+	// stopped is closed by the exiting collector once it has failed
+	// everything it held and every pass it handed over has delivered.
+	stopped chan struct{}
+	stats   *Stats
 }
 
 // Result is one served prediction.
@@ -630,9 +628,12 @@ func (m *Model) submit(ctx context.Context, x *tensor.Tensor, seed uint64) (Resu
 	deadline, _ := ctx.Deadline()
 	p := &pending{x: x, seed: seed, enq: time.Now(), deadline: deadline, gone: ctx.Done(), out: make(chan outcome, 1)}
 	select {
-	case m.queue <- p:
 	case <-m.quit:
 		return Result{}, ErrClosed
+	default:
+	}
+	select {
+	case m.queue <- p:
 	default:
 		m.stats.recordShed()
 		return Result{}, ErrQueueFull
@@ -640,18 +641,10 @@ func (m *Model) submit(ctx context.Context, x *tensor.Tensor, seed uint64) (Resu
 	select {
 	case o := <-p.out:
 		return o.res, o.err
-	case <-m.quit:
-		// A pass computing this request still delivers (Close lets
-		// in-flight batches finish), and the collector fails what it held
-		// before the dispatchers stop; a request enqueued just after the
-		// collector left is never read.
-		select {
-		case o := <-p.out:
-			return o.res, o.err
-		case <-m.stopped:
-		case <-ctx.Done():
-			return Result{}, ctx.Err()
-		}
+	case <-m.stopped:
+		// Every request the collector read has its outcome by now (Close
+		// lets in-flight batches finish); one enqueued as it left is
+		// never read.
 		select {
 		case o := <-p.out:
 			return o.res, o.err
@@ -667,7 +660,6 @@ func (m *Model) submit(ctx context.Context, x *tensor.Tensor, seed uint64) (Resu
 // dispatchers.
 func (m *Model) start() {
 	go m.collect()
-	m.dispatchers.Store(int32(m.slots))
 	for i := 0; i < m.slots; i++ {
 		go m.run()
 	}
@@ -684,10 +676,17 @@ func (m *Model) start() {
 // pass that ends while a partial batch waits always wakes the loop that
 // then offers it. Expired and abandoned requests are swept out before every
 // hand-off attempt. On quit it fails everything it holds and closes the
-// hand-off channel, which stops each dispatcher after its in-flight batch.
+// hand-off channel, which stops each dispatcher after its in-flight batch,
+// and takes back every outstanding done token before it closes stopped.
 func (m *Model) collect() {
-	defer close(m.batches)
 	inflight := 0
+	defer func() {
+		close(m.batches)
+		for ; inflight > 0; inflight-- {
+			<-m.done
+		}
+		close(m.stopped)
+	}()
 	for {
 		var first *pending
 		select {
@@ -793,9 +792,6 @@ func (m *Model) run() {
 	for batch := range m.batches {
 		m.dispatch(batch)
 		m.done <- struct{}{}
-	}
-	if m.dispatchers.Add(-1) == 0 {
-		close(m.stopped)
 	}
 }
 

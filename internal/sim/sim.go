@@ -16,11 +16,9 @@ import (
 	"repro/internal/quant"
 )
 
-// LineBytes is the DRAM burst (cache line) granularity.
-const LineBytes = 64
-
-// RowBytes is the DRAM row size used to estimate row-buffer locality.
-const RowBytes = 2048
+// lineBytes is the DRAM burst (cache line) granularity, rowBytes the row
+// size used to estimate row-buffer locality.
+const lineBytes, rowBytes = 64, 2048
 
 // Workload summarizes one inference execution's DRAM behaviour: 64-byte-line
 // read/write streams annotated with the locality properties that determine
@@ -52,23 +50,23 @@ func FromModel(spec dnn.ModelSpec, net *dnn.Network, prec quant.Precision, batch
 	readBytes := net.WeightBytes(prec) + ifmBytes*batch
 	writeBytes := ifmBytes * batch // every layer's OFM is the next IFM
 
-	readLines := uint64((readBytes + LineBytes - 1) / LineBytes)
+	readLines := uint64((readBytes + lineBytes - 1) / lineBytes)
 	randLines := uint64(float64(readLines) * spec.RandomAccessFrac)
 	return Workload{
 		ReadBytes:       readBytes,
 		WriteBytes:      writeBytes,
 		SeqLines:        readLines - randLines,
 		RandLines:       randLines,
-		WriteLines:      uint64((writeBytes + LineBytes - 1) / LineBytes),
+		WriteLines:      uint64((writeBytes + lineBytes - 1) / lineBytes),
 		MemoryIntensity: spec.MemoryIntensity,
 	}
 }
 
 // counts returns the workload's DRAM commands over an execution of timeNS.
-// Sequential streams activate one row per RowBytes of data; every random
+// Sequential streams activate one row per rowBytes of data; every random
 // line is its own activation.
 func (w Workload) counts(timeNS float64) Counts {
-	linesPerRow := uint64(RowBytes / LineBytes)
+	linesPerRow := uint64(rowBytes / lineBytes)
 	seqActs := (w.SeqLines + w.WriteLines + linesPerRow - 1) / linesPerRow
 	return Counts{
 		Act:    seqActs + w.RandLines,
@@ -329,7 +327,7 @@ func (a Accel) Run(w Workload, _ dram.Timing) Counts {
 	if float64(a.SRAMBytes) > traffic {
 		reuse = 0.6 // everything resident after first pass
 	}
-	lines := traffic * reuse / LineBytes
+	lines := traffic * reuse / lineBytes
 	dramNS := lines * a.BurstNS / float64(a.Channels)
 
 	// MACs approximated as 8 ops per weight byte streamed (documented
@@ -337,9 +335,9 @@ func (a Accel) Run(w Workload, _ dram.Timing) Counts {
 	macs := float64(w.ReadBytes) * 8
 	computeNS := macs / (float64(a.ArrayRows*a.ArrayCols) * a.utilization()) / (a.FreqMHz / 1e3)
 	return Counts{
-		Act:    uint64(lines / (RowBytes / LineBytes)),
-		Reads:  uint64(float64(w.ReadBytes) * reuse / LineBytes),
-		Writes: uint64(float64(w.WriteBytes) * reuse / LineBytes),
+		Act:    uint64(lines / (rowBytes / lineBytes)),
+		Reads:  uint64(float64(w.ReadBytes) * reuse / lineBytes),
+		Writes: uint64(float64(w.WriteBytes) * reuse / lineBytes),
 		TimeNS: max(computeNS, dramNS),
 	}
 }
