@@ -129,8 +129,8 @@
 // enforced invariants: internal/lint holds a custom static-analysis
 // suite (run by cmd/repro-lint, gating CI via make lint) whose six
 // analyzers each guard one clause. nomathrand forbids math/rand in
-// favour of seeded tensor.RNG streams, and rngstream proves — with
-// reaching definitions over a control-flow graph — that every RNG a
+// favour of seeded tensor.RNG streams, and rngstream checks — through
+// every assignment the closure makes to each local — that every RNG a
 // go-closure or parallel pool task draws from is a per-task stream
 // derived by Split/SplitN before the fan-out; forwardpurity forbids dnn
 // layers writing receiver state on the inference path of
@@ -145,9 +145,9 @@
 // and shared writes are left to go vet's copylocks and the race
 // detector (make race), map-order leaks to the bit-identity suites and
 // pinned CRCs. The framework beneath the analyzers
-// (internal/lint/analysis) supplies the CFG builder, forward bit-vector
-// dataflow with reaching definitions and an in-memory object-fact
-// store on the standard library alone. A finding that is genuinely
+// (internal/lint/analysis) supplies the package loader, the
+// analyzer/pass vocabulary and an in-memory object-fact store on the
+// standard library alone. A finding that is genuinely
 // benign is silenced line by line with a justified
 // //lint:ignore <analyzer> <reason> directive, the one suppression
 // mechanism. See README.md ("Static analysis") for the full contract.

@@ -7,10 +7,8 @@
 // loader (load.go) that shells out to `go list -export` exactly the way
 // x/tools' go/packages does underneath.
 //
-// Around that core sit a control-flow graph builder (cfg.go), a forward
-// bit-vector dataflow solver with reaching definitions (dataflow.go) and
-// in-memory object facts that carry results from a package to its
-// importers (facts.go).
+// Beside that core sit in-memory object facts that carry results from a
+// package to its importers (facts.go).
 //
 // Analyzers live in sibling packages (internal/lint/...) and are wired
 // into the cmd/repro-lint multichecker. Each encodes one invariant of the

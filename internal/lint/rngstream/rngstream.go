@@ -7,17 +7,22 @@
 // (and races, since RNG state mutates on every draw).
 //
 // Inside a task closure every method call on an RNG-typed value is
-// traced to its definition with the framework's reaching-definitions
-// analysis. The receiver is legal when it
+// traced through every assignment the closure makes — nested closures
+// included — to each local it reads: `=`, `:=`, var declarations and
+// range keys/values. The receiver is legal when it
 //
 //   - is a parameter of the closure,
 //   - indexes a captured slice with a task-local index
 //     (streams[i] — the SplitN idiom), or
-//   - comes from NewRNG (a fresh, task-seeded generator).
+//   - comes from NewRNG (a fresh, task-seeded generator),
 //
-// Everything else — using the captured RNG directly, copying it into a
-// local, or calling Split/SplitN *inside* the task (which mutates the
-// shared parent) — is reported.
+// and a local is legal only when every value ever bound to it is. The
+// check is flow-insensitive: a local once bound to a shared RNG is
+// reported even if it is rebound to a per-task stream before the draw
+// (give the per-task stream a new name). Everything else — using the
+// captured RNG directly, copying it into a local, or calling
+// Split/SplitN *inside* the task (which mutates the shared parent) — is
+// reported.
 package rngstream
 
 import (
@@ -77,25 +82,38 @@ func isPoolCall(pass *analysis.Pass, call *ast.CallExpr) bool {
 
 // checkTask verifies every RNG method call in one task closure.
 func checkTask(pass *analysis.Pass, lit *ast.FuncLit) {
-	locals := make(map[types.Object]bool)
-	var params []*ast.Ident
-	if lit.Type.Params != nil {
-		for _, field := range lit.Type.Params.List {
-			params = append(params, field.Names...)
+	tr := &tracer{pass: pass, locals: make(map[types.Object]bool), assigns: make(map[types.Object][]ast.Node)}
+	record := func(lhs ast.Expr, n ast.Node) {
+		if id, ok := lhs.(*ast.Ident); ok {
+			obj := pass.TypesInfo.Defs[id]
+			if obj == nil {
+				obj = pass.TypesInfo.Uses[id]
+			}
+			if obj != nil {
+				tr.assigns[obj] = append(tr.assigns[obj], n)
+			}
 		}
 	}
 	ast.Inspect(lit, func(n ast.Node) bool {
-		if id, ok := n.(*ast.Ident); ok {
-			if obj := pass.TypesInfo.Defs[id]; obj != nil {
-				locals[obj] = true
+		switch n := n.(type) {
+		case *ast.Ident:
+			if obj := pass.TypesInfo.Defs[n]; obj != nil {
+				tr.locals[obj] = true
 			}
+		case *ast.AssignStmt:
+			for _, lhs := range n.Lhs {
+				record(lhs, n)
+			}
+		case *ast.ValueSpec:
+			for _, name := range n.Names {
+				record(name, n)
+			}
+		case *ast.RangeStmt:
+			record(n.Key, n)
+			record(n.Value, n)
 		}
 		return true
 	})
-
-	cfg := analysis.NewCFG(lit.Body)
-	rd := analysis.NewReachingDefs(cfg, pass.TypesInfo, params)
-	tr := &tracer{pass: pass, rd: rd, locals: locals}
 
 	ast.Inspect(lit.Body, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
@@ -129,11 +147,11 @@ func isRNG(pass *analysis.Pass, e ast.Expr) bool {
 }
 
 // tracer answers "does this receiver expression hold a per-task RNG?"
-// through the closure's reaching definitions.
+// from every assignment the task closure makes to each of its locals.
 type tracer struct {
-	pass   *analysis.Pass
-	rd     *analysis.ReachDefs
-	locals map[types.Object]bool
+	pass    *analysis.Pass
+	locals  map[types.Object]bool
+	assigns map[types.Object][]ast.Node
 }
 
 func (tr *tracer) derivedPerTask(recv ast.Expr, depth int) bool {
@@ -143,21 +161,13 @@ func (tr *tracer) derivedPerTask(recv ast.Expr, depth int) bool {
 	switch e := ast.Unparen(recv).(type) {
 	case *ast.Ident:
 		obj := tr.pass.TypesInfo.Uses[e]
-		if obj == nil {
-			return false
-		}
-		if !tr.locals[obj] {
+		if obj == nil || !tr.locals[obj] {
 			return false // captured or package-level: shared state
 		}
-		defs := tr.rd.At(e)
-		if defs == nil {
-			// Local but outside the CFG's view (defined in a nested
-			// closure); be lenient — the nested closure was checked at
-			// its own launch site if it is a task.
-			return true
-		}
-		for _, def := range defs {
-			if !tr.defOK(def, obj, depth) {
+		// A closure parameter has no assignment and is per-task as it
+		// stands; any other local is per-task only if all its bindings are.
+		for _, n := range tr.assigns[obj] {
+			if !tr.defOK(n, obj, depth) {
 				return false
 			}
 		}
@@ -171,37 +181,22 @@ func (tr *tracer) derivedPerTask(recv ast.Expr, depth int) bool {
 	return false
 }
 
-// defOK checks one reaching definition of obj.
-func (tr *tracer) defOK(def analysis.Def, obj types.Object, depth int) bool {
-	switch node := def.Node.(type) {
-	case *ast.Ident:
-		// Parameter pseudo-definition.
-		return true
+// defOK checks one assignment n of obj. A range key or value is never
+// per-task: for _, r := range streams hands every task the full set.
+func (tr *tracer) defOK(n ast.Node, obj types.Object, depth int) bool {
+	switch n := n.(type) {
 	case *ast.AssignStmt:
-		rhs := rhsFor(node, obj, tr.pass)
-		if rhs == nil {
+		rhs := rhsFor(n, obj, tr.pass)
+		return rhs != nil && tr.rhsOK(rhs, depth)
+	case *ast.ValueSpec:
+		if len(n.Values) != len(n.Names) {
 			return false
 		}
-		return tr.rhsOK(rhs, depth)
-	case *ast.DeclStmt:
-		if gd, ok := node.Decl.(*ast.GenDecl); ok {
-			for _, spec := range gd.Specs {
-				vs, ok := spec.(*ast.ValueSpec)
-				if !ok {
-					continue
-				}
-				for i, name := range vs.Names {
-					if tr.pass.TypesInfo.Defs[name] == obj && i < len(vs.Values) {
-						return tr.rhsOK(vs.Values[i], depth)
-					}
-				}
+		for i, name := range n.Names {
+			if tr.pass.TypesInfo.Defs[name] == obj {
+				return tr.rhsOK(n.Values[i], depth)
 			}
 		}
-		return false
-	case *ast.RangeStmt:
-		// for _, r := range streams — ranging over the captured stream
-		// slice hands every task the full set; not per-task.
-		return false
 	}
 	return false
 }

@@ -14,8 +14,8 @@ func SharedDraw(rng *tensor.RNG, out []float64) {
 	})
 }
 
-// CopiedShared hides the capture behind a local alias; reaching
-// definitions see through it.
+// CopiedShared hides the capture behind a local alias; the assignment
+// check sees through it.
 func CopiedShared(rng *tensor.RNG, out []float64) {
 	parallel.For(len(out), func(i int) {
 		r := rng
@@ -28,6 +28,29 @@ func CopiedShared(rng *tensor.RNG, out []float64) {
 func SplitInsideTask(rng *tensor.RNG, out []float64) {
 	parallel.For(len(out), func(i int) {
 		r := rng.Split()     // want "draws from RNG rng, which is not a per-task stream"
+		out[i] = r.Float64() // want "draws from RNG r, which is not a per-task stream"
+	})
+}
+
+// NestedShared binds the alias inside a closure nested in the task: the
+// nested body is part of the task.
+func NestedShared(rng *tensor.RNG, out []float64) {
+	parallel.For(len(out), func(i int) {
+		func() {
+			r := rng
+			out[i] = r.Float64() // want "draws from RNG r, which is not a per-task stream"
+		}()
+	})
+}
+
+// Rebound binds a local to the shared parent, then rebinds it to the
+// task's stream. Every assignment counts, so the draw is reported: give
+// the per-task stream a new name.
+func Rebound(rng *tensor.RNG, out []float64) {
+	streams := rng.SplitN(len(out))
+	parallel.For(len(out), func(i int) {
+		r := rng
+		r = streams[i]
 		out[i] = r.Float64() // want "draws from RNG r, which is not a per-task stream"
 	})
 }

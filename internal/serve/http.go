@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"math"
 	"net/http"
 	"strconv"
 	"time"
@@ -157,7 +158,7 @@ func NewHandler(s *Server) http.Handler {
 		ctx := r.Context()
 		if h := r.Header.Get("X-Deadline-Ms"); h != "" {
 			ms, err := strconv.ParseInt(h, 10, 64)
-			if err != nil || ms <= 0 {
+			if err != nil || ms <= 0 || ms > maxDeadlineMs {
 				WriteError(w, http.StatusBadRequest, "bad X-Deadline-Ms header")
 				return
 			}
@@ -207,6 +208,10 @@ func writePredictError(w http.ResponseWriter, m *Model, err error) bool {
 	return true
 }
 
+// maxDeadlineMs is the longest deadline, in milliseconds, a time.Duration
+// holds; a longer one would wrap and expire the request at once.
+const maxDeadlineMs = math.MaxInt64 / int64(time.Millisecond)
+
 // DecodePredict reads a predict body for a model taking inputLen values and
 // resolves its deadline_ms against the clock (zero when it carries none); a
 // malformed or oversized body is answered 400 here and reported as !ok. The
@@ -216,6 +221,10 @@ func DecodePredict(w http.ResponseWriter, r *http.Request, inputLen int) (req Pr
 	maxBody := int64(inputLen)*64 + 4096
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBody)).Decode(&req); err != nil {
 		WriteError(w, http.StatusBadRequest, "bad request body: "+err.Error())
+		return req, deadline, false
+	}
+	if req.DeadlineMs > maxDeadlineMs {
+		WriteError(w, http.StatusBadRequest, "bad request body: deadline_ms out of range")
 		return req, deadline, false
 	}
 	if req.DeadlineMs > 0 {

@@ -6,11 +6,13 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/quant"
+	"repro/internal/tensor"
 )
 
 // errorBody decodes the {"error": ...} payload every failure path returns.
@@ -105,6 +107,72 @@ func TestHTTPErrorPaths(t *testing.T) {
 	}
 }
 
+// TestHTTPDeadlineOutOfRange holds both deadline inputs to what a
+// time.Duration can carry: a deadline of more milliseconds than that is a
+// 400 on /predict (body deadline_ms) and on /infer (X-Deadline-Ms), not a
+// request that expires at once with 504; the largest in range is served.
+func TestHTTPDeadlineOutOfRange(t *testing.T) {
+	setWorkers(t, 1)
+	s := New(Config{MaxBatch: 1})
+	defer s.Close()
+	m := deployUniform(t, s, "LeNet", quant.FP32, 0)
+	srv := httptest.NewServer(NewHandler(s))
+	defer srv.Close()
+	in := testInputs(t, "LeNet", 1)[0]
+
+	predict := func(deadlineMs int64) *http.Response {
+		body, _ := json.Marshal(PredictRequest{Input: in, Seed: 7, DeadlineMs: deadlineMs})
+		resp, err := http.Post(srv.URL+"/v1/models/LeNet/predict", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp
+	}
+	infer := func(header string) *http.Response {
+		var frame bytes.Buffer
+		if err := EncodeActivation(&frame, tensor.FromSlice(append([]float32(nil), in...), m.inDims...), 7); err != nil {
+			t.Fatal(err)
+		}
+		req, err := http.NewRequest(http.MethodPost, srv.URL+"/v1/models/LeNet/infer", &frame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("X-Deadline-Ms", header)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp
+	}
+
+	for _, ms := range []int64{250, maxDeadlineMs} {
+		resp := predict(ms)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("predict deadline_ms %d: status %d, want 200", ms, resp.StatusCode)
+		}
+		resp = infer(strconv.FormatInt(ms, 10))
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("infer X-Deadline-Ms %d: status %d, want 200", ms, resp.StatusCode)
+		}
+	}
+	for _, ms := range []int64{maxDeadlineMs + 1, 1 << 62, math.MaxInt64} {
+		resp := predict(ms)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("predict deadline_ms %d: status %d, want 400", ms, resp.StatusCode)
+		} else if msg := errorBody(t, resp); msg != "bad request body: deadline_ms out of range" {
+			t.Fatalf("predict deadline_ms %d: error %q", ms, msg)
+		}
+		resp = infer(strconv.FormatInt(ms, 10))
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("infer X-Deadline-Ms %d: status %d, want 400", ms, resp.StatusCode)
+		} else if msg := errorBody(t, resp); msg != "bad X-Deadline-Ms header" {
+			t.Fatalf("infer X-Deadline-Ms %d: error %q", ms, msg)
+		}
+	}
+}
+
 // TestHTTPModelDetail exercises GET /v1/models/{name} for both kinds of
 // artifact: a pipeline deployment reports its operating-point metadata, a
 // uniform (raw-BER) deployment has none to report.
@@ -163,7 +231,8 @@ func TestHTTPModelDetail(t *testing.T) {
 // FuzzDecodePredict drives the predict-body decoder with hostile bodies for
 // LeNet's 3×16×16 input. A rejected body must be answered 400 with an
 // {"error": ...} JSON body; an accepted one, re-marshalled and decoded
-// again, must give back the same input bits, seed and deadline.
+// again, must give back the same input bits, seed and deadline, and a
+// positive deadline_ms must resolve to a time after the decode.
 func FuzzDecodePredict(f *testing.F) {
 	const inputLen = 3 * 16 * 16
 	valid := `{"input":[` + strings.Repeat("0,", inputLen-1) + "1" + `],"seed":7}`
@@ -172,9 +241,11 @@ func FuzzDecodePredict(f *testing.F) {
 	f.Add([]byte(valid[:len(valid)/2]))                                                   // truncated
 	f.Add([]byte(`{"input":[` + strings.Repeat("0,", inputLen*32+2048) + `0],"seed":1}`)) // past the body bound
 	f.Add([]byte(`{"input":["a",true,null],"seed":"x"}`))                                 // non-numeric
+	f.Add([]byte(`{"input":[1],"seed":1,"deadline_ms":9223372036854775807}`))             // past a time.Duration
 	f.Fuzz(func(t *testing.T, body []byte) {
 		w := httptest.NewRecorder()
 		r := httptest.NewRequest(http.MethodPost, "/v1/models/LeNet/predict", bytes.NewReader(body))
+		decoded := time.Now()
 		req, deadline, ok := DecodePredict(w, r, inputLen)
 		if !ok {
 			var reply map[string]string
@@ -188,6 +259,9 @@ func FuzzDecodePredict(f *testing.F) {
 		}
 		if deadline.IsZero() != (req.DeadlineMs <= 0) {
 			t.Fatalf("deadline_ms %d resolved to %v", req.DeadlineMs, deadline)
+		}
+		if req.DeadlineMs > 0 && !deadline.After(decoded) {
+			t.Fatalf("deadline_ms %d resolved to %v, not after the decode at %v", req.DeadlineMs, deadline, decoded)
 		}
 		again, err := json.Marshal(req)
 		if err != nil {
