@@ -8,18 +8,16 @@
 //     cached) and serve each at an explicit raw bit error rate.
 //
 // Either way, predictions go over HTTP/JSON through a continuous-batching
-// scheduler: the next micro-batch forms while the current one computes, so
-// batch occupancy tracks concurrent load without a fixed collection stall
-// (-max-latency 0, the default, is fully work-conserving; a positive value
-// lets partial batches linger for companions when the compute stage is
-// idle). Admission is bounded by -queue-depth per model: a full queue
-// sheds with 429 plus a Retry-After estimate instead of stacking latency,
-// and requests carrying "deadline_ms" are dropped with 504 if they expire
-// while still queued. Every model runs on the gemm compute backend. The
-// daemon exposes GET /v1/healthz for load-balancer probes and GET /metrics
-// in the Prometheus text format, and drains gracefully on SIGINT/SIGTERM:
-// the probe flips to 503, in-flight requests finish, then the listener
-// closes.
+// scheduler: the next micro-batch forms while the current one computes and
+// is handed over the moment compute is free, so batch occupancy tracks
+// concurrent load and a lone request waits for no companions. Admission is
+// bounded by -queue-depth per model: a full queue sheds with 429 plus a
+// Retry-After estimate instead of stacking latency, and requests carrying
+// "deadline_ms" are dropped with 504 if they expire while still queued.
+// Every model runs on the gemm compute backend. The daemon exposes GET
+// /v1/healthz for load-balancer probes and GET /metrics in the Prometheus
+// text format, and drains gracefully on SIGINT/SIGTERM: the probe flips to
+// 503, in-flight requests finish, then the listener closes.
 //
 // Beyond the default standalone role, -role splits one model across
 // processes as a pipeline of layer-range stages (see internal/cluster):
@@ -91,7 +89,6 @@ func main() {
 	precision := flag.String("precision", "int8", "storage precision for -models: fp32, int16, int8, int4")
 	ber := flag.Float64("ber", 0, "uniform bit error rate for -models (0 = reliable DRAM: no bit errors, only -precision's quantization)")
 	maxBatch := flag.Int("max-batch", 16, "micro-batch size cap")
-	maxLatency := flag.Duration("max-latency", 0, "idle batch-fill window (0 = work-conserving: dispatch the moment compute is free)")
 	queueDepth := flag.Int("queue-depth", 0, "per-model admission queue capacity; full queues shed with 429 (0 = 4x max-batch)")
 	workers := flag.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
 	drain := flag.Duration("drain", 10*time.Second, "graceful-shutdown deadline for in-flight requests")
@@ -132,7 +129,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		s := serve.New(serve.Config{MaxBatch: *maxBatch, MaxLatency: *maxLatency, QueueDepth: *queueDepth})
+		s := serve.New(serve.Config{MaxBatch: *maxBatch, QueueDepth: *queueDepth})
 		if *role == "stage" {
 			if err := deployStage(s, splitList(*deployments), *stageLayers, *stageIndex, *stageCount); err != nil {
 				fatal(err)
@@ -146,8 +143,8 @@ func main() {
 			}
 		}
 		handler, beginDrain, closeAll = serve.NewHandler(s), s.BeginDrain, s.Close
-		log.Printf("serving on %s as %s (backend %s, max-batch %d, max-latency %v, queue-depth %d, workers %d)",
-			*addr, s.Role(), compute.Default().Name(), *maxBatch, *maxLatency, s.Config().QueueDepth, parallel.Workers())
+		log.Printf("serving on %s as %s (backend %s, max-batch %d, queue-depth %d, workers %d)",
+			*addr, s.Role(), compute.Default().Name(), *maxBatch, s.Config().QueueDepth, parallel.Workers())
 	case "dispatcher":
 		stages, err := parseStages(*stagesFlag)
 		if err != nil {

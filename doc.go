@@ -66,15 +66,17 @@
 // the next micro-batch from a bounded admission queue while earlier ones
 // compute, and hands it over when no pass is in flight or when it is full
 // and a dispatcher is free — so a dispatch starts the moment compute is
-// free (MaxLatency 0, the work-conserving default), batch occupancy
-// tracks concurrent load rather than a fixed collection window, and only
-// a backlog of full batches runs passes side by side. Every
-// batch, a lone request included, dispatches through
-// dnn.ForwardBatchFused, a pass that owns every activation it holds: one
-// batched kernel call per Conv/FC/composite layer, and between two of
-// them one fan-out over the samples in which each sample's ReLU, pooling
-// and flatten layers and its corruption hooks run back to back on that
-// sample's slab — in place, or into one of two recycled whole-batch
+// free, batch occupancy tracks concurrent load, and only a backlog of full
+// batches runs passes side by side. That hand-over rule, with the sweep of
+// expired requests and the refusals at Close, lives in one place: step, a
+// state machine with no channels, goroutines or clock that the collector
+// goroutine only feeds events, and that TestCollectorExplore drives
+// through seeded random schedules. Every batch, a lone request included,
+// dispatches through dnn.ForwardBatchFused, a pass that owns every
+// activation it holds: one batched kernel call per Conv/FC/composite
+// layer, and between two of them one fan-out over the samples in which
+// each sample's ReLU, pooling and flatten layers and its corruption hooks
+// run back to back on that sample's slab — in place, or into one of two recycled whole-batch
 // slabs when a layer changes the element count — on the exact
 // compute.Clamp and compute.MaxPool2x2 primitives. It is bit-identical
 // to the per-sample Network.Forward passes that training and the

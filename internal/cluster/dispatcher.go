@@ -284,10 +284,11 @@ func (e *hopError) Error() string {
 }
 
 // forward runs one activation through one stage, failing over across the
-// stage's healthy replicas in rotation order. Transport errors mark the
-// replica unhealthy and try the next; HTTP-level rejections (shed,
-// deadline, drain) are returned as hopError for pass-through — the stage
-// made a decision, failing over would double-spend the request elsewhere.
+// stage's healthy replicas in rotation order. Transport errors, and replies
+// that do not decode to exactly the stage's output shape, mark the replica
+// unhealthy and try the next; HTTP-level rejections (shed, deadline, drain)
+// are returned as hopError for pass-through — the stage made a decision,
+// failing over would double-spend the request elsewhere.
 func (d *Dispatcher) forward(ctx context.Context, pool *stagePool, x *tensor.Tensor, seed uint64, deadline time.Time) (*tensor.Tensor, error) {
 	var frame bytes.Buffer
 	if err := serve.EncodeActivation(&frame, x, seed); err != nil {
@@ -339,6 +340,12 @@ func (d *Dispatcher) forward(ctx context.Context, pool *stagePool, x *tensor.Ten
 		out, _, err := serve.DecodeActivation(resp.Body, maxElems)
 		_ = resp.Body.Close()
 		cancel()
+		if err == nil && !out.Shape().Equal(pool.outDims) {
+			// A well-formed frame of another shape is a replica cut at
+			// other layers: relaying it would hand the client a short
+			// output or the next stage a misleading 400.
+			err = fmt.Errorf("cluster: stage %d replica %s replied dims %v, want %v", pool.index, r.url, out.Shape(), pool.outDims)
+		}
 		if err != nil {
 			r.healthy.Store(false)
 			lastErr = err

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -311,6 +312,59 @@ func TestClusterReplicaDrain(t *testing.T) {
 	}
 	if snap := d.Stats(); snap.Failures != 0 {
 		t.Fatalf("drain caused failures: %+v", snap)
+	}
+}
+
+// TestDispatcherRejectsWrongShapedReply: a replica that answers with a
+// well-formed activation frame of another shape than its stage's output
+// (a replica cut at other layers) is treated like one whose frame does not
+// decode — marked down and failed over, and a 502 once every replica of the
+// stage has failed — instead of handing the client a short output.
+func TestDispatcherRejectsWrongShapedReply(t *testing.T) {
+	dep := e2eDeployment(t)
+	slices, err := SliceAll(dep, Plan{Ranges: [][2]int{{0, len(dep.Net.Layers)}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, good := startStage(t, slices[0], serve.Config{})
+	honest := serve.NewHandler(srv)
+	bad := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if !strings.HasSuffix(r.URL.Path, "/infer") {
+			honest.ServeHTTP(w, r) // discovery and health probes see a proper stage
+			return
+		}
+		_ = serve.EncodeActivation(w, tensor.New(1, 5), 7)
+	}))
+	defer bad.Close()
+
+	x := tensor.New(1, dep.Net.InC, dep.Net.InH, dep.Net.InW)
+	x.FillUniform(tensor.NewRNG(5), -1, 1)
+	for _, tc := range []struct {
+		name     string
+		replicas []string
+		status   int
+	}{
+		{"fails-over", []string{bad.URL, good.URL}, http.StatusOK},
+		{"all-wrong", []string{bad.URL}, http.StatusBadGateway},
+	} {
+		d, err := NewDispatcher(DispatcherConfig{Model: "LeNet", Stages: [][]string{tc.replicas}, HealthInterval: time.Hour})
+		if err != nil {
+			t.Fatal(err)
+		}
+		front := httptest.NewServer(d.Handler())
+		got, code := predictJSON(t, front.Client(), front.URL, "LeNet", x.Data, 3)
+		snap := d.Stats()
+		front.Close()
+		d.Close()
+		if code != tc.status {
+			t.Fatalf("%s: status %d, want %d", tc.name, code, tc.status)
+		}
+		if code == http.StatusOK && len(got.Output) != dep.Net.Classes {
+			t.Fatalf("%s: %d outputs, want %d", tc.name, len(got.Output), dep.Net.Classes)
+		}
+		if healthy := snap.Stages[0].Healthy; healthy != len(tc.replicas)-1 {
+			t.Fatalf("%s: %d of %d replicas healthy, want the wrong-shaped one marked down", tc.name, healthy, len(tc.replicas))
+		}
 	}
 }
 

@@ -101,7 +101,7 @@ func TestServeBitIdenticalOnBothVecPaths(t *testing.T) {
 		inputs[i] = x.Data
 	}
 	vec, scalar := onBothPaths(t, func(t *testing.T) []float32 {
-		s := serve.New(serve.Config{MaxBatch: 8, MaxLatency: 20 * time.Millisecond})
+		s := serve.New(serve.Config{MaxBatch: 8})
 		defer s.Close()
 		dep, err := eden.UniformDeployment("LeNet", quant.Int8, 5e-3)
 		if err != nil {

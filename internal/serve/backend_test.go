@@ -6,7 +6,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
-	"time"
 
 	"repro/internal/compute"
 	"repro/internal/quant"
@@ -30,7 +29,7 @@ func TestPerModelBackend(t *testing.T) {
 	setWorkers(t, 2)
 	serveOn := func(b compute.Backend, in []float32) Result {
 		setBackend(t, b)
-		s := New(Config{MaxBatch: 2, MaxLatency: time.Millisecond})
+		s := New(Config{MaxBatch: 2})
 		defer s.Close()
 		m := deployUniform(t, s, "LeNet", quant.Int8, 1e-4)
 		if got := m.Info().Backend; got != b.Name() {

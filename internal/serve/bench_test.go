@@ -22,7 +22,7 @@ func benchInput(name string) []float32 {
 
 // benchServe measures served requests/sec at a batching configuration.
 func benchServe(b *testing.B, model string, maxBatch int) {
-	s := New(Config{MaxBatch: maxBatch, MaxLatency: time.Millisecond})
+	s := New(Config{MaxBatch: maxBatch})
 	defer s.Close()
 	m := deployUniform(b, s, model, quant.Int8, 1e-4)
 	in := benchInput(model)

@@ -9,7 +9,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/eden"
 	"repro/internal/quant"
@@ -65,30 +64,32 @@ func TestDeployServeEndToEnd(t *testing.T) {
 	}
 
 	inputs := testInputs(t, "LeNet", 10)
-	run := func(d *eden.Deployment, cfg Config, workers int, concurrent bool) [][]float32 {
-		setWorkers(t, workers)
-		s := New(cfg)
-		defer s.Close()
-		m, err := s.Deploy(d)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return predictAll(t, m, inputs, concurrent)
+	setWorkers(t, 1)
+	ref := New(Config{MaxBatch: 1})
+	defer ref.Close()
+	m, err := ref.Deploy(dep)
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	want := run(dep, Config{MaxBatch: 1}, 1, false)
+	want := predictAll(t, m, inputs, false)
 	cases := []struct {
 		name string
 		dep  *eden.Deployment
 		cfg  Config
 		w    int
 	}{
-		{"fresh-batch8-workers4", dep, Config{MaxBatch: 8, MaxLatency: 20 * time.Millisecond}, 4},
-		{"loaded-batch1-workers1", loaded, Config{MaxBatch: 1}, 1},
-		{"loaded-batch4-workers2", loaded, Config{MaxBatch: 4, MaxLatency: 10 * time.Millisecond}, 2},
+		{"fresh-batch8-workers4", dep, Config{MaxBatch: 8}, 4},
+		{"loaded-batch1-workers1", loaded, Config{MaxBatch: 1, QueueDepth: 16}, 1},
+		{"loaded-batch4-workers2", loaded, Config{MaxBatch: 4}, 2},
 	}
 	for _, tc := range cases {
-		got := run(tc.dep, tc.cfg, tc.w, true)
+		setWorkers(t, tc.w)
+		s := New(tc.cfg)
+		got, st := predictHeld(t, s, tc.dep, inputs)
+		s.Close()
+		if tc.cfg.MaxBatch > 1 && !multiBatch(st) {
+			t.Fatalf("%s: no batch of two formed: %v", tc.name, st.BatchHist)
+		}
 		for i := range want {
 			if !sameBits(got[i], want[i]) {
 				t.Fatalf("%s: sample %d: %v, want the bits of %v", tc.name, i, got[i], want[i])

@@ -179,7 +179,7 @@ func TestHTTPDeadlineOutOfRange(t *testing.T) {
 func TestHTTPModelDetail(t *testing.T) {
 	setWorkers(t, 1)
 	dep := testDeployment(t)
-	s := New(Config{MaxBatch: 2, MaxLatency: time.Millisecond})
+	s := New(Config{MaxBatch: 2})
 	defer s.Close()
 	if _, err := s.Deploy(dep); err != nil {
 		t.Fatal(err)

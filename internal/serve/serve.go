@@ -16,7 +16,8 @@
 // during it; a full batch with more waiting behind it opens a second pass
 // instead of queueing behind one whose fork-joins leave cores idle. The
 // hand-off is unbuffered, so the moment a dispatch returns the next batch
-// starts, with no window spent collecting stragglers.
+// starts, with no window spent collecting stragglers. Every such decision
+// is made by step, a state machine the collector goroutine only feeds.
 //
 // Admission control keeps the pipeline healthy under overload: the
 // per-model queue is bounded (QueueDepth) and a full queue sheds the
@@ -79,13 +80,6 @@ type Config struct {
 	// MaxBatch is the largest batch one dispatch may carry (default 16).
 	// 1 disables batching: every request dispatches immediately.
 	MaxBatch int
-	// MaxLatency optionally bounds how long a partial batch waits for
-	// companions while the compute stage is idle. The default 0 is
-	// work-conserving: a batch dispatches the moment no pass is in flight,
-	// and grows only with the requests that arrive while earlier batches
-	// are computing. A positive window trades first-request latency for
-	// batch occupancy at low offered load.
-	MaxLatency time.Duration
 	// QueueDepth is the per-model admission queue capacity (default
 	// 4×MaxBatch). A full queue sheds new requests with ErrQueueFull
 	// rather than blocking callers.
@@ -95,9 +89,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.MaxBatch < 1 {
 		c.MaxBatch = 16
-	}
-	if c.MaxLatency < 0 {
-		c.MaxLatency = 0
 	}
 	if c.QueueDepth < 1 {
 		c.QueueDepth = 4 * c.MaxBatch
@@ -408,18 +399,14 @@ type pending struct {
 	seed     uint64
 	enq      time.Time
 	deadline time.Time       // zero = no deadline
-	gone     <-chan struct{} // the caller's ctx.Done(): closed once nobody waits for the reply
+	ctx      context.Context // the caller's: cancelled once nobody waits for the reply
 	out      chan outcome
 }
 
-// abandoned reports whether the request's caller has cancelled.
-func (p *pending) abandoned() bool {
-	select {
-	case <-p.gone:
-		return true
-	default:
-		return false
-	}
+// expired reports whether nobody waits for the reply any more at now: the
+// deadline has passed or the caller has cancelled.
+func (p *pending) expired(now time.Time) bool {
+	return p.ctx.Err() != nil || !p.deadline.IsZero() && now.After(p.deadline)
 }
 
 // Name returns the model's registered name.
@@ -626,7 +613,7 @@ func (m *Model) PredictActivation(ctx context.Context, x *tensor.Tensor, seed ui
 // micro-batch is served — the shared tail of Predict and PredictActivation.
 func (m *Model) submit(ctx context.Context, x *tensor.Tensor, seed uint64) (Result, error) {
 	deadline, _ := ctx.Deadline()
-	p := &pending{x: x, seed: seed, enq: time.Now(), deadline: deadline, gone: ctx.Done(), out: make(chan outcome, 1)}
+	p := &pending{x: x, seed: seed, enq: time.Now(), deadline: deadline, ctx: ctx, out: make(chan outcome, 1)}
 	select {
 	case <-m.quit:
 		return Result{}, ErrClosed
@@ -665,124 +652,78 @@ func (m *Model) start() {
 	}
 }
 
-// collect is the admission half of the scheduler. It forms the next
-// micro-batch while the dispatchers compute earlier ones: the offer loop
-// simultaneously waits for a dispatcher to take the batch and keeps
-// admitting arrivals into it (up to MaxBatch), so batch occupancy tracks
-// the queue pressure during the passes before it instead of a fixed
-// collection window. The batch is on offer when no pass is in flight, or
-// when it is full and fewer than slots are; the collector alone counts
-// passes in flight — up at the hand-off, down at a done token — so the
-// pass that ends while a partial batch waits always wakes the loop that
-// then offers it. Expired and abandoned requests are swept out before every
-// hand-off attempt. On quit it fails everything it holds and closes the
-// hand-off channel, which stops each dispatcher after its in-flight batch,
-// and takes back every outstanding done token before it closes stopped.
+// collect is the scheduler's shell around step, where every decision lives:
+// it turns queue receives, the unbuffered hand-off, done tokens, one reused
+// timer and quit into step's events and answers the requests step fails.
+// Each round it greedily feeds the step everything already queued that it
+// admits, ticks (sweeps) at the current time, then waits on what the tick
+// enables. Draining first matters: the select admits one arrival per round
+// and picks randomly among ready cases, so with a dispatcher waiting it would
+// take the batch half the time and occupancy would collapse toward one
+// while the queue sat full. After quit it refuses what is still queued,
+// closes the hand-off, which stops each dispatcher after its pass, takes
+// back every outstanding done token and closes stopped.
 func (m *Model) collect() {
-	inflight := 0
-	defer func() {
-		close(m.batches)
-		for ; inflight > 0; inflight-- {
-			<-m.done
-		}
-		close(m.stopped)
-	}()
+	st := &step{maxBatch: m.cfg.MaxBatch, slots: m.slots}
+	timer := time.NewTimer(time.Hour)
+	timer.Stop()
+	a := st.report(nil, nil)
 	for {
-		var first *pending
-		select {
-		case first = <-m.queue:
-		case <-m.done:
-			inflight--
-			continue
-		case <-m.quit:
-			m.drain()
-			return
-		}
-		batch := append(make([]*pending, 0, m.cfg.MaxBatch), first)
-		// Optional fill window: with MaxLatency > 0 a partial batch
-		// lingers for companions before it is offered at all. The
-		// work-conserving default (0) skips straight to the offer loop.
-		if m.cfg.MaxLatency > 0 && m.cfg.MaxBatch > 1 {
-			timer := time.NewTimer(m.cfg.MaxLatency)
-		fill:
-			for len(batch) < m.cfg.MaxBatch {
-				select {
-				case p := <-m.queue:
-					batch = append(batch, p)
-				case <-timer.C:
-					break fill
-				case <-m.quit:
-					timer.Stop()
-					m.fail(batch)
-					m.drain()
-					return
-				}
-			}
-			timer.Stop()
-		}
-		for batch != nil {
-			// Greedily absorb everything already queued before offering:
-			// the select below admits one arrival per hand-off attempt and
-			// picks randomly among ready cases, so with a dispatcher
-			// already waiting it would take the batch half the time and
-			// occupancy would collapse toward one while the queue sat
-			// full. Draining first makes the dispatched batch carry
-			// min(queued, MaxBatch) requests.
-		drain:
-			for len(batch) < m.cfg.MaxBatch {
-				select {
-				case p := <-m.queue:
-					batch = append(batch, p)
-				default:
-					break drain
-				}
-			}
-			batch = m.sweep(batch)
-			if len(batch) == 0 {
-				batch = nil // nobody left waiting; collect anew
-				break
-			}
-			// Arm a timer at the earliest member deadline so a stalled
-			// hand-off (dispatchers busy, no arrivals) still re-sweeps the
-			// moment a queued request expires.
-			var expiry <-chan time.Time
-			var timer *time.Timer
-			if t := earliestDeadline(batch); !t.IsZero() {
-				timer = time.NewTimer(time.Until(t))
-				expiry = timer.C
-			}
-			full := len(batch) == m.cfg.MaxBatch
-			var arrivals chan *pending
-			if !full {
-				arrivals = m.queue
-			}
-			var offer chan []*pending
-			if inflight == 0 || full && inflight < m.slots {
-				offer = m.batches
-			}
+	admit:
+		for a.admit {
 			select {
-			case p := <-arrivals:
-				batch = append(batch, p)
-			case offer <- batch:
-				inflight++
-				batch = nil
-			case <-m.done:
-				inflight--
-			case <-expiry:
-				// Re-sweep on the next iteration.
-			case <-m.quit:
-				if timer != nil {
-					timer.Stop()
-				}
-				m.fail(batch)
-				m.drain()
-				return
-			}
-			if timer != nil {
-				timer.Stop()
+			case p := <-m.queue:
+				a = m.refuse(st.arrive(p))
+			default:
+				break admit
 			}
 		}
+		if st.stopped {
+			break
+		}
+		a = m.refuse(st.tick(time.Now()))
+		var arrivals chan *pending
+		if a.admit {
+			arrivals = m.queue
+		}
+		var offer chan []*pending
+		if a.offer {
+			offer = m.batches
+		}
+		var expiry <-chan time.Time // a fire a late Stop left behind costs one extra sweep
+		if !a.wake.IsZero() {
+			timer.Reset(time.Until(a.wake))
+			expiry = timer.C
+		}
+		select {
+		case p := <-arrivals:
+			a = st.arrive(p)
+		case offer <- st.batch:
+			a = st.handedOver()
+		case <-m.done:
+			a = st.passDone()
+		case <-expiry: // the next round's tick sweeps what expired
+		case <-m.quit:
+			a = m.refuse(st.quit())
+		}
+		timer.Stop()
 	}
+	close(m.batches)
+	for ; st.inflight > 0; st.passDone() {
+		<-m.done
+	}
+	close(m.stopped)
+}
+
+// refuse answers the requests an event failed and passes its actions on.
+func (m *Model) refuse(a actions) actions {
+	for _, p := range a.fail {
+		if a.err == ErrExpired {
+			m.stats.recordExpired()
+		}
+		p.out <- outcome{err: a.err}
+	}
+	return a
 }
 
 // run is the compute half of the scheduler, one of slots alike: it
@@ -792,58 +733,6 @@ func (m *Model) run() {
 	for batch := range m.batches {
 		m.dispatch(batch)
 		m.done <- struct{}{}
-	}
-}
-
-// sweep fails every batch member nobody is waiting for any more — its
-// deadline has passed or its caller has cancelled — and returns the
-// survivors. It touches the clock only when some member actually carries a
-// deadline.
-func (m *Model) sweep(batch []*pending) []*pending {
-	var now time.Time
-	kept := batch[:0]
-	for _, p := range batch {
-		if !p.deadline.IsZero() && now.IsZero() {
-			now = time.Now()
-		}
-		if p.abandoned() || !p.deadline.IsZero() && now.After(p.deadline) {
-			m.stats.recordExpired()
-			p.out <- outcome{err: ErrExpired}
-		} else {
-			kept = append(kept, p)
-		}
-	}
-	return kept
-}
-
-// earliestDeadline returns the soonest member deadline, or zero if no
-// member carries one.
-func earliestDeadline(batch []*pending) time.Time {
-	var t time.Time
-	for _, p := range batch {
-		if !p.deadline.IsZero() && (t.IsZero() || p.deadline.Before(t)) {
-			t = p.deadline
-		}
-	}
-	return t
-}
-
-// fail rejects a formed batch at shutdown.
-func (m *Model) fail(batch []*pending) {
-	for _, p := range batch {
-		p.out <- outcome{err: ErrClosed}
-	}
-}
-
-// drain fails everything still queued when the collector exits.
-func (m *Model) drain() {
-	for {
-		select {
-		case p := <-m.queue:
-			p.out <- outcome{err: ErrClosed}
-		default:
-			return
-		}
 	}
 }
 

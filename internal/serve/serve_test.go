@@ -130,34 +130,50 @@ func predictFrom(t *testing.T, m *Model, inputs [][]float32, callers int) [][]fl
 	return outs
 }
 
+// multiBatch reports whether some batch carried two requests or more.
+func multiBatch(st Snapshot) bool {
+	for size, n := range st.BatchHist {
+		if size >= 2 && n > 0 {
+			return true
+		}
+	}
+	return false
+}
+
 // TestBatchingDeterminism is the serving determinism contract: the same
 // (input, seed) pair must produce byte-identical output whether it is
-// served alone (MaxBatch 1), inside micro-batches of whatever composition
-// the scheduler happens to form, or at a different worker count. The model
-// serves int8 at a stiff BER so the corrupted path is actually exercised.
+// served alone (MaxBatch 1), inside micro-batches, or at a different worker
+// count. The model serves int8 at a stiff BER so the corrupted path is
+// actually exercised.
 func TestBatchingDeterminism(t *testing.T) {
 	inputs := testInputs(t, "LeNet", 12)
+	dep := uniformDeployment(t, "LeNet", quant.Int8, 5e-3)
 
-	run := func(cfg Config, workers int, concurrent bool) [][]float32 {
-		setWorkers(t, workers)
-		s := New(cfg)
-		defer s.Close()
-		m := deployUniform(t, s, "LeNet", quant.Int8, 5e-3)
-		return predictAll(t, m, inputs, concurrent)
+	setWorkers(t, 1)
+	ref := New(Config{MaxBatch: 1})
+	defer ref.Close()
+	m, err := ref.Deploy(dep)
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	want := run(Config{MaxBatch: 1}, 1, false)
+	want := predictAll(t, m, inputs, false)
 	cases := []struct {
 		name string
 		cfg  Config
 		w    int
 	}{
-		{"batch8-workers1", Config{MaxBatch: 8, MaxLatency: 20 * time.Millisecond}, 1},
-		{"batch8-workers4", Config{MaxBatch: 8, MaxLatency: 20 * time.Millisecond}, 4},
-		{"batch3-workers2", Config{MaxBatch: 3, MaxLatency: 5 * time.Millisecond}, 2},
+		{"batch8-workers1", Config{MaxBatch: 8}, 1},
+		{"batch8-workers4", Config{MaxBatch: 8}, 4},
+		{"batch3-workers2", Config{MaxBatch: 3}, 2},
 	}
 	for _, tc := range cases {
-		got := run(tc.cfg, tc.w, true)
+		setWorkers(t, tc.w)
+		s := New(tc.cfg)
+		got, st := predictHeld(t, s, dep, inputs)
+		s.Close()
+		if !multiBatch(st) {
+			t.Fatalf("%s: no batch of two formed: %v", tc.name, st.BatchHist)
+		}
 		for i := range want {
 			if !sameBits(got[i], want[i]) {
 				t.Fatalf("%s: sample %d: %v, want the bits of %v", tc.name, i, got[i], want[i])
@@ -168,7 +184,7 @@ func TestBatchingDeterminism(t *testing.T) {
 	// Different seeds must give different corruption draws at this BER.
 	s := New(Config{MaxBatch: 1})
 	defer s.Close()
-	m := deployUniform(t, s, "LeNet", quant.Int8, 0.2)
+	m = deployUniform(t, s, "LeNet", quant.Int8, 0.2)
 	a, err := m.Predict(context.Background(), inputs[0], 1)
 	if err != nil {
 		t.Fatal(err)
@@ -182,55 +198,12 @@ func TestBatchingDeterminism(t *testing.T) {
 	}
 }
 
-// TestLatencyDeadlineFlush: with a huge MaxBatch, a partial batch must be
-// dispatched once MaxLatency expires instead of waiting for the batch to
-// fill.
-func TestLatencyDeadlineFlush(t *testing.T) {
-	setWorkers(t, 2)
-	s := New(Config{MaxBatch: 64, MaxLatency: 15 * time.Millisecond})
-	defer s.Close()
-	m := deployUniform(t, s, "LeNet", quant.FP32, 0)
-	inputs := testInputs(t, "LeNet", 3)
-	start := time.Now()
-	outs := make([]Result, len(inputs))
-	var wg sync.WaitGroup
-	for i := range inputs {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			res, err := m.Predict(context.Background(), inputs[i], uint64(i))
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			outs[i] = res
-		}(i)
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-	if elapsed > 5*time.Second {
-		t.Fatalf("deadline flush took %v; scheduler stuck waiting for a full batch", elapsed)
-	}
-	for i, res := range outs {
-		if res.BatchSize < 1 || res.BatchSize > 3 {
-			t.Fatalf("request %d served in batch of %d, want 1..3", i, res.BatchSize)
-		}
-	}
-	st := m.Stats()
-	if st.Requests != 3 {
-		t.Fatalf("stats recorded %d requests, want 3", st.Requests)
-	}
-	if st.Batches == 0 || st.Batches > 3 {
-		t.Fatalf("stats recorded %d batches, want 1..3", st.Batches)
-	}
-}
-
 // TestConcurrentClients hammers one model from many goroutines; under
 // -race (the CI race job covers this package) it is the data-race proof
 // for the scheduler, the clone pool and the stats collector.
 func TestConcurrentClients(t *testing.T) {
 	setWorkers(t, 4)
-	s := New(Config{MaxBatch: 4, MaxLatency: time.Millisecond})
+	s := New(Config{MaxBatch: 4})
 	defer s.Close()
 	m := deployUniform(t, s, "LeNet", quant.Int8, 1e-3)
 	inputs := testInputs(t, "LeNet", 4)
@@ -300,7 +273,7 @@ func TestPredictValidation(t *testing.T) {
 // determinism of the HTTP path (same seed twice ⇒ same bytes).
 func TestHTTPHandler(t *testing.T) {
 	setWorkers(t, 2)
-	s := New(Config{MaxBatch: 4, MaxLatency: time.Millisecond})
+	s := New(Config{MaxBatch: 4})
 	defer s.Close()
 	deployUniform(t, s, "LeNet", quant.Int8, 1e-3)
 	srv := httptest.NewServer(NewHandler(s))
