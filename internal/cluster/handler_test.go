@@ -65,6 +65,8 @@ func TestFrontDoorsRejectAlike(t *testing.T) {
 		{"malformed body", "LeNet", `{"input":[1,2,`, http.StatusBadRequest},
 		{"unknown model", "NoSuchModel", `{"input":[]}`, http.StatusNotFound},
 		{"oversized body", "LeNet", `{"input":[` + strings.Repeat("0,", inputLen*64+4096) + `0]}`, http.StatusBadRequest},
+		{"wrong input length", "LeNet", `{"input":[1,2,3]}`, http.StatusBadRequest},
+		{"negative deadline", "LeNet", `{"input":[` + strings.Repeat("0,", inputLen-1) + `0],"deadline_ms":-5}`, http.StatusBadRequest},
 	} {
 		wantCode, wantBody := post(standalone.URL, c.model, c.body)
 		gotCode, gotBody := post(front.URL, c.model, c.body)

@@ -75,29 +75,21 @@ func ProfileNetwork(net *dnn.Network, prec quant.Precision, repeats int) Profile
 	return p
 }
 
-// PartitionConfig parameterizes the cut optimization: how many stages, and
-// how boundary bytes convert into transfer cost.
+// PartitionConfig parameterizes the cut optimization.
 type PartitionConfig struct {
 	// Stages is the number of pipeline stages K (required, 1 ≤ K ≤ layers).
 	Stages int
-	// BytesPerNs is the modelled interconnect bandwidth (default 1.0,
-	// i.e. ~1 GB/s — a conservative loopback/LAN figure).
-	BytesPerNs float64
-	// HopLatencyNs is the fixed per-hop cost added to every cut (default
-	// 50µs, a round-trip HTTP dispatch on a LAN). It is what stops the DP
-	// from cutting at every cheap boundary.
-	HopLatencyNs float64
 }
 
-func (c PartitionConfig) withDefaults() PartitionConfig {
-	if c.BytesPerNs <= 0 {
-		c.BytesPerNs = 1.0
-	}
-	if c.HopLatencyNs <= 0 {
-		c.HopLatencyNs = 50_000
-	}
-	return c
-}
+// The modelled interconnect that converts boundary bytes into transfer
+// cost: bytesPerNs is its bandwidth (~1 GB/s, a conservative loopback/LAN
+// figure), and hopLatencyNs the fixed per-hop cost added to every cut
+// (50µs, a round-trip HTTP dispatch on a LAN) — what stops the DP from
+// cutting at every cheap boundary.
+const (
+	bytesPerNs   = 1.0
+	hopLatencyNs = 50_000
+)
 
 // Plan is a pipeline partition: K contiguous layer ranges with the modelled
 // cost of each stage.
@@ -125,7 +117,6 @@ type Plan struct {
 // smallest j (the earliest cut), making the plan deterministic for a given
 // profile.
 func Partition(p Profile, cfg PartitionConfig) (Plan, error) {
-	cfg = cfg.withDefaults()
 	L := len(p.CostNs)
 	K := cfg.Stages
 	if L == 0 {
@@ -146,7 +137,7 @@ func Partition(p Profile, cfg PartitionConfig) (Plan, error) {
 		if b == 0 || b == L {
 			return 0
 		}
-		return cfg.HopLatencyNs + float64(p.BoundaryBytes[b])/cfg.BytesPerNs
+		return hopLatencyNs + float64(p.BoundaryBytes[b])/bytesPerNs
 	}
 	prefix := make([]float64, L+1)
 	for i, c := range p.CostNs {

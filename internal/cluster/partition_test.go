@@ -12,13 +12,12 @@ import (
 // bruteForce enumerates every K-stage cut and returns the minimal
 // bottleneck cost — the oracle the DP must match.
 func bruteForce(p Profile, cfg PartitionConfig) float64 {
-	cfg = cfg.withDefaults()
 	L := len(p.CostNs)
 	xfer := func(b int) float64 {
 		if b == 0 || b == L {
 			return 0
 		}
-		return cfg.HopLatencyNs + float64(p.BoundaryBytes[b])/cfg.BytesPerNs
+		return hopLatencyNs + float64(p.BoundaryBytes[b])/bytesPerNs
 	}
 	// Same prefix-sum evaluation as the DP, so optimal costs compare
 	// exactly instead of modulo float summation order.
@@ -103,12 +102,13 @@ func TestPartitionMatchesBruteForce(t *testing.T) {
 // TestPartitionDeterministicAndTransferAware pins the deterministic
 // tie-break and the transfer term's influence on cut placement.
 func TestPartitionDeterministicAndTransferAware(t *testing.T) {
-	// Uniform compute, one cheap boundary: the cut must land on it.
+	// Uniform compute, one cheap boundary: the cut must land on it (a
+	// bottleneck of 50 364 ns there, against 1 098 676 ns for a cut at 1).
 	p := Profile{
 		CostNs:        []float64{100, 100, 100, 100},
 		BoundaryBytes: []int{0, 1 << 20, 1 << 20, 64, 0},
 	}
-	plan, err := Partition(p, PartitionConfig{Stages: 2, BytesPerNs: 1, HopLatencyNs: 10})
+	plan, err := Partition(p, PartitionConfig{Stages: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestPartitionDeterministicAndTransferAware(t *testing.T) {
 		t.Fatalf("cut avoided the cheap boundary: %v", plan.Ranges)
 	}
 	// Same inputs, same plan — byte for byte.
-	again, err := Partition(p, PartitionConfig{Stages: 2, BytesPerNs: 1, HopLatencyNs: 10})
+	again, err := Partition(p, PartitionConfig{Stages: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

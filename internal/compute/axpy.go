@@ -41,11 +41,6 @@ const (
 	tileCols = 2 * vecLanes
 )
 
-// useVec selects the vector implementation where the build and the CPU
-// have one. It is read-only outside tests, which flip it so the scalar
-// bodies stay covered on hosts that would never run them.
-var useVec = hasVec
-
 // tileScalar is the specification of tile. Row p of the panel is sixteen
 // values in two runs of eight: x[j] = src[offs[p]+j] for j < vecLanes and
 // src[offs[p]+hiDelta+j−vecLanes] from there on. For f < tileRows and

@@ -2,10 +2,6 @@ package compute
 
 import "repro/internal/cpufeat"
 
-// hasVec reports whether the AVX kernels may run: the CPU implements AVX
-// and the OS saves the YMM state across context switches.
-var hasVec = cpufeat.X86.HasAVX
-
 // tileAVX is tileScalar with the 4×16 block in eight YMM registers from
 // the first k to the last: per k one offset read, two panel loads and, per
 // row, one broadcast weight, VMULPS (weight first) then VADDPS (product
@@ -27,7 +23,7 @@ func axpyAVX(d, x *float32, n int, a float32)
 // src[offs[p]] and src[offs[p]+hiDelta], offs ascending. Bit-identical to
 // tileScalar.
 func tile(acc *[tileRows * tileCols]float32, init *[tileRows]float32, w, src []float32, offs []int32, hiDelta, k int) {
-	if !useVec || k == 0 {
+	if !cpufeat.Vec.HasAVX || k == 0 {
 		tileScalar(acc, init, w, src, offs, hiDelta, k)
 		return
 	}
@@ -43,7 +39,7 @@ func tile(acc *[tileRows * tileCols]float32, init *[tileRows]float32, w, src []f
 func axpy(d, x []float32, a float32) {
 	n := len(x)
 	d = d[:n]
-	if useVec && n >= vecLanes {
+	if cpufeat.Vec.HasAVX && n >= vecLanes {
 		axpyAVX(&d[0], &x[0], n, a)
 		m := n &^ (vecLanes - 1)
 		d, x = d[m:], x[m:]

@@ -1,6 +1,10 @@
 package compute
 
-import "math"
+import (
+	"math"
+
+	"repro/internal/cpufeat"
+)
 
 // reluAVX runs dst[i] = max(src[i], +0) for i in [0, n&^7), eight elements
 // per step, with +0 as VMAXPS's second source — the operand x86 returns on
@@ -34,7 +38,7 @@ func Clamp(dst, src []float32, ceil float32) {
 	// The vector bodies reproduce the specification for +0 and positive
 	// ceilings; a negative, −0 or NaN ceiling (no layer has one) takes the
 	// scalar body whole.
-	if useVec && n >= vecLanes && (ceil > 0 || math.Float32bits(ceil) == 0) {
+	if cpufeat.Vec.HasAVX && n >= vecLanes && (ceil > 0 || math.Float32bits(ceil) == 0) {
 		if ceil == 0 {
 			reluAVX(&dst[0], &src[0], n)
 		} else {
@@ -53,7 +57,7 @@ func Clamp(dst, src []float32, ceil float32) {
 func MaxPool2x2(dst, row0, row1 []float32) {
 	n := len(dst)
 	row0, row1 = row0[:2*n], row1[:2*n]
-	if useVec && n >= vecLanes {
+	if cpufeat.Vec.HasAVX && n >= vecLanes {
 		maxPool2x2AVX(&dst[0], &row0[0], &row1[0], n)
 		m := n &^ (vecLanes - 1)
 		dst, row0, row1 = dst[m:], row0[2*m:], row1[2*m:]

@@ -1,6 +1,7 @@
 package cpufeat
 
-// X86 is what the probe found on this CPU. Read-only after initialization.
+// X86 is what the probe found on this CPU. Nothing writes it after
+// initialization; SetVec turns the kernels off through Vec instead.
 var X86 = probe()
 
 func probe() Features {

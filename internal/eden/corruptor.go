@@ -94,9 +94,8 @@ var _ Cloner = (*SoftwareDRAM)(nil)
 // per-data BER overrides from fine-grained characterization, and corrects
 // implausible values with the §5 bounding logic.
 type SoftwareDRAM struct {
-	Model  *errormodel.Model
-	Prec   quant.Precision
-	Policy memctrl.Policy
+	Model *errormodel.Model
+	Prec  quant.Precision
 	// BER is the uniform (coarse-grained) bit error rate; zero means use
 	// the model's own fitted aggregate.
 	BER float64
@@ -108,7 +107,8 @@ type SoftwareDRAM struct {
 	ForceQuant bool
 	// Bounds holds plausibility ranges per data ID (see Calibrate).
 	Bounds map[string]memctrl.Bounds
-	// Logic counts corrections across the run.
+	// Logic holds the implausible-value correction policy (Zero from
+	// NewSoftwareDRAM) and counts corrections across the run.
 	Logic memctrl.BoundingLogic
 
 	offsets   map[string]int
@@ -162,21 +162,14 @@ func NewSoftwareDRAM(m *errormodel.Model, prec quant.Precision) *SoftwareDRAM {
 	s := &SoftwareDRAM{
 		Model:   m,
 		Prec:    prec,
-		Policy:  memctrl.Zero,
 		Bounds:  map[string]memctrl.Bounds{},
+		Logic:   memctrl.BoundingLogic{Policy: memctrl.Zero},
 		offsets: map[string]int{},
 		data:    map[string]*dataState{},
 		ifm:     map[string]*dataState{},
 		gen:     1,
 	}
-	s.Logic = memctrl.BoundingLogic{Policy: memctrl.Zero}
 	return s
-}
-
-// SetPolicy changes the implausible-value correction policy.
-func (s *SoftwareDRAM) SetPolicy(p memctrl.Policy) {
-	s.Policy = p
-	s.Logic.Policy = p
 }
 
 // state returns the entry of a data ID, creating it unresolved.
@@ -359,7 +352,7 @@ func (s *SoftwareDRAM) corruptImage(t *tensor.Tensor, e *dataState) *quant.QTens
 	}
 	if e.bounded {
 		s.Logic.CorrectQTensor(q, e.bounds)
-	} else if s.Policy != memctrl.Off {
+	} else if s.Logic.Policy != memctrl.Off {
 		// Fall back to bounds derived from the clean tensor, matching how
 		// weight thresholds are computed at training time (§3.2).
 		s.Logic.CorrectQTensor(q, memctrl.FromTensor(t, 1.5))
@@ -381,12 +374,11 @@ func (s *SoftwareDRAM) Clone(pass uint64) *SoftwareDRAM {
 	c := &SoftwareDRAM{
 		Model:      s.Model,
 		Prec:       s.Prec,
-		Policy:     s.Policy,
 		BER:        s.BER,
 		BERByData:  s.BERByData, // read-only after setup; safe to share
 		ForceQuant: s.ForceQuant,
 		Bounds:     make(map[string]memctrl.Bounds, len(s.Bounds)),
-		Logic:      memctrl.BoundingLogic{Policy: s.Policy},
+		Logic:      memctrl.BoundingLogic{Policy: s.Logic.Policy},
 		offsets:    make(map[string]int, len(s.offsets)),
 		nextBit:    s.nextBit,
 		passCount:  pass,
@@ -601,9 +593,10 @@ func (s *SoftwareDRAM) EvalOptions(maxSamples int) dnn.EvalOptions {
 type DeviceDRAM struct {
 	Device *dram.Device
 	Prec   quant.Precision
-	Policy memctrl.Policy
 	Bounds map[string]memctrl.Bounds
-	Logic  memctrl.BoundingLogic
+	// Logic holds the implausible-value correction policy (Zero from
+	// NewDeviceDRAM) and counts corrections.
+	Logic memctrl.BoundingLogic
 	// Placement maps data IDs to device byte addresses; Place allocates.
 	Placement map[string]int
 	nextAddr  int
@@ -614,7 +607,6 @@ func NewDeviceDRAM(d *dram.Device, prec quant.Precision) *DeviceDRAM {
 	return &DeviceDRAM{
 		Device:    d,
 		Prec:      prec,
-		Policy:    memctrl.Zero,
 		Bounds:    map[string]memctrl.Bounds{},
 		Logic:     memctrl.BoundingLogic{Policy: memctrl.Zero},
 		Placement: map[string]int{},
@@ -713,7 +705,7 @@ func (c *DeviceDRAM) corruptImage(t *tensor.Tensor, id string) *quant.QTensor {
 	q.Unpack(img)
 	if b, ok := c.Bounds[id]; ok {
 		c.Logic.CorrectQTensor(q, b)
-	} else if c.Policy != memctrl.Off {
+	} else if c.Logic.Policy != memctrl.Off {
 		c.Logic.CorrectQTensor(q, memctrl.FromTensor(t, 1.5))
 	}
 	return q

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/cpufeat"
 	"repro/internal/dram"
 	"repro/internal/quant"
 )
@@ -334,23 +335,26 @@ func benchDeployConfig() DeployConfig {
 // partition measurement, Algorithm 1, calibration — to the artifact bytes
 // the benchmark's traced pass reports (eden.artifact_crc32 /
 // eden.artifact_bytes), at one worker and with the row, model and probe
-// fan-outs active.
+// fan-outs active, on the vector kernels and on their scalar bodies.
 func TestDeployArtifactPinned(t *testing.T) {
 	if testing.Short() {
-		t.Skip("two full LeNet pipelines")
+		t.Skip("four full LeNet pipelines")
 	}
-	for _, workers := range []int{1, 2} {
-		setWorkers(t, workers)
-		dep, err := Deploy("LeNet", benchDeployConfig())
-		if err != nil {
-			t.Fatal(err)
-		}
-		var buf bytes.Buffer
-		if err := dep.Save(&buf); err != nil {
-			t.Fatal(err)
-		}
-		if got := crc32.ChecksumIEEE(buf.Bytes()); got != 2152884835 || buf.Len() != 32253 {
-			t.Fatalf("workers=%d: artifact crc32 %d, %d bytes; want 2152884835, 32253", workers, got, buf.Len())
+	for _, vec := range []bool{true, false} {
+		t.Cleanup(cpufeat.SetVec(vec))
+		for _, workers := range []int{1, 2} {
+			setWorkers(t, workers)
+			dep, err := Deploy("LeNet", benchDeployConfig())
+			if err != nil {
+				t.Fatal(err)
+			}
+			var buf bytes.Buffer
+			if err := dep.Save(&buf); err != nil {
+				t.Fatal(err)
+			}
+			if got := crc32.ChecksumIEEE(buf.Bytes()); got != 2152884835 || buf.Len() != 32253 {
+				t.Fatalf("vec=%v workers=%d: artifact crc32 %d, %d bytes; want 2152884835, 32253", vec, workers, got, buf.Len())
+			}
 		}
 	}
 }

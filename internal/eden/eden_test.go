@@ -98,7 +98,7 @@ func TestBoundingPreventsFP32Collapse(t *testing.T) {
 	accZero := tm.Net.Accuracy(tm.ValSet, withZero.EvalOptions(0))
 
 	noCorrect := NewSoftwareDRAM(uniformModel(1e-3), quant.FP32)
-	noCorrect.SetPolicy(memctrl.Off)
+	noCorrect.Logic.Policy = memctrl.Off
 	accOff := tm.Net.Accuracy(tm.ValSet, noCorrect.EvalOptions(0))
 
 	if accZero < clean-0.15 {
@@ -117,7 +117,7 @@ func TestZeroingBeatsSaturation(t *testing.T) {
 		var sum float64
 		for pass := 0; pass < 3; pass++ {
 			corr := NewSoftwareDRAM(uniformModel(5e-3), quant.FP32)
-			corr.SetPolicy(policy)
+			corr.Logic.Policy = policy
 			corr.Calibrate(tm, 16, 0)
 			for i := 0; i < pass; i++ {
 				corr.NextPass()

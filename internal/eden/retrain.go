@@ -58,7 +58,7 @@ func DefaultRetrain(m *errormodel.Model, targetBER float64) RetrainConfig {
 func Retrain(tm *dnn.TrainedModel, cfg RetrainConfig) *dnn.Network {
 	net := tm.CloneNet()
 	corr := NewSoftwareDRAM(cfg.Model, cfg.Prec)
-	corr.SetPolicy(cfg.Policy)
+	corr.Logic.Policy = cfg.Policy
 
 	steps := 1
 	if cfg.Curricular && cfg.StepEveryEpochs > 0 {

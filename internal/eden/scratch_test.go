@@ -115,7 +115,7 @@ func TestResolvedStateFollowsConfiguration(t *testing.T) {
 		{"initial", func(s *SoftwareDRAM) { s.BER = 2e-2 }},
 		{"BER raised", func(s *SoftwareDRAM) { s.BER = 1e-1 }},
 		{"bounds added directly", func(s *SoftwareDRAM) { s.Bounds[id] = tight }},
-		{"policy changed", func(s *SoftwareDRAM) { s.SetPolicy(memctrl.Saturate) }},
+		{"policy changed", func(s *SoftwareDRAM) { s.Logic.Policy = memctrl.Saturate }},
 		{"layout pinned", func(s *SoftwareDRAM) { s.SetLayout(map[string]int{id: 5 * 16384}, 6*16384) }},
 		{"per-data override", func(s *SoftwareDRAM) { s.BERByData = map[string]float64{id: 3e-1} }},
 		{"BER lowered to zero with override gone", func(s *SoftwareDRAM) { s.BERByData = nil; s.BER = 0; s.ForceQuant = true }},

@@ -357,7 +357,7 @@ func CorrectionPolicyAblation() (Report, error) {
 		for pass := 0; pass < 3; pass++ {
 			corr := eden.NewSoftwareDRAM(em, quant.FP32)
 			corr.BER = ber
-			corr.SetPolicy(policy)
+			corr.Logic.Policy = policy
 			corr.Calibrate(tm, 16, 0)
 			for i := 0; i < pass; i++ {
 				corr.NextPass()

@@ -13,11 +13,6 @@ import "math"
 // to them code for code and bit for bit by kernels_test.go, and every other
 // build runs them directly.
 
-// useVec selects the vector implementation where the build and the CPU
-// have one. It is read-only outside tests, which flip it so the scalar
-// bodies stay covered on hosts that would never run them.
-var useVec = hasVec
-
 // intIndefinite is the quotient bound of the encoder: a quotient that is
 // NaN or not below 2^31 has no int32 value, and takes the lowest code (see
 // encode).

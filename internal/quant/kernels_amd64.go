@@ -6,10 +6,9 @@ import (
 	"repro/internal/cpufeat"
 )
 
-// hasVec reports whether the assembly kernels may run. They mix 256-bit
-// float and integer instructions, so they need AVX2 (which the probe only
-// reports together with AVX and OS support for the YMM state).
-var hasVec = cpufeat.X86.HasAVX2
+// The assembly kernels mix 256-bit float and integer instructions, so they
+// run where cpufeat.Vec has AVX2 (which the probe only reports together
+// with AVX and OS support for the YMM state).
 
 // vecLanes is the number of 32-bit elements one YMM register holds; the
 // assembly consumes whole groups of this many and leaves the rest.
@@ -38,7 +37,7 @@ func dequantizeAVX2(dst *float32, codes *uint32, n int, scale float32, shift int
 // maxAbs is the largest |v| in x. Bit-identical to maxAbsScalar.
 func maxAbs(x []float32) float32 {
 	var m float32
-	if n := len(x); useVec && n >= vecLanes {
+	if n := len(x); cpufeat.Vec.HasAVX2 && n >= vecLanes {
 		m = maxAbsAVX(&x[0], n)
 		x = x[n&^(vecLanes-1):]
 	}
@@ -57,7 +56,7 @@ func maxAbs(x []float32) float32 {
 func quantizeCodes(dst []uint32, src []float32, scale float32, lo, hi int32, mask uint32) {
 	n := len(src)
 	dst = dst[:n]
-	if useVec && n >= vecLanes && scale > 0 && scale <= math.MaxFloat32 {
+	if cpufeat.Vec.HasAVX2 && n >= vecLanes && scale > 0 && scale <= math.MaxFloat32 {
 		quantizeAVX2(&dst[0], &src[0], n, scale, lo, hi, mask)
 		m := n &^ (vecLanes - 1)
 		dst, src = dst[m:], src[m:]
@@ -70,7 +69,7 @@ func quantizeCodes(dst []uint32, src []float32, scale float32, lo, hi int32, mas
 func dequantizeCodes(dst []float32, codes []uint32, scale float32, b int) {
 	n := len(codes)
 	dst = dst[:n]
-	if useVec && n >= vecLanes {
+	if cpufeat.Vec.HasAVX2 && n >= vecLanes {
 		dequantizeAVX2(&dst[0], &codes[0], n, scale, 32-b)
 		m := n &^ (vecLanes - 1)
 		dst, codes = dst[m:], codes[m:]

@@ -2,9 +2,8 @@
 
 package quant
 
-// hasVec is false: this architecture has no assembly kernels and runs the
-// scalar bodies, which are total (see encode), so its codes match amd64's.
-const hasVec = false
+// This architecture has no assembly kernels and runs the scalar bodies,
+// which are total (see encode), so its codes match amd64's.
 
 func maxAbs(x []float32) float32 { return maxAbsScalar(x) }
 

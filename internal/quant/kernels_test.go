@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/cpufeat"
 	"repro/internal/tensor"
 )
 
@@ -12,25 +13,19 @@ import (
 // for the rest of t, skipping t where there is no vector implementation.
 func pinVecPath(t testing.TB, vec bool) {
 	t.Helper()
-	if vec && !hasVec {
+	if vec && !cpufeat.X86.HasAVX2 {
 		t.Skip("no vector kernels on this build or CPU")
 	}
-	prev := useVec
-	useVec = vec
-	t.Cleanup(func() { useVec = prev })
+	t.Cleanup(cpufeat.SetVec(vec))
 }
 
 // forEachVecPath runs f as a subtest on the vector primitives and again on
 // their scalar bodies, so hosts with the assembly keep exercising the
 // fallback every other architecture runs.
 func forEachVecPath(t *testing.T, f func(t *testing.T)) {
-	t.Helper()
-	for _, path := range []struct {
-		name string
-		vec  bool
-	}{{"vec", true}, {"scalar", false}} {
-		t.Run(path.name, func(t *testing.T) {
-			pinVecPath(t, path.vec)
+	for _, path := range []string{"vec", "scalar"} {
+		t.Run(path, func(t *testing.T) {
+			pinVecPath(t, path == "vec")
 			f(t)
 		})
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"math"
 	"net/http"
 	"strconv"
@@ -18,7 +19,8 @@ type PredictRequest struct {
 	Input []float32 `json:"input"`
 	// Seed selects the request's deterministic error stream.
 	Seed uint64 `json:"seed"`
-	// DeadlineMs optionally bounds how long the caller will wait. A
+	// DeadlineMs optionally bounds how long the caller will wait; 0 or
+	// absent means no deadline, and a negative value is rejected. A
 	// request still queued past its deadline is dropped before dispatch
 	// (504) instead of consuming compute.
 	DeadlineMs int64 `json:"deadline_ms,omitempty"`
@@ -214,16 +216,21 @@ const maxDeadlineMs = math.MaxInt64 / int64(time.Millisecond)
 
 // DecodePredict reads a predict body for a model taking inputLen values and
 // resolves its deadline_ms against the clock (zero when it carries none); a
-// malformed or oversized body is answered 400 here and reported as !ok. The
-// body is bounded before decoding — inputLen JSON numbers of tens of bytes
-// each, plus slack — or one oversized POST could exhaust the daemon's memory.
+// malformed or oversized body, an input of another length or a negative or
+// overlong deadline_ms is answered 400 here and reported as !ok. The body is
+// bounded before decoding — inputLen JSON numbers of tens of bytes each,
+// plus slack — or one oversized POST could exhaust the daemon's memory.
 func DecodePredict(w http.ResponseWriter, r *http.Request, inputLen int) (req PredictRequest, deadline time.Time, ok bool) {
 	maxBody := int64(inputLen)*64 + 4096
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBody)).Decode(&req); err != nil {
 		WriteError(w, http.StatusBadRequest, "bad request body: "+err.Error())
 		return req, deadline, false
 	}
-	if req.DeadlineMs > maxDeadlineMs {
+	if len(req.Input) != inputLen {
+		WriteError(w, http.StatusBadRequest, fmt.Sprintf("bad request body: input length %d, want %d", len(req.Input), inputLen))
+		return req, deadline, false
+	}
+	if req.DeadlineMs < 0 || req.DeadlineMs > maxDeadlineMs {
 		WriteError(w, http.StatusBadRequest, "bad request body: deadline_ms out of range")
 		return req, deadline, false
 	}

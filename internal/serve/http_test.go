@@ -108,9 +108,9 @@ func TestHTTPErrorPaths(t *testing.T) {
 }
 
 // TestHTTPDeadlineOutOfRange holds both deadline inputs to what a
-// time.Duration can carry: a deadline of more milliseconds than that is a
-// 400 on /predict (body deadline_ms) and on /infer (X-Deadline-Ms), not a
-// request that expires at once with 504; the largest in range is served.
+// time.Duration can carry: a negative deadline or a longer one is a 400 on
+// /predict (body deadline_ms) and on /infer (X-Deadline-Ms), not a request
+// run without a deadline or expired at once with 504; the largest is served.
 func TestHTTPDeadlineOutOfRange(t *testing.T) {
 	setWorkers(t, 1)
 	s := New(Config{MaxBatch: 1})
@@ -157,7 +157,7 @@ func TestHTTPDeadlineOutOfRange(t *testing.T) {
 			t.Fatalf("infer X-Deadline-Ms %d: status %d, want 200", ms, resp.StatusCode)
 		}
 	}
-	for _, ms := range []int64{maxDeadlineMs + 1, 1 << 62, math.MaxInt64} {
+	for _, ms := range []int64{maxDeadlineMs + 1, 1 << 62, math.MaxInt64, -1, math.MinInt64} {
 		resp := predict(ms)
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Fatalf("predict deadline_ms %d: status %d, want 400", ms, resp.StatusCode)
@@ -230,14 +230,15 @@ func TestHTTPModelDetail(t *testing.T) {
 
 // FuzzDecodePredict drives the predict-body decoder with hostile bodies for
 // LeNet's 3×16×16 input. A rejected body must be answered 400 with an
-// {"error": ...} JSON body; an accepted one, re-marshalled and decoded
-// again, must give back the same input bits, seed and deadline, and a
-// positive deadline_ms must resolve to a time after the decode.
+// {"error": ...} JSON body; an accepted one must carry exactly inputLen
+// values and a deadline_ms of at least 0, re-marshalled and decoded again
+// must give back the same input bits, seed and deadline, and a positive
+// deadline_ms must resolve to a time after the decode.
 func FuzzDecodePredict(f *testing.F) {
 	const inputLen = 3 * 16 * 16
 	valid := `{"input":[` + strings.Repeat("0,", inputLen-1) + "1" + `],"seed":7}`
 	f.Add([]byte(valid))
-	f.Add([]byte(`{"input":[1,-0,3.4028235e38],"seed":18446744073709551615,"deadline_ms":250}`))
+	f.Add([]byte(`{"input":[1,-0,3.4028235e38,` + strings.Repeat("0,", inputLen-4) + `0],"seed":18446744073709551615,"deadline_ms":250}`))
 	f.Add([]byte(valid[:len(valid)/2]))                                                   // truncated
 	f.Add([]byte(`{"input":[` + strings.Repeat("0,", inputLen*32+2048) + `0],"seed":1}`)) // past the body bound
 	f.Add([]byte(`{"input":["a",true,null],"seed":"x"}`))                                 // non-numeric
@@ -256,6 +257,9 @@ func FuzzDecodePredict(f *testing.F) {
 		}
 		if w.Body.Len() != 0 {
 			t.Fatalf("accepted body got a reply: %q", w.Body.String())
+		}
+		if len(req.Input) != inputLen || req.DeadlineMs < 0 {
+			t.Fatalf("accepted %d values with deadline_ms %d", len(req.Input), req.DeadlineMs)
 		}
 		if deadline.IsZero() != (req.DeadlineMs <= 0) {
 			t.Fatalf("deadline_ms %d resolved to %v", req.DeadlineMs, deadline)
