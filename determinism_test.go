@@ -64,7 +64,7 @@ type cell struct {
 // pinnedCRC holds the CRC-32 of a cell's 16 outputs, their bits in sample
 // order, per (model, precision, BER, hook, seed): everything that may move
 // the bits and nothing that may not. The values were recorded at the
-// commit before this test replaced the per-package zoo loops.
+// commit before this test was added.
 var pinnedCRC = map[string]uint32{
 	"ResNet101/FP32/0.001/eden/1": 0x3227b3b2, "ResNet101/FP32/0/eden/1": 0xd3ffedbe, "ResNet101/int16/0.001/subset/1": 0x5571f2b8,
 	"ResNet101/int16/0/eden/1": 0x4b396e55, "ResNet101/int4/0.001/eden/101": 0xdf3b7686, "ResNet101/int4/0/eden/101": 0xd225c351,

@@ -2,6 +2,7 @@ package compute_test
 
 import (
 	"encoding/binary"
+	"fmt"
 	"hash/crc32"
 	"math"
 	"testing"
@@ -10,7 +11,10 @@ import (
 	"repro/internal/cpufeat"
 	"repro/internal/dataset"
 	"repro/internal/dnn"
+	"repro/internal/eden"
+	"repro/internal/errormodel"
 	"repro/internal/parallel"
+	"repro/internal/quant"
 	"repro/internal/tensor"
 )
 
@@ -33,6 +37,46 @@ func forEachVecPath(t *testing.T, f func(t *testing.T)) {
 			}
 			t.Cleanup(cpufeat.SetVec(path == "vec"))
 			f(t)
+		})
+	}
+}
+
+// TestGemmBitIdenticalToRefOnZooBothVecPaths is internal/dnn's
+// TestBackendsBitIdenticalOnZoo for the gemm backend with the vector
+// primitives pinned on and then off: every zoo architecture must forward to
+// Ref's bits either way, at several worker counts; the dnn test covers
+// whichever path the host selects by itself.
+func TestGemmBitIdenticalToRefOnZooBothVecPaths(t *testing.T) {
+	prev := parallel.Workers()
+	defer parallel.SetWorkers(prev)
+	for _, spec := range dnn.Zoo {
+		t.Run(spec.Name, func(t *testing.T) {
+			net, err := dnn.BuildModel(spec.Name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			x := tensor.New(2, net.InC, net.InH, net.InW)
+			x.FillUniform(tensor.NewRNG(0xB17), -1, 1)
+
+			parallel.SetWorkers(1)
+			setBackend(t, compute.Ref)
+			want := net.Forward(x, false, nil)
+
+			setBackend(t, compute.Gemm)
+			forEachVecPath(t, func(t *testing.T) {
+				for _, w := range []int{1, 4} {
+					parallel.SetWorkers(w)
+					got := net.Forward(x, false, nil)
+					if !got.Shape().Equal(want.Shape()) {
+						t.Fatalf("workers=%d: shape %v != %v", w, got.Shape(), want.Shape())
+					}
+					for i := range want.Data {
+						if math.Float32bits(got.Data[i]) != math.Float32bits(want.Data[i]) {
+							t.Fatalf("workers=%d: output[%d] = %v, want %v (bit-exact)", w, i, got.Data[i], want.Data[i])
+						}
+					}
+				}
+			})
 		})
 	}
 }
@@ -70,6 +114,132 @@ func TestFCBiasAddBothVecPaths(t *testing.T) {
 			}
 		}
 	})
+}
+
+// hookCall is what one IFM hook invocation looked like from inside.
+type hookCall struct {
+	li          int
+	name, shape string
+}
+
+// recorded wraps hook (nil: the identity) so that every call is logged.
+func recorded(seq *[]hookCall, hook dnn.IFMHook) dnn.IFMHook {
+	return func(li int, l dnn.Layer, x *tensor.Tensor) *tensor.Tensor {
+		*seq = append(*seq, hookCall{li, l.Name(), x.Shape().String()})
+		if hook == nil {
+			return x
+		}
+		return hook(li, l, x)
+	}
+}
+
+// TestFusedMatchesPerSampleOnZooBothVecPaths holds dnn.ForwardBatchFused —
+// per-sample runs of ReLU/MaxPool/Flatten/Dropout on Clamp and MaxPool2x2,
+// in place or into recycled slabs, fanned out over the samples — to serial
+// per-sample Network.Forward: every zoo architecture, with no hook, with
+// eden's copying and in-place corruption hooks and with a hook that
+// replaces the feature map of some layers only, at batch sizes 1, 3 and 16,
+// at 1, 2 and 4 workers, on the vector primitives and on their scalar
+// bodies. Outputs must agree bit for bit and every sample's hook must see
+// the same (layer index, layer, view shape) sequence as on the serial path.
+// The serial reference is computed once, on the path the host selects, so
+// the comparison also holds the two paths to each other.
+func TestFusedMatchesPerSampleOnZooBothVecPaths(t *testing.T) {
+	prev := parallel.Workers()
+	defer parallel.SetWorkers(prev)
+	setBackend(t, compute.Gemm)
+	corr := eden.NewSoftwareDRAM(errormodel.Uniform(2e-3), quant.Int8)
+	pool := eden.NewClonePool(corr)
+	subset := func(li int, _ dnn.Layer, x *tensor.Tensor) *tensor.Tensor {
+		if li%3 != 1 {
+			return x
+		}
+		y := x.Clone()
+		y.Scale(0.5)
+		return y
+	}
+	// Each mode hands sample i's hook to use and a function to call when
+	// the sample is done.
+	modes := []struct {
+		name string
+		hook func(i int) (dnn.IFMHook, func())
+	}{
+		{"none", nil},
+		{"IFMHook", func(i int) (dnn.IFMHook, func()) {
+			c := pool.Get(uint64(100 + i))
+			return c.IFMHook(), func() { pool.Put(c) }
+		}},
+		{"IFMHookInPlace", func(i int) (dnn.IFMHook, func()) {
+			c := pool.Get(uint64(100 + i))
+			return c.IFMHookInPlace(), func() { pool.Put(c) }
+		}},
+		{"subset", func(int) (dnn.IFMHook, func()) { return subset, func() {} }},
+	}
+	batches, workers := []int{1, 3, 16}, []int{1, 2, 4}
+	if testing.Short() {
+		batches, workers = []int{3}, []int{1, 4}
+	}
+	for _, spec := range dnn.Zoo {
+		net, err := dnn.BuildModel(spec.Name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		xs := make([]*tensor.Tensor, 16)
+		rng := tensor.NewRNG(0xF5ED)
+		for i := range xs {
+			xs[i] = tensor.New(1, net.InC, net.InH, net.InW)
+			xs[i].FillUniform(rng, -1, 1)
+		}
+		for _, mode := range modes {
+			t.Run(spec.Name+"/"+mode.name, func(t *testing.T) {
+				parallel.SetWorkers(1)
+				want := make([]*tensor.Tensor, len(xs))
+				wantSeq := make([][]hookCall, len(xs))
+				for i, x := range xs {
+					var hook dnn.IFMHook
+					if mode.hook != nil {
+						h, done := mode.hook(i)
+						hook = recorded(&wantSeq[i], h)
+						defer done()
+					}
+					want[i] = net.Forward(x.Clone(), false, hook) // a clone: the in-place hook writes into it
+				}
+				forEachVecPath(t, func(t *testing.T) {
+					for _, b := range batches {
+						for _, w := range workers {
+							parallel.SetWorkers(w)
+							gotSeq := make([][]hookCall, b)
+							done := make([]func(), b)
+							var opt dnn.BatchOptions
+							if mode.hook != nil {
+								opt.HookFor = func(i int) dnn.IFMHook {
+									h, d := mode.hook(i)
+									done[i] = d
+									return recorded(&gotSeq[i], h)
+								}
+								opt.Done = func(i int) { done[i]() }
+							}
+							got := net.ForwardBatchFused(xs[:b], opt)
+							for i := range got {
+								desc := fmt.Sprintf("batch %d workers %d sample %d", b, w, i)
+								if !got[i].Shape().Equal(want[i].Shape()) {
+									t.Fatalf("%s: shape %v, serial path gives %v", desc, got[i].Shape(), want[i].Shape())
+								}
+								for j := range want[i].Data {
+									if math.Float32bits(got[i].Data[j]) != math.Float32bits(want[i].Data[j]) {
+										t.Fatalf("%s: output[%d] = %v, serial path gives %v (bit-exact)", desc, j, got[i].Data[j], want[i].Data[j])
+									}
+								}
+								if fmt.Sprint(gotSeq[i]) != fmt.Sprint(wantSeq[i]) {
+									t.Fatalf("%s: hook calls %v, serial path made %v", desc, gotSeq[i], wantSeq[i])
+								}
+							}
+						}
+					}
+				})
+			})
+		}
+	}
 }
 
 // TestFCBackwardUnchanged compares dnn.FC's weight and bias gradients, which

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/compute"
+	"repro/internal/parallel"
 	"repro/internal/tensor"
 )
 
@@ -14,6 +15,60 @@ func setBackend(t testing.TB, b compute.Backend) {
 	prev := compute.Default()
 	compute.SetDefault(b)
 	t.Cleanup(func() { compute.SetDefault(prev) })
+}
+
+// TestBackendsBitIdenticalOnZoo pins the acceptance contract of the
+// pluggable compute layer: for every zoo architecture, a forward pass on
+// the Gemm backend produces exactly the bits the Ref backend produces, at
+// several worker counts. Deterministically initialized (untrained)
+// networks exercise the same kernel shapes as trained ones, so this
+// covers the full architecture inventory cheaply.
+func TestBackendsBitIdenticalOnZoo(t *testing.T) {
+	prev := parallel.Workers()
+	defer parallel.SetWorkers(prev)
+	for _, spec := range Zoo {
+		t.Run(spec.Name, func(t *testing.T) {
+			net, err := BuildModel(spec.Name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rng := tensor.NewRNG(0xB17)
+			x := tensor.New(2, net.InC, net.InH, net.InW)
+			x.FillUniform(rng, -1, 1)
+
+			parallel.SetWorkers(1)
+			setBackend(t, compute.Ref)
+			want := net.Forward(x, false, nil)
+
+			// The quantized backend is not bit-identical to Ref (its
+			// deliberate numeric contract); it is instead held
+			// bit-identical to itself across worker counts below.
+			parallel.SetWorkers(1)
+			setBackend(t, compute.QGemm)
+			wantQ := net.Forward(x, false, nil)
+
+			for _, w := range []int{1, 4} {
+				parallel.SetWorkers(w)
+				for _, b := range []compute.Backend{compute.Ref, compute.Gemm, compute.QGemm} {
+					ref := want
+					if b == compute.QGemm {
+						ref = wantQ
+					}
+					setBackend(t, b)
+					got := net.Forward(x, false, nil)
+					if !got.Shape().Equal(ref.Shape()) {
+						t.Fatalf("%s workers=%d: shape %v != %v", b.Name(), w, got.Shape(), ref.Shape())
+					}
+					for i := range ref.Data {
+						if got.Data[i] != ref.Data[i] {
+							t.Fatalf("%s workers=%d: output[%d] = %v, want %v (bit-exact)",
+								b.Name(), w, i, got.Data[i], ref.Data[i])
+						}
+					}
+				}
+			}
+		})
+	}
 }
 
 // countingBackend counts the kernel calls that reach it.

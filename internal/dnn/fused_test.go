@@ -138,6 +138,26 @@ func TestOtherSlabAvoidsCurrent(t *testing.T) {
 	}
 }
 
+// TestFusedMatchesSerialOnZoo is the same comparison on every zoo
+// architecture at the batch sizes serving forms. internal/compute's
+// TestFusedMatchesPerSampleOnZooBothVecPaths repeats it with the eden hooks
+// on both implementations of the vector primitives.
+func TestFusedMatchesSerialOnZoo(t *testing.T) {
+	for _, spec := range Zoo {
+		net, err := BuildModel(spec.Name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		xs := batchInputs(16, net, 0xF02)
+		for _, b := range []int{1, 3, 16} {
+			if testing.Short() && b == 16 {
+				continue
+			}
+			assertFusedMatchesSerial(t, net, xs[:b])
+		}
+	}
+}
+
 // The layers' training passes below are compared against the loops they ran
 // before inference moved to compute.Clamp and compute.MaxPool2x2, kept here
 // verbatim: training must not have moved a bit.

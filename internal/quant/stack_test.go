@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/compute"
+	"repro/internal/cpufeat"
 	"repro/internal/dnn"
 	"repro/internal/eden"
 	"repro/internal/errormodel"
@@ -23,11 +24,9 @@ import (
 
 // The tests in this file run the layers above the codecs — corrupted
 // forward passes over the zoo, the serving scheduler, the sharded cluster —
-// once on the vector primitives and once on their scalar bodies and demand
-// the same bits from both. They live here because only this package's tests
-// can reach the unexported switch; dnn's TestBackendsBitIdenticalOnZoo, the
-// serve determinism suite and the cluster e2e keep covering whichever path
-// the host selects by itself.
+// once with every assembly kernel on and once on the scalar bodies
+// (cpufeat.SetVec) and demand the same bits from both. The root package's
+// TestDeterminismMatrix holds the same surfaces to pinned CRCs.
 
 // setBackend installs b as the process-wide compute backend for the rest of
 // the test and restores the previous one afterwards.
@@ -38,12 +37,26 @@ func setBackend(t testing.TB, b compute.Backend) {
 	t.Cleanup(func() { compute.SetDefault(prev) })
 }
 
+// forEachVecPath runs f as a subtest with the assembly kernels on and again
+// on their scalar bodies, skipping the first where there are none.
+func forEachVecPath(t *testing.T, f func(t *testing.T)) {
+	for _, path := range []string{"vec", "scalar"} {
+		t.Run(path, func(t *testing.T) {
+			if path == "vec" && !cpufeat.X86.HasAVX2 {
+				t.Skip("no vector kernels on this build or CPU")
+			}
+			t.Cleanup(cpufeat.SetVec(path == "vec"))
+			f(t)
+		})
+	}
+}
+
 // onBothPaths runs f on each path and returns what it produced. Where
 // there is no vector path the scalar result stands for both.
 func onBothPaths[T any](t *testing.T, f func(t *testing.T) T) (vec, scalar T) {
 	t.Helper()
-	var got []T // vector first: ForEachVecPath's order
-	quant.ForEachVecPath(t, func(t *testing.T) { got = append(got, f(t)) })
+	var got []T // vector first: forEachVecPath's order
+	forEachVecPath(t, func(t *testing.T) { got = append(got, f(t)) })
 	if len(got) == 0 {
 		t.FailNow() // f failed on every path and has said why
 	}
