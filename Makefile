@@ -68,12 +68,13 @@ cluster-smoke:
 	$(GO) run ./examples/cluster -serve-bin /tmp/repro-serve-smoke
 
 # golden regenerates internal/experiments/testdata/golden/system.txt, the
-# §7 system-level reports (table3 supplies their operating points); golden-check
+# §7 system-level reports (table3 supplies their operating points) and the
+# device-in-the-loop figures fig7 and fig9; golden-check
 # diffs a fresh run against it, and CI's bench job runs it. Both train into an
 # empty model cache, so a model cached by an older commit cannot make the check
 # pass. A diff in the golden is review surface, like .loc-ceiling.
 GOLDEN = internal/experiments/testdata/golden/system.txt
-GOLDEN_RUN = cache=$$(mktemp -d); out=$$(mktemp); EDEN_MODEL_CACHE=$$cache $(GO) run ./cmd/experiments table3 fig13 fig14 gpu accel > $$out; st=$$?; rm -rf $$cache
+GOLDEN_RUN = cache=$$(mktemp -d); out=$$(mktemp); EDEN_MODEL_CACHE=$$cache $(GO) run ./cmd/experiments table3 fig13 fig14 gpu accel fig7 fig9 > $$out; st=$$?; rm -rf $$cache
 golden:
 	@$(GOLDEN_RUN); if [ $$st -eq 0 ]; then mv $$out $(GOLDEN); else rm -f $$out; fi; exit $$st
 golden-check:
