@@ -11,7 +11,6 @@ import (
 	"repro/internal/dnn"
 	"repro/internal/dram"
 	"repro/internal/eden"
-	"repro/internal/quant"
 )
 
 func main() {
@@ -48,11 +47,9 @@ func main() {
 
 	// 6. Verify on the device at the mapped operating point.
 	device.SetOperatingPoint(op)
-	corr := eden.NewDeviceDRAM(device, quant.FP32)
-	if err := corr.PlaceNetwork(boosted, 16); err != nil {
-		fmt.Println("placement:", err)
+	acc, err := eden.DeviceMetric(tm, boosted, device, 0)
+	if err != nil {
+		log.Fatal(err)
 	}
-	corr.Calibrate(tm, 16, 0)
-	acc := boosted.Accuracy(tm.ValSet, corr.EvalOptions(0))
 	fmt.Printf("boosted accuracy on approximate DRAM at mapped point: %.1f%%\n", acc*100)
 }

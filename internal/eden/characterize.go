@@ -11,6 +11,9 @@ import (
 	"repro/internal/quant"
 )
 
+// berLo and berHi bound the log-scale search for a tolerable BER.
+const berLo, berHi = 1e-5, 0.5
+
 // CharacterizeConfig controls DNN error tolerance characterization (§3.3).
 type CharacterizeConfig struct {
 	// MaxDrop is the tolerated absolute drop in the task metric relative
@@ -22,8 +25,6 @@ type CharacterizeConfig struct {
 	// Repeats averages the metric over several transient error draws to
 	// de-noise the probe.
 	Repeats int
-	// BERLo and BERHi bound the log-scale binary search.
-	BERLo, BERHi float64
 	// SearchSteps is the binary search depth.
 	SearchSteps int
 	Prec        quant.Precision
@@ -35,8 +36,6 @@ func DefaultCharacterize() CharacterizeConfig {
 		MaxDrop:     0.01,
 		MaxSamples:  60,
 		Repeats:     2,
-		BERLo:       1e-5,
-		BERHi:       0.5,
 		SearchSteps: 10,
 		Prec:        quant.FP32,
 	}
@@ -87,20 +86,20 @@ func baselineMetric(tm *dnn.TrainedModel, net *dnn.Network, cfg CharacterizeConf
 // CoarseCharacterize finds the highest uniform BER net tolerates while its
 // metric stays within cfg.MaxDrop of its reliable baseline, by log-scale
 // binary search (§3.3, "Coarse-Grained Characterization"). It returns the
-// maximum tolerable BER, or 0 when even BERLo fails.
+// maximum tolerable BER, or 0 when even berLo fails.
 func CoarseCharacterize(tm *dnn.TrainedModel, net *dnn.Network, m *errormodel.Model, cfg CharacterizeConfig) float64 {
 	floor := baselineMetric(tm, net, cfg) - cfg.MaxDrop
 	bounds := probeBounds(tm, net)
 	ok := func(ber float64) bool {
 		return evalAt(tm, net, m, ber, cfg, nil, bounds) >= floor
 	}
-	if !ok(cfg.BERLo) {
+	if !ok(berLo) {
 		return 0
 	}
-	if ok(cfg.BERHi) {
-		return cfg.BERHi
+	if ok(berHi) {
+		return berHi
 	}
-	lo, hi := math.Log10(cfg.BERLo), math.Log10(cfg.BERHi)
+	lo, hi := math.Log10(berLo), math.Log10(berHi)
 	for i := 0; i < cfg.SearchSteps; i++ {
 		mid := (lo + hi) / 2
 		if ok(math.Pow(10, mid)) {
@@ -129,7 +128,7 @@ func CoarseCharacterize(tm *dnn.TrainedModel, net *dnn.Network, m *errormodel.Mo
 // the sweep with the last map known to meet the floor.
 func FineCharacterize(tm *dnn.TrainedModel, net *dnn.Network, m *errormodel.Model, coarseBER float64, cfg CharacterizeConfig, maxRounds int) map[string]float64 {
 	if coarseBER <= 0 {
-		coarseBER = cfg.BERLo
+		coarseBER = berLo
 	}
 	floor := baselineMetric(tm, net, cfg) - cfg.MaxDrop
 	bounds := probeBounds(tm, net)
@@ -153,7 +152,7 @@ func FineCharacterize(tm *dnn.TrainedModel, net *dnn.Network, m *errormodel.Mode
 		parallel.ForEach(len(live), func(j int) {
 			id := live[j]
 			trial := tol[id] + step
-			if trial > cfg.BERHi {
+			if trial > berHi {
 				return
 			}
 			trialMap := maps.Clone(tol)

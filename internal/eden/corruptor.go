@@ -101,10 +101,6 @@ type SoftwareDRAM struct {
 	BER float64
 	// BERByData overrides BER per data ID (fine-grained mapping).
 	BERByData map[string]float64
-	// ForceQuant applies the quantize→dequantize round trip even at zero
-	// BER, so the corruptor doubles as a pure quantization evaluator
-	// (Table 2's baseline accuracies).
-	ForceQuant bool
 	// Bounds holds plausibility ranges per data ID (see Calibrate).
 	Bounds map[string]memctrl.Bounds
 	// Logic holds the implausible-value correction policy (Zero from
@@ -305,9 +301,11 @@ func (s *SoftwareDRAM) corruptTensorInto(t *tensor.Tensor, e *dataState, inPlace
 
 // corruptImage runs the quantize → inject → correct pipeline and returns
 // the corrupted quantized image itself, or nil when the data ID is entirely
-// error-free and quantization is not forced (the tensor passes through
-// untouched). Exposing the image lets callers dequantize it into storage
-// of their choice.
+// error-free at FP32 (the tensor passes through untouched). Below FP32 an
+// error-free ID still takes the quantize round trip, so a corruptor at zero
+// BER is a pure quantization evaluator (Table 2's baseline accuracies).
+// Exposing the image lets callers dequantize it into storage of their
+// choice.
 //
 // The image is the corruptor's own scratch (s.image): it is valid until the
 // next call on this corruptor, which overwrites it. Every caller decodes it
@@ -316,7 +314,7 @@ func (s *SoftwareDRAM) corruptTensorInto(t *tensor.Tensor, e *dataState, inPlace
 // without allocating.
 func (s *SoftwareDRAM) corruptImage(t *tensor.Tensor, e *dataState) *quant.QTensor {
 	s.refresh(e)
-	if e.ber <= 0 && !s.ForceQuant {
+	if e.ber <= 0 && s.Prec == quant.FP32 {
 		return nil
 	}
 	q := &s.image
@@ -372,21 +370,20 @@ func (s *SoftwareDRAM) NextPass() { s.passCount++ }
 // is how per-sample error streams are seeded.
 func (s *SoftwareDRAM) Clone(pass uint64) *SoftwareDRAM {
 	c := &SoftwareDRAM{
-		Model:      s.Model,
-		Prec:       s.Prec,
-		BER:        s.BER,
-		BERByData:  s.BERByData, // read-only after setup; safe to share
-		ForceQuant: s.ForceQuant,
-		Bounds:     make(map[string]memctrl.Bounds, len(s.Bounds)),
-		Logic:      memctrl.BoundingLogic{Policy: s.Logic.Policy},
-		offsets:    make(map[string]int, len(s.offsets)),
-		nextBit:    s.nextBit,
-		passCount:  pass,
-		scaled:     make(map[float64]*errormodel.Model, len(s.scaled)),
-		data:       make(map[string]*dataState, len(s.data)),
-		ifm:        make(map[string]*dataState, len(s.ifm)),
-		gen:        s.gen,
-		seen:       s.seen,
+		Model:     s.Model,
+		Prec:      s.Prec,
+		BER:       s.BER,
+		BERByData: s.BERByData, // read-only after setup; safe to share
+		Bounds:    make(map[string]memctrl.Bounds, len(s.Bounds)),
+		Logic:     memctrl.BoundingLogic{Policy: s.Logic.Policy},
+		offsets:   make(map[string]int, len(s.offsets)),
+		nextBit:   s.nextBit,
+		passCount: pass,
+		scaled:    make(map[float64]*errormodel.Model, len(s.scaled)),
+		data:      make(map[string]*dataState, len(s.data)),
+		ifm:       make(map[string]*dataState, len(s.ifm)),
+		gen:       s.gen,
+		seen:      s.seen,
 	}
 	for k, v := range s.Bounds {
 		c.Bounds[k] = v
@@ -586,157 +583,48 @@ func (s *SoftwareDRAM) EvalOptions(maxSamples int) dnn.EvalOptions {
 	}
 }
 
-// DeviceDRAM is the device-in-the-loop corruptor: tensors are packed into a
-// simulated approximate module, written, and read back at the module's
-// operating point — the path the paper uses to validate its error models
-// against real hardware (§6.2, §6.4).
-type DeviceDRAM struct {
-	Device *dram.Device
-	Prec   quant.Precision
-	Bounds map[string]memctrl.Bounds
-	// Logic holds the implausible-value correction policy (Zero from
-	// NewDeviceDRAM) and counts corrections.
-	Logic memctrl.BoundingLogic
-	// Placement maps data IDs to device byte addresses; Place allocates.
-	Placement map[string]int
-	nextAddr  int
-}
-
-// NewDeviceDRAM builds a device-backed corruptor.
-func NewDeviceDRAM(d *dram.Device, prec quant.Precision) *DeviceDRAM {
-	return &DeviceDRAM{
-		Device:    d,
-		Prec:      prec,
-		Bounds:    map[string]memctrl.Bounds{},
-		Logic:     memctrl.BoundingLogic{Policy: memctrl.Zero},
-		Placement: map[string]int{},
-	}
-}
-
-// place allocates row-aligned space for a data ID.
-func (c *DeviceDRAM) place(id string, bytes int) (int, error) {
-	if addr, ok := c.Placement[id]; ok {
-		return addr, nil
-	}
-	rb := c.Device.Geom.RowBytes
-	rows := (bytes + rb - 1) / rb
-	addr := c.nextAddr
-	if addr+rows*rb > c.Device.Capacity() {
-		// Wrap around: the scaled-down module is smaller than some models'
-		// footprints; reusing rows preserves error statistics.
-		c.nextAddr = 0
-		addr = 0
-		if rows*rb > c.Device.Capacity() {
-			return 0, fmt.Errorf("eden: tensor %s (%d B) exceeds module capacity", id, bytes)
-		}
-	}
-	c.Placement[id] = addr
-	c.nextAddr = addr + rows*rb
-	return addr, nil
-}
-
-// PlaceNetwork pre-places every weight tensor and top-level IFM of net in
-// the module, in the deterministic EnumerateData order, using the
-// precision-aware byte footprints (net.WeightBytes/IFMBytes at c.Prec
-// report the same single-sample totals). IFM regions are sized for
-// evaluation batches of up to batch samples (values below 1 mean 1), since
-// an IFM tensor in a batched forward is batch× its single-sample size.
-// Placing up front — instead of lazily on first access — makes the layout
-// independent of evaluation order and surfaces a capacity overflow as an
-// error before any inference runs; the old lazy path silently wrapped
-// around, and because it sized regions with the hard-coded FP32 footprint
-// path an int8 model reserved 4× the rows it occupied.
-func (c *DeviceDRAM) PlaceNetwork(net *dnn.Network, batch int) error {
-	if batch < 1 {
-		batch = 1
-	}
-	data := EnumerateData(net, c.Prec)
-	sizes := make([]int, len(data))
-	rb := c.Device.Geom.RowBytes
-	total := 0
-	for i, d := range data {
+// DeviceMetric is the device-in-the-loop evaluation the paper validates its
+// error models with (§6.2, §6.4): net's task metric over up to maxSamples of
+// tm's validation samples, with every weight and top-level IFM written to
+// device and read back at its current operating point, at FP32, and
+// implausible values zeroed under bounds calibrated on tm's network. Every
+// data ID is placed up front, row-aligned, in EnumerateData order, with IFM
+// regions sized for the 16-sample evaluation batches, so the layout does not
+// depend on evaluation order; a network larger than the module is an error.
+// Every read advances the device's access counter, so the order of accesses
+// is part of the result and one device serves one call at a time.
+func DeviceMetric(tm *dnn.TrainedModel, net *dnn.Network, device *dram.Device, maxSamples int) (float64, error) {
+	const batch = 16 // dnn's default evaluation batch
+	rb := device.Geom.RowBytes
+	addr := map[string]int{}
+	next := 0
+	for _, d := range EnumerateData(net, quant.FP32) {
 		bytes := (d.Bits + 7) / 8
 		if strings.HasPrefix(d.ID, "ifm:") {
 			bytes *= batch
 		}
-		sizes[i] = bytes
-		// Capacity is consumed in whole row-aligned allocations (place
-		// rounds every tensor up to full rows), so the pre-check must sum
-		// the aligned footprint — the raw byte total can fit while the
-		// padded layout wraps.
-		total += (bytes + rb - 1) / rb * rb
+		addr[d.ID] = next
+		next += (bytes + rb - 1) / rb * rb
 	}
-	if total > c.Device.Capacity() {
-		// The scaled-down module may be smaller than the model; keep the
-		// wrap-around behaviour of lazy placement (error statistics are
-		// preserved when rows are reused) but report it to the caller.
-		return fmt.Errorf("eden: model footprint %d B (row-aligned) exceeds module capacity %d B; rows will be reused",
-			total, c.Device.Capacity())
+	if next > device.Capacity() {
+		return 0, fmt.Errorf("eden: model footprint %d B (row-aligned) exceeds module capacity %d B", next, device.Capacity())
 	}
-	for i, d := range data {
-		if _, err := c.place(d.ID, sizes[i]); err != nil {
-			return err
-		}
+	bounds := CalibrateBounds(tm, tm.Net, 16, 0)
+	logic := memctrl.BoundingLogic{Policy: memctrl.Zero}
+	image := func(t *tensor.Tensor, id string) *quant.QTensor {
+		q := quant.Quantize(t, quant.FP32)
+		img := q.Pack()
+		device.Write(addr[id], img)
+		copy(img, device.Read(addr[id], len(img)))
+		q.Unpack(img)
+		logic.CorrectQTensor(q, bounds[id])
+		return q
 	}
-	return nil
-}
-
-// corruptTensor stores t in the device and reads it back at the device's
-// current operating point.
-func (c *DeviceDRAM) corruptTensor(t *tensor.Tensor, id string) *tensor.Tensor {
-	return c.corruptImage(t, id).Dequantize()
-}
-
-// corruptImage is the device round-trip up to (and including) error
-// correction, returning the corrupted quantized image.
-func (c *DeviceDRAM) corruptImage(t *tensor.Tensor, id string) *quant.QTensor {
-	q := quant.Quantize(t, c.Prec)
-	img := q.Pack()
-	addr, err := c.place(id, len(img))
-	if err != nil {
-		// Oversized tensor: fall back to chunked pass-through of the
-		// module, preserving error behaviour.
-		addr = 0
-	}
-	c.Device.Write(addr, img[:min(len(img), c.Device.Capacity()-addr)])
-	n := min(len(img), c.Device.Capacity()-addr)
-	got := c.Device.Read(addr, n)
-	copy(img[:n], got)
-	q.Unpack(img)
-	if b, ok := c.Bounds[id]; ok {
-		c.Logic.CorrectQTensor(q, b)
-	} else if c.Logic.Policy != memctrl.Off {
-		c.Logic.CorrectQTensor(q, memctrl.FromTensor(t, 1.5))
-	}
-	return q
-}
-
-// NextPass is a no-op: the device's read counter already advances per
-// access, making every read an independent transient draw.
-func (c *DeviceDRAM) NextPass() {}
-
-// CorruptWeights stores every parameter in the module and reads it back.
-func (c *DeviceDRAM) CorruptWeights(net *dnn.Network) (restore func()) {
-	return corruptParams(net, c.corruptImage)
-}
-
-// IFMHook returns a hook that round-trips each IFM through the module.
-func (c *DeviceDRAM) IFMHook() dnn.IFMHook {
-	return func(i int, l dnn.Layer, x *tensor.Tensor) *tensor.Tensor {
-		return c.corruptTensor(x, IFMID(l.Name()))
-	}
-}
-
-// EvalOptions bundles the corruptor into dnn evaluation options.
-func (c *DeviceDRAM) EvalOptions(maxSamples int) dnn.EvalOptions {
-	return dnn.EvalOptions{
-		Hook:       c.IFMHook(),
-		Corrupt:    c.CorruptWeights,
+	return tm.MetricOf(net, dnn.EvalOptions{
+		Hook: func(i int, l dnn.Layer, x *tensor.Tensor) *tensor.Tensor {
+			return image(x, IFMID(l.Name())).Dequantize()
+		},
+		Corrupt:    func(n *dnn.Network) func() { return corruptParams(n, image) },
 		MaxSamples: maxSamples,
-	}
-}
-
-// Calibrate mirrors SoftwareDRAM.Calibrate for the device path.
-func (c *DeviceDRAM) Calibrate(tm *dnn.TrainedModel, maxSamples int, margin float32) {
-	maps.Copy(c.Bounds, CalibrateBounds(tm, tm.Net, maxSamples, margin))
+	}), nil
 }

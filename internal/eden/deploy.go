@@ -295,9 +295,9 @@ func boost(tm *dnn.TrainedModel, em *errormodel.Model, baseline float64, cfg Dep
 // NewCorruptor builds a fresh corruptor realizing the deployment's error
 // exposure: the fitted model at the artifact's precision, the per-data BER
 // overrides when fine-grained mapping succeeded (the mapped operating
-// point's uniform BER otherwise), the quantize round trip whenever the
-// artifact stores below FP32, and the plausibility bounds calibrated at
-// deploy time. The returned corruptor satisfies Cloner, so serving pools
+// point's uniform BER otherwise) and the plausibility bounds calibrated at
+// deploy time; below FP32 every tensor takes the quantize round trip (see
+// SoftwareDRAM.corruptImage). The returned corruptor satisfies Cloner, so serving pools
 // per-request clones of it.
 func (d *Deployment) NewCorruptor() *SoftwareDRAM {
 	corr := NewSoftwareDRAM(d.ErrorModel, d.Prec)
@@ -305,7 +305,6 @@ func (d *Deployment) NewCorruptor() *SoftwareDRAM {
 	if d.FineGrained {
 		corr.BERByData = d.BERByData
 	}
-	corr.ForceQuant = d.Prec != quant.FP32
 	for id, b := range d.Bounds {
 		corr.Bounds[id] = b
 	}

@@ -1,7 +1,6 @@
 package eden
 
 import (
-	"math"
 	"strings"
 	"testing"
 
@@ -421,12 +420,12 @@ func TestCoarseMapOrdering(t *testing.T) {
 func TestDeviceDRAMNominalIsClean(t *testing.T) {
 	tm := lenet(t)
 	device := dram.NewDevice(dram.DefaultGeometry(), dram.Vendors()[0], 3)
-	corr := NewDeviceDRAM(device, quant.Int8)
-	clean := tm.Net.Accuracy(tm.ValSet, dnn.EvalOptions{MaxSamples: 40})
-	acc := tm.Net.Accuracy(tm.ValSet, corr.EvalOptions(40))
-	// Int8 quantization noise only.
-	if math.Abs(acc-clean) > 0.1 {
-		t.Fatalf("nominal device accuracy %v vs clean %v", acc, clean)
+	acc, err := DeviceMetric(tm, tm.Net, device, 60)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if clean := tm.Metric(dnn.EvalOptions{MaxSamples: 60}); acc != clean {
+		t.Fatalf("nominal device accuracy %v, clean %v", acc, clean)
 	}
 }
 
@@ -436,12 +435,54 @@ func TestDeviceDRAMDegradesUnderStress(t *testing.T) {
 	op := dram.Nominal()
 	op.VDD = 0.95
 	device.SetOperatingPoint(op)
-	corr := NewDeviceDRAM(device, quant.Int8)
-	corr.Calibrate(tm, 16, 0)
-	acc := tm.Net.Accuracy(tm.ValSet, corr.EvalOptions(40))
-	clean := tm.Net.Accuracy(tm.ValSet, dnn.EvalOptions{MaxSamples: 40})
+	acc, err := DeviceMetric(tm, tm.Net, device, 40)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clean := tm.Metric(dnn.EvalOptions{MaxSamples: 40})
 	if acc > clean-0.15 {
 		t.Fatalf("heavy stress barely hurt: %v vs %v", acc, clean)
+	}
+}
+
+// TestDeviceMetricRejectsSmallModule: a network that does not fit the module
+// is an error naming both sizes, not a layout that reuses rows.
+func TestDeviceMetricRejectsSmallModule(t *testing.T) {
+	tm := lenet(t)
+	geom := dram.Geometry{Banks: 1, SubarraysPerBank: 1, RowsPerSubarray: 4, RowBytes: 2048}
+	_, err := DeviceMetric(tm, tm.Net, dram.NewDevice(geom, dram.Vendors()[0], 5), 16)
+	if err == nil {
+		t.Fatal("a LeNet footprint fit an 8 KiB module")
+	}
+	for _, want := range []string{"footprint", "capacity 8192 B"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not name the %s", err, want)
+		}
+	}
+}
+
+// TestDeviceMetricDeterministic: a device's errors are a function of its
+// seed, operating point and the order of its accesses, so two calls on fresh
+// devices built alike agree at a point where errors do occur.
+func TestDeviceMetricDeterministic(t *testing.T) {
+	tm := lenet(t)
+	op := dram.Nominal()
+	op.VDD = 1.05
+	var accs [2]float64
+	for i := range accs {
+		device := dram.NewDevice(dram.DefaultGeometry(), dram.Vendors()[0], 6)
+		device.SetOperatingPoint(op)
+		acc, err := DeviceMetric(tm, tm.Net, device, 60)
+		if err != nil {
+			t.Fatal(err)
+		}
+		accs[i] = acc
+	}
+	if accs[0] != accs[1] {
+		t.Fatalf("fresh devices built alike gave %v and %v", accs[0], accs[1])
+	}
+	if clean := tm.Metric(dnn.EvalOptions{MaxSamples: 60}); accs[0] == clean {
+		t.Fatalf("no error changed the metric at VDD %.2f V, so agreement proves nothing", op.VDD)
 	}
 }
 

@@ -2,11 +2,9 @@ package eden
 
 import (
 	"repro/internal/dnn"
-	"repro/internal/memctrl"
+	"repro/internal/errormodel"
 	"repro/internal/parallel"
 	"repro/internal/quant"
-
-	"repro/internal/errormodel"
 )
 
 // RetrainConfig parameterizes curricular retraining (§3.2).
@@ -28,11 +26,7 @@ type RetrainConfig struct {
 	// pass; a poor-fit model reproduces Fig. 10 left.
 	Model *errormodel.Model
 	Prec  quant.Precision
-	// Policy is the implausible-value correction applied during retraining.
-	Policy memctrl.Policy
-	LR     float64
-	Batch  int
-	Seed   uint64
+	Seed  uint64
 }
 
 // DefaultRetrain returns the configuration used throughout the evaluation.
@@ -44,9 +38,6 @@ func DefaultRetrain(m *errormodel.Model, targetBER float64) RetrainConfig {
 		Curricular:      true,
 		Model:           m,
 		Prec:            quant.FP32,
-		Policy:          memctrl.Zero,
-		LR:              0.002,
-		Batch:           16,
 		Seed:            0xB005,
 	}
 }
@@ -54,11 +45,12 @@ func DefaultRetrain(m *errormodel.Model, targetBER float64) RetrainConfig {
 // Retrain boosts tm's error tolerance by retraining a copy of its network
 // with model-injected errors in the forward pass (approximate DRAM) while
 // gradients always update clean weights (reliable DRAM, §3.2). It returns
-// the boosted network; tm itself is not modified.
+// the boosted network; tm itself is not modified. Implausible values are
+// zeroed (NewSoftwareDRAM's policy), and SGD runs at learning rate 0.002 on
+// batches of 16.
 func Retrain(tm *dnn.TrainedModel, cfg RetrainConfig) *dnn.Network {
 	net := tm.CloneNet()
 	corr := NewSoftwareDRAM(cfg.Model, cfg.Prec)
-	corr.Logic.Policy = cfg.Policy
 
 	steps := 1
 	if cfg.Curricular && cfg.StepEveryEpochs > 0 {
@@ -84,8 +76,8 @@ func Retrain(tm *dnn.TrainedModel, cfg RetrainConfig) *dnn.Network {
 
 	opt := dnn.TrainOptions{
 		Epochs:      cfg.Epochs,
-		Batch:       cfg.Batch,
-		LR:          cfg.LR,
+		Batch:       16,
+		LR:          0.002,
 		Seed:        cfg.Seed,
 		MaxGradNorm: 5,
 		EpochStart:  setEpoch,

@@ -26,7 +26,6 @@ func TestHookInPlaceAllocatesNothing(t *testing.T) {
 	tm := lenet(t)
 	for name, em := range map[string]*errormodel.Model{"uniform": uniformModel(1e-3), "weak lists": sparseModel(1e-3)} {
 		src := NewSoftwareDRAM(em, quant.Int8)
-		src.ForceQuant = true
 		src.Calibrate(tm, 16, 0)
 		pool := NewClonePool(src)
 		pool.Prewarm(1)
@@ -118,7 +117,7 @@ func TestResolvedStateFollowsConfiguration(t *testing.T) {
 		{"policy changed", func(s *SoftwareDRAM) { s.Logic.Policy = memctrl.Saturate }},
 		{"layout pinned", func(s *SoftwareDRAM) { s.SetLayout(map[string]int{id: 5 * 16384}, 6*16384) }},
 		{"per-data override", func(s *SoftwareDRAM) { s.BERByData = map[string]float64{id: 3e-1} }},
-		{"BER lowered to zero with override gone", func(s *SoftwareDRAM) { s.BERByData = nil; s.BER = 0; s.ForceQuant = true }},
+		{"BER lowered to zero with override gone", func(s *SoftwareDRAM) { s.BERByData = nil; s.BER = 0 }},
 	}
 	for _, em := range []*errormodel.Model{uniformModel(1), sparseModel(1)} {
 		used := NewSoftwareDRAM(em, quant.Int8)

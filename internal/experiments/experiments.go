@@ -82,9 +82,7 @@ func quantizedMetric(tm *dnn.TrainedModel, prec quant.Precision) float64 {
 	if prec == quant.FP32 {
 		return tm.Metric(dnn.EvalOptions{})
 	}
-	corr := eden.NewSoftwareDRAM(zeroModel(), prec)
-	corr.ForceQuant = true
-	return tm.Metric(corr.EvalOptions(0))
+	return tm.Metric(eden.NewSoftwareDRAM(zeroModel(), prec).EvalOptions(0))
 }
 
 // Table2Baselines reproduces Table 2: baseline accuracies across numeric

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 
@@ -66,17 +67,12 @@ func fittedModel(vendor string) *errormodel.Model {
 	return m
 }
 
-// deviceMetric evaluates a model's metric with all tensors round-tripped
-// through a device at op.
-func deviceMetric(tm *dnn.TrainedModel, net *dnn.Network, vendor string, op dram.OperatingPoint, maxSamples int) float64 {
+// deviceMetric evaluates net on a fresh device of vendor at op (see
+// eden.DeviceMetric).
+func deviceMetric(tm *dnn.TrainedModel, net *dnn.Network, vendor string, op dram.OperatingPoint, maxSamples int) (float64, error) {
 	d := deviceFor(vendor, 0xF17)
 	d.SetOperatingPoint(op)
-	corr := eden.NewDeviceDRAM(d, quant.FP32)
-	// Pre-place with precision-aware footprints; an overflow just means the
-	// scaled-down module reuses rows, which preserves error statistics.
-	_ = corr.PlaceNetwork(net, 16)
-	corr.Calibrate(tm, 16, 0)
-	return tm.MetricOf(net, corr.EvalOptions(maxSamples))
+	return eden.DeviceMetric(tm, net, d, maxSamples)
 }
 
 // Figure7ModelValidation reproduces Fig. 7: LeNet accuracy on the
@@ -93,14 +89,17 @@ func Figure7ModelValidation() (Report, error) {
 		v, _ := dram.VendorByName(vendor)
 		em := fittedModel(vendor)
 		pts := vddAndTRCDPoints([]float64{1.20, 1.10, 1.05}, []float64{9.0, 7.5, 6.0})
-		rows := make([]string, len(pts))
+		rows, errs := make([]string, len(pts)), make([]error, len(pts))
 		parallel.ForEach(len(pts), func(i int) {
 			p := pts[i]
-			dev := deviceMetric(tm, tm.CloneNet(), vendor, p.op, 60)
+			dev, err := deviceMetric(tm, tm.CloneNet(), vendor, p.op, 60)
 			ber := v.ExpectedBER(p.op)
 			mod := eden.EvalWithModel(tm, tm.CloneNet(), em, ber, quant.FP32, 60)
-			rows[i] = fmt.Sprintf("%-7s %-12s %8.1f%% %8.1f%%", vendor, p.label, dev*100, mod*100)
+			rows[i], errs[i] = fmt.Sprintf("%-7s %-12s %8.1f%% %8.1f%%", vendor, p.label, dev*100, mod*100), err
 		})
+		if err := errors.Join(errs...); err != nil {
+			return r, err
+		}
 		r.Rows = append(r.Rows, rows...)
 	}
 	return r, nil
@@ -199,13 +198,16 @@ func Figure9BoostedOnDevice() (Report, error) {
 		return r, err
 	}
 	pts := vddAndTRCDPoints([]float64{1.35, 1.20, 1.10, 1.05}, []float64{12.5, 9.0, 7.5, 6.5})
-	rows := make([]string, len(pts))
+	rows, errs := make([]string, len(pts)), make([]error, len(pts))
 	parallel.ForEach(len(pts), func(i int) {
 		p := pts[i]
-		base := deviceMetric(tm, tm.CloneNet(), "A", p.op, 60)
-		boost := deviceMetric(tm, tm.CloneNetFrom(boosted), "A", p.op, 60)
-		rows[i] = fmt.Sprintf("%-12s %8.1f%% %8.1f%%", p.label, base*100, boost*100)
+		base, errBase := deviceMetric(tm, tm.CloneNet(), "A", p.op, 60)
+		boost, errBoost := deviceMetric(tm, tm.CloneNetFrom(boosted), "A", p.op, 60)
+		rows[i], errs[i] = fmt.Sprintf("%-12s %8.1f%% %8.1f%%", p.label, base*100, boost*100), errors.Join(errBase, errBoost)
 	})
+	if err := errors.Join(errs...); err != nil {
+		return r, err
+	}
 	r.Rows = append(r.Rows, rows...)
 	return r, nil
 }
