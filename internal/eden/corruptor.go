@@ -587,7 +587,8 @@ func (s *SoftwareDRAM) EvalOptions(maxSamples int) dnn.EvalOptions {
 // error models with (§6.2, §6.4): net's task metric over up to maxSamples of
 // tm's validation samples, with every weight and top-level IFM written to
 // device and read back at its current operating point, at FP32, and
-// implausible values zeroed under bounds calibrated on tm's network. Every
+// implausible values zeroed under bounds calibrated on net itself — a
+// boosted network's weights outgrow its baseline's ranges (§3.2). Every
 // data ID is placed up front, row-aligned, in EnumerateData order, with IFM
 // regions sized for the 16-sample evaluation batches, so the layout does not
 // depend on evaluation order; a network larger than the module is an error.
@@ -609,7 +610,7 @@ func DeviceMetric(tm *dnn.TrainedModel, net *dnn.Network, device *dram.Device, m
 	if next > device.Capacity() {
 		return 0, fmt.Errorf("eden: model footprint %d B (row-aligned) exceeds module capacity %d B", next, device.Capacity())
 	}
-	bounds := CalibrateBounds(tm, tm.Net, 16, 0)
+	bounds := CalibrateBounds(tm, net, 16, 0)
 	logic := memctrl.BoundingLogic{Policy: memctrl.Zero}
 	image := func(t *tensor.Tensor, id string) *quant.QTensor {
 		q := quant.Quantize(t, quant.FP32)

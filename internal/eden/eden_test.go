@@ -445,6 +445,29 @@ func TestDeviceDRAMDegradesUnderStress(t *testing.T) {
 	}
 }
 
+// TestDeviceMetricCalibratesEvaluatedNet: bounds must describe the network
+// being run (§3.2), not the trained model it was boosted from. Scaling
+// LeNet's last FC layer by 4 leaves every argmax where it was, so on a
+// nominal device the scaled network scores exactly its clean metric unless
+// its grown weights are clipped to the unscaled network's bounds.
+func TestDeviceMetricCalibratesEvaluatedNet(t *testing.T) {
+	tm := lenet(t)
+	net := tm.CloneNet()
+	for _, p := range net.Layers[len(net.Layers)-1].(*dnn.FC).Params() {
+		for i := range p.W.Data {
+			p.W.Data[i] *= 4
+		}
+	}
+	device := dram.NewDevice(dram.DefaultGeometry(), dram.Vendors()[0], 3)
+	acc, err := DeviceMetric(tm, net, device, 60)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if clean := tm.MetricOf(net, dnn.EvalOptions{MaxSamples: 60}); acc != clean {
+		t.Fatalf("scaled network on a nominal device: %v, clean %v", acc, clean)
+	}
+}
+
 // TestDeviceMetricRejectsSmallModule: a network that does not fit the module
 // is an error naming both sizes, not a layout that reuses rows.
 func TestDeviceMetricRejectsSmallModule(t *testing.T) {
