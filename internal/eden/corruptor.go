@@ -2,10 +2,12 @@
 // DNN inference on approximate DRAM while meeting a target accuracy. Its
 // three steps are curricular retraining (§3.2, retrain.go), DNN error
 // tolerance characterization (§3.3, characterize.go) and DNN-to-DRAM
-// mapping (§3.4, mapping.go); corruptor.go provides the machinery that
-// exposes a DNN to approximate-DRAM bit errors either through fitted error
-// models (EDEN offloading, §4) or through a simulated device (the
-// device-in-the-loop path of §6.4). deploy.go ties the stages into the
+// mapping (§3.4, mapping.go). corruptor.go exposes a DNN to approximate-DRAM
+// bit errors: SoftwareDRAM injects them from a fitted error model (EDEN
+// offloading, §4) and is what every stage and the server run, while
+// DeviceMetric is the one evaluation that round-trips a network through a
+// simulated device instead, the check of the fitted models against the
+// device itself (§6.2, §6.4). deploy.go ties the stages into the
 // single Deploy entry point, whose serializable Deployment artifact is the
 // currency between the pipeline (cmd/eden) and the serving subsystem
 // (internal/serve, cmd/serve).

@@ -6,7 +6,6 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/dnn"
 	"repro/internal/errormodel"
 	"repro/internal/parallel"
 	"repro/internal/quant"
@@ -18,63 +17,6 @@ func setWorkers(t *testing.T, n int) {
 	prev := parallel.Workers()
 	parallel.SetWorkers(n)
 	t.Cleanup(func() { parallel.SetWorkers(prev) })
-}
-
-// TestCorruptedForwardBatchDeterministic runs corrupted batched inference
-// with per-sample corruptor clones and demands the outputs be a pure
-// function of the sample index — independent of worker count and
-// scheduling. Under -race this is also the shared-corruptor aliasing test:
-// every goroutine corrupts through its own clone.
-func TestCorruptedForwardBatchDeterministic(t *testing.T) {
-	tm := lenet(t)
-	corr := NewSoftwareDRAM(uniformModel(5e-3), quant.Int8)
-	corr.Calibrate(tm, 16, 0)
-
-	rng := tensor.NewRNG(0xC0DE)
-	xs := make([]*tensor.Tensor, 8)
-	for i := range xs {
-		xs[i] = tensor.New(1, tm.Net.InC, tm.Net.InH, tm.Net.InW)
-		xs[i].FillUniform(rng, -1, 1)
-	}
-
-	run := func(workers int) []*tensor.Tensor {
-		setWorkers(t, workers)
-		return tm.Net.ForwardBatch(xs, dnn.BatchOptions{HookFor: func(i int) dnn.IFMHook {
-			return corr.Clone(100 + uint64(i)).IFMHook()
-		}})
-	}
-	want := run(1)
-	for _, w := range []int{2, 4} {
-		got := run(w)
-		for i := range want {
-			for j := range want[i].Data {
-				if got[i].Data[j] != want[i].Data[j] {
-					t.Fatalf("workers=%d sample %d element %d: %v != %v",
-						w, i, j, got[i].Data[j], want[i].Data[j])
-				}
-			}
-		}
-	}
-
-	// Distinct sample seeds must yield distinct transient error draws: two
-	// clones at different passes corrupting the same tensor disagree once
-	// the BER makes flips near-certain.
-	noisy := NewSoftwareDRAM(uniformModel(0.2), quant.Int8)
-	noisy.Calibrate(tm, 16, 0)
-	probe := tensor.New(1, tm.Net.InC, tm.Net.InH, tm.Net.InW)
-	probe.FillUniform(tensor.NewRNG(11), -1, 1)
-	a := noisy.Clone(100).corruptTensor(probe, "ifm:seedprobe")
-	b := noisy.Clone(101).corruptTensor(probe, "ifm:seedprobe")
-	same := true
-	for j := range a.Data {
-		if a.Data[j] != b.Data[j] {
-			same = false
-			break
-		}
-	}
-	if same {
-		t.Fatal("per-sample seeding produced identical error draws for different passes")
-	}
 }
 
 // TestCloneMatchesOriginalStream checks that a clone at the corruptor's
