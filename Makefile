@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test fuzz-smoke race bench bench-e2e cluster-smoke lint asm-check vuln loc golden golden-check
+.PHONY: build test fuzz-smoke mutants race bench bench-e2e cluster-smoke lint asm-check vuln loc golden golden-check
 
 build:
 	$(GO) build ./...
@@ -28,6 +28,16 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeActivation -fuzztime 10s ./internal/serve
 	$(GO) test -run '^$$' -fuzz FuzzDecodePredict -fuzztime 10s -fuzzminimizetime 1s ./internal/serve
 	$(GO) test -run '^$$' -fuzz FuzzLoadDeployment -fuzztime 10s ./internal/eden
+
+# mutants re-runs the mutation catalog, testdata/mutants.txt: entry by
+# entry, the named test must pass on the tree, then fail with the entry's
+# substitution laid over its file through go test -overlay (in a temporary
+# directory; the tree is never written). A mutant that does not build counts
+# as not caught. The catalog is how a test retired as redundant leaves proof
+# that another test still catches what it caught; tier 1's TestMutantCatalog
+# keeps every entry applicable. CI's bench job runs this target.
+mutants:
+	$(GO) test -tags mutants -count=1 -timeout 15m -run '^TestMutants$$' -v .
 
 # race runs every package once with -short, then — without -short — the two
 # packages where goroutines share a model (serve runs several fused passes

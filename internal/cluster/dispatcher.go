@@ -26,19 +26,15 @@ type DispatcherConfig struct {
 	// replica's /v1/healthz decides whether it is in rotation, so a
 	// draining replica falls out within one interval.
 	HealthInterval time.Duration
-	// Timeout bounds one stage hop (default 30s).
-	Timeout time.Duration
-	// Client optionally overrides the HTTP client (tests inject loopback
-	// transports); Timeout still applies per hop via request contexts.
-	Client *http.Client
 }
+
+// hopTimeout bounds one request to a replica: a stage hop, a discovery
+// fetch, and the ceiling of a health probe.
+const hopTimeout = 30 * time.Second
 
 func (c DispatcherConfig) withDefaults() DispatcherConfig {
 	if c.HealthInterval <= 0 {
 		c.HealthInterval = time.Second
-	}
-	if c.Timeout <= 0 {
-		c.Timeout = 30 * time.Second
 	}
 	return c
 }
@@ -116,12 +112,9 @@ func NewDispatcher(cfg DispatcherConfig) (*Dispatcher, error) {
 	}
 	d := &Dispatcher{
 		cfg:    cfg,
-		client: cfg.Client,
+		client: &http.Client{},
 		quit:   make(chan struct{}),
 		stats:  serve.NewStats(1),
-	}
-	if d.client == nil {
-		d.client = &http.Client{}
 	}
 	K := len(cfg.Stages)
 	for k, urls := range cfg.Stages {
@@ -184,7 +177,7 @@ func (d *Dispatcher) discoverStage(pool *stagePool) (serve.Info, error) {
 }
 
 func (d *Dispatcher) fetchInfo(base string) (serve.Info, error) {
-	ctx, cancel := context.WithTimeout(context.Background(), d.cfg.Timeout)
+	ctx, cancel := context.WithTimeout(context.Background(), hopTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/v1/models/"+d.cfg.Model, nil)
 	if err != nil {
@@ -236,8 +229,8 @@ func (d *Dispatcher) probe(base string) bool {
 	if timeout < time.Second {
 		timeout = time.Second
 	}
-	if timeout > d.cfg.Timeout {
-		timeout = d.cfg.Timeout
+	if timeout > hopTimeout {
+		timeout = hopTimeout
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), timeout)
 	defer cancel()
@@ -288,7 +281,9 @@ func (e *hopError) Error() string {
 // that do not decode to exactly the stage's output shape, mark the replica
 // unhealthy and try the next; HTTP-level rejections (shed, deadline, drain)
 // are returned as hopError for pass-through — the stage made a decision,
-// failing over would double-spend the request elsewhere.
+// failing over would double-spend the request elsewhere. A hop that fails
+// because ctx is done returns ctx's error and leaves every replica in
+// rotation: the caller went away, not the replica.
 func (d *Dispatcher) forward(ctx context.Context, pool *stagePool, x *tensor.Tensor, seed uint64, deadline time.Time) (*tensor.Tensor, error) {
 	var frame bytes.Buffer
 	if err := serve.EncodeActivation(&frame, x, seed); err != nil {
@@ -305,7 +300,7 @@ func (d *Dispatcher) forward(ctx context.Context, pool *stagePool, x *tensor.Ten
 	}
 	var lastErr error
 	for _, r := range replicas {
-		hctx, cancel := context.WithTimeout(ctx, d.cfg.Timeout)
+		hctx, cancel := context.WithTimeout(ctx, hopTimeout)
 		req, err := http.NewRequestWithContext(hctx, http.MethodPost,
 			r.url+"/v1/models/"+d.cfg.Model+"/infer", bytes.NewReader(frame.Bytes()))
 		if err != nil {
@@ -325,6 +320,11 @@ func (d *Dispatcher) forward(ctx context.Context, pool *stagePool, x *tensor.Ten
 		resp, err := d.client.Do(req)
 		if err != nil {
 			cancel()
+			if ctx.Err() != nil {
+				// The caller has gone, not the replica: every other
+				// replica would fail on the same dead context.
+				return nil, ctx.Err()
+			}
 			// Transport failure: this replica is gone until the poller says
 			// otherwise; fail over.
 			r.healthy.Store(false)
@@ -347,6 +347,9 @@ func (d *Dispatcher) forward(ctx context.Context, pool *stagePool, x *tensor.Ten
 			err = fmt.Errorf("cluster: stage %d replica %s replied dims %v, want %v", pool.index, r.url, out.Shape(), pool.outDims)
 		}
 		if err != nil {
+			if ctx.Err() != nil {
+				return nil, ctx.Err()
+			}
 			r.healthy.Store(false)
 			lastErr = err
 			continue

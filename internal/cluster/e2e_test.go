@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -365,6 +366,62 @@ func TestDispatcherRejectsWrongShapedReply(t *testing.T) {
 		if healthy := snap.Stages[0].Healthy; healthy != len(tc.replicas)-1 {
 			t.Fatalf("%s: %d of %d replicas healthy, want the wrong-shaped one marked down", tc.name, healthy, len(tc.replicas))
 		}
+	}
+}
+
+// TestDispatcherCancelKeepsReplicasInRotation: a caller that goes away
+// while a replica is computing its hop fails that Predict with the
+// context's error and takes no replica out of rotation. Failing over on the
+// dead context would fail every other replica of the stage at once and mark
+// the whole stage down until the next health poll.
+func TestDispatcherCancelKeepsReplicasInRotation(t *testing.T) {
+	dep := e2eDeployment(t)
+	slices, err := SliceAll(dep, Plan{Ranges: [][2]int{{0, len(dep.Net.Layers)}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, _ := startStage(t, slices[0], serve.Config{})
+	honest := serve.NewHandler(srv)
+	// One slot per replica, so a held hop never waits on the test.
+	computing, release := make(chan struct{}, 2), make(chan struct{})
+	gated := func() string {
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if !strings.HasSuffix(r.URL.Path, "/infer") {
+				honest.ServeHTTP(w, r)
+				return
+			}
+			computing <- struct{}{}
+			select { // held until the caller goes away
+			case <-r.Context().Done():
+			case <-release:
+			}
+		}))
+		t.Cleanup(ts.Close)
+		return ts.URL
+	}
+	replicas := []string{gated(), gated()}
+	t.Cleanup(func() { close(release) })
+	d, err := NewDispatcher(DispatcherConfig{Model: "LeNet", Stages: [][]string{replicas}, HealthInterval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+
+	x := tensor.New(1, dep.Net.InC, dep.Net.InH, dep.Net.InW)
+	x.FillUniform(tensor.NewRNG(6), -1, 1)
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() {
+		_, err := d.Predict(ctx, x.Data, 1, time.Time{})
+		done <- err
+	}()
+	<-computing
+	cancel()
+	if err := <-done; !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled Predict returned %v, want context.Canceled", err)
+	}
+	if snap := d.Stats(); snap.Stages[0].Healthy != len(replicas) {
+		t.Fatalf("%d of %d replicas healthy after a caller cancelled, want all", snap.Stages[0].Healthy, len(replicas))
 	}
 }
 

@@ -18,43 +18,6 @@ func batchInputs(n int, net *Network, seed uint64) []*tensor.Tensor {
 	return xs
 }
 
-// TestForwardBatchBitIdenticalToSerial runs every zoo architecture through
-// ForwardBatch at several worker counts and demands bit-exact agreement
-// with serial per-sample Forward calls. Running under -race this also
-// proves inference-mode forwards over a shared network are data-race-free.
-func TestForwardBatchBitIdenticalToSerial(t *testing.T) {
-	prev := parallel.Workers()
-	defer parallel.SetWorkers(prev)
-	for _, spec := range Zoo {
-		net, err := BuildModel(spec.Name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		xs := batchInputs(6, net, 0xBA7C4)
-		parallel.SetWorkers(1)
-		want := make([]*tensor.Tensor, len(xs))
-		for i, x := range xs {
-			want[i] = net.Forward(x, false, nil)
-		}
-		for _, w := range []int{1, 2, 4} {
-			parallel.SetWorkers(w)
-			got := net.ForwardBatch(xs, BatchOptions{})
-			for i := range xs {
-				if !got[i].Shape().Equal(want[i].Shape()) {
-					t.Fatalf("%s workers=%d sample %d: shape %v != %v",
-						spec.Name, w, i, got[i].Shape(), want[i].Shape())
-				}
-				for j := range want[i].Data {
-					if got[i].Data[j] != want[i].Data[j] {
-						t.Fatalf("%s workers=%d sample %d: element %d differs: %v != %v",
-							spec.Name, w, i, j, got[i].Data[j], want[i].Data[j])
-					}
-				}
-			}
-		}
-	}
-}
-
 // TestForwardBatchHookFor checks that per-sample hooks receive their own
 // sample index and see the right input.
 func TestForwardBatchHookFor(t *testing.T) {

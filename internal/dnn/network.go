@@ -387,11 +387,14 @@ func SoftmaxCrossEntropy(logits *tensor.Tensor, labels []int) (float64, *tensor.
 	return loss / float64(n), grad
 }
 
+// EvalBatch is how many samples every evaluation pass runs through Forward
+// at once; a hook sees IFMs of up to this many samples.
+const EvalBatch = 16
+
 // EvalOptions controls corrupted evaluation. Corrupt, when non-nil, is
 // applied to the network weights before inference and undone afterwards via
 // the returned restore function; Hook injects errors into IFMs.
 type EvalOptions struct {
-	Batch   int
 	Hook    IFMHook
 	Corrupt func(net *Network) (restore func())
 	// MaxSamples limits evaluation to a prefix of the dataset (0 = all);
@@ -402,15 +405,12 @@ type EvalOptions struct {
 
 // evaluate is the one evaluation loop, the only place that knows how a
 // dataset is walked for scoring: the first total samples (opt.MaxSamples caps
-// them), in order, as serial batches of opt.Batch through Forward under
+// them), in order, as serial batches of EvalBatch through Forward under
 // opt.Hook, with the weights corrupted by opt.Corrupt for the duration. A
 // task supplies gather, which assembles the samples at idx into an input
 // tensor and returns the function that scores the network's output for them.
 // It returns how many samples were evaluated.
 func (n *Network) evaluate(total int, opt EvalOptions, gather func(idx []int) (x *tensor.Tensor, score func(out *tensor.Tensor))) int {
-	if opt.Batch <= 0 {
-		opt.Batch = 16
-	}
 	if opt.Corrupt != nil {
 		restore := opt.Corrupt(n)
 		defer restore()
@@ -422,8 +422,8 @@ func (n *Network) evaluate(total int, opt EvalOptions, gather func(idx []int) (x
 	for i := range idx {
 		idx[i] = i
 	}
-	for start := 0; start < total; start += opt.Batch {
-		x, score := gather(idx[start:min(start+opt.Batch, total)])
+	for start := 0; start < total; start += EvalBatch {
+		x, score := gather(idx[start:min(start+EvalBatch, total)])
 		score(n.Forward(x, false, opt.Hook))
 	}
 	return total

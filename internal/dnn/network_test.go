@@ -140,7 +140,7 @@ func TestMaxSamplesLimits(t *testing.T) {
 	net := buildLeNet(tensor.NewRNG(4))
 	ds := tinyPatterns(50)
 	calls := 0
-	net.Accuracy(ds, EvalOptions{Batch: 10, MaxSamples: 20, Hook: func(i int, l Layer, x *tensor.Tensor) *tensor.Tensor {
+	net.Accuracy(ds, EvalOptions{MaxSamples: 20, Hook: func(i int, l Layer, x *tensor.Tensor) *tensor.Tensor {
 		if i == 0 {
 			calls += x.Dim(0)
 		}

@@ -53,13 +53,12 @@ func (o *SGD) Step(params []*Param) {
 // WeightCorrupt mutates weights before each forward pass (returning an undo
 // function applied before the optimizer step, so updates always land on clean
 // weights — the paper uses approximate DRAM only for the forward pass, §3.2),
-// and Hook injects errors into IFMs.
+// and Hook injects errors into IFMs. The optimizer is SGD with momentum 0.9
+// and no weight decay.
 type TrainOptions struct {
 	Epochs        int
 	Batch         int
 	LR            float64
-	Momentum      float64
-	WeightDecay   float64
 	MaxGradNorm   float64
 	Seed          uint64
 	EpochStart    func(epoch int)
@@ -97,10 +96,7 @@ func train(net *Network, n int, seed uint64, opt TrainOptions, gather func(idx [
 	if opt.LR == 0 {
 		opt.LR = 0.01
 	}
-	if opt.Momentum == 0 {
-		opt.Momentum = 0.9
-	}
-	sgd := &SGD{LR: opt.LR, Momentum: opt.Momentum, WeightDecay: opt.WeightDecay, MaxGradNorm: opt.MaxGradNorm}
+	sgd := &SGD{LR: opt.LR, Momentum: 0.9, MaxGradNorm: opt.MaxGradNorm}
 	rng := tensor.NewRNG(seed)
 	order := make([]int, n)
 	for i := range order {
@@ -137,7 +133,7 @@ func train(net *Network, n int, seed uint64, opt TrainOptions, gather func(idx [
 		}
 		st := EpochStats{Epoch: epoch, Loss: lossSum / float64(batches), TrainAcc: float64(correct) / float64(n)}
 		if opt.Val != nil {
-			st.ValAcc = net.Accuracy(opt.Val, EvalOptions{Batch: opt.Batch})
+			st.ValAcc = net.Accuracy(opt.Val, EvalOptions{})
 		}
 		stats = append(stats, st)
 	}

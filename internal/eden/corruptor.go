@@ -597,14 +597,13 @@ func (s *SoftwareDRAM) EvalOptions(maxSamples int) dnn.EvalOptions {
 // Every read advances the device's access counter, so the order of accesses
 // is part of the result and one device serves one call at a time.
 func DeviceMetric(tm *dnn.TrainedModel, net *dnn.Network, device *dram.Device, maxSamples int) (float64, error) {
-	const batch = 16 // dnn's default evaluation batch
 	rb := device.Geom.RowBytes
 	addr := map[string]int{}
 	next := 0
 	for _, d := range EnumerateData(net, quant.FP32) {
 		bytes := (d.Bits + 7) / 8
 		if strings.HasPrefix(d.ID, "ifm:") {
-			bytes *= batch
+			bytes *= dnn.EvalBatch
 		}
 		addr[d.ID] = next
 		next += (bytes + rb - 1) / rb * rb

@@ -86,12 +86,12 @@ func writePattern(d *dram.Device, pattern byte) {
 // DefaultPatterns can count: a profile's per-cell counters are 32 bits wide.
 const MaxReads = math.MaxUint32 / 4
 
-// CharacterizeConfig controls profile collection.
+// CharacterizeConfig controls profile collection, which writes and reads
+// each of the DefaultPatterns in turn.
 type CharacterizeConfig struct {
-	Patterns []byte
-	// Reads is the read count per pattern; len(Patterns)·Reads must fit the
-	// profile's 32-bit counters (MaxReads for the default patterns), and
-	// Characterize panics rather than wrap them.
+	// Reads is the read count per pattern; it must not exceed MaxReads,
+	// which fills the profile's 32-bit counters, and Characterize panics
+	// rather than wrap them.
 	Reads int
 	// MaxRows caps how many rows are profiled (0 = all); profiling a
 	// subset is the speed/coverage trade-off REAPER-style methodologies
@@ -105,14 +105,11 @@ type CharacterizeConfig struct {
 // data read back: how often a cell was read holding a 1 or a 0 follows from
 // the patterns and the read count alone.
 func Characterize(d *dram.Device, op dram.OperatingPoint, cfg CharacterizeConfig) *errormodel.Profile {
-	if len(cfg.Patterns) == 0 {
-		cfg.Patterns = DefaultPatterns
-	}
 	if cfg.Reads <= 0 {
 		cfg.Reads = 4
 	}
-	if uint64(len(cfg.Patterns))*uint64(cfg.Reads) > math.MaxUint32 {
-		panic(fmt.Sprintf("softmc: %d patterns × %d reads overflow a profile's 32-bit counters", len(cfg.Patterns), cfg.Reads))
+	if uint64(len(DefaultPatterns))*uint64(cfg.Reads) > math.MaxUint32 {
+		panic(fmt.Sprintf("softmc: %d patterns × %d reads overflow a profile's 32-bit counters", len(DefaultPatterns), cfg.Reads))
 	}
 	rows := d.Geom.Rows()
 	if cfg.MaxRows > 0 && cfg.MaxRows < rows {
@@ -121,7 +118,7 @@ func Characterize(d *dram.Device, op dram.OperatingPoint, cfg CharacterizeConfig
 	rowBits := d.Geom.RowBytes * 8
 	prof := &errormodel.Profile{RowBits: rowBits, Cells: make([]errormodel.CellObs, rows*rowBits)}
 
-	for _, pattern := range cfg.Patterns {
+	for _, pattern := range DefaultPatterns {
 		writePattern(d, pattern)
 		d.SetOperatingPoint(op)
 		d.ReadRows(0, rows, cfg.Reads, func(_, row int, data []byte) {
@@ -144,7 +141,7 @@ func Characterize(d *dram.Device, op dram.OperatingPoint, cfg CharacterizeConfig
 	// A cell held a 1 for cfg.Reads reads of every pattern whose byte, as
 	// stored in the cell's row, has the cell's bit set.
 	var onesReads [2][8]uint32 // by row parity and bit within the byte
-	for _, pattern := range cfg.Patterns {
+	for _, pattern := range DefaultPatterns {
 		for parity := range onesReads {
 			for bit := range onesReads[parity] {
 				if rowPattern(pattern, parity)>>uint(bit)&1 == 1 {
@@ -153,7 +150,7 @@ func Characterize(d *dram.Device, op dram.OperatingPoint, cfg CharacterizeConfig
 			}
 		}
 	}
-	allReads := uint32(len(cfg.Patterns) * cfg.Reads)
+	allReads := uint32(len(DefaultPatterns) * cfg.Reads)
 	for i := range prof.Cells {
 		ones := onesReads[i/rowBits%2][i%8]
 		prof.Cells[i].OnesReads, prof.Cells[i].ZerosReads = ones, allReads-ones
@@ -184,9 +181,6 @@ func PartitionBER(d *dram.Device, pattern byte, reads int) []float64 {
 // buffering and instruction-batching overhead per row pass that the paper
 // identifies as its infrastructure's bottleneck (§6.1).
 func ProfilingCost(geom dram.Geometry, cfg CharacterizeConfig, timing dram.Timing) float64 {
-	if len(cfg.Patterns) == 0 {
-		cfg.Patterns = DefaultPatterns
-	}
 	if cfg.Reads <= 0 {
 		cfg.Reads = 4
 	}
@@ -200,7 +194,7 @@ func ProfilingCost(geom dram.Geometry, cfg CharacterizeConfig, timing dram.Timin
 	)
 	bursts := float64(geom.RowBytes) / 64
 	rowPass := timing.TRCD + timing.TRP + bursts*burstNS + hostOverheadNS
-	passes := float64(len(cfg.Patterns)) * float64(1+cfg.Reads)
+	passes := float64(len(DefaultPatterns)) * float64(1+cfg.Reads)
 	rowsPerBank := float64(geom.SubarraysPerBank * geom.RowsPerSubarray)
 	return rowsPerBank * rowPass * passes * 1e-9
 }

@@ -1,0 +1,154 @@
+package repro
+
+import (
+	"bufio"
+	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+)
+
+// catalogPath is the mutation catalog. Each entry is an exact substitution
+// in one file that a named test must fail on: the evidence that a deleted
+// or overlapping test's coverage is still held, kept where it can be re-run
+// (make mutants, mutants_run_test.go) instead of as prose. The file's
+// header describes the format.
+const catalogPath = "testdata/mutants.txt"
+
+// A mutant is one catalog entry.
+type mutant struct {
+	name     string
+	file     string // target, relative to the repository root
+	pkg      string // go test package pattern, e.g. ./internal/serve
+	run      string // -run pattern that must fail with the mutant in place
+	stands   string // the test whose coverage the entry records
+	recorded string // the commit that first recorded the mutation
+	old, new string
+	line     int // of the entry's name line in the catalog
+}
+
+// readMutants parses the catalog. Outside a substitution block, blank lines
+// and lines starting with # are skipped and every other line is "key:
+// value"; an entry is its key lines followed by a block
+//
+//	<<<
+//	old text, verbatim
+//	===
+//	new text, verbatim
+//	>>>
+//
+// which ends it.
+func readMutants(t *testing.T) []mutant {
+	t.Helper()
+	f, err := os.Open(catalogPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	var (
+		muts  []mutant
+		cur   mutant
+		olds  []string
+		news  []string
+		block = 0 // 0 outside a block, 1 in old, 2 in new
+		sc    = bufio.NewScanner(f)
+		n     = 0
+	)
+	fail := func(format string, args ...any) {
+		t.Helper()
+		t.Fatalf("%s:%d: %s", catalogPath, n, fmt.Sprintf(format, args...))
+	}
+	for sc.Scan() {
+		n++
+		line := sc.Text()
+		switch {
+		case block == 1 && line == "===":
+			block = 2
+		case block == 2 && line == ">>>":
+			cur.old, cur.new = strings.Join(olds, "\n"), strings.Join(news, "\n")
+			muts = append(muts, cur)
+			cur, olds, news, block = mutant{}, nil, nil, 0
+		case block == 1:
+			olds = append(olds, line)
+		case block == 2:
+			news = append(news, line)
+		case line == "<<<":
+			if cur.name == "" {
+				fail("substitution block before a name")
+			}
+			block = 1
+		case line == "" || strings.HasPrefix(line, "#"):
+		default:
+			key, value, ok := strings.Cut(line, ":")
+			value = strings.TrimSpace(value)
+			fields := map[string]*string{"name": &cur.name, "file": &cur.file, "pkg": &cur.pkg,
+				"run": &cur.run, "for": &cur.stands, "recorded": &cur.recorded}
+			field := fields[key]
+			switch {
+			case !ok || field == nil:
+				fail("want key: value (name, file, pkg, run, for, recorded), got %q", line)
+			case *field != "":
+				fail("%s set twice in one entry", key)
+			case key != "name" && cur.name == "":
+				fail("%s before the entry's name", key)
+			}
+			if key == "name" {
+				cur.line = n
+			}
+			*field = value
+		}
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if block != 0 || cur.name != "" {
+		fail("entry %q is not closed by >>>", cur.name)
+	}
+	return muts
+}
+
+// check reports why m cannot be applied to the tree: a missing field, a
+// target file or package that does not exist, or old text that does not
+// occur exactly once in the target, so that the substitution is unambiguous.
+func (m mutant) check() error {
+	for _, f := range []struct{ key, value string }{{"file", m.file}, {"pkg", m.pkg}, {"run", m.run}, {"for", m.stands}, {"recorded", m.recorded}} {
+		if f.value == "" {
+			return fmt.Errorf("no %s", f.key)
+		}
+	}
+	if m.old == m.new {
+		return fmt.Errorf("old and new are the same text")
+	}
+	if gos, _ := filepath.Glob(filepath.Join(m.pkg, "*.go")); len(gos) == 0 {
+		return fmt.Errorf("package %s has no Go files", m.pkg)
+	}
+	src, err := os.ReadFile(m.file)
+	if err != nil {
+		return err
+	}
+	if n := strings.Count(string(src), m.old); n != 1 {
+		return fmt.Errorf("old text occurs %d times in %s, want exactly once", n, m.file)
+	}
+	return nil
+}
+
+// TestMutantCatalog checks that every catalog entry still applies to the
+// tree, without running the go tool: a change that moves or rewrites a
+// mutated line fails here, in the same diff, until its entry follows.
+func TestMutantCatalog(t *testing.T) {
+	muts := readMutants(t)
+	if len(muts) == 0 {
+		t.Fatal("the catalog has no entries")
+	}
+	names := map[string]int{}
+	for _, m := range muts {
+		if prev, dup := names[m.name]; dup {
+			t.Errorf("%s:%d: name %q already used on line %d", catalogPath, m.line, m.name, prev)
+		}
+		names[m.name] = m.line
+		if err := m.check(); err != nil {
+			t.Errorf("%s:%d: %s: %v", catalogPath, m.line, m.name, err)
+		}
+	}
+}
