@@ -14,7 +14,8 @@ test:
 	$(GO) test -shuffle=on ./...
 
 # fuzz-smoke gives each fuzz target — the vector-vs-scalar ones (the quantize
-# codecs, the ReLU clamp and 2×2 pooling kernels, gemm's tile micro-kernel),
+# codecs, the ReLU clamp and 2×2 pooling kernels, gemm's tile micro-kernel,
+# the dram read's hash-mask kernel),
 # the activation-frame decoder, a trust boundary of the stage wire, the
 # predict JSON body decoder, and the deployment-artifact loader
 # (LoadDeployment, through dnn's tensor section) — ten seconds of fresh
@@ -25,6 +26,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzQuantizeVecMatchesScalar -fuzztime 10s ./internal/quant
 	$(GO) test -run '^$$' -fuzz FuzzClampVecMatchesScalar -fuzztime 10s ./internal/compute
 	$(GO) test -run '^$$' -fuzz FuzzTileVecMatchesScalar -fuzztime 10s ./internal/compute
+	$(GO) test -run '^$$' -fuzz FuzzBelowMasksVecMatchesScalar -fuzztime 10s ./internal/dram
 	$(GO) test -run '^$$' -fuzz FuzzDecodeActivation -fuzztime 10s ./internal/serve
 	$(GO) test -run '^$$' -fuzz FuzzDecodePredict -fuzztime 10s -fuzzminimizetime 1s ./internal/serve
 	$(GO) test -run '^$$' -fuzz FuzzLoadDeployment -fuzztime 10s ./internal/eden
@@ -107,12 +109,17 @@ lint: asm-check
 # break bit identity with the scalar specification, so those opcodes are
 # banned from every .s file. And the pure-Go fallback other architectures
 # get must keep building and vetting, which an amd64 host otherwise never
-# checks.
+# checks. Every kernel writes XMM/YMM registers with VEX instructions only:
+# a legacy-SSE write (MOVQ AX, X4) after a YMM write stalls on the SSE/AVX
+# transition, so any non-V instruction whose destination (last operand) is
+# an X register fails the check too.
 asm-check:
 	@bad=$$(grep -rnE --include='*.s' 'VFMADD|VFNMADD|VFMSUB|VDPPS|VHADDPS|VRCPPS|VRSQRTPS' internal/); \
 	if [ -n "$$bad" ]; then echo "fused, horizontal or approximate vector op in assembly:"; echo "$$bad"; exit 1; fi
+	@bad=$$(grep -rnE --include='*.s' '(^|;)[[:space:]]*[A-UW-Z][A-Z0-9]*[[:space:]][^;/]*,[[:space:]]*X[0-9]+[[:space:]]*(;|\\|//|$$)' internal/); \
+	if [ -n "$$bad" ]; then echo "non-VEX instruction writing an X register in assembly:"; echo "$$bad"; exit 1; fi
 	GOARCH=arm64 $(GO) build ./...
-	GOARCH=arm64 $(GO) vet ./internal/compute/ ./internal/quant/ ./internal/cpufeat/
+	GOARCH=arm64 $(GO) vet ./internal/compute/ ./internal/quant/ ./internal/cpufeat/ ./internal/dram/
 
 # loc prints the two sizes ROADMAP tracks — non-test and test Go lines (the
 # benchmark's build directory and testdata excluded) — and is a ratchet: it

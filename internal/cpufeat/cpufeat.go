@@ -1,6 +1,7 @@
 // Package cpufeat reports which vector instruction sets the assembly
-// kernels (internal/compute's axpy family, internal/quant's codec family)
-// may use, and holds the one switch that turns them off. The module is
+// kernels (internal/compute's axpy family, internal/quant's codec family,
+// internal/dram's belowMasks hash-mask kernel under every device read) may
+// use, and holds the one switch that turns them off. The module is
 // hermetic — no golang.org/x/sys/cpu — so the probe is a few lines of
 // assembly, run once at package initialization.
 package cpufeat

@@ -38,10 +38,12 @@ type Device struct {
 	// Precomputed per-bitline and per-wordline weakness factors.
 	bitlineFactor  []float64
 	wordlineFactor []float64
-	// The bitline term of flipProb's blend, BitlineWeight*bitlineFactor[i],
-	// and the cell term's weight floored at zero, for flipBound.
-	bitlineTerm []float64
-	cellWeight  float64
+	// For flipBound: the bitline term of flipProb's blend, its largest value,
+	// and the cell term's weight floored at zero.
+	bitlineTerm    []float64
+	maxBitlineTerm float64
+	cellWeight     float64
+	infCell        bool // whether a cell of the module has the +Inf factor (rowDraw)
 
 	// Statistics.
 	readBits  uint64
@@ -66,6 +68,10 @@ func NewDevice(geom Geometry, profile VendorProfile, seed uint64) *Device {
 	for i := range d.bitlineFactor {
 		d.bitlineFactor[i] = expFactor(hash3(seed, 0xB17, uint64(i)))
 		d.bitlineTerm[i] = profile.BitlineWeight * d.bitlineFactor[i]
+		d.maxBitlineTerm = math.Max(d.maxBitlineTerm, d.bitlineTerm[i]) // NaN if any is
+	}
+	for _, cell := range infCells(seed) {
+		d.infCell = d.infCell || cell < uint64(len(d.data))*8
 	}
 	d.wordlineFactor = make([]float64, geom.Rows())
 	for i := range d.wordlineFactor {
@@ -78,28 +84,7 @@ func NewDevice(geom Geometry, profile VendorProfile, seed uint64) *Device {
 // bitlines/wordlines/cells much higher failure rates than others.
 func expFactor(u uint64) float64 {
 	f := (float64(u>>11) + 0.5) / float64(1<<53)
-	return -ln(1 - f)
-}
-
-func ln(x float64) float64 {
-	// Thin wrapper so the hot path reads clearly.
-	return math.Log(x)
-}
-
-// hash3 mixes three words with a SplitMix64-style finalizer.
-func hash3(a, b, c uint64) uint64 { return hashWith(hashKey(a, b), c) }
-
-// hashKey and hashWith are hash3 in two steps, so that a loop over c mixes
-// a and b once.
-func hashKey(a, b uint64) uint64 { return a ^ b*0x9e3779b97f4a7c15 }
-
-func hashWith(key, c uint64) uint64 {
-	z := key ^ c*0xbf58476d1ce4e5b9
-	z ^= z >> 30
-	z *= 0xbf58476d1ce4e5b9
-	z ^= z >> 27
-	z *= 0x94d049bb133111eb
-	return z ^ (z >> 31)
+	return -math.Log(1 - f)
 }
 
 // uniform converts a hash to a float64 in [0,1).
@@ -186,11 +171,10 @@ type partRate struct {
 	// gate is the byte gate's pass probability (see readInto) and scale
 	// rescales the flip probability of a bit whose byte passed.
 	gate, scale float64
-	// topDraw is 0.5·scale, which no flip probability exceeds (flipProb
-	// clamps at 0.5), in the units of a 53-bit draw: uniform(h) < 0.5·scale
-	// exactly when h>>11 < topDraw, since both sides scale by 2^53 without
-	// rounding and an integer is below a real exactly when below its ceiling.
-	topDraw uint64
+	// gateDraw is ⌈gate·2^53⌉ when gate < 1: uniform(h) < gate exactly when
+	// h>>11 < gateDraw, as scaling by 2^53 does not round and an integer is
+	// below a real exactly when below its ceiling.
+	gateDraw uint64
 }
 
 // setPartitions replaces the partition table.
@@ -215,10 +199,7 @@ func (d *Device) setOp(p int, op OperatingPoint) {
 	}
 	if r.gate < 1 {
 		r.scale = 1 / r.gate
-	}
-	r.topDraw = 1 << 53 // every draw, when 0.5·scale ≥ 1 (or NaN: the exact evaluation decides)
-	if top := 0.5 * r.scale; top < 1 {
-		r.topDraw = uint64(math.Ceil(top * (1 << 53)))
+		r.gateDraw = uint64(math.Ceil(max(r.gate, 0) * (1 << 53)))
 	}
 	d.rates[p] = r
 }
@@ -231,9 +212,9 @@ func (d *Device) setOp(p int, op OperatingPoint) {
 //
 // A bit flips when its draw u falls below its flip probability p. Nearly
 // every bit is decided without evaluating p — and the logarithm inside it —
-// by comparing u against an upper bound of p (flipBound); the exact p runs
-// only for the bits that pass, so the outcome is the one the plain per-bit
-// evaluation gives. The tests hold Read and ReadRows to that evaluation
+// by comparing u against upper bounds of p, the row's (rowDraw) and then the
+// cell's (flipBound); the exact p runs only for the bits that pass both, so
+// the outcome is the one the plain per-bit evaluation gives. The tests hold Read and ReadRows to that evaluation
 // (readReference), on bytes and Stats.
 func (d *Device) Read(addr, n int) []byte {
 	if addr < 0 || addr+n > len(d.data) {
@@ -242,7 +223,8 @@ func (d *Device) Read(addr, n int) []byte {
 	d.accessCounter++
 	out := make([]byte, n)
 	d.readBits += uint64(8 * n)
-	d.flipCount += d.readInto(out, addr, d.accessCounter)
+	m := min(n, d.Geom.RowBytes)
+	d.flipCount += d.readInto(out, make([]uint64, m), make([]uint8, m), addr, d.accessCounter)
 	return out
 }
 
@@ -269,11 +251,11 @@ func (d *Device) ReadRows(lo, hi, passes int, visit func(pass, row int, data []b
 	base := d.accessCounter
 	var flips atomic.Uint64
 	parallel.For(rows, 1, func(a, b int) {
-		buf := make([]byte, rowBytes)
+		buf, starts, masks := make([]byte, rowBytes), make([]uint64, rowBytes), make([]uint8, rowBytes)
 		var n uint64
 		for r := a; r < b; r++ {
 			for pass := 0; pass < passes; pass++ {
-				n += d.readInto(buf, (lo+r)*rowBytes, base+uint64(pass*rows+r)+1)
+				n += d.readInto(buf, starts, masks, (lo+r)*rowBytes, base+uint64(pass*rows+r)+1)
 				visit(pass, lo+r, buf)
 			}
 		}
@@ -288,8 +270,9 @@ func (d *Device) ReadRows(lo, hi, passes int, visit func(pass, row int, data []b
 // readInto fills out with the bytes stored at addr as one read with access
 // counter value counter returns them, and reports how many bits it
 // flipped. It writes no device state, so reads of different counter values
-// may run concurrently.
-func (d *Device) readInto(out []byte, addr int, counter uint64) (flips uint64) {
+// may run concurrently. starts and masks are its scratch (see belowMasks),
+// at least as long as out or a row, whichever is shorter.
+func (d *Device) readInto(out []byte, starts []uint64, masks []uint8, addr int, counter uint64) (flips uint64) {
 	copy(out, d.data[addr:addr+len(out)])
 	rowBytes := d.Geom.RowBytes
 	gateKey := hashKey(d.seed, counter*0x51ee7)
@@ -297,41 +280,55 @@ func (d *Device) readInto(out []byte, addr int, counter uint64) (flips uint64) {
 	cellKey := hashKey(d.seed, 0xCE11)
 	for i := 0; i < len(out); {
 		// The bytes up to the end of the row share a partition and a wordline.
-		a := addr + i
-		row := a / rowBytes
-		end := min(len(out), i+rowBytes-a%rowBytes)
-		pr := &d.rates[d.addrPartition(a)]
+		a0 := addr + i
+		row := a0 / rowBytes
+		seg := out[i:min(len(out), i+rowBytes-a0%rowBytes)]
+		i += len(seg)
+		pr := &d.rates[d.addrPartition(a0)]
 		if pr.v == 0 && pr.t == 0 {
-			i = end
 			continue
 		}
+		// Importance-sampled skip: gate each byte with probability
+		// min(1, bound) where bound overestimates the byte's total flip
+		// probability (spatial factors are Exponential(1); 32 bounds all
+		// but an e^-32 tail), then rescale the surviving bits' flip
+		// probabilities by 1/bound so the marginal rate is unchanged. The
+		// gate draws of bytes a0+8k..a0+8k+7 make mask k; every byte that
+		// passes puts its first cell in cells.
+		cells := starts[:len(seg)]
+		if pr.gate < 1 {
+			gates := masks[:(len(seg)+7)/8]
+			for k := range gates {
+				cells[k] = uint64(a0 + 8*k)
+			}
+			belowMasks(gateKey, cells[:len(gates)], pr.gateDraw, gates)
+			cells = cells[:0]
+			for k, m := range gates {
+				for ; m != 0; m &= m - 1 {
+					if b := 8*k + bits.TrailingZeros8(m); b < len(seg) {
+						cells = append(cells, uint64(a0+b)*8)
+					}
+				}
+			}
+		} else {
+			for b := range cells {
+				cells[b] = uint64(a0+b) * 8
+			}
+		}
+		// Draw the eight cells from each, keeping a bit per draw below the
+		// row's threshold: a draw at or above it cannot flip its bit.
 		wordlineTerm := d.Profile.WordlineWeight * d.wordlineFactor[row]
-		for ; i < end; i++ {
-			a := addr + i
-			// Importance-sampled skip: gate each byte with probability
-			// min(1, bound) where bound overestimates the byte's total flip
-			// probability (spatial factors are Exponential(1); 32 bounds all
-			// but an e^-32 tail), then rescale the surviving bits' flip
-			// probabilities by 1/bound so the marginal rate is unchanged.
-			if pr.gate < 1 && uniform(hashWith(gateKey, uint64(a))) >= pr.gate {
-				continue
-			}
-			// Draw the byte's eight uniforms, keeping a bit per draw below
-			// topDraw: an ungated partition passes half of them, at random,
-			// and a branch per draw would mispredict every other time.
-			firstCell := uint64(a) * 8
-			var draws [8]uint64
-			var below uint8
-			for bit := range draws {
-				draws[bit] = hashWith(drawKey, firstCell+uint64(bit)) >> 11
-				below |= uint8((draws[bit]-pr.topDraw)>>63) << uint(bit)
-			}
-			stored := out[i]
-			bitline := (a % rowBytes) * 8
-			for ; below != 0; below &= below - 1 {
-				bit := bits.TrailingZeros8(below)
+		below := masks[:len(cells)]
+		belowMasks(drawKey, cells, d.rowDraw(pr, wordlineTerm), below)
+		for k, m := range below {
+			firstCell := cells[k]
+			b := int(firstCell/8) - addr
+			stored := out[b]
+			bitline := int(firstCell) - row*rowBytes*8
+			for ; m != 0; m &= m - 1 {
+				bit := bits.TrailingZeros8(m)
 				cell := firstCell + uint64(bit)
-				u := float64(draws[bit]) / float64(1<<53)
+				u := uniform(hashWith(drawKey, cell))
 				one := stored>>uint(bit)&1 == 1
 				rate := pr.zero
 				if one {
@@ -339,17 +336,36 @@ func (d *Device) readInto(out []byte, addr int, counter uint64) (flips uint64) {
 				}
 				// A NaN bound compares false and falls through to the exact
 				// evaluation.
-				if u >= d.flipBound(rate, pr.scale, hashWith(cellKey, cell), d.bitlineTerm[bitline+bit], wordlineTerm) {
+				cellFactor := expFactorBound[bits.Len64(^hashWith(cellKey, cell)>>11)]
+				if u >= d.flipBound(rate, pr.scale, cellFactor, d.bitlineTerm[bitline+bit], wordlineTerm) {
 					continue
 				}
 				if u < d.flipProb(pr.v, pr.t, row, bitline+bit, cell, one)*pr.scale {
-					out[i] ^= 1 << uint(bit)
+					out[b] ^= 1 << uint(bit)
 					flips++
 				}
 			}
 		}
 	}
 	return flips
+}
+
+// rowDraw is ⌈B·2^53⌉ (see gateDraw) for a bound B of every flipProb·scale
+// in a row of partition pr whose wordline term is wordlineTerm: 0.5·scale,
+// where flipProb clamps, or, if no cell of the module has the +Inf factor,
+// the lower row bound — flipBound at the larger rate, the largest finite
+// cell factor and the largest bitline term, at least every cell's
+// flipBound since each of its steps is monotone. A B that is NaN,
+// negative or not below 1 admits every draw.
+func (d *Device) rowDraw(pr *partRate, wordlineTerm float64) uint64 {
+	b := 0.5 * pr.scale
+	if !d.infCell {
+		b = min(b, d.flipBound(max(pr.one, pr.zero), pr.scale, expFactorBound[1], d.maxBitlineTerm, wordlineTerm))
+	}
+	if !(b >= 0 && b < 1) {
+		return 1 << 53
+	}
+	return uint64(math.Ceil(b * (1 << 53)))
 }
 
 // expFactorBound[n] bounds expFactor(h) from above for every hash h whose
@@ -365,17 +381,17 @@ var expFactorBound = func() (b [54]float64) {
 	return b
 }()
 
-// flipBound returns an upper bound of flipProb·scale for the cell whose
-// weakness hash is cellHash, holding a bit of the given rate, without
-// evaluating the logarithm: the cell's Exponential(1) factor is replaced by
-// expFactorBound, the blend is flipProb's with the hoisted bitline and
+// flipBound returns an upper bound of flipProb·scale for a cell whose
+// Exponential(1) factor is at most cellFactor — expFactorBound's entry for
+// its weakness hash — holding a bit of the given rate, without evaluating
+// the logarithm: the blend is flipProb's with the hoisted bitline and
 // wordline terms (a negative cell weight is floored at zero, which only
 // raises the blend), and every later operation — the product with rate, the
 // 0.5 clamp, the product with scale — is monotone. The 1e-9 slack is seven
 // orders above the few roundings (math.Log's and the hoisted products'
 // included) that could otherwise leave the bound an ulp short.
-func (d *Device) flipBound(rate, scale float64, cellHash uint64, bitlineTerm, wordlineTerm float64) float64 {
-	m := d.cellWeight*expFactorBound[bits.Len64(^cellHash>>11)] + bitlineTerm + wordlineTerm
+func (d *Device) flipBound(rate, scale, cellFactor, bitlineTerm, wordlineTerm float64) float64 {
+	m := d.cellWeight*cellFactor + bitlineTerm + wordlineTerm
 	p := rate * m * (1 + 1e-9)
 	if p > 0.5 {
 		p = 0.5

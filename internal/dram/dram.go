@@ -5,6 +5,10 @@
 // operating point return bit flips whose rate, spatial structure (per-cell,
 // per-bitline, per-wordline) and data-pattern dependence are calibrated to
 // the behaviour the paper characterizes (Fig. 5, §2.3, §4).
+//
+// A read returns the bits of the plain per-bit evaluation, the tests'
+// oracle, faster: draws meet integer thresholds eight at a time (AVX2 on
+// amd64), and bounds per row and per cell settle most (Device.Read).
 package dram
 
 import (

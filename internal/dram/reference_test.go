@@ -89,8 +89,8 @@ func stressOps() map[string]OperatingPoint {
 
 // oracleDevices hands run two identically built and configured devices, one
 // per reader under comparison, for every vendor × operating-point layout ×
-// data pattern.
-func oracleDevices(t *testing.T, run func(t *testing.T, d, ref *Device)) {
+// data pattern, on both vector paths.
+func oracleDevices(t *testing.T, seed uint64, run func(t *testing.T, d, ref *Device)) {
 	ops := stressOps()
 	layouts := map[string][]OperatingPoint{
 		"mixed4": {ops["nominal"], ops["vdd1.05"], ops["vdd1.12"], ops["both"]},
@@ -103,28 +103,30 @@ func oracleDevices(t *testing.T, run func(t *testing.T, d, ref *Device)) {
 		for name, layout := range layouts {
 			for _, pattern := range []byte{0x00, 0xFF, 0xAA} {
 				t.Run(fmt.Sprintf("%s/%s/%#02x", vendor.Name, name, pattern), func(t *testing.T) {
-					var devs [2]*Device
-					for i := range devs {
-						d := NewDevice(testGeom(), vendor, 77)
-						if err := d.DefinePartitions(len(layout)); err != nil {
-							t.Fatal(err)
-						}
-						for p, op := range layout {
-							if err := d.SetPartitionOp(p, op); err != nil {
+					forEachVecPath(t, func(t *testing.T) {
+						var devs [2]*Device
+						for i := range devs {
+							d := NewDevice(testGeom(), vendor, seed)
+							if err := d.DefinePartitions(len(layout)); err != nil {
 								t.Fatal(err)
 							}
-						}
-						fill := make([]byte, d.Capacity())
-						for j := range fill {
-							fill[j] = pattern
-							if j/d.Geom.RowBytes%2 == 1 {
-								fill[j] = ^pattern
+							for p, op := range layout {
+								if err := d.SetPartitionOp(p, op); err != nil {
+									t.Fatal(err)
+								}
 							}
+							fill := make([]byte, d.Capacity())
+							for j := range fill {
+								fill[j] = pattern
+								if j/d.Geom.RowBytes%2 == 1 {
+									fill[j] = ^pattern
+								}
+							}
+							d.Write(0, fill)
+							devs[i] = d
 						}
-						d.Write(0, fill)
-						devs[i] = d
-					}
-					run(t, devs[0], devs[1])
+						run(t, devs[0], devs[1])
+					})
 				})
 			}
 		}
@@ -146,22 +148,70 @@ func sameState(t *testing.T, what string, got, want *Device) {
 // that starts mid-row and crosses rows and partitions.
 func TestReadMatchesReference(t *testing.T) {
 	flipped := uint64(0)
-	oracleDevices(t, func(t *testing.T, d, ref *Device) {
-		spans := [][2]int{{0, d.Capacity()}, {d.Geom.RowBytes/2 + 3, d.Capacity()/2 + 5}}
-		for read := 0; read < 3; read++ {
-			for _, s := range spans {
-				if got, want := d.Read(s[0], s[1]), ref.readReference(s[0], s[1]); !bytes.Equal(got, want) {
-					t.Fatalf("read %d of [%d, +%d) differs from the reference", read, s[0], s[1])
-				}
-				sameState(t, "Read", d, ref)
-			}
-		}
-		_, f := d.Stats()
-		flipped += f
-	})
+	oracleDevices(t, 77, func(t *testing.T, d, ref *Device) { flipped += readsMatchReference(t, d, ref) })
 	if flipped < 10000 {
 		t.Fatalf("only %d flips compared: the sweep does not stress the device", flipped)
 	}
+}
+
+// TestReadMatchesReferenceAtPlantedCells gives one cell of the test module,
+// by choice of seed, an extreme weakness draw and holds reads of its row to
+// the per-bit evaluation. "weakest" is the largest finite factor, the one the
+// row bound is taken at, so the cell's own bound can reach the row's. "inf"
+// is the +Inf factor, which no row bound covers: NewDevice must raise its
+// flag (a random seed puts such a cell in the module with odds near 2^-35)
+// and Read then draws against 0.5·scale, not the row bound.
+func TestReadMatchesReferenceAtPlantedCells(t *testing.T) {
+	cell := uint64(8*(5*testGeom().RowBytes+100) + 3)
+	for _, c := range []struct {
+		name string
+		draw uint64
+	}{{"weakest", 1<<53 - 2}, {"inf", 1<<53 - 1}} {
+		t.Run(c.name, func(t *testing.T) {
+			seed := plantSeed(cell, c.draw)
+			if h := hash3(seed, 0xCE11, cell); h>>11 != c.draw {
+				t.Fatalf("seed %#x gives cell %#x the hash %#x, want draw %#x", seed, cell, h, c.draw)
+			}
+			oracleDevices(t, seed, func(t *testing.T, d, ref *Device) {
+				if d.infCell != (c.draw == 1<<53-1) {
+					t.Fatalf("NewDevice's +Inf flag is %v", d.infCell)
+				}
+				rowBytes := d.Geom.RowBytes
+				start := int(cell/8) / rowBytes * rowBytes
+				for read := 0; read < 40; read++ {
+					if got, want := d.Read(start, rowBytes), ref.readReference(start, rowBytes); !bytes.Equal(got, want) {
+						t.Fatalf("read %d of the planted cell's row differs from the reference", read)
+					}
+				}
+				sameState(t, "Read", d, ref)
+			})
+		})
+	}
+}
+
+// plantSeed returns a seed under which cell's weakness hash has the 53-bit
+// draw given. hash3(seed, 0xCE11, cell) finalizes hashKey(seed, 0xCE11) ^
+// cell·m1, and unhash3 under a zero key returns the word whose product with
+// m1 the finalizer takes to that draw.
+func plantSeed(cell, draw uint64) uint64 {
+	const m1 = 0xbf58476d1ce4e5b9
+	return unhash3(0, 0, draw<<11)*m1 ^ cell*m1 ^ hashKey(0, 0xCE11)
+}
+
+// readsMatchReference reads d and ref alike three times over and reports
+// the flips d injected.
+func readsMatchReference(t *testing.T, d, ref *Device) uint64 {
+	spans := [][2]int{{0, d.Capacity()}, {d.Geom.RowBytes/2 + 3, d.Capacity()/2 + 5}}
+	for read := 0; read < 3; read++ {
+		for _, s := range spans {
+			if got, want := d.Read(s[0], s[1]), ref.readReference(s[0], s[1]); !bytes.Equal(got, want) {
+				t.Fatalf("read %d of [%d, +%d) differs from the reference", read, s[0], s[1])
+			}
+			sameState(t, "Read", d, ref)
+		}
+	}
+	_, f := d.Stats()
+	return f
 }
 
 // TestReadRowsMatchesReference holds ReadRows, at one worker and fanned
@@ -172,7 +222,7 @@ func TestReadRowsMatchesReference(t *testing.T) {
 		prev := parallel.Workers()
 		parallel.SetWorkers(workers)
 		t.Cleanup(func() { parallel.SetWorkers(prev) })
-		oracleDevices(t, func(t *testing.T, d, ref *Device) {
+		oracleDevices(t, 77, func(t *testing.T, d, ref *Device) {
 			rowBytes := d.Geom.RowBytes
 			for _, span := range [][2]int{{0, d.Geom.Rows()}, {5, 23}, {7, 7}} {
 				lo, hi := span[0], span[1]
@@ -204,30 +254,6 @@ func TestReadRowsMatchesReference(t *testing.T) {
 	}
 }
 
-// unhash3 returns the c for which hash3(a, b, c) == h: the finalizer is a
-// bijection and c enters through an odd multiplier.
-func unhash3(a, b, h uint64) uint64 {
-	inverse := func(x uint64) uint64 { // of odd x, modulo 2^64, by Newton's iteration
-		inv := x
-		for i := 0; i < 6; i++ {
-			inv *= 2 - x*inv
-		}
-		return inv
-	}
-	unshift := func(z uint64, s uint) uint64 { // inverts z ^= z >> s
-		for i := s; i < 64; i += s {
-			z ^= z >> i
-		}
-		return z
-	}
-	z := unshift(h, 31)
-	z *= inverse(0x94d049bb133111eb)
-	z = unshift(z, 27)
-	z *= inverse(0xbf58476d1ce4e5b9)
-	z = unshift(z, 30)
-	return (z ^ a ^ b*0x9e3779b97f4a7c15) * inverse(0xbf58476d1ce4e5b9)
-}
-
 // TestFlipBoundDominatesFlipProb checks the inequality the bound-first read
 // rests on, bound ≥ flipProb·scale, for over a million cells of gated and
 // ungated partitions under every vendor, and for cells constructed to carry
@@ -249,7 +275,7 @@ func TestFlipBoundDominatesFlipProb(t *testing.T) {
 					if one {
 						rate = pr.one
 					}
-					bound := d.flipBound(rate, pr.scale, h, d.bitlineTerm[bitline], wordlineTerm)
+					bound := d.flipBound(rate, pr.scale, expFactorBound[bits.Len64(^h>>11)], d.bitlineTerm[bitline], wordlineTerm)
 					exact := d.flipProb(pr.v, pr.t, row, bitline, cell, one) * pr.scale
 					top := 0.5 * pr.scale
 					if !(bound >= exact) || exact > top {

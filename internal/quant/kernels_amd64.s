@@ -12,7 +12,7 @@ TEXT ·maxAbsAVX(SB), NOSPLIT, $0-20
 	MOVQ         x+0(FP), SI
 	MOVQ         n+8(FP), CX
 	MOVL         $0x7FFFFFFF, AX
-	MOVQ         AX, X15
+	VMOVQ        AX, X15
 	VPBROADCASTD X15, Y15 // |v| mask
 	VXORPS       Y0, Y0, Y0
 	VXORPS       Y1, Y1, Y1
@@ -74,16 +74,16 @@ TEXT ·quantizeAVX2(SB), NOSPLIT, $0-40
 	VBROADCASTSS hi+32(FP), Y2
 	VBROADCASTSS mask+36(FP), Y3
 	MOVL         $0x7FFFFFFF, AX
-	MOVQ         AX, X4
+	VMOVQ        AX, X4
 	VPBROADCASTD X4, Y4 // |r| mask
 	MOVL         $0x80000000, AX
-	MOVQ         AX, X5
+	VMOVQ        AX, X5
 	VPBROADCASTD X5, Y5 // sign bit
 	MOVL         $0x3F000000, AX
-	MOVQ         AX, X6
+	VMOVQ        AX, X6
 	VPBROADCASTD X6, Y6 // 0.5
 	MOVL         $0x3F800000, AX
-	MOVQ         AX, X7
+	VMOVQ        AX, X7
 	VPBROADCASTD X7, Y7 // 1.0
 	SHRQ         $3, CX // whole 8-lane steps; the wrapper finishes the rest
 	JZ           qdone
@@ -119,7 +119,7 @@ TEXT ·dequantizeAVX2(SB), NOSPLIT, $0-40
 	MOVQ         codes+8(FP), SI
 	MOVQ         n+16(FP), CX
 	VBROADCASTSS scale+24(FP), Y0
-	MOVQ         shift+32(FP), X1
+	VMOVQ        shift+32(FP), X1
 	SHRQ         $3, CX
 	JZ           ddone
 	XORQ         AX, AX

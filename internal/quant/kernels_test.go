@@ -367,28 +367,32 @@ func TestQuantizeIntoReusesImage(t *testing.T) {
 var benchSink float32
 
 // BenchmarkCodecs reports Mval/s for the three primitives on both paths,
-// over the 64k-value tensor cmd/bench's quant.* probes use.
+// over the 64k-value tensor cmd/bench's quant.* probes use and over 16 and
+// 784 values (an eden hook's small images), where a kernel's fixed cost —
+// an SSE/AVX transition stall, say — is not averaged away.
 func BenchmarkCodecs(b *testing.B) {
-	src := tensor.New(1 << 16)
-	src.FillUniform(tensor.NewRNG(0xC0DE), -1, 1)
-	lo, hi, mask := codeRange(8)
-	codes := make([]uint32, src.Size())
-	dst := make([]float32, src.Size())
-	for _, path := range []struct {
-		name string
-		vec  bool
-	}{{"vec", true}, {"scalar", false}} {
-		run := func(name string, f func()) {
-			b.Run(name+"/"+path.name, func(b *testing.B) {
-				pinVecPath(b, path.vec)
-				for i := 0; i < b.N; i++ {
-					f()
-				}
-				b.ReportMetric(float64(src.Size())*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mval/s")
-			})
+	for _, n := range []int{16, 784, 1 << 16} {
+		src := tensor.New(n)
+		src.FillUniform(tensor.NewRNG(0xC0DE), -1, 1)
+		lo, hi, mask := codeRange(8)
+		codes := make([]uint32, n)
+		dst := make([]float32, n)
+		for _, path := range []struct {
+			name string
+			vec  bool
+		}{{"vec", true}, {"scalar", false}} {
+			run := func(name string, f func()) {
+				b.Run(fmt.Sprintf("%s/n=%d/%s", name, n, path.name), func(b *testing.B) {
+					pinVecPath(b, path.vec)
+					for i := 0; i < b.N; i++ {
+						f()
+					}
+					b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mval/s")
+				})
+			}
+			run("maxabs", func() { benchSink = maxAbs(src.Data) })
+			run("quantize", func() { quantizeCodes(codes, src.Data, 1.0/127, lo, hi, mask) })
+			run("dequantize", func() { dequantizeCodes(dst, codes, 1.0/127, 8) })
 		}
-		run("maxabs", func() { benchSink = maxAbs(src.Data) })
-		run("quantize", func() { quantizeCodes(codes, src.Data, 1.0/127, lo, hi, mask) })
-		run("dequantize", func() { dequantizeCodes(dst, codes, 1.0/127, 8) })
 	}
 }

@@ -20,25 +20,37 @@ func BenchmarkCharacterize(b *testing.B) {
 	}
 }
 
-// BenchmarkPartitionBER is the measurement pass of eden.PartitionDevice as
-// the pipeline runs it: four partitions at 0.5, 1, 1.5 and 2.5 times a 1 %
-// tolerable BER, two reads of the whole module.
+// BenchmarkPartitionBER is the measurement pass of eden.PartitionDevice:
+// four partitions, two reads of the whole module. "ber1pct" sets them at
+// 0.5, 1, 1.5 and 2.5 times a 1 % tolerable BER, where no byte gate is on;
+// "lenet" sets the voltages of the pipeline's LeNet artifact (tolerable BER
+// 5.78e-4), which gate every partition, as the pipeline's pass runs.
 func BenchmarkPartitionBER(b *testing.B) {
 	vendor := dram.Vendors()[0]
-	d := dram.NewDevice(dram.DefaultGeometry(), vendor, 0xEDE4)
-	if err := d.DefinePartitions(4); err != nil {
-		b.Fatal(err)
-	}
-	for p, level := range []float64{0.5, 1, 1.5, 2.5} {
-		op := dram.Nominal()
-		op.VDD = vendor.VDDForBER(0.01*level, 0.01)
-		if err := d.SetPartitionOp(p, op); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		PartitionBER(d, 0xAA, 2)
+	for _, c := range []struct {
+		name string
+		vdd  func(p int) float64
+	}{
+		{"ber1pct", func(p int) float64 { return vendor.VDDForBER(0.01*[]float64{0.5, 1, 1.5, 2.5}[p], 0.01) }},
+		{"lenet", func(p int) float64 { return []float64{1.11, 1.09, 1.09, 1.07}[p] }},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			d := dram.NewDevice(dram.DefaultGeometry(), vendor, 0xEDE4)
+			if err := d.DefinePartitions(4); err != nil {
+				b.Fatal(err)
+			}
+			for p := 0; p < 4; p++ {
+				op := dram.Nominal()
+				op.VDD = c.vdd(p)
+				if err := d.SetPartitionOp(p, op); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				PartitionBER(d, 0xAA, 2)
+			}
+		})
 	}
 }

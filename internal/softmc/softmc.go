@@ -9,8 +9,9 @@
 // through dram.Device.ReadRows, which fans rows out over the worker pool.
 // Their results, and the state they leave the device in (access counter,
 // Stats, stored pattern, operating points), are those of the serial loop of
-// Device.Read calls in pattern → read → row order at any worker count; the
-// tests pin both.
+// Device.Read calls in pattern → read → row order at any worker count and
+// on either vector path (dram's read kernel changes the speed of a read,
+// never its bits); the tests pin both.
 package softmc
 
 import (
