@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -8,6 +9,7 @@ import (
 	"math"
 	"net/http"
 	"strconv"
+	"sync"
 	"time"
 
 	"repro/internal/tensor"
@@ -218,13 +220,30 @@ const maxDeadlineMs = math.MaxInt64 / int64(time.Millisecond)
 // resolves its deadline_ms against the clock (zero when it carries none); a
 // malformed or oversized body, an input of another length or a negative or
 // overlong deadline_ms is answered 400 here and reported as !ok. The body is
-// bounded before decoding — inputLen JSON numbers of tens of bytes each,
-// plus slack — or one oversized POST could exhaust the daemon's memory.
+// bounded — inputLen JSON numbers of tens of bytes each, plus slack — or one
+// oversized POST could exhaust the daemon's memory, and it is read whole
+// before it is decoded: a body past the bound is refused even when its object
+// ends before the bound. A body in the canonical form
+// {"input":[n,…],"seed":u,"deadline_ms":i} (each key at most once, in any
+// order, any JSON whitespace) is decoded in one pass without reflection
+// (scanPredict); every other body goes to encoding/json, which keeps its
+// outcome and error text, trailing bytes after the object included.
 func DecodePredict(w http.ResponseWriter, r *http.Request, inputLen int) (req PredictRequest, deadline time.Time, ok bool) {
 	maxBody := int64(inputLen)*64 + 4096
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBody)).Decode(&req); err != nil {
+	buf := bodyPool.Get().(*bytes.Buffer)
+	defer bodyPool.Put(buf)
+	buf.Reset()
+	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxBody)); err != nil {
 		WriteError(w, http.StatusBadRequest, "bad request body: "+err.Error())
 		return req, deadline, false
+	}
+	if !scanPredict(buf.Bytes(), inputLen, &req) {
+		var full PredictRequest // a separate variable keeps req off the heap
+		if err := json.NewDecoder(bytes.NewReader(buf.Bytes())).Decode(&full); err != nil {
+			WriteError(w, http.StatusBadRequest, "bad request body: "+err.Error())
+			return req, deadline, false
+		}
+		req = full
 	}
 	if len(req.Input) != inputLen {
 		WriteError(w, http.StatusBadRequest, fmt.Sprintf("bad request body: input length %d, want %d", len(req.Input), inputLen))
@@ -238,6 +257,178 @@ func DecodePredict(w http.ResponseWriter, r *http.Request, inputLen int) (req Pr
 		deadline = time.Now().Add(time.Duration(req.DeadlineMs) * time.Millisecond)
 	}
 	return req, deadline, true
+}
+
+// bodyPool holds DecodePredict's read buffers; nothing decoded from one
+// aliases it, so a buffer goes back as soon as its body is decoded.
+var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// scanPredict decodes b into req when b is the canonical predict body and
+// reports whether it did; on false, req may be half filled. Every value
+// comes from the strconv call encoding/json makes for its field's type —
+// ParseFloat(tok, 32), ParseUint(tok, 10, 64), ParseInt(tok, 10, 64) — on
+// a token already held to the JSON number grammar, so a value it keeps is
+// the one encoding/json gives. It declines anything else: a key that is not
+// exactly one of the three names (encoding/json also matches other cases and
+// escapes), a repeated key, null, a value a Parse call refuses (a float32
+// overflow, a seed or deadline_ms that is not an integer in range), or any
+// byte but whitespace after the object.
+func scanPredict(b []byte, inputLen int, req *PredictRequest) bool {
+	s := scanner{b: b}
+	if !s.next('{') {
+		return false
+	}
+	var seen [3]bool
+	for first := true; !s.next('}'); first = false {
+		if !first && !s.next(',') {
+			return false
+		}
+		k := s.key()
+		if k < 0 || seen[k] || !s.next(':') {
+			return false
+		}
+		seen[k] = true
+		var err error
+		switch k {
+		case 0:
+			req.Input, err = s.floats(inputLen)
+		case 1:
+			req.Seed, err = strconv.ParseUint(string(s.number()), 10, 64)
+		case 2:
+			req.DeadlineMs, err = strconv.ParseInt(string(s.number()), 10, 64)
+		}
+		if err != nil {
+			return false
+		}
+	}
+	s.skip()
+	return s.i == len(b)
+}
+
+// scanner is scanPredict's cursor over a body.
+type scanner struct {
+	b []byte
+	i int
+}
+
+// errNotCanonical declines a body scanPredict leaves to encoding/json.
+var errNotCanonical = errors.New("not a canonical predict body")
+
+// next skips JSON whitespace, then consumes c if it is the next byte.
+func (s *scanner) next(c byte) bool {
+	s.skip()
+	if s.i < len(s.b) && s.b[s.i] == c {
+		s.i++
+		return true
+	}
+	return false
+}
+
+// skip consumes JSON whitespace: space, tab, newline, carriage return.
+func (s *scanner) skip() {
+	b, i := s.b, s.i
+	for i < len(b) && (b[i] == ' ' || b[i] == '\t' || b[i] == '\n' || b[i] == '\r') {
+		i++
+	}
+	s.i = i
+}
+
+// number skips whitespace and consumes one token of the JSON number grammar,
+// -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?. Where none starts it
+// returns nil, an empty token that every strconv Parse call refuses; a
+// token with a fraction or an exponent is refused by ParseUint and ParseInt,
+// so seed and deadline_ms are integers.
+func (s *scanner) number() []byte {
+	s.skip()
+	b, start := s.b, s.i
+	i := start
+	if i < len(b) && b[i] == '-' {
+		i++
+	}
+	if i < len(b) && b[i] == '0' {
+		i++
+	} else if j := digits(b, i); j > i {
+		i = j
+	} else {
+		return nil
+	}
+	if i < len(b) && b[i] == '.' {
+		j := digits(b, i+1)
+		if j == i+1 {
+			return nil
+		}
+		i = j
+	}
+	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
+		i++
+		if i < len(b) && (b[i] == '+' || b[i] == '-') {
+			i++
+		}
+		j := digits(b, i)
+		if j == i {
+			return nil
+		}
+		i = j
+	}
+	s.i = i
+	return b[start:i]
+}
+
+// digits returns the end of the run of decimal digits at b[i:].
+func digits(b []byte, i int) int {
+	for i < len(b) && b[i]-'0' < 10 {
+		i++
+	}
+	return i
+}
+
+// key consumes a quoted object key and returns the index of input, seed or
+// deadline_ms, or -1 for any other key. An escaped key keeps its backslash
+// up to its first quote, so it matches none of the three.
+func (s *scanner) key() int {
+	if !s.next('"') {
+		return -1
+	}
+	n := bytes.IndexByte(s.b[s.i:], '"')
+	if n < 0 {
+		return -1
+	}
+	name := s.b[s.i : s.i+n]
+	s.i += n + 1
+	switch string(name) {
+	case "input":
+		return 0
+	case "seed":
+		return 1
+	case "deadline_ms":
+		return 2
+	}
+	return -1
+}
+
+// floats consumes a JSON array of numbers into a new slice of capacity n.
+func (s *scanner) floats(n int) ([]float32, error) {
+	if !s.next('[') {
+		return nil, errNotCanonical
+	}
+	v := make([]float32, 0, n)
+	if s.next(']') {
+		return v, nil
+	}
+	for {
+		f, err := strconv.ParseFloat(string(s.number()), 32)
+		if err != nil {
+			return nil, err
+		}
+		v = append(v, float32(f))
+		if !s.next(',') {
+			break
+		}
+	}
+	if !s.next(']') {
+		return nil, errNotCanonical
+	}
+	return v, nil
 }
 
 // WritePrediction writes the 200 predict reply for one served result.

@@ -9,7 +9,6 @@ import (
 	"strconv"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/quant"
 	"repro/internal/tensor"
@@ -226,62 +225,4 @@ func TestHTTPModelDetail(t *testing.T) {
 	if raw.BER != 1e-4 {
 		t.Fatalf("raw-BER detail %+v", raw)
 	}
-}
-
-// FuzzDecodePredict drives the predict-body decoder with hostile bodies for
-// LeNet's 3×16×16 input. A rejected body must be answered 400 with an
-// {"error": ...} JSON body; an accepted one must carry exactly inputLen
-// values and a deadline_ms of at least 0, re-marshalled and decoded again
-// must give back the same input bits, seed and deadline, and a positive
-// deadline_ms must resolve to a time after the decode.
-func FuzzDecodePredict(f *testing.F) {
-	const inputLen = 3 * 16 * 16
-	valid := `{"input":[` + strings.Repeat("0,", inputLen-1) + "1" + `],"seed":7}`
-	f.Add([]byte(valid))
-	f.Add([]byte(`{"input":[1,-0,3.4028235e38,` + strings.Repeat("0,", inputLen-4) + `0],"seed":18446744073709551615,"deadline_ms":250}`))
-	f.Add([]byte(valid[:len(valid)/2]))                                                   // truncated
-	f.Add([]byte(`{"input":[` + strings.Repeat("0,", inputLen*32+2048) + `0],"seed":1}`)) // past the body bound
-	f.Add([]byte(`{"input":["a",true,null],"seed":"x"}`))                                 // non-numeric
-	f.Add([]byte(`{"input":[1],"seed":1,"deadline_ms":9223372036854775807}`))             // past a time.Duration
-	f.Fuzz(func(t *testing.T, body []byte) {
-		w := httptest.NewRecorder()
-		r := httptest.NewRequest(http.MethodPost, "/v1/models/LeNet/predict", bytes.NewReader(body))
-		decoded := time.Now()
-		req, deadline, ok := DecodePredict(w, r, inputLen)
-		if !ok {
-			var reply map[string]string
-			if w.Code != http.StatusBadRequest || json.Unmarshal(w.Body.Bytes(), &reply) != nil || reply["error"] == "" {
-				t.Fatalf("rejected body answered %d %q, want 400 with an error", w.Code, w.Body.String())
-			}
-			return
-		}
-		if w.Body.Len() != 0 {
-			t.Fatalf("accepted body got a reply: %q", w.Body.String())
-		}
-		if len(req.Input) != inputLen || req.DeadlineMs < 0 {
-			t.Fatalf("accepted %d values with deadline_ms %d", len(req.Input), req.DeadlineMs)
-		}
-		if deadline.IsZero() != (req.DeadlineMs <= 0) {
-			t.Fatalf("deadline_ms %d resolved to %v", req.DeadlineMs, deadline)
-		}
-		if req.DeadlineMs > 0 && !deadline.After(decoded) {
-			t.Fatalf("deadline_ms %d resolved to %v, not after the decode at %v", req.DeadlineMs, deadline, decoded)
-		}
-		again, err := json.Marshal(req)
-		if err != nil {
-			t.Fatalf("accepted request does not marshal: %v", err)
-		}
-		var back PredictRequest
-		if err := json.Unmarshal(again, &back); err != nil {
-			t.Fatalf("re-marshalled request %q does not decode: %v", again, err)
-		}
-		if back.Seed != req.Seed || back.DeadlineMs != req.DeadlineMs || len(back.Input) != len(req.Input) {
-			t.Fatalf("round trip %+v -> %+v", req, back)
-		}
-		for i, v := range req.Input {
-			if math.Float32bits(back.Input[i]) != math.Float32bits(v) {
-				t.Fatalf("input[%d]: %v -> %v", i, v, back.Input[i])
-			}
-		}
-	})
 }
