@@ -34,7 +34,10 @@
 // point per worker. The program has two forward paths — Network.Forward
 // under training and under dnn's one evaluation loop, and
 // ForwardBatchFused under serving; the per-sample fan-out
-// Network.ForwardBatch is bench-and-test-only. The pool defaults to
+// Network.ForwardBatch is bench-and-test-only. Training, evaluation and
+// serving all corrupt IFMs in place (eden.Cloner.IFMHookInPlace), since each
+// owns every tensor its hook sees; the copying IFMHook remains for callers
+// that do not. The pool defaults to
 // GOMAXPROCS and every cmd binary exposes it as -workers. Parallel results
 // are bit-identical to serial ones at any worker count; see README.md for
 // the architecture.

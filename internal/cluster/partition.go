@@ -37,17 +37,17 @@ type Profile struct {
 	BoundaryBytes []int
 }
 
+// profileRepeats is how many passes ProfileNetwork times each layer over.
+const profileRepeats = 3
+
 // ProfileNetwork measures a per-layer cost profile with a one-shot timing
 // probe: a deterministic input is pushed layer by layer, each layer timed
-// over repeats passes (minimum taken, the usual noise-robust choice), and
-// boundary footprints computed from the activation shapes at prec. The
+// over profileRepeats passes (minimum taken, the usual noise-robust choice),
+// and boundary footprints computed from the activation shapes at prec. The
 // probe's timings vary run to run — that is fine, because partition choice
 // affects only throughput, never outputs: stage slices corrupt
 // bit-identically wherever the cuts land.
-func ProfileNetwork(net *dnn.Network, prec quant.Precision, repeats int) Profile {
-	if repeats < 1 {
-		repeats = 3
-	}
+func ProfileNetwork(net *dnn.Network, prec quant.Precision) Profile {
 	L := len(net.Layers)
 	p := Profile{
 		CostNs:        make([]float64, L),
@@ -57,7 +57,7 @@ func ProfileNetwork(net *dnn.Network, prec quant.Precision, repeats int) Profile
 	x := tensor.New(1, net.InC, net.InH, net.InW)
 	x.FillUniform(rng, -1, 1)
 	bytesOf := func(t *tensor.Tensor) int { return t.Size() * prec.Bits() / 8 }
-	for r := 0; r < repeats; r++ {
+	for r := 0; r < profileRepeats; r++ {
 		cur := x
 		bb := make([]int, 0, L+1)
 		for i, l := range net.Layers {
@@ -200,7 +200,7 @@ func PlanFor(dep *eden.Deployment, cfg PartitionConfig) (Plan, error) {
 	if dep.Net == nil {
 		return Plan{}, fmt.Errorf("cluster: deployment %q has no network", dep.ModelName)
 	}
-	return Partition(ProfileNetwork(dep.Net, dep.Prec, 3), cfg)
+	return Partition(ProfileNetwork(dep.Net, dep.Prec), cfg)
 }
 
 // SliceAll carves a deployment into the plan's stage slices, in order.

@@ -158,7 +158,7 @@ func TestProfileNetworkShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := ProfileNetwork(net, quant.Int8, 1)
+	p := ProfileNetwork(net, quant.Int8)
 	if len(p.CostNs) != len(net.Layers) || len(p.BoundaryBytes) != len(net.Layers)+1 {
 		t.Fatalf("profile geometry %d/%d for %d layers", len(p.CostNs), len(p.BoundaryBytes), len(net.Layers))
 	}

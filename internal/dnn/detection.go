@@ -190,15 +190,15 @@ func (n *Network) MAP(ds *dataset.BoxDataset, opt EvalOptions) float64 {
 }
 
 // TrainDetector trains a detection network on ds with the YOLO loss.
-func TrainDetector(net *Network, ds *dataset.BoxDataset, opt TrainOptions) []EpochStats {
+func TrainDetector(net *Network, ds *dataset.BoxDataset, opt TrainOptions) {
 	if net.Det == nil {
 		panic("dnn: TrainDetector called on a non-detection network")
 	}
-	return train(net, ds.Len(), opt.Seed^0x64657465, opt, func(idx []int) (*tensor.Tensor, lossFunc) {
+	train(net, ds.Len(), opt.Seed^0x64657465, opt, func(idx []int) (*tensor.Tensor, func(*tensor.Tensor) *tensor.Tensor) {
 		x, samples := boxBatch(ds, idx)
-		return x, func(out *tensor.Tensor) (float64, *tensor.Tensor, int) {
-			loss, dOut := net.Det.YOLOLoss(out, samples)
-			return loss, dOut, 0
+		return x, func(out *tensor.Tensor) *tensor.Tensor {
+			_, dOut := net.Det.YOLOLoss(out, samples)
+			return dOut
 		}
 	})
 }

@@ -393,7 +393,9 @@ const EvalBatch = 16
 
 // EvalOptions controls corrupted evaluation. Corrupt, when non-nil, is
 // applied to the network weights before inference and undone afterwards via
-// the returned restore function; Hook injects errors into IFMs.
+// the returned restore function; Hook injects errors into IFMs. Hook only
+// ever sees tensors the evaluation loop owns (gathered batches and fresh
+// layer outputs), so it may corrupt them in place.
 type EvalOptions struct {
 	Hook    IFMHook
 	Corrupt func(net *Network) (restore func())

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math"
+	"reflect"
 	"runtime"
 	"testing"
 
@@ -11,6 +12,16 @@ import (
 	"repro/internal/quant"
 	"repro/internal/tensor"
 )
+
+// pretrained is Pretrained for a test or benchmark, which an error ends.
+func pretrained(tb testing.TB, name string) *TrainedModel {
+	tb.Helper()
+	m, err := Pretrained(name)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return m
+}
 
 func tinyPatterns(samples int) *dataset.Dataset {
 	cfg := dataset.DefaultPatterns()
@@ -59,14 +70,9 @@ func TestLeNetLearnsPatterns(t *testing.T) {
 	ds := tinyPatterns(200)
 	train, val := ds.Split(0.8)
 	net := buildLeNet(tensor.NewRNG(1))
-	stats := TrainClassifier(net, train, TrainOptions{Epochs: 10, Batch: 16, LR: 0.01, Seed: 1, Val: val})
-	final := stats[len(stats)-1]
-	if final.ValAcc < 0.6 {
-		t.Fatalf("LeNet validation accuracy %.2f after training, want >= 0.6", final.ValAcc)
-	}
-	if stats[0].Loss <= final.Loss {
-		// Loss should broadly decrease over training.
-		t.Logf("warning: loss did not decrease (%v -> %v)", stats[0].Loss, final.Loss)
+	TrainClassifier(net, train, TrainOptions{Epochs: 10, Batch: 16, LR: 0.01, Seed: 1})
+	if acc := net.Accuracy(val, EvalOptions{}); acc < 0.6 {
+		t.Fatalf("LeNet validation accuracy %.2f after training, want >= 0.6", acc)
 	}
 }
 
@@ -175,6 +181,25 @@ func TestZooBuildsAndForwards(t *testing.T) {
 		}
 		if net.IFMBytes(quant.FP32) == 0 {
 			t.Fatalf("%s: no IFM bytes", spec.Name)
+		}
+	}
+}
+
+// TestInferenceLeavesLayersUntouched: an inference forward writes no layer
+// state — no backward cache, mask or running statistic — which is what lets
+// concurrent evaluation passes share one network. After one, every layer of
+// every zoo model still equals its freshly built twin.
+func TestInferenceLeavesLayersUntouched(t *testing.T) {
+	for _, spec := range Zoo {
+		net, _ := BuildModel(spec.Name)
+		fresh, _ := BuildModel(spec.Name)
+		x := tensor.New(2, net.InC, net.InH, net.InW)
+		x.FillNormal(tensor.NewRNG(5), 1)
+		net.Forward(x, false, nil)
+		for i, l := range net.Layers {
+			if !reflect.DeepEqual(l, fresh.Layers[i]) {
+				t.Errorf("%s: inference changed the state of layer %s", spec.Name, l.Name())
+			}
 		}
 	}
 }

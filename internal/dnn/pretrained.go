@@ -145,16 +145,6 @@ func Pretrained(name string) (*TrainedModel, error) {
 	return m, nil
 }
 
-// MustPretrained is Pretrained for contexts (tests, examples) where a
-// missing model name is a programming error.
-func MustPretrained(name string) *TrainedModel {
-	m, err := Pretrained(name)
-	if err != nil {
-		panic(err)
-	}
-	return m
-}
-
 func sanitize(name string) string {
 	out := make([]byte, 0, len(name))
 	for i := 0; i < len(name); i++ {

@@ -60,7 +60,7 @@ func TestPruneZeroFracIsNoop(t *testing.T) {
 }
 
 func TestModeratePruningKeepsAccuracy(t *testing.T) {
-	m := MustPretrained("LeNet")
+	m := pretrained(t, "LeNet")
 	net := m.CloneNet()
 	PruneMagnitude(net, 0.10)
 	acc := net.Accuracy(m.ValSet, EvalOptions{})

@@ -53,8 +53,9 @@ func (o *SGD) Step(params []*Param) {
 // WeightCorrupt mutates weights before each forward pass (returning an undo
 // function applied before the optimizer step, so updates always land on clean
 // weights — the paper uses approximate DRAM only for the forward pass, §3.2),
-// and Hook injects errors into IFMs. The optimizer is SGD with momentum 0.9
-// and no weight decay.
+// and Hook injects errors into IFMs. Hook only ever sees tensors the loop
+// owns (gathered batches and fresh layer outputs), so it may corrupt them in
+// place. The optimizer is SGD with momentum 0.9 and no weight decay.
 type TrainOptions struct {
 	Epochs        int
 	Batch         int
@@ -64,32 +65,15 @@ type TrainOptions struct {
 	EpochStart    func(epoch int)
 	WeightCorrupt func(net *Network) (restore func())
 	Hook          IFMHook
-	// Val, when non-nil, is a classification set scored after every epoch
-	// into EpochStats.ValAcc; nil keeps inner characterization loops fast.
-	Val *dataset.Dataset
 }
-
-// EpochStats records training progress for one epoch. TrainAcc is top-1
-// accuracy over the epoch's batches and stays zero for detectors.
-type EpochStats struct {
-	Epoch    int
-	Loss     float64
-	TrainAcc float64
-	ValAcc   float64
-}
-
-// lossFunc scores a batch's raw network output: the mean loss, its gradient
-// with respect to out, and how many of the batch's samples out classifies
-// correctly (zero for a task with no top-1 notion).
-type lossFunc func(out *tensor.Tensor) (loss float64, dOut *tensor.Tensor, hits int)
 
 // train is the one training loop, the only place that knows how a dataset of
 // n samples is walked: a Fisher-Yates shuffle per epoch from seed, batches of
 // opt.Batch in that order, weights corrupted for the forward/backward pass
 // and restored before the optimizer step. A task supplies gather, which
-// assembles the samples at idx into an input tensor and returns the loss
-// that scores the network's output against their targets.
-func train(net *Network, n int, seed uint64, opt TrainOptions, gather func(idx []int) (*tensor.Tensor, lossFunc)) []EpochStats {
+// assembles the samples at idx into an input tensor and returns the function
+// that maps the network's output to the gradient of their mean loss.
+func train(net *Network, n int, seed uint64, opt TrainOptions, gather func(idx []int) (x *tensor.Tensor, grad func(out *tensor.Tensor) *tensor.Tensor)) {
 	if opt.Batch <= 0 {
 		opt.Batch = 16
 	}
@@ -102,7 +86,6 @@ func train(net *Network, n int, seed uint64, opt TrainOptions, gather func(idx [
 	for i := range order {
 		order[i] = i
 	}
-	var stats []EpochStats
 	for epoch := 0; epoch < opt.Epochs; epoch++ {
 		if opt.EpochStart != nil {
 			opt.EpochStart(epoch)
@@ -112,43 +95,30 @@ func train(net *Network, n int, seed uint64, opt TrainOptions, gather func(idx [
 			j := rng.Intn(i + 1)
 			order[i], order[j] = order[j], order[i]
 		}
-		var lossSum float64
-		batches, correct := 0, 0
 		for start := 0; start < n; start += opt.Batch {
-			x, lossOf := gather(order[start:min(start+opt.Batch, n)])
+			x, grad := gather(order[start:min(start+opt.Batch, n)])
 			net.ZeroGrad()
 			var restore func()
 			if opt.WeightCorrupt != nil {
 				restore = opt.WeightCorrupt(net)
 			}
-			loss, dOut, hits := lossOf(net.Forward(x, true, opt.Hook))
-			net.Backward(dOut)
+			net.Backward(grad(net.Forward(x, true, opt.Hook)))
 			if restore != nil {
 				restore()
 			}
 			sgd.Step(net.Params())
-			lossSum += loss
-			batches++
-			correct += hits
 		}
-		st := EpochStats{Epoch: epoch, Loss: lossSum / float64(batches), TrainAcc: float64(correct) / float64(n)}
-		if opt.Val != nil {
-			st.ValAcc = net.Accuracy(opt.Val, EvalOptions{})
-		}
-		stats = append(stats, st)
 	}
-	return stats
 }
 
-// TrainClassifier trains net on ds with softmax cross-entropy and returns
-// per-epoch statistics. Sample order is shuffled deterministically from
-// opt.Seed.
-func TrainClassifier(net *Network, ds *dataset.Dataset, opt TrainOptions) []EpochStats {
-	return train(net, ds.Len(), opt.Seed^0x7261696e, opt, func(idx []int) (*tensor.Tensor, lossFunc) {
+// TrainClassifier trains net on ds with softmax cross-entropy. Sample order
+// is shuffled deterministically from opt.Seed.
+func TrainClassifier(net *Network, ds *dataset.Dataset, opt TrainOptions) {
+	train(net, ds.Len(), opt.Seed^0x7261696e, opt, func(idx []int) (*tensor.Tensor, func(*tensor.Tensor) *tensor.Tensor) {
 		x, labels := ds.Batch(idx)
-		return x, func(logits *tensor.Tensor) (float64, *tensor.Tensor, int) {
-			loss, dLogits := SoftmaxCrossEntropy(logits, labels)
-			return loss, dLogits, countCorrect(logits, labels)
+		return x, func(logits *tensor.Tensor) *tensor.Tensor {
+			_, dLogits := SoftmaxCrossEntropy(logits, labels)
+			return dLogits
 		}
 	})
 }

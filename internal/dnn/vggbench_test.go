@@ -9,7 +9,7 @@ import (
 
 // BenchmarkVGGGemm measures a full batch-16 VGG-16 forward on gemm.
 func BenchmarkVGGGemm(b *testing.B) {
-	tm := MustPretrained("VGG-16")
+	tm := pretrained(b, "VGG-16")
 	setBackend(b, compute.Gemm)
 	rng := tensor.NewRNG(0xF0)
 	xs := make([]*tensor.Tensor, 16)

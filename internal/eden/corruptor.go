@@ -72,11 +72,13 @@ func EnumerateData(net *dnn.Network, prec quant.Precision) []DataDesc {
 // what makes characterization results reproducible and served predictions a
 // pure function of (deployment, input, seed).
 type Cloner interface {
-	// IFMHook returns a hook that corrupts feature maps in flight.
+	// IFMHook returns a hook that corrupts feature maps into fresh tensors,
+	// for callers that do not own the tensors they hand it.
 	IFMHook() dnn.IFMHook
 	// IFMHookInPlace is IFMHook writing the corrupted values back into the
 	// tensor it is handed, for callers that own every tensor the hook sees
-	// (the fused batch pass). Byte-identical to IFMHook.
+	// (dnn's evaluation and training loops, the fused batch pass).
+	// Byte-identical to IFMHook.
 	IFMHookInPlace() dnn.IFMHook
 	// CloneCorruptor returns an independent corruptor whose transient error
 	// draws start at pass. Clones at equal pass values must corrupt
@@ -276,19 +278,14 @@ func (s *SoftwareDRAM) scaledModel(ber float64) *errormodel.Model {
 	return m
 }
 
-// corruptTensor pushes one tensor through the modelled approximate DRAM:
-// quantize, inject model errors at the data's BER, correct implausible
-// values, dequantize into a fresh tensor.
-func (s *SoftwareDRAM) corruptTensor(t *tensor.Tensor, id string) *tensor.Tensor {
-	return s.corruptTensorInto(t, s.state(id), false)
-}
-
-// corruptTensorInto is corruptTensor with a destination choice: with
-// inPlace set the corrupted image is dequantized into t's own storage and
-// t itself is returned, saving an output allocation plus (for slab views of
-// a fused batch tensor) the copy back into the batch. The caller must own
-// t outright — in-place corruption of a reused tensor, like a dataset
-// sample, would compound across passes.
+// corruptTensorInto pushes one tensor through the modelled approximate
+// DRAM: quantize, inject model errors at the data's BER, correct
+// implausible values, dequantize. With inPlace set the image is dequantized
+// into t's own storage and t itself is returned, saving an output
+// allocation plus (for slab views of a fused batch tensor) the copy back
+// into the batch; otherwise into a fresh tensor. In place, the caller must
+// own t outright — corrupting a reused tensor, like a dataset sample, would
+// compound across passes.
 func (s *SoftwareDRAM) corruptTensorInto(t *tensor.Tensor, e *dataState, inPlace bool) *tensor.Tensor {
 	q := s.corruptImage(t, e)
 	if q == nil {
@@ -366,7 +363,7 @@ func (s *SoftwareDRAM) NextPass() { s.passCount++ }
 // Clone returns an independent corruptor sharing the fitted model and
 // configuration but owning its own layout caches, scratch image, pass
 // counter and bounding logic. A SoftwareDRAM is single-goroutine state
-// (corruptTensor mutates all of those), so parallel evaluation gives each
+// (corruptTensorInto mutates all of those), so parallel evaluation gives each
 // goroutine a clone. The clone starts its transient error draws at
 // pass; distinct pass values yield deterministically different draws, which
 // is how per-sample error streams are seeded.
@@ -522,11 +519,11 @@ func (s *SoftwareDRAM) IFMHook() dnn.IFMHook {
 // IFMHookInPlace is IFMHook with the corrupted image written back into the
 // hook's input tensor, which is also returned. Byte-identical to IFMHook —
 // only the destination storage differs — but safe only when the caller
-// owns every tensor fed to the hook: the fused batch scheduler does (the
-// hook sees slab views of its private batch tensor, and returning the view
-// unchanged is what lets dnn.ForwardBatchFused skip the slab copy-back),
-// while dataset evaluation paths must keep using IFMHook so reused input
-// samples are never mutated.
+// owns every tensor fed to the hook, as dnn's loops do (they hand it
+// batches gathered into fresh tensors and fresh layer outputs, never a
+// dataset sample) and the fused batch pass does (slab views of its private
+// batch tensor; returning the view unchanged lets dnn.ForwardBatchFused
+// skip the slab copy-back).
 func (s *SoftwareDRAM) IFMHookInPlace() dnn.IFMHook {
 	return func(i int, l dnn.Layer, x *tensor.Tensor) *tensor.Tensor {
 		return s.corruptTensorInto(x, s.ifmState(l), true)
@@ -579,7 +576,7 @@ func (s *SoftwareDRAM) CalibrateNet(tm *dnn.TrainedModel, net *dnn.Network, maxS
 // EvalOptions bundles the corruptor into dnn evaluation options.
 func (s *SoftwareDRAM) EvalOptions(maxSamples int) dnn.EvalOptions {
 	return dnn.EvalOptions{
-		Hook:       s.IFMHook(),
+		Hook:       s.IFMHookInPlace(),
 		Corrupt:    s.CorruptWeights,
 		MaxSamples: maxSamples,
 	}
@@ -624,7 +621,8 @@ func DeviceMetric(tm *dnn.TrainedModel, net *dnn.Network, device *dram.Device, m
 	}
 	return tm.MetricOf(net, dnn.EvalOptions{
 		Hook: func(i int, l dnn.Layer, x *tensor.Tensor) *tensor.Tensor {
-			return image(x, IFMID(l.Name())).Dequantize()
+			image(x, IFMID(l.Name())).DequantizeInto(x.Data)
+			return x
 		},
 		Corrupt:    func(n *dnn.Network) func() { return corruptParams(n, image) },
 		MaxSamples: maxSamples,

@@ -17,7 +17,11 @@ func uniformModel(ber float64) *errormodel.Model {
 
 func lenet(t *testing.T) *dnn.TrainedModel {
 	t.Helper()
-	return dnn.MustPretrained("LeNet")
+	tm, err := dnn.Pretrained("LeNet")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tm
 }
 
 func TestEnumerateData(t *testing.T) {

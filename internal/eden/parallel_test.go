@@ -32,8 +32,8 @@ func TestCloneMatchesOriginalStream(t *testing.T) {
 	clone := mk().Clone(0)
 	x := tensor.New(1, tm.Net.InC, tm.Net.InH, tm.Net.InW)
 	x.FillUniform(tensor.NewRNG(7), -1, 1)
-	a := orig.corruptTensor(x, "ifm:probe")
-	b := clone.corruptTensor(x, "ifm:probe")
+	a := corruptCopy(orig, x, "ifm:probe")
+	b := corruptCopy(clone, x, "ifm:probe")
 	for i := range a.Data {
 		if a.Data[i] != b.Data[i] {
 			t.Fatalf("clone diverged at element %d: %v != %v", i, b.Data[i], a.Data[i])
@@ -56,13 +56,13 @@ func TestClonePoolMatchesFreshClones(t *testing.T) {
 	// Fresh-clone references for a few passes.
 	want := map[uint64]*tensor.Tensor{}
 	for _, pass := range []uint64{0, 7, 42} {
-		want[pass] = src.Clone(pass).corruptTensor(x, "ifm:pool")
+		want[pass] = corruptCopy(src.Clone(pass), x, "ifm:pool")
 	}
 	// Cycle the same physical clone through the pool over the passes in a
 	// different order; each Get must reproduce the fresh-clone stream.
 	for _, pass := range []uint64{42, 0, 7, 42, 7, 0} {
 		c := pool.Get(pass).(*SoftwareDRAM)
-		got := c.corruptTensor(x, "ifm:pool")
+		got := corruptCopy(c, x, "ifm:pool")
 		for j := range got.Data {
 			if got.Data[j] != want[pass].Data[j] {
 				t.Fatalf("pass %d element %d: pooled %v != fresh %v", pass, j, got.Data[j], want[pass].Data[j])
@@ -84,7 +84,7 @@ func TestScaledModelMemoFollowsBER(t *testing.T) {
 		swept.BER = ber
 		fresh := NewSoftwareDRAM(uniformModel(1), quant.Int8)
 		fresh.BER = ber
-		got, want := swept.corruptTensor(x, "ifm:memo"), fresh.corruptTensor(x, "ifm:memo")
+		got, want := corruptCopy(swept, x, "ifm:memo"), corruptCopy(fresh, x, "ifm:memo")
 		for i := range want.Data {
 			if got.Data[i] != want.Data[i] {
 				t.Fatalf("ber=%g element %d: swept %v != fresh %v", ber, i, got.Data[i], want.Data[i])
@@ -99,7 +99,7 @@ func TestScaledModelMemoFollowsBER(t *testing.T) {
 		t.Fatal("clone did not inherit the parent's scaled model")
 	}
 	clone.BER = 2e-1
-	clone.corruptTensor(x, "ifm:memo")
+	corruptCopy(clone, x, "ifm:memo")
 	if len(clone.scaled) != 3 || len(swept.scaled) != 2 {
 		t.Fatalf("clone's entry leaked: clone %d, parent %d", len(clone.scaled), len(swept.scaled))
 	}

@@ -85,7 +85,7 @@ func Retrain(tm *dnn.TrainedModel, cfg RetrainConfig) *dnn.Network {
 			corr.NextPass()
 			return corr.CorruptWeights(n)
 		},
-		Hook: corr.IFMHook(),
+		Hook: corr.IFMHookInPlace(),
 	}
 	tm.Train(net, opt)
 	return net

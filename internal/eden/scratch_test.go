@@ -18,6 +18,33 @@ func sparseModel(ber float64) *errormodel.Model {
 	return &errormodel.Model{Kind: errormodel.Model0, Seed: 9, RowBits: 16384, P: 0.05, FA: ber / 0.05}
 }
 
+// corruptCopy is IFMHook's body for a data ID of the caller's choosing: t's
+// corrupted image, decoded into a fresh tensor.
+func corruptCopy(s *SoftwareDRAM, t *tensor.Tensor, id string) *tensor.Tensor {
+	return s.corruptTensorInto(t, s.state(id), false)
+}
+
+// TestIFMHookLeavesItsInput: the copying hook exists for callers that do not
+// own the tensors they hand it, so it must corrupt into a fresh tensor and
+// leave every bit of its input as it was.
+func TestIFMHookLeavesItsInput(t *testing.T) {
+	s := NewSoftwareDRAM(uniformModel(5e-2), quant.Int8)
+	x := tensor.New(2, 3, 8, 8)
+	x.FillUniform(tensor.NewRNG(13), -1, 1)
+	clean := x.Clone()
+	got := s.IFMHook()(0, &dnn.ReLU{LayerName: "probe"}, x)
+	corrupted := false
+	for i, v := range clean.Data {
+		if math.Float32bits(x.Data[i]) != math.Float32bits(v) {
+			t.Fatalf("IFMHook wrote its input: element %d is %v, was %v", i, x.Data[i], v)
+		}
+		corrupted = corrupted || got.Data[i] != v
+	}
+	if !corrupted {
+		t.Fatal("the hook changed no value at BER 5e-2, so this test shows nothing")
+	}
+}
+
 // TestHookInPlaceAllocatesNothing is the steady-state promise of the
 // scratch image: once a pooled clone has seen a network's layers, running
 // its in-place hook over them again — quantize, inject, bound, dequantize,
@@ -77,7 +104,7 @@ func TestScratchImageLifetime(t *testing.T) {
 
 	qa := s.corruptImage(a, s.state("ifm:a"))
 	scaleA := qa.Scale
-	outA := s.corruptTensor(a, "ifm:a") // same pass, same draws: the decoded image
+	outA := corruptCopy(s, a, "ifm:a") // same pass, same draws: the decoded image
 
 	qb := s.corruptImage(b, s.state("ifm:b"))
 	if qa != qb {
@@ -86,7 +113,7 @@ func TestScratchImageLifetime(t *testing.T) {
 	if qb.Scale == scaleA || !qb.Shape.Equal(b.Shape()) || len(qb.Codes) != b.Size() {
 		t.Fatalf("second call left the image describing the first tensor: scale %v shape %v", qb.Scale, qb.Shape)
 	}
-	want := NewSoftwareDRAM(uniformModel(1e-2), quant.Int8).corruptTensor(a, "ifm:a")
+	want := corruptCopy(NewSoftwareDRAM(uniformModel(1e-2), quant.Int8), a, "ifm:a")
 	for i := range want.Data {
 		if outA.Data[i] != want.Data[i] {
 			t.Fatalf("hook output element %d changed after the next corruption: %v != %v", i, outA.Data[i], want.Data[i])
@@ -127,7 +154,7 @@ func TestResolvedStateFollowsConfiguration(t *testing.T) {
 			for _, st := range steps[:n+1] {
 				st.apply(fresh)
 			}
-			got, want := used.corruptTensor(x, id), fresh.corruptTensor(x, id)
+			got, want := corruptCopy(used, x, id), corruptCopy(fresh, x, id)
 			for i := range want.Data {
 				if math.Float32bits(got.Data[i]) != math.Float32bits(want.Data[i]) {
 					t.Fatalf("%v model, after %q: element %d is %v on the reconfigured corruptor, %v on a fresh one",
@@ -135,7 +162,7 @@ func TestResolvedStateFollowsConfiguration(t *testing.T) {
 				}
 			}
 			// A clone taken now carries the entries and must agree too.
-			if c := used.Clone(0).corruptTensor(x, id); math.Float32bits(c.Data[0]) != math.Float32bits(want.Data[0]) {
+			if c := corruptCopy(used.Clone(0), x, id); math.Float32bits(c.Data[0]) != math.Float32bits(want.Data[0]) {
 				t.Fatalf("%v model, after %q: clone diverged from its source", em.P, steps[n].name)
 			}
 		}
@@ -149,11 +176,11 @@ func TestResolvedStateFollowsConfiguration(t *testing.T) {
 	layer := IFMID(tm.Net.Layers[0].Name())
 	recal := NewSoftwareDRAM(uniformModel(5e-2), quant.Int8)
 	recal.Calibrate(tm, 8, 0.01) // absurdly tight: nearly everything is implausible
-	clipped := recal.corruptTensor(probe, layer)
+	clipped := corruptCopy(recal, probe, layer)
 	recal.Calibrate(tm, 8, 0)
 	fresh := NewSoftwareDRAM(uniformModel(5e-2), quant.Int8)
 	fresh.Calibrate(tm, 8, 0)
-	got, want := recal.corruptTensor(probe, layer), fresh.corruptTensor(probe, layer)
+	got, want := corruptCopy(recal, probe, layer), corruptCopy(fresh, probe, layer)
 	differs := false
 	for i := range want.Data {
 		if got.Data[i] != want.Data[i] {

@@ -21,7 +21,7 @@ func BenchmarkSelect(b *testing.B) {
 func BenchmarkWeakPositions(b *testing.B) {
 	for _, m := range kindModels(16384) {
 		b.Run(m.Kind.String(), func(b *testing.B) {
-			in := NewInjector(m)
+			in := &Injector{Model: m}
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if len(in.WeakPositions(2<<20, 3*16384)) == 0 {

@@ -227,11 +227,6 @@ type Injector struct {
 	pass uint64
 }
 
-// NewInjector returns an injector for the model.
-func NewInjector(m *Model) *Injector {
-	return &Injector{Model: m}
-}
-
 // NextPass advances the transient error draw; subsequent Inject calls see
 // an independent error pattern (with the same weak-cell locations).
 func (in *Injector) NextPass() { in.pass++ }

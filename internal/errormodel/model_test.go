@@ -77,7 +77,7 @@ func TestWeakCellsStable(t *testing.T) {
 func TestInjectorRate(t *testing.T) {
 	const ber = 0.01
 	m := uniformModel(ber)
-	in := NewInjector(m)
+	in := &Injector{Model: m}
 	x := tensor.New(20000)
 	x.FillNormal(tensor.NewRNG(1), 1)
 	q := quant.Quantize(x, quant.Int8)
@@ -90,7 +90,7 @@ func TestInjectorRate(t *testing.T) {
 
 func TestInjectorTransience(t *testing.T) {
 	m := uniformModel(0.05)
-	in := NewInjector(m)
+	in := &Injector{Model: m}
 	x := tensor.New(5000)
 	x.FillNormal(tensor.NewRNG(2), 1)
 	q1 := quant.Quantize(x, quant.Int8)
@@ -112,7 +112,7 @@ func TestInjectorTransience(t *testing.T) {
 
 func TestInjectorZeroBERIsNoop(t *testing.T) {
 	m := uniformModel(0)
-	in := NewInjector(m)
+	in := &Injector{Model: m}
 	x := tensor.New(1000)
 	x.FillNormal(tensor.NewRNG(3), 1)
 	q := quant.Quantize(x, quant.FP32)
@@ -133,7 +133,7 @@ func TestModel1ConcentratesOnBitlines(t *testing.T) {
 	m := &Model{Kind: Model1, Seed: 7, RowBits: 2048, PB: make([]float64, Groups), FB: make([]float64, Groups)}
 	m.PB[3] = 1
 	m.FB[3] = 0.5
-	in := NewInjector(m)
+	in := &Injector{Model: m}
 	x := tensor.New(4096)
 	x.Fill(1)
 	q := quant.Quantize(x, quant.Int8)
@@ -154,7 +154,7 @@ func TestModel1ConcentratesOnBitlines(t *testing.T) {
 
 func TestModel3DataDependence(t *testing.T) {
 	m := &Model{Kind: Model3, Seed: 8, RowBits: 2048, P: 1, FV1: 0.2, FV0: 0.002}
-	in := NewInjector(m)
+	in := &Injector{Model: m}
 	ones := tensor.New(8000)
 	ones.Fill(-1) // int8 code 0xFF... all ones after quantization to -127? Use FP32 all-ones pattern instead.
 	q := quant.Quantize(ones, quant.Int8)
@@ -245,7 +245,7 @@ func TestWeakPositionsMatchesIsWeak(t *testing.T) {
 					want = append(want, int32(rel))
 				}
 			}
-			got := NewInjector(m).WeakPositions(n, base)
+			got := (&Injector{Model: m}).WeakPositions(n, base)
 			if len(got) != len(want) {
 				t.Fatalf("%v P=%v base %d: %d weak cells, IsWeak finds %d", m.Kind, m.P, base, len(got), len(want))
 			}
@@ -284,7 +284,7 @@ func TestSharedWeakPositionsMatchesScan(t *testing.T) {
 					src = scaled
 				}
 				got := src.SharedWeakPositions(n, base)
-				want := NewInjector(m).WeakPositions(n, base)
+				want := (&Injector{Model: m}).WeakPositions(n, base)
 				if len(got) != len(want) {
 					t.Fatalf("%v base %d span %d: %d weak cells, scan finds %d", m.Kind, base, n, len(got), len(want))
 				}
@@ -316,7 +316,7 @@ func TestSharedWeakPositionsMatchesScan(t *testing.T) {
 // characterization probes do. Run with -race.
 func TestSharedWeakPositionsConcurrent(t *testing.T) {
 	for _, m := range kindModels(200) {
-		want := NewInjector(m).WeakPositions(9000, 400)
+		want := (&Injector{Model: m}).WeakPositions(9000, 400)
 		var wg sync.WaitGroup
 		for g := 0; g < 8; g++ {
 			wg.Add(1)

@@ -105,7 +105,10 @@ func TestCorruptedZooBitIdenticalOnBothVecPaths(t *testing.T) {
 // TestServeBitIdenticalOnBothVecPaths serves an int8 LeNet at a stiff BER
 // through the batching scheduler with concurrent callers.
 func TestServeBitIdenticalOnBothVecPaths(t *testing.T) {
-	tm := dnn.MustPretrained("LeNet")
+	tm, err := dnn.Pretrained("LeNet")
+	if err != nil {
+		t.Fatal(err)
+	}
 	rng := tensor.NewRNG(0x5E12E)
 	inputs := make([][]float32, 12)
 	for i := range inputs {

@@ -7,14 +7,13 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/dnn"
 	"repro/internal/quant"
 	"repro/internal/tensor"
 )
 
 // benchInput returns one deterministic input for a model.
-func benchInput(name string) []float32 {
-	tm := dnn.MustPretrained(name)
+func benchInput(b *testing.B, name string) []float32 {
+	tm := pretrained(b, name)
 	x := tensor.New(1, tm.Net.InC, tm.Net.InH, tm.Net.InW)
 	x.FillUniform(tensor.NewRNG(0xBE7C), -1, 1)
 	return x.Data
@@ -25,7 +24,7 @@ func benchServe(b *testing.B, model string, maxBatch int) {
 	s := New(Config{MaxBatch: maxBatch})
 	defer s.Close()
 	m := deployUniform(b, s, model, quant.Int8, 1e-4)
-	in := benchInput(model)
+	in := benchInput(b, model)
 	b.ResetTimer()
 	start := time.Now()
 	b.RunParallel(func(pb *testing.PB) {
@@ -71,7 +70,7 @@ func BenchmarkServeVGGParked(b *testing.B) {
 	s := New(Config{})
 	defer s.Close()
 	m := deployUniform(b, s, "VGG-16", quant.Int8, 1e-4)
-	in := benchInput("VGG-16")
+	in := benchInput(b, "VGG-16")
 	const callers, perCaller = 32, 64
 	drive := func(perCaller int) {
 		var wg sync.WaitGroup

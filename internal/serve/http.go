@@ -224,10 +224,11 @@ const maxDeadlineMs = math.MaxInt64 / int64(time.Millisecond)
 // oversized POST could exhaust the daemon's memory, and it is read whole
 // before it is decoded: a body past the bound is refused even when its object
 // ends before the bound. A body in the canonical form
-// {"input":[n,…],"seed":u,"deadline_ms":i} (each key at most once, in any
-// order, any JSON whitespace) is decoded in one pass without reflection
-// (scanPredict); every other body goes to encoding/json, which keeps its
-// outcome and error text, trailing bytes after the object included.
+// {"input":[n,…],"seed":u,"deadline_ms":i} (keys in any order, any JSON
+// whitespace) is decoded in one pass without reflection (scanPredict);
+// every other body goes to encoding/json, which keeps its outcome and error
+// text. Either way a repeated key's last value wins and bytes after the
+// object are ignored, as json.Decoder does.
 func DecodePredict(w http.ResponseWriter, r *http.Request, inputLen int) (req PredictRequest, deadline time.Time, ok bool) {
 	maxBody := int64(inputLen)*64 + 4096
 	buf := bodyPool.Get().(*bytes.Buffer)
@@ -268,26 +269,25 @@ var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 // comes from the strconv call encoding/json makes for its field's type —
 // ParseFloat(tok, 32), ParseUint(tok, 10, 64), ParseInt(tok, 10, 64) — on
 // a token already held to the JSON number grammar, so a value it keeps is
-// the one encoding/json gives. It declines anything else: a key that is not
-// exactly one of the three names (encoding/json also matches other cases and
-// escapes), a repeated key, null, a value a Parse call refuses (a float32
-// overflow, a seed or deadline_ms that is not an integer in range), or any
-// byte but whitespace after the object.
+// the one encoding/json gives. A repeated key overwrites the earlier value
+// and the bytes after the object are ignored, as json.Decoder does with
+// both. It declines anything else: a key that is not exactly one of the
+// three names (encoding/json also matches other cases and escapes), null,
+// or a value a Parse call refuses (a float32 overflow, a seed or
+// deadline_ms that is not an integer in range).
 func scanPredict(b []byte, inputLen int, req *PredictRequest) bool {
 	s := scanner{b: b}
 	if !s.next('{') {
 		return false
 	}
-	var seen [3]bool
 	for first := true; !s.next('}'); first = false {
 		if !first && !s.next(',') {
 			return false
 		}
 		k := s.key()
-		if k < 0 || seen[k] || !s.next(':') {
+		if k < 0 || !s.next(':') {
 			return false
 		}
-		seen[k] = true
 		var err error
 		switch k {
 		case 0:
@@ -301,8 +301,7 @@ func scanPredict(b []byte, inputLen int, req *PredictRequest) bool {
 			return false
 		}
 	}
-	s.skip()
-	return s.i == len(b)
+	return true
 }
 
 // scanner is scanPredict's cursor over a body.

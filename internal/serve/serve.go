@@ -141,14 +141,6 @@ func (s *Server) Role() Role {
 	return s.role
 }
 
-// StageInfo returns the pipeline-stage identity of a stage server (nil for
-// standalone servers).
-func (s *Server) StageInfo() *eden.StageInfo {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.stage
-}
-
 // reserve claims a model name before the expensive build starts, so
 // concurrent registrations of the same name fail fast instead of training a
 // model only to throw it away at publication time.

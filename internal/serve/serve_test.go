@@ -49,10 +49,20 @@ func deployUniform(t testing.TB, s *Server, name string, prec quant.Precision, b
 	return m
 }
 
+// pretrained is dnn.Pretrained for a test or benchmark, which an error ends.
+func pretrained(tb testing.TB, name string) *dnn.TrainedModel {
+	tb.Helper()
+	tm, err := dnn.Pretrained(name)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return tm
+}
+
 // testInputs builds n deterministic flattened inputs for a model.
 func testInputs(t *testing.T, name string, n int) [][]float32 {
 	t.Helper()
-	tm := dnn.MustPretrained(name)
+	tm := pretrained(t, name)
 	rng := tensor.NewRNG(0x5E12E)
 	out := make([][]float32, n)
 	for i := range out {
