@@ -17,7 +17,8 @@ test:
 # codecs, the ReLU clamp and 2×2 pooling kernels, gemm's tile micro-kernel,
 # the dram read's hash-mask kernel),
 # the activation-frame decoder, a trust boundary of the stage wire, the
-# predict JSON body decoder, and the deployment-artifact loader
+# predict JSON body decoder, its number conversion (against strconv), and the
+# deployment-artifact loader
 # (LoadDeployment, through dnn's tensor section) — ten seconds of fresh
 # inputs on top of its seed corpus (which `make test` already runs). The
 # predict decoder's oversized-body seed is over 50 KB, so its new inputs get
@@ -29,6 +30,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzBelowMasksVecMatchesScalar -fuzztime 10s ./internal/dram
 	$(GO) test -run '^$$' -fuzz FuzzDecodeActivation -fuzztime 10s ./internal/serve
 	$(GO) test -run '^$$' -fuzz FuzzDecodePredict -fuzztime 10s -fuzzminimizetime 1s ./internal/serve
+	$(GO) test -run '^$$' -fuzz FuzzParseFloat32 -fuzztime 10s ./internal/serve
 	$(GO) test -run '^$$' -fuzz FuzzLoadDeployment -fuzztime 10s ./internal/eden
 
 # mutants re-runs the mutation catalog, testdata/mutants.txt: entry by

@@ -216,18 +216,18 @@ func hashMix(z uint64) uint64 {
 }
 
 // Injector applies a model's error distribution to quantized tensors,
-// emulating their residence in approximate DRAM. Each Inject call is one
-// independent "read" of the data (errors are transient); NextPass advances
-// the transient draw.
+// emulating their residence in approximate DRAM. Each InjectWeak or
+// InjectUniform call is one independent "read" of the data (errors are
+// transient); NextPass advances the transient draw.
 type Injector struct {
 	Model *Model
-	// pass indexes the transient error draw: Inject calls under one pass
+	// pass indexes the transient error draw: injections under one pass
 	// flip the same bits of the same data, and NextPass/SetPass move to an
 	// independent draw over the same weak cells.
 	pass uint64
 }
 
-// NextPass advances the transient error draw; subsequent Inject calls see
+// NextPass advances the transient error draw; subsequent injections see
 // an independent error pattern (with the same weak-cell locations).
 func (in *Injector) NextPass() { in.pass++ }
 
@@ -235,17 +235,6 @@ func (in *Injector) NextPass() { in.pass++ }
 // callers that construct fresh injectors per tensor stay aligned with a
 // shared pass counter.
 func (in *Injector) SetPass(pass uint64) { in.pass = pass }
-
-// Inject flips bits of q in place according to the model, as if q's packed
-// image occupied DRAM starting at bit offset baseBit. The layout matches
-// quant.Pack: value i's bit k lives at absolute bit baseBit + i*bits + k,
-// rows are RowBits wide, and the bit's bitline is its offset within the
-// row. MSB alignment therefore emerges naturally when RowBits is a
-// multiple of the value width, mirroring the paper's observation that
-// aligned MSBs share bitlines (§6.3).
-func (in *Injector) Inject(q *quant.QTensor, baseBit int) int {
-	return in.InjectWeak(q, baseBit, in.WeakPositions(q.NumValues()*q.Prec.Bits(), baseBit))
-}
 
 // WeakPositions enumerates, ascending, the weak-cell bit offsets (relative
 // to baseBit) within a span of nBits: the rel for which
@@ -348,8 +337,15 @@ func (m *Model) SharedWeakPositions(nBits, baseBit int) []int32 {
 	return s.list[:sort.Search(len(s.list), func(i int) bool { return int(s.list[i]) >= nBits })]
 }
 
-// InjectWeak flips bits of q using a precomputed weak-position list from
-// WeakPositions with the same baseBit. It is the fast path of Inject.
+// InjectWeak flips bits of q in place according to the model, as if q's
+// packed image occupied DRAM starting at bit offset baseBit, and returns how
+// many it flipped. Only the cells of weak can flip: a list from
+// WeakPositions (or SharedWeakPositions) with the same baseBit. The layout
+// matches quant.Pack: value i's bit k lives at absolute bit baseBit + i*bits
+// + k, rows are RowBits wide, and the bit's bitline is its offset within the
+// row. MSB alignment therefore emerges naturally when RowBits is a multiple
+// of the value width, mirroring the paper's observation that aligned MSBs
+// share bitlines (§6.3).
 //
 // Model 0 takes a geometric-skip shortcut: its flip rate is one constant for
 // every weak cell regardless of position or stored value, so instead of

@@ -74,6 +74,12 @@ func TestWeakCellsStable(t *testing.T) {
 	}
 }
 
+// inject flips q as if its packed image started at bit 0, over every weak
+// cell of that span.
+func inject(in *Injector, q *quant.QTensor) int {
+	return in.InjectWeak(q, 0, in.WeakPositions(q.NumValues()*q.Prec.Bits(), 0))
+}
+
 func TestInjectorRate(t *testing.T) {
 	const ber = 0.01
 	m := uniformModel(ber)
@@ -81,7 +87,7 @@ func TestInjectorRate(t *testing.T) {
 	x := tensor.New(20000)
 	x.FillNormal(tensor.NewRNG(1), 1)
 	q := quant.Quantize(x, quant.Int8)
-	flips := in.Inject(q, 0)
+	flips := inject(in, q)
 	rate := float64(flips) / float64(q.NumBits())
 	if math.Abs(rate-ber) > ber*0.3 {
 		t.Fatalf("injected rate %v, want ~%v", rate, ber)
@@ -95,9 +101,9 @@ func TestInjectorTransience(t *testing.T) {
 	x.FillNormal(tensor.NewRNG(2), 1)
 	q1 := quant.Quantize(x, quant.Int8)
 	q2 := q1.Clone()
-	in.Inject(q1, 0)
+	inject(in, q1)
 	in.NextPass()
-	in.Inject(q2, 0)
+	inject(in, q2)
 	same := true
 	for i := range q1.Codes {
 		if q1.Codes[i] != q2.Codes[i] {
@@ -117,7 +123,7 @@ func TestInjectorZeroBERIsNoop(t *testing.T) {
 	x.FillNormal(tensor.NewRNG(3), 1)
 	q := quant.Quantize(x, quant.FP32)
 	orig := q.Clone()
-	if flips := in.Inject(q, 0); flips != 0 {
+	if flips := inject(in, q); flips != 0 {
 		t.Fatalf("zero-BER model injected %d flips", flips)
 	}
 	for i := range q.Codes {
@@ -138,7 +144,7 @@ func TestModel1ConcentratesOnBitlines(t *testing.T) {
 	x.Fill(1)
 	q := quant.Quantize(x, quant.Int8)
 	before := q.Clone()
-	in.Inject(q, 0)
+	inject(in, q)
 	for i := range q.Codes {
 		diff := q.Codes[i] ^ before.Codes[i]
 		for k := 0; k < 8; k++ {
@@ -160,7 +166,7 @@ func TestModel3DataDependence(t *testing.T) {
 	q := quant.Quantize(ones, quant.Int8)
 	// Count stored one-bits and zero-bits and their flips.
 	before := q.Clone()
-	in.Inject(q, 0)
+	inject(in, q)
 	var ones1, flips1, zeros0, flips0 int
 	for i := range q.Codes {
 		diff := q.Codes[i] ^ before.Codes[i]

@@ -5,9 +5,12 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
 	"runtime/debug"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -151,6 +154,74 @@ func FuzzDecodePredict(f *testing.F) {
 		}
 		if req.DeadlineMs > 0 && !deadline.After(decoded) {
 			t.Fatalf("deadline_ms %d resolved to %v, not after the decode at %v", req.DeadlineMs, deadline, decoded)
+		}
+	})
+}
+
+// jsonNumber is the JSON number grammar the scanner holds tokens to.
+var jsonNumber = regexp.MustCompile(`^-?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?$`)
+
+// FuzzParseFloat32 holds the scanner's conversions to the strconv calls they
+// stand in for. The token scanned at the start of any input is a JSON
+// number, all of the input when the input is one, and scanner.float gives
+// what strconv.ParseFloat(tok, 32) gives: the same accept or refuse and the
+// same float32 bits. A token scanner.integer settles holds the value
+// ParseUint(tok, 10, 64) and ParseInt(tok, 10, 64) both return.
+func FuzzParseFloat32(f *testing.F) {
+	for k := range 23 { // the fast path's powers of ten must be exact
+		if want, _ := strconv.ParseFloat("1e"+strconv.Itoa(k), 64); math.Pow10(k) != want {
+			f.Fatalf("math.Pow10(%d) = %v, want %v", k, math.Pow10(k), want)
+		}
+	}
+	for _, tok := range []string{
+		// Within half a float64 ulp of a float32 midpoint, on the side its
+		// tie does not round to: inside the fast path's window (e = -15,
+		// e = 4 and e = -21) and just outside it on either side (e = ±23).
+		"8.000000476837159", "3.933766951061632e19", "7.888455456850352e-6",
+		"8.866664913398381e-8", "2.754829584806399e38",
+		// Exact float32 midpoints: 2^24+1, 1+2^-24.
+		"16777217", "-1.000000059604644775390625",
+		// Mantissas 2^53 and 2^53+1, and one just past 2^53 whose float64
+		// rounding crosses a float32 midpoint.
+		"9007199254740992", "9007199254740993", "0.12225116416811943",
+		// 19- and 20-digit mantissas.
+		"1234567890123456789", "-0.1234567890123456789", "12345678901234567890", "1.2345678901234567890e-3",
+		// The window's edges, and the edges of float32.
+		"1e22", "1e23", "1e-22", "1e-23", "-0", "0e-30", "1e-45", "3.4028235e38", "3.5e38", "-1e39",
+		"1E+05", "0.000001", "1e00005", "1e99999", "0.0000000000000000000001",
+		// Integers at the edges of the fields' fast path and of their types.
+		"999999999999999999", "1000000000000000000", "9223372036854775807", "9223372036854775808",
+		"18446744073709551615", "18446744073709551616", "-1", "1.0", "1e3",
+		// No number, or one with bytes after it.
+		"", " \t7,", "-", "01", "1.", ".5", "+1", "1e", "1e+", "-x", "1x", "2.5]",
+	} {
+		f.Add(tok)
+	}
+	f.Fuzz(func(t *testing.T, in string) {
+		start := len(in) - len(strings.TrimLeft(in, " \t\n\r"))
+		s := scanner{b: []byte(in)}
+		got, err := s.float()
+		tok := in[start:s.i]
+		if tok != "" && !jsonNumber.MatchString(tok) {
+			t.Fatalf("scanned %q from %q, not a JSON number", tok, in)
+		}
+		if jsonNumber.MatchString(in) && tok != in {
+			t.Fatalf("scanned %q of the number %q", tok, in)
+		}
+		want, wantErr := strconv.ParseFloat(tok, 32)
+		if (err == nil) != (wantErr == nil) || math.Float32bits(got) != math.Float32bits(float32(want)) {
+			t.Fatalf("%q converted to %v (%#x, err %v), strconv gives %v (%#x, err %v)",
+				tok, got, math.Float32bits(got), err, float32(want), math.Float32bits(float32(want)), wantErr)
+		}
+		s = scanner{b: []byte(in)}
+		itok, v, ok := s.integer()
+		if !ok {
+			return
+		}
+		u, uerr := strconv.ParseUint(string(itok), 10, 64)
+		i, ierr := strconv.ParseInt(string(itok), 10, 64)
+		if uerr != nil || ierr != nil || u != v || i != int64(v) {
+			t.Fatalf("%q settled as %d; ParseUint gives %d (%v), ParseInt %d (%v)", itok, v, u, uerr, i, ierr)
 		}
 	})
 }

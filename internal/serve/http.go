@@ -266,10 +266,12 @@ var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 // scanPredict decodes b into req when b is the canonical predict body and
 // reports whether it did; on false, req may be half filled. Every value
-// comes from the strconv call encoding/json makes for its field's type —
-// ParseFloat(tok, 32), ParseUint(tok, 10, 64), ParseInt(tok, 10, 64) — on
-// a token already held to the JSON number grammar, so a value it keeps is
-// the one encoding/json gives. A repeated key overwrites the earlier value
+// equals what the strconv call encoding/json makes for its field's type
+// returns — ParseFloat(tok, 32), ParseUint(tok, 10, 64), ParseInt(tok, 10,
+// 64) — on a token already held to the JSON number grammar, so a value it
+// keeps is the one encoding/json gives. The common tokens are converted
+// while they are scanned (scanner.float, scanner.integer), and that call is
+// the fallback for the rest. A repeated key overwrites the earlier value
 // and the bytes after the object are ignored, as json.Decoder does with
 // both. It declines anything else: a key that is not exactly one of the
 // three names (encoding/json also matches other cases and escapes), null,
@@ -293,9 +295,15 @@ func scanPredict(b []byte, inputLen int, req *PredictRequest) bool {
 		case 0:
 			req.Input, err = s.floats(inputLen)
 		case 1:
-			req.Seed, err = strconv.ParseUint(string(s.number()), 10, 64)
+			tok, v, ok := s.integer()
+			if req.Seed = v; !ok {
+				req.Seed, err = strconv.ParseUint(string(tok), 10, 64)
+			}
 		case 2:
-			req.DeadlineMs, err = strconv.ParseInt(string(s.number()), 10, 64)
+			tok, v, ok := s.integer()
+			if req.DeadlineMs = int64(v); !ok {
+				req.DeadlineMs, err = strconv.ParseInt(string(tok), 10, 64)
+			}
 		}
 		if err != nil {
 			return false
@@ -333,52 +341,103 @@ func (s *scanner) skip() {
 }
 
 // number skips whitespace and consumes one token of the JSON number grammar,
-// -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?. Where none starts it
-// returns nil, an empty token that every strconv Parse call refuses; a
-// token with a fraction or an exponent is refused by ParseUint and ParseInt,
-// so seed and deadline_ms are integers.
-func (s *scanner) number() []byte {
+// -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?, reading its magnitude on
+// the way as m·10^e: m is the token's n integer and fraction digits (leading
+// zeros included), exact while n ≤ 19, and an exponent of more than four
+// digits puts e outside every fast path's window. Where no token starts it
+// returns a nil token, which every strconv Parse call refuses, and n = 0.
+func (s *scanner) number() (tok []byte, m uint64, e, n int) {
 	s.skip()
 	b, start := s.b, s.i
 	i := start
 	if i < len(b) && b[i] == '-' {
 		i++
 	}
+	lead := i
 	if i < len(b) && b[i] == '0' {
 		i++
-	} else if j := digits(b, i); j > i {
-		i = j
-	} else {
-		return nil
+	} else if i, m = digits(b, i, 0); i == lead {
+		return nil, 0, 0, 0
 	}
+	n = i - lead
 	if i < len(b) && b[i] == '.' {
-		j := digits(b, i+1)
+		j, v := digits(b, i+1, m)
 		if j == i+1 {
-			return nil
+			return nil, 0, 0, 0
 		}
-		i = j
+		e = i + 1 - j
+		n -= e
+		i, m = j, v
 	}
 	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
 		i++
+		neg := i < len(b) && b[i] == '-'
 		if i < len(b) && (b[i] == '+' || b[i] == '-') {
 			i++
 		}
-		j := digits(b, i)
-		if j == i {
-			return nil
+		j, x := digits(b, i, 0)
+		switch {
+		case j == i:
+			return nil, 0, 0, 0
+		case j-i > 4:
+			x = 1 << 16
+		}
+		if neg {
+			e -= int(x)
+		} else {
+			e += int(x)
 		}
 		i = j
 	}
 	s.i = i
-	return b[start:i]
+	return b[start:i], m, e, n
 }
 
-// digits returns the end of the run of decimal digits at b[i:].
-func digits(b []byte, i int) int {
+// digits returns the end of the run of decimal digits at b[i:] and m with
+// the run's digits appended to it in base 10 (wrapping past 2^64).
+func digits(b []byte, i int, m uint64) (int, uint64) {
 	for i < len(b) && b[i]-'0' < 10 {
+		m = m*10 + uint64(b[i]-'0')
 		i++
 	}
-	return i
+	return i, m
+}
+
+// integer consumes a number token and reports whether it is a run of at
+// most 18 digits, whose value v fits both integer fields; a sign, a
+// fraction, an exponent or a longer run is left to strconv.
+func (s *scanner) integer() (tok []byte, v uint64, ok bool) {
+	tok, v, _, n := s.number()
+	return tok, v, 0 < n && n == len(tok) && n <= 18
+}
+
+// float consumes a number token and returns what strconv.ParseFloat(tok, 32)
+// returns. A token of at most 19 digits m ≤ 2^53 with |e| ≤ 22 takes
+// Clinger's exact fast path: m and 10^|e| are exact float64s (math.Pow10 is
+// exact there), so one multiply or divide rounds the value once, to f: 0 or
+// in [1e-22, 9.1e37], where float32 neither overflows nor goes subnormal.
+// Every float32 midpoint is a float64, so that rounding cannot carry the
+// value across one, only onto it: float32(f) is the value rounded once to
+// float32 unless f is a midpoint, its low 29 bits 1<<28. Every other token,
+// and a midpoint, goes to strconv.
+func (s *scanner) float() (float32, error) {
+	tok, m, e, n := s.number()
+	if 0 < n && n <= 19 && m <= 1<<53 && -22 <= e && e <= 22 {
+		f := float64(m)
+		if e < 0 {
+			f /= math.Pow10(-e)
+		} else {
+			f *= math.Pow10(e)
+		}
+		if math.Float64bits(f)&(1<<29-1) != 1<<28 {
+			if tok[0] == '-' {
+				f = -f
+			}
+			return float32(f), nil
+		}
+	}
+	f, err := strconv.ParseFloat(string(tok), 32)
+	return float32(f), err
 }
 
 // key consumes a quoted object key and returns the index of input, seed or
@@ -415,11 +474,11 @@ func (s *scanner) floats(n int) ([]float32, error) {
 		return v, nil
 	}
 	for {
-		f, err := strconv.ParseFloat(string(s.number()), 32)
+		f, err := s.float()
 		if err != nil {
 			return nil, err
 		}
-		v = append(v, float32(f))
+		v = append(v, f)
 		if !s.next(',') {
 			break
 		}
