@@ -161,12 +161,11 @@ func FuzzDecodePredict(f *testing.F) {
 // jsonNumber is the JSON number grammar the scanner holds tokens to.
 var jsonNumber = regexp.MustCompile(`^-?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?$`)
 
-// FuzzParseFloat32 holds the scanner's conversions to the strconv calls they
-// stand in for. The token scanned at the start of any input is a JSON
+// FuzzParseFloat32 holds the scanner's float conversion to the strconv call
+// it stands in for. The token scanned at the start of any input is a JSON
 // number, all of the input when the input is one, and scanner.float gives
 // what strconv.ParseFloat(tok, 32) gives: the same accept or refuse and the
-// same float32 bits. A token scanner.integer settles holds the value
-// ParseUint(tok, 10, 64) and ParseInt(tok, 10, 64) both return.
+// same float32 bits.
 func FuzzParseFloat32(f *testing.F) {
 	for k := range 23 { // the fast path's powers of ten must be exact
 		if want, _ := strconv.ParseFloat("1e"+strconv.Itoa(k), 64); math.Pow10(k) != want {
@@ -189,7 +188,7 @@ func FuzzParseFloat32(f *testing.F) {
 		// The window's edges, and the edges of float32.
 		"1e22", "1e23", "1e-22", "1e-23", "-0", "0e-30", "1e-45", "3.4028235e38", "3.5e38", "-1e39",
 		"1E+05", "0.000001", "1e00005", "1e99999", "0.0000000000000000000001",
-		// Integers at the edges of the fields' fast path and of their types.
+		// Integers at 10^18 and at the edges of int64 and uint64.
 		"999999999999999999", "1000000000000000000", "9223372036854775807", "9223372036854775808",
 		"18446744073709551615", "18446744073709551616", "-1", "1.0", "1e3",
 		// No number, or one with bytes after it.
@@ -212,16 +211,6 @@ func FuzzParseFloat32(f *testing.F) {
 		if (err == nil) != (wantErr == nil) || math.Float32bits(got) != math.Float32bits(float32(want)) {
 			t.Fatalf("%q converted to %v (%#x, err %v), strconv gives %v (%#x, err %v)",
 				tok, got, math.Float32bits(got), err, float32(want), math.Float32bits(float32(want)), wantErr)
-		}
-		s = scanner{b: []byte(in)}
-		itok, v, ok := s.integer()
-		if !ok {
-			return
-		}
-		u, uerr := strconv.ParseUint(string(itok), 10, 64)
-		i, ierr := strconv.ParseInt(string(itok), 10, 64)
-		if uerr != nil || ierr != nil || u != v || i != int64(v) {
-			t.Fatalf("%q settled as %d; ParseUint gives %d (%v), ParseInt %d (%v)", itok, v, u, uerr, i, ierr)
 		}
 	})
 }

@@ -269,9 +269,9 @@ var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 // equals what the strconv call encoding/json makes for its field's type
 // returns — ParseFloat(tok, 32), ParseUint(tok, 10, 64), ParseInt(tok, 10,
 // 64) — on a token already held to the JSON number grammar, so a value it
-// keeps is the one encoding/json gives. The common tokens are converted
-// while they are scanned (scanner.float, scanner.integer), and that call is
-// the fallback for the rest. A repeated key overwrites the earlier value
+// keeps is the one encoding/json gives. The common input tokens are
+// converted while they are scanned (scanner.float), and that call is the
+// fallback for the rest. A repeated key overwrites the earlier value
 // and the bytes after the object are ignored, as json.Decoder does with
 // both. It declines anything else: a key that is not exactly one of the
 // three names (encoding/json also matches other cases and escapes), null,
@@ -295,15 +295,11 @@ func scanPredict(b []byte, inputLen int, req *PredictRequest) bool {
 		case 0:
 			req.Input, err = s.floats(inputLen)
 		case 1:
-			tok, v, ok := s.integer()
-			if req.Seed = v; !ok {
-				req.Seed, err = strconv.ParseUint(string(tok), 10, 64)
-			}
+			tok, _, _, _ := s.number()
+			req.Seed, err = strconv.ParseUint(string(tok), 10, 64)
 		case 2:
-			tok, v, ok := s.integer()
-			if req.DeadlineMs = int64(v); !ok {
-				req.DeadlineMs, err = strconv.ParseInt(string(tok), 10, 64)
-			}
+			tok, _, _, _ := s.number()
+			req.DeadlineMs, err = strconv.ParseInt(string(tok), 10, 64)
 		}
 		if err != nil {
 			return false
@@ -401,14 +397,6 @@ func digits(b []byte, i int, m uint64) (int, uint64) {
 		i++
 	}
 	return i, m
-}
-
-// integer consumes a number token and reports whether it is a run of at
-// most 18 digits, whose value v fits both integer fields; a sign, a
-// fraction, an exponent or a longer run is left to strconv.
-func (s *scanner) integer() (tok []byte, v uint64, ok bool) {
-	tok, v, _, n := s.number()
-	return tok, v, 0 < n && n == len(tok) && n <= 18
 }
 
 // float consumes a number token and returns what strconv.ParseFloat(tok, 32)
