@@ -132,28 +132,27 @@
 //
 // The reproducibility discipline above is not a convention but a set of
 // enforced invariants: internal/lint holds a custom static-analysis
-// suite (run by cmd/repro-lint, gating CI via make lint) whose six
+// suite (run by cmd/repro-lint, gating CI via make lint) whose five
 // analyzers each guard one clause. nomathrand forbids math/rand in
 // favour of seeded tensor.RNG streams, and rngstream checks — through
 // every assignment the closure makes to each local — that every RNG a
 // go-closure or parallel pool task draws from is a per-task stream
-// derived by Split/SplitN before the fan-out; forwardpurity forbids dnn
-// layers writing receiver state on the inference path of
-// Forward/ForwardBatch, the data-race class that would break
-// shared-network batching, with impurity summaries exported as
-// object facts so mutations reached through imported packages are
-// caught too; hotalloc forbids per-iteration allocation in loops on the
-// hot paths (all of compute, the dnn forward call trees); noclocktime
-// keeps wall-clock reads out of the deterministic packages (tensor,
-// compute, dnn, eden, errormodel, quant); errreturn rejects silently
-// discarded errors on the artifact and serving paths. Lock discipline
-// and shared writes are left to go vet's copylocks and the race
-// detector (make race), map-order leaks to the bit-identity suites and
-// pinned CRCs. The framework beneath the analyzers
-// (internal/lint/analysis) supplies the package loader, the
-// analyzer/pass vocabulary and an in-memory object-fact store on the
-// standard library alone. A finding that is genuinely
-// benign is silenced line by line with a justified
+// derived by Split/SplitN before the fan-out; hotalloc forbids
+// per-iteration allocation in loops on the hot paths (all of compute, the
+// dnn forward call trees); noclocktime keeps wall-clock reads out of the
+// deterministic packages (tensor, compute, dnn, eden, errormodel, quant);
+// errreturn rejects silently discarded errors on the artifact and serving
+// paths. Inference purity — no layer writing its own state on the
+// inference path, the data-race class that would break shared-network
+// batching — is a run-time check: dnn's TestInferenceLeavesLayersUntouched
+// holds every zoo layer to a fresh build after a pass on each executor
+// (Forward and ForwardBatchFused), with the race detector (make race) as
+// the backstop. Lock discipline and shared writes are left to go vet's
+// copylocks and the race detector, map-order leaks to the bit-identity
+// suites and pinned CRCs. The framework beneath the analyzers
+// (internal/lint/analysis) supplies the package loader and the
+// analyzer/pass vocabulary on the standard library alone. A finding that
+// is genuinely benign is silenced line by line with a justified
 // //lint:ignore <analyzer> <reason> directive, the one suppression
 // mechanism. See README.md ("Static analysis") for the full contract.
 package repro

@@ -187,18 +187,38 @@ func TestZooBuildsAndForwards(t *testing.T) {
 
 // TestInferenceLeavesLayersUntouched: an inference forward writes no layer
 // state — no backward cache, mask or running statistic — which is what lets
-// concurrent evaluation passes share one network. After one, every layer of
-// every zoo model still equals its freshly built twin.
+// concurrent passes share one network. After one, on either executor, every
+// layer of every zoo model still equals its freshly built twin. The fused
+// executor is its own input because its per-sample kernels (inferInto) are
+// code that Forward never reaches.
 func TestInferenceLeavesLayersUntouched(t *testing.T) {
+	sample := func(net *Network, n int, seed uint64) *tensor.Tensor {
+		x := tensor.New(n, net.InC, net.InH, net.InW)
+		x.FillNormal(tensor.NewRNG(seed), 1)
+		return x
+	}
+	executors := []struct {
+		name string
+		run  func(net *Network)
+	}{
+		{"Forward", func(net *Network) { net.Forward(sample(net, 2, 5), false, nil) }},
+		{"ForwardBatchFused", func(net *Network) {
+			xs := make([]*tensor.Tensor, 3)
+			for i := range xs {
+				xs[i] = sample(net, 1, uint64(5+i))
+			}
+			net.ForwardBatchFused(xs, BatchOptions{})
+		}},
+	}
 	for _, spec := range Zoo {
-		net, _ := BuildModel(spec.Name)
 		fresh, _ := BuildModel(spec.Name)
-		x := tensor.New(2, net.InC, net.InH, net.InW)
-		x.FillNormal(tensor.NewRNG(5), 1)
-		net.Forward(x, false, nil)
-		for i, l := range net.Layers {
-			if !reflect.DeepEqual(l, fresh.Layers[i]) {
-				t.Errorf("%s: inference changed the state of layer %s", spec.Name, l.Name())
+		for _, e := range executors {
+			net, _ := BuildModel(spec.Name)
+			e.run(net)
+			for i, l := range net.Layers {
+				if !reflect.DeepEqual(l, fresh.Layers[i]) {
+					t.Errorf("%s: %s changed the state of layer %s", spec.Name, e.name, l.Name())
+				}
 			}
 		}
 	}

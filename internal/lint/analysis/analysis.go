@@ -5,10 +5,8 @@
 // so instead of importing x/tools the package provides the same shape on
 // top of the standard library: go/ast + go/types for inspection, and a
 // loader (load.go) that shells out to `go list -export` exactly the way
-// x/tools' go/packages does underneath.
-//
-// Beside that core sit in-memory object facts that carry results from a
-// package to its importers (facts.go).
+// x/tools' go/packages does underneath. An analyzer sees one package at a
+// time.
 //
 // Analyzers live in sibling packages (internal/lint/...) and are wired
 // into the cmd/repro-lint multichecker. Each encodes one invariant of the
@@ -70,9 +68,6 @@ type Pass struct {
 	ignores map[string]map[int][]string
 
 	diagnostics []Diagnostic
-
-	// facts holds the analyzer's object facts accumulated over the Run.
-	facts map[factKey]Fact
 }
 
 // Reportf records a formatted diagnostic at pos unless an ignore
@@ -132,16 +127,9 @@ func buildIgnoreIndex(fset *token.FileSet, files []*ast.File) map[string]map[int
 }
 
 // Run applies every analyzer to every package and returns all diagnostics
-// sorted by position. pkgs must be in dependency order (dependencies
-// before dependents — the order Load and the fixture loader produce), so
-// facts exported by an analyzer on a package are visible when the same
-// analyzer reaches the packages importing it. The error aggregates
-// analyzer failures (not findings).
+// sorted by position. Each pass sees one package alone, so pkgs may come in
+// any order. The error aggregates analyzer failures (not findings).
 func Run(analyzers []*Analyzer, pkgs []*Package) ([]Diagnostic, error) {
-	facts := make(map[*Analyzer]map[factKey]Fact, len(analyzers))
-	for _, a := range analyzers {
-		facts[a] = make(map[factKey]Fact)
-	}
 	var all []Diagnostic
 	var errs []string
 	for _, pkg := range pkgs {
@@ -153,7 +141,6 @@ func Run(analyzers []*Analyzer, pkgs []*Package) ([]Diagnostic, error) {
 				Pkg:       pkg.Types,
 				TypesInfo: pkg.TypesInfo,
 				ignores:   pkg.ignores,
-				facts:     facts[a],
 			}
 			if err := a.Run(pass); err != nil {
 				errs = append(errs, fmt.Sprintf("%s on %s: %v", a.Name, pkg.ImportPath, err))

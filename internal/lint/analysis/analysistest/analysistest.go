@@ -68,12 +68,9 @@ func runOne(t *testing.T, testdata string, a *analysis.Analyzer, importPath stri
 		t.Fatalf("loading fixture %s: %v", importPath, err)
 	}
 
-	// The loader records fixture packages in completion order, which
-	// puts dependencies before dependents — the order analysis.Run needs
-	// for facts to flow from a fixture to the fixtures importing it.
-	// Expectations are checked across every loaded fixture file, so a
-	// multi-package fixture can place // want comments in its dependency
-	// packages too.
+	// Every fixture the target loads is analyzed, and expectations are
+	// checked across all their files, so a multi-package fixture can
+	// place // want comments in its dependency packages too.
 	pkgs := make([]*analysis.Package, len(ld.order))
 	var files []*ast.File
 	for i, fix := range ld.order {

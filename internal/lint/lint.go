@@ -8,7 +8,6 @@ package lint
 import (
 	"repro/internal/lint/analysis"
 	"repro/internal/lint/errreturn"
-	"repro/internal/lint/forwardpurity"
 	"repro/internal/lint/hotalloc"
 	"repro/internal/lint/noclocktime"
 	"repro/internal/lint/nomathrand"
@@ -19,7 +18,6 @@ import (
 func Analyzers() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		errreturn.Analyzer,
-		forwardpurity.Analyzer,
 		hotalloc.Analyzer,
 		noclocktime.Analyzer,
 		nomathrand.Analyzer,

@@ -14,18 +14,18 @@ import (
 
 // TestMutants runs the mutation catalog, one entry at a time (make mutants).
 // Each entry's test must first pass on the tree as it is, once per distinct
-// package and pattern; then the mutated target is written to a temporary
+// package, pattern and race setting; then the mutated target is written to a temporary
 // directory and laid over the tree with go test -overlay, and the test must
 // report a failure. A mutant that does not build, or whose test does not
 // run, is not caught. The tree itself is never written.
 func TestMutants(t *testing.T) {
-	passed := map[[2]string]bool{}
+	passed := map[[3]string]bool{}
 	for _, m := range readMutants(t) {
 		t.Run(m.name, func(t *testing.T) {
 			if err := m.check(); err != nil {
 				t.Fatal(err)
 			}
-			if key := [2]string{m.pkg, m.run}; !passed[key] {
+			if key := [3]string{m.pkg, m.run, m.race}; !passed[key] {
 				if out, err := goTest(m, ""); err != nil {
 					t.Fatalf("%s -run %s fails without the mutant: %v\n%s", m.pkg, m.run, err, out)
 				}
@@ -60,9 +60,14 @@ func TestMutants(t *testing.T) {
 }
 
 // goTest runs m's test once, over the overlay file when there is one, and
-// returns its combined output.
+// returns its combined output. An entry that asks for the race detector
+// runs five times under it, as make race runs serve: two passes overlap in
+// only a fraction of runs.
 func goTest(m mutant, overlay string) ([]byte, error) {
 	args := []string{"test", "-count=1"}
+	if m.race == "true" {
+		args = []string{"test", "-race", "-count=5"}
+	}
 	if overlay != "" {
 		args = append(args, "-overlay", overlay)
 	}

@@ -24,6 +24,7 @@ type mutant struct {
 	run      string // -run pattern that must fail with the mutant in place
 	stands   string // the test whose coverage the entry records
 	recorded string // the commit that first recorded the mutation
+	race     string // "true" runs the test under -race; optional
 	old, new string
 	line     int // of the entry's name line in the catalog
 }
@@ -83,11 +84,11 @@ func readMutants(t *testing.T) []mutant {
 			key, value, ok := strings.Cut(line, ":")
 			value = strings.TrimSpace(value)
 			fields := map[string]*string{"name": &cur.name, "file": &cur.file, "pkg": &cur.pkg,
-				"run": &cur.run, "for": &cur.stands, "recorded": &cur.recorded}
+				"run": &cur.run, "for": &cur.stands, "recorded": &cur.recorded, "race": &cur.race}
 			field := fields[key]
 			switch {
 			case !ok || field == nil:
-				fail("want key: value (name, file, pkg, run, for, recorded), got %q", line)
+				fail("want key: value (name, file, pkg, run, for, recorded, race), got %q", line)
 			case *field != "":
 				fail("%s set twice in one entry", key)
 			case key != "name" && cur.name == "":
@@ -109,13 +110,17 @@ func readMutants(t *testing.T) []mutant {
 }
 
 // check reports why m cannot be applied to the tree: a missing field, a
-// target file or package that does not exist, or old text that does not
-// occur exactly once in the target, so that the substitution is unambiguous.
+// race value other than true, a target file or package that does not
+// exist, or old text that does not occur exactly once in the target, so
+// that the substitution is unambiguous.
 func (m mutant) check() error {
 	for _, f := range []struct{ key, value string }{{"file", m.file}, {"pkg", m.pkg}, {"run", m.run}, {"for", m.stands}, {"recorded", m.recorded}} {
 		if f.value == "" {
 			return fmt.Errorf("no %s", f.key)
 		}
+	}
+	if m.race != "" && m.race != "true" {
+		return fmt.Errorf("race is %q, want true or no race line", m.race)
 	}
 	if m.old == m.new {
 		return fmt.Errorf("old and new are the same text")
