@@ -35,9 +35,10 @@ fuzz-smoke:
 
 # mutants re-runs the mutation catalog, testdata/mutants.txt: entry by
 # entry, the named test must pass on the tree, then fail with the entry's
-# substitution laid over its file through go test -overlay (in a temporary
-# directory; the tree is never written). A mutant that does not build counts
-# as not caught. The catalog is how a test retired as redundant leaves proof
+# substitutions laid over its file through go test -overlay (in a temporary
+# directory; the tree is never written), every run training into an empty
+# model cache. A check: lint entry has repro-lint flag the mutant in a copy
+# of the module instead. A mutant that does not build counts as not caught. The catalog is how a test retired as redundant leaves proof
 # that another test still catches what it caught; tier 1's TestMutantCatalog
 # keeps every entry applicable. CI's bench job runs this target.
 mutants:
@@ -94,11 +95,12 @@ golden:
 golden-check:
 	@$(GOLDEN_RUN); if [ $$st -eq 0 ]; then diff -u $(GOLDEN) $$out; st=$$?; fi; rm -f $$out; exit $$st
 
-# lint is the merge gate: formatting, go vet, and the repository's own
-# analyzer suite (internal/lint via cmd/repro-lint) enforcing the
-# determinism & parallel-safety contract. Any finding fails the run; the
-# one way to accept one is a justified //lint:ignore on its line. The CI
-# lint job runs exactly this target.
+# lint is the merge gate: asm-check, formatting, go vet, and the
+# repository's one analyzer, errreturn (internal/lint via cmd/repro-lint),
+# which rejects silently discarded errors. Any finding fails the run; the
+# one way to accept one is a visible `_ =` discard. The determinism
+# contract is held by tests (the pins, make race, the AllocsPerRun pins),
+# not by lint. The CI lint job runs exactly this target.
 lint: asm-check
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 	$(GO) vet ./...

@@ -1,20 +1,16 @@
-// Command repro-lint is the multichecker for the repository's custom
-// static-analysis suite (internal/lint): five analyzers — errreturn,
-// hotalloc, noclocktime, nomathrand and rngstream — that enforce the
-// determinism contract and the durability of written files. It loads the
-// packages matching the given patterns, runs every analyzer, prints one
-// file:line:col: analyzer: message line per finding and exits non-zero
-// when anything fires.
+// Command repro-lint runs the repository's one custom analyzer,
+// internal/lint/errreturn, which rejects call statements that silently
+// discard an error result (a dropped Close on a written artifact is a
+// durability bug no test sees). It loads the packages matching the given
+// patterns, prints one file:line:col: errreturn: message line per finding
+// and exits 1 when anything fires (2 when loading fails).
 //
 // Usage:
 //
-//	repro-lint [-list] [packages]
+//	repro-lint [packages]
 //
-// Patterns default to ./... relative to the current directory. A finding
-// is silenced only by a justified directive on or directly above the
-// flagged line:
-//
-//	//lint:ignore <analyzer> <reason>
+// Patterns default to ./... relative to the current directory. The one way
+// to accept a finding is a visible discard, `_ = f()`.
 package main
 
 import (
@@ -24,8 +20,8 @@ import (
 	"path/filepath"
 	"strings"
 
-	"repro/internal/lint"
 	"repro/internal/lint/analysis"
+	"repro/internal/lint/errreturn"
 )
 
 func main() {
@@ -33,17 +29,7 @@ func main() {
 }
 
 func run() int {
-	list := flag.Bool("list", false, "list available analyzers and exit")
 	flag.Parse()
-
-	analyzers := lint.Analyzers()
-	if *list {
-		for _, a := range analyzers {
-			fmt.Printf("%-15s %s\n", a.Name, a.Doc)
-		}
-		return 0
-	}
-
 	patterns := flag.Args()
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
@@ -60,7 +46,11 @@ func run() int {
 		return 2
 	}
 
-	diags, runErr := analysis.Run(analyzers, pkgs)
+	diags, err := analysis.Run(errreturn.Analyzer, pkgs)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "repro-lint: %v\n", err)
+		return 2
+	}
 	for _, d := range diags {
 		pos := pkgs[0].Fset.Position(d.Pos)
 		file := pos.Filename
@@ -68,10 +58,6 @@ func run() int {
 			file = rel
 		}
 		fmt.Printf("%s:%d:%d: %s: %s\n", file, pos.Line, pos.Column, d.Analyzer, d.Message)
-	}
-	if runErr != nil {
-		fmt.Fprintf(os.Stderr, "repro-lint: %v\n", runErr)
-		return 2
 	}
 	if len(diags) > 0 {
 		fmt.Fprintf(os.Stderr, "repro-lint: %d finding(s)\n", len(diags))

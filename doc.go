@@ -131,28 +131,24 @@
 // # The determinism contract, enforced
 //
 // The reproducibility discipline above is not a convention but a set of
-// enforced invariants: internal/lint holds a custom static-analysis
-// suite (run by cmd/repro-lint, gating CI via make lint) whose five
-// analyzers each guard one clause. nomathrand forbids math/rand in
-// favour of seeded tensor.RNG streams, and rngstream checks — through
-// every assignment the closure makes to each local — that every RNG a
-// go-closure or parallel pool task draws from is a per-task stream
-// derived by Split/SplitN before the fan-out; hotalloc forbids
-// per-iteration allocation in loops on the hot paths (all of compute, the
-// dnn forward call trees); noclocktime keeps wall-clock reads out of the
-// deterministic packages (tensor, compute, dnn, eden, errormodel, quant);
-// errreturn rejects silently discarded errors on the artifact and serving
-// paths. Inference purity — no layer writing its own state on the
+// enforced invariants, held by tests. The determinism pins
+// (TestDeterminismMatrix, the training and deployment-artifact CRCs,
+// TestClonePoolMatchesFreshClones, TestPatternsDeterminism) fail when
+// randomness leaks in from math/rand, a captured RNG in a fan-out or a
+// wall-clock read, and the race job (make race) when a fan-out shares a
+// stream; the testing.AllocsPerRun pins of the forward and backward
+// kernels and the fused executor fail on a per-iteration allocation on a
+// hot path. Inference purity — no layer writing its own state on the
 // inference path, the data-race class that would break shared-network
-// batching — is a run-time check: dnn's TestInferenceLeavesLayersUntouched
-// holds every zoo layer to a fresh build after a pass on each executor
-// (Forward and ForwardBatchFused), with the race detector (make race) as
-// the backstop. Lock discipline and shared writes are left to go vet's
-// copylocks and the race detector, map-order leaks to the bit-identity
-// suites and pinned CRCs. The framework beneath the analyzers
-// (internal/lint/analysis) supplies the package loader and the
-// analyzer/pass vocabulary on the standard library alone. A finding that
-// is genuinely benign is silenced line by line with a justified
-// //lint:ignore <analyzer> <reason> directive, the one suppression
-// mechanism. See README.md ("Static analysis") for the full contract.
+// batching — is dnn's TestInferenceLeavesLayersUntouched, which holds
+// every zoo layer to a fresh build after a pass on each executor (Forward
+// and ForwardBatchFused), with the race detector as the backstop. Lock
+// discipline is left to go vet's copylocks, map-order leaks to the
+// bit-identity suites and pinned CRCs. The mutation catalog
+// (testdata/mutants.txt, make mutants) records a deliberate bug each of
+// these tests catches. One custom analyzer, internal/lint/errreturn (run
+// by cmd/repro-lint, gating CI via make lint), rejects silently discarded
+// errors: it catches a dropped Close on a written artifact, which no test
+// sees. A finding is fixed, or its error discarded visibly with _ =. See
+// README.md ("Static analysis").
 package repro

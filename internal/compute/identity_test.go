@@ -528,3 +528,37 @@ func TestGemmConv2DAllocations(t *testing.T) {
 		}
 	})
 }
+
+// TestGemmBackwardAllocations pins the allocations of the training kernels,
+// Conv2DBackward and MatMul, the way TestGemmConv2DAllocations pins the
+// forward convolution: a fixed count per call, whatever the batch, so that a
+// per-sample or per-block allocation in their loops shows.
+func TestGemmBackwardAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts at random under the race detector")
+	}
+	prev := parallel.Workers()
+	defer parallel.SetWorkers(prev)
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	r := tensor.NewRNG(0xBAC4)
+	in := randomTensor(r, 16, 16, 16, 16)
+	wt := randomTensor(r, 16, 16, 3, 3)
+	dOut := randomTensor(r, 16, 16, 16, 16)
+	p := tensor.Conv2DParams{Stride: 1, Padding: 1}
+	a, b := randomTensor(r, 16, 64), randomTensor(r, 64, 32)
+	for _, c := range []struct {
+		workers      int
+		conv, matMul float64
+	}{
+		{1, 20, 8},
+		{2, 30, 16},
+	} {
+		parallel.SetWorkers(c.workers)
+		if avg := testing.AllocsPerRun(20, func() { Gemm.Conv2DBackward(in, wt, true, dOut, p) }); avg > c.conv {
+			t.Errorf("%d worker(s): Conv2DBackward allocates %v times per call, ceiling %v", c.workers, avg, c.conv)
+		}
+		if avg := testing.AllocsPerRun(20, func() { Gemm.MatMul(a, b) }); avg > c.matMul {
+			t.Errorf("%d worker(s): MatMul allocates %v times per call, ceiling %v", c.workers, avg, c.matMul)
+		}
+	}
+}

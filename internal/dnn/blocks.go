@@ -187,7 +187,8 @@ func (l *DenseBlock) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	}
 	for _, conv := range l.Convs {
 		if train {
-			//lint:ignore hotalloc training-path cache; catCache's backing array is reused via [:0], so steady-state epochs append without allocating
+			// Training-path cache: catCache's backing array is reused via [:0],
+			// so steady-state epochs append without allocating.
 			l.catCache = append(l.catCache, cat)
 		}
 		out := conv.Forward(cat, train)

@@ -1,11 +1,11 @@
-// Package analysistest runs an analyzer over fixture packages and checks
-// its diagnostics against expectations embedded in the fixtures, mirroring
+// Package analysistest runs an analyzer over a fixture package and checks
+// its diagnostics against expectations embedded in the fixture, mirroring
 // golang.org/x/tools/go/analysis/analysistest on the standard library
 // only.
 //
-// Fixtures live under <testdata>/src/<importpath>/ (a GOPATH-shaped tree).
-// A line that should trigger a diagnostic carries a trailing comment of
-// the form
+// A fixture is one package under <testdata>/src/<name>/ that imports the
+// standard library alone. A line that should trigger a diagnostic carries a
+// trailing comment of the form
 //
 //	code() // want "regexp"
 //
@@ -18,9 +18,7 @@ import (
 	"fmt"
 	"go/ast"
 	"go/importer"
-	"go/parser"
 	"go/token"
-	"go/types"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -31,18 +29,15 @@ import (
 	"repro/internal/lint/analysis"
 )
 
-// Run loads each fixture package below testdata/src, applies a, and
+// Run type-checks the fixture package testdata/src/<name>, applies a, and
 // reports mismatches between actual diagnostics and // want expectations
-// through t.
-func Run(t *testing.T, testdata string, a *analysis.Analyzer, importPaths ...string) {
+// through t, in a subtest named after the fixture.
+func Run(t *testing.T, testdata string, a *analysis.Analyzer, name string) {
 	t.Helper()
-	for _, ip := range importPaths {
-		ip := ip
-		t.Run(ip, func(t *testing.T) {
-			t.Helper()
-			runOne(t, testdata, a, ip)
-		})
-	}
+	t.Run(name, func(t *testing.T) {
+		t.Helper()
+		runOne(t, testdata, a, name)
+	})
 }
 
 // TestData returns the absolute path of the ./testdata directory of the
@@ -56,28 +51,25 @@ func TestData(t *testing.T) string {
 	return filepath.Join(wd, "testdata")
 }
 
-func runOne(t *testing.T, testdata string, a *analysis.Analyzer, importPath string) {
+func runOne(t *testing.T, testdata string, a *analysis.Analyzer, name string) {
 	t.Helper()
+	dir := filepath.Join(testdata, "src", name)
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatalf("loading fixture %s: %v", name, err)
+	}
+	var names []string
+	for _, e := range entries {
+		if !e.IsDir() && strings.HasSuffix(e.Name(), ".go") {
+			names = append(names, e.Name())
+		}
+	}
 	fset := token.NewFileSet()
-	ld := &fixtureLoader{
-		fset:   fset,
-		srcdir: filepath.Join(testdata, "src"),
-		cache:  make(map[string]*loadedFixture),
+	pkg, err := analysis.CheckDir(fset, importer.ForCompiler(fset, "source", nil), name, dir, names)
+	if err != nil {
+		t.Fatalf("loading fixture %s: %v", name, err)
 	}
-	if _, err := ld.load(importPath); err != nil {
-		t.Fatalf("loading fixture %s: %v", importPath, err)
-	}
-
-	// Every fixture the target loads is analyzed, and expectations are
-	// checked across all their files, so a multi-package fixture can
-	// place // want comments in its dependency packages too.
-	pkgs := make([]*analysis.Package, len(ld.order))
-	var files []*ast.File
-	for i, fix := range ld.order {
-		pkgs[i] = fix.pkg
-		files = append(files, fix.pkg.Files...)
-	}
-	diags, err := analysis.Run([]*analysis.Analyzer{a}, pkgs)
+	diags, err := analysis.Run(a, []*analysis.Package{pkg})
 	if err != nil {
 		t.Fatalf("running %s: %v", a.Name, err)
 	}
@@ -90,7 +82,7 @@ func runOne(t *testing.T, testdata string, a *analysis.Analyzer, importPath stri
 		actual[key] = append(actual[key], d.Message)
 	}
 
-	expected := wantExpectations(t, fset, files)
+	expected := wantExpectations(t, fset, pkg.Files)
 
 	keys := make(map[string]bool)
 	for k := range actual {
@@ -161,84 +153,4 @@ func splitQuoted(s string) []string {
 		out = append(out, s[:end])
 		s = s[end+1:]
 	}
-}
-
-type loadedFixture struct {
-	pkg *analysis.Package
-}
-
-// fixtureLoader type-checks fixture packages, resolving imports first
-// against testdata/src and then against the standard library via the
-// source importer (offline: it compiles type information from GOROOT
-// sources).
-type fixtureLoader struct {
-	fset   *token.FileSet
-	srcdir string
-	cache  map[string]*loadedFixture
-	// order lists fixtures in load-completion order: every fixture's
-	// fixture dependencies precede it.
-	order []*loadedFixture
-	std   types.Importer
-}
-
-// Import implements types.Importer so fixtures can import each other.
-func (l *fixtureLoader) Import(path string) (*types.Package, error) {
-	if dir := filepath.Join(l.srcdir, filepath.FromSlash(path)); isDir(dir) {
-		fix, err := l.load(path)
-		if err != nil {
-			return nil, err
-		}
-		return fix.pkg.Types, nil
-	}
-	if l.std == nil {
-		l.std = importer.ForCompiler(l.fset, "source", nil)
-	}
-	return l.std.Import(path)
-}
-
-func (l *fixtureLoader) load(importPath string) (*loadedFixture, error) {
-	if fix, ok := l.cache[importPath]; ok {
-		return fix, nil
-	}
-	dir := filepath.Join(l.srcdir, filepath.FromSlash(importPath))
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	var files []*ast.File
-	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") {
-			continue
-		}
-		f, err := parser.ParseFile(l.fset, filepath.Join(dir, e.Name()), nil, parser.ParseComments)
-		if err != nil {
-			return nil, err
-		}
-		files = append(files, f)
-	}
-	if len(files) == 0 {
-		return nil, fmt.Errorf("no .go files in %s", dir)
-	}
-	info := &types.Info{
-		Types:      make(map[ast.Expr]types.TypeAndValue),
-		Defs:       make(map[*ast.Ident]types.Object),
-		Uses:       make(map[*ast.Ident]types.Object),
-		Selections: make(map[*ast.SelectorExpr]*types.Selection),
-		Scopes:     make(map[ast.Node]*types.Scope),
-		Implicits:  make(map[ast.Node]types.Object),
-	}
-	conf := types.Config{Importer: l}
-	tpkg, err := conf.Check(importPath, l.fset, files, info)
-	if err != nil {
-		return nil, fmt.Errorf("type-checking fixture %s: %v", importPath, err)
-	}
-	fix := &loadedFixture{pkg: analysis.NewPackage(importPath, dir, l.fset, files, tpkg, info)}
-	l.cache[importPath] = fix
-	l.order = append(l.order, fix)
-	return fix, nil
-}
-
-func isDir(path string) bool {
-	st, err := os.Stat(path)
-	return err == nil && st.IsDir()
 }

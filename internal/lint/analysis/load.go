@@ -18,13 +18,10 @@ import (
 // Package is one loaded, type-checked package ready for analysis.
 type Package struct {
 	ImportPath string
-	Dir        string
 	Fset       *token.FileSet
 	Files      []*ast.File
 	Types      *types.Package
 	TypesInfo  *types.Info
-
-	ignores map[string]map[int][]string
 }
 
 // listedPackage mirrors the `go list -json` fields the loader consumes.
@@ -43,7 +40,7 @@ type listedPackage struct {
 // It shells out to `go list -export -deps` so dependency type information
 // comes from compiler export data — the same mechanism x/tools'
 // go/packages uses — which keeps loading fast and fully offline. Test
-// files are not loaded: the suite lints the shipped sources.
+// files are not loaded: the analyzer lints the shipped sources.
 func Load(dir string, patterns []string) ([]*Package, error) {
 	args := append([]string{"list", "-e", "-export", "-deps", "-json=ImportPath,Dir,Name,GoFiles,Export,Standard,DepOnly,Error"}, patterns...)
 	cmd := exec.Command("go", args...)
@@ -88,7 +85,7 @@ func Load(dir string, patterns []string) ([]*Package, error) {
 
 	var pkgs []*Package
 	for _, t := range targets {
-		pkg, err := typeCheckDir(fset, imp, t)
+		pkg, err := CheckDir(fset, imp, t.ImportPath, t.Dir, t.GoFiles)
 		if err != nil {
 			return nil, err
 		}
@@ -97,50 +94,19 @@ func Load(dir string, patterns []string) ([]*Package, error) {
 	return pkgs, nil
 }
 
-// typeCheckDir parses and type-checks one listed package from source.
-func typeCheckDir(fset *token.FileSet, imp types.Importer, lp *listedPackage) (*Package, error) {
+// CheckDir parses the named files of dir and type-checks them as the package
+// importPath, resolving its imports through imp. Load calls it once per
+// listed package; analysistest calls it on a fixture.
+func CheckDir(fset *token.FileSet, imp types.Importer, importPath, dir string, names []string) (*Package, error) {
 	var files []*ast.File
-	for _, name := range lp.GoFiles {
-		f, err := parser.ParseFile(fset, filepath.Join(lp.Dir, name), nil, parser.ParseComments)
+	for _, name := range names {
+		f, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, parser.ParseComments)
 		if err != nil {
 			return nil, fmt.Errorf("parsing %s: %v", name, err)
 		}
 		files = append(files, f)
 	}
-	info := newTypesInfo()
-	conf := types.Config{Importer: imp}
-	tpkg, err := conf.Check(lp.ImportPath, fset, files, info)
-	if err != nil {
-		return nil, fmt.Errorf("type-checking %s: %v", lp.ImportPath, err)
-	}
-	return &Package{
-		ImportPath: lp.ImportPath,
-		Dir:        lp.Dir,
-		Fset:       fset,
-		Files:      files,
-		Types:      tpkg,
-		TypesInfo:  info,
-		ignores:    buildIgnoreIndex(fset, files),
-	}, nil
-}
-
-// NewPackage assembles a Package from already-parsed, already-checked
-// inputs; analysistest uses it to run analyzers over fixture packages
-// loaded outside the `go list` path.
-func NewPackage(importPath, dir string, fset *token.FileSet, files []*ast.File, tpkg *types.Package, info *types.Info) *Package {
-	return &Package{
-		ImportPath: importPath,
-		Dir:        dir,
-		Fset:       fset,
-		Files:      files,
-		Types:      tpkg,
-		TypesInfo:  info,
-		ignores:    buildIgnoreIndex(fset, files),
-	}
-}
-
-func newTypesInfo() *types.Info {
-	return &types.Info{
+	info := &types.Info{
 		Types:      make(map[ast.Expr]types.TypeAndValue),
 		Defs:       make(map[*ast.Ident]types.Object),
 		Uses:       make(map[*ast.Ident]types.Object),
@@ -148,4 +114,16 @@ func newTypesInfo() *types.Info {
 		Scopes:     make(map[ast.Node]*types.Scope),
 		Implicits:  make(map[ast.Node]types.Object),
 	}
+	conf := types.Config{Importer: imp}
+	tpkg, err := conf.Check(importPath, fset, files, info)
+	if err != nil {
+		return nil, fmt.Errorf("type-checking %s: %v", importPath, err)
+	}
+	return &Package{
+		ImportPath: importPath,
+		Fset:       fset,
+		Files:      files,
+		Types:      tpkg,
+		TypesInfo:  info,
+	}, nil
 }

@@ -26,7 +26,6 @@ import (
 // Analyzer flags expression statements that discard an error result.
 var Analyzer = &analysis.Analyzer{
 	Name: "errreturn",
-	Doc:  "flag call statements that discard an error result; handle it, `_ =` it visibly, or suppress with justification",
 	Run:  run,
 }
 

@@ -25,13 +25,18 @@ type mutant struct {
 	stands   string // the test whose coverage the entry records
 	recorded string // the commit that first recorded the mutation
 	race     string // "true" runs the test under -race; optional
-	old, new string
-	line     int // of the entry's name line in the catalog
+	kind     string // the check key, "lint": repro-lint must flag it, no test runs; optional
+	subs     []sub  // applied to file in order
+	line     int    // of the entry's name line in the catalog
 }
+
+// A sub is one substitution block: old text, occurring exactly once in the
+// file as the blocks before it leave it, replaced by new.
+type sub struct{ old, new string }
 
 // readMutants parses the catalog. Outside a substitution block, blank lines
 // and lines starting with # are skipped and every other line is "key:
-// value"; an entry is its key lines followed by a block
+// value"; an entry is its key lines followed by one or more blocks
 //
 //	<<<
 //	old text, verbatim
@@ -39,7 +44,7 @@ type mutant struct {
 //	new text, verbatim
 //	>>>
 //
-// which ends it.
+// and ends at the next name line or at the end of the file.
 func readMutants(t *testing.T) []mutant {
 	t.Helper()
 	f, err := os.Open(catalogPath)
@@ -60,6 +65,17 @@ func readMutants(t *testing.T) []mutant {
 		t.Helper()
 		t.Fatalf("%s:%d: %s", catalogPath, n, fmt.Sprintf(format, args...))
 	}
+	flush := func() {
+		t.Helper()
+		if cur.name == "" {
+			return
+		}
+		if len(cur.subs) == 0 {
+			fail("entry %q has no substitution block", cur.name)
+		}
+		muts = append(muts, cur)
+		cur = mutant{}
+	}
 	for sc.Scan() {
 		n++
 		line := sc.Text()
@@ -67,9 +83,8 @@ func readMutants(t *testing.T) []mutant {
 		case block == 1 && line == "===":
 			block = 2
 		case block == 2 && line == ">>>":
-			cur.old, cur.new = strings.Join(olds, "\n"), strings.Join(news, "\n")
-			muts = append(muts, cur)
-			cur, olds, news, block = mutant{}, nil, nil, 0
+			cur.subs = append(cur.subs, sub{strings.Join(olds, "\n"), strings.Join(news, "\n")})
+			olds, news, block = nil, nil, 0
 		case block == 1:
 			olds = append(olds, line)
 		case block == 2:
@@ -83,16 +98,21 @@ func readMutants(t *testing.T) []mutant {
 		default:
 			key, value, ok := strings.Cut(line, ":")
 			value = strings.TrimSpace(value)
+			if key == "name" {
+				flush()
+			}
 			fields := map[string]*string{"name": &cur.name, "file": &cur.file, "pkg": &cur.pkg,
-				"run": &cur.run, "for": &cur.stands, "recorded": &cur.recorded, "race": &cur.race}
+				"run": &cur.run, "for": &cur.stands, "recorded": &cur.recorded, "race": &cur.race, "check": &cur.kind}
 			field := fields[key]
 			switch {
 			case !ok || field == nil:
-				fail("want key: value (name, file, pkg, run, for, recorded, race), got %q", line)
+				fail("want key: value (name, file, pkg, run, for, recorded, race, check), got %q", line)
 			case *field != "":
 				fail("%s set twice in one entry", key)
 			case key != "name" && cur.name == "":
 				fail("%s before the entry's name", key)
+			case len(cur.subs) > 0:
+				fail("%s after the entry's substitution blocks", key)
 			}
 			if key == "name" {
 				cur.line = n
@@ -103,39 +123,57 @@ func readMutants(t *testing.T) []mutant {
 	if err := sc.Err(); err != nil {
 		t.Fatal(err)
 	}
-	if block != 0 || cur.name != "" {
+	if block != 0 {
 		fail("entry %q is not closed by >>>", cur.name)
 	}
+	flush()
 	return muts
 }
 
 // check reports why m cannot be applied to the tree: a missing field, a
-// race value other than true, a target file or package that does not
-// exist, or old text that does not occur exactly once in the target, so
-// that the substitution is unambiguous.
+// race or check value other than the ones the header allows, a target file
+// or package that does not exist, or a block whose old text does not occur
+// exactly once, so that the substitution is unambiguous.
 func (m mutant) check() error {
-	for _, f := range []struct{ key, value string }{{"file", m.file}, {"pkg", m.pkg}, {"run", m.run}, {"for", m.stands}, {"recorded", m.recorded}} {
+	for _, f := range []struct{ key, value string }{{"file", m.file}, {"pkg", m.pkg}, {"for", m.stands}, {"recorded", m.recorded}} {
 		if f.value == "" {
 			return fmt.Errorf("no %s", f.key)
 		}
 	}
-	if m.race != "" && m.race != "true" {
+	switch {
+	case m.kind == "" && m.run == "":
+		return fmt.Errorf("no run")
+	case m.kind == "lint" && (m.run != "" || m.race != ""):
+		return fmt.Errorf("a check: lint entry runs no test, so it takes no run or race line")
+	case m.kind != "" && m.kind != "lint":
+		return fmt.Errorf("check is %q, want lint or no check line", m.kind)
+	case m.race != "" && m.race != "true":
 		return fmt.Errorf("race is %q, want true or no race line", m.race)
-	}
-	if m.old == m.new {
-		return fmt.Errorf("old and new are the same text")
 	}
 	if gos, _ := filepath.Glob(filepath.Join(m.pkg, "*.go")); len(gos) == 0 {
 		return fmt.Errorf("package %s has no Go files", m.pkg)
 	}
+	_, err := m.mutate()
+	return err
+}
+
+// mutate returns m's file with every block applied in order.
+func (m mutant) mutate() ([]byte, error) {
 	src, err := os.ReadFile(m.file)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	if n := strings.Count(string(src), m.old); n != 1 {
-		return fmt.Errorf("old text occurs %d times in %s, want exactly once", n, m.file)
+	text := string(src)
+	for i, s := range m.subs {
+		if s.old == s.new {
+			return nil, fmt.Errorf("block %d: old and new are the same text", i+1)
+		}
+		if n := strings.Count(text, s.old); n != 1 {
+			return nil, fmt.Errorf("block %d: old text occurs %d times in %s, want exactly once", i+1, n, m.file)
+		}
+		text = strings.Replace(text, s.old, s.new, 1)
 	}
-	return nil
+	return []byte(text), nil
 }
 
 // TestMutantCatalog checks that every catalog entry still applies to the
