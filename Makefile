@@ -36,9 +36,9 @@ fuzz-smoke:
 # mutants re-runs the mutation catalog, testdata/mutants.txt: entry by
 # entry, the named test must pass on the tree, then fail with the entry's
 # substitutions laid over its file through go test -overlay (in a temporary
-# directory; the tree is never written), every run training into an empty
-# model cache. A check: lint entry has repro-lint flag the mutant in a copy
-# of the module instead. A mutant that does not build counts as not caught. The catalog is how a test retired as redundant leaves proof
+# directory; the tree is never written), every run sharing the model cache,
+# which keys each file on a training fingerprint. A check: lint entry has
+# repro-lint flag the mutant in a copy of the module instead. A mutant that does not build counts as not caught. The catalog is how a test retired as redundant leaves proof
 # that another test still catches what it caught; tier 1's TestMutantCatalog
 # keeps every entry applicable. CI's bench job runs this target.
 mutants:
@@ -96,9 +96,9 @@ golden-check:
 	@$(GOLDEN_RUN); if [ $$st -eq 0 ]; then diff -u $(GOLDEN) $$out; st=$$?; fi; rm -f $$out; exit $$st
 
 # lint is the merge gate: asm-check, formatting, go vet, and the
-# repository's one analyzer, errreturn (internal/lint via cmd/repro-lint),
-# which rejects silently discarded errors. Any finding fails the run; the
-# one way to accept one is a visible `_ =` discard. The determinism
+# repository's one custom check, errreturn (cmd/repro-lint), which rejects
+# silently discarded errors. Any finding fails the run; the one way to
+# accept one is a visible `_ =` discard. The determinism
 # contract is held by tests (the pins, make race, the AllocsPerRun pins),
 # not by lint. The CI lint job runs exactly this target.
 lint: asm-check

@@ -146,9 +146,9 @@
 // discipline is left to go vet's copylocks, map-order leaks to the
 // bit-identity suites and pinned CRCs. The mutation catalog
 // (testdata/mutants.txt, make mutants) records a deliberate bug each of
-// these tests catches. One custom analyzer, internal/lint/errreturn (run
-// by cmd/repro-lint, gating CI via make lint), rejects silently discarded
-// errors: it catches a dropped Close on a written artifact, which no test
-// sees. A finding is fixed, or its error discarded visibly with _ =. See
-// README.md ("Static analysis").
+// these tests catches. One custom check, errreturn (cmd/repro-lint, gating
+// CI via make lint), rejects silently discarded errors: it catches a
+// dropped Close on a written artifact, which no test sees. A finding is
+// fixed, or its error discarded visibly with _ =. See README.md ("Static
+// analysis").
 package repro

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math"
+	"os"
 	"reflect"
 	"runtime"
 	"testing"
@@ -386,4 +387,42 @@ func TestWeightBytesAndIFMBytes(t *testing.T) {
 	if i8 := net.IFMBytes(quant.Int8); i8 >= net.IFMBytes(quant.FP32) {
 		t.Fatalf("int8 IFMBytes %d not smaller than FP32", i8)
 	}
+}
+
+// TestPretrainedCacheKeyedOnTraining plants an untrained LeNet in an empty
+// cache directory. Under a fingerprint the code does not produce, it is not
+// loaded: pretrain trains, and writes its weights under its own fingerprint.
+// Under that fingerprint, the planted file is what loads.
+func TestPretrainedCacheKeyedOnTraining(t *testing.T) {
+	cached := pretrained(t, "LeNet")
+	fp := cached.fingerprint()
+	planted := saved(t, mustBuild("LeNet"))
+	for _, own := range []bool{false, true} {
+		dir := t.TempDir()
+		key := fp ^ 1
+		if own {
+			key = fp
+		}
+		if err := os.WriteFile(cached.cacheFile(dir, key), planted, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		m, err := pretrain("LeNet", dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if loaded := bytes.Equal(saved(t, m.Net), planted); loaded != own {
+			t.Errorf("planted under own fingerprint %v: loaded = %v", own, loaded)
+		}
+		if _, err := os.Stat(cached.cacheFile(dir, fp)); err != nil {
+			t.Errorf("planted under own fingerprint %v: %v", own, err)
+		}
+	}
+}
+
+func saved(t *testing.T, net *Network) []byte {
+	var b bytes.Buffer
+	if err := net.Save(&b); err != nil {
+		t.Fatal(err)
+	}
+	return b.Bytes()
 }

@@ -2,6 +2,7 @@ package dnn
 
 import (
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"sync"
@@ -95,6 +96,16 @@ func Pretrained(name string) (*TrainedModel, error) {
 	if m, ok := pretrainCache[name]; ok {
 		return m, nil
 	}
+	m, err := pretrain(name, cacheDir())
+	if err == nil {
+		pretrainCache[name] = m
+	}
+	return m, err
+}
+
+// pretrain builds the named model and loads its weights from the cache
+// directory dir, or trains them and writes them there.
+func pretrain(name, dir string) (*TrainedModel, error) {
 	spec, err := LookupSpec(name)
 	if err != nil {
 		return nil, err
@@ -109,24 +120,22 @@ func Pretrained(name string) (*TrainedModel, error) {
 	}
 	m.Net = mustBuild(name)
 
-	path := filepath.Join(cacheDir(), fmt.Sprintf("%s-%d.edenmdl", sanitize(name), m.Net.ParamCount()))
+	path := m.cacheFile(dir, m.fingerprint())
 	if f, err := os.Open(path); err == nil {
 		loadErr := m.Net.Load(f)
 		_ = f.Close() // read-only file; Load already validated the bytes
 		if loadErr == nil {
 			m.BaselineAcc = m.Metric(EvalOptions{})
-			pretrainCache[name] = m
 			return m, nil
 		}
 		// Stale or corrupt cache: fall through to retraining.
 		m.Net = mustBuild(name)
 	}
 
-	opt := TrainOptions{Epochs: spec.Epochs, Batch: spec.Batch, LR: spec.LR, Seed: hashName(name)}
-	m.Train(m.Net, opt)
+	m.Train(m.Net, TrainOptions{Epochs: spec.Epochs, Batch: spec.Batch, LR: spec.LR, Seed: hashName(name)})
 	m.BaselineAcc = m.Metric(EvalOptions{})
 
-	if err := os.MkdirAll(cacheDir(), 0o755); err == nil {
+	if err := os.MkdirAll(dir, 0o755); err == nil {
 		tmp := path + ".tmp"
 		if f, err := os.Create(tmp); err == nil {
 			saveErr := m.Net.Save(f)
@@ -141,8 +150,38 @@ func Pretrained(name string) (*TrainedModel, error) {
 			}
 		}
 	}
-	pretrainCache[name] = m
 	return m, nil
+}
+
+// cacheFile names m's weights in dir after what trained them: the model,
+// its parameter count, spec.Epochs and a training fingerprint.
+func (m *TrainedModel) cacheFile(dir string, fingerprint uint32) string {
+	return filepath.Join(dir, fmt.Sprintf("%s-%d-e%d-%08x.edenmdl", sanitize(m.Spec.Name), m.Net.ParamCount(), m.Spec.Epochs, fingerprint))
+}
+
+// fingerprint is the CRC-32 of a fresh build's weights after Train runs one
+// epoch from the model's seed over the first 32 training samples, at the
+// spec's batch size and learning rate: two batches through the real data
+// generation, initialization, shuffle, forward, loss, backward and SGD step.
+// Keying the disk cache on it keeps weights another training path produced
+// from being loaded. Blind spot: a change whose first moved bit comes after
+// batch two gets past it (TestTrainingPinnedBothVecPaths still sees that).
+func (m *TrainedModel) fingerprint() uint32 {
+	probe := *m
+	probe.Net = mustBuild(m.Spec.Name)
+	if m.Spec.Task == Detect {
+		ds := *m.BoxTrainSet
+		ds.Samples = ds.Samples[:32]
+		probe.BoxTrainSet = &ds
+	} else {
+		ds := *m.TrainSet
+		ds.Samples = ds.Samples[:32]
+		probe.TrainSet = &ds
+	}
+	probe.Train(probe.Net, TrainOptions{Epochs: 1, Batch: m.Spec.Batch, LR: m.Spec.LR, Seed: hashName(m.Spec.Name)})
+	h := crc32.NewIEEE()
+	_ = probe.Net.Save(h) // a hash's Write never fails
+	return h.Sum32()
 }
 
 func sanitize(name string) string {

@@ -73,3 +73,35 @@ func TestZeroTargetMapsToNominal(t *testing.T) {
 		t.Fatalf("zero tolerance mapped to %+v", op)
 	}
 }
+
+// TestForBERTradesMarginForTarget states Table 3's inversion for every
+// vendor: a looser BER target never raises the voltage or tRCD, each result
+// below nominal is the lowest step that meets its target (one step lower
+// misses it), and at 1e-2 both sit below nominal.
+func TestForBERTradesMarginForTarget(t *testing.T) {
+	const vddStep, trcdStep = 0.01, 0.5
+	nominal := NominalTiming().TRCD
+	for _, v := range Vendors() {
+		vdd, trcd := NominalVDD, nominal
+		for _, target := range []float64{1e-6, 1e-5, 1e-4, 1e-3, 1e-2} {
+			nextVDD, nextTRCD := v.VDDForBER(target, vddStep), v.TRCDForBER(target, trcdStep)
+			if nextVDD > vdd || nextTRCD > trcd {
+				t.Errorf("vendor %s, target %g: VDD %v, tRCD %v rose from %v V, %v ns at the tighter target", v.Name, target, nextVDD, nextTRCD, vdd, trcd)
+			}
+			vdd, trcd = nextVDD, nextTRCD
+			lower := Nominal()
+			lower.VDD = vdd - vddStep
+			if vBER, _ := v.baseBER(lower); vdd < NominalVDD && vBER <= target {
+				t.Errorf("vendor %s, target %g: VDD %v is not the lowest step; %v V meets it too", v.Name, target, vdd, lower.VDD)
+			}
+			lower = Nominal()
+			lower.Timing.TRCD = trcd - trcdStep
+			if _, tBER := v.baseBER(lower); trcd < nominal && tBER <= target {
+				t.Errorf("vendor %s, target %g: tRCD %v is not the lowest step; %v ns meets it too", v.Name, target, trcd, lower.Timing.TRCD)
+			}
+		}
+		if vdd >= NominalVDD || trcd >= nominal {
+			t.Errorf("vendor %s: at 1e-2, VDD %v V and tRCD %v ns must both sit below nominal", v.Name, vdd, trcd)
+		}
+	}
+}

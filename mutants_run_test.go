@@ -30,7 +30,7 @@ func TestMutants(t *testing.T) {
 				t.Fatal(err)
 			}
 			if key := [4]string{m.pkg, m.run, m.race, m.kind}; !passed[key] {
-				if out, err := m.clean(t); err != nil {
+				if out, err := m.clean(); err != nil {
 					t.Fatalf("%s fails without the mutant: %v\n%s", m.pkg, err, out)
 				}
 				passed[key] = true
@@ -60,7 +60,7 @@ func TestMutants(t *testing.T) {
 			if err := os.WriteFile(ov, overlay, 0o644); err != nil {
 				t.Fatal(err)
 			}
-			if out, _ := goTest(t, m, ov); !bytes.Contains(out, []byte("--- FAIL")) {
+			if out, _ := goTest(m, ov); !bytes.Contains(out, []byte("--- FAIL")) {
 				t.Errorf("not caught: %s -run %s reports no failure with the mutant in place\n%s", m.pkg, m.run, out)
 			}
 		})
@@ -68,20 +68,18 @@ func TestMutants(t *testing.T) {
 }
 
 // clean runs m's check on the tree as it is, which must pass.
-func (m mutant) clean(t *testing.T) ([]byte, error) {
+func (m mutant) clean() ([]byte, error) {
 	if m.kind == "lint" {
 		return reproLint(".", m.pkg)
 	}
-	return goTest(t, m, "")
+	return goTest(m, "")
 }
 
 // goTest runs m's test once, over the overlay file when there is one, and
 // returns its combined output. An entry that asks for the race detector
 // runs five times under it, as make race runs serve: two passes overlap in
-// only a fraction of runs. Every run trains into an empty model cache: a
-// model another run cached, with or without the mutant, would hide a
-// mutant on the training path.
-func goTest(t *testing.T, m mutant, overlay string) ([]byte, error) {
+// only a fraction of runs.
+func goTest(m mutant, overlay string) ([]byte, error) {
 	args := []string{"test", "-count=1"}
 	if m.race == "true" {
 		args = []string{"test", "-race", "-count=5"}
@@ -89,9 +87,7 @@ func goTest(t *testing.T, m mutant, overlay string) ([]byte, error) {
 	if overlay != "" {
 		args = append(args, "-overlay", overlay)
 	}
-	cmd := exec.Command("go", append(args, "-run", m.run, m.pkg)...)
-	cmd.Env = append(os.Environ(), "EDEN_MODEL_CACHE="+t.TempDir())
-	return cmd.CombinedOutput()
+	return exec.Command("go", append(args, "-run", m.run, m.pkg)...).CombinedOutput()
 }
 
 // reproLint runs the analyzer over pkg in the module at dir.
