@@ -16,12 +16,16 @@ import (
 // `// want "re" ...` must draw one finding per pattern, each matching its
 // message, and every other line none.
 func TestCheck(t *testing.T) {
+	t.Run("a", func(t *testing.T) { checkFixture(t, "a") })
+}
+
+func checkFixture(t *testing.T, dir string) {
 	fset := token.NewFileSet()
-	f, err := parser.ParseFile(fset, "testdata/a/a.go", nil, parser.ParseComments)
+	f, err := parser.ParseFile(fset, "testdata/"+dir+"/"+dir+".go", nil, parser.ParseComments)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := typeCheck(fset, importer.ForCompiler(fset, "source", nil), "a", []*ast.File{f})
+	p, err := typeCheck(fset, importer.ForCompiler(fset, "source", nil), dir, []*ast.File{f})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,20 +56,23 @@ func TestCheck(t *testing.T) {
 	}
 }
 
-// TestLoad type-checks two module packages from export data: tensor on its
-// own, and dnn, which imports tensor, compute, parallel and more.
-func TestLoad(t *testing.T) {
-	for path, name := range map[string]string{"repro/internal/tensor": "RNG", "repro/internal/dnn": "Network"} {
-		pkgs, err := load(token.NewFileSet(), ".", []string{path})
-		if err != nil {
-			t.Fatalf("load %s: %v", path, err)
-		}
-		if len(pkgs) != 1 || len(pkgs[0].files) == 0 {
-			t.Fatalf("load %s: got %d packages, want 1 with files", path, len(pkgs))
-		}
-		// A named type in scope proves the package type-checked, not just parsed.
-		if obj := pkgs[0].types.Scope().Lookup(name); obj == nil || fmt.Sprint(obj.Type()) != path+"."+name {
-			t.Errorf("load %s: %s not found as a named type", path, name)
-		}
+// TestLoadRepoPackage type-checks a module package from export data.
+func TestLoadRepoPackage(t *testing.T) { checkLoad(t, "repro/internal/tensor", "RNG") }
+
+// TestLoadDepImport type-checks dnn, which imports tensor, compute, parallel
+// and more, so its module imports must resolve from export data.
+func TestLoadDepImport(t *testing.T) { checkLoad(t, "repro/internal/dnn", "Network") }
+
+func checkLoad(t *testing.T, path, name string) {
+	pkgs, err := load(token.NewFileSet(), ".", []string{path})
+	if err != nil {
+		t.Fatalf("load %s: %v", path, err)
+	}
+	if len(pkgs) != 1 || len(pkgs[0].files) == 0 {
+		t.Fatalf("load %s: got %d packages, want 1 with files", path, len(pkgs))
+	}
+	// A named type in scope proves the package type-checked, not just parsed.
+	if obj := pkgs[0].types.Scope().Lookup(name); obj == nil || fmt.Sprint(obj.Type()) != path+"."+name {
+		t.Errorf("load %s: %s not found as a named type", path, name)
 	}
 }
