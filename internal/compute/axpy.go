@@ -22,9 +22,10 @@ package compute
 // fine as long as the vector axis runs over independent accumulators.
 // Conv2D's is the output pixel; MatMulTransB's is the batch row, once there
 // are enough rows to fill a tile's lanes; the backward weight sweep's is
-// the dW column: with the patch matrix staged patch-major,
-// dW[fo, :] += gv·patch[m, :] is an axpy per output pixel, and every dW
-// element still receives its contributions one at a time in Ref's order.
+// the dW column: with the patch matrix staged patch-major, a tile of four
+// filters reduces over every (sample, output pixel) with each dW element
+// receiving its contributions one at a time in Ref's order; and the input
+// sweep's is the output pixel again, the reduction running over filters.
 
 // vecLanes is the number of float32 elements one vector step covers (a YMM
 // register on amd64): the assembly consumes whole groups of this many and

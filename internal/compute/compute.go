@@ -9,11 +9,11 @@
 //   - Gemm: Conv2D (and, symmetrically, Conv2DBackward) lowered to a
 //     patch-matrix GEMM, with per-goroutine pool-recycled scratch buffers
 //     so the patch matrices allocate nothing in steady state. The serving
-//     hot path runs here. Conv2D and batched MatMulTransB go through one
-//     register-tiled micro-kernel, tile (4 filters × 16 columns, the sums
-//     in registers for the whole k loop), and the streaming loops through
-//     axpy (axpy.go): AVX assembly on amd64, the scalar loops that specify
-//     it everywhere else.
+//     hot path runs here. Conv2D, batched MatMulTransB and both sweeps of
+//     Conv2DBackward go through one register-tiled micro-kernel, tile (4
+//     rows × 16 columns, the sums in registers for the whole k loop), and
+//     the streaming loops through axpy (axpy.go): AVX assembly on amd64,
+//     the scalar loops that specify it everywhere else.
 //   - QGemm: the quantized int8 backend, kept for the benchmark only (its
 //     float entry points are timed kernel probes; see qgemm.go). No
 //     program path runs it.
@@ -30,11 +30,11 @@
 // Gradients are relaxed the same way in one place only: the lowered
 // Conv2DBackward pins dW and dBias to Ref's bits, while dIn accumulates in
 // a fixed, worker-invariant order of its own (see gemmBackend's
-// Conv2DBackward). Combined with the worker-count invariance of
-// internal/parallel, a model produces the same bits on any given backend at
-// any worker count, which the repository's determinism contract (seeded
-// corruptor streams, pinned characterization outcomes, cached trained
-// models) rests on.
+// Conv2DBackward; Conv2DBackwardWeights is the call without dIn). Combined
+// with the worker-count invariance of internal/parallel, a model produces
+// the same bits on any given backend at any worker count, which the
+// repository's determinism contract (seeded corruptor streams, pinned
+// characterization outcomes, cached trained models) rests on.
 //
 // Beside the Backend kernels the package holds two elementwise primitives,
 // Clamp (ReLU, ReLU6) and MaxPool2x2 (elemwise.go), which dnn's ReLU and
@@ -74,6 +74,9 @@ type Backend interface {
 	// Conv2DBackward computes the gradients of a Conv2D call: dIn (shaped
 	// like in), dW (shaped like w) and dBias (length F, nil unless hasBias).
 	Conv2DBackward(in, w *tensor.Tensor, hasBias bool, dOut *tensor.Tensor, p tensor.Conv2DParams) (dIn, dW, dBias *tensor.Tensor)
+	// Conv2DBackwardWeights is Conv2DBackward without dIn, for a layer whose
+	// input needs no gradient: the same dW and dBias, bit for bit.
+	Conv2DBackwardWeights(in, w *tensor.Tensor, hasBias bool, dOut *tensor.Tensor, p tensor.Conv2DParams) (dW, dBias *tensor.Tensor)
 }
 
 // Ref is the direct-loop reference backend.

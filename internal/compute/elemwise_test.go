@@ -41,7 +41,7 @@ func clampReference(dst, src []float32, ceil float32) {
 	}
 }
 
-// poolReference is tensor.MaxPool2D's window walk on one 2×2/stride-2
+// poolReference is tensor.MaxPool2DInto's window walk on one 2×2/stride-2
 // output row.
 func poolReference(dst, row0, row1 []float32) {
 	for j := range dst {

@@ -1,6 +1,7 @@
 package compute
 
 import (
+	"math"
 	"sync/atomic"
 
 	"repro/internal/parallel"
@@ -35,8 +36,9 @@ func (gemmBackend) Name() string { return "gemm" }
 // a strip (see there for the measurement).
 const minTileRows = tileCols / 2
 
-// colBlockElems bounds a staged backward patch block to ~128KB so it stays
-// cache-resident while every filter of the group sweeps it.
+// colBlockElems bounds a block of the backward input sweep's patch-matrix
+// gradient to ~128KB, so that it stays cache-resident until col2imAdd
+// scatters it.
 const colBlockElems = 32768
 
 // MatMul computes C = A (m×k) * B (k×n), k-blocked: the B panel a block
@@ -439,48 +441,58 @@ func (c *convForward) stage(panel, src []float32, off, cnt int) {
 }
 
 // Conv2DBackward lowers the gradient computation through the forward
-// pass's patch matrix (im2col), as one fan-out of a share per worker over
-// disjoint write sets. A share first accumulates the part of dW and dBias
-// it owns, then claims samples of dIn one at a time until none are left —
-// so the two sweeps need not be the same size for every core to stay busy,
-// and no nested fan-out waits on a helper token its sibling still holds.
+// pass's patch matrix (im2col) onto tile, as one fan-out of a share per
+// worker over disjoint write sets. A share first computes the part of dW
+// and dBias it owns, then claims samples of dIn one at a time until none
+// are left — so the two sweeps need not be the same size for every core to
+// stay busy, and no nested fan-out waits on a helper token its sibling
+// still holds. Both sweeps read dOut from grads, a filter-major copy.
 //
 //   - dW is owned by column: contiguous ranges of the flattened (group,
-//     k = (ci,ky,kx)) axis, vecLanes-aligned and as wide as the worker count
-//     allows. A share stages, for every (sample, row block), only the patch
-//     columns it owns — patch-major, so that dW[fo, cols] += gv·patch[m, cols]
-//     is one axpy per output pixel with a nonzero gradient (a zero gradient
-//     skips the call, as it skips the scalar in Ref). Across the shares
-//     every patch value is staged exactly once per call, and nothing is
-//     shared or waited for. The dW[fo, k] of different k are independent
-//     accumulators, and each still receives its contributions one rounded
-//     multiply and one rounded add at a time in Ref's (sample, output-pixel)
-//     order, so dW is bit-identical to Ref however the columns are cut.
-//     A share is at least two vectors wide, so that none is a sliver; a
-//     narrow dW (a 3-channel 3×3 first layer: 27 columns) then has fewer
-//     shares than a wide host has workers, and the rest go straight to dIn.
-//     That balance was measured at one and two CPUs only.
+//     k = (ci,ky,kx)) axis, tileCols-aligned and as wide as the worker count
+//     allows. A share stages the patch columns it owns a strip of tileCols
+//     at a time, patch-major for every sample, and every four filters of a
+//     group run tile down the strip, reducing over (sample, output pixel)
+//     in Ref's order from +0. Every dW[fo, k] is its own accumulator, fed one
+//     rounded multiply and one rounded add at a time in Ref's order, so dW
+//     is bit-identical to Ref however the columns are cut. A narrow dW (a
+//     3-channel 3×3 first layer: 27 columns) has fewer shares than a wide
+//     host has workers; the rest go straight to dIn.
 //   - dBias is owned by filter and summed in Ref's order.
-//   - dIn is owned by sample. Its sweep accumulates the patch-matrix
-//     gradient dcol = Wᵀ·dOut (filters in ascending order) and scatters it
-//     back through col2imAdd. This pre-reduction over filters regroups the
-//     float sum, so dIn is NOT bit-identical to Ref — it is the one
-//     deliberate relaxation in the backend's contract. It remains fully
-//     deterministic: contributions accumulate in a fixed (filter, then
-//     patch-row, then output-pixel) order per row block, and the row
-//     blocking depends on the shape alone, so no worker count can perturb
-//     it — which is what training reproducibility actually depends on.
+//   - dIn is owned by sample. Per (group, block of output rows) its sweep
+//     accumulates the patch-matrix gradient dcol = Wᵀ·dOut — every four
+//     taps a tile over tileCols output pixels, the group's filters in
+//     ascending order from +0, out of a Wᵀ transposed once per call — and
+//     scatters it back through col2imAdd. This pre-reduction over filters
+//     regroups the float sum, so dIn is NOT bit-identical to Ref — the one
+//     deliberate relaxation in the backend's contract. It is deterministic:
+//     the (filter, then patch-row, then output-pixel) order per row block
+//     and the row blocking depend on the shape alone, so no worker count
+//     can perturb it — which is what training reproducibility depends on.
 //
-// Sub-cutoff shapes keep Ref's fused serial sweep.
+// The tiles drop Ref's zero skips — of a zero gradient in dW, of a zero
+// weight in dcol — which is exact when the other operand is finite: a sum
+// that starts at +0 never becomes −0, and x + (±0) = x. So a call whose in
+// or dOut holds an Inf or a NaN returns Ref.Conv2DBackward's gradients, as
+// sub-cutoff shapes do. Conv2DBackwardWeights is the call without dIn.
 func (gemmBackend) Conv2DBackward(in, w *tensor.Tensor, hasBias bool, dOut *tensor.Tensor, p tensor.Conv2DParams) (dIn, dW, dBias *tensor.Tensor) {
+	return gemmConvBackward(in, w, hasBias, dOut, p, true)
+}
+
+// Conv2DBackwardWeights is Conv2DBackward's dW and dBias alone.
+func (gemmBackend) Conv2DBackwardWeights(in, w *tensor.Tensor, hasBias bool, dOut *tensor.Tensor, p tensor.Conv2DParams) (dW, dBias *tensor.Tensor) {
+	_, dW, dBias = gemmConvBackward(in, w, hasBias, dOut, p, false)
+	return dW, dBias
+}
+
+func gemmConvBackward(in, w *tensor.Tensor, hasBias bool, dOut *tensor.Tensor, p tensor.Conv2DParams, wantIn bool) (dIn, dW, dBias *tensor.Tensor) {
 	g := convGeometry(in, w, p)
 	if g.n*g.f*g.oh*g.ow*g.cg*g.kh*g.kw < parallelCutoff {
-		return Ref.Conv2DBackward(in, w, hasBias, dOut, g.p)
+		return refConvBackward(in, w, hasBias, dOut, g.p, wantIn)
 	}
 	c := convBackward{
-		convGeom: g, in: in, wt: w, dOut: dOut,
-		dIn: tensor.New(g.n, g.c, g.h, g.w), dW: tensor.New(g.f, g.cg, g.kh, g.kw),
-		fPerG: g.f / g.p.Groups, kTotal: g.cg * g.kh * g.kw,
+		convGeom: g, in: in.Data, dOut: dOut.Data, dW: tensor.New(g.f, g.cg, g.kh, g.kw),
+		fPerG: g.f / g.p.Groups, kTotal: g.cg * g.kh * g.kw, kred: g.n * g.oh * g.ow,
 	}
 	if hasBias {
 		c.dBias = tensor.New(g.f)
@@ -489,30 +501,93 @@ func (gemmBackend) Conv2DBackward(in, w *tensor.Tensor, hasBias bool, dOut *tens
 	// dW and a matching slice of dBias.
 	wk := parallel.Workers()
 	cols := g.p.Groups * c.kTotal
-	per := max(2*vecLanes, (cols+wk*vecLanes-1)/(wk*vecLanes)*vecLanes)
+	per := max(tileCols, (cols+wk*tileCols-1)/(wk*tileCols)*tileCols)
 	owners := (cols + per - 1) / per
-	var nextSample atomic.Int64
-	parallel.ForEach(wk, func(i int) {
+	// A group's last quad of filters takes the next group's rows, or the
+	// zeros past the last, as its dead rows; the dead lanes of a ragged
+	// strip read on past it, into those zeros at the very end.
+	plane := g.oh * g.ow
+	grads := slabF32.get((g.f+tileRows-1)*c.kred + tileCols)
+	defer slabF32.put(grads)
+	c.grads = *grads
+	for fo := 0; fo < g.f; fo++ {
+		for b := 0; b < g.n; b++ {
+			copy(c.grads[fo*c.kred+b*plane:][:plane], c.dOut[(b*g.f+fo)*plane:])
+		}
+	}
+	clear(c.grads[g.f*c.kred:])
+	offs := slabI32.get(c.kred + c.fPerG)
+	defer slabI32.put(offs)
+	c.rowOffs, c.gradOffs = (*offs)[:c.kred], (*offs)[c.kred:]
+	packedOffs(c.rowOffs)
+	for f := range c.gradOffs {
+		c.gradOffs[f] = int32(f * c.kred)
+	}
+	shares, samples := owners, 0
+	if wantIn {
+		shares, samples = wk, g.n
+		c.dIn = tensor.New(g.n, g.c, g.h, g.w)
+		// Wᵀ per group: kTotal rows of fPerG, padded to whole quads with zeros.
+		c.kPad = (c.kTotal + tileRows - 1) / tileRows * tileRows
+		wT := slabF32.get(g.p.Groups * c.kPad * c.fPerG)
+		defer slabF32.put(wT)
+		c.wT = *wT
+		for i := range c.wT {
+			grp, k, f := i/(c.kPad*c.fPerG), i/c.fPerG%c.kPad, i%c.fPerG
+			c.wT[i] = 0
+			if k < c.kTotal {
+				c.wT[i] = w.Data[(grp*c.fPerG+f)*c.kTotal+k]
+			}
+		}
+	}
+	parallel.ForEach(shares, func(i int) {
+		// Each share checks its part of the operands, and a non-finite one
+		// sends the whole call to Ref.
+		for _, xs := range [2][]float32{in.Data, dOut.Data} {
+			if !finite(xs[i*len(xs)/shares : (i+1)*len(xs)/shares]) {
+				c.nonFinite.Store(true)
+			}
+		}
 		if i < owners {
 			c.weightColumns(i*per, min((i+1)*per, cols))
 			if hasBias {
 				c.bias(i*g.f/owners, (i+1)*g.f/owners)
 			}
 		}
-		for b := int(nextSample.Add(1)) - 1; b < g.n; b = int(nextSample.Add(1)) - 1 {
+		for b := int(c.nextSample.Add(1)) - 1; b < samples; b = int(c.nextSample.Add(1)) - 1 {
 			c.inputSample(b)
 		}
 	})
+	if c.nonFinite.Load() {
+		return refConvBackward(in, w, hasBias, dOut, g.p, wantIn)
+	}
 	return c.dIn, c.dW, c.dBias
 }
 
+// finite reports whether every element of xs is finite. Adding one to the
+// exponent field carries into the sign bit only when it is all ones.
+func finite(xs []float32) bool {
+	var bad uint32
+	for _, v := range xs {
+		bad |= math.Float32bits(v)&0x7f800000 + 0x00800000
+	}
+	return bad>>31 == 0
+}
+
 // convBackward is one lowered Conv2DBackward call: the geometry, the
-// operands, and the gradients its work items write disjoint parts of.
+// operands, the gradients its work items write disjoint parts of, and what
+// the call stages once for all of them.
 type convBackward struct {
 	convGeom
-	in, wt, dOut   *tensor.Tensor
-	dIn, dW, dBias *tensor.Tensor
-	fPerG, kTotal  int
+	in, dOut            []float32
+	dIn, dW, dBias      *tensor.Tensor // dIn is nil for a weights-only call
+	fPerG, kTotal, kred int            // kred: the n·oh·ow (sample, pixel) pairs
+	kPad                int            // kTotal in whole quads
+	grads               []float32      // dOut filter-major: a row of kred per filter
+	wT                  []float32      // per group, kPad rows of fPerG weights
+	rowOffs, gradOffs   []int32        // tile's tables down a staged patch and down grads' rows
+	nextSample          atomic.Int64   // the next sample of dIn to claim
+	nonFinite           atomic.Bool    // set by a share that finds an Inf or a NaN
 }
 
 // blockRows is how many output rows of rowElems patch values each keep a
@@ -540,17 +615,21 @@ func tapSpan(kx, wd, ow, stride, pad int) (oxLo, oxHi int) {
 // the output columns [oxLo, oxHi) of tapSpan and zero outside them.
 type patchTap struct{ off, ky, oxLo, oxHi int }
 
-// weightColumns accumulates dW[:, cLo:cHi), columns of the flattened
-// (group, k) axis. Per group the range touches it resolves the owned taps
-// once, then for every (sample, row block) stages those columns patch-major
-// and runs each filter's gradient row down the block: one axpy into the
-// filter's owned dW columns per nonzero gradient.
+// weightColumns computes dW[:, cLo:cHi), columns of the flattened (group,
+// k) axis. Per group the range touches it resolves the owned taps once,
+// then takes them a strip of tileCols at a time: it stages the strip for
+// every sample, patch-major, and every four filters of the group run tile
+// down it; the live part of the tile is dW. So the staging slab is kred
+// rows of tileCols floats (n·oh·ow·64 bytes) however wide the share, and
+// its int32 table, like grads', needs n·oh·ow·max(tileCols, f/groups) below
+// 2³¹. Lanes past the group's columns read whatever the slab holds, and
+// are never copied out.
 func (c *convBackward) weightColumns(cLo, cHi int) {
-	maxWidth := min(cHi-cLo, c.kTotal)
-	rowsPer := c.blockRows(maxWidth * c.ow)
-	patch := slabF32.get(maxWidth * rowsPer * c.ow)
+	patch := slabF32.get(c.kred * tileCols)
 	defer slabF32.put(patch)
-	taps := make([]patchTap, maxWidth)
+	taps := make([]patchTap, min(cHi-cLo, c.kTotal))
+	var acc [tileRows * tileCols]float32
+	var zero [tileRows]float32
 	for grp := cLo / c.kTotal; grp*c.kTotal < cHi; grp++ {
 		kLo := max(cLo-grp*c.kTotal, 0)
 		kHi := min(cHi-grp*c.kTotal, c.kTotal)
@@ -560,40 +639,31 @@ func (c *convBackward) weightColumns(cLo, cHi int) {
 			oxLo, oxHi := tapSpan(kx, c.w, c.ow, c.p.Stride, c.p.Padding)
 			taps[j] = patchTap{(ci*c.h+ky)*c.w + kx - c.p.Padding, ky, oxLo, oxHi}
 		}
-		for b := 0; b < c.n; b++ {
-			chanBase := (b*c.c + grp*c.cg) * c.h * c.w
-			for oyLo := 0; oyLo < c.oh; oyLo += rowsPer {
-				oyHi := min(oyLo+rowsPer, c.oh)
-				mLen := (oyHi - oyLo) * c.ow
-				rows := (*patch)[:mLen*width]
-				im2colPatchMajor(rows, c.in.Data, chanBase, taps[:width], c.convGeom, oyLo, oyHi)
-				for fo := grp * c.fPerG; fo < (grp+1)*c.fPerG; fo++ {
-					gBase := ((b*c.f+fo)*c.oh + oyLo) * c.ow
-					dwCols := c.dW.Data[fo*c.kTotal+kLo : fo*c.kTotal+kHi]
-					for m, gv := range c.dOut.Data[gBase : gBase+mLen] {
-						if gv != 0 {
-							axpy(dwCols, rows[m*width:(m+1)*width], gv)
-						}
-					}
+		for j0 := 0; j0 < width; j0 += tileCols {
+			for b := 0; b < c.n; b++ {
+				im2colPatchMajor((*patch)[b*c.oh*c.ow*tileCols:], c.in, (b*c.c+grp*c.cg)*c.h*c.w, taps[j0:min(j0+tileCols, width)], c.convGeom)
+			}
+			for fo := grp * c.fPerG; fo < (grp+1)*c.fPerG; fo += tileRows {
+				tile(&acc, &zero, c.grads[fo*c.kred:], *patch, c.rowOffs, vecLanes, c.kred)
+				for f := 0; f < min(tileRows, (grp+1)*c.fPerG-fo); f++ {
+					copy(c.dW.Data[(fo+f)*c.kTotal+kLo+j0:][:min(tileCols, width-j0)], acc[f*tileCols:])
 				}
 			}
 		}
 	}
 }
 
-// im2colPatchMajor stages im2col's transpose for output rows [oyLo, oyHi)
-// of one (sample, group) whose planes start at in[chanBase], restricted to
-// the taps listed: dst[m·len(taps)+j] is the input value tap j of output
-// pixel m reads, or zero where it falls in the padding. It walks one output
-// row at a time, tap by tap, so a tap's reads are a run of one input row and
-// the padding is a range, not a test per element. Every element is written,
-// so the slab needs no clearing.
-func im2colPatchMajor(dst, in []float32, chanBase int, taps []patchTap, g convGeom, oyLo, oyHi int) {
-	width := len(taps)
-	stride := g.p.Stride
-	for oy := oyLo; oy < oyHi; oy++ {
-		row := dst[(oy-oyLo)*g.ow*width : (oy-oyLo+1)*g.ow*width]
-		iy0 := oy*stride - g.p.Padding
+// im2colPatchMajor stages im2col's transpose for one (sample, group) whose
+// planes start at in[chanBase], restricted to the taps listed:
+// dst[m·tileCols+j] is the input value tap j of output pixel m reads, or zero
+// where it falls in the padding. It walks one output row at a time, tap by
+// tap, so a tap's reads are a run of one input row and the padding is a
+// range, not a test per element. Every element of the first len(taps)
+// columns is written, so the slab needs no clearing.
+func im2colPatchMajor(dst, in []float32, chanBase int, taps []patchTap, g convGeom) {
+	for oy := 0; oy < g.oh; oy++ {
+		row := dst[oy*g.ow*tileCols : (oy+1)*g.ow*tileCols]
+		iy0 := oy*g.p.Stride - g.p.Padding
 		for j, t := range taps {
 			oxLo, oxHi := t.oxLo, t.oxHi
 			if iy := iy0 + t.ky; iy < 0 || iy >= g.h {
@@ -602,17 +672,17 @@ func im2colPatchMajor(dst, in []float32, chanBase int, taps []patchTap, g convGe
 			di := j
 			for ox := 0; ox < oxLo; ox++ {
 				row[di] = 0
-				di += width
+				di += tileCols
 			}
-			si := chanBase + iy0*g.w + t.off + oxLo*stride
+			si := chanBase + iy0*g.w + t.off + oxLo*g.p.Stride
 			for ox := oxLo; ox < oxHi; ox++ {
 				row[di] = in[si]
-				di += width
-				si += stride
+				di += tileCols
+				si += g.p.Stride
 			}
 			for ox := oxHi; ox < g.ow; ox++ {
 				row[di] = 0
-				di += width
+				di += tileCols
 			}
 		}
 	}
@@ -627,7 +697,7 @@ func (c *convBackward) bias(foLo, foHi int) {
 		var s float32
 		for b := 0; b < c.n; b++ {
 			base := (b*c.f + fo) * plane
-			for _, gv := range c.dOut.Data[base : base+plane] {
+			for _, gv := range c.dOut[base : base+plane] {
 				s += gv
 			}
 		}
@@ -636,31 +706,28 @@ func (c *convBackward) bias(foLo, foHi int) {
 }
 
 // inputSample accumulates sample b's planes of dIn, one (group, row block)
-// at a time: dcol = Wᵀ·dOut over the group's filters in ascending order,
-// then the col2imAdd scatter.
+// at a time: dcol = Wᵀ·dOut, every four taps a tile over a strip of
+// tileCols output pixels read from grads (the dead lanes of a block's
+// ragged last strip read past it, and are never copied out), then the
+// col2imAdd scatter.
 func (c *convBackward) inputSample(b int) {
 	rowsPer := c.blockRows(c.kTotal * c.ow)
 	dcol := slabF32.get(c.kTotal * rowsPer * c.ow)
 	defer slabF32.put(dcol)
+	var acc [tileRows * tileCols]float32
+	var zero [tileRows]float32
 	for grp := 0; grp < c.p.Groups; grp++ {
 		for oyLo := 0; oyLo < c.oh; oyLo += rowsPer {
 			oyHi := min(oyLo+rowsPer, c.oh)
 			mLen := (oyHi - oyLo) * c.ow
 			dcolData := (*dcol)[:c.kTotal*mLen]
-			for i := range dcolData {
-				dcolData[i] = 0
-			}
-			for fo := grp * c.fPerG; fo < (grp+1)*c.fPerG; fo++ {
-				gBase := ((b*c.f+fo)*c.oh + oyLo) * c.ow
-				gvRow := c.dOut.Data[gBase : gBase+mLen]
-				wRow := c.wt.Data[fo*c.kTotal : (fo+1)*c.kTotal]
-				for k, wv := range wRow {
-					if wv == 0 {
-						continue
+			gBase := grp*c.fPerG*c.kred + (b*c.oh+oyLo)*c.ow
+			for m0 := 0; m0 < mLen; m0 += tileCols {
+				for k0 := 0; k0 < c.kTotal; k0 += tileRows {
+					tile(&acc, &zero, c.wT[(grp*c.kPad+k0)*c.fPerG:], c.grads[gBase+m0:], c.gradOffs, vecLanes, c.fPerG)
+					for r := 0; r < min(tileRows, c.kTotal-k0); r++ {
+						copy(dcolData[(k0+r)*mLen+m0:][:min(tileCols, mLen-m0)], acc[r*tileCols:])
 					}
-					// No per-gradient zero skip: dcol starts at +0 and
-					// x + ±0 = x, so a zero gv is a bit-exact no-op.
-					axpy(dcolData[k*mLen:(k+1)*mLen], gvRow, wv)
 				}
 			}
 			col2imAdd(dcolData, c.dIn, b, grp*c.cg, c.cg, c.kh, c.kw, c.h, c.w, c.ow, oyLo, oyHi, c.p.Stride, c.p.Padding)
@@ -683,6 +750,7 @@ func col2imAdd(dcol []float32, dIn *tensor.Tensor, b, cin0, cg, kh, kw, h, wd, o
 			for kx := 0; kx < kw; kx++ {
 				k := (ci*kh+ky)*kw + kx
 				src := dcol[k*mLen : (k+1)*mLen]
+				oxLo, oxHi := tapSpan(kx, wd, ow, stride, pad)
 				si := 0
 				for oy := oyLo; oy < oyHi; oy++ {
 					row := src[si : si+ow]
@@ -691,7 +759,6 @@ func col2imAdd(dcol []float32, dIn *tensor.Tensor, b, cin0, cg, kh, kw, h, wd, o
 					if iy < 0 || iy >= h {
 						continue
 					}
-					oxLo, oxHi := tapSpan(kx, wd, ow, stride, pad)
 					rowBase := chanBase + iy*wd
 					if stride == 1 {
 						ix := oxLo - pad + kx

@@ -2,6 +2,7 @@ package compute
 
 import (
 	"fmt"
+	"math"
 	"runtime/debug"
 	"testing"
 
@@ -311,6 +312,58 @@ func testGemmConv2DBackwardMatchesRef(t *testing.T) {
 	}
 }
 
+// TestGemmConv2DBackwardNonFinite pins the finite-operand rule of the
+// lowered backward pass: its tiles drop Ref's zero skips, which is exact
+// only while the other operand is finite, so a call whose in or dOut holds
+// an Inf or a NaN must return Ref's gradients bit for bit. With an infinite
+// and a NaN input, a zero gradient times either is NaN where Ref skips it,
+// in dW; with a −Inf gradient, a zero weight or a padding tap times it is NaN
+// where the tiles would skip or Ref never multiplies, in dIn and dW. The
+// input case runs the weights-only call, which also holds Ref's
+// weights-only sweep to its full one. Every share checks its own part of
+// the operands, so the worker count matters; the vector path does not,
+// since the answer is Ref's.
+func TestGemmConv2DBackwardNonFinite(t *testing.T) {
+	r := tensor.NewRNG(0x6E80)
+	for _, s := range append(zooBackwardShapes[1:], loweredBackwardCases...) {
+		p := tensor.Conv2DParams{Stride: s.stride, Padding: s.pad, Groups: s.groups}
+		in := randomTensor(r, s.n, s.c, s.h, s.w)
+		wt := randomTensor(r, s.f, s.c/s.groups, s.k, s.k) // a quarter exactly 0
+		dOut := randomTensor(r, Ref.Conv2D(in, wt, nil, p).Shape()...)
+		bad := in.Clone()
+		bad.Data[r.Intn(len(bad.Data))] = float32(math.Inf(1))
+		bad.Data[r.Intn(len(bad.Data))] = float32(math.NaN())
+		_, wantW, wantB := Ref.Conv2DBackward(bad, wt, true, dOut, p)
+		atWorkerCounts(t, func() {
+			gW, gB := Gemm.Conv2DBackwardWeights(bad, wt, true, dOut, p)
+			assertBits(t, s.name+" dW, non-finite input", gW, wantW)
+			assertBits(t, s.name+" dBias, non-finite input", gB, wantB)
+		})
+		for range 3 {
+			dOut.Data[r.Intn(len(dOut.Data))] = float32(math.Inf(-1))
+		}
+		wantIn, wantW, wantB := Ref.Conv2DBackward(in, wt, true, dOut, p)
+		atWorkerCounts(t, func() {
+			gIn, gW, gB := Gemm.Conv2DBackward(in, wt, true, dOut, p)
+			assertBits(t, s.name+" dIn, non-finite gradient", gIn, wantIn)
+			assertBits(t, s.name+" dW, non-finite gradient", gW, wantW)
+			assertBits(t, s.name+" dBias, non-finite gradient", gB, wantB)
+		})
+	}
+}
+
+// assertBits is assertSame for tensors that may hold NaNs: every element's
+// bits must match.
+func assertBits(t *testing.T, desc string, got, want *tensor.Tensor) {
+	t.Helper()
+	for i := range want.Data {
+		if math.Float32bits(got.Data[i]) != math.Float32bits(want.Data[i]) {
+			t.Fatalf("%s: element %d is %v (%#08x), Ref %v (%#08x)",
+				desc, i, got.Data[i], math.Float32bits(got.Data[i]), want.Data[i], math.Float32bits(want.Data[i]))
+		}
+	}
+}
+
 // loweredBackwardCases are geometries beyond the zoo's, each reaching a part
 // of the lowered sweeps the zoo does not. At 2, 3 and 8 workers its column
 // ranges are 16 to 48 wide.
@@ -369,6 +422,9 @@ func checkConv2DBackward(t *testing.T, r *tensor.RNG, s backwardShape, hasBias b
 		} else if gB != nil {
 			t.Fatalf("%s: dBias should be nil", desc)
 		}
+		wW, wB := Gemm.Conv2DBackwardWeights(in, wt, hasBias, dOut, p)
+		assertSame(t, desc+" weights-only dW", wW, wantW)
+		assertSame(t, desc+" weights-only dBias", wB, wantB)
 		for i := range gIn.Data {
 			diff := float64(gIn.Data[i] - wantIn.Data[i])
 			if diff < 0 {
@@ -530,9 +586,11 @@ func TestGemmConv2DAllocations(t *testing.T) {
 }
 
 // TestGemmBackwardAllocations pins the allocations of the training kernels,
-// Conv2DBackward and MatMul, the way TestGemmConv2DAllocations pins the
-// forward convolution: a fixed count per call, whatever the batch, so that a
-// per-sample or per-block allocation in their loops shows.
+// Conv2DBackward, its weights-only form and MatMul, the way
+// TestGemmConv2DAllocations pins the forward convolution: a fixed count per
+// call, whatever the batch, so that a per-sample or per-block allocation in
+// their loops shows. The ceilings are the counts measured when the sweeps
+// moved onto tile.
 func TestGemmBackwardAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops Puts at random under the race detector")
@@ -547,15 +605,18 @@ func TestGemmBackwardAllocations(t *testing.T) {
 	p := tensor.Conv2DParams{Stride: 1, Padding: 1}
 	a, b := randomTensor(r, 16, 64), randomTensor(r, 64, 32)
 	for _, c := range []struct {
-		workers      int
-		conv, matMul float64
+		workers               int
+		conv, weights, matMul float64
 	}{
-		{1, 20, 8},
-		{2, 30, 16},
+		{1, 16, 12, 8},
+		{2, 24, 20, 16},
 	} {
 		parallel.SetWorkers(c.workers)
 		if avg := testing.AllocsPerRun(20, func() { Gemm.Conv2DBackward(in, wt, true, dOut, p) }); avg > c.conv {
 			t.Errorf("%d worker(s): Conv2DBackward allocates %v times per call, ceiling %v", c.workers, avg, c.conv)
+		}
+		if avg := testing.AllocsPerRun(20, func() { Gemm.Conv2DBackwardWeights(in, wt, true, dOut, p) }); avg > c.weights {
+			t.Errorf("%d worker(s): Conv2DBackwardWeights allocates %v times per call, ceiling %v", c.workers, avg, c.weights)
 		}
 		if avg := testing.AllocsPerRun(20, func() { Gemm.MatMul(a, b) }); avg > c.matMul {
 			t.Errorf("%d worker(s): MatMul allocates %v times per call, ceiling %v", c.workers, avg, c.matMul)

@@ -539,3 +539,8 @@ func im2colI8(col []int8, qin []int8, b, c, cin0, cg, kh, kw, h, wd, ow, oyLo, o
 func (qgemmBackend) Conv2DBackward(in, w *tensor.Tensor, hasBias bool, dOut *tensor.Tensor, p tensor.Conv2DParams) (dIn, dW, dBias *tensor.Tensor) {
 	return Gemm.Conv2DBackward(in, w, hasBias, dOut, p)
 }
+
+// Conv2DBackwardWeights delegates to Gemm, as Conv2DBackward does.
+func (qgemmBackend) Conv2DBackwardWeights(in, w *tensor.Tensor, hasBias bool, dOut *tensor.Tensor, p tensor.Conv2DParams) (dW, dBias *tensor.Tensor) {
+	return Gemm.Conv2DBackwardWeights(in, w, hasBias, dOut, p)
+}

@@ -148,152 +148,102 @@ func (refBackend) Conv2D(in, w, bias *tensor.Tensor, p tensor.Conv2DParams) *ten
 // Conv2DBackward computes the gradients of a Conv2D call: dIn (same shape as
 // in), dW (same shape as w), and dBias (length F, nil if bias was nil).
 func (refBackend) Conv2DBackward(in, w *tensor.Tensor, hasBias bool, dOut *tensor.Tensor, p tensor.Conv2DParams) (dIn, dW, dBias *tensor.Tensor) {
+	return refConvBackward(in, w, hasBias, dOut, p, true)
+}
+
+// Conv2DBackwardWeights is Conv2DBackward's dW and dBias alone.
+func (refBackend) Conv2DBackwardWeights(in, w *tensor.Tensor, hasBias bool, dOut *tensor.Tensor, p tensor.Conv2DParams) (dW, dBias *tensor.Tensor) {
+	_, dW, dBias = refConvBackward(in, w, hasBias, dOut, p, false)
+	return dW, dBias
+}
+
+// refConvBackward runs Ref's backward pass as two sweeps over disjoint write
+// sets: the weight sweep owns output channels (dW rows and dBias entries are
+// indexed by fo), the input sweep, which only runs when wantIn, owns batch
+// samples (dIn planes are indexed by b). Every element accumulates in the
+// order of one fused (b, fo, oy, ox, ci, ky, kx) loop — b-major for a fixed
+// fo, fo-major for a fixed b — skipping zero gradients and padding taps, so
+// the result is the same bits whether the sweeps run serially on the
+// calling goroutine (below parallelCutoff) or concurrently under
+// parallel.Do, each fanned out, at any worker count. Partial sums never
+// cross goroutines: chunk-local dW accumulators would be cheaper but their
+// reduction order (hence the low-order float bits) would depend on the
+// worker count, breaking the repository's determinism contract.
+func refConvBackward(in, w *tensor.Tensor, hasBias bool, dOut *tensor.Tensor, p tensor.Conv2DParams, wantIn bool) (dIn, dW, dBias *tensor.Tensor) {
 	g := convGeometry(in, w, p)
 	p = g.p
 	n, c, h, wd := g.n, g.c, g.h, g.w
 	f, cg, kh, kw := g.f, g.cg, g.kh, g.kw
 	oh, ow := dOut.Dim(2), dOut.Dim(3)
-	dIn = tensor.New(n, c, h, wd)
 	dW = tensor.New(f, cg, kh, kw)
 	if hasBias {
 		dBias = tensor.New(f)
 	}
 	fPerG := f / p.Groups
-	work := n * f * oh * ow * cg * kh * kw
-	if work < parallelCutoff {
-		// Serial reference: one fused sweep accumulating dW, dBias and dIn.
-		for b := 0; b < n; b++ {
-			for grp := 0; grp < p.Groups; grp++ {
-				for fo := grp * fPerG; fo < (grp+1)*fPerG; fo++ {
-					for oy := 0; oy < oh; oy++ {
-						for ox := 0; ox < ow; ox++ {
-							gv := dOut.Data[((b*f+fo)*oh+oy)*ow+ox]
-							if gv == 0 {
+	// plane visits the (oy, ox, ci, ky, kx) taps of filter fo on sample b
+	// with a nonzero gradient, adding into dW and dBias or into dIn.
+	plane := func(b, fo int, toW bool) {
+		grp := fo / fPerG
+		for oy := 0; oy < oh; oy++ {
+			for ox := 0; ox < ow; ox++ {
+				gv := dOut.Data[((b*f+fo)*oh+oy)*ow+ox]
+				if gv == 0 {
+					continue
+				}
+				if toW && dBias != nil {
+					dBias.Data[fo] += gv
+				}
+				iy0 := oy*p.Stride - p.Padding
+				ix0 := ox*p.Stride - p.Padding
+				for ci := 0; ci < cg; ci++ {
+					cin := grp*cg + ci
+					for ky := 0; ky < kh; ky++ {
+						iy := iy0 + ky
+						if iy < 0 || iy >= h {
+							continue
+						}
+						inBase := ((b*c+cin)*h + iy) * wd
+						wBase := ((fo*cg+ci)*kh + ky) * kw
+						for kx := 0; kx < kw; kx++ {
+							ix := ix0 + kx
+							if ix < 0 || ix >= wd {
 								continue
 							}
-							if dBias != nil {
-								dBias.Data[fo] += gv
-							}
-							iy0 := oy*p.Stride - p.Padding
-							ix0 := ox*p.Stride - p.Padding
-							for ci := 0; ci < cg; ci++ {
-								cin := grp*cg + ci
-								for ky := 0; ky < kh; ky++ {
-									iy := iy0 + ky
-									if iy < 0 || iy >= h {
-										continue
-									}
-									inBase := ((b*c+cin)*h + iy) * wd
-									wBase := ((fo*cg+ci)*kh + ky) * kw
-									for kx := 0; kx < kw; kx++ {
-										ix := ix0 + kx
-										if ix < 0 || ix >= wd {
-											continue
-										}
-										dW.Data[wBase+kx] += gv * in.Data[inBase+ix]
-										dIn.Data[inBase+ix] += gv * w.Data[wBase+kx]
-									}
-								}
+							if toW {
+								dW.Data[wBase+kx] += gv * in.Data[inBase+ix]
+							} else {
+								dIn.Data[inBase+ix] += gv * w.Data[wBase+kx]
 							}
 						}
 					}
 				}
 			}
 		}
-		return dIn, dW, dBias
 	}
-	// Parallel path, two sweeps over disjoint write sets. The weight sweep
-	// owns one output channel per work item (dW rows and dBias entries are
-	// indexed by fo); the input sweep owns one batch sample per work item
-	// (dIn planes are indexed by b). Within each owned region the
-	// accumulation visits contributions in exactly the serial loop order —
-	// b-major for a fixed fo, fo-major for a fixed b — so both sweeps
-	// reproduce the serial result bit for bit at any worker count. Partial
-	// sums never cross goroutines: chunk-local dW accumulators would be
-	// cheaper but their reduction order (hence the low-order float bits)
-	// would depend on the worker count, breaking the repository's
-	// determinism contract. The price is traversing the index space twice;
-	// since the sweeps write disjoint tensors they run concurrently, so the
-	// duplicated traversal overlaps instead of serializing.
-	weightSweep := func() {
-		parallel.For(f, 1, func(lo, hi int) {
-			for fo := lo; fo < hi; fo++ {
-				grp := fo / fPerG
-				for b := 0; b < n; b++ {
-					for oy := 0; oy < oh; oy++ {
-						for ox := 0; ox < ow; ox++ {
-							gv := dOut.Data[((b*f+fo)*oh+oy)*ow+ox]
-							if gv == 0 {
-								continue
-							}
-							if dBias != nil {
-								dBias.Data[fo] += gv
-							}
-							iy0 := oy*p.Stride - p.Padding
-							ix0 := ox*p.Stride - p.Padding
-							for ci := 0; ci < cg; ci++ {
-								cin := grp*cg + ci
-								for ky := 0; ky < kh; ky++ {
-									iy := iy0 + ky
-									if iy < 0 || iy >= h {
-										continue
-									}
-									inBase := ((b*c+cin)*h + iy) * wd
-									wBase := ((fo*cg+ci)*kh + ky) * kw
-									for kx := 0; kx < kw; kx++ {
-										ix := ix0 + kx
-										if ix < 0 || ix >= wd {
-											continue
-										}
-										dW.Data[wBase+kx] += gv * in.Data[inBase+ix]
-									}
-								}
-							}
-						}
-					}
-				}
+	weights := func(lo, hi int) {
+		for fo := lo; fo < hi; fo++ {
+			for b := 0; b < n; b++ {
+				plane(b, fo, true)
 			}
-		})
+		}
 	}
-	inputSweep := func() {
-		parallel.For(n, 1, func(lo, hi int) {
-			for b := lo; b < hi; b++ {
-				for grp := 0; grp < p.Groups; grp++ {
-					for fo := grp * fPerG; fo < (grp+1)*fPerG; fo++ {
-						for oy := 0; oy < oh; oy++ {
-							for ox := 0; ox < ow; ox++ {
-								gv := dOut.Data[((b*f+fo)*oh+oy)*ow+ox]
-								if gv == 0 {
-									continue
-								}
-								iy0 := oy*p.Stride - p.Padding
-								ix0 := ox*p.Stride - p.Padding
-								for ci := 0; ci < cg; ci++ {
-									cin := grp*cg + ci
-									for ky := 0; ky < kh; ky++ {
-										iy := iy0 + ky
-										if iy < 0 || iy >= h {
-											continue
-										}
-										inBase := ((b*c+cin)*h + iy) * wd
-										wBase := ((fo*cg+ci)*kh + ky) * kw
-										for kx := 0; kx < kw; kx++ {
-											ix := ix0 + kx
-											if ix < 0 || ix >= wd {
-												continue
-											}
-											dIn.Data[inBase+ix] += gv * w.Data[wBase+kx]
-										}
-									}
-								}
-							}
-						}
-					}
-				}
+	inputs := func(lo, hi int) {
+		for b := lo; b < hi; b++ {
+			for fo := 0; fo < f; fo++ {
+				plane(b, fo, false)
 			}
-		})
+		}
 	}
-	parallel.Do(weightSweep, inputSweep)
+	samples := 0
+	if wantIn {
+		dIn, samples = tensor.New(n, c, h, wd), n
+	}
+	if n*f*oh*ow*cg*kh*kw < parallelCutoff {
+		weights(0, f)
+		inputs(0, samples)
+	} else {
+		parallel.Do(func() { parallel.For(f, 1, weights) }, func() { parallel.For(samples, 1, inputs) })
+	}
 	return dIn, dW, dBias
 }
 

@@ -9,6 +9,7 @@ package dnn
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/compute"
 	"repro/internal/tensor"
@@ -100,12 +101,22 @@ func (l *Conv) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 // Backward propagates dOut and accumulates weight/bias gradients.
 func (l *Conv) Backward(dOut *tensor.Tensor) *tensor.Tensor {
 	dIn, dW, dB := compute.Default().Conv2DBackward(l.lastInput, l.Weight.W, l.Bias != nil, dOut, l.P)
+	l.accumulate(dW, dB)
+	return dIn
+}
+
+// backwardWeights is Backward for a layer whose input gradient nothing
+// reads, a network's first: the same parameter gradients, and no dIn.
+func (l *Conv) backwardWeights(dOut *tensor.Tensor) {
+	l.accumulate(compute.Default().Conv2DBackwardWeights(l.lastInput, l.Weight.W, l.Bias != nil, dOut, l.P))
+}
+
+func (l *Conv) accumulate(dW, dB *tensor.Tensor) {
 	l.lastInput = nil
 	l.Weight.G.AddScaled(dW, 1)
 	if l.Bias != nil {
 		l.Bias.G.AddScaled(dB, 1)
 	}
-	return dIn
 }
 
 // Params returns the layer's trainable tensors.
@@ -199,7 +210,7 @@ func (l *ReLU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	out := tensor.New(x.Shape()...)
 	l.inferInto(out.Data, x.Data, x.Shape())
 	if train {
-		l.mask = make([]bool, len(x.Data))
+		l.mask = slices.Grow(l.mask[:0], len(x.Data))[:len(x.Data)]
 		for i, v := range x.Data {
 			l.mask[i] = v > 0 && (l.Ceil == 0 || v < l.Ceil)
 		}
@@ -243,13 +254,13 @@ func (l *MaxPool) Name() string { return l.LayerName }
 // Forward pools x into a fresh tensor. Only training records the argmax
 // Backward scatters through.
 func (l *MaxPool) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
+	out := tensor.New(l.outShape(x.Shape())...)
 	if train {
-		out, arg := tensor.MaxPool2D(x, l.K, l.S)
-		l.arg = arg
+		l.arg = slices.Grow(l.arg[:0], len(out.Data))[:len(out.Data)]
+		tensor.MaxPool2DInto(out.Data, l.arg, x.Data, x.Dim(0)*x.Dim(1), x.Dim(2), x.Dim(3), l.K, l.S)
 		l.inShape = x.Shape().Clone()
 		return out
 	}
-	out := tensor.New(l.outShape(x.Shape())...)
 	l.inferInto(out.Data, x.Data, x.Shape())
 	return out
 }

@@ -293,9 +293,14 @@ func viewDims(buf *[]int, shape tensor.Shape) []int {
 }
 
 // Backward propagates dOut through all layers, accumulating parameter
-// gradients.
+// gradients. Nothing reads the gradient of the network's input, so a first
+// layer that is a Conv computes its parameter gradients alone.
 func (n *Network) Backward(dOut *tensor.Tensor) {
 	for i := len(n.Layers) - 1; i >= 0; i-- {
+		if c, ok := n.Layers[i].(*Conv); ok && i == 0 {
+			c.backwardWeights(dOut)
+			return
+		}
 		dOut = n.Layers[i].Backward(dOut)
 	}
 }

@@ -27,17 +27,6 @@ func ConvOutDim(in, k, s, p int) int {
 	return (in+2*p-k)/s + 1
 }
 
-// MaxPool2D applies k×k max pooling with the given stride to (N,C,H,W),
-// returning the pooled tensor and, for every output, the flat input index of
-// its maximum (the argmax MaxPool2DBackward scatters gradients through).
-func MaxPool2D(in *Tensor, k, stride int) (*Tensor, []int32) {
-	n, c, h, w := in.shape[0], in.shape[1], in.shape[2], in.shape[3]
-	out := New(n, c, (h-k)/stride+1, (w-k)/stride+1)
-	arg := make([]int32, out.Size())
-	MaxPool2DInto(out.Data, arg, in.Data, n*c, h, w, k, stride)
-	return out, arg
-}
-
 // MaxPool2DInto pools `planes` consecutive h×w planes of src into dst, which
 // must hold planes·oh·ow elements. Each output starts at −Inf and takes a
 // tap only when it is strictly greater, walking the window row by row: a
@@ -73,7 +62,7 @@ func MaxPool2DInto(dst []float32, arg []int32, src []float32, planes, h, w, k, s
 }
 
 // MaxPool2DBackward scatters dOut back through the argmax indices recorded
-// by MaxPool2D, producing a gradient of shape inShape.
+// by MaxPool2DInto, producing a gradient of shape inShape.
 func MaxPool2DBackward(dOut *Tensor, arg []int32, inShape Shape) *Tensor {
 	dIn := &Tensor{shape: inShape.Clone(), Data: make([]float32, inShape.Size())}
 	for i, g := range dOut.Data {

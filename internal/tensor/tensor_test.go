@@ -148,7 +148,8 @@ func TestMaxPool2D(t *testing.T) {
 		9, 10, 11, 12,
 		13, 14, 15, 16,
 	}, 1, 1, 4, 4)
-	out, arg := MaxPool2D(in, 2, 2)
+	out, arg := New(1, 1, 2, 2), make([]int32, 4)
+	MaxPool2DInto(out.Data, arg, in.Data, 1, 4, 4, 2, 2)
 	want := []float32{6, 8, 14, 16}
 	for i, v := range want {
 		if out.Data[i] != v {
