@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test fuzz-smoke mutants race bench bench-e2e cluster-smoke lint asm-check vuln loc golden golden-check
+.PHONY: build test fuzz-smoke mutants race bench bench-e2e cluster-smoke lint asm-check vuln loc golden golden-check pins
 
 build:
 	$(GO) build ./...
@@ -94,6 +94,27 @@ golden:
 	@$(GOLDEN_RUN); if [ $$st -eq 0 ]; then mv $$out $(GOLDEN); else rm -f $$out; fi; exit $$st
 golden-check:
 	@$(GOLDEN_RUN); if [ $$st -eq 0 ]; then diff -u $(GOLDEN) $$out; st=$$?; fi; rm -f $$out; exit $$st
+
+# pins regenerates testdata/pins.txt, the manifest of every pinned bit, as
+# golden regenerates its file: in each package whose tests import
+# internal/pin it reruns the tests that read pins (TestDeterminismMatrix,
+# and every test with Pinned in its name) with -count=1 -v, and writes the
+# `pin <name> <value>` lines pin.Check logs, sorted. One name read with two
+# values is a determinism break, not a choice: it fails the target and
+# leaves the file alone, as does a run that panics or does not build. The
+# tests' own failures do not fail it, since a moved pin fails its test until
+# this target has run. CI's build-test job runs it and then diffs the file:
+# a change that is not a bit epoch leaves it byte-identical.
+PINS = testdata/pins.txt
+pins:
+	@pkgs=$$($(GO) list -f '{{.ImportPath}} {{join .TestImports " "}} {{join .XTestImports " "}}' ./... | awk '{for (i = 2; i <= NF; i++) if ($$i == "repro/internal/pin") print $$1}'); \
+	out=$$(mktemp); $(GO) test -count=1 -v -run 'Pinned|^TestDeterminismMatrix$$' $$pkgs > $$out 2>&1; \
+	grep -E '^(ok|FAIL)[[:space:]]' $$out; \
+	sed -n 's/^ *[^ ]*: pin \([^ ]*\) \([^ ]*\)$$/\1 \2/p' $$out | LC_ALL=C sort -u > $$out.pins; \
+	twice=$$(cut -d' ' -f1 $$out.pins | uniq -d); broken=$$(grep -E '^panic: |\[(build|setup) failed\]' $$out); rm -f $$out; \
+	if [ -n "$$twice" ]; then echo "pins read with two values:"; for n in $$twice; do grep "^$$n " $$out.pins; done; rm -f $$out.pins; exit 1; fi; \
+	if [ -n "$$broken" ] || [ ! -s $$out.pins ]; then echo "the pinned tests did not run through: $$broken"; rm -f $$out.pins; exit 1; fi; \
+	mv $$out.pins $(PINS)
 
 # lint is the merge gate: asm-check, formatting, go vet, and the
 # repository's one custom check, errreturn (cmd/repro-lint), which rejects

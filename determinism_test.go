@@ -4,14 +4,11 @@ import (
 	"bytes"
 	"cmp"
 	"context"
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"hash/crc32"
 	"net/http"
 	"net/http/httptest"
 	"regexp"
-	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -24,6 +21,7 @@ import (
 	"repro/internal/eden"
 	"repro/internal/errormodel"
 	"repro/internal/parallel"
+	"repro/internal/pin"
 	"repro/internal/quant"
 	"repro/internal/serve"
 	"repro/internal/tensor"
@@ -61,43 +59,14 @@ type cell struct {
 	seed           uint64
 }
 
-// pinnedCRC holds the CRC-32 of a cell's 16 outputs, their bits in sample
-// order, per (model, precision, BER, hook, seed): everything that may move
-// the bits and nothing that may not. The values were recorded at the
-// commit before this test was added.
-var pinnedCRC = map[string]uint32{
-	"ResNet101/FP32/0.001/eden/1": 0x3227b3b2, "ResNet101/FP32/0/eden/1": 0xd3ffedbe, "ResNet101/int16/0.001/subset/1": 0x5571f2b8,
-	"ResNet101/int16/0/eden/1": 0x4b396e55, "ResNet101/int4/0.001/eden/101": 0xdf3b7686, "ResNet101/int4/0/eden/101": 0xd225c351,
-	"ResNet101/int8/0/eden/101": 0xfe37b2bc, "ResNet101/int8/0/none/101": 0xe5f419af, "MobileNetV2/FP32/0.001/eden/101": 0x22068504,
-	"MobileNetV2/FP32/0/eden/101": 0xf0dc1582, "MobileNetV2/int16/0.001/eden/101": 0xd56158fd, "MobileNetV2/int16/0/subset/101": 0xd1530cab,
-	"MobileNetV2/int4/0.001/eden/1": 0x855f0eb4, "MobileNetV2/int4/0/eden/1": 0x633cd5f0, "MobileNetV2/int8/0.001/eden/1": 0xec73e5ba,
-	"MobileNetV2/int8/0.001/none/1": 0x5f7e4c79, "VGG-16/FP32/0.001/eden/101": 0xbd6f71ab, "VGG-16/FP32/0/eden/101": 0x2fd7b7cf,
-	"VGG-16/int16/0.001/eden/1": 0xf012874a, "VGG-16/int16/0/eden/1": 0x1d0dbc87, "VGG-16/int4/0/eden/101": 0xafcdd1b9,
-	"VGG-16/int4/0/none/101": 0x5ec9a761, "VGG-16/int8/0.001/subset/1": 0xadf845ed, "VGG-16/int8/0/eden/1": 0x52fda816,
-	"DenseNet201/FP32/0.001/eden/101": 0xffa86b47, "DenseNet201/FP32/0/eden/101": 0x4c1c5880, "DenseNet201/int16/0.001/eden/1": 0xa7b01b90,
-	"DenseNet201/int16/0/eden/1": 0xfe212b30, "DenseNet201/int4/0/eden/101": 0xde1b03a2, "DenseNet201/int4/0/none/101": 0x0efed397,
-	"DenseNet201/int8/0.001/subset/1": 0x898b3cd8, "DenseNet201/int8/0/eden/1": 0xc454188a, "SqueezeNet1.1/FP32/0.001/eden/1": 0x042831e1,
-	"SqueezeNet1.1/FP32/0.001/none/1": 0x148b596e, "SqueezeNet1.1/int16/0.001/eden/1": 0x0b433aae, "SqueezeNet1.1/int16/0/eden/1": 0xf6383a26,
-	"SqueezeNet1.1/int4/0.001/eden/101": 0x4304ea85, "SqueezeNet1.1/int4/0/subset/101": 0x0aed5d2a, "SqueezeNet1.1/int8/0.001/eden/101": 0x71cc9fbc,
-	"SqueezeNet1.1/int8/0/eden/101": 0x9b335f08, "AlexNet/FP32/0/eden/101": 0xde76066a, "AlexNet/FP32/0/none/101": 0xde76066a,
-	"AlexNet/int16/0.001/eden/101": 0x4d88412e, "AlexNet/int16/0/eden/101": 0x5000d388, "AlexNet/int4/0.001/subset/1": 0xe25e57ab,
-	"AlexNet/int4/0/eden/1": 0x19b0e099, "AlexNet/int8/0.001/eden/1": 0xd850355e, "AlexNet/int8/0/eden/1": 0x731fa4da,
-	"YOLO/FP32/0.001/subset/1": 0xc57e9017, "YOLO/FP32/0/eden/1": 0xa83a3980, "YOLO/int16/0/eden/101": 0x0baaccaf,
-	"YOLO/int16/0/none/101": 0x2d92fe57, "YOLO/int4/0.001/eden/1": 0xa601ad11, "YOLO/int4/0/eden/1": 0xdebf5a4d,
-	"YOLO/int8/0.001/eden/101": 0x3cd11c14, "YOLO/int8/0/eden/101": 0xe866ad1e, "YOLO-Tiny/FP32/0.001/eden/101": 0x84b6d1b1,
-	"YOLO-Tiny/FP32/0/subset/101": 0xf7673597, "YOLO-Tiny/int16/0.001/eden/1": 0xbb203d94, "YOLO-Tiny/int16/0.001/none/1": 0x87e48a6e,
-	"YOLO-Tiny/int4/0.001/eden/101": 0x3dc1f98e, "YOLO-Tiny/int4/0/eden/101": 0x090daf93, "YOLO-Tiny/int8/0.001/eden/1": 0xb2c1c1ca,
-	"YOLO-Tiny/int8/0/eden/1": 0x93d60f2f, "LeNet/FP32/0.001/eden/1": 0xe5441ceb, "LeNet/FP32/0/eden/1": 0x5c678fa6,
-	"LeNet/int16/0.001/subset/1": 0x313894a6, "LeNet/int16/0/eden/1": 0x66178152, "LeNet/int4/0.001/eden/101": 0xde387275,
-	"LeNet/int4/0/eden/101": 0x478d6e0c, "LeNet/int8/0/eden/101": 0xb570122d, "LeNet/int8/0/none/101": 0x56910e41,
-}
-
 // TestDeterminismMatrix states the determinism contract once: an artifact,
 // an input and a seed give the same output bits on every executor surface,
 // at any worker count, batch shape, stage cut and vector path. Every zoo
 // model, as dnn.BuildModel initializes it, is deployed at a uniform BER;
-// each cell must reproduce its pinned CRC, and at a positive BER the eden
-// hook must draw different errors at different seeds.
+// each cell must reproduce its pin, the CRC-32 of its 16 outputs in sample
+// order, and at a positive BER the eden hook must draw different errors at
+// different seeds. A pin is named by what may move the bits and nothing
+// that may not: model, precision, BER, hook and seed.
 func TestDeterminismMatrix(t *testing.T) {
 	for m, spec := range dnn.Zoo {
 		net, err := dnn.BuildModel(spec.Name)
@@ -144,13 +113,10 @@ func TestDeterminismMatrix(t *testing.T) {
 				compute.SetDefault(compute.Gemm)
 				dep := &eden.Deployment{ModelName: c.model, Prec: c.prec, ErrorModel: errormodel.Uniform(c.ber), ServingBER: c.ber, Net: net}
 				outs := c.run(t, dep, xs)
-				distinct := !slices.EqualFunc(outs[:8], outs[8:], bytes.Equal)
+				distinct := pin.CRC(outs[:8]...) != pin.CRC(outs[8:]...)
 				// "eden" is the deployment's corruptor: copying, in place or in serve.
 				hook := cmp.Or(map[string]string{"fused": "none", "fused-subset": "subset"}[c.surface], "eden")
-				key := fmt.Sprintf("%s/%v/%g/%s/%d", c.model, c.prec, c.ber, hook, c.seed)
-				if got, want := crc32.ChecksumIEEE(bytes.Join(outs, nil)), pinnedCRC[key]; got != want {
-					t.Errorf("outputs CRC-32 %#08x, pinned %#08x for %s", got, want, key)
-				}
+				pin.Check(t, fmt.Sprintf("matrix/%s/%v/%g/%s/%d", c.model, c.prec, c.ber, hook, c.seed), pin.CRC(outs...))
 				if hook == "eden" && c.ber > 0 && !distinct {
 					t.Error("the 8 inputs served at two seeds each drew the same errors at both")
 				}
@@ -160,11 +126,11 @@ func TestDeterminismMatrix(t *testing.T) {
 }
 
 // run pushes the cell's 16 samples through its surface, batch samples at a
-// time, and returns the bits of their outputs in sample order.
-func (c cell) run(t *testing.T, dep *eden.Deployment, xs []*tensor.Tensor) [][]byte {
+// time, and returns their outputs in sample order.
+func (c cell) run(t *testing.T, dep *eden.Deployment, xs []*tensor.Tensor) [][]float32 {
 	input := func(i int) *tensor.Tensor { return xs[i%len(xs)].Clone() }
 	seed := func(i int) uint64 { return c.seed + uint64(i) }
-	outs := make([][]byte, 16)
+	outs := make([][]float32, 16)
 	if predict := c.server(t, dep); predict != nil {
 		var wg sync.WaitGroup
 		for i := range outs {
@@ -175,7 +141,7 @@ func (c cell) run(t *testing.T, dep *eden.Deployment, xs []*tensor.Tensor) [][]b
 				if err != nil {
 					t.Errorf("sample %d: %v", i, err)
 				}
-				outs[i] = bits(out)
+				outs[i] = out
 			}()
 		}
 		wg.Wait()
@@ -227,7 +193,7 @@ func (c cell) run(t *testing.T, dep *eden.Deployment, xs []*tensor.Tensor) [][]b
 			got = net.ForwardBatchFused(batch, opt)
 		}
 		for i, y := range got {
-			outs[lo+i] = bits(y.Data)
+			outs[lo+i] = y.Data
 		}
 	}
 	return outs
@@ -308,11 +274,4 @@ func (c cell) server(t *testing.T, dep *eden.Deployment) func(in []float32, seed
 		}
 		return out.Output, nil
 	}
-}
-
-// bits is v's float32 bit patterns, little-endian.
-func bits(v []float32) []byte {
-	var b bytes.Buffer
-	binary.Write(&b, binary.LittleEndian, v)
-	return b.Bytes()
 }

@@ -1,13 +1,12 @@
 package compute
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"math"
 	"testing"
 
 	"repro/internal/parallel"
+	"repro/internal/pin"
 	"repro/internal/tensor"
 )
 
@@ -132,15 +131,6 @@ func TestQGemmBatchInvariance(t *testing.T) {
 	}
 }
 
-// tensorCRC is the CRC-32 of a tensor's float32 bits, little-endian.
-func tensorCRC(t *tensor.Tensor) uint32 {
-	buf := make([]byte, 4*len(t.Data))
-	for i, v := range t.Data {
-		binary.LittleEndian.PutUint32(buf[4*i:], math.Float32bits(v))
-	}
-	return crc32.ChecksumIEEE(buf)
-}
-
 // TestQGemmFloatEntriesPinned holds the two qgemm calls the benchmark
 // harness times (its compute.qgemm_* kernel probes) to fixed output bits at
 // the probes' shapes: VGG-16's conv2_2 at batch 16 and its fc1.
@@ -154,17 +144,12 @@ func TestQGemmFloatEntriesPinned(t *testing.T) {
 	pad1 := tensor.Conv2DParams{Stride: 1, Padding: 1}
 	cin, cw, cb := uniform(16, 32, 8, 8), uniform(32, 32, 3, 3), uniform(32)
 	fa, fw := uniform(16, 256), uniform(512, 256)
-	const convCRC, fcCRC = 2337049910, 3386392044
 	prev := parallel.Workers()
 	defer parallel.SetWorkers(prev)
 	for _, w := range []int{1, 2} {
 		parallel.SetWorkers(w)
-		if got := tensorCRC(QGemm.Conv2D(cin, cw, cb, pad1)); got != convCRC {
-			t.Errorf("workers=%d: Conv2D crc32 %d, want %d", w, got, convCRC)
-		}
-		if got := tensorCRC(QGemm.MatMulTransB(fa, fw)); got != fcCRC {
-			t.Errorf("workers=%d: MatMulTransB crc32 %d, want %d", w, got, fcCRC)
-		}
+		pin.Check(t, "qgemm/conv2d/crc32", pin.CRC(QGemm.Conv2D(cin, cw, cb, pad1).Data))
+		pin.Check(t, "qgemm/matmul-transb/crc32", pin.CRC(QGemm.MatMulTransB(fa, fw).Data))
 	}
 }
 

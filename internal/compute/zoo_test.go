@@ -1,9 +1,7 @@
 package compute_test
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"math"
 	"testing"
 
@@ -14,6 +12,7 @@ import (
 	"repro/internal/eden"
 	"repro/internal/errormodel"
 	"repro/internal/parallel"
+	"repro/internal/pin"
 	"repro/internal/quant"
 	"repro/internal/tensor"
 )
@@ -305,7 +304,6 @@ func TestFCBackwardUnchanged(t *testing.T) {
 // the state CRC32 recorded at the commit before the backward weight sweep
 // and FC.Backward moved onto axpy.
 func TestTrainingPinnedBothVecPaths(t *testing.T) {
-	const pinnedTrainingCRC = 1415633082
 	prev := parallel.Workers()
 	defer parallel.SetWorkers(prev)
 	setBackend(t, compute.Gemm)
@@ -319,24 +317,18 @@ func TestTrainingPinnedBothVecPaths(t *testing.T) {
 				t.Fatal(err)
 			}
 			dnn.TrainClassifier(net, dataset.Patterns(cfg), dnn.TrainOptions{Epochs: 1, Batch: 8, LR: 0.01, Seed: 42})
-			if got := stateCRC(net); got != pinnedTrainingCRC {
-				t.Fatalf("workers=%d: trained state CRC32 %d, pinned %d", workers, got, pinnedTrainingCRC)
-			}
+			pin.Check(t, "train/LeNet/crc32", stateCRC(net))
 		}
 	})
 }
 
 // stateCRC is the CRC32 of every state tensor's float32 bits, in order.
 func stateCRC(net *dnn.Network) uint32 {
-	h := crc32.NewIEEE()
-	var buf [4]byte
+	var states [][]float32
 	for _, st := range net.StateTensors() {
-		for _, v := range st.T.Data {
-			binary.LittleEndian.PutUint32(buf[:], math.Float32bits(v))
-			h.Write(buf[:])
-		}
+		states = append(states, st.T.Data)
 	}
-	return h.Sum32()
+	return pin.CRC(states...)
 }
 
 // TestDetectorTrainingPinned is TestTrainingPinnedBothVecPaths for the other
@@ -346,10 +338,6 @@ func stateCRC(net *dnn.Network) uint32 {
 // before TrainDetector and MAP became shells over the shared train and
 // evaluate loops.
 func TestDetectorTrainingPinned(t *testing.T) {
-	const (
-		pinnedDetectorCRC = 2017988216
-		pinnedMAPBits     = 0x3f8a3833776f880d
-	)
 	prev := parallel.Workers()
 	defer parallel.SetWorkers(prev)
 	setBackend(t, compute.Gemm)
@@ -363,11 +351,7 @@ func TestDetectorTrainingPinned(t *testing.T) {
 		}
 		ds := dataset.Boxes(cfg)
 		dnn.TrainDetector(net, ds, dnn.TrainOptions{Epochs: 1, Batch: 8, LR: 0.01, Seed: 42})
-		if got := stateCRC(net); got != pinnedDetectorCRC {
-			t.Fatalf("workers=%d: trained state CRC32 %d, pinned %d", workers, got, pinnedDetectorCRC)
-		}
-		if got := math.Float64bits(net.MAP(ds, dnn.EvalOptions{})); got != pinnedMAPBits {
-			t.Fatalf("workers=%d: mAP bits %#x, pinned %#x", workers, got, uint64(pinnedMAPBits))
-		}
+		pin.Check(t, "train/YOLO-Tiny/crc32", stateCRC(net))
+		pin.Check(t, "train/YOLO-Tiny/map-bits", math.Float64bits(net.MAP(ds, dnn.EvalOptions{})))
 	}
 }

@@ -136,17 +136,14 @@ func pretrain(name, dir string) (*TrainedModel, error) {
 	m.BaselineAcc = m.Metric(EvalOptions{})
 
 	if err := os.MkdirAll(dir, 0o755); err == nil {
-		tmp := path + ".tmp"
-		if f, err := os.Create(tmp); err == nil {
+		// Each writer saves to a temp file of its own, so processes training
+		// one model at once never rename a file another is still writing.
+		if f, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*"); err == nil {
 			saveErr := m.Net.Save(f)
 			// A failed Close can mean unflushed bytes: renaming then would
 			// publish a truncated cache entry that poisons the next run.
-			if closeErr := f.Close(); saveErr == nil && closeErr == nil {
-				if os.Rename(tmp, path) != nil {
-					_ = os.Remove(tmp) // best-effort; the cache is optional
-				}
-			} else {
-				_ = os.Remove(tmp) // best-effort; the cache is optional
+			if closeErr := f.Close(); saveErr != nil || closeErr != nil || os.Rename(f.Name(), path) != nil {
+				_ = os.Remove(f.Name()) // best-effort; the cache is optional
 			}
 		}
 	}

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/cpufeat"
 	"repro/internal/dram"
+	"repro/internal/pin"
 	"repro/internal/quant"
 )
 
@@ -352,9 +353,8 @@ func TestDeployArtifactPinned(t *testing.T) {
 			if err := dep.Save(&buf); err != nil {
 				t.Fatal(err)
 			}
-			if got := crc32.ChecksumIEEE(buf.Bytes()); got != 2152884835 || buf.Len() != 32253 {
-				t.Fatalf("vec=%v workers=%d: artifact crc32 %d, %d bytes; want 2152884835, 32253", vec, workers, got, buf.Len())
-			}
+			pin.Check(t, "artifact/LeNet/crc32", crc32.ChecksumIEEE(buf.Bytes()))
+			pin.Check(t, "artifact/LeNet/bytes", buf.Len())
 		}
 	}
 }

@@ -1,11 +1,13 @@
 package errormodel
 
 import (
+	"fmt"
 	"math"
 	"sync"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/pin"
 	"repro/internal/quant"
 	"repro/internal/tensor"
 )
@@ -78,6 +80,38 @@ func TestWeakCellsStable(t *testing.T) {
 // cell of that span.
 func inject(in *Injector, q *quant.QTensor) int {
 	return in.InjectWeak(q, 0, in.WeakPositions(q.NumValues()*q.Prec.Bits(), 0))
+}
+
+// TestInjectWeakPinned holds the per-cell draws of Models 1, 2 and 3 to
+// fixed bits: one int8 tensor, at bit offset 12345 and pass 7, corrupted
+// over each model's weak cells and pinned as the CRC-32 of its dequantized
+// values. Serving at a uniform BER draws through InjectUniform instead, so
+// no other pin sees this hash. Model 3 flips only stored ones (FV0 = 0), so
+// its pin depends on the stored bits as well as on the cells.
+func TestInjectWeakPinned(t *testing.T) {
+	x := tensor.New(256)
+	x.FillUniform(tensor.NewRNG(0x1F7), -1, 1)
+	ramp := func(top float64) []float64 {
+		g := make([]float64, Groups)
+		for i := range g {
+			g[i] = top * float64(1+i%4) / 4
+		}
+		return g
+	}
+	for _, m := range []*Model{
+		{Kind: Model1, Seed: 11, RowBits: 256, PB: ramp(0.6), FB: ramp(0.4)},
+		{Kind: Model2, Seed: 12, RowBits: 256, PW: ramp(0.6), FW: ramp(0.4)},
+		{Kind: Model3, Seed: 13, RowBits: 256, P: 0.5, FV1: 0.5},
+	} {
+		const base = 12345
+		q := quant.Quantize(x, quant.Int8)
+		in := &Injector{Model: m}
+		in.SetPass(7)
+		if in.InjectWeak(q, base, in.WeakPositions(q.NumBits(), base)) == 0 {
+			t.Fatalf("%v flipped no bit", m.Kind)
+		}
+		pin.Check(t, fmt.Sprintf("inject/model%d", m.Kind), pin.CRC(q.Dequantize().Data))
+	}
 }
 
 func TestInjectorRate(t *testing.T) {

@@ -3,14 +3,14 @@ package serve
 import (
 	"bytes"
 	"context"
-	"encoding/binary"
+	"fmt"
 	"hash/crc32"
-	"math"
 	"strings"
 	"sync"
 	"testing"
 
 	"repro/internal/eden"
+	"repro/internal/pin"
 	"repro/internal/quant"
 )
 
@@ -180,33 +180,16 @@ func TestRegisterReservesName(t *testing.T) {
 	}
 }
 
-// outputCRC is the CRC-32 of an output vector's little-endian bit patterns.
-func outputCRC(out []float32) uint32 {
-	b := make([]byte, 4*len(out))
-	for i, v := range out {
-		binary.LittleEndian.PutUint32(b[4*i:], math.Float32bits(v))
-	}
-	return crc32.ChecksumIEEE(b)
-}
-
 // TestUniformDeploymentPinnedBits holds raw-BER serving through
 // eden.UniformDeployment to the bits the removed Server.Register served:
-// the constants are the CRC-32s of its Predict outputs for testInputs
-// sample i at seed i+1, recorded at the last commit that had it.
+// the pins are the CRC-32s of its Predict outputs for testInputs sample i
+// at seed i+1, recorded at the last commit that had it.
 func TestUniformDeploymentPinnedBits(t *testing.T) {
 	inputs := testInputs(t, "LeNet", 12)
 	for _, tc := range []struct {
 		prec quant.Precision
 		ber  float64
-		want [12]uint32
-	}{
-		{quant.Int8, 5e-3, [12]uint32{
-			0x1839c1cc, 0x700d98ec, 0xd13c3f16, 0xacc2a296, 0xc231c460, 0xe37c775b,
-			0xca3b0178, 0x66d58618, 0x31103599, 0x24527ea9, 0x62dbb887, 0xae1fa01c}},
-		{quant.FP32, 0, [12]uint32{
-			0x7c0f05dd, 0xe4c0a390, 0x806edb5c, 0x7ffa8424, 0x8e963aa4, 0xf4b812c3,
-			0x78b8d4a6, 0x52de5a82, 0xc28e8849, 0x84969f55, 0xc1c08871, 0x290cd0d1}},
-	} {
+	}{{quant.Int8, 5e-3}, {quant.FP32, 0}} {
 		s := New(Config{MaxBatch: 1})
 		m := deployUniform(t, s, "LeNet", tc.prec, tc.ber)
 		for i, in := range inputs {
@@ -214,9 +197,7 @@ func TestUniformDeploymentPinnedBits(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := outputCRC(res.Output); got != tc.want[i] {
-				t.Errorf("%v at BER %v, seed %d: output CRC %#08x, Register served %#08x", tc.prec, tc.ber, i+1, got, tc.want[i])
-			}
+			pin.Check(t, fmt.Sprintf("uniform/LeNet/%v/%g/%d", tc.prec, tc.ber, i+1), pin.CRC(res.Output))
 		}
 		s.Close()
 	}
@@ -249,7 +230,7 @@ func TestUniformDeploymentSaveLoad(t *testing.T) {
 	}
 	want, got := serveAll(dep), serveAll(loaded)
 	for i := range want {
-		if outputCRC(got[i]) != outputCRC(want[i]) {
+		if pin.CRC(got[i]) != pin.CRC(want[i]) {
 			t.Fatalf("sample %d differs after save/load", i)
 		}
 	}
@@ -257,10 +238,10 @@ func TestUniformDeploymentSaveLoad(t *testing.T) {
 
 // TestPipelineArtifactServedBitsPinned takes the artifact
 // eden.TestDeployArtifactPinned pins (the lenet_pipeline workload's
-// configuration, CRC-32 2152884835) one step further, to what a server
-// answers from it: the CRC-32 of 64 outputs, in request order, served in
-// full batches by sixteen callers with one pass at a time and with two. The
-// constant was recorded at the last commit whose scheduler ran one pass.
+// configuration; the two tests read one pin) one step further, to what a
+// server answers from it: the CRC-32 of 64 outputs, in request order, served
+// in full batches by sixteen callers with one pass at a time and with two.
+// The pin was recorded at the last commit whose scheduler ran one pass.
 func TestPipelineArtifactServedBitsPinned(t *testing.T) {
 	if testing.Short() {
 		t.Skip("a full LeNet pipeline")
@@ -281,9 +262,7 @@ func TestPipelineArtifactServedBitsPinned(t *testing.T) {
 	if err := dep.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if got := crc32.ChecksumIEEE(buf.Bytes()); got != 2152884835 {
-		t.Fatalf("artifact crc32 %d, want the pinned 2152884835", got)
-	}
+	pin.Check(t, "artifact/LeNet/crc32", crc32.ChecksumIEEE(buf.Bytes()))
 	inputs := testInputs(t, "LeNet", 64)
 	for _, workers := range []int{1, 2} {
 		setWorkers(t, workers)
@@ -292,13 +271,8 @@ func TestPipelineArtifactServedBitsPinned(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var all []float32
-		for _, out := range predictFrom(t, m, inputs, 16) {
-			all = append(all, out...)
-		}
+		outs := predictFrom(t, m, inputs, 16)
 		s.Close()
-		if got := outputCRC(all); got != 3755291986 {
-			t.Fatalf("workers=%d: served outputs crc32 %d, want 3755291986", workers, got)
-		}
+		pin.Check(t, "artifact/LeNet/served-crc32", pin.CRC(outs...))
 	}
 }

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/dnn"
 	"repro/internal/dram"
+	"repro/internal/pin"
 	"repro/internal/quant"
 )
 
@@ -36,9 +37,8 @@ func tRCD(trcd float64) dram.Timing {
 // energy savings, then the speedup, of the CPU, GPU, Eyeriss and TPU — over
 // every zoo model, both precisions, batch 1 and 16, two voltages, three
 // tRCDs and both DRAM technologies, to a CRC-32 of their float64 bits. The
-// constant was computed with the per-platform packages this one replaced.
+// pin was computed with the per-platform packages this one replaced.
 func TestSystemModelsPinned(t *testing.T) {
-	const want = 0xaf2a470a
 	systems := []System{Table4CPU(), Table5GPU(), Eyeriss(), TPU()}
 	var b []byte
 	put := func(v float64) { b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v)) }
@@ -63,9 +63,7 @@ func TestSystemModelsPinned(t *testing.T) {
 			}
 		}
 	}
-	if got := crc32.ChecksumIEEE(b); got != want {
-		t.Fatalf("system-model CRC-32 %#x, want %#x", got, want)
-	}
+	pin.Check(t, "sim/system-models/crc32", crc32.ChecksumIEEE(b))
 }
 
 // TestSection7Claims encodes the paper's §7 findings, one inequality per

@@ -62,11 +62,14 @@ func MaxPool2DInto(dst []float32, arg []int32, src []float32, planes, h, w, k, s
 }
 
 // MaxPool2DBackward scatters dOut back through the argmax indices recorded
-// by MaxPool2DInto, producing a gradient of shape inShape.
+// by MaxPool2DInto, producing a gradient of shape inShape. An all-NaN
+// window's −Inf depends on none of its inputs, so its gradient is dropped.
 func MaxPool2DBackward(dOut *Tensor, arg []int32, inShape Shape) *Tensor {
 	dIn := &Tensor{shape: inShape.Clone(), Data: make([]float32, inShape.Size())}
 	for i, g := range dOut.Data {
-		dIn.Data[arg[i]] += g
+		if arg[i] >= 0 {
+			dIn.Data[arg[i]] += g
+		}
 	}
 	return dIn
 }

@@ -163,6 +163,25 @@ func TestMaxPool2D(t *testing.T) {
 	}
 }
 
+// TestMaxPool2DAllNaNWindow: an all-NaN window pools to −Inf, which no
+// input reaches, so backward gives every input a zero gradient and reads no
+// index outside the window.
+func TestMaxPool2DAllNaNWindow(t *testing.T) {
+	nan := float32(math.NaN())
+	in := FromSlice([]float32{nan, nan, nan, nan}, 1, 1, 2, 2)
+	out, arg := New(1, 1, 1, 1), make([]int32, 1)
+	MaxPool2DInto(out.Data, arg, in.Data, 1, 2, 2, 2, 2)
+	if !math.IsInf(float64(out.Data[0]), -1) {
+		t.Fatalf("all-NaN window pooled to %v, want -Inf", out.Data[0])
+	}
+	dIn := MaxPool2DBackward(FromSlice([]float32{1}, 1, 1, 1, 1), arg, in.Shape())
+	for i, g := range dIn.Data {
+		if g != 0 {
+			t.Fatalf("input %d got gradient %v, want 0", i, g)
+		}
+	}
+}
+
 func TestAvgPoolGlobal(t *testing.T) {
 	in := FromSlice([]float32{1, 2, 3, 4, 10, 20, 30, 40}, 1, 2, 2, 2)
 	out := AvgPool2DGlobal(in)
