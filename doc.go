@@ -92,6 +92,11 @@
 // A deployment is the only way onto a server: Server.Deploy registers an
 // artifact, Server.DeployStage a layer-range slice of one, and serving a
 // zoo model at a raw BER is Server.Deploy of an eden.UniformDeployment.
+// Registration builds the model first (a network clone, one weight
+// corruption, prewarmed clones), then publishes it under one lock, refusing
+// a taken name, and only then starts its scheduler. The model map is the
+// server's only registry state: its role and the stage healthz reports are
+// read from the registered models.
 // cmd/serve exposes all three over HTTP/JSON — including GET
 // /v1/models/{name} for deployment metadata and GET /v1/healthz for
 // load-balancer probes, with graceful drain on SIGINT/SIGTERM

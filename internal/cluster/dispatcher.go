@@ -84,7 +84,6 @@ type Dispatcher struct {
 	cfg    DispatcherConfig
 	client *http.Client
 	stages []*stagePool
-	task   string
 	info   serve.Info // assembled front-facing model info
 
 	draining atomic.Bool
@@ -141,7 +140,6 @@ func NewDispatcher(cfg DispatcherConfig) (*Dispatcher, error) {
 		pool.inDims = info.Stage.InDims
 		pool.outDims = info.Stage.OutDims
 		if k == 0 {
-			d.task = info.Task
 			d.info = info
 			d.info.Stage = nil // the front end presents a whole model
 		}

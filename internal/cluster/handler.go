@@ -22,6 +22,14 @@ import (
 //	POST /v1/models/{name}/predict     — standard JSON predict, fanned
 //	                                     through the stage pipeline
 func (d *Dispatcher) Handler() http.Handler {
+	// known answers 404 unless the request's {name} is the fronted model.
+	known := func(w http.ResponseWriter, r *http.Request) bool {
+		if name := r.PathValue("name"); name != d.cfg.Model {
+			serve.WriteError(w, http.StatusNotFound, "unknown model "+name)
+			return false
+		}
+		return true
+	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /v1/healthz", func(w http.ResponseWriter, r *http.Request) {
 		status, code := "ok", http.StatusOK
@@ -34,11 +42,9 @@ func (d *Dispatcher) Handler() http.Handler {
 		serve.WriteJSON(w, http.StatusOK, []serve.Info{d.info})
 	})
 	mux.HandleFunc("GET /v1/models/{name}", func(w http.ResponseWriter, r *http.Request) {
-		if r.PathValue("name") != d.cfg.Model {
-			serve.WriteError(w, http.StatusNotFound, "unknown model "+r.PathValue("name"))
-			return
+		if known(w, r) {
+			serve.WriteJSON(w, http.StatusOK, serve.ModelDetail{Info: d.info})
 		}
-		serve.WriteJSON(w, http.StatusOK, serve.ModelDetail{Info: d.info})
 	})
 	mux.HandleFunc("GET /v1/stats", func(w http.ResponseWriter, r *http.Request) {
 		serve.WriteJSON(w, http.StatusOK, map[string]Snapshot{d.cfg.Model: d.Stats()})
@@ -48,8 +54,7 @@ func (d *Dispatcher) Handler() http.Handler {
 		d.writeMetrics(w)
 	})
 	mux.HandleFunc("POST /v1/models/{name}/predict", func(w http.ResponseWriter, r *http.Request) {
-		if r.PathValue("name") != d.cfg.Model {
-			serve.WriteError(w, http.StatusNotFound, "unknown model "+r.PathValue("name"))
+		if !known(w, r) {
 			return
 		}
 		req, deadline, ok := serve.DecodePredict(w, r, d.stages[0].inDims.Size())
@@ -75,7 +80,7 @@ func (d *Dispatcher) Handler() http.Handler {
 			return
 		}
 		res := serve.Result{Output: out, ArgMax: -1, BatchSize: 1, Latency: time.Since(start)}
-		if d.task == "classify" {
+		if d.info.Task == "classify" {
 			res.ArgMax = tensor.FromSlice(out, len(out)).ArgMax()
 		}
 		serve.WritePrediction(w, d.cfg.Model, res)

@@ -3,8 +3,10 @@ package dnn
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"math"
 	"os"
+	"path/filepath"
 	"reflect"
 	"runtime"
 	"testing"
@@ -391,20 +393,28 @@ func TestWeightBytesAndIFMBytes(t *testing.T) {
 
 // TestPretrainedCacheKeyedOnTraining plants an untrained LeNet in an empty
 // cache directory. Under a fingerprint the code does not produce, it is not
-// loaded: pretrain trains, and writes its weights under its own fingerprint.
-// Under that fingerprint, the planted file is what loads.
+// loaded: pretrain trains, writes its weights under its own fingerprint and
+// removes LeNet's other files, the planted one and one named as the cache
+// named files before it took the fingerprint, but not LeNet-Big's. Under
+// its own fingerprint, the planted file is what loads, and nothing is
+// removed.
 func TestPretrainedCacheKeyedOnTraining(t *testing.T) {
 	cached := pretrained(t, "LeNet")
 	fp := cached.fingerprint()
 	planted := saved(t, mustBuild("LeNet"))
+	params := cached.Net.ParamCount()
 	for _, own := range []bool{false, true} {
 		dir := t.TempDir()
 		key := fp ^ 1
 		if own {
 			key = fp
 		}
-		if err := os.WriteFile(cached.cacheFile(dir, key), planted, 0o644); err != nil {
-			t.Fatal(err)
+		legacy := filepath.Join(dir, fmt.Sprintf("LeNet-%d.edenmdl", params))
+		other := filepath.Join(dir, fmt.Sprintf("LeNet-Big-%d-e1-%08x.edenmdl", params, fp))
+		for _, f := range []string{cached.cacheFile(dir, key), legacy, other} {
+			if err := os.WriteFile(f, planted, 0o644); err != nil {
+				t.Fatal(err)
+			}
 		}
 		m, err := pretrain("LeNet", dir)
 		if err != nil {
@@ -415,6 +425,14 @@ func TestPretrainedCacheKeyedOnTraining(t *testing.T) {
 		}
 		if _, err := os.Stat(cached.cacheFile(dir, fp)); err != nil {
 			t.Errorf("planted under own fingerprint %v: %v", own, err)
+		}
+		for _, f := range []struct {
+			path string
+			kept bool
+		}{{cached.cacheFile(dir, key), own}, {legacy, own}, {other, true}} {
+			if _, err := os.Stat(f.path); (err == nil) != f.kept {
+				t.Errorf("planted under own fingerprint %v: %s kept = %v, want %v", own, filepath.Base(f.path), err == nil, f.kept)
+			}
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"regexp"
 	"sync"
 
 	"repro/internal/dataset"
@@ -144,10 +145,28 @@ func pretrain(name, dir string) (*TrainedModel, error) {
 			// publish a truncated cache entry that poisons the next run.
 			if closeErr := f.Close(); saveErr != nil || closeErr != nil || os.Rename(f.Name(), path) != nil {
 				_ = os.Remove(f.Name()) // best-effort; the cache is optional
+			} else {
+				removeStale(dir, path, name)
 			}
 		}
 	}
 	return m, nil
+}
+
+// removeStale deletes the model's other weight files from dir once keep is
+// written: files named as this cache names them, <name>-<params>-e<epochs>-
+// <fingerprint>.edenmdl, or as it named them before it took the fingerprint,
+// <name>-<params>.edenmdl. Only another training path writes those, so
+// they would never load again. The match is an anchored pattern, not a
+// glob: YOLO's sweep must not take YOLO-Tiny's weights.
+func removeStale(dir, keep, name string) {
+	stale := regexp.MustCompile(`^` + regexp.QuoteMeta(sanitize(name)) + `-\d+(-e\d+-[0-9a-f]{8})?\.edenmdl$`)
+	entries, _ := os.ReadDir(dir) // best-effort, as the write is
+	for _, e := range entries {
+		if p := filepath.Join(dir, e.Name()); p != keep && stale.MatchString(e.Name()) {
+			_ = os.Remove(p)
+		}
+	}
 }
 
 // cacheFile names m's weights in dir after what trained them: the model,

@@ -59,9 +59,7 @@ func evalAt(tm *dnn.TrainedModel, net *dnn.Network, m *errormodel.Model, ber flo
 		corr.BER = ber
 		corr.BERByData = berByData
 		maps.Copy(corr.Bounds, bounds)
-		for i := 0; i < r; i++ {
-			corr.NextPass()
-		}
+		corr.Reset(uint64(r))
 		sums[r] = tm.MetricOf(tm.CloneNetFrom(net), corr.EvalOptions(cfg.MaxSamples))
 	})
 	var sum float64

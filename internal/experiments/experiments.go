@@ -41,16 +41,6 @@ func (r Report) String() string {
 	return b.String()
 }
 
-// zeroModel is a BER-0 uniform model used for quantize-only evaluation.
-func zeroModel() *errormodel.Model {
-	return errormodel.Uniform(0)
-}
-
-// uniformModel is a uniform random model at the given BER.
-func uniformModel(ber float64) *errormodel.Model {
-	return errormodel.Uniform(ber)
-}
-
 // Table1ModelZoo reproduces Table 1: the model inventory with weight and
 // IFM+weight footprints at FP32, plus the int8 deployment footprint the
 // precision-aware accounting reports (a quarter of FP32, not the FP32
@@ -82,7 +72,7 @@ func quantizedMetric(tm *dnn.TrainedModel, prec quant.Precision) float64 {
 	if prec == quant.FP32 {
 		return tm.Metric(dnn.EvalOptions{})
 	}
-	return tm.Metric(eden.NewSoftwareDRAM(zeroModel(), prec).EvalOptions(0))
+	return tm.Metric(eden.NewSoftwareDRAM(errormodel.Uniform(0), prec).EvalOptions(0))
 }
 
 // Table2Baselines reproduces Table 2: baseline accuracies across numeric

@@ -6,6 +6,7 @@ import (
 	"repro/internal/dnn"
 	"repro/internal/dram"
 	"repro/internal/eden"
+	"repro/internal/errormodel"
 	"repro/internal/quant"
 )
 
@@ -50,16 +51,14 @@ func BoundingMarginAblation() (Report, error) {
 	if err != nil {
 		return r, err
 	}
-	em := uniformModel(1)
+	em := errormodel.Uniform(1)
 	for _, margin := range []float32{1.0, 1.25, 1.5, 2.5, 10, 1000} {
 		var sum float64
 		for pass := 0; pass < 3; pass++ {
 			corr := eden.NewSoftwareDRAM(em, quant.FP32)
 			corr.BER = 2e-3
 			corr.Calibrate(tm, 16, margin)
-			for i := 0; i < pass; i++ {
-				corr.NextPass()
-			}
+			corr.Reset(uint64(pass))
 			sum += tm.Net.Accuracy(tm.ValSet, corr.EvalOptions(60))
 		}
 		r.Rows = append(r.Rows, fmt.Sprintf("%8.2f %8.1f%%", margin, sum/3*100))

@@ -115,7 +115,7 @@ func Figure8ToleranceCurves() (Report, error) {
 		return r, err
 	}
 	models := map[string]*errormodel.Model{
-		"Error Model 0": uniformModel(1),
+		"Error Model 0": errormodel.Uniform(1),
 		"Error Model 1": bitlineModel(),
 		"Error Model 2": wordlineModel(),
 		"Error Model 3": {Kind: errormodel.Model3, Seed: 3, RowBits: 16384, P: 1, FV1: 1.6, FV0: 0.4},
@@ -353,7 +353,7 @@ func CorrectionPolicyAblation() (Report, error) {
 	if err != nil {
 		return r, err
 	}
-	em := uniformModel(1)
+	em := errormodel.Uniform(1)
 	score := func(policy memctrl.Policy, ber float64) float64 {
 		var sum float64
 		for pass := 0; pass < 3; pass++ {
@@ -361,9 +361,7 @@ func CorrectionPolicyAblation() (Report, error) {
 			corr.BER = ber
 			corr.Logic.Policy = policy
 			corr.Calibrate(tm, 16, 0)
-			for i := 0; i < pass; i++ {
-				corr.NextPass()
-			}
+			corr.Reset(uint64(pass))
 			sum += tm.Net.Accuracy(tm.ValSet, corr.EvalOptions(60))
 		}
 		return sum / 3
@@ -384,7 +382,7 @@ func PruningAblation() (Report, error) {
 	if err != nil {
 		return r, err
 	}
-	em := uniformModel(1)
+	em := errormodel.Uniform(1)
 	for _, frac := range []float64{0, 0.10, 0.50, 0.75, 0.90} {
 		net := tm.CloneNet()
 		dnn.PruneMagnitude(net, frac)

@@ -1,32 +1,23 @@
 package quant_test
 
 import (
-	"bytes"
-	"context"
-	"encoding/json"
 	"math"
-	"net/http"
-	"net/http/httptest"
-	"sync"
 	"testing"
-	"time"
 
-	"repro/internal/cluster"
 	"repro/internal/compute"
 	"repro/internal/cpufeat"
 	"repro/internal/dnn"
 	"repro/internal/eden"
 	"repro/internal/errormodel"
 	"repro/internal/quant"
-	"repro/internal/serve"
 	"repro/internal/tensor"
 )
 
-// The tests in this file run the layers above the codecs — corrupted
-// forward passes over the zoo, the serving scheduler, the sharded cluster —
-// once with every assembly kernel on and once on the scalar bodies
-// (cpufeat.SetVec) and demand the same bits from both. The root package's
-// TestDeterminismMatrix holds the same surfaces to pinned CRCs.
+// The test in this file runs the layer above the codecs — corrupted
+// forward passes over the zoo — once with every assembly kernel on and once
+// on the scalar bodies (cpufeat.SetVec) and demands the same bits from both.
+// The root package's TestDeterminismMatrix holds the same surface, and the
+// serving and cluster ones, to pinned CRCs.
 
 // setBackend installs b as the process-wide compute backend for the rest of
 // the test and restores the previous one afterwards.
@@ -100,137 +91,4 @@ func TestCorruptedZooBitIdenticalOnBothVecPaths(t *testing.T) {
 			}
 		}
 	}
-}
-
-// TestServeBitIdenticalOnBothVecPaths serves an int8 LeNet at a stiff BER
-// through the batching scheduler with concurrent callers.
-func TestServeBitIdenticalOnBothVecPaths(t *testing.T) {
-	tm, err := dnn.Pretrained("LeNet")
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := tensor.NewRNG(0x5E12E)
-	inputs := make([][]float32, 12)
-	for i := range inputs {
-		x := tensor.New(1, tm.Net.InC, tm.Net.InH, tm.Net.InW)
-		x.FillUniform(rng, -1, 1)
-		inputs[i] = x.Data
-	}
-	vec, scalar := onBothPaths(t, func(t *testing.T) []float32 {
-		s := serve.New(serve.Config{MaxBatch: 8})
-		defer s.Close()
-		dep, err := eden.UniformDeployment("LeNet", quant.Int8, 5e-3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		m, err := s.Deploy(dep)
-		if err != nil {
-			t.Fatal(err)
-		}
-		outs := make([][]float32, len(inputs))
-		errs := make([]error, len(inputs))
-		var wg sync.WaitGroup
-		for i := range inputs {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				res, err := m.Predict(context.Background(), inputs[i], 1000+uint64(i))
-				outs[i], errs[i] = res.Output, err
-			}(i)
-		}
-		wg.Wait()
-		var all []float32
-		for i := range outs {
-			if errs[i] != nil {
-				t.Fatal(errs[i])
-			}
-			all = append(all, outs[i]...)
-		}
-		return all
-	})
-	assertSameBits(t, "served outputs", vec, scalar)
-}
-
-// TestClusterBitIdenticalOnBothVecPaths deploys LeNet once, then serves
-// the artifact through a two-stage loopback cluster on each path.
-func TestClusterBitIdenticalOnBothVecPaths(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs the deploy pipeline")
-	}
-	cfg := eden.DefaultDeploy("A")
-	cfg.Rounds = 0
-	cfg.Char.MaxSamples = 20
-	cfg.Char.Repeats = 1
-	cfg.Char.SearchSteps = 4
-	cfg.Char.MaxDrop = 0.05
-	vecDep, scalarDep := onBothPaths(t, func(t *testing.T) []byte {
-		dep, err := eden.Deploy("LeNet", cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var buf bytes.Buffer
-		if err := dep.Save(&buf); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
-	})
-	if !bytes.Equal(vecDep, scalarDep) {
-		t.Fatal("the deploy pipeline wrote different artifacts on the vector and scalar paths")
-	}
-	dep, err := eden.LoadDeployment(bytes.NewReader(scalarDep))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := tensor.NewRNG(0xE2E)
-	inputs := make([][]float32, 6)
-	for i := range inputs {
-		x := tensor.New(1, dep.Net.InC, dep.Net.InH, dep.Net.InW)
-		x.FillUniform(rng, -1, 1)
-		inputs[i] = x.Data
-	}
-	vec, scalar := onBothPaths(t, func(t *testing.T) []float32 {
-		// A fixed cut, so both paths run the same two stages.
-		slices, err := cluster.SliceAll(dep, cluster.Plan{Ranges: [][2]int{{0, 2}, {2, len(dep.Net.Layers)}}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		urls := make([][]string, len(slices))
-		for k, s := range slices {
-			srv := serve.New(serve.Config{MaxBatch: 4, QueueDepth: 128})
-			if _, err := srv.DeployStage(s); err != nil {
-				t.Fatal(err)
-			}
-			ts := httptest.NewServer(serve.NewHandler(srv))
-			defer srv.Close()
-			defer ts.Close()
-			urls[k] = []string{ts.URL}
-		}
-		d, err := cluster.NewDispatcher(cluster.DispatcherConfig{Model: "LeNet", Stages: urls, HealthInterval: 50 * time.Millisecond})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer d.Close()
-		front := httptest.NewServer(d.Handler())
-		defer front.Close()
-		var all []float32
-		for i, in := range inputs {
-			body, err := json.Marshal(serve.PredictRequest{Input: in, Seed: uint64(7 + i)})
-			if err != nil {
-				t.Fatal(err)
-			}
-			resp, err := front.Client().Post(front.URL+"/v1/models/LeNet/predict", "application/json", bytes.NewReader(body))
-			if err != nil {
-				t.Fatal(err)
-			}
-			var out serve.PredictResponse
-			err = json.NewDecoder(resp.Body).Decode(&out)
-			resp.Body.Close()
-			if err != nil || resp.StatusCode != http.StatusOK {
-				t.Fatalf("input %d: status %d, decode error %v", i, resp.StatusCode, err)
-			}
-			all = append(all, out.Output...)
-		}
-		return all
-	})
-	assertSameBits(t, "cluster outputs", vec, scalar)
 }

@@ -137,10 +137,10 @@ func TestDeployRegistration(t *testing.T) {
 	}
 }
 
-// TestRegisterReservesName pins the duplicate-registration race fix: of N
-// concurrent registrations of one name exactly one wins, the losers fail
-// fast at reservation time, and a failed build releases its reservation
-// instead of poisoning the name.
+// TestRegisterReservesName pins registration's one-name rule: of N
+// concurrent registrations of one name exactly one wins and the losers,
+// having built their models, fail at publication with "already registered";
+// a failed build publishes nothing, so it cannot poison the name.
 func TestRegisterReservesName(t *testing.T) {
 	s := New(Config{MaxBatch: 1})
 	defer s.Close()

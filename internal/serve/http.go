@@ -39,20 +39,15 @@ type PredictResponse struct {
 
 // HealthResponse is the JSON reply of GET /v1/healthz. Role and Stage let
 // balancers and humans tell shards apart: a standalone server reports
-// "standalone", a pipeline stage reports "stage" plus its position and
-// layer range, a cluster dispatcher reports "dispatcher".
+// "standalone", a pipeline stage reports "stage" plus the StageSummary its
+// model Info carries (position, layer range and boundary shapes; with two
+// stages registered, the name-sorted first), a cluster dispatcher reports
+// "dispatcher".
 type HealthResponse struct {
-	Status string       `json:"status"`
-	Models int          `json:"models"`
-	Role   Role         `json:"role"`
-	Stage  *StageHealth `json:"stage,omitempty"`
-}
-
-// StageHealth identifies a stage server in health probes.
-type StageHealth struct {
-	Index  int    `json:"index"`
-	Count  int    `json:"count"`
-	Layers [2]int `json:"layers"`
+	Status string        `json:"status"`
+	Models int           `json:"models"`
+	Role   Role          `json:"role"`
+	Stage  *StageSummary `json:"stage,omitempty"`
 }
 
 // NewHandler exposes a Server over HTTP/JSON:
@@ -63,35 +58,28 @@ type StageHealth struct {
 //	GET  /v1/stats                     — per-model serving statistics
 //	POST /v1/models/{name}/predict     — one prediction
 func NewHandler(s *Server) http.Handler {
+	// model finds the model the request's {name} names, answering 404 when
+	// there is none.
+	model := func(w http.ResponseWriter, r *http.Request) (*Model, bool) {
+		name := r.PathValue("name")
+		m, ok := s.Model(name)
+		if !ok {
+			WriteError(w, http.StatusNotFound, "unknown model "+name)
+		}
+		return m, ok
+	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /v1/healthz", func(w http.ResponseWriter, r *http.Request) {
 		// Load balancers poll this to decide whether to route traffic:
 		// 200 while the server accepts work, 503 from the moment
 		// BeginDrain (or Close) runs, so the balancer takes the instance
 		// out of rotation while in-flight requests still complete.
-		s.mu.RLock()
-		status := "ok"
-		if s.closed {
-			status = "closing"
-		} else if s.draining {
-			status = "draining"
-		}
-		n := len(s.models)
-		role := s.role
-		var stage *StageHealth
-		if s.stage != nil {
-			stage = &StageHealth{
-				Index:  s.stage.Index,
-				Count:  s.stage.Count,
-				Layers: [2]int{s.stage.Lo, s.stage.Hi},
-			}
-		}
-		s.mu.RUnlock()
+		h := s.health()
 		code := http.StatusOK
-		if status != "ok" {
+		if h.Status != "ok" {
 			code = http.StatusServiceUnavailable
 		}
-		WriteJSON(w, code, HealthResponse{Status: status, Models: n, Role: role, Stage: stage})
+		WriteJSON(w, code, h)
 	})
 	mux.HandleFunc("GET /v1/models", func(w http.ResponseWriter, r *http.Request) {
 		models := s.Models()
@@ -102,13 +90,9 @@ func NewHandler(s *Server) http.Handler {
 		WriteJSON(w, http.StatusOK, infos)
 	})
 	mux.HandleFunc("GET /v1/models/{name}", func(w http.ResponseWriter, r *http.Request) {
-		name := r.PathValue("name")
-		m, ok := s.Model(name)
-		if !ok {
-			WriteError(w, http.StatusNotFound, "unknown model "+name)
-			return
+		if m, ok := model(w, r); ok {
+			WriteJSON(w, http.StatusOK, m.Detail())
 		}
-		WriteJSON(w, http.StatusOK, m.Detail())
 	})
 	mux.HandleFunc("GET /v1/stats", func(w http.ResponseWriter, r *http.Request) {
 		out := map[string]Snapshot{}
@@ -118,10 +102,8 @@ func NewHandler(s *Server) http.Handler {
 		WriteJSON(w, http.StatusOK, out)
 	})
 	mux.HandleFunc("POST /v1/models/{name}/predict", func(w http.ResponseWriter, r *http.Request) {
-		name := r.PathValue("name")
-		m, ok := s.Model(name)
+		m, ok := model(w, r)
 		if !ok {
-			WriteError(w, http.StatusNotFound, "unknown model "+name)
 			return
 		}
 		req, deadline, ok := DecodePredict(w, r, m.inputLen)
@@ -138,7 +120,7 @@ func NewHandler(s *Server) http.Handler {
 		if writePredictError(w, m, err) {
 			return
 		}
-		WritePrediction(w, name, res)
+		WritePrediction(w, m.name, res)
 	})
 	mux.HandleFunc("POST /v1/models/{name}/infer", func(w http.ResponseWriter, r *http.Request) {
 		// The stage wire: one binary activation frame in, one out. The
@@ -146,13 +128,11 @@ func NewHandler(s *Server) http.Handler {
 		// this endpoint; floats travel as exact bit patterns, so the
 		// determinism contract survives the hop. A deadline rides in the
 		// X-Deadline-Ms header since the body is not JSON.
-		name := r.PathValue("name")
-		m, ok := s.Model(name)
+		m, ok := model(w, r)
 		if !ok {
-			WriteError(w, http.StatusNotFound, "unknown model "+name)
 			return
 		}
-		maxElems := tensor.Shape(m.inDims).Size()
+		maxElems := m.inputLen
 		maxBody := int64(4*maxElems) + 128
 		x, seed, err := DecodeActivation(http.MaxBytesReader(w, r.Body, maxBody), maxElems)
 		if err != nil {

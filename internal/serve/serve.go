@@ -108,82 +108,49 @@ const (
 )
 
 // Server owns the model registry and the scheduler configuration shared by
-// all models registered on it.
+// all models registered on it. The registry is its one piece of topology
+// state: role and stage identity are read from the registered models.
 type Server struct {
 	cfg      Config
 	mu       sync.RWMutex
 	models   map[string]*Model
-	reserved map[string]bool
-	role     Role
-	stage    *eden.StageInfo // set by the first DeployStage
 	draining bool
 	closed   bool
 }
 
 // New builds an empty server.
 func New(cfg Config) *Server {
-	return &Server{
-		cfg:      cfg.withDefaults(),
-		models:   map[string]*Model{},
-		reserved: map[string]bool{},
-		role:     RoleStandalone,
-	}
+	return &Server{cfg: cfg.withDefaults(), models: map[string]*Model{}}
 }
 
 // Config returns the scheduler configuration (defaults applied).
 func (s *Server) Config() Config { return s.cfg }
 
-// Role reports what this server is in the deployment topology. A fresh
-// server is standalone; the first DeployStage turns it into a stage.
-func (s *Server) Role() Role {
+// Role reports what this server is in the deployment topology: a stage
+// while it holds a stage registration, standalone otherwise.
+func (s *Server) Role() Role { return s.health().Role }
+
+// health reads the server's probe state under one lock: its status, model
+// count, role and, on a stage server, the name-sorted first stage's summary.
+func (s *Server) health() HealthResponse {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.role
-}
-
-// reserve claims a model name before the expensive build starts, so
-// concurrent registrations of the same name fail fast instead of training a
-// model only to throw it away at publication time.
-func (s *Server) reserve(name string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	h := HealthResponse{Status: "ok", Models: len(s.models), Role: RoleStandalone}
 	if s.closed {
-		return ErrClosed
+		h.Status = "closing"
+	} else if s.draining {
+		h.Status = "draining"
 	}
-	if _, dup := s.models[name]; dup || s.reserved[name] {
-		return fmt.Errorf("serve: model %q already registered", name)
-	}
-	s.reserved[name] = true
-	return nil
-}
-
-// release abandons a reservation after a failed build.
-func (s *Server) release(name string) {
-	s.mu.Lock()
-	delete(s.reserved, name)
-	s.mu.Unlock()
-}
-
-// commit publishes a built model under its reservation and starts its
-// scheduler. A stage turns the server into a stage server in the same
-// critical section, so no probe sees the model without the role.
-func (s *Server) commit(m *Model) error {
-	s.mu.Lock()
-	delete(s.reserved, m.name)
-	if s.closed {
-		s.mu.Unlock()
-		return ErrClosed
-	}
-	s.models[m.name] = m
-	if st := m.dep.Stage; st != nil {
-		s.role = RoleStage
-		if s.stage == nil {
-			s.stage = st
+	var stage *Model
+	for _, m := range s.models {
+		if m.dep.Stage != nil && (stage == nil || m.name < stage.name) {
+			stage = m
 		}
 	}
-	s.mu.Unlock()
-	m.start()
-	return nil
+	if stage != nil {
+		h.Role, h.Stage = RoleStage, stage.Info().Stage
+	}
+	return h
 }
 
 // Deploy registers a whole-model deployment artifact: the network is served
@@ -204,7 +171,7 @@ func (s *Server) Deploy(dep *eden.Deployment) (*Model, error) {
 }
 
 // DeployStage registers a pipeline-stage slice of a deployment (produced
-// by eden.Deployment.Slice) and marks the server as a stage. The stage
+// by eden.Deployment.Slice); a server holding one is a stage. The stage
 // serves raw activation tensors through PredictActivation — surfaced over
 // HTTP as POST /v1/models/{name}/infer — corrupting only its own layer
 // range; the pinned full-model DRAM layout carried by the slice keeps its
@@ -219,21 +186,26 @@ func (s *Server) DeployStage(dep *eden.Deployment) (*Model, error) {
 	return s.register(dep)
 }
 
-// register is the one way a model gets onto the server: reserve the name,
-// build the model, publish it and start its scheduler. A stage is a
-// deployment whose Stage is set.
+// register is the one way a model gets onto the server: build the model,
+// then, under one lock, refuse a closed server or a taken name, publish it,
+// and only then start its scheduler. Building takes no lock, so of two
+// concurrent registrations of one name both build and the later publication
+// fails. A stage is a deployment whose Stage is set.
 func (s *Server) register(dep *eden.Deployment) (*Model, error) {
-	if err := s.reserve(dep.ModelName); err != nil {
-		return nil, err
-	}
 	m, err := s.newModel(dep)
 	if err != nil {
-		s.release(dep.ModelName)
 		return nil, err
 	}
-	if err := s.commit(m); err != nil {
-		return nil, err
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return nil, ErrClosed
 	}
+	if _, dup := s.models[m.name]; dup {
+		return nil, fmt.Errorf("serve: model %q already registered", m.name)
+	}
+	s.models[m.name] = m
+	m.start()
 	return m, nil
 }
 
@@ -250,6 +222,11 @@ func (s *Server) newModel(dep *eden.Deployment) (*Model, error) {
 	if err != nil {
 		return nil, err
 	}
+	inDims := []int{1, net.InC, net.InH, net.InW}
+	if dep.Stage != nil {
+		// A stage accepts its input boundary's activation, not the image.
+		inDims = append([]int(nil), dep.Stage.InDims...)
+	}
 	slots := parallel.Workers()
 	m := &Model{
 		name:     dep.ModelName,
@@ -257,8 +234,8 @@ func (s *Server) newModel(dep *eden.Deployment) (*Model, error) {
 		spec:     spec,
 		dep:      dep,
 		net:      net,
-		inputLen: net.InC * net.InH * net.InW,
-		inDims:   []int{1, net.InC, net.InH, net.InW},
+		inputLen: tensor.Shape(inDims).Size(),
+		inDims:   inDims,
 		slots:    slots,
 		queue:    make(chan *pending, s.cfg.QueueDepth),
 		batches:  make(chan []*pending),
@@ -266,10 +243,6 @@ func (s *Server) newModel(dep *eden.Deployment) (*Model, error) {
 		quit:     make(chan struct{}),
 		stopped:  make(chan struct{}),
 		stats:    NewStats(s.cfg.MaxBatch),
-	}
-	if dep.Stage != nil {
-		// A stage accepts its input boundary's activation, not the image.
-		m.inDims = append([]int(nil), dep.Stage.InDims...)
 	}
 	corr := dep.NewCorruptor()
 	// Static weight image at the deployment's operating point(s): corrupt
@@ -315,17 +288,14 @@ func (s *Server) BeginDrain() {
 // and subsequent requests fail with ErrClosed.
 func (s *Server) Close() {
 	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
+	was := s.closed
+	s.closed = true
+	s.mu.Unlock()
+	if was {
 		return
 	}
-	s.closed = true
-	models := make([]*Model, 0, len(s.models))
-	for _, m := range s.models {
-		models = append(models, m)
-	}
-	s.mu.Unlock()
-	for _, m := range models {
+	// Nothing registers once closed is set, so this is every model.
+	for _, m := range s.Models() {
 		close(m.quit)
 	}
 }

@@ -170,7 +170,9 @@ func TestStageServing(t *testing.T) {
 	}
 	resp.Body.Close()
 	if health.Role != RoleStage || health.Stage == nil ||
-		health.Stage.Index != 0 || health.Stage.Count != 2 || health.Stage.Layers != [2]int{0, L / 2} {
+		health.Stage.Index != 0 || health.Stage.Count != 2 || health.Stage.Layers != [2]int{0, L / 2} ||
+		!tensor.Shape(health.Stage.InDims).Equal(slice0.Stage.InDims) ||
+		!tensor.Shape(health.Stage.OutDims).Equal(slice0.Stage.OutDims) {
 		t.Fatalf("stage healthz %+v", health)
 	}
 

@@ -8,10 +8,9 @@ import "math"
 //
 // An RNG is single-goroutine state: its methods mutate the stream in place
 // and must never be shared across concurrently running goroutines (the
-// -race CI job enforces this). Parallel code derives one independent stream
-// per goroutine up front with Split or SplitN — derivation is itself
-// deterministic, so a fan-out of k workers consumes exactly k draws from
-// the parent regardless of scheduling.
+// -race CI job enforces this). Parallel code that needs random draws gives
+// each goroutine a generator of its own, seeded with a value fixed before
+// the fan-out, so no stream depends on scheduling.
 type RNG struct {
 	state uint64
 }
@@ -56,24 +55,6 @@ func (r *RNG) Norm() float64 {
 	}
 	u2 := r.Float64()
 	return math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
-}
-
-// Split derives an independent generator from this one, labelled by tag so
-// that parallel streams with different tags do not collide.
-func (r *RNG) Split(tag uint64) *RNG {
-	return NewRNG(r.Uint64() ^ (tag * 0xd1342543de82ef95))
-}
-
-// SplitN derives n independent generators, one per parallel worker or
-// sample. The derivation happens serially on the caller before any fan-out,
-// which keeps parallel runs reproducible: stream i depends only on the
-// parent's state and i, never on goroutine scheduling.
-func (r *RNG) SplitN(n int) []*RNG {
-	out := make([]*RNG, n)
-	for i := range out {
-		out[i] = r.Split(uint64(i) + 1)
-	}
-	return out
 }
 
 // FillNormal fills t with N(0, std²) samples.
