@@ -82,18 +82,24 @@ cluster-smoke:
 	$(GO) build -o /tmp/repro-serve-smoke ./cmd/serve
 	$(GO) run ./examples/cluster -serve-bin /tmp/repro-serve-smoke
 
-# golden regenerates internal/experiments/testdata/golden/system.txt, the
-# §7 system-level reports (table3 supplies their operating points) and the
-# device-in-the-loop figures fig7 and fig9; golden-check
-# diffs a fresh run against it, and CI's bench job runs it. Both train into an
-# empty model cache, so a model cached by an older commit cannot make the check
-# pass. A diff in the golden is review surface, like .loc-ceiling.
-GOLDEN = internal/experiments/testdata/golden/system.txt
-GOLDEN_RUN = cache=$$(mktemp -d); out=$$(mktemp); EDEN_MODEL_CACHE=$$cache $(GO) run ./cmd/experiments table3 fig13 fig14 gpu accel fig7 fig9 > $$out; st=$$?; rm -rf $$cache
+# golden regenerates the two report goldens in internal/experiments/testdata/golden
+# from one empty model cache: system.txt, the §7 system-level reports (table3
+# supplies their operating points), the device-in-the-loop figures fig7 and
+# fig9 and the retraining and tolerance reports fig8, fig10 and curriculum;
+# and fast.txt, the fast reports tier 1's TestFastReportsGolden compares.
+# golden-check diffs a fresh run of both against them, and CI's bench job
+# runs it. Training into an empty model cache means a model cached by an
+# older commit cannot make the check pass. A diff in a golden is review
+# surface, like .loc-ceiling.
+GOLDEN = internal/experiments/testdata/golden
+GOLDEN_RUN = cache=$$(mktemp -d); out=$$(mktemp -d); \
+	EDEN_MODEL_CACHE=$$cache $(GO) run ./cmd/experiments table3 fig13 fig14 gpu accel fig7 fig8 fig9 fig10 curriculum > $$out/system.txt && \
+	EDEN_MODEL_CACHE=$$cache $(GO) run ./cmd/experiments table1 table2 fig5 profiling policy pruning refresh margin > $$out/fast.txt; \
+	st=$$?; rm -rf $$cache
 golden:
-	@$(GOLDEN_RUN); if [ $$st -eq 0 ]; then mv $$out $(GOLDEN); else rm -f $$out; fi; exit $$st
+	@$(GOLDEN_RUN); if [ $$st -eq 0 ]; then mv $$out/system.txt $$out/fast.txt $(GOLDEN)/; fi; rm -rf $$out; exit $$st
 golden-check:
-	@$(GOLDEN_RUN); if [ $$st -eq 0 ]; then diff -u $(GOLDEN) $$out; st=$$?; fi; rm -f $$out; exit $$st
+	@$(GOLDEN_RUN); if [ $$st -eq 0 ]; then diff -u $(GOLDEN)/system.txt $$out/system.txt && diff -u $(GOLDEN)/fast.txt $$out/fast.txt; st=$$?; fi; rm -rf $$out; exit $$st
 
 # pins regenerates testdata/pins.txt, the manifest of every pinned bit, as
 # golden regenerates its file: in each package whose tests import

@@ -3,9 +3,9 @@
 // Approximate DRAM" (Koppula et al., MICRO 2019). The library lives under
 // internal/ (README.md's "Layout" section is the system inventory),
 // runnable binaries under cmd/, two usage examples under examples/
-// (quickstart, and cluster, which make cluster-smoke runs), and the
-// benchmark harness that regenerates every table and figure of the paper's
-// evaluation in bench_test.go.
+// (quickstart, and cluster, which make cluster-smoke runs). cmd/experiments
+// regenerates every table and figure of the paper's evaluation; its index
+// of reports is experiments.Runners.
 //
 // # Compute backends and parallel execution
 //

@@ -5,6 +5,8 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -210,6 +212,39 @@ func TestClusterBitIdenticalToSingleProcess(t *testing.T) {
 	if snap.Requests == 0 || snap.Failures != 0 {
 		t.Fatalf("dispatcher stats %+v", snap)
 	}
+	// /metrics reports the same count, and the last stage in rotation.
+	metrics := getBody(t, front, "/metrics", http.StatusOK)
+	for _, line := range []string{
+		fmt.Sprintf(`dispatcher_requests_total{model="LeNet"} %d`, snap.Requests),
+		`dispatcher_stage_healthy_replicas{model="LeNet",stage="1"} 1`,
+	} {
+		if !strings.Contains(metrics, line+"\n") {
+			t.Fatalf("/metrics lacks %q:\n%s", line, metrics)
+		}
+	}
+	// Once draining, the front door's healthz turns 503.
+	d.BeginDrain()
+	if health := getBody(t, front, "/v1/healthz", http.StatusServiceUnavailable); !strings.Contains(health, `"status":"draining"`) {
+		t.Fatalf("healthz while draining: %s", health)
+	}
+}
+
+// getBody GETs path from ts, requires the status code and returns the body.
+func getBody(t *testing.T, ts *httptest.Server, path string, code int) string {
+	t.Helper()
+	resp, err := ts.Client().Get(ts.URL + path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != code {
+		t.Fatalf("GET %s: status %d, want %d: %s", path, resp.StatusCode, code, body)
+	}
+	return string(body)
 }
 
 // TestClusterReplicaDrain stands up stage 0 with two replicas, drains one

@@ -410,6 +410,9 @@ func checkConv2DBackward(t *testing.T, r *tensor.RNG, s backwardShape, hasBias b
 	desc := fmt.Sprintf("Conv2DBackward %s n=%d c=%d h=%d w=%d f=%d k=%d s=%d p=%d g=%d bias=%v",
 		s.name, s.n, s.c, s.h, s.w, s.f, s.k, s.stride, s.pad, s.groups, hasBias)
 	wantIn, wantW, wantB := Ref.Conv2DBackward(in, wt, hasBias, dOut, p)
+	rW, rB := Ref.Conv2DBackwardWeights(in, wt, hasBias, dOut, p)
+	assertSame(t, desc+" Ref weights-only dW", rW, wantW)
+	assertSame(t, desc+" Ref weights-only dBias", rB, wantB)
 	pinnedIn := wantIn
 	if s.macs() >= parallelCutoff {
 		pinnedIn = loweredDIn(in, wt, dOut, p)

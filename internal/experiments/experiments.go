@@ -1,9 +1,9 @@
 // Package experiments regenerates every table and figure of the paper's
-// evaluation (the per-experiment index is the name table in
-// cmd/experiments). Each experiment
-// returns formatted rows comparable to the paper's artifact; heavyweight
-// intermediate results (trained models, pipeline runs) are cached
-// process-wide so the bench harness and the CLI can share them.
+// evaluation; Runners is the index of reports, which cmd/experiments
+// prints. Each experiment returns formatted rows comparable to the paper's
+// artifact; heavyweight intermediate results (trained models, pipeline
+// runs) are computed once per process and shared by the reports that read
+// them.
 package experiments
 
 import (
@@ -18,6 +18,41 @@ import (
 	"repro/internal/quant"
 	"repro/internal/softmc"
 )
+
+// Runner is one report: its command-line name and how to produce it.
+type Runner struct {
+	Name string
+	Run  func() (Report, error)
+}
+
+// Runners lists every report in the order they print.
+var Runners = []Runner{
+	{"table1", infallible(Table1ModelZoo)},
+	{"table2", infallible(Table2Baselines)},
+	{"table3", Table3Coarse},
+	{"fig5", infallible(Figure5BERCurves)},
+	{"fig7", Figure7ModelValidation},
+	{"fig8", Figure8ToleranceCurves},
+	{"fig9", Figure9BoostedOnDevice},
+	{"fig10", Figure10RetrainingAblation},
+	{"fig11", Figure11FineGrained},
+	{"fig12", Figure12Mapping},
+	{"fig13", Figure13CPUEnergy},
+	{"fig14", Figure14CPUSpeedup},
+	{"gpu", Section72GPU},
+	{"accel", Section72Accelerators},
+	{"profiling", infallible(ProfilingCost)},
+	{"policy", CorrectionPolicyAblation},
+	{"pruning", PruningAblation},
+	{"refresh", RefreshExtension},
+	{"margin", BoundingMarginAblation},
+	{"curriculum", CurriculumStepAblation},
+}
+
+// infallible adapts a report that cannot fail to Runner's signature.
+func infallible(f func() Report) func() (Report, error) {
+	return func() (Report, error) { return f(), nil }
+}
 
 // Report is the output of one experiment: a title, column header and rows
 // formatted like the paper's artifact.
@@ -99,49 +134,21 @@ func Table2Baselines() Report {
 	return r
 }
 
-// Table3Entry is one coarse characterization + mapping result.
-type Table3Entry struct {
-	Model     string
-	Prec      quant.Precision
-	TolBER    float64
-	DeltaVDD  float64
-	DeltaTRCD float64
-	Result    *eden.Deployment
-}
-
 var (
 	table3Mu    sync.Mutex
-	table3Cache = map[string]*Table3Entry{}
+	table3Cache = map[string]*eden.Deployment{}
 )
 
-// Table3Models lists the networks Table 3 characterizes (the zoo minus
-// LeNet, as in the paper).
-func Table3Models() []string {
-	var out []string
-	for _, spec := range dnn.Zoo {
-		if spec.Name != "LeNet" {
-			out = append(out, spec.Name)
-		}
-	}
-	return out
-}
-
 // Table3For runs (or returns the cached) coarse EDEN pipeline for one model
-// and precision on vendor A. The paper finds FP32 and int8 tolerable BERs
-// nearly identical for every network (Table 3), so the pipeline runs once
-// per model at FP32 and the int8 entry reuses its result; running the int8
-// pipeline explicitly is available via cmd/eden -prec int8.
-func Table3For(model string, prec quant.Precision) (*Table3Entry, error) {
-	key := model
+// on vendor A, at FP32. The paper finds FP32 and int8 tolerable BERs nearly
+// identical for every network (Table 3), so the pipeline runs once per model
+// and Table 3's int8 row and every int8 operating point reuse its result;
+// running the int8 pipeline explicitly is available via cmd/eden -prec int8.
+func Table3For(model string) (*eden.Deployment, error) {
 	table3Mu.Lock()
 	defer table3Mu.Unlock()
-	if e, ok := table3Cache[key]; ok {
-		if e.Prec != prec {
-			alias := *e
-			alias.Prec = prec
-			return &alias, nil
-		}
-		return e, nil
+	if d, ok := table3Cache[model]; ok {
+		return d, nil
 	}
 	cfg := eden.DefaultDeploy("A")
 	cfg.Prec = quant.FP32
@@ -150,37 +157,31 @@ func Table3For(model string, prec quant.Precision) (*Table3Entry, error) {
 	cfg.Char.MaxSamples = 40
 	cfg.Char.Repeats = 1
 	cfg.Char.SearchSteps = 7
-	res, err := eden.Deploy(model, cfg)
+	d, err := eden.Deploy(model, cfg)
 	if err != nil {
 		return nil, err
 	}
-	e := &Table3Entry{Model: model, Prec: quant.FP32, TolBER: res.TolerableBER,
-		DeltaVDD: res.DeltaVDD, DeltaTRCD: res.DeltaTRCD, Result: res}
-	table3Cache[key] = e
-	if prec != quant.FP32 {
-		alias := *e
-		alias.Prec = prec
-		return &alias, nil
-	}
-	return e, nil
+	table3Cache[model] = d
+	return d, nil
 }
 
-// Table3Coarse reproduces Table 3: maximum tolerable BER per model plus the
-// ΔVDD and ΔtRCD the coarse mapping selects, for FP32 and int8.
-func Table3Coarse(precisions []quant.Precision) (Report, error) {
-	if len(precisions) == 0 {
-		precisions = []quant.Precision{quant.FP32, quant.Int8}
-	}
+// Table3Coarse reproduces Table 3: maximum tolerable BER per model (the zoo
+// minus LeNet, as in the paper) plus the ΔVDD and ΔtRCD the coarse mapping
+// selects, for FP32 and int8.
+func Table3Coarse() (Report, error) {
 	r := Report{ID: "E3/Table3", Title: "Coarse characterization and mapping (vendor A)",
 		Header: fmt.Sprintf("%-14s %-6s %10s %9s %10s", "Model", "Prec", "TolBER", "dVDD", "dtRCD")}
-	for _, m := range Table3Models() {
-		for _, p := range precisions {
-			e, err := Table3For(m, p)
-			if err != nil {
-				return r, err
-			}
+	for _, spec := range dnn.Zoo {
+		if spec.Name == "LeNet" {
+			continue
+		}
+		d, err := Table3For(spec.Name)
+		if err != nil {
+			return r, err
+		}
+		for _, p := range []quant.Precision{quant.FP32, quant.Int8} {
 			r.Rows = append(r.Rows, fmt.Sprintf("%-14s %-6s %9.3f%% %8.2fV %8.1fns",
-				e.Model, e.Prec, e.TolBER*100, e.DeltaVDD, e.DeltaTRCD))
+				spec.Name, p, d.TolerableBER*100, d.DeltaVDD, d.DeltaTRCD))
 		}
 	}
 	return r, nil

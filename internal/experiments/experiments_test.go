@@ -1,10 +1,10 @@
 package experiments
 
 import (
+	"os"
+	"slices"
 	"strings"
 	"testing"
-
-	"repro/internal/quant"
 )
 
 func TestTable1Rows(t *testing.T) {
@@ -57,23 +57,45 @@ func TestTable3SingleModelPipeline(t *testing.T) {
 	if testing.Short() {
 		t.Skip("pipeline run in -short mode")
 	}
-	e, err := Table3For("SqueezeNet1.1", quant.Int8)
+	d, err := Table3For("SqueezeNet1.1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e.TolBER <= 0 {
-		t.Fatalf("no tolerable BER found: %+v", e)
+	if d.TolerableBER <= 0 {
+		t.Fatalf("no tolerable BER found: TolBER %g", d.TolerableBER)
 	}
-	if e.DeltaVDD > 0 || e.DeltaTRCD > 0 {
-		t.Fatalf("mapping increased parameters: %+v", e)
+	if d.DeltaVDD > 0 || d.DeltaTRCD > 0 {
+		t.Fatalf("mapping increased parameters: dVDD %g V, dtRCD %g ns", d.DeltaVDD, d.DeltaTRCD)
 	}
-	// Cache must return an equivalent entry (int8 aliases the FP32 run).
-	again, err := Table3For("SqueezeNet1.1", quant.Int8)
-	if err != nil || again.TolBER != e.TolBER || again.Result != e.Result {
+	// The cache must hand back the same deployment.
+	again, err := Table3For("SqueezeNet1.1")
+	if err != nil || again != d {
 		t.Fatal("Table3For cache miss")
 	}
-	if again.Prec != quant.Int8 {
-		t.Fatalf("alias precision %v", again.Prec)
+}
+
+// TestFastReportsGolden renders the fast reports through Runners exactly as
+// cmd/experiments prints them and compares the bytes with
+// testdata/golden/fast.txt, which `make golden` regenerates.
+func TestFastReportsGolden(t *testing.T) {
+	fast := []string{"table1", "table2", "fig5", "profiling", "policy", "pruning", "refresh", "margin"}
+	var got strings.Builder
+	for _, r := range Runners {
+		if !slices.Contains(fast, r.Name) {
+			continue
+		}
+		rep, err := r.Run()
+		if err != nil {
+			t.Fatalf("%s: %v", r.Name, err)
+		}
+		got.WriteString(rep.String() + "\n")
+	}
+	want, err := os.ReadFile("testdata/golden/fast.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != string(want) {
+		t.Errorf("the fast reports differ from testdata/golden/fast.txt; got:\n%s", got.String())
 	}
 }
 

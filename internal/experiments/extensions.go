@@ -7,6 +7,7 @@ import (
 	"repro/internal/dram"
 	"repro/internal/eden"
 	"repro/internal/errormodel"
+	"repro/internal/memctrl"
 	"repro/internal/quant"
 )
 
@@ -53,15 +54,7 @@ func BoundingMarginAblation() (Report, error) {
 	}
 	em := errormodel.Uniform(1)
 	for _, margin := range []float32{1.0, 1.25, 1.5, 2.5, 10, 1000} {
-		var sum float64
-		for pass := 0; pass < 3; pass++ {
-			corr := eden.NewSoftwareDRAM(em, quant.FP32)
-			corr.BER = 2e-3
-			corr.Calibrate(tm, 16, margin)
-			corr.Reset(uint64(pass))
-			sum += tm.Net.Accuracy(tm.ValSet, corr.EvalOptions(60))
-		}
-		r.Rows = append(r.Rows, fmt.Sprintf("%8.2f %8.1f%%", margin, sum/3*100))
+		r.Rows = append(r.Rows, fmt.Sprintf("%8.2f %8.1f%%", margin, meanAccuracy(tm, em, 2e-3, memctrl.Zero, margin)*100))
 	}
 	return r, nil
 }

@@ -114,19 +114,21 @@ func Figure8ToleranceCurves() (Report, error) {
 	if err != nil {
 		return r, err
 	}
-	models := map[string]*errormodel.Model{
-		"Error Model 0": errormodel.Uniform(1),
-		"Error Model 1": bitlineModel(),
-		"Error Model 2": wordlineModel(),
-		"Error Model 3": {Kind: errormodel.Model3, Seed: 3, RowBits: 16384, P: 1, FV1: 1.6, FV0: 0.4},
+	models := []struct {
+		name string
+		em   *errormodel.Model
+	}{
+		{"Error Model 0", errormodel.Uniform(1)},
+		{"Error Model 1", bitlineModel()},
+		{"Error Model 2", wordlineModel()},
+		{"Error Model 3", &errormodel.Model{Kind: errormodel.Model3, Seed: 3, RowBits: 16384, P: 1, FV1: 1.6, FV0: 0.4}},
 	}
 	bers := []float64{1e-4, 1e-3, 1e-2, 5e-2, 1e-1}
-	for _, name := range []string{"Error Model 0", "Error Model 1", "Error Model 2", "Error Model 3"} {
-		em := models[name]
+	for _, m := range models {
 		for _, prec := range []quant.Precision{quant.Int4, quant.Int8, quant.Int16, quant.FP32} {
-			accs := eden.SweepBER(tm, tm.Net, em, bers, prec, 40)
+			accs := eden.SweepBER(tm, tm.Net, m.em, bers, prec, 40)
 			for i, ber := range bers {
-				r.Rows = append(r.Rows, fmt.Sprintf("%-14s %-6s %9.0e %7.1f%%", name, prec, ber, accs[i]*100))
+				r.Rows = append(r.Rows, fmt.Sprintf("%-14s %-6s %9.0e %7.1f%%", m.name, prec, ber, accs[i]*100))
 			}
 		}
 	}
@@ -160,43 +162,30 @@ func wordlineModel() *errormodel.Model {
 	return m
 }
 
-var (
-	boostedMu    sync.Mutex
-	boostedCache = map[string]*dnn.Network{}
-)
-
 // boostedLeNet retrains LeNet once against vendor A's fitted model.
-func boostedLeNet() (*dnn.TrainedModel, *dnn.Network, error) {
+var boostedLeNet = sync.OnceValues(func() (*dnn.Network, error) {
 	tm, err := dnn.Pretrained("LeNet")
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	boostedMu.Lock()
-	defer boostedMu.Unlock()
-	if net, ok := boostedCache["LeNet"]; ok {
-		return tm, net, nil
-	}
-	em := fittedModel("A")
 	// The fitted model concentrates errors on a fixed weak-cell population,
 	// so the effective per-weak-cell flip rate at a given aggregate BER is
 	// much higher than under uniform injection; a gentler target keeps the
 	// boosted network's clean accuracy intact (the paper boosts toward the
 	// device's operating range, not an arbitrary rate).
-	rc := eden.DefaultRetrain(em, 0.004)
-	net := eden.Retrain(tm, rc)
-	boostedCache["LeNet"] = net
-	return tm, net, nil
-}
+	return eden.Retrain(tm, eden.DefaultRetrain(fittedModel("A"), 0.004)), nil
+})
 
 // Figure9BoostedOnDevice reproduces Fig. 9: baseline versus boosted LeNet
 // accuracy on the device across voltage and tRCD reductions.
 func Figure9BoostedOnDevice() (Report, error) {
 	r := Report{ID: "E7/Fig9", Title: "LeNet on device: baseline vs curricularly boosted",
 		Header: fmt.Sprintf("%-12s %9s %9s", "Point", "Baseline", "Boosted")}
-	tm, boosted, err := boostedLeNet()
+	boosted, err := boostedLeNet()
 	if err != nil {
 		return r, err
 	}
+	tm, _ := dnn.Pretrained("LeNet") // loaded by boostedLeNet
 	pts := vddAndTRCDPoints([]float64{1.35, 1.20, 1.10, 1.05}, []float64{12.5, 9.0, 7.5, 6.5})
 	rows, errs := make([]string, len(pts)), make([]error, len(pts))
 	parallel.ForEach(len(pts), func(i int) {
@@ -226,65 +215,48 @@ func Figure10RetrainingAblation() (Report, error) {
 	poorFit := bitlineModel()   // wrong spatial structure
 	const target = 0.004
 
-	variants := []struct {
-		name  string
-		train func() *dnn.Network
-	}{
-		{"baseline", func() *dnn.Network { return tm.Net }},
-		{"good-fit retrain", func() *dnn.Network {
-			rc := eden.DefaultRetrain(goodFit, target)
-			return eden.Retrain(tm, rc)
-		}},
-		{"poor-fit retrain", func() *dnn.Network {
-			rc := eden.DefaultRetrain(poorFit, target)
-			return eden.Retrain(tm, rc)
-		}},
-		{"curricular", func() *dnn.Network {
-			rc := eden.DefaultRetrain(goodFit, target)
-			return eden.Retrain(tm, rc)
-		}},
-		{"non-curricular", func() *dnn.Network {
+	// One network per retraining config, retrained side by side; each
+	// curve fans out again inside SweepBER.
+	nets := []func() *dnn.Network{
+		func() *dnn.Network { return tm.Net },
+		func() *dnn.Network { return eden.Retrain(tm, eden.DefaultRetrain(goodFit, target)) },
+		func() *dnn.Network { return eden.Retrain(tm, eden.DefaultRetrain(poorFit, target)) },
+		func() *dnn.Network {
 			rc := eden.DefaultRetrain(goodFit, target)
 			rc.Curricular = false
 			return eden.Retrain(tm, rc)
-		}},
+		},
 	}
-	// Variants are independent retraining runs; they fan out across the
-	// pool and each variant's BER curve fans out again inside SweepBER.
 	bers := []float64{1e-3, 5e-3, 1e-2, 2e-2}
-	blocks := make([][]string, len(variants))
-	parallel.ForEach(len(variants), func(vi int) {
-		v := variants[vi]
-		net := v.train()
-		accs := eden.SweepBER(tm, net, goodFit, bers, quant.FP32, 60)
-		block := make([]string, len(bers))
-		for i, ber := range bers {
-			block[i] = fmt.Sprintf("%-22s %9.0e %7.1f%%", v.name, ber, accs[i]*100)
-		}
-		blocks[vi] = block
+	curves := make([][]float64, len(nets))
+	parallel.ForEach(len(nets), func(i int) {
+		curves[i] = eden.SweepBER(tm, nets[i](), goodFit, bers, quant.FP32, 60)
 	})
-	for _, block := range blocks {
-		r.Rows = append(r.Rows, block...)
+	// DefaultRetrain is curricular, so "curricular" is the good-fit
+	// retraining and prints its curve.
+	for _, v := range []struct {
+		name string
+		net  int
+	}{{"baseline", 0}, {"good-fit retrain", 1}, {"poor-fit retrain", 2}, {"curricular", 1}, {"non-curricular", 3}} {
+		for i, ber := range bers {
+			r.Rows = append(r.Rows, fmt.Sprintf("%-22s %9.0e %7.1f%%", v.name, ber, curves[v.net][i]*100))
+		}
 	}
 	return r, nil
 }
 
-var (
-	fineMu    sync.Mutex
-	fineCache map[string]float64
-	fineBase  float64
-)
+// fineGrained is ResNet's fine-grained characterization: each data type's
+// tolerable BER, and the coarse BER the search was bootstrapped from.
+type fineGrained struct {
+	tol    map[string]float64
+	coarse float64
+}
 
 // fineGrainedResNet runs fine-grained characterization on ResNet once.
-func fineGrainedResNet() (map[string]float64, float64, error) {
-	fineMu.Lock()
-	defer fineMu.Unlock()
-	if fineCache != nil {
-		return fineCache, fineBase, nil
-	}
+var fineGrainedResNet = sync.OnceValues(func() (fineGrained, error) {
 	tm, err := dnn.Pretrained("ResNet101")
 	if err != nil {
-		return nil, 0, err
+		return fineGrained{}, err
 	}
 	em := fittedModel("A")
 	cfg := eden.DefaultCharacterize()
@@ -295,25 +267,23 @@ func fineGrainedResNet() (map[string]float64, float64, error) {
 	if coarse <= 0 {
 		coarse = 1e-4
 	}
-	fineCache = eden.FineCharacterize(tm, tm.Net, em, coarse, cfg, 4)
-	fineBase = coarse
-	return fineCache, fineBase, nil
-}
+	return fineGrained{eden.FineCharacterize(tm, tm.Net, em, coarse, cfg, 4), coarse}, nil
+})
 
 // Figure11FineGrained reproduces Fig. 11: per-IFM and per-weight tolerable
 // BERs for ResNet, ordered by network depth.
 func Figure11FineGrained() (Report, error) {
 	r := Report{ID: "E9/Fig11", Title: "Fine-grained tolerable BER per ResNet data type (depth order)",
 		Header: fmt.Sprintf("%-34s %10s", "Data", "TolBER")}
-	tol, coarse, err := fineGrainedResNet()
+	fine, err := fineGrainedResNet()
 	if err != nil {
 		return r, err
 	}
 	tm, _ := dnn.Pretrained("ResNet101")
 	for _, d := range eden.EnumerateData(tm.Net, quant.FP32) {
-		r.Rows = append(r.Rows, fmt.Sprintf("%-34s %9.3f%%", d.ID, tol[d.ID]*100))
+		r.Rows = append(r.Rows, fmt.Sprintf("%-34s %9.3f%%", d.ID, fine.tol[d.ID]*100))
 	}
-	r.Rows = append(r.Rows, fmt.Sprintf("(coarse bootstrap BER %.3f%%)", coarse*100))
+	r.Rows = append(r.Rows, fmt.Sprintf("(coarse bootstrap BER %.3f%%)", fine.coarse*100))
 	return r, nil
 }
 
@@ -322,7 +292,7 @@ func Figure11FineGrained() (Report, error) {
 func Figure12Mapping() (Report, error) {
 	r := Report{ID: "E10/Fig12", Title: "ResNet data mapped to 4 voltage partitions (Algorithm 1)",
 		Header: fmt.Sprintf("%-34s %10s %10s %8s", "Data", "TolBER", "Partition", "VDD")}
-	tol, coarse, err := fineGrainedResNet()
+	fine, err := fineGrainedResNet()
 	if err != nil {
 		return r, err
 	}
@@ -330,9 +300,9 @@ func Figure12Mapping() (Report, error) {
 	vendor, _ := dram.VendorByName("A")
 	// Four partitions at increasing aggressiveness; BERs from the vendor
 	// curve, capacity split evenly over a 4MiB module.
-	parts := eden.VoltagePartitions(vendor, coarse, []float64{0.5, 1, 1.5, 2.5},
+	parts := eden.VoltagePartitions(vendor, fine.coarse, []float64{0.5, 1, 1.5, 2.5},
 		dram.DefaultGeometry().Capacity()*8)
-	chars := eden.DataTolerances(tm.Net, quant.FP32, tol)
+	chars := eden.DataTolerances(tm.Net, quant.FP32, fine.tol)
 	assign, err := eden.MapFineGrained(chars, parts)
 	if err != nil {
 		return r, err
@@ -354,23 +324,29 @@ func CorrectionPolicyAblation() (Report, error) {
 		return r, err
 	}
 	em := errormodel.Uniform(1)
-	score := func(policy memctrl.Policy, ber float64) float64 {
-		var sum float64
-		for pass := 0; pass < 3; pass++ {
-			corr := eden.NewSoftwareDRAM(em, quant.FP32)
-			corr.BER = ber
-			corr.Logic.Policy = policy
-			corr.Calibrate(tm, 16, 0)
-			corr.Reset(uint64(pass))
-			sum += tm.Net.Accuracy(tm.ValSet, corr.EvalOptions(60))
-		}
-		return sum / 3
-	}
 	for _, ber := range []float64{1e-4, 1e-3, 5e-3} {
-		r.Rows = append(r.Rows, fmt.Sprintf("%9.0e %7.1f%% %8.1f%% %7.1f%%",
-			ber, score(memctrl.Zero, ber)*100, score(memctrl.Saturate, ber)*100, score(memctrl.Off, ber)*100))
+		r.Rows = append(r.Rows, fmt.Sprintf("%9.0e %7.1f%% %8.1f%% %7.1f%%", ber,
+			meanAccuracy(tm, em, ber, memctrl.Zero, 0)*100,
+			meanAccuracy(tm, em, ber, memctrl.Saturate, 0)*100,
+			meanAccuracy(tm, em, ber, memctrl.Off, 0)*100))
 	}
 	return r, nil
+}
+
+// meanAccuracy is tm's mean accuracy over three passes (60 samples each) of
+// a fresh corruptor injecting em's errors at ber, its bounds calibrated
+// with margin and implausible values corrected by policy.
+func meanAccuracy(tm *dnn.TrainedModel, em *errormodel.Model, ber float64, policy memctrl.Policy, margin float32) float64 {
+	var sum float64
+	for pass := 0; pass < 3; pass++ {
+		corr := eden.NewSoftwareDRAM(em, quant.FP32)
+		corr.BER = ber
+		corr.Logic.Policy = policy
+		corr.Calibrate(tm, 16, margin)
+		corr.Reset(uint64(pass))
+		sum += tm.Net.Accuracy(tm.ValSet, corr.EvalOptions(60))
+	}
+	return sum / 3
 }
 
 // PruningAblation reproduces the §3.3 finding that magnitude pruning does

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/dnn"
@@ -37,32 +38,24 @@ func cpuCells() ([]cpuCell, error) {
 	errs := make([]error, len(cells))
 	parallel.ForEach(len(cells), func(i int) {
 		c := &cells[i]
-		spec, _ := dnn.LookupSpec(c.model)
-		net, err := dnn.BuildModel(c.model)
-		if err != nil {
-			errs[i] = err
-			return
-		}
-		if c.op, errs[i] = opFor(c.model, c.prec); errs[i] == nil {
-			c.w = sim.FromModel(spec, net, c.prec, 16)
-		}
+		c.w, c.op, errs[i] = workloadAt(c.model, c.prec, 16)
 	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return cells, nil
+	return cells, errors.Join(errs...)
 }
 
-// opFor returns the per-model reduced operating point: the Table 3 pipeline
-// result when available, else a representative reduction.
-func opFor(model string, prec quant.Precision) (dram.OperatingPoint, error) {
-	e, err := Table3For(model, prec)
+// workloadAt returns model's workload at prec and batch, and the reduced
+// operating point of its Table 3 pipeline run.
+func workloadAt(model string, prec quant.Precision, batch int) (sim.Workload, dram.OperatingPoint, error) {
+	spec, _ := dnn.LookupSpec(model)
+	net, err := dnn.BuildModel(model)
 	if err != nil {
-		return dram.Nominal(), err
+		return sim.Workload{}, dram.OperatingPoint{}, err
 	}
-	return e.Result.Op, nil
+	d, err := Table3For(model)
+	if err != nil {
+		return sim.Workload{}, dram.OperatingPoint{}, err
+	}
+	return sim.FromModel(spec, net, prec, batch), d.Op, nil
 }
 
 // Figure13CPUEnergy reproduces Fig. 13: per-model DRAM energy savings on
@@ -116,17 +109,11 @@ func Section72GPU() (Report, error) {
 		Header: fmt.Sprintf("%-14s %-6s %9s %9s", "Model", "Prec", "Energy", "Speedup")}
 	gpu := sim.Table5GPU()
 	for _, model := range []string{"YOLO", "YOLO-Tiny"} {
-		spec, _ := dnn.LookupSpec(model)
-		net, err := dnn.BuildModel(model)
-		if err != nil {
-			return r, err
-		}
 		for _, prec := range []quant.Precision{quant.FP32, quant.Int8} {
-			op, err := opFor(model, prec)
+			w, op, err := workloadAt(model, prec, 16)
 			if err != nil {
 				return r, err
 			}
-			w := sim.FromModel(spec, net, prec, 16)
 			e := sim.EnergySavings(gpu, w, sim.DDR4(), op.VDD, op.Timing)
 			s := sim.Speedup(gpu, w, op.Timing)
 			r.Rows = append(r.Rows, fmt.Sprintf("%-14s %-6s %8.1f%% %8.3fx", model, prec, e*100, s))
@@ -143,16 +130,10 @@ func Section72Accelerators() (Report, error) {
 		Header: fmt.Sprintf("%-8s %-12s %-12s %9s %9s", "Accel", "Model", "DRAM", "Energy", "Speedup")}
 	for _, a := range []sim.Accel{sim.Eyeriss(), sim.TPU()} {
 		for _, model := range []string{"AlexNet", "YOLO-Tiny"} {
-			spec, _ := dnn.LookupSpec(model)
-			net, err := dnn.BuildModel(model)
+			w, op, err := workloadAt(model, quant.Int8, 1)
 			if err != nil {
 				return r, err
 			}
-			op, err := opFor(model, quant.Int8)
-			if err != nil {
-				return r, err
-			}
-			w := sim.FromModel(spec, net, quant.Int8, 1)
 			for _, p := range []sim.Power{sim.DDR4(), sim.LPDDR3()} {
 				e := sim.EnergySavings(a, w, p, op.VDD, op.Timing)
 				s := sim.Speedup(a, w, op.Timing)
