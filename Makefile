@@ -134,18 +134,20 @@ lint: asm-check
 	$(GO) run ./cmd/repro-lint ./...
 
 # asm-check guards the promises the assembly kernels make. A fused
-# multiply-add or a horizontal (cross-lane) op rounds differently from the
-# scalar Go loops it stands in for, and an approximate reciprocal is not
-# the correctly rounded divide they perform; any of them would silently
-# break bit identity with the scalar specification, so those opcodes are
-# banned from every .s file. And the pure-Go fallback other architectures
+# multiply-add or -subtract (VFMADD*, VFMSUB*, VFNMADD*, VFNMSUB*) or a
+# horizontal (cross-lane) op (VHADDP*, VHSUBP*, VDPP*) rounds differently
+# from the scalar Go loops it stands in for, and an approximation —
+# VRCP*/VRSQRT* in every width, packed or scalar, AVX-512's 14- and 28-bit
+# forms included, and VEXP2* — is not the correctly rounded result they
+# compute; any of them would silently break bit identity with the scalar
+# specification, so those opcodes are banned from every .s file. And the pure-Go fallback other architectures
 # get must keep building and vetting, which an amd64 host otherwise never
 # checks. Every kernel writes XMM/YMM registers with VEX instructions only:
 # a legacy-SSE write (MOVQ AX, X4) after a YMM write stalls on the SSE/AVX
 # transition, so any non-V instruction whose destination (last operand) is
 # an X register fails the check too.
 asm-check:
-	@bad=$$(grep -rnE --include='*.s' 'VFMADD|VFNMADD|VFMSUB|VDPPS|VHADDPS|VRCPPS|VRSQRTPS' internal/); \
+	@bad=$$(grep -rnE --include='*.s' 'VFN?M(ADD|SUB)|VH(ADD|SUB)P[SD]|VDPP[SD]|VRCP|VRSQRT|VEXP2' internal/); \
 	if [ -n "$$bad" ]; then echo "fused, horizontal or approximate vector op in assembly:"; echo "$$bad"; exit 1; fi
 	@bad=$$(grep -rnE --include='*.s' '(^|;)[[:space:]]*[A-UW-Z][A-Z0-9]*[[:space:]][^;/]*,[[:space:]]*X[0-9]+[[:space:]]*(;|\\|//|$$)' internal/); \
 	if [ -n "$$bad" ]; then echo "non-VEX instruction writing an X register in assembly:"; echo "$$bad"; exit 1; fi

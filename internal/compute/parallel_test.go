@@ -28,8 +28,13 @@ func fillSeq(t *tensor.Tensor, seed uint64) {
 
 func assertSame(t *testing.T, name string, got, want *tensor.Tensor) {
 	t.Helper()
-	if got == nil && want == nil {
+	switch {
+	case got == nil && want == nil:
 		return
+	case got == nil:
+		t.Fatalf("%s: got nil, want a %v tensor", name, want.Shape())
+	case want == nil:
+		t.Fatalf("%s: got a %v tensor, want nil", name, got.Shape())
 	}
 	if !got.Shape().Equal(want.Shape()) {
 		t.Fatalf("%s: shape %v != %v", name, got.Shape(), want.Shape())

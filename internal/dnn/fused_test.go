@@ -144,9 +144,7 @@ func TestOtherSlabAvoidsCurrent(t *testing.T) {
 
 func TestReLUTrainingUnchanged(t *testing.T) {
 	for _, ceil := range []float32{0, 6} {
-		x := randInput(0x2E1, 3, 4, 5, 7)
-		x.Scale(4)
-		x.Data[0], x.Data[1], x.Data[2], x.Data[3] = float32(math.NaN()), float32(math.Copysign(0, -1)), 6, float32(math.Inf(1))
+		x := withEdges(0x2E1, edgeValues(ceil), 2, 4, 32, 32)
 		want := x.Clone()
 		mask := make([]bool, len(want.Data))
 		for i, v := range want.Data {
@@ -160,7 +158,7 @@ func TestReLUTrainingUnchanged(t *testing.T) {
 			}
 			mask[i] = pass
 		}
-		dOut := randInput(0x2E2, 3, 4, 5, 7)
+		dOut := withEdges(0x2E2, edgeValues(1), 2, 4, 32, 32)
 		wantIn := dOut.Clone()
 		for i := range wantIn.Data {
 			if !mask[i] {
@@ -168,11 +166,13 @@ func TestReLUTrainingUnchanged(t *testing.T) {
 			}
 		}
 		l := &ReLU{LayerName: "relu", Ceil: ceil}
-		for _, train := range []bool{true, false} {
-			assertSameTensor(t, fmt.Sprintf("ceil=%v train=%v forward", ceil, train), l.Forward(x, train), want)
-		}
-		l.Forward(x, true)
-		assertSameTensor(t, fmt.Sprintf("ceil=%v backward", ceil), l.Backward(dOut), wantIn)
+		atWorkers(t, func(desc string) {
+			for _, train := range []bool{true, false} {
+				assertSameTensor(t, fmt.Sprintf("ceil=%v train=%v %s forward", ceil, train, desc), l.Forward(x, train), want)
+			}
+			l.Forward(x, true)
+			assertSameTensor(t, fmt.Sprintf("ceil=%v %s backward", ceil, desc), l.Backward(dOut), wantIn)
+		})
 	}
 }
 

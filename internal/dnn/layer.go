@@ -12,6 +12,7 @@ import (
 	"slices"
 
 	"repro/internal/compute"
+	"repro/internal/parallel"
 	"repro/internal/tensor"
 )
 
@@ -194,26 +195,23 @@ func (l *FC) Params() []*Param { return []*Param{l.Weight, l.Bias} }
 // ReLU applies max(0, x), optionally clipped at a ceiling (ReLU6 when
 // Ceil = 6, as used by MobileNetV2). Forward always returns a fresh tensor;
 // ForwardBatchFused, which owns its activations, applies the same body in
-// place.
+// place. Training keeps x for Backward: Network.Forward hooks a layer's
+// input before the layer reads it, and never after.
 type ReLU struct {
 	LayerName string
 	Ceil      float32 // 0 means no ceiling
-	mask      []bool
+	lastInput *tensor.Tensor
 }
 
 // Name returns the layer name.
 func (l *ReLU) Name() string { return l.LayerName }
 
-// Forward applies the activation into a fresh tensor; training also records
-// which values passed, for Backward.
+// Forward applies the activation into a fresh tensor, keeping x in training.
 func (l *ReLU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	out := tensor.New(x.Shape()...)
 	l.inferInto(out.Data, x.Data, x.Shape())
 	if train {
-		l.mask = slices.Grow(l.mask[:0], len(x.Data))[:len(x.Data)]
-		for i, v := range x.Data {
-			l.mask[i] = v > 0 && (l.Ceil == 0 || v < l.Ceil)
-		}
+		l.lastInput = x
 	}
 	return out
 }
@@ -225,14 +223,25 @@ func (l *ReLU) outShape(in tensor.Shape) tensor.Shape { return in }
 // non-zero Ceil become Ceil.
 func (l *ReLU) inferInto(dst, src []float32, _ tensor.Shape) { compute.Clamp(dst, src, l.Ceil) }
 
-// Backward gates the gradient by the activation mask.
+// Backward passes dOut[i] where the input v passed, v > 0 && (Ceil == 0 ||
+// v < Ceil), and +0 elsewhere, element by element over the pool. Mask words
+// compile to conditional moves, where a branch would mispredict every sign.
 func (l *ReLU) Backward(dOut *tensor.Tensor) *tensor.Tensor {
-	dIn := dOut.Clone()
-	for i := range dIn.Data {
-		if !l.mask[i] {
-			dIn.Data[i] = 0
+	x, g, ceil := l.lastInput.Data, dOut.Data, l.Ceil
+	l.lastInput = nil
+	dIn := tensor.New(dOut.Shape()...)
+	parallel.For(len(x), parallel.Grain(2), func(lo, hi int) {
+		for i, v := range x[lo:hi] {
+			var pass, below uint32
+			if v > 0 {
+				pass = ^uint32(0)
+			}
+			if ceil == 0 || v < ceil {
+				below = ^uint32(0)
+			}
+			dIn.Data[lo+i] = math.Float32frombits(math.Float32bits(g[lo+i]) & pass & below)
 		}
-	}
+	})
 	return dIn
 }
 
@@ -257,7 +266,7 @@ func (l *MaxPool) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	out := tensor.New(l.outShape(x.Shape())...)
 	if train {
 		l.arg = slices.Grow(l.arg[:0], len(out.Data))[:len(out.Data)]
-		tensor.MaxPool2DInto(out.Data, l.arg, x.Data, x.Dim(0)*x.Dim(1), x.Dim(2), x.Dim(3), l.K, l.S)
+		l.poolTrain(out.Data, x.Data, x.Shape())
 		l.inShape = x.Shape().Clone()
 		return out
 	}
@@ -267,6 +276,34 @@ func (l *MaxPool) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 
 func (l *MaxPool) outShape(in tensor.Shape) tensor.Shape {
 	return tensor.Shape{in[0], in[1], (in[2]-l.K)/l.S + 1, (in[3]-l.K)/l.S + 1}
+}
+
+// poolTrain is tensor.MaxPool2DInto into l.arg; a 2×2/stride-2 window over
+// even extents takes its four taps in order, each output row on one worker,
+// the maximum carried as bits so that the taps compile to conditional moves.
+func (l *MaxPool) poolTrain(dst, src []float32, in tensor.Shape) {
+	planes, h, w := in[0]*in[1], in[2], in[3]
+	if l.K != 2 || l.S != 2 || h%2 != 0 || w%2 != 0 {
+		tensor.MaxPool2DInto(dst, l.arg, src, planes, h, w, l.K, l.S)
+		return
+	}
+	ow, arg := w/2, l.arg
+	parallel.For(planes*h/2, parallel.Grain(4*ow), func(lo, hi int) {
+		for r := lo; r < hi; r++ {
+			top := 2 * r * w // output row r reads input rows 2r and 2r+1 of the stack
+			for ox := 0; ox < ow; ox++ {
+				best, bits, at := float32(math.Inf(-1)), uint32(0xff800000), int32(-1)
+				for _, i := range [4]int{top + 2*ox, top + 2*ox + 1, top + w + 2*ox, top + w + 2*ox + 1} {
+					v := src[i]
+					if b := math.Float32bits(v); v > best {
+						bits, at = b, int32(i)
+					}
+					best = math.Float32frombits(bits)
+				}
+				dst[r*ow+ox], arg[r*ow+ox] = best, at
+			}
+		}
+	})
 }
 
 // inferInto pools without an argmax. The 2×2/stride-2 window over even
@@ -289,9 +326,19 @@ func (l *MaxPool) inferInto(dst, src []float32, in tensor.Shape) {
 	}
 }
 
-// Backward scatters the gradient to the argmax positions.
+// Backward adds each output's gradient at its argmax in output order, each
+// plane on one worker (a −0 gradient lands on the fresh +0 as +0), and drops
+// an all-NaN window's (argmax −1), which depends on no input.
 func (l *MaxPool) Backward(dOut *tensor.Tensor) *tensor.Tensor {
-	return tensor.MaxPool2DBackward(dOut, l.arg, l.inShape)
+	dIn, per := tensor.New(l.inShape...), dOut.Dim(2)*dOut.Dim(3)
+	parallel.For(dOut.Dim(0)*dOut.Dim(1), parallel.Grain(per), func(lo, hi int) {
+		for i := lo * per; i < hi*per; i++ {
+			if a := l.arg[i]; a >= 0 {
+				dIn.Data[a] += dOut.Data[i]
+			}
+		}
+	})
+	return dIn
 }
 
 // Params returns nil; pooling has no parameters.

@@ -4,6 +4,7 @@ import (
 	"math"
 
 	"repro/internal/dataset"
+	"repro/internal/parallel"
 	"repro/internal/tensor"
 )
 
@@ -19,7 +20,8 @@ type SGD struct {
 }
 
 // Step applies one update to every parameter from its accumulated gradient,
-// then leaves the gradients untouched (callers zero them per batch).
+// then leaves the gradients untouched (callers zero them per batch). The
+// order-dependent clipping sum stays serial; the per-element update fans out.
 func (o *SGD) Step(params []*Param) {
 	if o.MaxGradNorm > 0 {
 		var sq float64
@@ -39,12 +41,15 @@ func (o *SGD) Step(params []*Param) {
 	mu := float32(o.Momentum)
 	wd := float32(o.WeightDecay)
 	for _, p := range params {
-		for i := range p.W.Data {
-			g := p.G.Data[i] + wd*p.W.Data[i]
-			v := mu*p.V.Data[i] + g
-			p.V.Data[i] = v
-			p.W.Data[i] -= lr * v
-		}
+		w, grad, vel := p.W.Data, p.G.Data, p.V.Data
+		parallel.For(len(w), parallel.Grain(4), func(lo, hi int) {
+			for i := lo; i < hi; i++ {
+				g := grad[i] + wd*w[i]
+				v := mu*vel[i] + g
+				vel[i] = v
+				w[i] -= lr * v
+			}
+		})
 	}
 }
 

@@ -31,8 +31,9 @@ func ConvOutDim(in, k, s, p int) int {
 // must hold planes·oh·ow elements. Each output starts at −Inf and takes a
 // tap only when it is strictly greater, walking the window row by row: a
 // NaN never wins and the first of equal maxima does. arg, when non-nil,
-// receives the index into src of every maximum (−1 for an all-NaN window);
-// inference passes nil. dst may be src only for a 1×1 window.
+// receives the index into src of every maximum (−1 for an all-NaN window),
+// which dnn's MaxPool scatters its gradient through; inference passes nil.
+// dst may be src only for a 1×1 window.
 func MaxPool2DInto(dst []float32, arg []int32, src []float32, planes, h, w, k, stride int) {
 	oh := (h-k)/stride + 1
 	ow := (w-k)/stride + 1
@@ -59,19 +60,6 @@ func MaxPool2DInto(dst []float32, arg []int32, src []float32, planes, h, w, k, s
 			}
 		}
 	}
-}
-
-// MaxPool2DBackward scatters dOut back through the argmax indices recorded
-// by MaxPool2DInto, producing a gradient of shape inShape. An all-NaN
-// window's −Inf depends on none of its inputs, so its gradient is dropped.
-func MaxPool2DBackward(dOut *Tensor, arg []int32, inShape Shape) *Tensor {
-	dIn := &Tensor{shape: inShape.Clone(), Data: make([]float32, inShape.Size())}
-	for i, g := range dOut.Data {
-		if arg[i] >= 0 {
-			dIn.Data[arg[i]] += g
-		}
-	}
-	return dIn
 }
 
 // AvgPool2DGlobal averages each channel's spatial plane, producing (N,C,1,1).
